@@ -8,7 +8,7 @@
 //	kvbench [-shards N] [-keys N] [-threads N] [-ops N] [-read-frac F]
 //	        [-zipf S] [-seed S] [-policies strict,epoch,racing,strand]
 //	        [-integrity] [-parallel N] [-json] [-out FILE] [-history FILE]
-//	        [-graph-dump FILE -graph-build serial|parallel -graph-workers N]
+//	        [-graph-dump FILE]
 //	        [-check] [-exhaustive] [-state-budget N]
 //
 // -check skips the bench sweep and runs the witness-pair persistency
@@ -20,9 +20,9 @@
 // persistcheck exit contract: status 2 means hazards were found.
 //
 // Every reported number is simulated and deterministic: the same
-// flags produce the same bytes, so -out artifacts diff cleanly and
-// the -graph-dump file is byte-identical between the serial and
-// parallel graph builders (the CI cmp step relies on this).
+// flags produce the same bytes at any -parallel, so -out artifacts and
+// -graph-dump files diff cleanly (the CI determinism step relies on
+// this).
 package main
 
 import (
@@ -91,8 +91,6 @@ func main() {
 		spansOut   = flag.String("spans-out", "", "write the harness wall-clock span trace (Chrome trace-event JSON) to this file")
 		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot to this file (.prom/.txt: Prometheus text, else JSON)")
 		graphDump  = flag.String("graph-dump", "", "build the persist-order graph for the first policy and write a deterministic dump to this file")
-		graphBuild = flag.String("graph-build", "serial", "graph builder for -graph-dump: serial|parallel")
-		graphWkrs  = flag.Int("graph-workers", 4, "worker count for -graph-build parallel")
 		checkF     = flag.Bool("check", false, "checks-only mode: run the persistency checker per policy instead of the bench sweep; exit 2 on hazards")
 		exhaustF   = flag.Bool("exhaustive", false, "with -check sizes: also enumerate and classify every reachable crash state (implies -check)")
 		stateBudgt = flag.Int("state-budget", 0, "exhaustive checker state budget; exceeding it refuses the fixture (0 = 1<<20)")
@@ -126,9 +124,9 @@ func main() {
 	}
 
 	// Sweep: one grid item per policy. Each item traces (or replays) the
-	// workload once and streams every persistency model over it in a
-	// single walk; merge collects rows in grid order, so the report is
-	// byte-identical at any -parallel.
+	// workload once and simulates every persistency model over it;
+	// merge collects rows in grid order, so the report is byte-identical
+	// at any -parallel.
 	type itemOut struct {
 		results []core.Result
 		events  int64
@@ -187,7 +185,7 @@ func main() {
 	}
 
 	if *graphDump != "" {
-		if err := dumpGraph(*graphDump, *graphBuild, *graphWkrs, grid[0], cache, spans); err != nil {
+		if err := dumpGraph(*graphDump, grid[0], cache, spans); err != nil {
 			fatal(err)
 		}
 	}
@@ -238,15 +236,15 @@ func parseGrid(policies string, shards int, keys uint64, threads, ops int, readF
 		if err != nil {
 			return nil, err
 		}
-		grid = append(grid, gridItem{
-			name: name,
-			qpol: qp,
-			opts: workload.KVOptions{
-				Shards: shards, Keys: keys, Threads: threads, Ops: ops,
-				ReadFrac: readFrac, ZipfS: zipfS, Policy: jp,
-				Integrity: integrity, Seed: seed, PolicyStr: name,
-			},
-		})
+		opts := workload.KVOptions{
+			Shards: shards, Keys: keys, Threads: threads, Ops: ops,
+			ReadFrac: readFrac, ZipfS: zipfS, Policy: jp,
+			Integrity: integrity, Seed: seed, PolicyStr: name,
+		}
+		if err := opts.Validate(); err != nil {
+			return nil, err
+		}
+		grid = append(grid, gridItem{name: name, qpol: qp, opts: opts})
 	}
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("empty policy grid")
@@ -305,24 +303,15 @@ func printTables(rows []row) {
 
 // dumpGraph builds the persist-order constraint graph for the first
 // grid policy under its target model and writes a deterministic
-// line-oriented dump. Running once with -graph-build serial and once
-// with -graph-build parallel must produce byte-identical files.
-func dumpGraph(path, builder string, workers int, item gridItem, cache *bench.TraceCache, spans *telemetry.SpanTracer) error {
+// line-oriented dump.
+func dumpGraph(path string, item gridItem, cache *bench.TraceCache, spans *telemetry.SpanTracer) error {
 	run, err := workload.BuildKV(item.opts, cache)
 	if err != nil {
 		return err
 	}
 	p := core.Params{Model: workload.ModelForPolicy("journal", item.qpol)}
-	sp := spans.Start("graph", "build").Arg("model", p.Model.String()).Arg("builder", builder)
-	var g *graph.Graph
-	switch builder {
-	case "serial":
-		g, err = graph.Build(run.Trace, p)
-	case "parallel":
-		g, err = graph.BuildParallel(run.Trace, p, workers)
-	default:
-		err = fmt.Errorf("unknown -graph-build %q (want serial|parallel)", builder)
-	}
+	sp := spans.Start("graph", "build").Arg("model", p.Model.String())
+	g, err := graph.Build(run.Trace, p)
 	if err == nil {
 		sp.Arg("nodes", g.Len()).Arg("peak-ranges", g.Stats.PeakRanges)
 	}
@@ -351,7 +340,7 @@ func dumpGraph(path, builder string, workers int, item gridItem, cache *bench.Tr
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "kvbench: wrote %s graph dump (%d nodes) to %s\n", builder, g.Len(), path)
+	fmt.Fprintf(os.Stderr, "kvbench: wrote graph dump (%d nodes) to %s\n", g.Len(), path)
 	return nil
 }
 

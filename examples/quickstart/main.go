@@ -47,8 +47,8 @@ func main() {
 	fmt.Printf("traced %d events, %d persists\n\n",
 		tr.Len(), trace.Summarize(tr).Persists)
 
-	// Replay the same trace through every persistency model in a single
-	// pass (SimulateAll walks the trace once, feeding all models).
+	// Replay the same trace through every persistency model
+	// (SimulateAll runs the pooled simulator once per model).
 	const latency = 500 * time.Nanosecond
 	tbl := stats.NewTable("model", "critical path", "coalesced", "persist-bound rate")
 	rs, err := core.SimulateAll(tr, core.Params{})

@@ -44,8 +44,8 @@ func BenchmarkSimFeed(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulateAll measures the single-pass multi-model walk: one
-// trace decode feeding every model's simulator (the MultiSim path).
+// BenchmarkSimulateAll measures replaying one trace under every model
+// through the pooled simulator, as SimulateAll does.
 func BenchmarkSimulateAll(b *testing.B) {
 	tr := synthTrace(10000)
 	b.ResetTimer()

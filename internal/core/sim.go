@@ -279,18 +279,12 @@ func (s *Sim) block(b memory.BlockID) *blockState {
 	return s.trackV.get(b, s.gen)
 }
 
-// Feed validates and processes one event in SC order.
+// Feed validates and processes one event in SC order. The dense state
+// indexers rely on Validate's range checks.
 func (s *Sim) Feed(e trace.Event) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	return s.feed(e)
-}
-
-// feed processes one already-validated event. MultiSim validates each
-// event once and fans it out here; the dense state indexers rely on
-// Validate's range checks, so unvalidated events must never reach feed.
-func (s *Sim) feed(e trace.Event) error {
 	s.res.Events++
 	switch e.Kind {
 	case trace.Load:
@@ -595,21 +589,19 @@ func Simulate(tr *trace.Trace, p Params) (Result, error) {
 }
 
 // SimulateAll runs one trace through every model in Models with shared
-// granularity parameters, returning results in Models order. The trace
-// is walked once: each event is decoded and validated a single time and
-// fanned out to all models' simulators (see MultiSim), rather than
-// replaying the trace once per model.
+// granularity parameters (base.Model is ignored), returning results in
+// Models order. Each model replays the trace through the pooled solo
+// Simulate, so one simulator's dense tables serve every model in turn.
 func SimulateAll(tr *trace.Trace, base Params) ([]Result, error) {
-	ms, err := NewMultiSim(base, Models...)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range tr.Chunks() {
-		for i := 0; i < c.Len(); i++ {
-			if err := ms.Feed(c.Event(i)); err != nil {
-				return nil, err
-			}
+	out := make([]Result, len(Models))
+	for i, m := range Models {
+		p := base
+		p.Model = m
+		r, err := Simulate(tr, p)
+		if err != nil {
+			return nil, err
 		}
+		out[i] = r
 	}
-	return ms.Results(), nil
+	return out, nil
 }

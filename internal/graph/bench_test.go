@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -32,8 +31,7 @@ func benchTrace(n int) *trace.Trace {
 }
 
 // BenchmarkGraphBuild measures constraint-DAG construction over the
-// slab-allocated node and reused scratch storage, per model, for the
-// serial builder and BuildParallel at several worker counts.
+// slab-allocated node and reused scratch storage, per model.
 func BenchmarkGraphBuild(b *testing.B) {
 	tr := benchTrace(20000)
 	for _, m := range []core.Model{core.Strict, core.Epoch} {
@@ -49,19 +47,5 @@ func BenchmarkGraphBuild(b *testing.B) {
 			}
 			b.ReportMetric(float64(tr.Len()), "events/op")
 		})
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s-parallel%d", m, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					g, err := BuildParallel(tr, core.Params{Model: m}, workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if g.Len() == 0 {
-						b.Fatal("empty graph")
-					}
-				}
-				b.ReportMetric(float64(tr.Len()), "events/op")
-			})
-		}
 	}
 }

@@ -229,3 +229,38 @@ func TestDuplicateEdgeIgnored(t *testing.T) {
 		t.Fatalf("in edges = %v", g.Nodes[b].In)
 	}
 }
+
+// TestBuildErrors pins the builders' error paths: an invalid event
+// aborts Build and BuildWithBarriers, without a panic, with the error
+// trace.Event.Validate reports for it, and an unknown model is refused.
+func TestBuildErrors(t *testing.T) {
+	var b tb
+	b.store(0, paddr(0), 1)
+	b.tr.Emit(trace.Event{TID: 0, Kind: trace.Store, Addr: paddr(0) + 8, Size: 0, Val: 1}) // bad size
+	var verr error
+	for e := range b.tr.All() {
+		if err := e.Validate(); err != nil {
+			verr = err
+		}
+	}
+	if verr == nil {
+		t.Fatal("fixture has no invalid event")
+	}
+	for _, m := range core.Models {
+		p := core.Params{Model: m}
+		if _, err := Build(&b.tr, p); err == nil || err.Error() != verr.Error() {
+			t.Errorf("%v: Build error %v, want %v", m, err, verr)
+		}
+		if _, _, err := BuildWithBarriers(&b.tr, p); err == nil || err.Error() != verr.Error() {
+			t.Errorf("%v: BuildWithBarriers error %v, want %v", m, err, verr)
+		}
+	}
+	var ok tb
+	ok.store(0, paddr(0), 1)
+	if _, err := Build(&ok.tr, core.Params{Model: core.Model(99)}); err == nil {
+		t.Error("Build accepted unknown model")
+	}
+	if _, _, err := BuildWithBarriers(&ok.tr, core.Params{Model: core.Model(99)}); err == nil {
+		t.Error("BuildWithBarriers accepted unknown model")
+	}
+}

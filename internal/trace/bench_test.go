@@ -58,7 +58,7 @@ func BenchmarkTraceEmit(b *testing.B) {
 }
 
 // BenchmarkTraceReplay measures a full walk over chunked storage — the
-// loop every simulator replay pays per model (or once, under MultiSim).
+// loop every simulator replay pays per model.
 func BenchmarkTraceReplay(b *testing.B) {
 	tr := &Trace{}
 	for i := 0; i < 100000; i++ {

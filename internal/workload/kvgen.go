@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 
@@ -81,6 +82,26 @@ type KVOptions struct {
 
 	// PolicyStr preserves the flag spelling for repro params.
 	PolicyStr string
+}
+
+// Validate rejects generator input no run can honor. Every KV build
+// path (kvbench grids, persistcheck, crashsim -replay kv lines) goes
+// through it, so untrusted repro parameters are checked here. Shard
+// counts are checked by kv.New.
+func (o KVOptions) Validate() error {
+	if o.Threads <= 0 || o.Ops < o.Threads {
+		return fmt.Errorf("kv workload: need ops >= threads > 0 (ops %d, threads %d)", o.Ops, o.Threads)
+	}
+	if o.Keys == 0 {
+		return fmt.Errorf("kv workload: empty key space")
+	}
+	if !(o.ReadFrac >= 0 && o.ReadFrac <= 1) {
+		return fmt.Errorf("kv workload: read fraction %v outside [0, 1]", o.ReadFrac)
+	}
+	if !(o.ZipfS >= 0) || math.IsInf(o.ZipfS, 1) {
+		return fmt.Errorf("kv workload: zipf skew %v must be finite and non-negative", o.ZipfS)
+	}
+	return nil
 }
 
 // Params serializes the options into repro-string parameters.
@@ -196,11 +217,8 @@ func BuildKV(o KVOptions, cache *bench.TraceCache) (*Run, error) {
 // setupKV constructs the sharded store and per-thread bodies without
 // executing the threads.
 func setupKV(o KVOptions, m *exec.Machine) (*Run, func(*exec.Thread), error) {
-	if o.Threads <= 0 || o.Ops < o.Threads {
-		return nil, nil, fmt.Errorf("kv workload: need ops >= threads > 0 (ops %d, threads %d)", o.Ops, o.Threads)
-	}
-	if o.Keys == 0 {
-		return nil, nil, fmt.Errorf("kv workload: empty key space")
+	if err := o.Validate(); err != nil {
+		return nil, nil, err
 	}
 	s := m.SetupThread()
 	st, err := kv.New(s, kv.Config{

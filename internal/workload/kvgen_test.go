@@ -170,17 +170,40 @@ func TestBuildKVIsDeterministicAndCacheable(t *testing.T) {
 	}
 }
 
+// TestBuildKVValidation pins the generator-input checks every KV build
+// path shares: bad thread/op counts, an empty key space, zero shards,
+// NaN or out-of-range read fractions and NaN, infinite or negative Zipf
+// skews are refused, while the boundary values run.
 func TestBuildKVValidation(t *testing.T) {
-	if _, err := BuildKV(KVOptions{Shards: 2, Keys: 8, Threads: 0, Ops: 8}, nil); err == nil {
-		t.Fatal("zero threads accepted")
+	base := KVOptions{Shards: 2, Keys: 8, Threads: 2, Ops: 8, ReadFrac: 0.5, ZipfS: 1.1, Seed: 1}
+	cases := []struct {
+		name string
+		edit func(*KVOptions)
+		ok   bool
+	}{
+		{"valid", func(*KVOptions) {}, true},
+		{"zero-threads", func(o *KVOptions) { o.Threads = 0 }, false},
+		{"ops-below-threads", func(o *KVOptions) { o.Threads, o.Ops = 4, 2 }, false},
+		{"empty-key-space", func(o *KVOptions) { o.Keys = 0 }, false},
+		{"zero-shards", func(o *KVOptions) { o.Shards = 0 }, false},
+		{"all-writes", func(o *KVOptions) { o.ReadFrac = 0 }, true},
+		{"all-reads", func(o *KVOptions) { o.ReadFrac = 1 }, true},
+		{"uniform-keys", func(o *KVOptions) { o.ZipfS = 0 }, true},
+		{"read-frac-above-one", func(o *KVOptions) { o.ReadFrac = 1.5 }, false},
+		{"read-frac-negative", func(o *KVOptions) { o.ReadFrac = -0.1 }, false},
+		{"read-frac-nan", func(o *KVOptions) { o.ReadFrac = math.NaN() }, false},
+		{"zipf-negative", func(o *KVOptions) { o.ZipfS = -1 }, false},
+		{"zipf-nan", func(o *KVOptions) { o.ZipfS = math.NaN() }, false},
+		{"zipf-plus-inf", func(o *KVOptions) { o.ZipfS = math.Inf(1) }, false},
+		{"zipf-minus-inf", func(o *KVOptions) { o.ZipfS = math.Inf(-1) }, false},
 	}
-	if _, err := BuildKV(KVOptions{Shards: 2, Keys: 8, Threads: 4, Ops: 2}, nil); err == nil {
-		t.Fatal("ops < threads accepted")
-	}
-	if _, err := BuildKV(KVOptions{Shards: 2, Keys: 0, Threads: 2, Ops: 8}, nil); err == nil {
-		t.Fatal("empty key space accepted")
-	}
-	if _, err := BuildKV(KVOptions{Shards: 0, Keys: 8, Threads: 2, Ops: 8}, nil); err == nil {
-		t.Fatal("zero shards accepted")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := base
+			c.edit(&o)
+			if _, err := BuildKV(o, nil); (err == nil) != c.ok {
+				t.Fatalf("BuildKV error = %v, want ok=%v", err, c.ok)
+			}
+		})
 	}
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # bench_core.sh runs the hot-path microbenchmarks (simulator feed,
-# single-pass multi-model walk, trace replay, graph build) and writes
+# all-model replay, trace replay, graph build) and writes
 # BENCH_core.json with ns/op, B/op, and allocs/op per benchmark.
 #
 # Usage: scripts/bench_core.sh [benchtime] [count] > BENCH_core.json
