@@ -12,7 +12,6 @@
 //	         [-break-barrier] [-omit-completion-barrier]
 //	         [-break-commit] [-omit-strand-recipe]
 //	         [-integrity]
-//	         [-check]
 //	         [-campaign] [-scenarios N] [-faults N] [-parallel N]
 //	         [-fail-on-silent] [-replay REPRO]
 //
@@ -22,11 +21,9 @@
 // so checkpoint truncations occur; try it with -policy racing to see
 // the per-algorithm unsafety discussed in EXPERIMENTS.md.
 //
-// With -check the static persistency checker (internal/persistcheck)
-// analyzes the trace instead of sampling crash states: it reports
-// epoch races, unpersisted publications, escaped §5.3 reads, and
-// redundant barriers, each hazard with a replayable repro line. Exit
-// status 2 means hazards were found.
+// The static persistency checkers run through cmd/persistcheck, which
+// takes the same workload flags; -replay accepts the repro lines its
+// hazards and counterexamples carry.
 //
 // With -campaign the sampled crash states are additionally perturbed
 // by injected device faults (torn/dropped persists, transient write
@@ -59,7 +56,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/nvram"
 	"repro/internal/observer"
-	"repro/internal/persistcheck"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -80,7 +76,6 @@ func main() {
 		breakCmt   = flag.Bool("break-commit", false, "drop the journal's records→commit barrier (negative test)")
 		omitRcp    = flag.Bool("omit-strand-recipe", false, "drop the journal's §5.3 strand recipe (negative test)")
 		integrity  = flag.Bool("integrity", false, "build with the corruption-detecting durable format (CRC frames, durable words, shadows)")
-		check      = flag.Bool("check", false, "run the static persistency checker instead of sampling crash states")
 		payloadLen = flag.Int("payload", 64, "payload bytes (queue only)")
 		campaign   = flag.Bool("campaign", false, "run a fault-injection campaign (salvage recovery)")
 		failSilent = flag.Bool("fail-on-silent", false, "campaign: exit 2 if any silent bit flip corrupted state undetected (the bar -integrity is expected to meet)")
@@ -173,30 +168,6 @@ func main() {
 		s := cache.Stats()
 		fmt.Fprintf(os.Stderr, "trace cache: %d hits, %d misses, %.1f%% of %d events replayed\n",
 			s.Hits, s.Misses, 100*s.ReplayRate(), s.EventsReplayed+s.EventsGenerated)
-	}
-
-	if *check {
-		rep, err := persistcheck.Check(run.Trace, core.Params{Model: model}, run.Checks, persistcheck.Config{
-			ReproParams: opts.Params(),
-			SiteLabel:   run.SiteLabel,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(rep)
-		if *metricsOut != "" {
-			reg := telemetry.NewRegistry()
-			persistcheck.Observe(reg, rep)
-			if merr := telemetry.WriteMetrics(reg, man, *metricsOut); merr != nil {
-				fatal(merr)
-			}
-		}
-		if rep.Hazards() > 0 {
-			fmt.Printf("verdict  : %d persistency hazard(s) found\n", rep.Hazards())
-			os.Exit(2)
-		}
-		fmt.Println("verdict  : no persistency hazards found")
-		return
 	}
 
 	if *campaign {
@@ -325,21 +296,13 @@ func stderrIsTTY() bool {
 	return err == nil && fi.Mode()&os.ModeCharDevice != 0
 }
 
-// writeSpans exports the wall-clock span trace; a nil tracer or empty
-// path is a no-op.
+// writeSpans exports the wall-clock span trace; an empty path is a
+// no-op.
 func writeSpans(path string, man *telemetry.Manifest, spans *telemetry.SpanTracer) {
-	if path == "" || spans == nil {
+	if path == "" {
 		return
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := telemetry.EncodeChromeTraceDoc(f, man, spans); err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := telemetry.WriteSpans(path, man, spans); err != nil {
 		fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "crashsim: wrote %d wall-clock spans to %s\n", spans.Len(), path)
@@ -353,39 +316,16 @@ func campaignDevice() nvram.Config {
 
 // replay parses a repro string, rebuilds the recorded workload (the
 // queue/journal/pstm grid, or the sharded KV store for workload=kv
-// lines such as kvbench -exhaustive counterexamples), and re-runs the
-// recorded scenario. Exit status 2 means the corruption reproduced.
+// lines such as persistcheck -workload kv counterexamples), and re-runs
+// the recorded scenario. Exit status 2 means the corruption reproduced.
 func replay(line string) int {
 	s, err := fault.ParseRepro(line)
 	if err != nil {
 		fatal(err)
 	}
-	var run *workload.Run
-	var model core.Model
-	if wl, _ := s.Param("workload"); wl == "kv" {
-		kvOpts, err := workload.KVFromScenario(s)
-		if err != nil {
-			fatal(err)
-		}
-		run, err = workload.BuildKV(kvOpts, nil)
-		if err != nil {
-			fatal(err)
-		}
-		pol, err := workload.ParsePolicy(kvOpts.PolicyStr)
-		if err != nil {
-			fatal(err)
-		}
-		model = workload.ModelForPolicy("kv", pol)
-	} else {
-		opts, err := workload.FromScenario(s)
-		if err != nil {
-			fatal(err)
-		}
-		run, err = workload.Build(opts, nil)
-		if err != nil {
-			fatal(err)
-		}
-		model = opts.Model
+	run, model, err := replayTarget(s)
+	if err != nil {
+		fatal(err)
 	}
 	fmt.Printf("workload : %s\n", run.Describe)
 	fmt.Printf("scenario : cut %d nodes, plan [%s]\n", s.Cut.Size(), s.Plan.String())
@@ -402,6 +342,37 @@ func replay(line string) int {
 	}
 	fmt.Println("verdict  : scenario handled (masked/salvaged/detected)")
 	return 0
+}
+
+// replayTarget rebuilds the workload a repro scenario records and
+// resolves the model its cut was taken under.
+func replayTarget(s *fault.Scenario) (*workload.Run, core.Model, error) {
+	if wl, _ := s.Param("workload"); wl != "kv" {
+		opts, err := workload.FromScenario(s)
+		if err != nil {
+			return nil, 0, err
+		}
+		run, err := workload.Build(opts, nil)
+		return run, opts.Model, err
+	}
+	opts, err := workload.KVFromScenario(s)
+	if err != nil {
+		return nil, 0, err
+	}
+	pol, err := workload.ParsePolicy(opts.PolicyStr)
+	if err != nil {
+		return nil, 0, err
+	}
+	// KVOptions carry no model: a model= param names the one the
+	// finding was checked under; lines without one use the target.
+	model := workload.ModelForPolicy("kv", pol)
+	if m, ok := s.Param("model"); ok {
+		if model, err = workload.ParseModel(m); err != nil {
+			return nil, 0, err
+		}
+	}
+	run, err := workload.BuildKV(opts, nil)
+	return run, model, err
 }
 
 func fatal(err error) {

@@ -9,15 +9,9 @@
 //	        [-zipf S] [-seed S] [-policies strict,epoch,racing,strand]
 //	        [-integrity] [-parallel N] [-json] [-out FILE] [-history FILE]
 //	        [-graph-dump FILE]
-//	        [-check] [-exhaustive] [-state-budget N]
 //
-// -check skips the bench sweep and runs the witness-pair persistency
-// checker over each policy's trace under its target model;
-// -exhaustive additionally runs the bounded model checker from
-// internal/persistcheck/exhaustive, classifying every reachable crash
-// state (use small -shards/-keys/-ops grids: the checker refuses
-// fixtures whose state space exceeds -state-budget). Both follow the
-// persistcheck exit contract: status 2 means hazards were found.
+// The persistency checkers run over the same store through
+// `persistcheck -workload kv` (-inserts is the op count there).
 //
 // Every reported number is simulated and deterministic: the same
 // flags produce the same bytes at any -parallel, so -out artifacts and
@@ -34,13 +28,10 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/benchdiff"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/journal"
-	"repro/internal/persistcheck"
-	"repro/internal/persistcheck/exhaustive"
 	"repro/internal/queue"
 	"repro/internal/stats"
 	"repro/internal/sweep"
@@ -84,16 +75,12 @@ func main() {
 		policyStr  = flag.String("policies", "strict,epoch,racing,strand", "comma-separated annotation policies to sweep")
 		integrity  = flag.Bool("integrity", false, "use the corruption-detecting durable format in every shard")
 		parallel   = flag.Int("parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
-		traceCache = flag.Int("trace-cache", bench.DefaultCacheEntries, "workload trace cache capacity in traces; 0 disables")
 		jsonOut    = flag.Bool("json", false, "emit the report JSON to stdout instead of aligned tables")
 		out        = flag.String("out", "", "write the report JSON to this file (e.g. BENCH_kv.json)")
 		history    = flag.String("history", "", "append the suite to this BENCH_history.jsonl file")
 		spansOut   = flag.String("spans-out", "", "write the harness wall-clock span trace (Chrome trace-event JSON) to this file")
 		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot to this file (.prom/.txt: Prometheus text, else JSON)")
 		graphDump  = flag.String("graph-dump", "", "build the persist-order graph for the first policy and write a deterministic dump to this file")
-		checkF     = flag.Bool("check", false, "checks-only mode: run the persistency checker per policy instead of the bench sweep; exit 2 on hazards")
-		exhaustF   = flag.Bool("exhaustive", false, "with -check sizes: also enumerate and classify every reachable crash state (implies -check)")
-		stateBudgt = flag.Int("state-budget", 0, "exhaustive checker state budget; exceeding it refuses the fixture (0 = 1<<20)")
 	)
 	flag.Parse()
 
@@ -108,25 +95,15 @@ func main() {
 	if *spansOut != "" {
 		spans = telemetry.NewSpanTracer(reg)
 	}
-	var cache *bench.TraceCache
-	if *traceCache > 0 {
-		cache = bench.NewTraceCache(*traceCache)
-	}
-	cache.SetSpans(spans)
-
 	grid, err := parseGrid(*policyStr, *shards, *keys, *threads, *ops, *readFrac, *zipfS, *seed, *integrity)
 	if err != nil {
 		fatal(err)
 	}
 
-	if *checkF || *exhaustF {
-		os.Exit(runChecks(grid, *exhaustF, *stateBudgt, *parallel, cache))
-	}
-
-	// Sweep: one grid item per policy. Each item traces (or replays) the
-	// workload once and simulates every persistency model over it;
-	// merge collects rows in grid order, so the report is byte-identical
-	// at any -parallel.
+	// Sweep: one grid item per policy. Each item traces the workload
+	// once and simulates every persistency model over it; merge
+	// collects rows in grid order, so the report is byte-identical at
+	// any -parallel.
 	type itemOut struct {
 		results []core.Result
 		events  int64
@@ -134,7 +111,7 @@ func main() {
 	rows := make([]row, 0, len(grid)*len(core.Models))
 	sw := sweep.Config{Parallel: *parallel, Registry: reg, Spans: spans}.Named("kvbench")
 	err = sweep.Run(len(grid), sw, func(i int) (itemOut, error) {
-		run, err := workload.BuildKV(grid[i].opts, cache)
+		run, err := workload.BuildKV(grid[i].opts, nil)
 		if err != nil {
 			return itemOut{}, err
 		}
@@ -185,26 +162,13 @@ func main() {
 	}
 
 	if *graphDump != "" {
-		if err := dumpGraph(*graphDump, grid[0], cache, spans); err != nil {
+		if err := dumpGraph(*graphDump, grid[0], spans); err != nil {
 			fatal(err)
 		}
 	}
 
-	cache.Observe(reg)
-	if cache != nil && !*jsonOut {
-		s := cache.Stats()
-		fmt.Printf("trace cache: %d hits, %d misses, %d evictions\n", s.Hits, s.Misses, s.Evictions)
-	}
 	if *spansOut != "" {
-		f, err := os.Create(*spansOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := telemetry.EncodeChromeTraceDoc(f, man, spans); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := telemetry.WriteSpans(*spansOut, man, spans); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "kvbench: wrote %d wall-clock spans to %s\n", spans.Len(), *spansOut)
@@ -304,8 +268,8 @@ func printTables(rows []row) {
 // dumpGraph builds the persist-order constraint graph for the first
 // grid policy under its target model and writes a deterministic
 // line-oriented dump.
-func dumpGraph(path string, item gridItem, cache *bench.TraceCache, spans *telemetry.SpanTracer) error {
-	run, err := workload.BuildKV(item.opts, cache)
+func dumpGraph(path string, item gridItem, spans *telemetry.SpanTracer) error {
+	run, err := workload.BuildKV(item.opts, nil)
 	if err != nil {
 		return err
 	}
@@ -342,57 +306,6 @@ func dumpGraph(path string, item gridItem, cache *bench.TraceCache, spans *telem
 	}
 	fmt.Fprintf(os.Stderr, "kvbench: wrote graph dump (%d nodes) to %s\n", g.Len(), path)
 	return nil
-}
-
-// runChecks is the -check / -exhaustive mode: instead of the bench
-// sweep, each policy's trace goes through the witness-pair persistency
-// checker under its target model — and with -exhaustive through the
-// bounded model checker too, which enumerates every reachable crash
-// state and reports the correctness condition met. Policies run
-// sequentially (the sweep workers go to the exhaustive enumeration),
-// so output is deterministic at any -parallel. The exit contract
-// matches cmd/persistcheck: 2 when any hazard or hazardous verdict was
-// found, 0 when clean.
-func runChecks(grid []gridItem, exhaustiveMode bool, stateBudget, parallel int, cache *bench.TraceCache) int {
-	hazards, exHazards := 0, 0
-	for _, item := range grid {
-		run, err := workload.BuildKV(item.opts, cache)
-		if err != nil {
-			fatal(err)
-		}
-		model := workload.ModelForPolicy("kv", item.qpol)
-		fmt.Printf("workload : %s\n", run.Describe)
-		fmt.Printf("model    : %v\n", model)
-		rep, err := persistcheck.Check(run.Trace, core.Params{Model: model}, run.Checks, persistcheck.Config{
-			ReproParams: item.opts.Params(),
-			SiteLabel:   run.SiteLabel,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		rep.SortFindings()
-		fmt.Print(rep)
-		hazards += rep.Hazards()
-		if exhaustiveMode {
-			res, err := exhaustive.Check(run.Trace, core.Params{Model: model}, run.Recover, run.Checked,
-				exhaustive.Config{
-					Budget:      stateBudget,
-					ReproParams: item.opts.Params(),
-					Sweep:       sweep.Config{Parallel: parallel},
-				})
-			if err != nil {
-				fatal(fmt.Errorf("policy %s: %w", item.name, err))
-			}
-			fmt.Print(res)
-			exHazards += res.Hazards
-		}
-	}
-	if hazards > 0 || exHazards > 0 {
-		fmt.Printf("verdict  : %d persistency hazard(s), %d hazardous crash state(s) found\n", hazards, exHazards)
-		return 2
-	}
-	fmt.Println("verdict  : no persistency hazards found")
-	return 0
 }
 
 func writeJSON(path string, v any) error {

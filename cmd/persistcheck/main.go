@@ -28,15 +28,23 @@
 //
 // Usage:
 //
-//	persistcheck [-workload queue|journal|pstm] [-design cwl|2lc]
+//	persistcheck [-workload queue|journal|pstm|kv] [-design cwl|2lc]
 //	             [-policy strict|epoch|racing|strand]
 //	             [-model strict|epoch|epoch-tso|strand] [-all-models]
 //	             [-threads N] [-inserts N] [-payload N] [-seed S]
+//	             [-shards N] [-keys N] [-read-frac F]
 //	             [-break-barrier] [-omit-completion-barrier]
 //	             [-break-commit] [-omit-strand-recipe]
 //	             [-integrity] [-require-integrity] [-sparse-blocks]
 //	             [-exhaustive] [-state-budget N] [-parallel N]
 //	             [-limit N] [-metrics-out FILE]
+//
+// -workload kv checks the sharded KV serving store (internal/kv driven
+// by the Zipfian generator, skew 1.1): -inserts is the total operation
+// count, -shards, -keys and -read-frac shape the store and the mix, and
+// the queue/journal fixture knobs do not apply. This is the only
+// command that runs the checkers; kvbench, pqbench and crashsim
+// measure and replay.
 //
 // Without -model the checker uses the policy's natural target model
 // (the Table 1 column pairing); -all-models checks every model in one
@@ -55,6 +63,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/persistcheck"
 	"repro/internal/persistcheck/exhaustive"
 	"repro/internal/sweep"
@@ -65,7 +74,7 @@ import (
 // checkConfig is everything one checker invocation needs; main parses
 // flags into it, tests construct it directly.
 type checkConfig struct {
-	opts        workload.Options // Model overridden per grid entry
+	build       builder
 	models      []core.Model
 	exhaustive  bool
 	stateBudget int
@@ -85,6 +94,31 @@ type modelOutput struct {
 	exHazards  int
 }
 
+// builder traces the checked workload for one model and returns the
+// run with the repro params its findings carry.
+type builder func(model core.Model) (*workload.Run, []fault.Param, error)
+
+// gridBuilder builds the queue/journal/pstm grid; the model is part of
+// the options, so it lands in the repro params.
+func gridBuilder(o workload.Options) builder {
+	return func(model core.Model) (*workload.Run, []fault.Param, error) {
+		o := o // models build concurrently
+		o.Model = model
+		run, err := workload.Build(o, nil)
+		return run, o.Params(), err
+	}
+}
+
+// kvBuilder builds the sharded KV store. KVOptions carry no model, so
+// the checked one is appended to the repro params: crashsim -replay
+// then rebuilds the graph under it rather than the policy's target.
+func kvBuilder(o workload.KVOptions) builder {
+	return func(model core.Model) (*workload.Run, []fault.Param, error) {
+		run, err := workload.BuildKV(o, nil)
+		return run, append(o.Params(), fault.Param{Key: "model", Value: model.String()}), err
+	}
+}
+
 // checkModels runs the witness-pair checker (and optionally the
 // exhaustive checker) for every model in the grid, fanning models out
 // across sweep workers. Output is assembled in model order and findings
@@ -101,9 +135,7 @@ func checkModels(cfg checkConfig) (string, *modelOutput, error) {
 	err := sweep.Run(len(cfg.models), sweep.Config{Parallel: outer, Name: "persistcheck-models"},
 		func(i int) (*modelOutput, error) {
 			model := cfg.models[i]
-			opts := cfg.opts
-			opts.Model = model
-			run, err := workload.Build(opts, nil)
+			run, params, err := cfg.build(model)
 			if err != nil {
 				return nil, err
 			}
@@ -111,7 +143,7 @@ func checkModels(cfg checkConfig) (string, *modelOutput, error) {
 			fmt.Fprintf(&b, "model    : %v\n", model)
 			rep, err := persistcheck.Check(run.Trace, core.Params{Model: model}, run.Checks, persistcheck.Config{
 				Limit:       cfg.limit,
-				ReproParams: opts.Params(),
+				ReproParams: params,
 				SiteLabel:   run.SiteLabel,
 			})
 			if err != nil {
@@ -129,7 +161,7 @@ func checkModels(cfg checkConfig) (string, *modelOutput, error) {
 				res, err := exhaustive.Check(run.Trace, core.Params{Model: model}, run.Recover, run.Checked,
 					exhaustive.Config{
 						Budget:      cfg.stateBudget,
-						ReproParams: opts.Params(),
+						ReproParams: params,
 						Sweep:       sweep.Config{Parallel: inner},
 					})
 				if err != nil {
@@ -166,15 +198,18 @@ func checkModels(cfg checkConfig) (string, *modelOutput, error) {
 
 func main() {
 	var (
-		wl          = flag.String("workload", "queue", "queue, journal, or pstm")
+		wl          = flag.String("workload", "queue", "queue, journal, pstm, or kv")
 		designStr   = flag.String("design", "cwl", "cwl or 2lc (queue only)")
 		policyStr   = flag.String("policy", "epoch", "strict|epoch|racing|strand")
 		modelStr    = flag.String("model", "", "persistency model (default: the policy's target model)")
 		allModels   = flag.Bool("all-models", false, "check under every persistency model")
 		threads     = flag.Int("threads", 2, "simulated threads")
-		inserts     = flag.Int("inserts", 16, "total inserts/transactions")
+		inserts     = flag.Int("inserts", 16, "total inserts/transactions (kv: operations)")
 		payloadLen  = flag.Int("payload", 64, "payload bytes (queue only)")
 		seed        = flag.Int64("seed", 1, "interleaving seed")
+		shards      = flag.Int("shards", 8, "shard count (kv only)")
+		keys        = flag.Uint64("keys", 1024, "dense key-space size (kv only)")
+		readFrac    = flag.Float64("read-frac", 0.9, "fraction of operations that are reads (kv only)")
 		breakBar    = flag.Bool("break-barrier", false, "drop the data→head barrier (negative test)")
 		omitComp    = flag.Bool("omit-completion-barrier", false, "drop 2LC's completion barrier (negative test)")
 		breakCmt    = flag.Bool("break-commit", false, "drop the journal's records→commit barrier (negative test)")
@@ -215,17 +250,30 @@ func main() {
 		models = []core.Model{m}
 	}
 
+	build := gridBuilder(workload.Options{
+		Workload: *wl, Design: design, Policy: policy,
+		Threads: *threads, Inserts: *inserts, Payload: *payloadLen, Seed: *seed,
+		BreakBar: *breakBar, OmitComp: *omitComp,
+		BreakCommit: *breakCmt, OmitRecipe: *omitRcp,
+		Integrity: *integrity, SparseBlocks: *sparse,
+		DesignStr: *designStr, PolicyStr: *policyStr,
+	})
+	if *wl == "kv" {
+		jp, err := workload.JournalPolicy(policy)
+		if err != nil {
+			fatal(err)
+		}
+		build = kvBuilder(workload.KVOptions{
+			Shards: *shards, Keys: *keys, Threads: *threads, Ops: *inserts,
+			ReadFrac: *readFrac, ZipfS: 1.1, Policy: jp,
+			Integrity: *integrity, Seed: *seed, PolicyStr: *policyStr,
+		})
+	}
+
 	man.ModelGrid(models...)
 	reg := telemetry.NewRegistry()
 	cfg := checkConfig{
-		opts: workload.Options{
-			Workload: *wl, Design: design, Policy: policy,
-			Threads: *threads, Inserts: *inserts, Payload: *payloadLen, Seed: *seed,
-			BreakBar: *breakBar, OmitComp: *omitComp,
-			BreakCommit: *breakCmt, OmitRecipe: *omitRcp,
-			Integrity: *integrity, SparseBlocks: *sparse,
-			DesignStr: *designStr, PolicyStr: *policyStr,
-		},
+		build:       build,
 		models:      models,
 		exhaustive:  *exhaustiveF,
 		stateBudget: *stateBudget,

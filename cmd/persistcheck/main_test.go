@@ -8,7 +8,7 @@ import (
 	"repro/internal/workload"
 )
 
-func opts(wl, design, policy string, threads, inserts int, mut func(*workload.Options)) workload.Options {
+func gridFixture(wl, design, policy string, threads, inserts int, mut func(*workload.Options)) builder {
 	d, _ := workload.ParseDesign(design)
 	p, _ := workload.ParsePolicy(policy)
 	o := workload.Options{
@@ -19,7 +19,80 @@ func opts(wl, design, policy string, threads, inserts int, mut func(*workload.Op
 	if mut != nil {
 		mut(&o)
 	}
-	return o
+	return gridBuilder(o)
+}
+
+// kvFixture is the sharded KV fixture the CI gates check: 2 shards, 8
+// keys, 2 threads, 8 operations, seed 42.
+func kvFixture(t *testing.T, policy string, readFrac float64) builder {
+	t.Helper()
+	p, err := workload.ParsePolicy(policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jp, err := workload.JournalPolicy(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kvBuilder(workload.KVOptions{
+		Shards: 2, Keys: 8, Threads: 2, Ops: 8,
+		ReadFrac: readFrac, ZipfS: 1.1, Policy: jp, Seed: 42, PolicyStr: policy,
+	})
+}
+
+// kvTarget checks the KV fixture under the policy's target model.
+func kvTarget(t *testing.T, policy string, readFrac float64, exhaustive bool) (string, *modelOutput) {
+	t.Helper()
+	p, err := workload.ParsePolicy(policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, total, err := checkModels(checkConfig{
+		build:      kvFixture(t, policy, readFrac),
+		models:     []core.Model{workload.ModelForPolicy("kv", p)},
+		exhaustive: exhaustive,
+		parallel:   1,
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", policy, err)
+	}
+	return text, total
+}
+
+// TestKVExitContract pins the kv checks to the exit contract: the clean
+// policies report no hazards, and racing — which drops the journal's
+// inner barrier, flagged by the epoch-race detector on a write-heavy
+// mix — reports witness hazards whose repro lines name the checked
+// model, since KVOptions.Params carries none.
+func TestKVExitContract(t *testing.T) {
+	for _, pol := range []string{"strict", "epoch", "strand"} {
+		if _, total := kvTarget(t, pol, 0.5, false); total.hazards != 0 {
+			t.Errorf("clean kv %s reported %d hazards", pol, total.hazards)
+		}
+	}
+	text, total := kvTarget(t, "racing", 0.5, false)
+	if total.hazards == 0 {
+		t.Error("racing kv reported no witness hazards")
+	}
+	if !strings.Contains(text, ",seed=42,model=epoch|cut=") {
+		t.Errorf("kv repro lines lack model=epoch:\n%s", text)
+	}
+}
+
+// TestKVExhaustive pins the kv -exhaustive path: every reachable crash
+// state of the clean policies classifies as recovered.
+func TestKVExhaustive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive enumeration in -short mode")
+	}
+	// read-frac 0.75 keeps the strand-model crash-state space inside
+	// the default budget (46 persists, ~10k reduced states from ~36M
+	// cuts); at 0.5 the 67-persist trace exceeds 4M states.
+	for _, pol := range []string{"strict", "epoch", "strand"} {
+		if _, total := kvTarget(t, pol, 0.75, true); total.hazards != 0 || total.exHazards != 0 {
+			t.Errorf("clean kv %s: %d hazards, %d hazardous crash states", pol, total.hazards, total.exHazards)
+		}
+	}
 }
 
 // TestAllModelsDeterministicAcrossParallel pins the -all-models
@@ -28,21 +101,22 @@ func opts(wl, design, policy string, threads, inserts int, mut func(*workload.Op
 // -parallel worker count.
 func TestAllModelsDeterministicAcrossParallel(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		o    workload.Options
+		name  string
+		build builder
 	}{
-		{"queue-break-barrier", opts("queue", "cwl", "epoch", 2, 6, func(o *workload.Options) { o.BreakBar = true })},
-		{"journal-break-commit", opts("journal", "cwl", "epoch", 1, 2, func(o *workload.Options) {
+		{"queue-break-barrier", gridFixture("queue", "cwl", "epoch", 2, 6, func(o *workload.Options) { o.BreakBar = true })},
+		{"journal-break-commit", gridFixture("journal", "cwl", "epoch", 1, 2, func(o *workload.Options) {
 			o.BreakCommit = true
 			o.SparseBlocks = true
 		})},
-		{"pstm-racing", opts("pstm", "cwl", "racing", 2, 6, nil)},
+		{"pstm-racing", gridFixture("pstm", "cwl", "racing", 2, 6, nil)},
+		{"kv-racing", kvFixture(t, "racing", 0.5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var first string
 			for _, workers := range []int{1, 4, 8} {
 				cfg := checkConfig{
-					opts:       tc.o,
+					build:      tc.build,
 					models:     core.Models,
 					exhaustive: true,
 					parallel:   workers,

@@ -30,12 +30,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/nvram"
-	"repro/internal/persistcheck"
 	"repro/internal/queue"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -59,7 +57,6 @@ func main() {
 		blockProf  = flag.String("blockprofile", "", "write a goroutine blocking profile to this file (rate 1)")
 		mutexProf  = flag.String("mutexprofile", "", "write a mutex contention profile to this file (fraction 1)")
 		spansOut   = flag.String("spans-out", "", "write the harness wall-clock span trace (Chrome trace-event JSON) to this file")
-		check      = flag.Bool("check", false, "run the persistency checker over the benchmark queue configurations and exit (status 2 on hazards)")
 		integrity  = flag.Bool("integrity", false, "use the corruption-detecting durable format in the ablation workloads (framing overhead shows up in persist counts)")
 	)
 	flag.Parse()
@@ -112,23 +109,6 @@ func main() {
 	threads, err := parseInts(*threadsStr)
 	if err != nil {
 		fatal(err)
-	}
-	if *check {
-		hazards, err := checkPass(reg, threads, *inserts, *payload, *seed, *integrity)
-		if err != nil {
-			fatal(err)
-		}
-		if *metricsOut != "" {
-			if err := telemetry.WriteMetrics(reg, man, *metricsOut); err != nil {
-				fatal(err)
-			}
-		}
-		if hazards > 0 {
-			fmt.Printf("verdict  : %d persistency hazard(s) found\n", hazards)
-			os.Exit(2)
-		}
-		fmt.Println("verdict  : no persistency hazards found")
-		return
 	}
 	run := func(name string, fn func() error) {
 		if *experiment != "all" && *experiment != name {
@@ -469,15 +449,7 @@ func main() {
 			s.Hits, s.Misses, s.Evictions, 100*s.ReplayRate(), s.EventsReplayed+s.EventsGenerated)
 	}
 	if *spansOut != "" {
-		f, err := os.Create(*spansOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := telemetry.EncodeChromeTraceDoc(f, man, spans); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := telemetry.WriteSpans(*spansOut, man, spans); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "pqbench: wrote %d wall-clock spans to %s\n", spans.Len(), *spansOut)
@@ -526,51 +498,6 @@ func writeLookupProfile(name, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// checkPass statically checks the queue configurations the benchmarks
-// exercise: each design × annotation policy under the policy's target
-// model, at every benchmarked thread count. A clean benchmark matrix
-// should produce zero hazards; a hazard means the measured numbers
-// belong to an incorrectly ordered structure. Checker aggregates land
-// in the shared metrics registry.
-func checkPass(reg *telemetry.Registry, threads []int, inserts, payload int, seed int64, integrity bool) (int, error) {
-	hazards := 0
-	for _, design := range []string{"cwl", "2lc"} {
-		for _, policy := range []string{"strict", "epoch", "strand"} {
-			for _, th := range threads {
-				d, err := workload.ParseDesign(design)
-				if err != nil {
-					return 0, err
-				}
-				p, err := workload.ParsePolicy(policy)
-				if err != nil {
-					return 0, err
-				}
-				o := workload.Options{
-					Workload: "queue", Design: d, Policy: p,
-					Model:   workload.ModelForPolicy("queue", p),
-					Threads: th, Inserts: min(inserts, 64*th), Payload: payload, Seed: seed,
-					DesignStr: design, PolicyStr: policy, Integrity: integrity,
-				}
-				run, err := workload.Build(o, nil)
-				if err != nil {
-					return 0, err
-				}
-				rep, err := persistcheck.Check(run.Trace, core.Params{Model: o.Model}, run.Checks, persistcheck.Config{
-					ReproParams: o.Params(),
-					SiteLabel:   run.SiteLabel,
-				})
-				if err != nil {
-					return 0, err
-				}
-				fmt.Printf("--- %s/%s, %d threads, model %s ---\n%s", design, policy, th, o.Model, rep)
-				persistcheck.Observe(reg, rep)
-				hazards += rep.Hazards()
-			}
-		}
-	}
-	return hazards, nil
 }
 
 // tracePass re-runs a small instance of each queue configuration with

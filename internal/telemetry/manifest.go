@@ -162,21 +162,41 @@ type manifestSnapshot struct {
 // a top-level "manifest" key. A nil manifest writes the bare snapshot.
 // This is the single metrics-writing path shared by all CLIs.
 func WriteMetrics(reg *Registry, m *Manifest, path string) error {
+	return writeFile(path, func(w io.Writer) error {
+		if strings.HasSuffix(path, ".prom") || strings.HasSuffix(path, ".txt") {
+			if m != nil {
+				m.InfoMetric(reg)
+			}
+			return reg.WritePrometheus(w)
+		}
+		if m == nil {
+			return reg.WriteJSON(w)
+		}
+		return writeIndentedJSON(w, manifestSnapshot{Manifest: m, Snapshot: reg.Snapshot()})
+	})
+}
+
+// WriteSpans exports the wall-clock span trace to path as a Chrome
+// trace-event document with the manifest embedded. It is the single
+// span-writing path shared by all CLIs.
+func WriteSpans(path string, m *Manifest, spans *SpanTracer) error {
+	return writeFile(path, func(w io.Writer) error {
+		return EncodeChromeTraceDoc(w, m, spans)
+	})
+}
+
+// writeFile creates path and runs write on it. The file's Close error
+// is returned too: it is the one report of a failed final flush.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".prom") || strings.HasSuffix(path, ".txt") {
-		if m != nil {
-			m.InfoMetric(reg)
-		}
-		return reg.WritePrometheus(f)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
 	}
-	if m == nil {
-		return reg.WriteJSON(f)
-	}
-	return writeIndentedJSON(f, manifestSnapshot{Manifest: m, Snapshot: reg.Snapshot()})
+	return f.Close()
 }
 
 // writeIndentedJSON encodes v indented with a trailing newline, the

@@ -119,3 +119,46 @@ func TestWriteMetricsPrometheusInfoMetric(t *testing.T) {
 		t.Errorf("missing counter:\n%s", text)
 	}
 }
+
+func TestWriteSpansRoundTrip(t *testing.T) {
+	spans := NewSpanTracer(nil)
+	spans.Start("sweep", "item").End()
+	path := filepath.Join(t.TempDir(), "spans.json")
+	if err := WriteSpans(path, NewManifest("t"), spans); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+		Metadata    struct {
+			Manifest *Manifest `json:"manifest"`
+		} `json:"metadata"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("not JSON: %v\n%s", err, data)
+	}
+	if len(doc.TraceEvents) == 0 || doc.Metadata.Manifest == nil {
+		t.Errorf("span document missing events or manifest:\n%s", data)
+	}
+}
+
+// TestWritersReportFailures pins the error contract of the shared file
+// writers: a path that cannot be created, or a device that rejects the
+// write, is reported rather than swallowed.
+func TestWritersReportFailures(t *testing.T) {
+	paths := []string{filepath.Join(t.TempDir(), "missing", "out.json")}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		paths = append(paths, "/dev/full")
+	}
+	for _, path := range paths {
+		if err := WriteMetrics(NewRegistry(), NewManifest("t"), path); err == nil {
+			t.Errorf("WriteMetrics(%s) reported success", path)
+		}
+		if err := WriteSpans(path, NewManifest("t"), NewSpanTracer(nil)); err == nil {
+			t.Errorf("WriteSpans(%s) reported success", path)
+		}
+	}
+}
