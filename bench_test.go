@@ -91,7 +91,7 @@ func BenchmarkFigure2(b *testing.B) {
 	var rows []bench.Fig2Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.Fig2(100, 42, sweep.Config{}, nil)
+		rows, err = bench.Fig2(100, 42, sweep.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func BenchmarkJournalTable(b *testing.B) {
 	var rows []bench.JournalRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.JournalTable(500, []int{1}, 42, sweep.Config{}, nil)
+		rows, err = bench.JournalTable(500, []int{1}, 42, sweep.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func BenchmarkPSTMTable(b *testing.B) {
 	var rows []bench.PSTMRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.PSTMTable(500, []int{1}, 42, sweep.Config{}, nil)
+		rows, err = bench.PSTMTable(500, []int{1}, 42, sweep.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -44,14 +44,11 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
-	"repro/internal/bench"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/nvram"
@@ -61,86 +58,54 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
+func main() { cli.Main("crashsim", run) }
+
+func run(env *cli.Env) (int, error) {
+	fs := env.Flags
 	var (
-		wl         = flag.String("workload", "queue", "queue, journal, or pstm")
-		designStr  = flag.String("design", "cwl", "cwl or 2lc (queue only)")
-		policyStr  = flag.String("policy", "epoch", "strict|epoch|racing|strand")
-		modelStr   = flag.String("model", "", "persistency model (default: the policy's target model)")
-		threads    = flag.Int("threads", 2, "simulated threads")
-		inserts    = flag.Int("inserts", 16, "total inserts/transactions")
-		samples    = flag.Int("samples", 500, "crash states to sample")
-		seed       = flag.Int64("seed", 1, "interleaving + sampling seed")
-		breakBar   = flag.Bool("break-barrier", false, "drop the data→head barrier (negative test)")
-		omitComp   = flag.Bool("omit-completion-barrier", false, "drop 2LC's completion barrier (negative test)")
-		breakCmt   = flag.Bool("break-commit", false, "drop the journal's records→commit barrier (negative test)")
-		omitRcp    = flag.Bool("omit-strand-recipe", false, "drop the journal's §5.3 strand recipe (negative test)")
-		integrity  = flag.Bool("integrity", false, "build with the corruption-detecting durable format (CRC frames, durable words, shadows)")
-		payloadLen = flag.Int("payload", 64, "payload bytes (queue only)")
-		campaign   = flag.Bool("campaign", false, "run a fault-injection campaign (salvage recovery)")
-		failSilent = flag.Bool("fail-on-silent", false, "campaign: exit 2 if any silent bit flip corrupted state undetected (the bar -integrity is expected to meet)")
-		scenarios  = flag.Int("scenarios", 1000, "campaign scenarios (cut × fault plan)")
-		faults     = flag.Int("faults", 3, "max injected faults per scenario")
-		replayStr  = flag.String("replay", "", "repro string from a failed campaign; replays it and exits")
-		parallel   = flag.Int("parallel", 0, "cut/scenario evaluation workers; 0 means GOMAXPROCS, 1 forces sequential")
-		traceCache = flag.Int("trace-cache", bench.DefaultCacheEntries, "workload trace cache capacity in traces; 0 disables (re-execute every workload)")
-		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot to this file (.prom/.txt: Prometheus text, else JSON)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file")
-		spansOut   = flag.String("spans-out", "", "write the harness wall-clock span trace (Chrome trace-event JSON) to this file")
+		wl         = fs.String("workload", "queue", "queue, journal, or pstm")
+		designStr  = fs.String("design", "cwl", "cwl or 2lc (queue only)")
+		policyStr  = fs.String("policy", "epoch", "strict|epoch|racing|strand")
+		modelStr   = fs.String("model", "", "persistency model (default: the policy's target model)")
+		threads    = fs.Int("threads", 2, "simulated threads")
+		inserts    = fs.Int("inserts", 16, "total inserts/transactions")
+		samples    = fs.Int("samples", 500, "crash states to sample")
+		seed       = fs.Int64("seed", 1, "interleaving + sampling seed")
+		breakBar   = fs.Bool("break-barrier", false, "drop the data→head barrier (negative test)")
+		omitComp   = fs.Bool("omit-completion-barrier", false, "drop 2LC's completion barrier (negative test)")
+		breakCmt   = fs.Bool("break-commit", false, "drop the journal's records→commit barrier (negative test)")
+		omitRcp    = fs.Bool("omit-strand-recipe", false, "drop the journal's §5.3 strand recipe (negative test)")
+		integrity  = fs.Bool("integrity", false, "build with the corruption-detecting durable format (CRC frames, durable words, shadows)")
+		payloadLen = fs.Int("payload", 64, "payload bytes (queue only)")
+		campaign   = fs.Bool("campaign", false, "run a fault-injection campaign (salvage recovery)")
+		failSilent = fs.Bool("fail-on-silent", false, "campaign: exit 2 if any silent bit flip corrupted state undetected (the bar -integrity is expected to meet)")
+		scenarios  = fs.Int("scenarios", 1000, "campaign scenarios (cut × fault plan)")
+		faults     = fs.Int("faults", 3, "max injected faults per scenario")
+		replayStr  = fs.String("replay", "", "repro string from a failed campaign; replays it and exits")
+		parallel   = fs.Int("parallel", 0, "cut/scenario evaluation workers; 0 means GOMAXPROCS, 1 forces sequential")
 	)
-	flag.Parse()
-
-	man := telemetry.NewManifest("crashsim").
-		CaptureFlags(flag.CommandLine).
-		Seed("seed", *seed)
-	fmt.Fprintln(os.Stderr, man.String())
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	if err := env.Parse(); err != nil {
+		return 0, err
 	}
-	defer func() {
-		if *memProfile == "" {
-			return
-		}
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
-	}()
+	man := env.Manifest.Seed("seed", *seed)
 
 	if *replayStr != "" {
-		os.Exit(replay(*replayStr))
+		return replay(*replayStr)
 	}
 
 	design, err := workload.ParseDesign(*designStr)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 	policy, err := workload.ParsePolicy(*policyStr)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 	model := workload.ModelForPolicy(*wl, policy)
 	if *modelStr != "" {
 		model, err = workload.ParseModel(*modelStr)
 		if err != nil {
-			fatal(err)
+			return 0, err
 		}
 	}
 
@@ -153,32 +118,20 @@ func main() {
 		DesignStr: *designStr, PolicyStr: *policyStr,
 	}
 	man.ModelGrid(model)
-	var spans *telemetry.SpanTracer
-	var cache *bench.TraceCache
-	if *traceCache > 0 {
-		cache = bench.NewTraceCache(*traceCache)
-	}
-	run, err := workload.Build(opts, cache)
+	// One workload per process: a trace cache could never hit.
+	w, err := workload.Build(opts, nil)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
-	fmt.Printf("workload : %s\n", run.Describe)
+	fmt.Printf("workload : %s\n", w.Describe)
 	fmt.Printf("model    : %v\n", model)
-	if cache != nil {
-		s := cache.Stats()
-		fmt.Fprintf(os.Stderr, "trace cache: %d hits, %d misses, %.1f%% of %d events replayed\n",
-			s.Hits, s.Misses, 100*s.ReplayRate(), s.EventsReplayed+s.EventsGenerated)
-	}
 
+	reg, spans := env.Registry, env.Spans
 	if *campaign {
-		reg := telemetry.NewRegistry()
-		if *spansOut != "" {
-			spans = telemetry.NewSpanTracer(reg)
-		}
-		wlabel := run.Describe
+		wlabel := w.Describe
 		tty := stderrIsTTY()
 		stop := reg.Timer(telemetry.Label("crashsim_campaign", "workload", wlabel)).Time()
-		out, err := observer.Campaign(run.Trace, core.Params{Model: model}, run.Checked, observer.CampaignConfig{
+		out, err := observer.Campaign(w.Trace, core.Params{Model: model}, w.Checked, observer.CampaignConfig{
 			Scenarios: *scenarios,
 			Seed:      *seed,
 			Gen:       fault.GenConfig{MaxFaults: *faults},
@@ -208,17 +161,10 @@ func main() {
 			},
 		})
 		if err != nil {
-			fatal(err)
+			return 0, err
 		}
 		stop()
 		observer.ObserveCampaign(reg, wlabel, out)
-		cache.Observe(reg)
-		writeSpans(*spansOut, man, spans)
-		if *metricsOut != "" {
-			if merr := telemetry.WriteMetrics(reg, man, *metricsOut); merr != nil {
-				fatal(merr)
-			}
-		}
 		fmt.Printf("campaign : %s\n", out)
 		if out.SilentBitSeen > 0 {
 			harmless := out.SilentBitSeen - out.SilentBitCaught - out.SilentBitMissed
@@ -227,42 +173,40 @@ func main() {
 			fmt.Printf("detected/silent: %d detected (%d recovered in full; crc %d, cdb %d), %d silent\n",
 				out.SilentBitCaught, out.DetectedRecovered, out.CRCDetected, out.CDBDetected, out.SilentBitMissed)
 		}
-		printCampaignJSON(out, man)
+		if err := printCampaignJSON(out, man); err != nil {
+			return 0, err
+		}
 		if *failSilent && out.SilentBitMissed > 0 {
 			fmt.Printf("verdict  : %d silent bit flip(s) corrupted state undetected\n", out.SilentBitMissed)
-			os.Exit(2)
+			return 2, nil
 		}
 		if out.Clean() {
 			fmt.Println("verdict  : every injected fault was masked, salvaged, or detected")
-			return
+			return 0, nil
 		}
 		fmt.Printf("verdict  : %v\n", out.FirstFailureClass)
 		fmt.Printf("error    : %v\n", out.FirstError)
 		fmt.Printf("repro    : %s\n", out.FirstFailure.Repro())
-		os.Exit(2)
+		return 2, nil
 	}
 
-	if *spansOut != "" {
-		spans = telemetry.NewSpanTracer(nil)
-	}
-	out, err := observer.CrashTest(run.Trace, core.Params{Model: model}, run.Recover, observer.Config{Samples: *samples, Seed: *seed, Sweep: sweep.Config{Parallel: *parallel, Spans: spans}})
+	out, err := observer.CrashTest(w.Trace, core.Params{Model: model}, w.Recover, observer.Config{Samples: *samples, Seed: *seed, Sweep: sweep.Config{Parallel: *parallel, Spans: spans}})
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
-	writeSpans(*spansOut, man, spans)
 	fmt.Printf("observer : %s\n", out)
 	if out.AllRecovered() {
 		fmt.Println("verdict  : every sampled crash state recovered correctly")
-	} else {
-		fmt.Println("verdict  : RECOVERY CORRECTNESS VIOLATED — the dropped/missing constraint is load-bearing")
-		os.Exit(2)
+		return 0, nil
 	}
+	fmt.Println("verdict  : RECOVERY CORRECTNESS VIOLATED — the dropped/missing constraint is load-bearing")
+	return 2, nil
 }
 
 // printCampaignJSON emits the machine-readable one-line campaign
 // summary (the last stdout line before the verdict), so scripts can
 // consume outcomes without parsing the human-oriented text.
-func printCampaignJSON(out observer.CampaignOutcome, man *telemetry.Manifest) {
+func printCampaignJSON(out observer.CampaignOutcome, man *telemetry.Manifest) error {
 	b, err := json.Marshal(map[string]any{
 		"manifest":           man,
 		"model":              out.Model.String(),
@@ -284,9 +228,10 @@ func printCampaignJSON(out observer.CampaignOutcome, man *telemetry.Manifest) {
 		"clean":              out.Clean(),
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("%s\n", b)
+	return nil
 }
 
 // stderrIsTTY reports whether stderr is an interactive terminal, i.e.
@@ -294,18 +239,6 @@ func printCampaignJSON(out observer.CampaignOutcome, man *telemetry.Manifest) {
 func stderrIsTTY() bool {
 	fi, err := os.Stderr.Stat()
 	return err == nil && fi.Mode()&os.ModeCharDevice != 0
-}
-
-// writeSpans exports the wall-clock span trace; an empty path is a
-// no-op.
-func writeSpans(path string, man *telemetry.Manifest, spans *telemetry.SpanTracer) {
-	if path == "" {
-		return
-	}
-	if err := telemetry.WriteSpans(path, man, spans); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "crashsim: wrote %d wall-clock spans to %s\n", spans.Len(), path)
 }
 
 // campaignDevice is the timing model campaigns charge transient write
@@ -318,14 +251,14 @@ func campaignDevice() nvram.Config {
 // queue/journal/pstm grid, or the sharded KV store for workload=kv
 // lines such as persistcheck -workload kv counterexamples), and re-runs
 // the recorded scenario. Exit status 2 means the corruption reproduced.
-func replay(line string) int {
+func replay(line string) (int, error) {
 	s, err := fault.ParseRepro(line)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 	run, model, err := replayTarget(s)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 	fmt.Printf("workload : %s\n", run.Describe)
 	fmt.Printf("scenario : cut %d nodes, plan [%s]\n", s.Cut.Size(), s.Plan.String())
@@ -333,15 +266,15 @@ func replay(line string) int {
 	if rerr != nil && class == observer.Masked {
 		// classify never produces Masked with an error; this is an
 		// infrastructure failure (graph build or cut/workload mismatch).
-		fatal(rerr)
+		return 0, rerr
 	}
 	fmt.Printf("class    : %v\n", class)
 	if class.Failure() {
 		fmt.Printf("verdict  : corruption reproduced (%v)\n", rerr)
-		return 2
+		return 2, nil
 	}
 	fmt.Println("verdict  : scenario handled (masked/salvaged/detected)")
-	return 0
+	return 0, nil
 }
 
 // replayTarget rebuilds the workload a repro scenario records and
@@ -373,9 +306,4 @@ func replayTarget(s *fault.Scenario) (*workload.Run, core.Model, error) {
 	}
 	run, err := workload.BuildKV(opts, nil)
 	return run, model, err
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "crashsim:", err)
-	os.Exit(1)
 }

@@ -41,8 +41,8 @@ func TestReplayKVDispatch(t *testing.T) {
 		full.Included[i] = true
 	}
 	s := fault.Scenario{Params: kvOpts.Params(), Cut: full}
-	if got := replay(s.Repro()); got != 0 {
-		t.Errorf("replay of fully-persisted kv cut exited %d, want 0", got)
+	if got, err := replay(s.Repro()); err != nil || got != 0 {
+		t.Errorf("replay of fully-persisted kv cut exited %d (err %v), want 0", got, err)
 	}
 }
 
@@ -86,8 +86,8 @@ func TestReplayKVModelParam(t *testing.T) {
 		if _, model, err := replayTarget(parsed); err != nil || model != tc.want {
 			t.Errorf("%s: replays under %v (err %v), want %v", s.Repro(), model, err, tc.want)
 		}
-		if got := replay(s.Repro()); got != 0 {
-			t.Errorf("replay of fully-persisted kv cut %s exited %d, want 0", s.Repro(), got)
+		if got, err := replay(s.Repro()); err != nil || got != 0 {
+			t.Errorf("replay of fully-persisted kv cut %s exited %d (err %v), want 0", s.Repro(), got, err)
 		}
 	}
 }
@@ -122,7 +122,7 @@ func TestReplayQueueDispatch(t *testing.T) {
 		full.Included[i] = true
 	}
 	s := fault.Scenario{Params: o.Params(), Cut: full}
-	if got := replay(s.Repro()); got != 0 {
-		t.Errorf("replay of fully-persisted queue cut exited %d, want 0", got)
+	if got, err := replay(s.Repro()); err != nil || got != 0 {
+		t.Errorf("replay of fully-persisted queue cut exited %d (err %v), want 0", got, err)
 	}
 }

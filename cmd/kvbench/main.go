@@ -7,7 +7,7 @@
 //
 //	kvbench [-shards N] [-keys N] [-threads N] [-ops N] [-read-frac F]
 //	        [-zipf S] [-seed S] [-policies strict,epoch,racing,strand]
-//	        [-integrity] [-parallel N] [-json] [-out FILE] [-history FILE]
+//	        [-integrity] [-parallel N] [-json] [-out FILE]
 //	        [-graph-dump FILE]
 //
 // The persistency checkers run over the same store through
@@ -22,13 +22,13 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/benchdiff"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/journal"
@@ -63,41 +63,33 @@ type report struct {
 	Rows   []row             `json:"rows"`
 }
 
-func main() {
+func main() { cli.Main("kvbench", run) }
+
+func run(env *cli.Env) (int, error) {
+	fs := env.Flags
 	var (
-		shards     = flag.Int("shards", 64, "shard count (one journaled table per shard)")
-		keys       = flag.Uint64("keys", 1<<20, "dense key-space size")
-		threads    = flag.Int("threads", 128, "simulated serving threads")
-		ops        = flag.Int("ops", 1<<20, "total operations, split across threads")
-		readFrac   = flag.Float64("read-frac", 0.9, "fraction of operations that are reads")
-		zipfS      = flag.Float64("zipf", 1.1, "Zipf skew s (>1); 0 means uniform keys")
-		seed       = flag.Int64("seed", 42, "generator and interleaving seed")
-		policyStr  = flag.String("policies", "strict,epoch,racing,strand", "comma-separated annotation policies to sweep")
-		integrity  = flag.Bool("integrity", false, "use the corruption-detecting durable format in every shard")
-		parallel   = flag.Int("parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
-		jsonOut    = flag.Bool("json", false, "emit the report JSON to stdout instead of aligned tables")
-		out        = flag.String("out", "", "write the report JSON to this file (e.g. BENCH_kv.json)")
-		history    = flag.String("history", "", "append the suite to this BENCH_history.jsonl file")
-		spansOut   = flag.String("spans-out", "", "write the harness wall-clock span trace (Chrome trace-event JSON) to this file")
-		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot to this file (.prom/.txt: Prometheus text, else JSON)")
-		graphDump  = flag.String("graph-dump", "", "build the persist-order graph for the first policy and write a deterministic dump to this file")
+		shards    = fs.Int("shards", 64, "shard count (one journaled table per shard)")
+		keys      = fs.Uint64("keys", 1<<20, "dense key-space size")
+		threads   = fs.Int("threads", 128, "simulated serving threads")
+		ops       = fs.Int("ops", 1<<20, "total operations, split across threads")
+		readFrac  = fs.Float64("read-frac", 0.9, "fraction of operations that are reads")
+		zipfS     = fs.Float64("zipf", 1.1, "Zipf skew s (>1); 0 means uniform keys")
+		seed      = fs.Int64("seed", 42, "generator and interleaving seed")
+		policyStr = fs.String("policies", "strict,epoch,racing,strand", "comma-separated annotation policies to sweep")
+		integrity = fs.Bool("integrity", false, "use the corruption-detecting durable format in every shard")
+		parallel  = fs.Int("parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
+		jsonOut   = fs.Bool("json", false, "emit the report JSON to stdout instead of aligned tables")
+		out       = fs.String("out", "", "write the report JSON to this file (e.g. BENCH_kv.json)")
+		graphDump = fs.String("graph-dump", "", "build the persist-order graph for the first policy and write a deterministic dump to this file")
 	)
-	flag.Parse()
-
-	man := telemetry.NewManifest("kvbench").
-		CaptureFlags(flag.CommandLine).
-		Seed("seed", *seed).
-		ModelGrid(core.Models...)
-	fmt.Fprintln(os.Stderr, man.String())
-
-	reg := telemetry.NewRegistry()
-	var spans *telemetry.SpanTracer
-	if *spansOut != "" {
-		spans = telemetry.NewSpanTracer(reg)
+	if err := env.Parse(); err != nil {
+		return 0, err
 	}
+	man := env.Manifest.Seed("seed", *seed).ModelGrid(core.Models...)
+	reg, spans := env.Registry, env.Spans
 	grid, err := parseGrid(*policyStr, *shards, *keys, *threads, *ops, *readFrac, *zipfS, *seed, *integrity)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 
 	// Sweep: one grid item per policy. Each item traces the workload
@@ -111,15 +103,15 @@ func main() {
 	rows := make([]row, 0, len(grid)*len(core.Models))
 	sw := sweep.Config{Parallel: *parallel, Registry: reg, Spans: spans}.Named("kvbench")
 	err = sweep.Run(len(grid), sw, func(i int) (itemOut, error) {
-		run, err := workload.BuildKV(grid[i].opts, nil)
+		kv, err := workload.BuildKV(grid[i].opts, nil)
 		if err != nil {
 			return itemOut{}, err
 		}
-		res, err := core.SimulateAll(run.Trace, core.Params{})
+		res, err := core.SimulateAll(kv.Trace, core.Params{})
 		if err != nil {
 			return itemOut{}, err
 		}
-		return itemOut{results: res, events: int64(run.Trace.Len())}, nil
+		return itemOut{results: res, events: int64(kv.Trace.Len())}, nil
 	}, func(i int, v itemOut) error {
 		target := workload.ModelForPolicy("journal", grid[i].qpol)
 		for _, r := range v.results {
@@ -135,7 +127,7 @@ func main() {
 		return nil
 	})
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 
 	rep := buildReport(man, rows, grid[0].opts)
@@ -143,41 +135,23 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
-			fatal(err)
+			return 0, err
 		}
 	} else {
 		printTables(rows)
 	}
 	if *out != "" {
 		if err := writeJSON(*out, rep); err != nil {
-			fatal(err)
+			return 0, err
 		}
 		fmt.Fprintf(os.Stderr, "kvbench: wrote %s\n", *out)
 	}
-	if *history != "" {
-		if err := benchdiff.AppendHistory(*history, &rep.Suite, man); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "kvbench: appended suite to %s\n", *history)
-	}
-
 	if *graphDump != "" {
 		if err := dumpGraph(*graphDump, grid[0], spans); err != nil {
-			fatal(err)
+			return 0, err
 		}
 	}
-
-	if *spansOut != "" {
-		if err := telemetry.WriteSpans(*spansOut, man, spans); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "kvbench: wrote %d wall-clock spans to %s\n", spans.Len(), *spansOut)
-	}
-	if *metricsOut != "" {
-		if err := telemetry.WriteMetrics(reg, man, *metricsOut); err != nil {
-			fatal(err)
-		}
-	}
+	return 0, nil
 }
 
 // gridItem pairs the policy's flag spelling with the built options;
@@ -320,9 +294,4 @@ func writeJSON(path string, v any) error {
 		return err
 	}
 	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "kvbench:", err)
-	os.Exit(1)
 }

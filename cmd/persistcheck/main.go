@@ -37,7 +37,8 @@
 //	             [-break-commit] [-omit-strand-recipe]
 //	             [-integrity] [-require-integrity] [-sparse-blocks]
 //	             [-exhaustive] [-state-budget N] [-parallel N]
-//	             [-limit N] [-metrics-out FILE]
+//	             [-limit N] [-metrics-out FILE] [-spans-out FILE]
+//	             [-cpuprofile FILE] [-memprofile FILE]
 //
 // -workload kv checks the sharded KV serving store (internal/kv driven
 // by the Zipfian generator, skew 1.1): -inserts is the total operation
@@ -57,11 +58,10 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/persistcheck"
@@ -82,6 +82,7 @@ type checkConfig struct {
 	limit       int
 	requireInt  bool
 	reg         *telemetry.Registry
+	spans       *telemetry.SpanTracer
 }
 
 // modelOutput is one model's rendered report plus its tallies.
@@ -132,7 +133,7 @@ func checkModels(cfg checkConfig) (string, *modelOutput, error) {
 	if len(cfg.models) == 1 {
 		inner, outer = cfg.parallel, 1
 	}
-	err := sweep.Run(len(cfg.models), sweep.Config{Parallel: outer, Name: "persistcheck-models"},
+	err := sweep.Run(len(cfg.models), sweep.Config{Parallel: outer, Name: "persistcheck-models", Spans: cfg.spans},
 		func(i int) (*modelOutput, error) {
 			model := cfg.models[i]
 			run, params, err := cfg.build(model)
@@ -196,47 +197,47 @@ func checkModels(cfg checkConfig) (string, *modelOutput, error) {
 	return b.String(), total, nil
 }
 
-func main() {
-	var (
-		wl          = flag.String("workload", "queue", "queue, journal, pstm, or kv")
-		designStr   = flag.String("design", "cwl", "cwl or 2lc (queue only)")
-		policyStr   = flag.String("policy", "epoch", "strict|epoch|racing|strand")
-		modelStr    = flag.String("model", "", "persistency model (default: the policy's target model)")
-		allModels   = flag.Bool("all-models", false, "check under every persistency model")
-		threads     = flag.Int("threads", 2, "simulated threads")
-		inserts     = flag.Int("inserts", 16, "total inserts/transactions (kv: operations)")
-		payloadLen  = flag.Int("payload", 64, "payload bytes (queue only)")
-		seed        = flag.Int64("seed", 1, "interleaving seed")
-		shards      = flag.Int("shards", 8, "shard count (kv only)")
-		keys        = flag.Uint64("keys", 1024, "dense key-space size (kv only)")
-		readFrac    = flag.Float64("read-frac", 0.9, "fraction of operations that are reads (kv only)")
-		breakBar    = flag.Bool("break-barrier", false, "drop the data→head barrier (negative test)")
-		omitComp    = flag.Bool("omit-completion-barrier", false, "drop 2LC's completion barrier (negative test)")
-		breakCmt    = flag.Bool("break-commit", false, "drop the journal's records→commit barrier (negative test)")
-		omitRcp     = flag.Bool("omit-strand-recipe", false, "drop the journal's §5.3 strand recipe (negative test)")
-		integrity   = flag.Bool("integrity", false, "build with the corruption-detecting durable format (CRC frames, durable words, shadows)")
-		requireInt  = flag.Bool("require-integrity", false, "fail (exit 2) on unprotected recovery metadata findings")
-		sparse      = flag.Bool("sparse-blocks", false, "journal writes tag-word-only blocks (keeps -exhaustive state spaces tractable)")
-		exhaustiveF = flag.Bool("exhaustive", false, "enumerate and classify every reachable crash state (bounded model checking)")
-		stateBudget = flag.Int("state-budget", 0, "exhaustive checker state budget; exceeding it refuses the fixture (0 = 1<<20)")
-		parallel    = flag.Int("parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
-		limit       = flag.Int("limit", 0, "max stored findings per kind (0 = default)")
-		metricsOut  = flag.String("metrics-out", "", "write a metrics snapshot to this file (.prom/.txt: Prometheus text, else JSON)")
-	)
-	flag.Parse()
+func main() { cli.Main("persistcheck", run) }
 
-	man := telemetry.NewManifest("persistcheck").
-		CaptureFlags(flag.CommandLine).
-		Seed("seed", *seed)
-	fmt.Fprintln(os.Stderr, man.String())
+func run(env *cli.Env) (int, error) {
+	fs := env.Flags
+	var (
+		wl          = fs.String("workload", "queue", "queue, journal, pstm, or kv")
+		designStr   = fs.String("design", "cwl", "cwl or 2lc (queue only)")
+		policyStr   = fs.String("policy", "epoch", "strict|epoch|racing|strand")
+		modelStr    = fs.String("model", "", "persistency model (default: the policy's target model)")
+		allModels   = fs.Bool("all-models", false, "check under every persistency model")
+		threads     = fs.Int("threads", 2, "simulated threads")
+		inserts     = fs.Int("inserts", 16, "total inserts/transactions (kv: operations)")
+		payloadLen  = fs.Int("payload", 64, "payload bytes (queue only)")
+		seed        = fs.Int64("seed", 1, "interleaving seed")
+		shards      = fs.Int("shards", 8, "shard count (kv only)")
+		keys        = fs.Uint64("keys", 1024, "dense key-space size (kv only)")
+		readFrac    = fs.Float64("read-frac", 0.9, "fraction of operations that are reads (kv only)")
+		breakBar    = fs.Bool("break-barrier", false, "drop the data→head barrier (negative test)")
+		omitComp    = fs.Bool("omit-completion-barrier", false, "drop 2LC's completion barrier (negative test)")
+		breakCmt    = fs.Bool("break-commit", false, "drop the journal's records→commit barrier (negative test)")
+		omitRcp     = fs.Bool("omit-strand-recipe", false, "drop the journal's §5.3 strand recipe (negative test)")
+		integrity   = fs.Bool("integrity", false, "build with the corruption-detecting durable format (CRC frames, durable words, shadows)")
+		requireInt  = fs.Bool("require-integrity", false, "fail (exit 2) on unprotected recovery metadata findings")
+		sparse      = fs.Bool("sparse-blocks", false, "journal writes tag-word-only blocks (keeps -exhaustive state spaces tractable)")
+		exhaustiveF = fs.Bool("exhaustive", false, "enumerate and classify every reachable crash state (bounded model checking)")
+		stateBudget = fs.Int("state-budget", 0, "exhaustive checker state budget; exceeding it refuses the fixture (0 = 1<<20)")
+		parallel    = fs.Int("parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
+		limit       = fs.Int("limit", 0, "max stored findings per kind (0 = default)")
+	)
+	if err := env.Parse(); err != nil {
+		return 0, err
+	}
+	env.Manifest.Seed("seed", *seed)
 
 	design, err := workload.ParseDesign(*designStr)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 	policy, err := workload.ParsePolicy(*policyStr)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 	models := []core.Model{workload.ModelForPolicy(*wl, policy)}
 	switch {
@@ -245,7 +246,7 @@ func main() {
 	case *modelStr != "":
 		m, err := workload.ParseModel(*modelStr)
 		if err != nil {
-			fatal(err)
+			return 0, err
 		}
 		models = []core.Model{m}
 	}
@@ -261,7 +262,7 @@ func main() {
 	if *wl == "kv" {
 		jp, err := workload.JournalPolicy(policy)
 		if err != nil {
-			fatal(err)
+			return 0, err
 		}
 		build = kvBuilder(workload.KVOptions{
 			Shards: *shards, Keys: *keys, Threads: *threads, Ops: *inserts,
@@ -270,8 +271,7 @@ func main() {
 		})
 	}
 
-	man.ModelGrid(models...)
-	reg := telemetry.NewRegistry()
+	env.Manifest.ModelGrid(models...)
 	cfg := checkConfig{
 		build:       build,
 		models:      models,
@@ -280,32 +280,24 @@ func main() {
 		parallel:    *parallel,
 		limit:       *limit,
 		requireInt:  *requireInt,
-		reg:         reg,
+		reg:         env.Registry,
+		spans:       env.Spans,
 	}
 	text, total, err := checkModels(cfg)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
 	fmt.Printf("workload : %s\n", total.describe)
 	fmt.Print(text)
-	if *metricsOut != "" {
-		if err := telemetry.WriteMetrics(reg, man, *metricsOut); err != nil {
-			fatal(err)
-		}
-	}
 	switch {
 	case total.hazards > 0 || total.exHazards > 0:
 		fmt.Printf("verdict  : %d persistency hazard(s), %d hazardous crash state(s) found\n",
 			total.hazards, total.exHazards)
-		os.Exit(2)
+		return 2, nil
 	case *requireInt && total.robustness > 0:
 		fmt.Printf("verdict  : %d unprotected recovery metadata finding(s) (-require-integrity)\n", total.robustness)
-		os.Exit(2)
+		return 2, nil
 	}
 	fmt.Println("verdict  : no persistency hazards found")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "persistcheck:", err)
-	os.Exit(1)
+	return 0, nil
 }

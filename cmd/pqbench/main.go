@@ -18,15 +18,13 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/nvram"
@@ -36,82 +34,42 @@ import (
 	"repro/internal/telemetry"
 )
 
-func main() {
+func main() { cli.Main("pqbench", run) }
+
+func run(env *cli.Env) (int, error) {
+	fs := env.Flags
 	var (
-		experiment = flag.String("experiment", "all", "table1|fig2|fig3|fig4|fig5|banks|window|unbuffered|all")
-		inserts    = flag.Int("inserts", 20000, "inserts per configuration")
-		threadsStr = flag.String("threads", "1,8", "comma-separated thread counts for table1")
-		latency    = flag.Duration("latency", bench.DefaultLatency, "persist latency for table1")
-		seed       = flag.Int64("seed", 42, "interleaving seed")
-		payload    = flag.Int("payload", 100, "entry payload bytes")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		instrRate  = flag.Float64("instr-rate", 0, "fix the instruction rate (items/s) instead of measuring")
-		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON reports (table1/fig2/fig3/fig4/fig5/window)")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON persist timeline (Perfetto) to this file")
-		traceIns   = flag.Int("trace-inserts", 200, "inserts per configuration in the -trace-out timeline pass")
-		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot to this file (.prom/.txt: Prometheus text, else JSON)")
-		parallel   = flag.Int("parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
-		traceCache = flag.Int("trace-cache", bench.DefaultCacheEntries, "workload trace cache capacity in traces; 0 disables (re-execute every workload)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file")
-		blockProf  = flag.String("blockprofile", "", "write a goroutine blocking profile to this file (rate 1)")
-		mutexProf  = flag.String("mutexprofile", "", "write a mutex contention profile to this file (fraction 1)")
-		spansOut   = flag.String("spans-out", "", "write the harness wall-clock span trace (Chrome trace-event JSON) to this file")
-		integrity  = flag.Bool("integrity", false, "use the corruption-detecting durable format in the ablation workloads (framing overhead shows up in persist counts)")
+		experiment = fs.String("experiment", "all", "table1|fig2|fig3|fig4|fig5|banks|window|unbuffered|all")
+		inserts    = fs.Int("inserts", 20000, "inserts per configuration")
+		threadsStr = fs.String("threads", "1,8", "comma-separated thread counts for table1")
+		latency    = fs.Duration("latency", bench.DefaultLatency, "persist latency for table1")
+		seed       = fs.Int64("seed", 42, "interleaving seed")
+		payload    = fs.Int("payload", 100, "entry payload bytes")
+		csv        = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		instrRate  = fs.Float64("instr-rate", 0, "fix the instruction rate (items/s) instead of measuring")
+		jsonOut    = fs.Bool("json", false, "emit machine-readable JSON reports (table1/fig2/fig3/fig4/fig5/window)")
+		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON persist timeline (Perfetto) to this file")
+		traceIns   = fs.Int("trace-inserts", 200, "inserts per configuration in the -trace-out timeline pass")
+		parallel   = fs.Int("parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
+		integrity  = fs.Bool("integrity", false, "use the corruption-detecting durable format in the ablation workloads (framing overhead shows up in persist counts)")
 	)
-	flag.Parse()
-
-	man := telemetry.NewManifest("pqbench").
-		CaptureFlags(flag.CommandLine).
-		Seed("seed", *seed).
-		ModelGrid(core.Models...)
-	fmt.Fprintln(os.Stderr, man.String())
-
-	if *blockProf != "" {
-		runtime.SetBlockProfileRate(1)
+	if err := env.Parse(); err != nil {
+		return 0, err
 	}
-	if *mutexProf != "" {
-		runtime.SetMutexProfileFraction(1)
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-
-	reg := telemetry.NewRegistry()
-	// The span tracer is allocated only when a trace is requested —
-	// spans cost a mutex acquisition per sweep item; the nil tracer
-	// costs nothing.
-	var spans *telemetry.SpanTracer
-	if *spansOut != "" {
-		spans = telemetry.NewSpanTracer(reg)
-	}
+	man := env.Manifest.Seed("seed", *seed).ModelGrid(core.Models...)
+	reg, spans := env.Registry, env.Spans
 	// Every experiment grid shares one sweep configuration; each sweep
 	// labels its own telemetry series via Named.
 	sw := sweep.Config{Parallel: *parallel, Registry: reg, Spans: spans}
-	// One trace cache spans every experiment, so workloads shared across
-	// experiments (e.g. fig4/fig5, banks/races) execute exactly once. A
-	// nil cache streams every execution.
-	var cache *bench.TraceCache
-	if *traceCache > 0 {
-		cache = bench.NewTraceCache(*traceCache)
-	}
-	cache.SetSpans(spans)
 	threads, err := parseInts(*threadsStr)
 	if err != nil {
-		fatal(err)
+		return 0, err
 	}
-	run := func(name string, fn func() error) {
-		if *experiment != "all" && *experiment != name {
+	// runExp runs one experiment when it is selected; after the first
+	// failure every later experiment is skipped and the error returned.
+	var expErr error
+	runExp := func(name string, fn func() error) {
+		if expErr != nil || *experiment != "all" && *experiment != name {
 			return
 		}
 		stop := reg.Timer(telemetry.Label("pqbench_experiment", "experiment", name)).Time()
@@ -119,7 +77,8 @@ func main() {
 			fmt.Printf("=== %s ===\n", name)
 		}
 		if err := fn(); err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
+			expErr = fmt.Errorf("%s: %w", name, err)
+			return
 		}
 		stop()
 		if !*jsonOut {
@@ -134,11 +93,11 @@ func main() {
 		}
 	}
 
-	run("table1", func() error {
+	runExp("table1", func() error {
 		cfg := bench.Table1Config{
 			Inserts: *inserts, PayloadLen: *payload, Threads: threads,
 			Latency: *latency, Seed: *seed, InstrRate: *instrRate,
-			Sweep: sw, Cache: cache,
+			Sweep: sw,
 		}
 		rows, err := bench.Table1(cfg)
 		if err != nil {
@@ -168,8 +127,8 @@ func main() {
 		return nil
 	})
 
-	run("fig2", func() error {
-		rows, err := bench.Fig2(min(*inserts, 200), *seed, sw, cache)
+	runExp("fig2", func() error {
+		rows, err := bench.Fig2(min(*inserts, 200), *seed, sw)
 		if err != nil {
 			return err
 		}
@@ -183,8 +142,8 @@ func main() {
 		return nil
 	})
 
-	run("fig3", func() error {
-		points, err := bench.Fig3(bench.Fig3Config{Inserts: *inserts, PayloadLen: *payload, Seed: *seed, InstrRate: *instrRate, Sweep: sw, Cache: cache})
+	runExp("fig3", func() error {
+		points, err := bench.Fig3(bench.Fig3Config{Inserts: *inserts, PayloadLen: *payload, Seed: *seed, InstrRate: *instrRate, Sweep: sw})
 		if err != nil {
 			return err
 		}
@@ -199,8 +158,8 @@ func main() {
 		return nil
 	})
 
-	run("fig4", func() error {
-		points, err := bench.Fig4(bench.GranularityConfig{Inserts: min(*inserts, 5000), PayloadLen: *payload, Seed: *seed, Sweep: sw, Cache: cache})
+	runExp("fig4", func() error {
+		points, err := bench.Fig4(bench.GranularityConfig{Inserts: min(*inserts, 5000), PayloadLen: *payload, Seed: *seed, Sweep: sw})
 		if err != nil {
 			return err
 		}
@@ -212,8 +171,8 @@ func main() {
 		return nil
 	})
 
-	run("fig5", func() error {
-		points, err := bench.Fig5(bench.GranularityConfig{Inserts: min(*inserts, 5000), PayloadLen: *payload, Seed: *seed, Sweep: sw, Cache: cache})
+	runExp("fig5", func() error {
+		points, err := bench.Fig5(bench.GranularityConfig{Inserts: min(*inserts, 5000), PayloadLen: *payload, Seed: *seed, Sweep: sw})
 		if err != nil {
 			return err
 		}
@@ -225,11 +184,11 @@ func main() {
 		return nil
 	})
 
-	run("banks", func() error {
+	runExp("banks", func() error {
 		// Device ablation: beyond the paper's infinite-bandwidth
 		// assumption, sweep bank counts for the epoch-annotated queue.
 		w := bench.Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 4, Inserts: min(*inserts, 2000), PayloadLen: *payload, Seed: *seed, Integrity: *integrity}
-		tr, err := cache.Trace(w)
+		tr, err := bench.Trace(w)
 		if err != nil {
 			return err
 		}
@@ -261,8 +220,8 @@ func main() {
 		return nil
 	})
 
-	run("window", func() error {
-		points, err := bench.WindowAblation(min(*inserts, 5000), *seed, nil, sw, cache)
+	runExp("window", func() error {
+		points, err := bench.WindowAblation(min(*inserts, 5000), *seed, nil, sw)
 		if err != nil {
 			return err
 		}
@@ -275,8 +234,8 @@ func main() {
 		return nil
 	})
 
-	run("journal", func() error {
-		rows, err := bench.JournalTable(min(*inserts, 5000), threads, *seed, sw, cache)
+	runExp("journal", func() error {
+		rows, err := bench.JournalTable(min(*inserts, 5000), threads, *seed, sw)
 		if err != nil {
 			return err
 		}
@@ -286,14 +245,14 @@ func main() {
 		return nil
 	})
 
-	run("dist", func() error {
+	runExp("dist", func() error {
 		// Per-insert critical-path growth distribution: strict pays on
 		// every insert; racing/strand pay rarely but in bursts.
 		tbl := stats.NewTable("policy", "threads", "mean", "p50", "p90", "p99", "max")
 		for _, pol := range queue.Policies {
 			for _, th := range threads {
 				w := bench.Workload{Design: queue.CWL, Policy: pol, Threads: th, Inserts: min(*inserts, 10000), PayloadLen: *payload, Seed: *seed, Integrity: *integrity}
-				r, err := bench.SimulateCached(cache, w, core.Params{Model: bench.ModelFor(pol), TrackWorkPath: true})
+				r, err := bench.Simulate(w, core.Params{Model: bench.ModelFor(pol), TrackWorkPath: true})
 				if err != nil {
 					return err
 				}
@@ -313,7 +272,7 @@ func main() {
 		return nil
 	})
 
-	run("races", func() error {
+	runExp("races", func() error {
 		// Persist-epoch races per policy (§5.2): the non-racing
 		// discipline is race-free by construction; racing epochs trade
 		// races for concurrency.
@@ -321,7 +280,7 @@ func main() {
 		for _, pol := range queue.Policies {
 			for _, th := range threads {
 				w := bench.Workload{Design: queue.CWL, Policy: pol, Threads: th, Inserts: min(*inserts, 2000), PayloadLen: *payload, Seed: *seed, Integrity: *integrity}
-				tr, err := cache.Trace(w)
+				tr, err := bench.Trace(w)
 				if err != nil {
 					return err
 				}
@@ -337,8 +296,8 @@ func main() {
 		return nil
 	})
 
-	run("pstm", func() error {
-		rows, err := bench.PSTMTable(min(*inserts, 5000), threads, *seed, sw, cache)
+	runExp("pstm", func() error {
+		rows, err := bench.PSTMTable(min(*inserts, 5000), threads, *seed, sw)
 		if err != nil {
 			return err
 		}
@@ -348,7 +307,7 @@ func main() {
 		return nil
 	})
 
-	run("wear", func() error {
+	runExp("wear", func() error {
 		// Endurance ablation (§2.1): the queue's head pointer is a wear
 		// hotspot; Start-Gap leveling spreads it. The log wraps a small
 		// buffer so the leveler's gap completes many cycles.
@@ -357,7 +316,7 @@ func main() {
 			Inserts: min(*inserts, 5000), PayloadLen: *payload, Seed: *seed,
 			DataBytes: 1 << 16, Overwrite: true, Integrity: *integrity,
 		}
-		tr, err := cache.Trace(w)
+		tr, err := bench.Trace(w)
 		if err != nil {
 			return err
 		}
@@ -395,7 +354,7 @@ func main() {
 		return nil
 	})
 
-	run("unbuffered", func() error {
+	runExp("unbuffered", func() error {
 		// Buffered vs unbuffered strict persistency (§4.1): unbuffered
 		// stalls execution on every persist.
 		instr := *instrRate
@@ -407,7 +366,7 @@ func main() {
 			}
 		}
 		w := bench.Workload{Design: queue.CWL, Policy: queue.PolicyStrict, Threads: 1, Inserts: *inserts, PayloadLen: *payload, Seed: *seed, Integrity: *integrity}
-		r, err := bench.SimulateCached(cache, w, core.Params{Model: core.Strict})
+		r, err := bench.Simulate(w, core.Params{Model: core.Strict})
 		if err != nil {
 			return err
 		}
@@ -425,10 +384,13 @@ func main() {
 		return nil
 	})
 
+	if expErr != nil {
+		return 0, expErr
+	}
 	switch *experiment {
 	case "all", "table1", "fig2", "fig3", "fig4", "fig5", "banks", "window", "wear", "journal", "pstm", "dist", "races", "unbuffered":
 	default:
-		fatal(fmt.Errorf("unknown experiment %q", *experiment))
+		return 0, fmt.Errorf("unknown experiment %q", *experiment)
 	}
 
 	if *traceOut != "" {
@@ -439,65 +401,10 @@ func main() {
 			}
 		}
 		if err := tracePass(reg, man, *traceOut, maxT, *payload, *traceIns, *seed, *integrity); err != nil {
-			fatal(err)
+			return 0, err
 		}
 	}
-	cache.Observe(reg)
-	if cache != nil && !*jsonOut {
-		s := cache.Stats()
-		fmt.Printf("trace cache: %d hits, %d misses, %d evictions, %.1f%% of %d events replayed\n",
-			s.Hits, s.Misses, s.Evictions, 100*s.ReplayRate(), s.EventsReplayed+s.EventsGenerated)
-	}
-	if *spansOut != "" {
-		if err := telemetry.WriteSpans(*spansOut, man, spans); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "pqbench: wrote %d wall-clock spans to %s\n", spans.Len(), *spansOut)
-	}
-	if *metricsOut != "" {
-		if err := telemetry.WriteMetrics(reg, man, *metricsOut); err != nil {
-			fatal(err)
-		}
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
-		}
-		f.Close()
-	}
-	if *blockProf != "" {
-		if err := writeLookupProfile("block", *blockProf); err != nil {
-			fatal(err)
-		}
-	}
-	if *mutexProf != "" {
-		if err := writeLookupProfile("mutex", *mutexProf); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// writeLookupProfile dumps a named runtime profile (block, mutex) to
-// a file in pprof format.
-func writeLookupProfile(name, path string) error {
-	p := pprof.Lookup(name)
-	if p == nil {
-		return fmt.Errorf("no %s profile", name)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := p.WriteTo(f, 0); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return 0, nil
 }
 
 // tracePass re-runs a small instance of each queue configuration with
@@ -569,16 +476,4 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pqbench:", err)
-	os.Exit(1)
 }

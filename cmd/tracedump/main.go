@@ -18,10 +18,10 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/queue"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -57,15 +57,13 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		policy, err := parsePolicy(*policyStr)
+		policy, err := workload.ParsePolicy(*policyStr)
 		if err != nil {
 			fatal(err)
 		}
-		design := queue.CWL
-		if *designStr == "2lc" {
-			design = queue.TwoLock
-		} else if *designStr != "cwl" {
-			fatal(fmt.Errorf("unknown design %q", *designStr))
+		design, err := workload.ParseDesign(*designStr)
+		if err != nil {
+			fatal(err)
 		}
 		tr, err = bench.Trace(bench.Workload{
 			Design: design, Policy: policy, Threads: *threads,
@@ -105,22 +103,16 @@ func main() {
 
 	if *dump > 0 {
 		fmt.Printf("\n== first %d events ==\n", *dump)
-		n := min2(*dump, tr.Len())
+		n := min(*dump, tr.Len())
 		for i := 0; i < n; i++ {
 			fmt.Println(tr.At(i).String())
 		}
 	}
 
 	if *dot != "" {
-		var model core.Model
-		found := false
-		for _, m := range core.Models {
-			if m.String() == *dotModel {
-				model, found = m, true
-			}
-		}
-		if !found {
-			fatal(fmt.Errorf("unknown -dot-model %q", *dotModel))
+		model, err := workload.ParseModel(*dotModel)
+		if err != nil {
+			fatal(err)
 		}
 		g, err := graph.Build(tr, core.Params{Model: model})
 		if err != nil {
@@ -147,28 +139,6 @@ func main() {
 		}
 		fmt.Printf("\nwrote %d events to %s\n", tr.Len(), *out)
 	}
-}
-
-func parsePolicy(s string) (queue.Policy, error) {
-	switch s {
-	case "strict":
-		return queue.PolicyStrict, nil
-	case "epoch":
-		return queue.PolicyEpoch, nil
-	case "racing":
-		return queue.PolicyRacingEpoch, nil
-	case "strand":
-		return queue.PolicyStrand, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", s)
-	}
-}
-
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func fatal(err error) {

@@ -23,6 +23,7 @@
 //	internal/nvram     device timing model, banks/channels, Start-Gap wear
 //	internal/stats     summary stats, histograms, table rendering
 //	internal/bench     Table 1 / Figures 2–5 harness + workload tables
+//	internal/cli       shared flags, manifest, telemetry and exit path of the measuring commands
 //	cmd/pqbench        regenerate the tables, figures, and ablations
 //	cmd/crashsim       failure injection CLI (queue and journal)
 //	cmd/tracedump      trace capture, inspection, DOT export

@@ -154,6 +154,24 @@ func SimulateProbed(w Workload, p core.Params, probe core.Probe) (core.Result, e
 	return sim.Result(), nil
 }
 
+// streamSim executes a workload body once, streaming straight into a
+// pooled simulator (no trace storage) — Simulate for the journal and
+// pstm workloads.
+func streamSim(p core.Params, run func(trace.Sink) error) (core.Result, error) {
+	sim, err := core.AcquireSim(p)
+	if err != nil {
+		return core.Result{}, err
+	}
+	defer core.ReleaseSim(sim)
+	if err := run(sim); err != nil {
+		return core.Result{}, err
+	}
+	if err := sim.Err(); err != nil {
+		return core.Result{}, err
+	}
+	return sim.Result(), nil
+}
+
 // QueueMeta reports the persistent layout Run creates for w without
 // executing the workload: queue.New allocates head, tail, then the data
 // segment deterministically, so a fresh machine reproduces the

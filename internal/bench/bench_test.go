@@ -217,7 +217,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	rows, err := Fig2(20, 6, sweep.Config{}, nil)
+	rows, err := Fig2(20, 6, sweep.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

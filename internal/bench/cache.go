@@ -1,21 +1,21 @@
 package bench
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
-// TraceCache memoizes workload traces so experiment grids generate each
-// distinct SC execution exactly once and replay it across every model
-// and granularity that wants it. Keys are the normalized workload
-// structs themselves (Workload, JournalWorkload, PSTMWorkload — all
-// comparable), so two requests collide exactly when they describe the
-// same execution: same structure, same parameters, same seed.
+// TraceCache memoizes workload traces so a grid generates each distinct
+// SC execution once and replays it for every cell that wants it. Keys
+// are comparable workload structs (the normalized Workload for
+// SimulateCached, any key for Do), so two requests collide exactly when
+// they describe the same execution: same structure, same parameters,
+// same seed. Table1Config.Cache is its one grid user; the commands run
+// uncached, because none of their grids repeat an execution often
+// enough to pay for one.
 //
 // The cache is concurrency-safe and deduplicates in-flight generation:
 // when several sweep workers ask for the same trace at once, one
@@ -26,12 +26,12 @@ import (
 // Capacity is bounded two ways: by entry count and by total resident
 // events (a byte proxy — chunked storage costs ~32 B/event). Inserting
 // past either bound evicts least-recently-used completed entries. An
-// evicted trace whose pointer was handed to a caller (Trace, Do and
-// friends) is left to the garbage collector — the caller may still hold
-// it. An evicted trace that never escaped the cache (pure
-// SimulateCached traffic) is pool-Released so its chunks are recycled
-// into the next fill instead of growing the heap; a per-entry refcount
-// pins traces against release while a replay is in flight.
+// evicted trace whose pointer was handed to a caller (by Do) is left to
+// the garbage collector — the caller may still hold it. An evicted
+// trace that never escaped the cache (pure SimulateCached traffic) is
+// pool-Released so its chunks are recycled into the next fill instead
+// of growing the heap; a per-entry refcount pins traces against release
+// while a replay is in flight.
 type TraceCache struct {
 	mu       sync.Mutex
 	max      int
@@ -45,12 +45,6 @@ type TraceCache struct {
 	evictions atomic.Int64
 	replayed  atomic.Int64 // events served from cache
 	generated atomic.Int64 // events produced by cache fills
-
-	// spans, when non-nil, records wall-clock spans (category
-	// "trace-cache") for miss/generate and hit/replay work, so the
-	// harness timeline shows where executions were paid for vs
-	// replayed. Set once via SetSpans before concurrent use.
-	spans *telemetry.SpanTracer
 }
 
 // cacheEntry is the singleflight slot for one workload key. The filling
@@ -68,8 +62,7 @@ type cacheEntry struct {
 	err     error
 }
 
-// DefaultCacheEntries is the default capacity bound (the pqbench and
-// crashsim -trace-cache flags default to it).
+// DefaultCacheEntries is the default capacity bound.
 const DefaultCacheEntries = 64
 
 // DefaultCacheEventBudget bounds resident trace events (~32 B each, so
@@ -89,14 +82,6 @@ func NewTraceCache(maxEntries int) *TraceCache {
 		max:     maxEntries,
 		budget:  DefaultCacheEventBudget,
 		entries: make(map[any]*cacheEntry, maxEntries),
-	}
-}
-
-// SetSpans attaches a wall-clock span tracer; nil detaches. Safe on a
-// nil cache. Call before the cache sees concurrent traffic.
-func (c *TraceCache) SetSpans(st *telemetry.SpanTracer) {
-	if c != nil {
-		c.spans = st
 	}
 }
 
@@ -165,26 +150,25 @@ func (c *TraceCache) fill(e *cacheEntry, tr *trace.Trace, err error) {
 	close(e.ready)
 }
 
-// lookup returns the trace for key, calling gen to fill on miss. A nil
-// receiver is a pass-through: gen runs uncached, so every caller can
-// thread an optional *TraceCache without branching. The returned trace
-// escapes to the caller, so eviction will never pool-Release it.
-func (c *TraceCache) lookup(key any, gen func() (*trace.Trace, error)) (*trace.Trace, error) {
+// Do returns the trace for an arbitrary comparable key, filling via gen
+// on miss. Keys of distinct types never collide, so callers need no
+// namespacing beyond their own key type (workload.Options and
+// workload.KVOptions key the shipped workloads). A nil receiver is a
+// pass-through: gen runs uncached, so every caller can thread an
+// optional *TraceCache without branching. The returned trace escapes
+// to the caller, so eviction will never pool-Release it.
+func (c *TraceCache) Do(key any, gen func() (*trace.Trace, error)) (*trace.Trace, error) {
 	if c == nil {
 		return gen()
 	}
 	e, missed := c.get(key, true)
 	defer c.put(e)
 	if missed {
-		sp := c.spans.Start("trace-cache", "generate").Arg("key", fmt.Sprint(key))
 		tr, err := gen()
-		sp.End()
 		c.fill(e, tr, err)
 		return tr, err
 	}
-	sp := c.spans.Start("trace-cache", "hit").Arg("key", fmt.Sprint(key))
 	<-e.ready
-	sp.End()
 	if e.err == nil {
 		c.replayed.Add(int64(e.tr.Len()))
 	}
@@ -222,66 +206,29 @@ func (c *TraceCache) evictLocked() {
 	}
 }
 
-// Do returns the trace for an arbitrary comparable key, filling via gen
-// on miss — the entry point for callers whose workloads are not one of
-// the built-in bench structs (e.g. crashsim's fault workloads). Keys of
-// distinct types never collide, so callers need no namespacing beyond
-// their own key type. A nil cache calls gen directly.
-func (c *TraceCache) Do(key any, gen func() (*trace.Trace, error)) (*trace.Trace, error) {
-	return c.lookup(key, gen)
-}
-
-// Trace returns the queue workload's trace, generating it at most once
-// per distinct normalized workload. A nil cache generates directly.
-func (c *TraceCache) Trace(w Workload) (*trace.Trace, error) {
-	if err := w.normalize(); err != nil {
-		return nil, err
-	}
-	return c.lookup(w, func() (*trace.Trace, error) { return Trace(w) })
-}
-
-// JournalTrace is Trace for the journal workload.
-func (c *TraceCache) JournalTrace(w JournalWorkload) (*trace.Trace, error) {
-	w.normalize()
-	return c.lookup(w, func() (*trace.Trace, error) { return JournalTrace(w) })
-}
-
-// PSTMTrace is Trace for the durable-transaction workload.
-func (c *TraceCache) PSTMTrace(w PSTMWorkload) (*trace.Trace, error) {
-	w.normalize()
-	return c.lookup(w, func() (*trace.Trace, error) { return PSTMTrace(w) })
-}
-
-// streamSim executes a workload body once, streaming straight into a
-// pooled simulator (no trace storage) — the uncached fast path.
-func streamSim(p core.Params, run func(trace.Sink) error) (core.Result, error) {
-	sim, err := core.AcquireSim(p)
-	if err != nil {
-		return core.Result{}, err
-	}
-	defer core.ReleaseSim(sim)
-	if err := run(sim); err != nil {
-		return core.Result{}, err
-	}
-	if err := sim.Err(); err != nil {
-		return core.Result{}, err
-	}
-	return sim.Result(), nil
-}
-
-// simulateStream is the shared cached-simulation core. On a cache miss
-// it executes the workload exactly once, teeing the event stream into
-// both the cache's trace and a pooled simulator, so the filling caller
-// pays one pass — no generate-then-replay double walk. On a hit it
-// replays the cached trace through core.Simulate's pooled path. Both
-// paths produce byte-identical results — the simulator never reads
-// Event.Seq, the only field replay rewrites.
+// SimulateCached is Simulate through an optional trace cache: a nil
+// cache streams the execution straight into the simulator (no trace
+// storage, exactly Simulate); a non-nil cache fills or reuses the
+// workload's cached trace, executing the workload at most once across
+// all parameter sets that ask for it.
 //
-// A simulator error on the miss path is parameter-specific and must not
-// poison the cached trace for other parameter sets: the trace still
-// installs whenever generation itself succeeded.
-func (c *TraceCache) simulateStream(key any, p core.Params, run func(trace.Sink) error) (core.Result, error) {
-	e, missed := c.get(key, false)
+// On a cache miss the workload runs exactly once, teeing the event
+// stream into both the cache's trace and a pooled simulator, so the
+// filling caller pays one pass — no generate-then-replay double walk.
+// On a hit the cached trace replays through core.Simulate's pooled
+// path. Both paths produce byte-identical results — the simulator never
+// reads Event.Seq, the only field replay rewrites. A simulator error on
+// the miss path is parameter-specific and must not poison the cached
+// trace for other parameter sets: the trace still installs whenever
+// generation itself succeeded.
+func SimulateCached(c *TraceCache, w Workload, p core.Params) (core.Result, error) {
+	if c == nil {
+		return Simulate(w, p)
+	}
+	if err := w.normalize(); err != nil {
+		return core.Result{}, err
+	}
+	e, missed := c.get(w, false)
 	defer c.put(e) // pin e.tr against eviction-release until replay ends
 	if !missed {
 		<-e.ready
@@ -289,21 +236,14 @@ func (c *TraceCache) simulateStream(key any, p core.Params, run func(trace.Sink)
 			return core.Result{}, e.err
 		}
 		c.replayed.Add(int64(e.tr.Len()))
-		sp := c.spans.Start("trace-cache", "replay").
-			Arg("key", fmt.Sprint(key)).Arg("model", p.Model.String())
-		r, err := core.Simulate(e.tr, p)
-		sp.End()
-		return r, err
+		return core.Simulate(e.tr, p)
 	}
-	sp := c.spans.Start("trace-cache", "generate").
-		Arg("key", fmt.Sprint(key)).Arg("model", p.Model.String())
-	defer sp.End()
 	t := &trace.Trace{}
 	sim, aerr := core.AcquireSim(p)
 	if aerr != nil {
 		// Bad simulation params: still fill the cache for callers with
 		// valid ones, then surface the error.
-		if rerr := run(t); rerr != nil {
+		if _, rerr := Run(w, t); rerr != nil {
 			c.fill(e, nil, rerr)
 			return core.Result{}, rerr
 		}
@@ -312,7 +252,7 @@ func (c *TraceCache) simulateStream(key any, p core.Params, run func(trace.Sink)
 	}
 	var res core.Result
 	var simErr error
-	rerr := run(trace.Tee{t, sim})
+	_, rerr := Run(w, trace.Tee{t, sim})
 	if rerr == nil {
 		if simErr = sim.Err(); simErr == nil {
 			res = sim.Result()
@@ -323,49 +263,8 @@ func (c *TraceCache) simulateStream(key any, p core.Params, run func(trace.Sink)
 		c.fill(e, nil, rerr) // generation failed: cache the failure
 		return core.Result{}, rerr
 	}
-	// A simulator error is parameter-specific and must not poison the
-	// trace for other parameter sets: install it regardless.
 	c.fill(e, t, nil)
 	return res, simErr
-}
-
-// SimulateCached is Simulate through an optional trace cache: a nil
-// cache streams the execution straight into the simulator (no trace
-// storage, exactly Simulate); a non-nil cache fills or reuses the
-// workload's cached trace, executing the workload at most once across
-// all parameter sets that ask for it.
-func SimulateCached(c *TraceCache, w Workload, p core.Params) (core.Result, error) {
-	if c == nil {
-		return Simulate(w, p)
-	}
-	if err := w.normalize(); err != nil {
-		return core.Result{}, err
-	}
-	return c.simulateStream(w, p, func(s trace.Sink) error {
-		_, err := Run(w, s)
-		return err
-	})
-}
-
-// SimulateJournalCached is SimulateCached for the journal workload.
-func SimulateJournalCached(c *TraceCache, w JournalWorkload, p core.Params) (core.Result, error) {
-	w.normalize()
-	run := func(s trace.Sink) error { return RunJournal(w, s) }
-	if c == nil {
-		return streamSim(p, run)
-	}
-	return c.simulateStream(w, p, run)
-}
-
-// SimulatePSTMCached is SimulateCached for the durable-transaction
-// workload.
-func SimulatePSTMCached(c *TraceCache, w PSTMWorkload, p core.Params) (core.Result, error) {
-	w.normalize()
-	run := func(s trace.Sink) error { return RunPSTM(w, s) }
-	if c == nil {
-		return streamSim(p, run)
-	}
-	return c.simulateStream(w, p, run)
 }
 
 // CacheStats is a point-in-time snapshot of a TraceCache's counters.
@@ -410,30 +309,4 @@ func (c *TraceCache) Stats() CacheStats {
 		EventsReplayed:  c.replayed.Load(),
 		EventsGenerated: c.generated.Load(),
 	}
-}
-
-// Observe publishes the cache's counters into reg under stable metric
-// names. telemetry cannot import bench (it would cycle through sweep),
-// so the adapter lives here, in observe.go style. No-op on a nil cache.
-func (c *TraceCache) Observe(reg *telemetry.Registry) {
-	if c == nil {
-		return
-	}
-	s := c.Stats()
-	reg.SetHelp("trace_cache_hits_total", "trace lookups served from cache")
-	reg.SetHelp("trace_cache_misses_total", "trace lookups that generated a fresh execution")
-	reg.SetHelp("trace_cache_evictions_total", "cached traces dropped for capacity")
-	reg.SetHelp("trace_cache_entries", "traces resident in the cache")
-	reg.SetHelp("trace_cache_resident_events", "trace events held by the cache right now")
-	reg.SetHelp("trace_cache_events_replayed_total", "trace events served from cache instead of re-execution")
-	reg.SetHelp("trace_cache_events_generated_total", "trace events produced by cache fills")
-	reg.SetHelp("trace_cache_replay_rate", "fraction of trace events served by replay")
-	reg.Counter("trace_cache_hits_total").Add(s.Hits)
-	reg.Counter("trace_cache_misses_total").Add(s.Misses)
-	reg.Counter("trace_cache_evictions_total").Add(s.Evictions)
-	reg.Gauge("trace_cache_entries").Set(float64(s.Entries))
-	reg.Gauge("trace_cache_resident_events").Set(float64(s.Resident))
-	reg.Counter("trace_cache_events_replayed_total").Add(s.EventsReplayed)
-	reg.Counter("trace_cache_events_generated_total").Add(s.EventsGenerated)
-	reg.Gauge("trace_cache_replay_rate").Set(s.ReplayRate())
 }

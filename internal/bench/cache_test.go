@@ -7,20 +7,24 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/journal"
-	"repro/internal/pstm"
 	"repro/internal/queue"
 	"repro/internal/trace"
 )
 
+// cachedTrace fetches w's trace through c.Do, keyed by the workload —
+// the lookup workload.Build and workload.BuildKV make.
+func cachedTrace(c *TraceCache, w Workload) (*trace.Trace, error) {
+	return c.Do(w, func() (*trace.Trace, error) { return Trace(w) })
+}
+
 func TestTraceCacheHitReturnsSameTrace(t *testing.T) {
 	c := NewTraceCache(8)
 	w := Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 2, Inserts: 50, Seed: 7}
-	a, err := c.Trace(w)
+	a, err := cachedTrace(c, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Trace(w)
+	b, err := cachedTrace(c, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +44,8 @@ func TestTraceCacheHitReturnsSameTrace(t *testing.T) {
 }
 
 // Replayed-from-cache simulation must be byte-identical to streaming the
-// execution straight into the simulator, for every model and workload
-// family — the equivalence the whole trace-once design rests on.
+// execution straight into the simulator, for every model — the
+// equivalence the whole trace-once design rests on.
 func TestSimulateCachedMatchesStreaming(t *testing.T) {
 	c := NewTraceCache(16)
 	for _, w := range []Workload{
@@ -63,34 +67,6 @@ func TestSimulateCachedMatchesStreaming(t *testing.T) {
 			}
 		}
 	}
-
-	jw := JournalWorkload{Policy: journal.PolicyEpoch, Threads: 2, Txns: 40, Seed: 5}
-	jp := core.Params{Model: core.Epoch}
-	wantJ, err := SimulateJournalCached(nil, jw, jp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJ, err := SimulateJournalCached(c, jw, jp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wantJ, gotJ) {
-		t.Fatalf("journal: replayed result differs from streamed")
-	}
-
-	pw := PSTMWorkload{Policy: pstm.PolicyStrand, Threads: 2, Txns: 40, Seed: 5}
-	pp := core.Params{Model: core.Strand}
-	wantP, err := SimulatePSTMCached(nil, pw, pp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotP, err := SimulatePSTMCached(c, pw, pp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(wantP, gotP) {
-		t.Fatalf("pstm: replayed result differs from streamed")
-	}
 }
 
 func TestTraceCacheSingleflight(t *testing.T) {
@@ -103,7 +79,7 @@ func TestTraceCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tr, err := c.Trace(w)
+			tr, err := cachedTrace(c, w)
 			if err != nil {
 				t.Error(err)
 				return
@@ -129,7 +105,7 @@ func TestTraceCacheEviction(t *testing.T) {
 		return Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 1, Inserts: 20, Seed: seed}
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		if _, err := c.Trace(mk(seed)); err != nil {
+		if _, err := cachedTrace(c, mk(seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,14 +114,14 @@ func TestTraceCacheEviction(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 eviction / 2 entries", s)
 	}
 	// Seed 1 was least recently used; asking again must regenerate.
-	if _, err := c.Trace(mk(1)); err != nil {
+	if _, err := cachedTrace(c, mk(1)); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.Stats(); s.Misses != 4 || s.Hits != 0 {
 		t.Fatalf("stats after re-request = %+v, want 4 misses", s)
 	}
 	// Seed 3 stayed resident.
-	if _, err := c.Trace(mk(3)); err != nil {
+	if _, err := cachedTrace(c, mk(3)); err != nil {
 		t.Fatal(err)
 	}
 	if s := c.Stats(); s.Hits != 1 {
@@ -164,7 +140,7 @@ func TestTraceCacheEventBudget(t *testing.T) {
 		return Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 1, Inserts: 30, Seed: seed}
 	}
 	// Escaped: the caller holds this trace across later evictions.
-	held, err := c.Trace(mk(100))
+	held, err := cachedTrace(c, mk(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +220,8 @@ func TestTraceCacheCachesErrors(t *testing.T) {
 	gen := func() (*trace.Trace, error) { calls++; return nil, boom }
 	type key struct{ k int }
 	for i := 0; i < 3; i++ {
-		if _, err := c.lookup(key{1}, gen); err != boom {
-			t.Fatalf("lookup error = %v, want boom", err)
+		if _, err := c.Do(key{1}, gen); err != boom {
+			t.Fatalf("Do error = %v, want boom", err)
 		}
 	}
 	if calls != 1 {
@@ -256,11 +232,11 @@ func TestTraceCacheCachesErrors(t *testing.T) {
 func TestTraceCacheNil(t *testing.T) {
 	var c *TraceCache
 	w := Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 1, Inserts: 20, Seed: 1}
-	a, err := c.Trace(w)
+	a, err := cachedTrace(c, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Trace(w)
+	b, err := cachedTrace(c, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,5 +246,4 @@ func TestTraceCacheNil(t *testing.T) {
 	if s := c.Stats(); s != (CacheStats{}) {
 		t.Fatalf("nil cache stats = %+v, want zero", s)
 	}
-	c.Observe(nil) // must not panic
 }

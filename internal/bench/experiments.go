@@ -190,8 +190,6 @@ type Fig3Config struct {
 	InstrRate float64
 	// Sweep controls grid parallelism (one worker per policy here).
 	Sweep sweep.Config
-	// Cache optionally replays cached traces instead of re-executing.
-	Cache *TraceCache
 }
 
 // Fig3Point is one plotted point: achievable rate at one latency under
@@ -239,7 +237,7 @@ func Fig3(cfg Fig3Config) ([]Fig3Point, error) {
 		func(i int) (core.Result, error) {
 			pol := Fig3Policies[i]
 			w := Workload{Design: queue.CWL, Policy: pol, Threads: 1, Inserts: cfg.Inserts, PayloadLen: cfg.PayloadLen, Seed: cfg.Seed}
-			return SimulateCached(cfg.Cache, w, core.Params{Model: ModelFor(pol)})
+			return Simulate(w, core.Params{Model: ModelFor(pol)})
 		},
 		func(i int, r core.Result) error {
 			pol := Fig3Policies[i]
@@ -313,9 +311,6 @@ type GranularityConfig struct {
 	Seed int64
 	// Sweep controls grid parallelism across (policy × granularity).
 	Sweep sweep.Config
-	// Cache optionally holds the per-policy traces, so Fig4 and Fig5
-	// (which sweep the same workloads) generate them once between them.
-	Cache *TraceCache
 }
 
 func (c *GranularityConfig) normalize() {
@@ -351,7 +346,7 @@ func granularitySweep(cfg GranularityConfig, mkParams func(core.Model, uint64) c
 		func(i int) (*trace.Trace, error) {
 			pol := granPolicies[i]
 			w := Workload{Design: queue.CWL, Policy: pol, Threads: 1, Inserts: cfg.Inserts, PayloadLen: cfg.PayloadLen, Seed: cfg.Seed}
-			return cfg.Cache.Trace(w)
+			return Trace(w)
 		},
 		func(i int, tr *trace.Trace) error {
 			traces[i] = tr
@@ -447,9 +442,8 @@ type WindowPoint struct {
 
 // WindowAblation sweeps the coalescing window for the strand-annotated
 // CWL queue (1 thread); the per-window simulations run on sw workers
-// over one shared trace (cached across invocations when cache is
-// non-nil).
-func WindowAblation(inserts int, seed int64, windows []int64, sw sweep.Config, cache *TraceCache) ([]WindowPoint, error) {
+// over one shared trace.
+func WindowAblation(inserts int, seed int64, windows []int64, sw sweep.Config) ([]WindowPoint, error) {
 	if inserts <= 0 {
 		inserts = 5000
 	}
@@ -457,7 +451,7 @@ func WindowAblation(inserts int, seed int64, windows []int64, sw sweep.Config, c
 		windows = []int64{0, 1024, 256, 64, 16, 4}
 	}
 	w := Workload{Design: queue.CWL, Policy: queue.PolicyStrand, Threads: 1, Inserts: inserts, PayloadLen: 100, Seed: seed}
-	tr, err := cache.Trace(w)
+	tr, err := Trace(w)
 	if err != nil {
 		return nil, err
 	}
@@ -514,9 +508,9 @@ type Fig2Row struct {
 // Fig2 builds the constraint DAG of a small CWL run per policy. Trace
 // generation is hoisted into its own phase — the trace depends only on
 // the policy, not on anything the graph phase varies — so each
-// execution runs exactly once (and is shared across invocations when
-// cache is non-nil) before the graph builders fan out over sw workers.
-func Fig2(inserts int, seed int64, sw sweep.Config, cache *TraceCache) ([]Fig2Row, error) {
+// execution runs exactly once before the graph builders fan out over
+// sw workers.
+func Fig2(inserts int, seed int64, sw sweep.Config) ([]Fig2Row, error) {
 	if inserts <= 0 {
 		inserts = 50
 	}
@@ -526,7 +520,7 @@ func Fig2(inserts int, seed int64, sw sweep.Config, cache *TraceCache) ([]Fig2Ro
 		func(i int) (*trace.Trace, error) {
 			pol := queue.Policies[i]
 			w := Workload{Design: queue.CWL, Policy: pol, Threads: 1, Inserts: inserts, PayloadLen: 100, Seed: seed}
-			return cache.Trace(w)
+			return Trace(w)
 		},
 		func(i int, tr *trace.Trace) error {
 			traces[i] = tr

@@ -87,15 +87,6 @@ func RunJournal(w JournalWorkload, sink trace.Sink) error {
 	return nil
 }
 
-// JournalTrace executes the workload and returns the captured trace.
-func JournalTrace(w JournalWorkload) (*trace.Trace, error) {
-	tr := &trace.Trace{}
-	if err := RunJournal(w, tr); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
 // JournalRow is one row of the journal persist-concurrency table.
 type JournalRow struct {
 	Policy       journal.Policy
@@ -119,10 +110,8 @@ func JournalModelFor(p journal.Policy) core.Model {
 
 // JournalTable evaluates persist concurrency of the journal under
 // every policy and the given thread counts, fanning the (threads ×
-// policy) grid across sw workers. A non-nil cache materializes each
-// (threads, policy) execution once and replays it on the pooled
-// simulator path; repeated invocations reuse the traces.
-func JournalTable(txns int, threads []int, seed int64, sw sweep.Config, cache *TraceCache) ([]JournalRow, error) {
+// policy) grid across sw workers.
+func JournalTable(txns int, threads []int, seed int64, sw sweep.Config) ([]JournalRow, error) {
 	if len(threads) == 0 {
 		threads = []int{1, 4}
 	}
@@ -144,7 +133,7 @@ func JournalTable(txns int, threads []int, seed int64, sw sweep.Config, cache *T
 		func(i int) (JournalRow, error) {
 			c := grid[i]
 			w := JournalWorkload{Policy: c.policy, Threads: c.threads, Txns: txns, Seed: seed}
-			r, err := SimulateJournalCached(cache, w, core.Params{Model: JournalModelFor(c.policy)})
+			r, err := streamSim(core.Params{Model: JournalModelFor(c.policy)}, func(s trace.Sink) error { return RunJournal(w, s) })
 			if err != nil {
 				return JournalRow{}, fmt.Errorf("bench: journal %v/%dT: %w", c.policy, c.threads, err)
 			}

@@ -26,7 +26,7 @@ func TestRunJournalProducesWork(t *testing.T) {
 }
 
 func TestJournalTableShape(t *testing.T) {
-	rows, err := JournalTable(200, []int{1, 2}, 3, sweep.Config{}, nil)
+	rows, err := JournalTable(200, []int{1, 2}, 3, sweep.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestJournalTableShape(t *testing.T) {
 }
 
 func TestPSTMTableShape(t *testing.T) {
-	rows, err := PSTMTable(200, []int{1}, 2, sweep.Config{}, nil)
+	rows, err := PSTMTable(200, []int{1}, 2, sweep.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,11 +86,11 @@ func TestFig3ParallelMatchesSequential(t *testing.T) {
 }
 
 func TestJournalPSTMParallelMatchesSequential(t *testing.T) {
-	seqJ, err := JournalTable(120, []int{1, 2}, 3, sweep.Config{Parallel: 1}, nil)
+	seqJ, err := JournalTable(120, []int{1, 2}, 3, sweep.Config{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parJ, err := JournalTable(120, []int{1, 2}, 3, sweep.Config{Parallel: 8}, nil)
+	parJ, err := JournalTable(120, []int{1, 2}, 3, sweep.Config{Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestJournalPSTMParallelMatchesSequential(t *testing.T) {
 		}
 	}
 
-	seqP, err := PSTMTable(120, []int{1, 2}, 5, sweep.Config{Parallel: 1}, nil)
+	seqP, err := PSTMTable(120, []int{1, 2}, 5, sweep.Config{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parP, err := PSTMTable(120, []int{1, 2}, 5, sweep.Config{Parallel: 8}, nil)
+	parP, err := PSTMTable(120, []int{1, 2}, 5, sweep.Config{Parallel: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

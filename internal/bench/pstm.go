@@ -63,15 +63,6 @@ func RunPSTM(w PSTMWorkload, sink trace.Sink) error {
 	return nil
 }
 
-// PSTMTrace executes the workload and returns the captured trace.
-func PSTMTrace(w PSTMWorkload) (*trace.Trace, error) {
-	tr := &trace.Trace{}
-	if err := RunPSTM(w, tr); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
 // PSTMRow is one row of the pstm persist-concurrency table.
 type PSTMRow struct {
 	Policy     pstm.Policy
@@ -94,10 +85,8 @@ func PSTMModelFor(p pstm.Policy) core.Model {
 
 // PSTMTable evaluates persist concurrency of paired-word durable
 // transactions (racing excluded: unsafe for this structure), fanning
-// the (threads × policy) grid across sw workers. A non-nil cache
-// materializes each (threads, policy) execution once and replays it on
-// the pooled simulator path; repeated invocations reuse the traces.
-func PSTMTable(txns int, threads []int, seed int64, sw sweep.Config, cache *TraceCache) ([]PSTMRow, error) {
+// the (threads × policy) grid across sw workers.
+func PSTMTable(txns int, threads []int, seed int64, sw sweep.Config) ([]PSTMRow, error) {
 	if txns <= 0 {
 		txns = 1000
 	}
@@ -122,7 +111,7 @@ func PSTMTable(txns int, threads []int, seed int64, sw sweep.Config, cache *Trac
 		func(i int) (PSTMRow, error) {
 			c := grid[i]
 			w := PSTMWorkload{Policy: c.policy, Threads: c.threads, Txns: txns, Seed: seed}
-			r, err := SimulatePSTMCached(cache, w, core.Params{Model: PSTMModelFor(c.policy)})
+			r, err := streamSim(core.Params{Model: PSTMModelFor(c.policy)}, func(s trace.Sink) error { return RunPSTM(w, s) })
 			if err != nil {
 				return PSTMRow{}, fmt.Errorf("bench: pstm %v/%dT: %w", c.policy, c.threads, err)
 			}

@@ -17,12 +17,10 @@ import (
 func TestTable1SpansReconcileWithSweepTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	spans := telemetry.NewSpanTracer(reg)
-	cache := NewTraceCache(DefaultCacheEntries)
-	cache.SetSpans(spans)
 	cfg := Table1Config{
 		Inserts: 200, Threads: []int{1, 2}, Seed: 42, InstrRate: 1e8,
 		Sweep: sweep.Config{Parallel: 4, Registry: reg, Spans: spans},
-		Cache: cache,
+		Cache: NewTraceCache(DefaultCacheEntries),
 	}
 	rows, err := Table1(cfg)
 	if err != nil {
@@ -49,11 +47,6 @@ func TestTable1SpansReconcileWithSweepTelemetry(t *testing.T) {
 	}
 	if spanned != items {
 		t.Errorf("span totals sum to %d, sweep_items_total = %d", spanned, items)
-	}
-
-	// The trace cache must have recorded generate (miss) work too.
-	if gen := spans.WorkerTotals("trace-cache", "generate"); len(gen) == 0 {
-		t.Error("no trace-cache generate spans recorded")
 	}
 
 	var buf bytes.Buffer
