@@ -64,7 +64,7 @@ func BenchmarkSimulateAll(b *testing.B) {
 func TestSimulateAllocsPerEvent(t *testing.T) {
 	tr := synthTrace(10000)
 	for _, m := range []Model{Strict, Epoch} {
-		// Warm the sim pool and the dense block tables.
+		// Warm the sim pool and the block tables' pages.
 		if _, err := Simulate(tr, Params{Model: m}); err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ import (
 type Sim struct {
 	params Params
 	spec   spec
-	// gen stamps the dense state tables below: an entry is live iff its
+	// gen stamps the state tables below: an entry is live iff its
 	// stamp equals gen. Reset bumps gen, invalidating all per-run state
 	// in O(1) without clearing or reallocating the tables.
 	gen uint64
@@ -35,8 +35,8 @@ type Sim struct {
 	threads []threadState
 	// trackV/trackP hold per-tracking-block state for the volatile and
 	// persistent address spaces, indexed by block-id offset from each
-	// space's base block. Heaps allocate first-fit from the space base,
-	// so offsets stay small and dense.
+	// space's base block. Both are paged: storage follows the blocks a
+	// trace touches, not the span of the heap it touches them in.
 	trackV, trackP blockTable
 	// atoms tracks each atomic block's open (most recent) persist: its
 	// level, and the global placement sequence when it opened (for the
@@ -105,6 +105,53 @@ type threadState struct {
 	epoch, strand int64
 }
 
+// Paged state tables. A table maps a block-id offset to a slot through
+// a two-level directory: the offset's low pageBits pick the slot within
+// a fixed page, the next dirBits pick the page within a directory, and
+// the rest index the top level. Pages and directories are allocated on
+// first touch and never move, so a slot pointer stays valid for the
+// table's lifetime and storage grows with the pages a trace touches:
+// a few blocks at both ends of the 1 TiB persistent space cost two
+// pages and two directories, where a dense table would span it all.
+const (
+	pageBits = 8  // 256 slots per page
+	dirBits  = 12 // 4096 pages (1 Mi slots) per directory
+	pageMask = 1<<pageBits - 1
+	dirMask  = 1<<dirBits - 1
+)
+
+// pageDirs is a table's top level: directories of page pointers.
+type pageDirs[P any] []*[1 << dirBits]*P
+
+// page returns the page covering offset i, or nil when it is not yet
+// allocated.
+func (ds pageDirs[P]) page(i uint64) *P {
+	if d := i >> (pageBits + dirBits); d < uint64(len(ds)) && ds[d] != nil {
+		return ds[d][i>>pageBits&dirMask]
+	}
+	return nil
+}
+
+// addPage allocates the page covering offset i (and its directory, if
+// need be); the page must not exist yet. It is kept out of line so the
+// lookups that call it on a miss stay small.
+//
+//go:noinline
+func (ds *pageDirs[P]) addPage(i uint64) *P {
+	d := i >> (pageBits + dirBits)
+	if d >= uint64(len(*ds)) {
+		*ds = append(*ds, make(pageDirs[P], d+1-uint64(len(*ds)))...)
+	}
+	dir := (*ds)[d]
+	if dir == nil {
+		dir = new([1 << dirBits]*P)
+		(*ds)[d] = dir
+	}
+	pg := new(P)
+	dir[i>>pageBits&dirMask] = pg
+	return pg
+}
+
 // blockEntry is a blockTable slot: tracking-block state plus the
 // generation stamp that says whether it belongs to the current run.
 type blockEntry struct {
@@ -112,35 +159,22 @@ type blockEntry struct {
 	gen uint64
 }
 
-// blockTable is a growable dense table of tracking-block state for one
-// address space, indexed by block-id offset from the space's base.
+// blockTable holds tracking-block state for one address space, indexed
+// by block-id offset from the space's base.
 type blockTable struct {
-	base    memory.BlockID
-	entries []blockEntry
-}
-
-// ensure grows the table to cover index idx. Growing reallocates, so
-// callers that retain entry pointers must ensure the full span they
-// will touch before taking any pointer.
-func (tb *blockTable) ensure(idx int) {
-	if idx < len(tb.entries) {
-		return
-	}
-	n := idx + 1
-	if m := 2 * len(tb.entries); n < m {
-		n = m
-	}
-	ne := make([]blockEntry, n)
-	copy(ne, tb.entries)
-	tb.entries = ne
+	base  memory.BlockID
+	pages pageDirs[[1 << pageBits]blockEntry]
 }
 
 // get returns the live state for block b, lazily reinitializing a slot
 // left over from an earlier generation.
 func (tb *blockTable) get(b memory.BlockID, gen uint64) *blockState {
-	idx := int(b - tb.base)
-	tb.ensure(idx)
-	e := &tb.entries[idx]
+	i := uint64(b - tb.base)
+	pg := tb.pages.page(i)
+	if pg == nil {
+		pg = tb.pages.addPage(i)
+	}
+	e := &pg[i&pageMask]
 	if e.gen != gen {
 		e.gen = gen
 		e.blockState = blockState{
@@ -151,7 +185,7 @@ func (tb *blockTable) get(b memory.BlockID, gen uint64) *blockState {
 	return &e.blockState
 }
 
-// atomEntry and atomTable are the same dense-plus-generation scheme for
+// atomEntry and atomTable are the same paged-plus-generation scheme for
 // atomic persist blocks; a stale stamp doubles as "no open persist".
 type atomEntry struct {
 	openPersist
@@ -159,26 +193,18 @@ type atomEntry struct {
 }
 
 type atomTable struct {
-	base    memory.BlockID
-	entries []atomEntry
+	base  memory.BlockID
+	pages pageDirs[[1 << pageBits]atomEntry]
 }
 
-func (tb *atomTable) ensure(idx int) {
-	if idx < len(tb.entries) {
-		return
-	}
-	n := idx + 1
-	if m := 2 * len(tb.entries); n < m {
-		n = m
-	}
-	ne := make([]atomEntry, n)
-	copy(ne, tb.entries)
-	tb.entries = ne
-}
-
-// at returns the slot for block b; the caller must have ensured idx.
+// at returns the slot for block b.
 func (tb *atomTable) at(b memory.BlockID) *atomEntry {
-	return &tb.entries[int(b-tb.base)]
+	i := uint64(b - tb.base)
+	pg := tb.pages.page(i)
+	if pg == nil {
+		pg = tb.pages.addPage(i)
+	}
+	return &pg[i&pageMask]
 }
 
 // blockState is the per-tracking-block dependence state.
@@ -270,8 +296,7 @@ func (s *Sim) thread(tid int32) *threadState {
 }
 
 // block returns the tracking-block state for id b, which must be at the
-// configured tracking granularity. The returned pointer is valid until
-// the next block or trackingBlocks call, which may grow the table.
+// configured tracking granularity.
 func (s *Sim) block(b memory.BlockID) *blockState {
 	if b >= s.trackP.base {
 		return s.trackP.get(b, s.gen)
@@ -279,7 +304,7 @@ func (s *Sim) block(b memory.BlockID) *blockState {
 	return s.trackV.get(b, s.gen)
 }
 
-// Feed validates and processes one event in SC order. The dense state
+// Feed validates and processes one event in SC order. The state
 // indexers rely on Validate's range checks.
 func (s *Sim) Feed(e trace.Event) error {
 	if err := e.Validate(); err != nil {
@@ -363,15 +388,13 @@ func (s *Sim) barrier(t *threadState) {
 
 // trackingBlocks iterates the tracking blocks spanned by an access. The
 // whole span lies in one address space (Event.Validate checks the
-// range), and the table is pre-grown over it, so the pointers handed to
-// fn remain valid for the full iteration.
+// range).
 func (s *Sim) trackingBlocks(e trace.Event, fn func(*blockState)) {
 	first, last := memory.BlockSpan(e.Addr, int(e.Size), s.params.TrackingGranularity)
 	tb := &s.trackV
 	if first >= s.trackP.base {
 		tb = &s.trackP
 	}
-	tb.ensure(int(last - tb.base))
 	for b := first; b <= last; b++ {
 		fn(tb.get(b, s.gen))
 	}
@@ -462,7 +485,6 @@ func (s *Sim) persist(e trace.Event) {
 
 	// Place (or coalesce) one persist per spanned atomic block.
 	firstA, lastA := memory.BlockSpan(e.Addr, int(e.Size), s.params.AtomicGranularity)
-	s.atoms.ensure(int(lastA - s.atoms.base))
 	placedCtx := zeroCtx
 	placedSrc := int64(-1)
 	for ab := firstA; ab <= lastA; ab++ {
@@ -546,8 +568,8 @@ func (s *Sim) persist(e trace.Event) {
 }
 
 // simPool recycles simulators across Simulate calls: sweeps replay the
-// same trace under thousands of parameter combinations, and the dense
-// state tables are the dominant allocation of each run.
+// same trace under thousands of parameter combinations, and the state
+// tables' pages are the dominant allocation of each run.
 var simPool = sync.Pool{New: func() any { return &Sim{} }}
 
 // AcquireSim returns a pooled simulator reset to p — the streaming
@@ -591,7 +613,7 @@ func Simulate(tr *trace.Trace, p Params) (Result, error) {
 // SimulateAll runs one trace through every model in Models with shared
 // granularity parameters (base.Model is ignored), returning results in
 // Models order. Each model replays the trace through the pooled solo
-// Simulate, so one simulator's dense tables serve every model in turn.
+// Simulate, so one simulator's table pages serve every model in turn.
 func SimulateAll(tr *trace.Trace, base Params) ([]Result, error) {
 	out := make([]Result, len(Models))
 	for i, m := range Models {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -551,5 +552,35 @@ func TestRelaxationHierarchy(t *testing.T) {
 	}
 	if strict.CriticalPath <= 20 {
 		t.Fatalf("strict should serialize most persists, got %d", strict.CriticalPath)
+	}
+}
+
+// TestSimTablesFollowTouchedPages pins the paged state tables: their
+// storage follows the pages a trace touches, not the address span
+// between its accesses. Persists at both ends of a gigabyte of
+// persistent space cost a page and a directory per table per end
+// (about 200 KiB); a table dense over the span would hold 2^27
+// tracking blocks, over 13 GiB.
+func TestSimTablesFollowTouchedPages(t *testing.T) {
+	var b tb
+	for _, a := range []memory.Addr{memory.PersistentBase, memory.PersistentBase + 1<<30} {
+		b.store(0, a)
+		b.load(1, a)
+		b.store(1, a)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := MustNewSim(Params{Model: Epoch, NoCoalescing: true})
+	for e := range b.tr.All() {
+		if err := s.Feed(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("simulating persists 1 GiB apart allocated %d bytes, want at most 1 MiB", got)
+	}
+	if r := s.Result(); r.Persists != 4 || r.CriticalPath != 2 {
+		t.Fatalf("got %d persists at critical path %d, want 4 at 2", r.Persists, r.CriticalPath)
 	}
 }

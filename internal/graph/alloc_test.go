@@ -55,7 +55,7 @@ func TestGrowAdditiveAllocs(t *testing.T) {
 // (strict) / 121311 (epoch) allocs per 20k-event build to double
 // digits / low hundreds. The budgets below sit far under the old
 // counts' fifth (≈21k / ≈24k) while leaving headroom over the observed
-// 63 / 166, so a regression reintroducing per-event allocation fails
+// 59 / 131, so a regression reintroducing per-event allocation fails
 // loudly.
 func TestGraphBuildAllocs(t *testing.T) {
 	if testing.Short() {

@@ -32,34 +32,9 @@ type BarrierInfo struct {
 }
 
 // BuildWithBarriers is Build plus a per-annotation effect report, in
-// trace order. The graph is identical to Build's.
+// trace order. The graph, Stats included, is identical to Build's.
 func BuildWithBarriers(tr *trace.Trace, p core.Params) (*Graph, []BarrierInfo, error) {
-	b, err := newBuilder(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	b.g.Grow(tr.CountPersists())
-	var infos []BarrierInfo
-	epochs := make(map[int32]int64)
-	for _, c := range tr.Chunks() {
-		for i := 0; i < c.Len(); i++ {
-			e := c.Event(i)
-			if e.Kind.IsAnnotation() {
-				epochs[e.TID]++
-				infos = append(infos, BarrierInfo{
-					Seq:       e.Seq,
-					TID:       e.TID,
-					Kind:      e.Kind,
-					Epoch:     epochs[e.TID],
-					Redundant: b.annotationRedundant(e),
-				})
-			}
-			if err := b.feed(e); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	return b.g, infos, nil
+	return build(tr, p, true)
 }
 
 // annotationRedundant reports whether feeding e would change no builder
@@ -88,10 +63,5 @@ func (b *builder) annotationRedundant(e trace.Event) bool {
 	if t == nil || len(t.epochMax) > 0 {
 		return t == nil
 	}
-	for id := range t.pending {
-		if _, ok := t.active[id]; !ok {
-			return false
-		}
-	}
-	return true
+	return missing(t.active, t.pending) == 0
 }

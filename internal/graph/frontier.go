@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+
 	"repro/internal/intervals"
 	"repro/internal/memory"
 )
@@ -23,25 +25,14 @@ import (
 // copy-on-write slices. Sharing is safe because no operation mutates a
 // published vec in place; singletons (the dominant case: a block just
 // persisted) are carved from a chunked slab so the per-persist
-// frontier reset allocates nothing in steady state.
+// frontier reset allocates nothing in steady state. Thread frontiers
+// are nodeVecs too, but each is owned by its thread and updated in
+// place (unionInto); only copies of them are ever published.
 
 // nodeVec is a sorted set of node ids. The empty vec is nil. Vecs are
 // immutable once stored in a frontier: operations return new (or
 // shared) slices, never append in place.
 type nodeVec []NodeID
-
-// has reports membership (linear scan: frontiers are small).
-func (v nodeVec) has(id NodeID) bool {
-	for _, x := range v {
-		if x == id {
-			return true
-		}
-		if x > id {
-			return false
-		}
-	}
-	return false
-}
 
 // vecEq reports set equality. Shared backing is the fast path: a
 // coalescing check between two halves of a split range compares the
@@ -109,42 +100,45 @@ func (b *builder) allocEdges(n int) []Edge {
 	return s
 }
 
-// intoSet inserts every element of v into s in place, creating the map
-// on first use.
-func intoSet(s nodeSet, v nodeVec) nodeSet {
-	if len(v) == 0 {
-		return s
+// Every set operation below walks sorted slices, so its cost is linear
+// in the sizes of its inputs. KV traces keep thread frontiers around a
+// hundred nodes wide, where per-element scans of one set against the
+// other were quadratic.
+
+// missing counts the ids of s absent from v (a merge walk).
+func missing(v, s nodeVec) int {
+	n, i := 0, 0
+	for _, id := range s {
+		for i < len(v) && v[i] < id {
+			i++
+		}
+		if i == len(v) || v[i] != id {
+			n++
+		}
 	}
-	if s == nil {
-		s = make(nodeSet, len(v))
-	}
-	for _, id := range v {
-		s[id] = struct{}{}
-	}
-	return s
+	return n
 }
 
-// vecAddSet returns v ∪ s, sharing v when s adds nothing.
-func (b *builder) vecAddSet(v nodeVec, s nodeSet) nodeVec {
-	if len(s) == 0 {
-		return v
+// unionInto returns dst ∪ src, reusing storage: dst must be a
+// thread-owned frontier, never a published vec. The union is merged
+// into the builder's scratch buffer, which then trades places with dst,
+// so neither buffer is ever referenced from two places.
+func (b *builder) unionInto(dst, src nodeVec) nodeVec {
+	if missing(dst, src) == 0 {
+		return dst
 	}
-	b.tmp = b.tmp[:0]
-	for id := range s {
-		if !v.has(id) {
-			b.tmp = append(b.tmp, id)
-		}
+	out := mergeInto(b.tmp[:0], dst, src)
+	b.tmp = dst
+	return out
+}
+
+// vecAddSet is vecUnion for a thread-owned s: it never returns s
+// itself, which its thread goes on updating in place.
+func vecAddSet(v, s nodeVec) nodeVec {
+	if len(v) == 0 && len(s) > 0 {
+		return slices.Clone(s)
 	}
-	if len(b.tmp) == 0 {
-		return v
-	}
-	// Insertion-sort the additions (tiny), then merge.
-	for i := 1; i < len(b.tmp); i++ {
-		for j := i; j > 0 && b.tmp[j] < b.tmp[j-1]; j-- {
-			b.tmp[j], b.tmp[j-1] = b.tmp[j-1], b.tmp[j]
-		}
-	}
-	return mergeVecs(v, b.tmp)
+	return vecUnion(v, s)
 }
 
 // vecUnion returns a ∪ b, sharing an input when it already contains
@@ -153,24 +147,16 @@ func vecUnion(a, b nodeVec) nodeVec {
 	if len(a) == 0 {
 		return b
 	}
-	if len(b) == 0 {
+	m := missing(a, b)
+	if m == 0 {
 		return a
 	}
-	missing := 0
-	for _, id := range b {
-		if !a.has(id) {
-			missing++
-		}
-	}
-	if missing == 0 {
-		return a
-	}
-	return mergeVecs(a, b)
+	return mergeInto(make(nodeVec, 0, len(a)+m), a, b)
 }
 
-// mergeVecs merges two sorted id slices into a fresh sorted set.
-func mergeVecs(a, b nodeVec) nodeVec {
-	out := make(nodeVec, 0, len(a)+len(b))
+// mergeInto appends the sorted set a ∪ b to out, which must not share
+// storage with a or b.
+func mergeInto(out, a, b nodeVec) nodeVec {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

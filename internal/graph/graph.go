@@ -22,6 +22,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -289,61 +290,55 @@ func (g *Graph) DOT(name string) string {
 // node ids) instead of scalar levels, keyed by address interval rather
 // than per block (see frontier.go).
 func Build(tr *trace.Trace, p core.Params) (*Graph, error) {
+	g, _, err := build(tr, p, false)
+	return g, err
+}
+
+// build is the one feed loop behind Build and BuildWithBarriers. With
+// barriers set it also reports each annotation's effect, in trace order.
+func build(tr *trace.Trace, p core.Params, barriers bool) (*Graph, []BarrierInfo, error) {
 	b, err := newBuilder(p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Pre-pass: one graph node per persist event, so the node slab can
 	// be sized exactly before building (a planes-only SoA walk).
 	b.g.Grow(tr.CountPersists())
+	var infos []BarrierInfo
+	var epochs map[int32]int64
 	for _, c := range tr.Chunks() {
 		for i := 0; i < c.Len(); i++ {
-			if err := b.feed(c.Event(i)); err != nil {
-				return nil, err
+			e := c.Event(i)
+			if barriers && e.Kind.IsAnnotation() {
+				if epochs == nil {
+					epochs = make(map[int32]int64)
+				}
+				epochs[e.TID]++
+				infos = append(infos, BarrierInfo{
+					Seq:       e.Seq,
+					TID:       e.TID,
+					Kind:      e.Kind,
+					Epoch:     epochs[e.TID],
+					Redundant: b.annotationRedundant(e),
+				})
+			}
+			if err := b.feed(e); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
 	b.g.Stats = b.statsOf()
-	return b.g, nil
+	return b.g, infos, nil
 }
 
-type nodeSet map[NodeID]struct{}
-
-func (s nodeSet) add(ids ...NodeID) nodeSet {
-	if s == nil {
-		s = make(nodeSet)
-	}
-	for _, id := range ids {
-		s[id] = struct{}{}
-	}
-	return s
-}
-
-func (s nodeSet) union(o nodeSet) nodeSet {
-	if len(o) == 0 {
-		return s
-	}
-	if s == nil {
-		s = make(nodeSet)
-	}
-	for id := range o {
-		s[id] = struct{}{}
-	}
-	return s
-}
-
-func (s nodeSet) clone() nodeSet {
-	c := make(nodeSet, len(s))
-	for id := range s {
-		c[id] = struct{}{}
-	}
-	return c
-}
-
+// gThread is one thread's dependence state. The three frontiers are
+// sorted id slices owned by the thread and updated in place; they are
+// never stored in the block frontier (publishing one copies it, see
+// vecAddSet), so in-place updates cannot leak.
 type gThread struct {
-	active   nodeSet
-	pending  nodeSet
-	epochMax nodeSet
+	active   nodeVec
+	pending  nodeVec
+	epochMax nodeVec
 }
 
 type builder struct {
@@ -361,8 +356,12 @@ type builder struct {
 	// space has no entry at all.
 	blocks     *intervals.Map[memory.Addr, blockState]
 	peakRanges int
+	// mark dedups a persist's edge sources: node n is already a source
+	// of the current persist iff mark[n] == stamp. Each persist takes a
+	// fresh stamp, so the array is never cleared between persists.
+	mark  []uint32
+	stamp uint32
 	// Per-persist scratch and slabs, reused across events.
-	seen     []NodeID
 	edgeBuf  []Edge
 	tiles    []blockState
 	tmp      []NodeID
@@ -441,12 +440,12 @@ func (b *builder) feed(e trace.Event) error {
 				bs.lastP = -1
 			}
 			if b.strict {
-				t.active = intoSet(t.active, bs.writer)
+				t.active = b.unionInto(t.active, bs.writer)
 			} else {
-				t.pending = intoSet(t.pending, bs.writer)
+				t.pending = b.unionInto(t.pending, bs.writer)
 			}
 			if b.lbs {
-				bs.reader = b.vecAddSet(bs.reader, t.active)
+				bs.reader = vecAddSet(bs.reader, t.active)
 			}
 			// An absent range stays absent unless it gained readers:
 			// empty frontier state is equivalent to no state.
@@ -465,12 +464,12 @@ func (b *builder) feed(e trace.Event) error {
 				}
 				// The store inherits the range's dependences...
 				if b.strict {
-					t.active = intoSet(intoSet(t.active, bs.writer), bs.reader)
+					t.active = b.unionInto(b.unionInto(t.active, bs.writer), bs.reader)
 				} else {
-					t.pending = intoSet(intoSet(t.pending, bs.writer), bs.reader)
+					t.pending = b.unionInto(b.unionInto(t.pending, bs.writer), bs.reader)
 				}
 				// ...and becomes, with them, the range's write frontier.
-				bs.writer = b.vecAddSet(vecUnion(bs.writer, bs.reader), t.active)
+				bs.writer = vecAddSet(vecUnion(bs.writer, bs.reader), t.active)
 				bs.reader = nil
 				return bs, ok || len(bs.writer) > 0
 			})
@@ -483,7 +482,7 @@ func (b *builder) feed(e trace.Event) error {
 	case trace.NewStrand:
 		if b.strands {
 			t := b.thread(e.TID)
-			t.active, t.pending, t.epochMax = nil, nil, nil
+			t.active, t.pending, t.epochMax = t.active[:0], t.pending[:0], t.epochMax[:0]
 		}
 	case trace.PersistSync:
 		b.bindEpoch(b.thread(e.TID))
@@ -498,28 +497,15 @@ func (b *builder) bindEpoch(t *gThread) {
 		// Every persist of the closing epoch carries edges from the old
 		// active set, so the old set is dominated and can be dropped —
 		// the frontier pruning that keeps dependence sets bounded. The
-		// old set's storage is reused (nothing aliases it: unions copy
-		// elements out), so a barrier allocates only on set growth.
-		act := t.active
-		if act == nil {
-			act = make(nodeSet, len(t.pending)+len(t.epochMax))
-		} else {
-			clear(act)
-		}
-		for id := range t.pending {
-			act[id] = struct{}{}
-		}
-		for id := range t.epochMax {
-			act[id] = struct{}{}
-		}
-		t.active = act
+		// new set is merged into the old one's storage.
+		t.active = mergeInto(t.active[:0], t.pending, t.epochMax)
 	} else {
-		t.active = t.active.union(t.pending)
+		t.active = b.unionInto(t.active, t.pending)
 	}
 	// Keep pending's and epochMax's storage too: the next epoch refills
 	// them.
-	clear(t.pending)
-	clear(t.epochMax)
+	t.pending = t.pending[:0]
+	t.epochMax = t.epochMax[:0]
 }
 
 func (b *builder) persist(e trace.Event) {
@@ -527,19 +513,16 @@ func (b *builder) persist(e trace.Event) {
 	id := b.g.AddNode("", e)
 	lo, hi := b.span(e)
 
-	// Deduplicated edge insertion: sources accumulate in a reusable
-	// list; in-degrees are small, so a linear scan beats a fresh map
-	// per persist. Edges stage in edgeBuf and commit as one exact-size
-	// slab slice below.
-	b.seen = b.seen[:0]
+	// Deduplicated edge insertion: a fresh stamp marks this persist's
+	// sources in O(1) each. Edges stage in edgeBuf and commit as one
+	// exact-size slab slice below.
+	b.nextStamp()
 	b.edgeBuf = b.edgeBuf[:0]
 	addEdge := func(from NodeID, class EdgeClass) {
-		for _, s := range b.seen {
-			if s == from {
-				return
-			}
+		if b.mark[from] == b.stamp {
+			return
 		}
-		b.seen = append(b.seen, from)
+		b.mark[from] = b.stamp
 		b.edgeBuf = append(b.edgeBuf, Edge{From: from, Class: class})
 	}
 
@@ -568,41 +551,26 @@ func (b *builder) persist(e trace.Event) {
 			addEdge(from, Conflict)
 		}
 	}
-	// Program-order / barrier dependences. t.active is a map, so sort
-	// this segment (tiny; insertion sort, no allocation) to keep edge
-	// order deterministic.
-	po := len(b.edgeBuf)
-	for from := range t.active {
+	// Program-order / barrier dependences. t.active is sorted, so this
+	// segment comes out in ascending source order.
+	for _, from := range t.active {
 		addEdge(from, ProgramOrder)
-	}
-	if tail := b.edgeBuf[po:]; len(tail) > 1 {
-		for i := 1; i < len(tail); i++ {
-			for j := i; j > 0 && tail[j].From < tail[j-1].From; j-- {
-				tail[j], tail[j-1] = tail[j-1], tail[j]
-			}
-		}
 	}
 	n := b.g.Nodes[id]
 	n.In = b.allocEdges(len(b.edgeBuf))
 	copy(n.In, b.edgeBuf)
 
 	if b.strict {
-		// The new persist subsumes everything it depends on. Reuse the
-		// thread's set: nothing aliases it (unions copy elements out).
-		if t.active == nil {
-			t.active = make(nodeSet, 1)
-		} else {
-			clear(t.active)
-		}
-		t.active[id] = struct{}{}
+		// The new persist subsumes everything it depends on.
+		t.active = append(t.active[:0], id)
 	} else {
-		t.epochMax = t.epochMax.add(id)
+		// Ids grow with the trace, so appending keeps epochMax sorted.
+		t.epochMax = append(t.epochMax, id)
 		// Everything this persist directly depends on is now dominated
-		// by it; scrub those nodes from pending rather than adding the
-		// block contexts (they would only produce redundant edges).
-		for _, from := range b.seen {
-			delete(t.pending, from)
-		}
+		// by it; scrub those nodes (this persist's marked sources) from
+		// pending rather than adding the block contexts (they would
+		// only produce redundant edges).
+		t.pending = slices.DeleteFunc(t.pending, func(from NodeID) bool { return b.mark[from] == b.stamp })
 	}
 	// The persist has edges from every prior dependence of its whole
 	// footprint, so it alone is the new dependence frontier: one
@@ -610,4 +578,16 @@ func (b *builder) persist(e trace.Event) {
 	// spanned or how fragmented the space was before.
 	b.blocks.Set(lo, hi, blockState{writer: b.single(id), lastP: id})
 	b.trackPeak()
+}
+
+// nextStamp starts a fresh dedup generation, first sizing the mark
+// array to cover every node added so far. Build pre-grows the graph to
+// its persist count, so the array is allocated once per build. Stamps
+// count persists, and a graph of 2^32 nodes would not fit in memory, so
+// the stamp never wraps.
+func (b *builder) nextStamp() {
+	if n := b.g.Len(); len(b.mark) < n {
+		b.mark = append(b.mark, make([]uint32, max(n, cap(b.g.Nodes))-len(b.mark))...)
+	}
+	b.stamp++
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,15 +13,50 @@ import (
 	"repro/internal/trace"
 )
 
-// This file retains the pre-interval per-block builder verbatim as a
-// test-only reference implementation. The production builder keeps its
+// This file retains the pre-interval per-block builder as a test-only
+// reference implementation. The production builder keeps its
 // dependence frontiers in one ordered interval map (frontier.go); the
 // reference keeps a map[BlockID]*refBlock with nodeSet frontiers, the
-// way the builder worked before. The differential tests below assert
-// the two produce semantically identical graphs — same nodes, same
-// deduplicated (From, Class) edge sets, same critical paths, same cut
-// spaces — across the full model matrix, random traces, PSO machine
-// traces, and coarse tracking granularities.
+// way the builder worked before, and walks each set in ascending order.
+// The differential tests below assert the two produce identical graphs
+// — same nodes, same edges in the same order, same critical paths, same
+// cut spaces — across the full model matrix, random traces, PSO machine
+// traces, and coarse tracking granularities; kv_test.go adds KV serving
+// traces.
+
+// nodeSet is the reference builder's frontier: a plain set of node ids.
+type nodeSet map[NodeID]struct{}
+
+func (s nodeSet) add(ids ...NodeID) nodeSet {
+	if s == nil {
+		s = make(nodeSet)
+	}
+	for _, id := range ids {
+		s[id] = struct{}{}
+	}
+	return s
+}
+
+func (s nodeSet) union(o nodeSet) nodeSet {
+	if len(o) == 0 {
+		return s
+	}
+	if s == nil {
+		s = make(nodeSet)
+	}
+	for id := range o {
+		s[id] = struct{}{}
+	}
+	return s
+}
+
+func (s nodeSet) clone() nodeSet {
+	c := make(nodeSet, len(s))
+	for id := range s {
+		c[id] = struct{}{}
+	}
+	return c
+}
 
 type refThread struct {
 	active   nodeSet
@@ -90,6 +126,19 @@ func refBuild(tr *trace.Trace, p core.Params) (*Graph, error) {
 		}
 	}
 	return b.g, nil
+}
+
+// sorted returns the set's ids in ascending order. The reference walks
+// its sets in this order, so it emits every node's edges in the order
+// the production builder does and the two can be compared edge for
+// edge, not only as sets.
+func (s nodeSet) sorted() []NodeID {
+	out := make([]NodeID, 0, len(s))
+	for id := range s {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 func (b *refBuilder) thread(tid int32) *refThread {
@@ -203,14 +252,14 @@ func (b *refBuilder) persist(e trace.Event) {
 		b.touched = append(b.touched, bs)
 	})
 	for _, bs := range b.touched {
-		for from := range bs.writer {
+		for _, from := range bs.writer.sorted() {
 			addEdge(from, Conflict)
 		}
-		for from := range bs.reader {
+		for _, from := range bs.reader.sorted() {
 			addEdge(from, Conflict)
 		}
 	}
-	for from := range t.active {
+	for _, from := range t.active.sorted() {
 		addEdge(from, ProgramOrder)
 	}
 
@@ -229,43 +278,21 @@ func (b *refBuilder) persist(e trace.Event) {
 	}
 }
 
-// sortedEdges returns a node's In edges sorted by (From, Class). Both
-// builders emit at most one edge per source, so equality of the sorted
-// slices is edge-set equality.
-func sortedEdges(n *Node) []Edge {
-	es := append([]Edge(nil), n.In...)
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].From != es[j].From {
-			return es[i].From < es[j].From
-		}
-		return es[i].Class < es[j].Class
-	})
-	return es
-}
-
-// requireSameGraph asserts semantic graph identity: node-for-node equal
-// events and equal deduplicated edge sets (order-insensitive — the
-// reference builder's map iteration made its edge order random).
-func requireSameGraph(t *testing.T, ctx string, got, want *Graph) {
+// requireSameGraph asserts graph identity: node-for-node equal events
+// and equal In edges, in order (the reference walks its sets in
+// ascending order, as the production builder does).
+func requireSameGraph(t testing.TB, ctx string, got, want *Graph) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: %d nodes, reference has %d", ctx, got.Len(), want.Len())
 	}
-	for i := range want.Nodes {
-		gn, wn := got.Nodes[i], want.Nodes[i]
+	for i, wn := range want.Nodes {
+		gn := got.Nodes[i]
 		if gn.Event != wn.Event {
 			t.Fatalf("%s: node %d event %+v, reference %+v", ctx, i, gn.Event, wn.Event)
 		}
-		ge, we := sortedEdges(gn), sortedEdges(wn)
-		if len(ge) != len(we) {
-			t.Fatalf("%s: node %d has %d edges, reference %d\n got: %v\nwant: %v",
-				ctx, i, len(ge), len(we), ge, we)
-		}
-		for j := range we {
-			if ge[j] != we[j] {
-				t.Fatalf("%s: node %d edge %d = %v, reference %v\n got: %v\nwant: %v",
-					ctx, i, j, ge[j], we[j], ge, we)
-			}
+		if !slices.Equal(gn.In, wn.In) {
+			t.Fatalf("%s: node %d edges differ from the reference\n got: %v\nwant: %v", ctx, i, gn.In, wn.In)
 		}
 	}
 }
