@@ -5,11 +5,12 @@
 // locks to guarantee analysis atomicity so that "the traced memory order
 // ... accurately reflect[s] execution's memory order"; the resulting
 // trace observes sequential consistency. We achieve the same guarantee
-// by construction: simulated threads are goroutines scheduled
-// cooperatively, one memory operation at a time, by a seeded scheduler.
-// Every operation appends one event to the trace sink, so the trace
-// *is* the SC memory order. The seed varies thread interleavings the
-// way rerunning a native benchmark would.
+// by construction: each simulated thread is a coroutine (iter.Pull)
+// that a seeded scheduler on the caller's goroutine resumes for one
+// quantum of memory operations at a time, so exactly one thread ever
+// runs. Every operation appends one event to the trace sink, so the
+// trace *is* the SC memory order. The seed varies thread interleavings
+// the way rerunning a native benchmark would.
 //
 // Simulated programs perform all shared-state communication through the
 // Machine's simulated memory (Thread's Load/Store/CAS/... operations).
@@ -19,6 +20,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"math/rand"
 
 	"repro/internal/intervals"
@@ -110,13 +112,6 @@ type Machine struct {
 
 	ops     uint64
 	running bool
-	yield   chan yieldMsg
-	threads []*Thread
-}
-
-type yieldMsg struct {
-	tid    int32
-	exited bool
 }
 
 // Paged simulated memory: pages of pageWords 8-byte words, allocated on
@@ -217,7 +212,6 @@ func NewMachine(cfg Config) *Machine {
 		perWords: newWordStore(memory.PersistentBase),
 		PerHeap:  memory.NewHeap(memory.Persistent),
 		VolHeap:  memory.NewHeap(memory.Volatile),
-		yield:    make(chan yieldMsg, cfg.Threads+1),
 	}
 }
 
@@ -240,7 +234,10 @@ func (m *Machine) SetupThread() *Thread {
 type Workload func(t *Thread)
 
 // Run spawns cfg.Threads simulated threads executing body and returns
-// when all have finished. The caller's goroutine acts as the scheduler.
+// when all have finished. The caller's goroutine acts as the scheduler
+// and resumes one thread coroutine at a time. A panic in a thread body
+// (MaxOps included) unwinds every other thread without running another
+// operation and is re-raised on the caller's goroutine.
 func (m *Machine) Run(body Workload) {
 	if m.running {
 		panic("exec: concurrent Run")
@@ -248,71 +245,40 @@ func (m *Machine) Run(body Workload) {
 	m.running = true
 	defer func() { m.running = false }()
 
-	m.threads = m.threads[:0]
-	for i := 0; i < m.cfg.Threads; i++ {
-		t := &Thread{
-			m:     m,
-			tid:   int32(i),
-			grant: make(chan int, 1),
+	threads := make([]*Thread, m.cfg.Threads)
+	for i := range threads {
+		t := &Thread{m: m, tid: int32(i)}
+		t.next, t.stop = iter.Pull(t.seq(body))
+		threads[i] = t
+	}
+	defer func() {
+		for _, t := range threads {
+			t.stop() // a parked thread unwinds from its yield (Thread.step)
 		}
-		m.threads = append(m.threads, t)
-	}
-	for _, t := range m.threads {
-		t := t
-		go func() {
-			defer func() {
-				// The exiting thread still owns the machine (its exit
-				// yield has not been sent), so its buffered stores can
-				// drain safely.
-				t.drainAll()
-				m.yield <- yieldMsg{tid: t.tid, exited: true}
-			}()
-			body(t)
-		}()
-	}
-	m.schedule()
+	}()
+	m.schedule(threads)
 }
 
 // schedule runs the cooperative scheduler until every thread exits.
 // Exactly one thread executes operations at any time, so the emitted
 // event order is a sequentially consistent total order.
-func (m *Machine) schedule() {
-	live := len(m.threads)
-	runnable := make([]*Thread, len(m.threads))
-	copy(runnable, m.threads)
-	active := int32(-1)
-	for live > 0 {
-		if active == -1 && len(runnable) > 0 {
-			var t *Thread
-			if len(runnable) == 1 && m.cfg.Consistency == SC {
-				// Sole runnable thread under SC: every remaining
-				// scheduling draw is Intn(1) (runnable never grows), so
-				// the interleaving is already decided; grant one huge
-				// slice instead of a handoff per quantum. SC consumes
-				// randomness only for these grants (the store-buffer
-				// draws fire only under PSO, where this path is
-				// disabled), so the trace is byte-identical.
-				t = runnable[0]
-				active = t.tid
-				t.grant <- 1 << 30
-			} else {
-				t = runnable[m.rng.Intn(len(runnable))]
-				active = t.tid
-				t.grant <- m.cfg.Slice
-			}
+func (m *Machine) schedule(threads []*Thread) {
+	runnable := append([]*Thread(nil), threads...)
+	for len(runnable) > 0 {
+		i := 0
+		if len(runnable) == 1 && m.cfg.Consistency == SC {
+			// Sole runnable thread under SC: every later draw would be
+			// Intn(1) (runnable never grows), so grant one huge slice
+			// instead of a resume per quantum. SC draws randomness only
+			// here (store-buffer draws are PSO-only), so the trace is
+			// the same as with per-quantum grants.
+			runnable[0].grant = 1 << 30
+		} else {
+			i = m.rng.Intn(len(runnable))
+			runnable[i].grant = m.cfg.Slice
 		}
-		msg := <-m.yield
-		if msg.exited {
-			live--
-			for i, t := range runnable {
-				if t.tid == msg.tid {
-					runnable = append(runnable[:i], runnable[i+1:]...)
-					break
-				}
-			}
-		}
-		if msg.tid == active {
-			active = -1
+		if _, ok := runnable[i].next(); !ok {
+			runnable = append(runnable[:i], runnable[i+1:]...)
 		}
 	}
 }
@@ -371,7 +337,7 @@ func (m *Machine) storeRaw(a memory.Addr, size int, v uint64) {
 	if off+size > memory.WordSize {
 		// CheckRange guarantees the access stays in one space, so the
 		// second word is a valid address of the same store.
-		*ws.ptr(w+memory.WordSize) = binary.LittleEndian.Uint64(buf[8:])
+		*ws.ptr(w + memory.WordSize) = binary.LittleEndian.Uint64(buf[8:])
 	}
 }
 

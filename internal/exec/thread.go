@@ -1,15 +1,18 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
+	"iter"
 
 	"repro/internal/memory"
 	"repro/internal/trace"
 )
 
-// Thread is a simulated hardware thread. All methods must be called
-// from the goroutine executing the thread's workload (or, for a
-// SetupThread, from the caller's goroutine outside Run).
+// Thread is a simulated hardware thread. Under Run it is a coroutine:
+// its methods must be called from its own workload body, which runs
+// only while the scheduler has resumed it. A SetupThread's methods run
+// directly on the caller's goroutine, outside Run.
 //
 // Loads and stores are sequentially consistent: the scheduler serializes
 // every operation machine-wide. Store and RMW to the persistent address
@@ -21,11 +24,36 @@ type Thread struct {
 	m      *Machine
 	tid    int32
 	direct bool // SetupThread: execute without scheduler handoff
-	grant  chan int
-	budget int
-	began  bool
+	// The scheduler sets grant and resumes the coroutine with next; step
+	// spends budget from it and hands control back with yield.
+	grant, budget int
+	began         bool // the first operation takes its grant without yielding
+	next          func() (struct{}, bool)
+	stop          func()
+	yield         func(struct{}) bool
+	stopped       bool // yield returned false: Run is unwinding
 	// buf is the PSO store buffer: stores issued but not yet visible.
 	buf []bufStore
+}
+
+var errStopped = errors.New("exec: thread stopped")
+
+// seq is the thread's coroutine: body, then a drain of the store buffer
+// while the thread still owns the machine. Once Run has stopped it, the
+// unwind ends here, so Run re-raises the original failure.
+func (t *Thread) seq(body Workload) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		t.yield = yield
+		defer func() {
+			if t.stopped {
+				recover()
+			}
+		}()
+		body(t)
+		if !t.stopped {
+			t.drainAll()
+		}
+	}
 }
 
 // bufStore is one buffered (not yet visible) store.
@@ -52,10 +80,11 @@ func (t *Thread) step() {
 		return
 	}
 	if t.budget == 0 {
-		if t.began {
-			t.m.yield <- yieldMsg{tid: t.tid}
+		if t.began && !t.yield(struct{}{}) {
+			t.stopped = true
+			panic(errStopped)
 		}
-		t.budget = <-t.grant
+		t.budget = t.grant
 		t.began = true
 	}
 	t.budget--

@@ -164,11 +164,16 @@ func (e Event) Validate() error {
 	case e.Kind == Invalid:
 		return fmt.Errorf("trace: invalid event kind")
 	}
-	if e.TID < 0 {
-		return fmt.Errorf("trace: negative thread id %d", e.TID)
+	if e.TID < 0 || e.TID >= MaxThreads {
+		return fmt.Errorf("trace: thread id %d outside [0, %d)", e.TID, MaxThreads)
 	}
 	return nil
 }
+
+// MaxThreads bounds thread ids. Consumers index per-thread state
+// densely by TID, so without the bound one corrupt record in a trace
+// file could size that state at 2^31 threads.
+const MaxThreads = 1 << 16
 
 // Sink receives trace events in SC order. Implementations must not
 // retain the event beyond the call (it is a value type, so copying is

@@ -75,6 +75,7 @@ func TestEventValidate(t *testing.T) {
 		{Kind: Malloc, Addr: 12, Val: 64},
 		{Kind: Invalid},
 		{Kind: PersistBarrier, TID: -1},
+		{Kind: PersistBarrier, TID: MaxThreads},
 	}
 	for _, e := range bad {
 		if err := e.Validate(); err == nil {

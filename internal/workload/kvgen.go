@@ -233,8 +233,9 @@ func setupKV(o KVOptions, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 	meta := st.Meta()
 	per := o.Ops / o.Threads
 	gen := KVGen{Seed: o.Seed, Keys: o.Keys, ZipfS: o.ZipfS, ReadFrac: o.ReadFrac}
-	// Precomputed outside m.Run: simulated threads are goroutines, and
-	// rng state shared between them would be a host-level data race.
+	// Precomputed outside m.Run: each thread's schedule must not depend
+	// on the interleaving, and one rng drawn from inside the threads
+	// would hand out keys in scheduling order.
 	schedules := make([][]KVOp, o.Threads)
 	for tid := range schedules {
 		schedules[tid] = gen.Schedule(tid, per)

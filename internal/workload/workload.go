@@ -219,8 +219,9 @@ func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 		}
 		meta := q.Meta()
 		per := o.Inserts / o.Threads
-		// Precomputed outside m.Run: simulated threads are goroutines,
-		// and a shared map write inside them is a host-level data race.
+		// Precomputed outside m.Run: each thread's inserts, and so the
+		// set recovery must find, follow from the options alone and must
+		// not depend on the interleaving.
 		expect := make(map[string]bool)
 		for tid := 0; tid < o.Threads; tid++ {
 			for i := 0; i < per; i++ {

@@ -1,6 +1,6 @@
 #!/bin/sh
 # bench_core.sh runs the hot-path microbenchmarks (simulator feed,
-# all-model replay, trace replay, graph build) and writes
+# all-model replay, trace replay, graph build, KV trace production) and writes
 # BENCH_core.json with ns/op, B/op, and allocs/op per benchmark.
 #
 # Usage: scripts/bench_core.sh [benchtime] [count] > BENCH_core.json
@@ -21,8 +21,8 @@ count="${2:-1}"
 cd "$(dirname "$0")/.."
 
 go test -run '^$' -benchmem -benchtime "$benchtime" -count $((count + 1)) \
-    -bench 'BenchmarkSimFeed|BenchmarkSimulateAll|BenchmarkTraceReplay|BenchmarkTraceEmit|BenchmarkGraphBuild' \
-    ./internal/core ./internal/trace ./internal/graph |
+    -bench 'BenchmarkSimFeed|BenchmarkSimulateAll|BenchmarkTraceReplay|BenchmarkTraceEmit|BenchmarkGraphBuild|BenchmarkBuildKV' \
+    ./internal/core ./internal/trace ./internal/graph ./internal/workload |
 awk -v benchtime="$benchtime" '
 BEGIN {
     printf "{\n  \"suite\": \"core-microbench\",\n  \"benchtime\": \"%s\",\n  \"benchmarks\": [\n", benchtime
