@@ -164,40 +164,53 @@ func (g *Graph) EdgeCounts() map[EdgeClass]int {
 
 // CriticalPath returns the longest dependence chain length (number of
 // nodes on it). It must agree with core.Sim's level computation when
-// coalescing is disabled; tests cross-validate the two. Panics on
-// cyclic graphs.
+// coalescing is disabled; tests cross-validate the two.
+//
+// Every edge of a graph Build makes points backward, so node id order
+// is topological and one loop over the nodes computes every depth. The
+// loop checks each edge as it goes and allocates only the depth array;
+// a hand-built graph with an edge out of id order (Figure 1 style)
+// takes criticalPathDFS instead. Panics on cyclic graphs.
 func (g *Graph) CriticalPath() int64 {
-	if cyc := g.FindCycle(); cyc != nil {
-		panic("graph: CriticalPath on cyclic graph")
-	}
 	depth := make([]int64, len(g.Nodes))
 	var longest int64
-	// Nodes are in topological order for trace-built graphs; manual
-	// acyclic graphs may be out of order, so iterate to fixpoint-free
-	// via DFS memoization instead.
+	for i, n := range g.Nodes {
+		d := int64(1)
+		for _, e := range n.In {
+			if int(e.From) >= i {
+				return g.criticalPathDFS(depth)
+			}
+			d = max(d, depth[e.From]+1)
+		}
+		depth[i] = d
+		longest = max(longest, d)
+	}
+	return longest
+}
+
+// criticalPathDFS is CriticalPath for graphs with edges out of id
+// order: it rejects cycles with FindCycle, then memoizes each node's
+// depth in a DFS over its dependences, reusing depth as the memo.
+func (g *Graph) criticalPathDFS(depth []int64) int64 {
+	if g.FindCycle() != nil {
+		panic("graph: CriticalPath on cyclic graph")
+	}
+	clear(depth)
 	var visit func(NodeID) int64
-	visiting := make([]bool, len(g.Nodes))
-	visited := make([]bool, len(g.Nodes))
 	visit = func(id NodeID) int64 {
-		if visited[id] {
+		if depth[id] > 0 {
 			return depth[id]
 		}
-		visiting[id] = true
 		d := int64(1)
 		for _, e := range g.Nodes[id].In {
-			if dd := visit(e.From) + 1; dd > d {
-				d = dd
-			}
+			d = max(d, visit(e.From)+1)
 		}
-		visiting[id] = false
-		visited[id] = true
 		depth[id] = d
 		return d
 	}
+	var longest int64
 	for i := range g.Nodes {
-		if d := visit(NodeID(i)); d > longest {
-			longest = d
-		}
+		longest = max(longest, visit(NodeID(i)))
 	}
 	return longest
 }

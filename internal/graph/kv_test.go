@@ -117,3 +117,21 @@ func BenchmarkGraphBuildKV(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/event")
 	b.ReportMetric(float64(countEdges(g))/float64(g.Len()), "edges/node")
 }
+
+// BenchmarkCriticalPathKV takes the critical path of the epoch KV graph
+// BenchmarkGraphBuildKV builds, about 115 edges per node. ns/edge
+// tracks the one pass over the edges; a return of cycle checking or
+// successor lists on trace-built graphs shows up there and in allocs/op.
+func BenchmarkCriticalPathKV(b *testing.B) {
+	tr, model := kvTrace(b, "epoch", 1024, 0.9, 42)
+	g, err := graph.Build(tr, core.Params{Model: model})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.CriticalPath()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(countEdges(g)), "ns/edge")
+}

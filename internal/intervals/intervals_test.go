@@ -1,28 +1,67 @@
 package intervals
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// checkInvariants asserts the structural invariants of the sorted
-// slab: entries non-empty, strictly ordered, disjoint, and (when
-// coalescing is on) no adjacent equal-valued entries sharing an edge.
+// checkInvariants asserts the structural invariants of the leaf
+// storage: every leaf non-empty and at most leafMax long, with its
+// cached bound equal to its last entry's hi and its storage past len
+// zeroed; entries non-empty, strictly ordered and disjoint across the
+// whole leaf sequence; no adjacent equal-valued entries sharing an edge
+// when coalescing is on, inside a leaf or straddling a leaf boundary;
+// and Len equal to the entry count.
 func checkInvariants(t *testing.T, m *Map[uint64, int]) {
 	t.Helper()
-	for i, e := range m.ents {
-		if e.hi <= e.lo {
-			t.Fatalf("entry %d empty: [%d,%d)", i, e.lo, e.hi)
+	if len(m.his) != len(m.leaves) {
+		t.Fatalf("%d leaf bounds for %d leaves", len(m.his), len(m.leaves))
+	}
+	n := 0
+	var p *entry[uint64, int]
+	for l, lf := range m.leaves {
+		if len(lf) == 0 || len(lf) > leafMax {
+			t.Fatalf("leaf %d holds %d entries, want 1..%d", l, len(lf), leafMax)
 		}
-		if i > 0 {
-			p := m.ents[i-1]
-			if p.hi > e.lo {
-				t.Fatalf("entries %d,%d overlap or unsorted: [%d,%d) [%d,%d)", i-1, i, p.lo, p.hi, e.lo, e.hi)
-			}
-			if m.eq != nil && p.hi == e.lo && m.eq(p.v, e.v) {
-				t.Fatalf("uncoalesced adjacent equal entries at %d: [%d,%d)=%d [%d,%d)=%d", i, p.lo, p.hi, p.v, e.lo, e.hi, e.v)
+		if m.his[l] != lf[len(lf)-1].hi {
+			t.Fatalf("leaf %d bound %d, last entry ends at %d", l, m.his[l], lf[len(lf)-1].hi)
+		}
+		for _, e := range lf[len(lf):cap(lf)] {
+			if e != (entry[uint64, int]{}) {
+				t.Fatalf("leaf %d keeps a stale entry %+v past its length", l, e)
 			}
 		}
+		for i := range lf {
+			e := &lf[i]
+			if e.hi <= e.lo {
+				t.Fatalf("leaf %d entry %d empty: [%d,%d)", l, i, e.lo, e.hi)
+			}
+			if p != nil {
+				if p.hi > e.lo {
+					t.Fatalf("leaf %d entry %d overlaps or is unsorted: [%d,%d) [%d,%d)", l, i, p.lo, p.hi, e.lo, e.hi)
+				}
+				if m.eq != nil && p.hi == e.lo && m.eq(p.v, e.v) {
+					where := "inside a leaf"
+					if i == 0 {
+						where = "straddling a leaf boundary"
+					}
+					t.Fatalf("uncoalesced adjacent equal entries %s at leaf %d entry %d: [%d,%d)=%d [%d,%d)=%d",
+						where, l, i, p.lo, p.hi, p.v, e.lo, e.hi, e.v)
+				}
+			}
+			p = e
+		}
+		n += len(lf)
+	}
+	for l, lf := range m.leaves[len(m.leaves):cap(m.leaves)] {
+		if len(lf) != 0 {
+			t.Fatalf("spare leaf %d holds %d entries", l, len(lf))
+		}
+	}
+	if m.Len() != n {
+		t.Fatalf("Len %d, %d entries stored", m.Len(), n)
 	}
 }
 
@@ -450,7 +489,7 @@ func TestPersistStateExample(t *testing.T) {
 	}
 }
 
-// TestMapAllocSteadyState: once the slab has grown, churn on a
+// TestMapAllocSteadyState: once the leaves have grown, churn on a
 // bounded key space allocates nothing.
 func TestMapAllocSteadyState(t *testing.T) {
 	m := NewMap[uint64, int](intEq)
@@ -466,5 +505,164 @@ func TestMapAllocSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, mutate)
 	if allocs > 0.05 {
 		t.Fatalf("steady-state Set allocates %.2f allocs/op, want 0", allocs)
+	}
+}
+
+// TestMapMatchesSlab drives the leaf map and the slab oracle through
+// the same seeded stream of Set/Update/Delete calls over a key space
+// that holds several thousand live ranges, and after every call
+// requires identical contents, Len, Splits and Coalesces, plus
+// identical answers to Get/Find/Overlaps/Each probes. A small share of
+// wide operations makes splices span several leaves; the test fails
+// unless leaf splits, leaf drops and multi-leaf splices all occurred.
+func TestMapMatchesSlab(t *testing.T) {
+	const (
+		ops  = 30000
+		span = 1 << 17
+	)
+	rng := rand.New(rand.NewSource(17))
+	m := NewMap[uint64, int](intEq)
+	ref := newSlabMap[uint64, int](intEq)
+	var splits, drops, multi, peak int
+	type ent struct {
+		r Range[uint64]
+		v int
+	}
+	var got, want []ent
+	collect := func(dst *[]ent) func(r Range[uint64], v int) bool {
+		*dst = (*dst)[:0]
+		return func(r Range[uint64], v int) bool {
+			*dst = append(*dst, ent{r, v})
+			return true
+		}
+	}
+	for op := 0; op < ops; op++ {
+		lo := uint64(rng.Intn(span))
+		n := 1 + uint64(rng.Intn(6))
+		if rng.Intn(50) == 0 {
+			n = 1 + uint64(rng.Intn(1<<12)) // wide: several leaves
+		}
+		hi := lo + n
+		if m.search(lo).l != m.search(hi-1).l {
+			multi++
+		}
+		leaves := len(m.leaves)
+		switch r := rng.Intn(10); {
+		case r < 5:
+			v := rng.Intn(3)
+			m.Set(lo, hi, v)
+			ref.Set(lo, hi, v)
+		case r < 8:
+			d := rng.Intn(3)
+			keepGaps := rng.Intn(4) == 0
+			fn := func(r Range[uint64], v int, ok bool) (int, bool) {
+				if !ok {
+					return d, keepGaps
+				}
+				return (v + d) % 3, v != d
+			}
+			m.Update(lo, hi, fn)
+			ref.Update(lo, hi, fn)
+		default:
+			m.Delete(lo, hi)
+			ref.Delete(lo, hi)
+		}
+		switch {
+		case len(m.leaves) > leaves:
+			splits++
+		case len(m.leaves) < leaves:
+			drops++
+		}
+		peak = max(peak, m.Len())
+		checkInvariants(t, m)
+		ctx := fmt.Sprintf("op %d [%d,%d)", op, lo, hi)
+		if m.Len() != ref.Len() || m.Splits != ref.Splits || m.Coalesces != ref.Coalesces {
+			t.Fatalf("%s: Len/Splits/Coalesces %d/%d/%d, slab %d/%d/%d", ctx,
+				m.Len(), m.Splits, m.Coalesces, ref.Len(), ref.Splits, ref.Coalesces)
+		}
+		m.EachAll(collect(&got))
+		ref.EachAll(collect(&want))
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: contents differ from the slab", ctx)
+		}
+		for range 4 {
+			k := uint64(rng.Intn(span + 64))
+			gv, gok := m.Get(k)
+			wv, wok := ref.Get(k)
+			gr, gfv, gfok := m.Find(k)
+			wr, wfv, wfok := ref.Find(k)
+			if gv != wv || gok != wok || gr != wr || gfv != wfv || gfok != wfok {
+				t.Fatalf("%s: Get/Find(%d) = %d,%v %v,%d,%v; slab %d,%v %v,%d,%v", ctx, k, gv, gok, gr, gfv, gfok, wv, wok, wr, wfv, wfok)
+			}
+			qhi := k + uint64(rng.Intn(300))
+			if g, w := m.Overlaps(k, qhi), ref.Overlaps(k, qhi); g != w {
+				t.Fatalf("%s: Overlaps(%d,%d) = %v, slab %v", ctx, k, qhi, g, w)
+			}
+			stop := rng.Intn(8)
+			each := func(dst *[]ent) func(r Range[uint64], v int) bool {
+				add := collect(dst)
+				return func(r Range[uint64], v int) bool { return add(r, v) && len(*dst) < stop }
+			}
+			m.Each(k, qhi, each(&got))
+			ref.Each(k, qhi, each(&want))
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: Each(%d,%d) differs from the slab", ctx, k, qhi)
+			}
+		}
+	}
+	t.Logf("peak %d ranges, %d splits, %d drops, %d multi-leaf splices", peak, splits, drops, multi)
+	if peak < 3000 || splits == 0 || drops == 0 || multi == 0 {
+		t.Fatalf("stream too tame: peak %d ranges, %d splits, %d drops, %d multi-leaf splices", peak, splits, drops, multi)
+	}
+	m.Clear()
+	ref.Clear()
+	checkInvariants(t, m)
+	if m.Len() != 0 || cap(m.leaves) == 0 {
+		t.Fatalf("Clear left Len %d, leaf capacity %d", m.Len(), cap(m.leaves))
+	}
+}
+
+// TestMapSpliceAllocs pins the leaf map's allocation behavior. A splice
+// that splits no leaf allocates nothing, whether it rewrites one leaf
+// in place or coalesces across a leaf boundary. Growing a fresh map
+// costs at most one allocation per leaf split, plus the logarithmic
+// growth of the leaf index and the first leaf.
+func TestMapSpliceAllocs(t *testing.T) {
+	const entries = 64 * leafMax
+	fill := func(m *Map[uint64, int]) {
+		for k := uint64(0); k < entries; k++ {
+			m.Set(2*k, 2*k+1, int(k%2))
+		}
+	}
+	grow := testing.AllocsPerRun(5, func() { fill(NewMap[uint64, int](intEq)) })
+	m := NewMap[uint64, int](intEq)
+	fill(m)
+	checkInvariants(t, m)
+	t.Logf("%d leaves, %v allocs to fill", len(m.leaves), grow)
+	if budget := float64(len(m.leaves) + 40); grow > budget {
+		t.Errorf("filling %d leaves took %v allocs, budget %v", len(m.leaves), grow, budget)
+	}
+
+	// The first leaf boundary: a Set there bridges two leaves.
+	edge := m.leaves[0][len(m.leaves[0])-1].hi
+	leaves := len(m.leaves)
+	inLeaf := testing.AllocsPerRun(100, func() {
+		m.Set(10, 11, 7) // fills a gap mid-leaf: one more entry
+		m.Delete(10, 11)
+		m.Set(4, 5, 1) // splits and heals an entry's value in place
+		m.Set(4, 5, 0)
+	})
+	across := testing.AllocsPerRun(100, func() {
+		m.Set(edge-1, edge+2, 9) // one range over both leaves' edge entries
+		m.Set(edge-1, edge, 1)
+		m.Delete(edge, edge+1)
+		m.Set(edge+1, edge+2, 0)
+	})
+	checkInvariants(t, m)
+	if len(m.leaves) != leaves {
+		t.Fatalf("the churn changed the leaf count %d → %d; it must split nothing", leaves, len(m.leaves))
+	}
+	if inLeaf != 0 || across != 0 {
+		t.Fatalf("splices without a leaf split allocated %v (in one leaf), %v (across leaves), want 0", inLeaf, across)
 	}
 }

@@ -49,12 +49,28 @@ func BenchmarkCodecDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceEmit measures appending events. One op fills one chunk
+// (chunkCap events) and then releases the trace's storage to the chunk
+// pool, after an untimed op that warms the pool. So even a -benchtime
+// 1x run times thousands of appends into a pooled chunk, the steady
+// state of a tracing run, rather than one append behind a fresh chunk
+// allocation. ns/event is the cost per append.
 func BenchmarkTraceEmit(b *testing.B) {
-	tr := &Trace{}
+	var tr Trace
 	e := Event{TID: 0, Kind: Store, Addr: memory.PersistentBase, Size: 8}
-	for i := 0; i < b.N; i++ {
-		tr.Emit(e)
+	fill := func() {
+		for range chunkCap {
+			tr.Emit(e)
+		}
+		tr.Release()
 	}
+	fill()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fill()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/chunkCap, "ns/event")
 }
 
 // BenchmarkTraceReplay measures a full walk over chunked storage — the
