@@ -55,6 +55,11 @@
 // the printed parameters to watch the observer reach the divergent
 // recovery state. Exit status 2 means hazards were found (witness-pair
 // hazards, or a hazardous exhaustive verdict).
+//
+// -metrics-out snapshots each checked model's counts: the witness-pair
+// findings (persistcheck_*) and, with -exhaustive, the cut, state,
+// signature and per-class image counts (exhaustive_*), identical at any
+// -parallel worker count.
 package main
 
 import (
@@ -90,6 +95,7 @@ type modelOutput struct {
 	text       string
 	describe   string
 	rep        *persistcheck.Report
+	ex         *exhaustive.Result // nil without -exhaustive
 	hazards    int
 	robustness int
 	exHazards  int
@@ -169,6 +175,7 @@ func checkModels(cfg checkConfig) (string, *modelOutput, error) {
 					return nil, fmt.Errorf("model %v: %w", model, err)
 				}
 				fmt.Fprint(&b, res)
+				out.ex = res
 				out.exHazards = res.Hazards
 			}
 			out.text = b.String()
@@ -179,6 +186,7 @@ func checkModels(cfg checkConfig) (string, *modelOutput, error) {
 			// snapshots are deterministic at any worker count.
 			if cfg.reg != nil {
 				persistcheck.Observe(cfg.reg, v.rep)
+				exhaustive.Observe(cfg.reg, v.ex)
 			}
 			outs[i] = v
 			return nil

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -139,6 +143,54 @@ func TestAllModelsDeterministicAcrossParallel(t *testing.T) {
 			}
 			if !strings.Contains(first, "model    : strict\n") || !strings.Contains(first, "exhaustive:") {
 				t.Errorf("output missing expected sections:\n%s", first)
+			}
+		})
+	}
+}
+
+// TestMetricsDeterministicAcrossParallel pins the -metrics-out contract:
+// apart from the run manifest, the snapshot written with -exhaustive is
+// identical at -parallel 1 and 4, for one model (the workers go to the
+// exhaustive sweeps) and for the model grid (they go to the models).
+func TestMetricsDeterministicAcrossParallel(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"kv-epoch", []string{"-workload", "kv", "-policy", "epoch", "-shards", "2", "-keys", "8",
+			"-threads", "2", "-inserts", "8", "-read-frac", "0.75", "-seed", "42"}, 0},
+		{"pstm-racing-all-models", []string{"-workload", "pstm", "-policy", "racing",
+			"-threads", "2", "-inserts", "6", "-all-models"}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var snaps []string
+			for _, workers := range []string{"1", "4"} {
+				path := filepath.Join(t.TempDir(), "metrics.json")
+				args := append([]string{"-exhaustive", "-parallel", workers, "-metrics-out", path}, tc.args...)
+				if code := cli.Run("persistcheck", args, run); code != tc.code {
+					t.Fatalf("-parallel %s: exit %d, want %d", workers, code, tc.code)
+				}
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var doc map[string]json.RawMessage
+				if err := json.Unmarshal(raw, &doc); err != nil {
+					t.Fatal(err)
+				}
+				delete(doc, "manifest")
+				snap, err := json.Marshal(doc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(string(snap), `exhaustive_states{model=\"`) {
+					t.Fatalf("-parallel %s: snapshot has no exhaustive gauges:\n%s", workers, snap)
+				}
+				snaps = append(snaps, string(snap))
+			}
+			if snaps[0] != snaps[1] {
+				t.Errorf("snapshots differ:\n--- parallel=1\n%s\n--- parallel=4\n%s", snaps[0], snaps[1])
 			}
 		})
 	}

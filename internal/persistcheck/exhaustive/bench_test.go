@@ -1,0 +1,44 @@
+package exhaustive
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/sweep"
+)
+
+// BenchmarkExhaustiveCheck times CheckGraph, enumeration plus
+// classification, on one prebuilt graph per fixture with one worker.
+// journal-epoch is the largest fixture of the pipeline benchmark's
+// crash-exhaustive workload (331 persists, 6170 states); kv-epoch is
+// the clean matrix's two-shard store. ns/state is per distinct
+// reachable image.
+func BenchmarkExhaustiveCheck(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		fx   fixture
+	}{
+		{"journal-epoch", fixture{wl: "journal", policy: "epoch", threads: 2, inserts: 8, seed: 42, sparse: true}},
+		{"kv-epoch", fixture{wl: "kv", policy: "epoch", threads: 2, inserts: 8, seed: 42}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			run, _, model := buildRun(b, bc.fx)
+			g, err := graph.Build(run.Trace, core.Params{Model: model})
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := Config{Sweep: sweep.Config{Parallel: 1}}
+			var res *Result
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if res, err = CheckGraph(g, model, run.Recover, run.Checked, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*res.States), "ns/state")
+			b.ReportMetric(float64(res.States), "states")
+		})
+	}
+}

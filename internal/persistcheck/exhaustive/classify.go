@@ -34,41 +34,90 @@ type readEv struct {
 // wrote are excluded from signatures — their values are implied by
 // the pristine reads before them.
 //
+// Each node stores its address's slot in the enumeration's word table
+// (resolved once, at insert), and a lookup first spreads the image
+// into a dense slot-indexed buffer, so every level is one index and a
+// compare against the node's first child — almost every node has
+// exactly one. Nodes come from a slab, so the nodes of one inserted
+// path sit next to each other.
+//
 // The trie is a pure cache shared across sweep workers (mutex-guarded,
 // recoveries run unlocked): outcomes are a function of the image, so
 // results are deterministic at any worker count.
 type trie struct {
 	mu     sync.Mutex
+	words  *wordTable
 	root   tnode
+	nodes  slab[tnode]
 	leaves int
 }
 
 type tnode struct {
-	known bool // addr is set (some recovery reached and expanded this node)
 	addr  memory.Addr
-	kids  map[uint64]*tnode
+	val   uint64 // the value read that leads to kid
+	kid   *tnode // first child
+	more  []tkid // further children
 	out   *outcome
+	slot  int32 // addr's slot; len(addrs), always 0 in dense, when no persist writes it
+	known bool  // addr is set (some recovery reached and expanded this node)
 }
 
-// lookup walks img down the trie; ok is false on the first
-// unexplored branch.
-func (tr *trie) lookup(img []wordVal) (*outcome, bool) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	n := &tr.root
-	for {
-		if n.out != nil {
-			return n.out, true
-		}
-		if !n.known {
-			return nil, false
-		}
-		kid := n.kids[lookupWord(img, n.addr)]
-		if kid == nil {
-			return nil, false
-		}
-		n = kid
+// tkid is one further child of a trie node: the subtrie for one value
+// read.
+type tkid struct {
+	val  uint64
+	node *tnode
+}
+
+// child returns the subtrie for value v, or nil.
+func (n *tnode) child(v uint64) *tnode {
+	if n.kid != nil && n.val == v {
+		return n.kid
 	}
+	for _, k := range n.more {
+		if k.val == v {
+			return k.node
+		}
+	}
+	return nil
+}
+
+// scratch is one classifying goroutine's reusable buffers.
+type scratch struct {
+	dense []uint64  // slot-indexed image words and a last, unwritten slot; zero between lookups
+	seq   []readEv  // the reads of the latest recovery run
+	img   []wordVal // a final's image
+}
+
+func (tr *trie) scratch() *scratch {
+	return &scratch{dense: make([]uint64, len(tr.words.addrs)+1)}
+}
+
+// lookup walks img down the trie; ok is false on the first unexplored
+// branch.
+func (tr *trie) lookup(img []wordVal, sc *scratch) (*outcome, bool) {
+	for _, w := range img {
+		sc.dense[w.slot] = w.val
+	}
+	tr.mu.Lock()
+	out, ok := tr.walk(sc.dense)
+	tr.mu.Unlock()
+	for _, w := range img {
+		sc.dense[w.slot] = 0
+	}
+	return out, ok
+}
+
+// walk follows dense down the trie. A node is a leaf (out set), a
+// branch (known, with at least one child) or unexplored (neither).
+func (tr *trie) walk(dense []uint64) (*outcome, bool) {
+	n := &tr.root
+	for n.kid != nil {
+		if n = n.child(dense[n.slot]); n == nil {
+			return nil, false
+		}
+	}
+	return n.out, n.out != nil
 }
 
 // insert records a completed recovery's read signature and outcome,
@@ -85,15 +134,22 @@ func (tr *trie) insert(seq []readEv, out outcome) (*outcome, error) {
 		if !n.known {
 			n.known = true
 			n.addr = ev.addr
-			n.kids = make(map[uint64]*tnode, 2)
+			n.slot = tr.words.slot(ev.addr)
+			if n.slot < 0 {
+				n.slot = int32(len(tr.words.addrs))
+			}
 		} else if n.addr != ev.addr {
 			return nil, fmt.Errorf("exhaustive: nondeterministic recovery: read %#x where a previous run read %#x after an identical prefix",
 				uint64(ev.addr), uint64(n.addr))
 		}
-		kid := n.kids[ev.val]
+		kid := n.child(ev.val)
 		if kid == nil {
-			kid = &tnode{}
-			n.kids[ev.val] = kid
+			kid = &tr.nodes.take(1)[0]
+			if n.kid == nil {
+				n.val, n.kid = ev.val, kid
+			} else {
+				n.more = append(n.more, tkid{val: ev.val, node: kid})
+			}
 		}
 		n = kid
 	}
@@ -110,26 +166,27 @@ func (tr *trie) insert(seq []readEv, out outcome) (*outcome, error) {
 
 // classify returns img's outcome, running the recovery entry points
 // only on a signature-cache miss.
-func (tr *trie) classify(img []wordVal, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc) (*outcome, error) {
-	if o, ok := tr.lookup(img); ok {
+func (tr *trie) classify(img []wordVal, sc *scratch, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc) (*outcome, error) {
+	if o, ok := tr.lookup(img, sc); ok {
 		return o, nil
 	}
-	out, seq := execClassify(img, strict, checked)
-	return tr.insert(seq, out)
+	var out outcome
+	out, sc.seq = execClassify(tr.words, img, sc.seq[:0], strict, checked)
+	return tr.insert(sc.seq, out)
 }
 
 // execClassify materializes img, runs strict then checked recovery
-// with read recording, and classifies the state.
-func execClassify(img []wordVal, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc) (outcome, []readEv) {
+// with read recording, and classifies the state. The reads are
+// appended to seq.
+func execClassify(words *wordTable, img []wordVal, seq []readEv, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc) (outcome, []readEv) {
 	im := memory.NewImage()
 	for _, wv := range img {
-		im.WriteWord(wv.addr, wv.val)
+		im.WriteWord(words.addrs[wv.slot], wv.val)
 	}
 	// Words the recovery itself wrote (salvage repairs): reads of
 	// those are implied by earlier pristine reads and are excluded
 	// from the signature.
 	written := intervals.NewSet[memory.Addr]()
-	var seq []readEv
 	im.Observe(func(a memory.Addr, v uint64) {
 		if !written.Contains(a) {
 			seq = append(seq, readEv{addr: a, val: v})
@@ -159,20 +216,32 @@ func execClassify(img []wordVal, strict observer.RecoverFunc, checked observer.C
 	return out, seq
 }
 
+// classifyChunk is the number of images one classification sweep item
+// handles.
+const classifyChunk = 256
+
 // classifyAll classifies every distinct reachable image through the
 // shared trie, tallies classes in discovery order, and minimizes the
 // first hazardous image's representative cut.
 func classifyAll(g *graph.Graph, sp *space, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc, cfg Config, res *Result) error {
-	tr := &trie{}
+	tr := &trie{words: sp.words}
 	outs := make([]*outcome, len(sp.finals))
 	scfg := cfg.Sweep
 	scfg.Name = "exhaustive-classify"
-	err := sweep.Run(len(sp.finals), scfg, func(i int) (*outcome, error) {
-		return tr.classify(sp.finals[i].img, strict, checked)
-	}, func(i int, o *outcome) error {
-		outs[i] = o
-		return nil
-	})
+	// Each sweep item classifies a chunk of images into its own slots
+	// of outs, with one scratch buffer.
+	chunks := (len(sp.finals) + classifyChunk - 1) / classifyChunk
+	err := sweep.Run(chunks, scfg, func(c int) (struct{}, error) {
+		sc := tr.scratch()
+		for i := c * classifyChunk; i < min((c+1)*classifyChunk, len(sp.finals)); i++ {
+			o, err := tr.classify(sp.finals[i].image(sp.words, &sc.img), sc, strict, checked)
+			if err != nil {
+				return struct{}{}, err
+			}
+			outs[i] = o
+		}
+		return struct{}{}, nil
+	}, nil)
 	if err != nil {
 		return err
 	}
@@ -205,12 +274,13 @@ func classifyAll(g *graph.Graph, sp *space, strict observer.RecoverFunc, checked
 // from the latest down, it drops each node (with its dependents, to
 // keep the cut downward-closed) whenever the resulting state still
 // classifies as a hazard.
-func minimize(g *graph.Graph, f *final, hazard *outcome, tr *trie, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc, cfg Config) (*Counterexample, error) {
+func minimize(g *graph.Graph, f final, hazard *outcome, tr *trie, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc, cfg Config) (*Counterexample, error) {
 	n := g.Len()
-	cut := cutOf(f.dec, n)
+	cut := f.cut(n)
 	orig := cut.Size()
 	cur := hazard
 	budget := cfg.minimizeBudget()
+	sc := tr.scratch()
 	for i := n - 1; i >= 0 && budget > 0; i-- {
 		if !cut.Included[i] {
 			continue
@@ -231,7 +301,7 @@ func minimize(g *graph.Graph, f *final, hazard *outcome, tr *trie, strict observ
 			}
 		}
 		budget--
-		o, err := tr.classify(imgOfCut(g, cand), strict, checked)
+		o, err := tr.classify(imgOfCut(tr.words, cand), sc, strict, checked)
 		if err != nil {
 			return nil, err
 		}

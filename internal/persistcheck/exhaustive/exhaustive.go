@@ -175,7 +175,9 @@ type Result struct {
 	Model    core.Model
 	Persists int
 	// Cuts is the exact number of consistent cuts (reachable crash
-	// states before reduction), saturating at MaxUint64.
+	// states before reduction). When CutsSaturated is set it is a lower
+	// bound instead: the count overflowed (Cuts is MaxUint64) or its
+	// dynamic program outgrew Budget (Cuts is the partial count).
 	Cuts          uint64
 	CutsSaturated bool
 	// States is the number of distinct reachable NVRAM images.
@@ -203,7 +205,7 @@ type Result struct {
 func (r *Result) String() string {
 	cuts := fmt.Sprintf("%d", r.Cuts)
 	if r.CutsSaturated {
-		cuts = ">=18446744073709551615"
+		cuts = ">=" + cuts
 	}
 	s := fmt.Sprintf("exhaustive: model=%v persists=%d cuts=%s states=%d signatures=%d peak-live=%d subsumed=%d\n",
 		r.Model, r.Persists, cuts, r.States, r.Signatures, r.PeakLive, r.Subsumed)

@@ -1,10 +1,16 @@
 package exhaustive
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -24,7 +30,7 @@ type fixture struct {
 // target model alongside. The returned Options are zero for kv
 // fixtures (they parameterize differently and seed no broken
 // variants, so nothing downstream needs their repro params).
-func buildRun(t *testing.T, fx fixture) (*workload.Run, workload.Options, core.Model) {
+func buildRun(t testing.TB, fx fixture) (*workload.Run, workload.Options, core.Model) {
 	t.Helper()
 	if fx.design == "" {
 		fx.design = "cwl"
@@ -113,13 +119,14 @@ func TestAgainstBruteForce(t *testing.T) {
 
 			// Ground truth: enumerate every cut, dedup images by
 			// signature, classify each image once.
+			words := newWordTable(g)
 			images := make(map[string][]wordVal)
 			var order []string
 			cuts := 0
 			g.EnumerateCuts(func(c graph.Cut) bool {
 				cuts++
-				img := imgOfCut(g, c)
-				k := imgKey(img)
+				img := imgOfCut(words, c)
+				k := fmt.Sprint(img)
 				if _, ok := images[k]; !ok {
 					images[k] = img
 					order = append(order, k)
@@ -134,7 +141,7 @@ func TestAgainstBruteForce(t *testing.T) {
 			}
 			var rec, det, haz int
 			for _, k := range order {
-				out, _ := execClassify(images[k], run.Recover, run.Checked)
+				out, _ := execClassify(words, images[k], nil, run.Recover, run.Checked)
 				switch out.class {
 				case ClassRecovered:
 					rec++
@@ -152,5 +159,72 @@ func TestAgainstBruteForce(t *testing.T) {
 				tc.name, res.Persists, res.Cuts, res.States, res.Signatures,
 				res.Recovered, res.Detected, res.Hazards, res.Verdict)
 		})
+	}
+}
+
+// fourChains is a hand-built graph of four independent two-node chains
+// a_i → b_i, a_1..a_4 first: 3^4 = 81 consistent cuts.
+func fourChains() *graph.Graph {
+	g := &graph.Graph{}
+	for i := 0; i < 8; i++ {
+		g.AddNode(fmt.Sprintf("n%d", i), trace.Event{})
+	}
+	for i := 0; i < 4; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID(i+4), graph.ProgramOrder)
+	}
+	return g
+}
+
+// TestSaturatedCutCount pins the cut count's lower-bound contract:
+// when the counting DP outgrows its budget the partial count is
+// reported and printed as ">=<count>", and an overflowed count still
+// prints as ">=" MaxUint64.
+func TestSaturatedCutCount(t *testing.T) {
+	g := fourChains()
+	desc := descendants(g)
+	if cuts, sat := countCuts(g, desc, 1<<20); cuts != 81 || sat {
+		t.Fatalf("countCuts = (%d, %v), want (81, false)", cuts, sat)
+	}
+	// Deciding a_1..a_3 leaves 8 distinct killed suffixes, over the
+	// budget of 4: the count stops at the 8 paths so far.
+	cuts, sat := countCuts(g, desc, 4)
+	if cuts != 8 || !sat {
+		t.Fatalf("countCuts at budget 4 = (%d, %v), want (8, true)", cuts, sat)
+	}
+	for _, tc := range []struct {
+		r    Result
+		want string
+	}{
+		{Result{Cuts: cuts, CutsSaturated: sat}, " cuts=>=8 "},
+		{Result{Cuts: math.MaxUint64, CutsSaturated: true}, " cuts=>=18446744073709551615 "},
+		{Result{Cuts: 81}, " cuts=81 "},
+	} {
+		if s := tc.r.String(); !strings.Contains(s, tc.want) {
+			t.Errorf("String() = %q, want it to contain %q", s, tc.want)
+		}
+	}
+}
+
+// TestObserve checks the exported gauges against a result's fields.
+func TestObserve(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	Observe(reg, &Result{Model: core.Epoch, Cuts: 8, CutsSaturated: true, States: 5, Signatures: 3,
+		PeakLive: 4, Subsumed: 2, Recovered: 3, Detected: 1, Hazards: 1})
+	Observe(reg, nil)
+	Observe(nil, &Result{})
+	got := reg.Snapshot().Gauges
+	want := map[string]float64{
+		`exhaustive_cuts{model="epoch"}`:                     8,
+		`exhaustive_cuts_saturated{model="epoch"}`:           1,
+		`exhaustive_states{model="epoch"}`:                   5,
+		`exhaustive_signatures{model="epoch"}`:               3,
+		`exhaustive_subsumed{model="epoch"}`:                 2,
+		`exhaustive_peak_live{model="epoch"}`:                4,
+		`exhaustive_images{model="epoch",class="recovered"}`: 3,
+		`exhaustive_images{model="epoch",class="detected"}`:  1,
+		`exhaustive_images{model="epoch",class="hazard"}`:    1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("gauges:\n got %v\nwant %v", got, want)
 	}
 }

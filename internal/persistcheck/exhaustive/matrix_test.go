@@ -272,3 +272,48 @@ func TestBudgetRefusal(t *testing.T) {
 		t.Errorf("want MaxPersists error, got %v", err)
 	}
 }
+
+// TestHashCollisions forces every image hash and every cut-count
+// suffix hash to one value, so each state dedup, antichain fold and
+// final-image lookup rests on the exact word-for-word comparison
+// behind the hash. Results must equal the normal-hash run's on every
+// fixture of the clean and broken matrices (the six-figure clean
+// fixtures excepted: one bucket makes the merge quadratic in the live
+// states) and on TestParallelDeterminism's fixture at 4 workers.
+func TestHashCollisions(t *testing.T) {
+	type hc struct {
+		name string
+		fx   fixture
+		cfg  func(workload.Options) Config
+	}
+	plain := func(workload.Options) Config { return Config{Budget: 1 << 21} }
+	var cases []hc
+	for _, m := range cleanMatrix {
+		if !m.big {
+			cases = append(cases, hc{m.name, m.fx, plain})
+		}
+	}
+	for _, m := range brokenMatrix {
+		cases = append(cases, hc{m.name, m.fx, func(o workload.Options) Config {
+			return Config{Budget: 1 << 21, ReproParams: o.Params()}
+		}})
+	}
+	cases = append(cases, hc{"parallel-determinism",
+		fixture{wl: "journal", policy: "epoch", threads: 2, inserts: 4, breakCommit: true, sparse: true},
+		func(o workload.Options) Config {
+			return Config{Budget: 1 << 21, ReproParams: o.Params(), Sweep: sweep.Config{Parallel: 4}}
+		}})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run, opts, model := buildRun(t, tc.fx)
+			cfg := tc.cfg(opts)
+			want := check(t, run, model, cfg)
+			collideHashes = true
+			defer func() { collideHashes = false }()
+			got := check(t, run, model, cfg)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("colliding hashes changed the result:\n%v\nwant\n%v", got, want)
+			}
+		})
+	}
+}

@@ -1,13 +1,11 @@
 package exhaustive
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
-	"repro/internal/intervals"
 	"repro/internal/memory"
 	"repro/internal/sweep"
 )
@@ -19,50 +17,36 @@ func newBits(n int) bits { return make(bits, (n+63)/64) }
 
 func (b bits) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-func (b bits) clone() bits {
-	c := make(bits, len(b))
-	copy(c, b)
-	return c
-}
+func (b bits) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
-// withBit returns a copy of b with bit i set.
-func (b bits) withBit(i int) bits {
-	c := b.clone()
-	c[i>>6] |= 1 << (uint(i) & 63)
-	return c
-}
-
-// withOr returns a copy of b with bit i and all of o's bits set.
-func (b bits) withOr(i int, o bits) bits {
-	c := b.clone()
-	for w := range o {
-		c[w] |= o[w]
-	}
-	c[i>>6] |= 1 << (uint(i) & 63)
-	return c
-}
-
-// coversFrom reports whether every bit in [from, n) is set.
-func (b bits) coversFrom(from, n int) bool {
+// coversFrom reports whether every bit in [from, n) is set in b | or;
+// a nil or stands for the empty set.
+func (b bits) coversFrom(or bits, from, n int) bool {
 	if from >= n {
 		return true
+	}
+	word := func(w int) uint64 {
+		if or == nil {
+			return b[w]
+		}
+		return b[w] | or[w]
 	}
 	w := from >> 6
 	head := ^uint64(0) << (uint(from) & 63)
 	lastW := (n - 1) >> 6
 	tail := ^uint64(0) >> (63 - (uint(n-1) & 63))
 	if w == lastW {
-		return b[w]&head&tail == head&tail
+		return word(w)&head&tail == head&tail
 	}
-	if b[w]&head != head {
+	if word(w)&head != head {
 		return false
 	}
 	for w++; w < lastW; w++ {
-		if b[w] != ^uint64(0) {
+		if word(w) != ^uint64(0) {
 			return false
 		}
 	}
-	return b[lastW]&tail == tail
+	return word(lastW)&tail == tail
 }
 
 // subsetFrom reports whether b's bits in [from, n) are a subset of o's.
@@ -83,21 +67,24 @@ func (b bits) subsetFrom(o bits, from, n int) bool {
 	return true
 }
 
-// wordVal is one written, nonzero NVRAM word. A state's image is a
-// sorted slice of these; a zero-valued word is canonically absent
-// (indistinguishable from never-written NVRAM).
+// wordVal is one written, nonzero NVRAM word, named by its slot (see
+// wordTable). A state's image is a slice of these in ascending slot
+// order, which is ascending address order; a zero-valued word is
+// canonically absent (indistinguishable from never-written NVRAM).
 type wordVal struct {
-	addr memory.Addr
+	slot int32
 	val  uint64
 }
 
 // wordWrite is one persist's effect on one aligned word.
 type wordWrite struct {
 	addr       memory.Addr
+	slot       int32 // see wordTable
 	mask, bits uint64
 }
 
-// nodeWrites splits a persist event into per-word masked writes.
+// nodeWrites splits a persist event into per-word masked writes, in
+// ascending address order.
 func nodeWrites(g *graph.Graph, id int) []wordWrite {
 	n := g.Nodes[id]
 	if !n.Event.Kind.IsAccess() {
@@ -130,96 +117,254 @@ func nodeWrites(g *graph.Graph, id int) []wordWrite {
 	return out
 }
 
-// applyWrites returns img with ws applied (read-modify-write at word
-// granularity). changed is false when every write was a no-op, in
-// which case img is returned unchanged (and may be shared).
-func applyWrites(img []wordVal, ws []wordWrite) (out []wordVal, changed bool) {
-	out = img
-	for _, w := range ws {
-		i := sort.Search(len(out), func(i int) bool { return out[i].addr >= w.addr })
-		var old uint64
-		if i < len(out) && out[i].addr == w.addr {
-			old = out[i].val
+// wordTable numbers the words any persist of a graph writes: slot i
+// is the i-th lowest such address. Every image is over these words
+// alone, so a word without a slot reads 0 in every image.
+type wordTable struct {
+	addrs  []memory.Addr // slot → word address, ascending
+	writes [][]wordWrite // per node, ascending slot
+}
+
+func newWordTable(g *graph.Graph) *wordTable {
+	wt := &wordTable{writes: make([][]wordWrite, g.Len())}
+	for i := range wt.writes {
+		wt.writes[i] = nodeWrites(g, i)
+		for _, w := range wt.writes[i] {
+			wt.addrs = append(wt.addrs, w.addr)
 		}
-		nv := (old &^ w.mask) | w.bits
+	}
+	slices.Sort(wt.addrs)
+	wt.addrs = slices.Compact(wt.addrs)
+	for _, ws := range wt.writes {
+		for j := range ws {
+			ws[j].slot = wt.slot(ws[j].addr)
+		}
+	}
+	return wt
+}
+
+// slot returns a's slot, or -1 when no persist writes a.
+func (wt *wordTable) slot(a memory.Addr) int32 {
+	i, ok := slices.BinarySearch(wt.addrs, a)
+	if !ok {
+		return -1
+	}
+	return int32(i)
+}
+
+// find returns the index of the first word of img at or above slot.
+func find(img []wordVal, slot int32) int {
+	lo, hi := 0, len(img)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if img[m].slot < slot {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// applyInto appends img with ws applied (read-modify-write at word
+// granularity) to dst and returns it. ws must be in ascending slot
+// order, as wordTable stores them.
+func applyInto(dst, img []wordVal, ws []wordWrite) []wordVal {
+	i := 0
+	for _, w := range ws {
+		for i < len(img) && img[i].slot < w.slot {
+			dst = append(dst, img[i])
+			i++
+		}
+		var old uint64
+		if i < len(img) && img[i].slot == w.slot {
+			old = img[i].val
+			i++
+		}
+		if nv := old&^w.mask | w.bits; nv != 0 {
+			dst = append(dst, wordVal{slot: w.slot, val: nv})
+		}
+	}
+	return append(dst, img[i:]...)
+}
+
+// collideHashes is a test hook: when set, every image hash and every
+// cut-count suffix hash is 0, so each lookup falls through to the
+// exact word-for-word comparison behind it.
+var collideHashes bool
+
+// mix64 is the splitmix64 finalizer.
+func mix64(z uint64) uint64 {
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// wordHash is one nonzero word's term in an image hash. An image
+// hashes to the XOR of its words' terms, so a write updates the hash
+// from the words it changes.
+func wordHash(slot int32, val uint64) uint64 {
+	if collideHashes {
+		return 0
+	}
+	return mix64(mix64(uint64(slot)+0x9e3779b97f4a7c15) ^ val)
+}
+
+// applyHash returns the hash of img with ws applied, given img's hash
+// h, and whether any write changed a word, without building the image.
+func applyHash(img []wordVal, h uint64, ws []wordWrite) (uint64, bool) {
+	changed := false
+	i := 0
+	for _, w := range ws {
+		i += find(img[i:], w.slot)
+		var old uint64
+		if i < len(img) && img[i].slot == w.slot {
+			old = img[i].val
+		}
+		nv := old&^w.mask | w.bits
 		if nv == old {
 			continue
 		}
-		switch {
-		case old == 0: // insert
-			next := make([]wordVal, len(out)+1)
-			copy(next, out[:i])
-			next[i] = wordVal{addr: w.addr, val: nv}
-			copy(next[i+1:], out[i:])
-			out = next
-		case nv == 0: // delete (canonical zero-is-absent form)
-			next := make([]wordVal, len(out)-1)
-			copy(next, out[:i])
-			copy(next[i:], out[i+1:])
-			out = next
-		default: // replace
-			next := make([]wordVal, len(out))
-			copy(next, out)
-			next[i].val = nv
-			out = next
-		}
 		changed = true
+		if old != 0 {
+			h ^= wordHash(w.slot, old)
+		}
+		if nv != 0 {
+			h ^= wordHash(w.slot, nv)
+		}
 	}
-	return out, changed
+	return h, changed
 }
 
-// lookupWord reads one aligned word from a canonical image.
-func lookupWord(img []wordVal, a memory.Addr) uint64 {
-	i := sort.Search(len(img), func(i int) bool { return img[i].addr >= a })
-	if i < len(img) && img[i].addr == a {
-		return img[i].val
-	}
-	return 0
+// slab carves fixed slices out of chunks that double in size up to
+// slabMax elements, so survivors of a merge cost no allocation each.
+// A chunk is freed once no slice carved from it is reachable.
+type slab[T any] struct {
+	free []T
+	size int
 }
 
-// imgKey serializes a canonical image for map lookup.
-func imgKey(img []wordVal) string {
-	b := make([]byte, 16*len(img))
-	for i, wv := range img {
-		binary.LittleEndian.PutUint64(b[16*i:], uint64(wv.addr))
-		binary.LittleEndian.PutUint64(b[16*i+8:], wv.val)
+const (
+	slabMin = 256
+	slabMax = 1 << 12
+)
+
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.size = min(max(2*s.size, slabMin), slabMax)
+		s.free = make([]T, max(n, s.size))
 	}
-	return string(b)
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
 }
 
 // state is one search state after deciding nodes [0, t): the partial
-// image those decisions built, the future nodes an excluded ancestor
-// disqualifies, and a representative decision vector.
+// image those decisions built and its hash, the future nodes an
+// excluded ancestor disqualifies, and a representative decision
+// vector. img, killed and dec are shared, never written once the
+// state exists.
 type state struct {
 	img    []wordVal
-	ikey   string
+	h      uint64
 	killed bits
 	dec    bits
+	link   int32 // previous state with the same hash this level; -1 ends it
+	dead   bool  // folded into a dominating state
+}
+
+// childKind says how a child derives from its parent at node t.
+type childKind uint8
+
+const (
+	noChild      childKind = iota
+	keepChild              // t was already killed: the parent passes through
+	excludeChild           // t excluded: killed gains t and its descendants
+	includeChild           // t included without changing a word
+	writeChild             // t included and some word changed
+)
+
+// child describes one child of a live state without building it: its
+// image hash and whether it is final are all the merge needs to drop
+// most children before any storage is spent on them.
+type child struct {
+	h      uint64
+	parent int32
+	kind   childKind
 	final  bool
 }
 
-// final is one distinct reachable image with a representative cut.
+// final is one distinct reachable image with a representative cut,
+// kept as its parent's: the image is img with node's writes applied
+// and the cut is dec plus node (node -1: img and dec themselves). A
+// final costs no storage of its own.
 type final struct {
-	img []wordVal
-	dec bits
+	img  []wordVal
+	dec  bits
+	node int32
+}
+
+// image returns f's image, built in *buf when f has a node to apply.
+func (f *final) image(words *wordTable, buf *[]wordVal) []wordVal {
+	if f.node < 0 {
+		return f.img
+	}
+	*buf = applyInto((*buf)[:0], f.img, words.writes[f.node])
+	return *buf
+}
+
+// cut returns f's representative cut over n nodes.
+func (f *final) cut(n int) graph.Cut {
+	c := graph.Cut{Included: make([]bool, n)}
+	for i := range c.Included {
+		c.Included[i] = f.dec.get(i)
+	}
+	if f.node >= 0 {
+		c.Included[f.node] = true
+	}
+	return c
 }
 
 // space is the fully enumerated, reduced state space.
 type space struct {
-	finals   []*final // distinct reachable images, discovery order
-	cuts     uint64   // exact total consistent cuts (saturating)
+	words    *wordTable
+	finals   []final // distinct reachable images, discovery order
+	cuts     uint64  // exact total consistent cuts (saturating)
 	cutsSat  bool
 	peakLive int
 	subsumed uint64
-	// touched is the written persistent address range, tracked as
-	// coalesced intervals (stats + sanity: every image word must fall
-	// inside it).
-	touched *intervals.Set[memory.Addr]
 }
 
 // parallelThreshold is the live-state count above which child
-// expansion fans out through the sweep engine.
-const parallelThreshold = 2048
+// expansion fans out through the sweep engine, expandChunk parents
+// per sweep item.
+const (
+	parallelThreshold = 2048
+	expandChunk       = 1024
+)
+
+// enumerator is enumerate's working set. Its live and next levels,
+// children, bucket map and scratch buffers are reused from level to
+// level; slabs hold the storage of states that survive a merge.
+type enumerator struct {
+	n, t   int
+	desc   []bits
+	words  *wordTable
+	sp     *space
+	live   []state
+	next   []state
+	kids   []child
+	bucket map[uint64]int32 // image hash → latest next-level state with it
+	fhead  map[uint64]int32 // image hash → latest final with that hash
+	flink  []int32          // per final: the previous one with its hash
+	bitsOf slab[uint64]
+	imgOf  slab[wordVal]
+	img    []wordVal // scratch: the image of a writeChild
+	fimg   []wordVal // scratch: the image of a recorded final
+	killed bits      // scratch: the killed-set of an excludeChild
+}
 
 // enumerate walks the graph's nodes in trace (topological) order,
 // branching each undecided node into exclude/include, deduplicating
@@ -229,152 +374,233 @@ const parallelThreshold = 2048
 func enumerate(g *graph.Graph, cfg Config) (*space, error) {
 	n := g.Len()
 	budget := cfg.budget()
+	desc := descendants(g)
+	e := &enumerator{
+		n: n, desc: desc, words: newWordTable(g),
+		bucket: make(map[uint64]int32),
+		fhead:  make(map[uint64]int32),
+		killed: newBits(n),
+	}
+	e.sp = &space{words: e.words}
+	e.live = []state{{killed: newBits(n), dec: newBits(n), link: -1}}
+	for t := 0; t < n; t++ {
+		e.t = t
+		if err := e.expand(cfg.Sweep); err != nil {
+			return nil, err
+		}
+		// Merge: dedup by (image, killed suffix), fold dominated
+		// states into their dominators. Buckets key on the image
+		// hash; the live states of one image in a bucket are an
+		// antichain of killed-sets, so the order they are compared in
+		// does not matter.
+		clear(e.bucket)
+		for _, c := range e.kids {
+			if c.kind != noChild {
+				e.emit(c)
+			}
+		}
+		// Compact dominated slots; the old level becomes the next
+		// one's buffer.
+		j := 0
+		for i := range e.next {
+			if e.next[i].dead {
+				continue
+			}
+			if i != j {
+				e.next[j] = e.next[i]
+			}
+			j++
+		}
+		e.live, e.next = e.next[:j], e.live[:0]
+		if len(e.live) > e.sp.peakLive {
+			e.sp.peakLive = len(e.live)
+		}
+		if len(e.live)+len(e.sp.finals) > budget {
+			return nil, fmt.Errorf("exhaustive: state budget %d exceeded at node %d/%d (%d live + %d final states); shrink the fixture or raise Budget",
+				budget, t+1, n, len(e.live), len(e.sp.finals))
+		}
+	}
+	for i := range e.live {
+		s := &e.live[i]
+		e.addFinal(s.h, s.img, final{img: s.img, dec: s.dec, node: -1})
+	}
+	e.sp.cuts, e.sp.cutsSat = countCuts(g, desc, budget)
+	return e.sp, nil
+}
 
-	// Transitive descendant bitsets: desc[i] = every node reachable
-	// from i by forward edges. Edges point backward (In), so walk IDs
-	// descending and fold each node into its predecessors.
+// descendants returns each node's transitive descendant bitset: every
+// node reachable from it by forward edges. Edges point backward (In),
+// so it walks IDs descending and folds each node into its
+// predecessors.
+func descendants(g *graph.Graph) []bits {
+	n := g.Len()
+	words := (n + 63) / 64
+	flat := make([]uint64, n*words)
 	desc := make([]bits, n)
-	for i := 0; i < n; i++ {
-		desc[i] = newBits(n)
+	for i := range desc {
+		desc[i] = flat[i*words : (i+1)*words : (i+1)*words]
 	}
 	for i := n - 1; i >= 0; i-- {
 		for _, e := range g.Nodes[i].In {
-			from := int(e.From)
-			d := desc[from]
-			d[i>>6] |= 1 << (uint(i) & 63)
+			d := desc[e.From]
+			d.set(i)
 			for w := range desc[i] {
 				d[w] |= desc[i][w]
 			}
 		}
 	}
+	return desc
+}
 
-	writes := make([][]wordWrite, n)
-	sp := &space{touched: intervals.NewSet[memory.Addr]()}
-	for i := 0; i < n; i++ {
-		writes[i] = nodeWrites(g, i)
-		for _, w := range writes[i] {
-			sp.touched.Insert(w.addr, w.addr+memory.WordSize)
-		}
+// expand describes the children of every live state at node t: one
+// (node t already killed) or two (exclude / include). It is pure per
+// parent, so chunks of parents fan out through sweep and each writes
+// only its own slots of kids.
+func (e *enumerator) expand(scfg sweep.Config) error {
+	e.kids = slices.Grow(e.kids[:0], 2*len(e.live))[:2*len(e.live)]
+	if len(e.live) < parallelThreshold {
+		scfg.Parallel = 1
 	}
+	scfg.Name = "exhaustive-expand"
+	chunks := (len(e.live) + expandChunk - 1) / expandChunk
+	return sweep.Run(chunks, scfg, func(c int) (struct{}, error) {
+		e.expandRange(c*expandChunk, min((c+1)*expandChunk, len(e.live)))
+		return struct{}{}, nil
+	}, nil)
+}
 
-	finalIdx := make(map[string]int)
-	addFinal := func(s *state) {
-		if _, ok := finalIdx[s.ikey]; ok {
+func (e *enumerator) expandRange(lo, hi int) {
+	t, n := e.t, e.n
+	ws := e.words.writes[t]
+	for i := lo; i < hi; i++ {
+		p := &e.live[i]
+		kids := e.kids[2*i : 2*i+2]
+		if p.killed.get(t) {
+			// Forced exclusion: descendants of t are already in the
+			// killed set (killed is transitively closed).
+			kids[0] = child{h: p.h, parent: int32(i), kind: keepChild, final: p.killed.coversFrom(nil, t+1, n)}
+			kids[1] = child{}
+			continue
+		}
+		kids[0] = child{h: p.h, parent: int32(i), kind: excludeChild, final: p.killed.coversFrom(e.desc[t], t+1, n)}
+		h, changed := applyHash(p.img, p.h, ws)
+		kind := includeChild
+		if changed {
+			kind = writeChild
+		}
+		kids[1] = child{h: h, parent: int32(i), kind: kind, final: p.killed.coversFrom(nil, t+1, n)}
+	}
+}
+
+// emit merges one child into the next level, or into the finals when
+// it has no undecided node left. Storage is taken only for a child
+// that survives.
+func (e *enumerator) emit(c child) {
+	t, n := e.t, e.n
+	p := &e.live[c.parent]
+	img := p.img
+	if c.kind == writeChild {
+		e.img = applyInto(e.img[:0], p.img, e.words.writes[t])
+		img = e.img
+	}
+	if c.final {
+		f := final{img: p.img, dec: p.dec, node: -1}
+		if c.kind == includeChild || c.kind == writeChild {
+			f.node = int32(t)
+		}
+		e.addFinal(c.h, img, f)
+		return
+	}
+	killed := p.killed
+	if c.kind == excludeChild {
+		for w := range killed {
+			e.killed[w] = killed[w] | e.desc[t][w]
+		}
+		e.killed.set(t)
+		killed = e.killed
+	}
+	head, ok := e.bucket[c.h]
+	if !ok {
+		head = -1
+	}
+	for i := head; i >= 0; i = e.next[i].link {
+		s := &e.next[i]
+		if s.dead || !slices.Equal(s.img, img) {
+			continue
+		}
+		// s dominates c: s's killed-set is a subset (s keeps
+		// every option c has), so c explores a subset of s's
+		// reachable images.
+		if s.killed.subsetFrom(killed, t+1, n) {
+			e.sp.subsumed++
 			return
 		}
-		finalIdx[s.ikey] = len(sp.finals)
-		sp.finals = append(sp.finals, &final{img: s.img, dec: s.dec})
-	}
-
-	live := []*state{{killed: newBits(n), dec: newBits(n), ikey: ""}}
-	for t := 0; t < n; t++ {
-		// Expand: each live state yields one child (node t already
-		// killed) or two (exclude / include). Expansion is pure, so it
-		// fans out through sweep with a deterministic in-order merge.
-		expand := func(s *state) [2]*state {
-			if s.killed.get(t) {
-				// Forced exclusion: descendants of t are already in
-				// the killed set (killed is transitively closed).
-				s.final = s.killed.coversFrom(t+1, n)
-				return [2]*state{s, nil}
-			}
-			ex := &state{
-				img: s.img, ikey: s.ikey,
-				killed: s.killed.withOr(t, desc[t]),
-				dec:    s.dec,
-			}
-			ex.final = ex.killed.coversFrom(t+1, n)
-			in := &state{
-				killed: s.killed,
-				dec:    s.dec.withBit(t),
-			}
-			if img, changed := applyWrites(s.img, writes[t]); changed {
-				in.img, in.ikey = img, imgKey(img)
-			} else {
-				in.img, in.ikey = s.img, s.ikey
-			}
-			in.final = in.killed.coversFrom(t+1, n)
-			return [2]*state{ex, in}
-		}
-
-		children := make([][2]*state, len(live))
-		if len(live) >= parallelThreshold && cfg.Sweep.Workers() > 1 {
-			scfg := cfg.Sweep
-			scfg.Name = "exhaustive-expand"
-			err := sweep.Run(len(live), scfg, func(i int) ([2]*state, error) {
-				return expand(live[i]), nil
-			}, func(i int, v [2]*state) error {
-				children[i] = v
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			for i, s := range live {
-				children[i] = expand(s)
-			}
-		}
-
-		// Merge: dedup by (image, killed suffix), fold dominated
-		// states into their dominators. Buckets key on the image;
-		// each bucket is an antichain of killed-sets.
-		next := live[:0:0]
-		buckets := make(map[string][]int, len(children))
-		emit := func(s *state) {
-			if s.final {
-				addFinal(s)
-				return
-			}
-			idxs := buckets[s.ikey]
-			for _, i := range idxs {
-				e := next[i]
-				if e == nil {
-					continue
-				}
-				// e dominates s: e's killed-set is a subset (e keeps
-				// every option s has), so s explores a subset of e's
-				// reachable images.
-				if e.killed.subsetFrom(s.killed, t+1, n) {
-					sp.subsumed++
-					return
-				}
-				// s dominates e.
-				if s.killed.subsetFrom(e.killed, t+1, n) {
-					sp.subsumed++
-					next[i] = nil
-				}
-			}
-			buckets[s.ikey] = append(idxs, len(next))
-			next = append(next, s)
-		}
-		for _, pair := range children {
-			emit(pair[0])
-			if pair[1] != nil {
-				emit(pair[1])
-			}
-		}
-		// Compact dominated slots.
-		live = live[:0]
-		for _, s := range next {
-			if s != nil {
-				live = append(live, s)
-			}
-		}
-		if len(live) > sp.peakLive {
-			sp.peakLive = len(live)
-		}
-		if len(live)+len(sp.finals) > budget {
-			return nil, fmt.Errorf("exhaustive: state budget %d exceeded at node %d/%d (%d live + %d final states); shrink the fixture or raise Budget",
-				budget, t+1, n, len(live), len(sp.finals))
+		// c dominates s.
+		if killed.subsetFrom(s.killed, t+1, n) {
+			e.sp.subsumed++
+			s.dead = true
 		}
 	}
-	for _, s := range live {
-		addFinal(s)
+	e.bucket[c.h] = int32(len(e.next))
+	e.next = append(e.next, state{img: p.img, h: c.h, killed: p.killed, dec: p.dec, link: head})
+	s := &e.next[len(e.next)-1]
+	switch c.kind {
+	case excludeChild:
+		s.killed = e.bitsOf.take(len(killed))
+		copy(s.killed, killed)
+	case writeChild:
+		s.img = e.own(img)
+		s.dec = e.withBit(p.dec, t)
+	case includeChild:
+		s.dec = e.withBit(p.dec, t)
 	}
+}
 
-	sp.cuts, sp.cutsSat = countCuts(g, desc, budget)
-	return sp, nil
+// addFinal records a reachable image unless an equal one is already
+// recorded. img is the image and f the final that stands for it.
+func (e *enumerator) addFinal(h uint64, img []wordVal, f final) {
+	head, ok := e.fhead[h]
+	if !ok {
+		head = -1
+	}
+	for i := head; i >= 0; i = e.flink[i] {
+		if slices.Equal(e.sp.finals[i].image(e.words, &e.fimg), img) {
+			return
+		}
+	}
+	e.fhead[h] = int32(len(e.sp.finals))
+	e.flink = append(e.flink, head)
+	e.sp.finals = append(e.sp.finals, f)
+}
+
+// own copies a scratch image into slab storage.
+func (e *enumerator) own(img []wordVal) []wordVal {
+	if len(img) == 0 {
+		return nil
+	}
+	out := e.imgOf.take(len(img))
+	copy(out, img)
+	return out
+}
+
+// withBit returns a slab copy of b with bit i set.
+func (e *enumerator) withBit(b bits, i int) bits {
+	out := bits(e.bitsOf.take(len(b)))
+	copy(out, b)
+	out.set(i)
+	return out
+}
+
+// suffixHash hashes one killed-set suffix for countCuts.
+func suffixHash(ws []uint64) uint64 {
+	if collideHashes {
+		return 0
+	}
+	h := uint64(0)
+	for _, w := range ws {
+		h = mix64(h + w + 0x9e3779b97f4a7c15)
+	}
+	return h
 }
 
 // countCuts computes the exact number of consistent cuts with a
@@ -385,11 +611,16 @@ func enumerate(g *graph.Graph, cfg Config) (*space, error) {
 // futures). Saturates at MaxUint64 — or when the DP's own state
 // count exceeds budget, in which case the true count is at least the
 // returned value.
+//
+// Entry i of a level keeps its killed-set in words [i*stride,
+// (i+1)*stride) of one flat array. Only the words holding bits from
+// the level's next node up are written: the DP never reads below them.
 func countCuts(g *graph.Graph, desc []bits, budget int) (uint64, bool) {
 	n := g.Len()
+	stride := (n + 63) / 64
 	type centry struct {
-		killed bits
-		count  uint64
+		count uint64
+		link  int32 // previous entry with the same suffix hash; -1 ends it
 	}
 	sat := false
 	add := func(a, b uint64) uint64 {
@@ -400,40 +631,58 @@ func countCuts(g *graph.Graph, desc []bits, budget int) (uint64, bool) {
 		}
 		return sum
 	}
-	suffixKey := func(k bits, from int) string {
-		b := make([]byte, 8*len(k))
-		for w, v := range k {
-			if w == from>>6 {
-				v &= ^uint64(0) << (uint(from) & 63)
-			} else if w < from>>6 {
-				v = 0
-			}
-			binary.LittleEndian.PutUint64(b[8*w:], v)
-		}
-		return string(b)
-	}
-	live := []*centry{{killed: newBits(n), count: 1}}
+	live := []centry{{count: 1, link: -1}}
+	killed := make([]uint64, stride)
+	var next []centry
+	var nextKilled []uint64
+	head := make(map[uint64]int32)
+	suffix := make([]uint64, stride)
 	for t := 0; t < n; t++ {
-		next := make([]*centry, 0, len(live))
-		idx := make(map[string]int, len(live))
-		emit := func(k bits, count uint64) {
-			key := suffixKey(k, t+1)
-			if i, ok := idx[key]; ok {
-				next[i].count = add(next[i].count, count)
-				return
+		from := t + 1
+		w0 := from >> 6
+		next, nextKilled = next[:0], nextKilled[:0]
+		clear(head)
+		// emit merges the killed-set k | or (or may be nil) with count
+		// paths into the next level. An exclusion's own bit t lies
+		// below the suffix, so or = desc[t] is the whole of it.
+		emit := func(k, or bits, count uint64) {
+			suf := suffix[w0:]
+			for w := range suf {
+				v := k[w0+w]
+				if or != nil {
+					v |= or[w0+w]
+				}
+				suf[w] = v
 			}
-			idx[key] = len(next)
-			next = append(next, &centry{killed: k, count: count})
+			if len(suf) > 0 {
+				suf[0] &= ^uint64(0) << (uint(from) & 63)
+			}
+			h := suffixHash(suf)
+			first, ok := head[h]
+			if !ok {
+				first = -1
+			}
+			for i := first; i >= 0; i = next[i].link {
+				if slices.Equal(nextKilled[int(i)*stride+w0:(int(i)+1)*stride], suf) {
+					next[i].count = add(next[i].count, count)
+					return
+				}
+			}
+			head[h] = int32(len(next))
+			next = append(next, centry{count: count, link: first})
+			nextKilled = append(nextKilled, suffix...)
 		}
-		for _, s := range live {
-			if s.killed.get(t) {
-				emit(s.killed, s.count)
+		for i := range live {
+			k := bits(killed[i*stride : (i+1)*stride])
+			if k.get(t) {
+				emit(k, nil, live[i].count)
 				continue
 			}
-			emit(s.killed.withOr(t, desc[t]), s.count)
-			emit(s.killed, s.count)
+			emit(k, desc[t], live[i].count)
+			emit(k, nil, live[i].count)
 		}
-		live = next
+		live, next = next, live
+		killed, nextKilled = nextKilled, killed
 		if len(live) > budget {
 			// Too wide to count exactly; report the partial sum as a
 			// saturated lower bound.
@@ -451,24 +700,15 @@ func countCuts(g *graph.Graph, desc []bits, budget int) (uint64, bool) {
 	return total, sat
 }
 
-// cutOf converts a decision bitset into a graph.Cut.
-func cutOf(dec bits, n int) graph.Cut {
-	c := graph.Cut{Included: make([]bool, n)}
-	for i := 0; i < n; i++ {
-		c.Included[i] = dec.get(i)
-	}
-	return c
-}
-
 // imgOfCut materializes a cut into canonical image form by replaying
 // its included persists in trace order.
-func imgOfCut(g *graph.Graph, c graph.Cut) []wordVal {
-	var img []wordVal
-	for i := range g.Nodes {
-		if !c.Included[i] {
-			continue
+func imgOfCut(wt *wordTable, c graph.Cut) []wordVal {
+	var img, buf []wordVal
+	for i, in := range c.Included {
+		if in {
+			buf = applyInto(buf[:0], img, wt.writes[i])
+			img, buf = buf, img
 		}
-		img, _ = applyWrites(img, nodeWrites(g, i))
 	}
 	return img
 }
