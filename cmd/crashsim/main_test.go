@@ -1,8 +1,11 @@
 package main
 
 import (
+	"os"
+	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -124,5 +127,47 @@ func TestReplayQueueDispatch(t *testing.T) {
 	s := fault.Scenario{Params: o.Params(), Cut: full}
 	if got, err := replay(s.Repro()); err != nil || got != 0 {
 		t.Errorf("replay of fully-persisted queue cut exited %d (err %v), want 0", got, err)
+	}
+}
+
+// TestInvalidOptionsExitOne pins that workload options no workload can
+// run, from flags or from a hand-edited -replay line, fail with exit 1
+// and an error naming the option instead of a panic (which exits 2,
+// the code for a reproduced corruption).
+func TestInvalidOptionsExitOne(t *testing.T) {
+	line := func(params ...fault.Param) string {
+		s := fault.Scenario{Params: params}
+		return s.Repro()
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"zero threads", []string{"-threads", "0"}, "threads"},
+		{"negative threads", []string{"-threads", "-1", "-samples", "1"}, "threads"},
+		{"negative inserts", []string{"-inserts", "-4"}, "insert"},
+		{"zero payload", []string{"-payload", "0"}, "payload"},
+		{"replay zero threads", []string{"-replay", line(fault.Param{Key: "workload", Value: "queue"}, fault.Param{Key: "threads", Value: "0"})}, "threads"},
+		{"replay zero payload", []string{"-replay", line(fault.Param{Key: "workload", Value: "queue"}, fault.Param{Key: "payload", Value: "0"})}, "payload"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := os.CreateTemp(t.TempDir(), "stderr")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			old := os.Stderr
+			os.Stderr = f
+			code := cli.Run("crashsim", tc.args, run)
+			os.Stderr = old
+			stderr, err := os.ReadFile(f.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != 1 || !strings.Contains(string(stderr), "crashsim: ") || !strings.Contains(string(stderr), tc.want) {
+				t.Fatalf("exit %d, want 1 with an error about %s; stderr:\n%s", code, tc.want, stderr)
+			}
+		})
 	}
 }

@@ -195,3 +195,38 @@ func TestMetricsDeterministicAcrossParallel(t *testing.T) {
 		})
 	}
 }
+
+// TestInvalidOptionsExitOne pins that workload flags no workload can
+// run fail with exit 1 and an error naming the flag, instead of a
+// panic, which exits 2 like a hazard verdict.
+func TestInvalidOptionsExitOne(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"zero threads", []string{"-threads", "0"}, "threads"},
+		{"negative threads", []string{"-threads", "-1"}, "threads"},
+		{"negative inserts", []string{"-inserts", "-4"}, "insert"},
+		{"zero payload", []string{"-payload", "0"}, "payload"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := os.CreateTemp(t.TempDir(), "stderr")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			old := os.Stderr
+			os.Stderr = f
+			code := cli.Run("persistcheck", tc.args, run)
+			os.Stderr = old
+			stderr, err := os.ReadFile(f.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != 1 || !strings.Contains(string(stderr), "persistcheck: ") || !strings.Contains(string(stderr), tc.want) {
+				t.Fatalf("exit %d, want 1 with an error about %s; stderr:\n%s", code, tc.want, stderr)
+			}
+		})
+	}
+}

@@ -28,21 +28,6 @@ func chainGraph() *graph.Graph {
 	return g
 }
 
-func TestFrontier(t *testing.T) {
-	g := chainGraph()
-	if got := Frontier(g, g.Full()); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("full-cut frontier = %v, want [2]", got)
-	}
-	c := g.Empty()
-	c.Included[0] = true
-	if got := Frontier(g, c); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("prefix-cut frontier = %v, want [0]", got)
-	}
-	if got := Frontier(g, g.Empty()); len(got) != 0 {
-		t.Fatalf("empty-cut frontier = %v, want none", got)
-	}
-}
-
 func TestMaterializeEmptyPlanMatchesGraph(t *testing.T) {
 	g := chainGraph()
 	for _, c := range []graph.Cut{g.Full(), g.Empty(), g.PrefixCut(2)} {
@@ -173,7 +158,7 @@ func TestGenPlanDeterministicAndLegal(t *testing.T) {
 		t.Fatalf("same rng seed must give same plan: %v vs %v", p1, p2)
 	}
 	frontier := map[graph.NodeID]bool{}
-	for _, n := range Frontier(g, c) {
+	for _, n := range g.Frontier(c) {
 		frontier[n] = true
 	}
 	for seed := int64(0); seed < 50; seed++ {
@@ -237,5 +222,98 @@ func TestRecoveryReport(t *testing.T) {
 	r.Merge(h)
 	if !r.HeaderQuarantined || r.Quarantined != 1 {
 		t.Fatalf("merge: %+v", r)
+	}
+}
+
+// refMaterialize is Materialize's cascade as a per-node forward pass
+// over excluded flags: a node leaves the image when it is dropped or
+// depends on an excluded node or on an included torn one.
+func refMaterialize(g *graph.Graph, c graph.Cut, p Plan) *memory.Image {
+	drop := map[graph.NodeID]bool{}
+	torn := map[graph.NodeID]uint8{}
+	for _, f := range p.Faults {
+		switch f.Kind {
+		case Drop:
+			drop[f.Node] = true
+			delete(torn, f.Node)
+		case Torn:
+			torn[f.Node] = f.Mask
+			delete(drop, f.Node)
+		}
+	}
+	im := memory.NewImage()
+	excluded := make([]bool, g.Len())
+	for i, n := range g.Nodes {
+		id := graph.NodeID(i)
+		if !c.Included[i] {
+			continue
+		}
+		if drop[id] {
+			excluded[i] = true
+			continue
+		}
+		for _, e := range n.In {
+			_, tornFrom := torn[e.From]
+			if excluded[e.From] || (c.Included[e.From] && tornFrom) {
+				excluded[i] = true
+				break
+			}
+		}
+		if excluded[i] {
+			continue
+		}
+		for j := 0; j < int(n.Event.Size); j++ {
+			if mask, ok := torn[id]; ok && mask&(1<<uint(j)) == 0 {
+				continue
+			}
+			im.WriteBytes(n.Event.Addr+memory.Addr(j), []byte{byte(n.Event.Val >> (8 * j))})
+		}
+	}
+	for _, f := range p.Faults {
+		switch f.Kind {
+		case FlipDetected:
+			im.FlipBit(f.Addr, f.Bit)
+			im.Poison(f.Addr)
+		case FlipSilent:
+			im.FlipBit(f.Addr, f.Bit)
+		}
+	}
+	return im
+}
+
+// TestMaterializeMatchesReference compares Materialize with the
+// per-node reference on random DAGs, sampled consistent cuts and plans
+// that drop and tear any node, frontier or not, included or not, and
+// name nodes the graph does not have.
+func TestMaterializeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 300; iter++ {
+		g := &graph.Graph{}
+		n := 2 + rng.Intn(30)
+		for i := 0; i < n; i++ {
+			g.AddNode("", trace.Event{
+				Seq: uint64(i), Kind: trace.Store, Size: 8,
+				Addr: memory.PersistentBase + memory.Addr(8*rng.Intn(8)),
+				Val:  rng.Uint64(),
+			})
+			for j := 0; j < i; j++ {
+				if rng.Intn(6) == 0 {
+					g.AddEdge(graph.NodeID(j), graph.NodeID(i), graph.ProgramOrder)
+				}
+			}
+		}
+		c := g.SampleCut(rng, rng.Float64())
+		var p Plan
+		for k := rng.Intn(5); k > 0; k-- {
+			node := graph.NodeID(rng.Intn(n + 2))
+			if rng.Intn(2) == 0 {
+				p.Faults = append(p.Faults, Fault{Kind: Drop, Node: node})
+			} else {
+				p.Faults = append(p.Faults, Fault{Kind: Torn, Node: node, Mask: uint8(rng.Intn(256))})
+			}
+		}
+		if !Materialize(g, c, p).Equal(refMaterialize(g, c, p)) {
+			t.Fatalf("iter %d: Materialize differs from the reference for plan %v", iter, p)
+		}
 	}
 }

@@ -44,7 +44,7 @@ func (c GenConfig) normalize() GenConfig {
 // for degenerate cuts.
 func GenPlan(rng *rand.Rand, g *graph.Graph, c graph.Cut, words []memory.Addr, cfg GenConfig) Plan {
 	cfg = cfg.normalize()
-	frontier := Frontier(g, c)
+	frontier := g.Frontier(c)
 	var persists []graph.NodeID
 	for i, n := range g.Nodes {
 		if c.Included[i] && n.Event.Kind.IsAccess() {

@@ -1,32 +1,11 @@
 package fault
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/memory"
 )
-
-// Frontier returns the cut's frontier: included persists with no
-// included dependents. These are the writes that may still have been
-// in flight at the moment of failure, so torn and dropped persists are
-// only legal there.
-func Frontier(g *graph.Graph, c graph.Cut) []graph.NodeID {
-	hasDep := make([]bool, g.Len())
-	for _, n := range g.Nodes {
-		if !c.Included[n.ID] {
-			continue
-		}
-		for _, e := range n.In {
-			hasDep[e.From] = true
-		}
-	}
-	var out []graph.NodeID
-	for i, n := range g.Nodes {
-		if c.Included[i] && n.Event.Kind.IsAccess() && !hasDep[i] {
-			out = append(out, graph.NodeID(i))
-		}
-	}
-	return out
-}
 
 // Materialize builds the post-crash NVRAM image of cut c perturbed by
 // plan p. It mirrors graph.Materialize — persists applied in trace
@@ -49,6 +28,9 @@ func Materialize(g *graph.Graph, c graph.Cut, p Plan) *memory.Image {
 	drop := make(map[graph.NodeID]bool)
 	torn := make(map[graph.NodeID]uint8)
 	for _, f := range p.Faults {
+		if int(f.Node) >= g.Len() {
+			continue // a hand-edited plan naming no persist of g
+		}
 		switch f.Kind {
 		case Drop:
 			drop[f.Node] = true
@@ -59,36 +41,29 @@ func Materialize(g *graph.Graph, c graph.Cut, p Plan) *memory.Image {
 		}
 	}
 
+	// Dropped persists leave the cut; dependents of a dropped or torn
+	// persist leave it with them.
+	keep := graph.Cut{Included: slices.Clone(c.Included)}
+	roots := make([]graph.NodeID, 0, len(drop)+len(torn))
+	for id := range drop {
+		keep.Included[id] = false
+		roots = append(roots, id)
+	}
+	for id := range torn {
+		roots = append(roots, id)
+	}
+	g.DropDependents(keep, roots...)
+
 	im := memory.NewImage()
-	// excluded marks nodes removed by a drop/tear or by depending on
-	// one; the forward pass works because trace-built graphs are in
-	// topological order with edges pointing backward.
-	excluded := make([]bool, g.Len())
 	for i, n := range g.Nodes {
-		id := graph.NodeID(i)
-		if !c.Included[i] {
-			continue
-		}
-		if drop[id] {
-			excluded[i] = true
-			continue
-		}
-		_, isTorn := torn[id]
-		for _, e := range n.In {
-			if excluded[e.From] || (c.Included[e.From] && tornAncestor(torn, e.From)) {
-				excluded[i] = true
-				break
-			}
-		}
-		if excluded[i] || !n.Event.Kind.IsAccess() {
+		if !keep.Included[i] || !n.Event.Kind.IsAccess() {
 			continue
 		}
 		var b [memory.WordSize]byte
 		for j := 0; j < int(n.Event.Size); j++ {
 			b[j] = byte(n.Event.Val >> (8 * j))
 		}
-		if isTorn {
-			mask := torn[id]
+		if mask, isTorn := torn[graph.NodeID(i)]; isTorn {
 			for j := 0; j < int(n.Event.Size); j++ {
 				if mask&(1<<uint(j)) == 0 {
 					continue
@@ -110,12 +85,4 @@ func Materialize(g *graph.Graph, c graph.Cut, p Plan) *memory.Image {
 		}
 	}
 	return im
-}
-
-// tornAncestor reports whether from is torn (a torn persist's
-// dependents are excluded like a dropped persist's: it never fully
-// reached media).
-func tornAncestor(torn map[graph.NodeID]uint8, from graph.NodeID) bool {
-	_, ok := torn[from]
-	return ok
 }

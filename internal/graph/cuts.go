@@ -99,22 +99,11 @@ func (g *Graph) PrefixCut(k int) Cut {
 // DropCut returns the cut containing every node except `victim` and
 // its descendants (nodes ordered after it). It is the adversarial
 // crash for a single persist: the latest possible failure point at
-// which victim still has not persisted. The result is downward-closed:
-// excluded nodes are exactly the up-closure of victim, so no included
-// node depends on an excluded one.
+// which victim still has not persisted.
 func (g *Graph) DropCut(victim NodeID) Cut {
 	c := g.Full()
 	c.Included[victim] = false
-	// Propagate forward: any node with an excluded dependence is
-	// excluded. Nodes are in topological order for trace-built graphs.
-	for i := int(victim) + 1; i < len(g.Nodes); i++ {
-		for _, e := range g.Nodes[i].In {
-			if !c.Included[e.From] {
-				c.Included[i] = false
-				break
-			}
-		}
-	}
+	g.DropDependents(c, victim)
 	return c
 }
 

@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -57,6 +58,22 @@ func TestBuildMatchesReferenceOnKV(t *testing.T) {
 					t.Fatalf("%s: no edges; the trace does not exercise the builder", ctx)
 				}
 			}
+		}
+	}
+}
+
+// TestReachOnKV runs the reachability property check on KV serving
+// graphs, whose nodes carry about a hundred dependences each.
+func TestReachOnKV(t *testing.T) {
+	for _, policy := range []string{"strict", "epoch", "strand"} {
+		for _, readFrac := range []float64{0, 0.9} {
+			tr, model := kvTrace(t, policy, 128, readFrac, 1)
+			g, err := graph.Build(tr, core.Params{Model: model})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := fmt.Sprintf("kv %s read=%v", policy, readFrac)
+			graph.CheckReach(t, ctx, g, rand.New(rand.NewSource(1)), 24)
 		}
 	}
 }

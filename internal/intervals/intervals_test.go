@@ -328,167 +328,6 @@ func TestSetRandomVsReference(t *testing.T) {
 	}
 }
 
-// naivePersist is the per-word reference for PersistState.
-type naivePersist struct {
-	epoch   uint64
-	mod     map[uint64]uint64
-	persist map[uint64]uint64
-	flushed map[uint64]bool
-}
-
-func newNaivePersist() *naivePersist {
-	return &naivePersist{mod: map[uint64]uint64{}, persist: map[uint64]uint64{}, flushed: map[uint64]bool{}}
-}
-
-func (n *naivePersist) store(lo, hi uint64) {
-	for k := lo; k < hi; k++ {
-		n.mod[k] = n.epoch
-		n.persist[k] = EpochInf
-		delete(n.flushed, k)
-	}
-}
-
-func (n *naivePersist) flush(lo, hi uint64) {
-	for k := lo; k < hi; k++ {
-		if _, ok := n.mod[k]; ok {
-			n.flushed[k] = true
-		}
-	}
-}
-
-func (n *naivePersist) fence() {
-	for k := range n.flushed {
-		if n.persist[k] == EpochInf {
-			n.persist[k] = n.epoch
-		}
-	}
-	n.flushed = map[uint64]bool{}
-	n.epoch++
-}
-
-func (n *naivePersist) isPersisted(lo, hi uint64) bool {
-	for k := lo; k < hi; k++ {
-		if _, ok := n.mod[k]; !ok {
-			continue
-		}
-		if n.persist[k] >= n.epoch {
-			return false
-		}
-	}
-	return true
-}
-
-func (n *naivePersist) isOrderedBefore(aLo, aHi, bLo, bHi uint64) bool {
-	aMax, aAny := uint64(0), false
-	for k := aLo; k < aHi; k++ {
-		if _, ok := n.mod[k]; ok {
-			aAny = true
-			if n.persist[k] > aMax {
-				aMax = n.persist[k]
-			}
-		}
-	}
-	if !aAny {
-		return true
-	}
-	if aMax == EpochInf {
-		return false
-	}
-	bMin, bAny := uint64(EpochInf), false
-	for k := bLo; k < bHi; k++ {
-		if _, ok := n.mod[k]; ok {
-			bAny = true
-			if n.mod[k] < bMin {
-				bMin = n.mod[k]
-			}
-		}
-	}
-	if !bAny {
-		return false
-	}
-	return aMax < bMin
-}
-
-// TestPersistStateVsNaive drives random store/flush/fence sequences
-// and checks IsPersisted / IsOrderedBefore against the per-word
-// reference on random query ranges.
-func TestPersistStateVsNaive(t *testing.T) {
-	const span = 64
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s := NewPersistState[uint64]()
-		n := newNaivePersist()
-		for op := 0; op < 250; op++ {
-			lo := uint64(rng.Intn(span))
-			hi := lo + 1 + uint64(rng.Intn(10))
-			switch rng.Intn(5) {
-			case 0, 1:
-				s.Store(lo, hi)
-				n.store(lo, hi)
-			case 2, 3:
-				s.Flush(lo, hi)
-				n.flush(lo, hi)
-			case 4:
-				s.Fence()
-				n.fence()
-			}
-			if s.Epoch() != n.epoch {
-				t.Fatalf("seed %d op %d: epoch %d != %d", seed, op, s.Epoch(), n.epoch)
-			}
-			qa := uint64(rng.Intn(span))
-			qb := qa + uint64(rng.Intn(12))
-			if got, want := s.IsPersisted(qa, qb), n.isPersisted(qa, qb); got != want {
-				t.Fatalf("seed %d op %d IsPersisted(%d,%d) = %v want %v", seed, op, qa, qb, got, want)
-			}
-			ra := uint64(rng.Intn(span))
-			rb := ra + uint64(rng.Intn(12))
-			if got, want := s.IsOrderedBefore(qa, qb, ra, rb), n.isOrderedBefore(qa, qb, ra, rb); got != want {
-				t.Fatalf("seed %d op %d IsOrderedBefore = %v want %v", seed, op, got, want)
-			}
-		}
-	}
-}
-
-// TestPersistStateExample pins the canonical store→flush→fence
-// lifecycle from the Agamotto design.
-func TestPersistStateExample(t *testing.T) {
-	s := NewPersistState[uint64]()
-	s.Store(0, 64)
-	if s.IsPersisted(0, 64) {
-		t.Fatal("modified data persisted without flush+fence")
-	}
-	s.Flush(0, 64)
-	if s.IsPersisted(0, 64) {
-		t.Fatal("flush alone must not persist (flushes may be delayed)")
-	}
-	s.Fence()
-	if !s.IsPersisted(0, 64) {
-		t.Fatal("flush + fence must persist")
-	}
-	if !s.IsPersisted(1000, 2000) {
-		t.Fatal("untouched space is trivially persisted")
-	}
-	// Ordering: A persisted in epoch 0; B modified in epoch 1.
-	s.Store(128, 192)
-	if !s.IsOrderedBefore(0, 64, 128, 192) {
-		t.Fatal("A fenced before B modified must be ordered")
-	}
-	if s.IsOrderedBefore(128, 192, 0, 64) {
-		t.Fatal("unflushed B cannot be ordered before anything")
-	}
-	// Same-epoch mod and flush: windows overlap, no ordering.
-	s.Store(256, 320)
-	s.Flush(256, 320)
-	s.Flush(128, 192)
-	s.Fence()
-	if !s.IsPersisted(128, 192) || !s.IsPersisted(256, 320) {
-		t.Fatal("both fenced ranges must be persisted")
-	}
-	if s.IsOrderedBefore(128, 192, 256, 320) || s.IsOrderedBefore(256, 320, 128, 192) {
-		t.Fatal("same-epoch persists are unordered")
-	}
-}
-
 // TestMapAllocSteadyState: once the leaves have grown, churn on a
 // bounded key space allocates nothing.
 func TestMapAllocSteadyState(t *testing.T) {

@@ -223,7 +223,7 @@ func effectivePlan(g *graph.Graph, c graph.Cut, p fault.Plan, maxRetries int) fa
 		maxRetries = 8 // nvram.Config default
 	}
 	onFrontier := map[graph.NodeID]bool{}
-	for _, n := range fault.Frontier(g, c) {
+	for _, n := range g.Frontier(c) {
 		onFrontier[n] = true
 	}
 	out := p
@@ -448,7 +448,7 @@ func MinimizeScenario(g *graph.Graph, c graph.Cut, p fault.Plan, bad func(graph.
 		// Pass 2: shrink the cut one frontier node at a time.
 		for {
 			shrunk := false
-			for _, n := range fault.Frontier(g, c) {
+			for _, n := range g.Frontier(c) {
 				c2 := graph.Cut{Included: append([]bool{}, c.Included...)}
 				c2.Included[n] = false
 				if !spend() {

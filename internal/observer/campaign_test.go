@@ -147,7 +147,7 @@ func TestMinimizeScenarioNeverGrows(t *testing.T) {
 	c := g.Full()
 	p := fault.Plan{Faults: []fault.Fault{
 		{Kind: fault.Retry, Node: 1, Attempts: 2},
-		{Kind: fault.Drop, Node: fault.Frontier(g, c)[0]},
+		{Kind: fault.Drop, Node: g.Frontier(c)[0]},
 		{Kind: fault.FlipSilent, Addr: memory.PersistentBase, Bit: 3},
 	}}
 	// Synthetic failure predicate: the scenario "fails" while it keeps

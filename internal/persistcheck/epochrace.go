@@ -117,7 +117,7 @@ func checkEpochRaces(tr *trace.Trace, g *graph.Graph, idx *graphIndex, p core.Pa
 				if lo > hi {
 					lo, hi = hi, lo
 				}
-				if !idx.hasPath(lo, hi) {
+				if !idx.HasPath(lo, hi) {
 					wa, wb = lo, hi
 					break search
 				}
@@ -127,8 +127,7 @@ func checkEpochRaces(tr *trace.Trace, g *graph.Graph, idx *graphIndex, p core.Pa
 			continue
 		}
 		ae, be := g.Nodes[wa].Event, g.Nodes[wb].Event
-		cut := divergentCut(g, idx, wb)
-		r.add(Finding{
+		r.addHazard(Finding{
 			Kind:     EpochRace,
 			Severity: Hazard,
 			Msg: fmt.Sprintf("persist-epoch race on %#x (t%d/e%d vs t%d/e%d): persists %s and %s are unordered under %s",
@@ -139,9 +138,7 @@ func checkEpochRaces(tr *trace.Trace, g *graph.Graph, idx *graphIndex, p core.Pa
 			Seq:      be.Seq,
 			WitnessA: wa,
 			WitnessB: wb,
-			Cut:      cut,
-			Repro:    cfg.repro(cut),
-		}, cfg.limit())
+		}, idx.Reach, cfg)
 	}
 	if rr.Total > len(rr.Races) {
 		r.skip("epoch-race detection: %d additional racing conflict pairs beyond the example cap were not examined", rr.Total-len(rr.Races))

@@ -86,13 +86,12 @@ func checkEscapes(tr *trace.Trace, g *graph.Graph, idx *graphIndex, p core.Param
 				if !regionCovers(ann.OrderAfter[i], e) {
 					continue
 				}
-				if idx.hasPath(o[i].src, node) {
+				if idx.HasPath(o[i].src, node) {
 					o[i].settled = true
 					continue
 				}
 				se := g.Nodes[o[i].src].Event
-				cut := divergentCut(g, idx, node)
-				r.add(Finding{
+				r.addHazard(Finding{
 					Kind:     UnboundRead,
 					Severity: Hazard,
 					Msg: fmt.Sprintf("persist %s is not ordered after %q persist %s observed by t%d's load at #%d",
@@ -102,9 +101,7 @@ func checkEscapes(tr *trace.Trace, g *graph.Graph, idx *graphIndex, p core.Param
 					Seq:      e.Seq,
 					WitnessA: o[i].src,
 					WitnessB: node,
-					Cut:      cut,
-					Repro:    cfg.repro(cut),
-				}, cfg.limit())
+				}, idx.Reach, cfg)
 				o[i].reported = true
 			}
 			// Track the regions' latest persist (after the obligation

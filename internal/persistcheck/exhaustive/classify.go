@@ -287,19 +287,7 @@ func minimize(g *graph.Graph, f final, hazard *outcome, tr *trie, strict observe
 		}
 		cand := graph.Cut{Included: append([]bool(nil), cut.Included...)}
 		cand.Included[i] = false
-		// Forward-propagate the exclusion to keep the cut
-		// downward-closed.
-		for j := i + 1; j < n; j++ {
-			if !cand.Included[j] {
-				continue
-			}
-			for _, e := range g.Nodes[j].In {
-				if !cand.Included[e.From] {
-					cand.Included[j] = false
-					break
-				}
-			}
-		}
+		g.DropDependents(cand, graph.NodeID(i))
 		budget--
 		o, err := tr.classify(imgOfCut(tr.words, cand), sc, strict, checked)
 		if err != nil {

@@ -181,7 +181,7 @@ func fourChains() *graph.Graph {
 // prints as ">=" MaxUint64.
 func TestSaturatedCutCount(t *testing.T) {
 	g := fourChains()
-	desc := descendants(g)
+	desc := g.Descendants()
 	if cuts, sat := countCuts(g, desc, 1<<20); cuts != 81 || sat {
 		t.Fatalf("countCuts = (%d, %v), want (81, false)", cuts, sat)
 	}

@@ -350,7 +350,7 @@ const (
 // level; slabs hold the storage of states that survive a merge.
 type enumerator struct {
 	n, t   int
-	desc   []bits
+	desc   [][]uint64 // per node, its descendants (graph.Descendants)
 	words  *wordTable
 	sp     *space
 	live   []state
@@ -374,7 +374,7 @@ type enumerator struct {
 func enumerate(g *graph.Graph, cfg Config) (*space, error) {
 	n := g.Len()
 	budget := cfg.budget()
-	desc := descendants(g)
+	desc := g.Descendants()
 	e := &enumerator{
 		n: n, desc: desc, words: newWordTable(g),
 		bucket: make(map[uint64]int32),
@@ -426,30 +426,6 @@ func enumerate(g *graph.Graph, cfg Config) (*space, error) {
 	}
 	e.sp.cuts, e.sp.cutsSat = countCuts(g, desc, budget)
 	return e.sp, nil
-}
-
-// descendants returns each node's transitive descendant bitset: every
-// node reachable from it by forward edges. Edges point backward (In),
-// so it walks IDs descending and folds each node into its
-// predecessors.
-func descendants(g *graph.Graph) []bits {
-	n := g.Len()
-	words := (n + 63) / 64
-	flat := make([]uint64, n*words)
-	desc := make([]bits, n)
-	for i := range desc {
-		desc[i] = flat[i*words : (i+1)*words : (i+1)*words]
-	}
-	for i := n - 1; i >= 0; i-- {
-		for _, e := range g.Nodes[i].In {
-			d := desc[e.From]
-			d.set(i)
-			for w := range desc[i] {
-				d[w] |= desc[i][w]
-			}
-		}
-	}
-	return desc
 }
 
 // expand describes the children of every live state at node t: one
@@ -615,7 +591,7 @@ func suffixHash(ws []uint64) uint64 {
 // Entry i of a level keeps its killed-set in words [i*stride,
 // (i+1)*stride) of one flat array. Only the words holding bits from
 // the level's next node up are written: the DP never reads below them.
-func countCuts(g *graph.Graph, desc []bits, budget int) (uint64, bool) {
+func countCuts(g *graph.Graph, desc [][]uint64, budget int) (uint64, bool) {
 	n := g.Len()
 	stride := (n + 63) / 64
 	type centry struct {

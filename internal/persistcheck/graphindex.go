@@ -5,26 +5,17 @@ import (
 	"repro/internal/trace"
 )
 
-// graphIndex provides the reachability queries the analyses share over
-// one trace-built constraint graph. Trace-built graphs are topologically
-// ordered (every edge points backward), which keeps every query a simple
-// backward walk.
+// graphIndex is what the analyses share over one trace-built graph:
+// the map from trace events to persist nodes, and the graph's
+// reachability queries (graph.Reach).
 type graphIndex struct {
-	g *graph.Graph
 	// nodeOf maps a trace Seq to its persist node, -1 for non-persists.
 	nodeOf []graph.NodeID
-	// visited is a generation-stamped scratch array for BFS.
-	visited []uint32
-	gen     uint32
-	queue   []graph.NodeID
+	*graph.Reach
 }
 
 func newGraphIndex(tr *trace.Trace, g *graph.Graph) *graphIndex {
-	idx := &graphIndex{
-		g:       g,
-		nodeOf:  make([]graph.NodeID, tr.Len()),
-		visited: make([]uint32, g.Len()),
-	}
+	idx := &graphIndex{nodeOf: make([]graph.NodeID, tr.Len()), Reach: graph.NewReach(g)}
 	for i := range idx.nodeOf {
 		idx.nodeOf[i] = -1
 	}
@@ -32,77 +23,4 @@ func newGraphIndex(tr *trace.Trace, g *graph.Graph) *graphIndex {
 		idx.nodeOf[n.Event.Seq] = n.ID
 	}
 	return idx
-}
-
-// hasPath reports whether the model graph orders a before b (a path
-// a→…→b exists). Edges point backward, so it walks b's ancestors,
-// pruning below a: node ids are topologically ordered, so no node with
-// id < a can have a as an ancestor.
-func (idx *graphIndex) hasPath(a, b graph.NodeID) bool {
-	if a == b {
-		return true
-	}
-	if a > b {
-		return false
-	}
-	idx.gen++
-	idx.queue = idx.queue[:0]
-	idx.visited[b] = idx.gen
-	idx.queue = append(idx.queue, b)
-	for len(idx.queue) > 0 {
-		n := idx.queue[len(idx.queue)-1]
-		idx.queue = idx.queue[:len(idx.queue)-1]
-		for _, e := range idx.g.Nodes[n].In {
-			if e.From == a {
-				return true
-			}
-			if e.From > a && idx.visited[e.From] != idx.gen {
-				idx.visited[e.From] = idx.gen
-				idx.queue = append(idx.queue, e.From)
-			}
-		}
-	}
-	return false
-}
-
-// ancestors returns all strict ancestors of b in the model graph.
-func (idx *graphIndex) ancestors(b graph.NodeID) []graph.NodeID {
-	idx.gen++
-	idx.queue = idx.queue[:0]
-	idx.visited[b] = idx.gen
-	idx.queue = append(idx.queue, b)
-	var out []graph.NodeID
-	for i := 0; i < len(idx.queue); i++ {
-		for _, e := range idx.g.Nodes[idx.queue[i]].In {
-			if idx.visited[e.From] != idx.gen {
-				idx.visited[e.From] = idx.gen
-				idx.queue = append(idx.queue, e.From)
-				out = append(out, e.From)
-			}
-		}
-	}
-	return out
-}
-
-// markAncestors stamps b and all its ancestors with a fresh generation
-// and returns it; inMarked then answers membership queries against that
-// set without re-walking.
-func (idx *graphIndex) markAncestors(b graph.NodeID) uint32 {
-	idx.gen++
-	idx.queue = idx.queue[:0]
-	idx.visited[b] = idx.gen
-	idx.queue = append(idx.queue, b)
-	for i := 0; i < len(idx.queue); i++ {
-		for _, e := range idx.g.Nodes[idx.queue[i]].In {
-			if idx.visited[e.From] != idx.gen {
-				idx.visited[e.From] = idx.gen
-				idx.queue = append(idx.queue, e.From)
-			}
-		}
-	}
-	return idx.gen
-}
-
-func (idx *graphIndex) inMarked(n graph.NodeID, gen uint32) bool {
-	return idx.visited[n] == gen
 }

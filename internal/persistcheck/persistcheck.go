@@ -184,23 +184,25 @@ func Check(tr *trace.Trace, p core.Params, ann Annotations, cfg Config) (*Report
 	checkEscapes(tr, g, idx, p, ann, cfg, r)
 	checkEpochRaces(tr, g, idx, p, cfg, r)
 	checkBarriers(tr, p, barriers, cfg, r)
-	checkUnprotected(g, idx, ann, cfg, r)
+	checkUnprotected(g, ann, cfg, r)
 
 	return r, nil
 }
 
-// divergentCut returns the earliest crash state exposing node b without
-// node a: the down-closure of b under the model graph. Valid under the
-// model by construction; invalid under any model that orders a before b
-// (in particular SC/strict order whenever a precedes b in the trace),
-// which is what makes the state SC-divergent.
-func divergentCut(g *graph.Graph, idx *graphIndex, b graph.NodeID) graph.Cut {
-	c := graph.Cut{Included: make([]bool, g.Len())}
-	for _, id := range idx.ancestors(b) {
-		c.Included[id] = true
+// addHazard counts a hazard finding and, while its kind is under the
+// limit, stores it with its divergent cut and that cut's repro line.
+// The cut is the down-closure of WitnessB: the earliest crash state
+// exposing B without A. It is valid under the model by construction and
+// invalid under any model that orders A before B (in particular SC
+// order, since A precedes B in the trace), which is what makes the
+// state SC-divergent. Findings past the limit never build either.
+func (r *Report) addHazard(f Finding, reach *graph.Reach, cfg Config) {
+	if !r.keep(f.Kind, cfg.limit()) {
+		return
 	}
-	c.Included[b] = true
-	return c
+	f.Cut = reach.DownClosure(f.WitnessB)
+	f.Repro = cfg.repro(f.Cut)
+	r.Findings = append(r.Findings, f)
 }
 
 // repro serializes a finding's divergent cut into the fault-campaign

@@ -117,9 +117,10 @@ func (ps *pubState) publish(e trace.Event, node graph.NodeID, g *graph.Graph, id
 		if len(pend) == 0 {
 			return
 		}
-		gen := idx.markAncestors(node)
+		// Pending nodes are in id order, so no walk below the oldest.
+		idx.Mark(node, pend[0])
 		for _, d := range pend {
-			if !idx.inMarked(d, gen) {
+			if !idx.Marked(d) {
 				ps.report(g, idx, cfg, r, d, node, e)
 			}
 		}
@@ -144,14 +145,14 @@ func (ps *pubState) publish(e trace.Event, node graph.NodeID, g *graph.Graph, id
 	if len(ps.valPending) == 0 {
 		return
 	}
-	gen := idx.markAncestors(node)
+	idx.Mark(node, ps.valPending[0].node)
 	kept := ps.valPending[:0]
 	for _, ve := range ps.valPending {
 		if ve.end > v {
 			kept = append(kept, ve)
 			continue
 		}
-		if !idx.inMarked(ve.node, gen) {
+		if !idx.Marked(ve.node) {
 			ps.report(g, idx, cfg, r, ve.node, node, e)
 		}
 	}
@@ -160,8 +161,7 @@ func (ps *pubState) publish(e trace.Event, node graph.NodeID, g *graph.Graph, id
 
 func (ps *pubState) report(g *graph.Graph, idx *graphIndex, cfg Config, r *Report, d, p graph.NodeID, e trace.Event) {
 	de := g.Nodes[d].Event
-	cut := divergentCut(g, idx, p)
-	r.add(Finding{
+	r.addHazard(Finding{
 		Kind:     UnpersistedPublication,
 		Severity: Hazard,
 		Msg: fmt.Sprintf("%q persist %s publishes data persist %s without an ordering path",
@@ -171,7 +171,5 @@ func (ps *pubState) report(g *graph.Graph, idx *graphIndex, cfg Config, r *Repor
 		Seq:      e.Seq,
 		WitnessA: d,
 		WitnessB: p,
-		Cut:      cut,
-		Repro:    cfg.repro(cut),
-	}, cfg.limit())
+	}, idx.Reach, cfg)
 }

@@ -140,15 +140,23 @@ type Report struct {
 }
 
 func (r *Report) add(f Finding, limit int) {
-	r.Counts[f.Kind]++
+	if r.keep(f.Kind, limit) {
+		r.Findings = append(r.Findings, f)
+	}
+}
+
+// keep counts one finding of kind k and reports whether the kind is
+// still under its storage limit, in which case the caller stores it.
+func (r *Report) keep(k Kind, limit int) bool {
+	r.Counts[k]++
 	if r.stored == nil {
 		r.stored = make(map[Kind]int)
 	}
-	if r.stored[f.Kind] >= limit {
-		return
+	if r.stored[k] >= limit {
+		return false
 	}
-	r.stored[f.Kind]++
-	r.Findings = append(r.Findings, f)
+	r.stored[k]++
+	return true
 }
 
 func (r *Report) skip(format string, args ...any) {

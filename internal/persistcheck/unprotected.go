@@ -24,7 +24,7 @@ import (
 // quiescent post-run state — no ordering divergence needed) and whose
 // plan flips one mid-byte bit in the flagged word: replaying it
 // demonstrates the silent corruption directly.
-func checkUnprotected(g *graph.Graph, idx *graphIndex, ann Annotations, cfg Config, r *Report) {
+func checkUnprotected(g *graph.Graph, ann Annotations, cfg Config, r *Report) {
 	if len(ann.Pubs) == 0 && len(ann.OrderAfter) == 0 {
 		return
 	}
@@ -40,7 +40,7 @@ func checkUnprotected(g *graph.Graph, idx *graphIndex, ann Annotations, cfg Conf
 		return prot.Covers(a, a+memory.Addr(size))
 	}
 	report := func(name string, a memory.Addr, size uint64) {
-		cut := fullCut(g)
+		cut := g.Full()
 		repro := ""
 		if len(cfg.ReproParams) > 0 {
 			s := fault.Scenario{
@@ -85,13 +85,4 @@ func checkUnprotected(g *graph.Graph, idx *graphIndex, ann Annotations, cfg Conf
 			report(reg.Name, reg.Addr, reg.Size)
 		}
 	}
-}
-
-// fullCut includes every persist: the quiescent end-of-run state.
-func fullCut(g *graph.Graph) graph.Cut {
-	c := graph.Cut{Included: make([]bool, g.Len())}
-	for i := range c.Included {
-		c.Included[i] = true
-	}
-	return c
 }

@@ -78,6 +78,24 @@ type Run struct {
 	Describe string
 }
 
+// Validate rejects option sets no workload can run: fewer than one
+// thread, a negative insert count, or (for the queue) a payload outside
+// [1, queue.MaxPayload]. Build calls it first, so a bad flag or a
+// hand-edited repro line is an error instead of a panic deep in exec or
+// the queue.
+func (o Options) Validate() error {
+	if o.Threads < 1 {
+		return fmt.Errorf("%s workload: need threads >= 1 (threads %d)", o.Workload, o.Threads)
+	}
+	if o.Inserts < 0 {
+		return fmt.Errorf("%s workload: negative insert count %d", o.Workload, o.Inserts)
+	}
+	if o.Workload == "queue" && (o.Payload < 1 || o.Payload > queue.MaxPayload) {
+		return fmt.Errorf("queue workload: payload %d bytes outside [1, %d]", o.Payload, queue.MaxPayload)
+	}
+	return nil
+}
+
 // Params serializes the options into repro-string parameters,
 // sufficient for FromScenario to rebuild the identical trace.
 func (o Options) Params() []fault.Param {
@@ -166,6 +184,9 @@ func FromScenario(s *fault.Scenario) (Options, error) {
 // cheap) setup pass re-runs to rebuild the adapters, and the cached
 // trace is adopted.
 func Build(o Options, cache *bench.TraceCache) (*Run, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
 	if cache == nil {
 		tr := &trace.Trace{}
 		m := exec.NewMachine(exec.Config{Threads: o.Threads, Seed: o.Seed, Sink: tr})

@@ -87,6 +87,44 @@ func TestBuildRejectsUnknownWorkload(t *testing.T) {
 	}
 }
 
+// TestOptionsValidate pins which option sets Build refuses: those that
+// used to panic (zero threads divide, a negative insert count
+// allocates a negative size, a zero-byte queue payload) or ran with a
+// meaningless thread count. Everything else, including zero inserts
+// and a payload the journal and PSTM ignore, still builds.
+func TestOptionsValidate(t *testing.T) {
+	ok := Options{Workload: "queue", Threads: 2, Inserts: 4, Payload: 16, Seed: 1}
+	cases := []struct {
+		name  string
+		mut   func(*Options)
+		valid bool
+	}{
+		{"queue", func(*Options) {}, true},
+		{"zero inserts", func(o *Options) { o.Inserts = 0 }, true},
+		{"fewer inserts than threads", func(o *Options) { o.Inserts = 1; o.Threads = 3 }, true},
+		{"journal ignores payload", func(o *Options) { o.Workload = "journal"; o.Payload = 0 }, true},
+		{"pstm ignores payload", func(o *Options) { o.Workload = "pstm"; o.Payload = -1 }, true},
+		{"zero threads", func(o *Options) { o.Threads = 0 }, false},
+		{"negative threads", func(o *Options) { o.Threads = -1 }, false},
+		{"pstm zero threads", func(o *Options) { o.Workload = "pstm"; o.Threads = 0 }, false},
+		{"negative inserts", func(o *Options) { o.Inserts = -4 }, false},
+		{"journal negative inserts", func(o *Options) { o.Workload = "journal"; o.Inserts = -1 }, false},
+		{"zero payload", func(o *Options) { o.Payload = 0 }, false},
+		{"oversized payload", func(o *Options) { o.Payload = queue.MaxPayload + 1 }, false},
+	}
+	for _, tc := range cases {
+		o := ok
+		tc.mut(&o)
+		if err := o.Validate(); (err == nil) != tc.valid {
+			t.Errorf("%s: Validate() = %v, want valid %v", tc.name, err, tc.valid)
+		}
+		run, err := Build(o, nil)
+		if (err == nil) != tc.valid || (err == nil) != (run != nil) {
+			t.Errorf("%s: Build error %v, want valid %v", tc.name, err, tc.valid)
+		}
+	}
+}
+
 func TestModelForPolicy(t *testing.T) {
 	cases := []struct {
 		wl     string

@@ -1,8 +1,8 @@
 #!/bin/sh
 # bench_core.sh runs the hot-path microbenchmarks (simulator feed,
 # all-model replay, trace emit and replay, graph build and critical
-# path, KV trace production, exhaustive checking) and writes
-# BENCH_core.json with ns/op, B/op, and allocs/op per benchmark.
+# path, KV trace production, persistcheck and exhaustive checking) and
+# writes BENCH_core.json with ns/op, B/op, and allocs/op per benchmark.
 #
 # Usage: scripts/bench_core.sh [benchtime] [count] > BENCH_core.json
 # benchtime defaults to 100x; CI uses 1x for a smoke pass. A count > 1
@@ -22,8 +22,8 @@ count="${2:-1}"
 cd "$(dirname "$0")/.."
 
 go test -run '^$' -benchmem -benchtime "$benchtime" -count $((count + 1)) \
-    -bench 'BenchmarkSimFeed|BenchmarkSimulateAll|BenchmarkTraceReplay|BenchmarkTraceEmit|BenchmarkGraphBuild|BenchmarkCriticalPathKV|BenchmarkBuildKV|BenchmarkExhaustiveCheck' \
-    ./internal/core ./internal/trace ./internal/graph ./internal/workload ./internal/persistcheck/exhaustive |
+    -bench 'BenchmarkSimFeed|BenchmarkSimulateAll|BenchmarkTraceReplay|BenchmarkTraceEmit|BenchmarkGraphBuild|BenchmarkCriticalPathKV|BenchmarkBuildKV|BenchmarkPersistcheckKV|BenchmarkExhaustiveCheck' \
+    ./internal/core ./internal/trace ./internal/graph ./internal/workload ./internal/persistcheck ./internal/persistcheck/exhaustive |
 awk -v benchtime="$benchtime" '
 BEGIN {
     printf "{\n  \"suite\": \"core-microbench\",\n  \"benchtime\": \"%s\",\n  \"benchmarks\": [\n", benchtime
