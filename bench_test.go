@@ -42,7 +42,7 @@ const (
 func BenchmarkTable1(b *testing.B) {
 	for _, threads := range []int{1, 8} {
 		for _, design := range []queue.Design{queue.CWL, queue.TwoLock} {
-			for _, pol := range queue.Policies {
+			for _, pol := range core.Policies {
 				name := fmt.Sprintf("%v/%v/%dT", design, pol, threads)
 				b.Run(name, func(b *testing.B) {
 					var r core.Result
@@ -52,7 +52,7 @@ func BenchmarkTable1(b *testing.B) {
 							Inserts: benchInserts, PayloadLen: benchPayload, Seed: 42,
 						}
 						var err error
-						r, err = bench.Simulate(w, core.Params{Model: bench.ModelFor(pol)})
+						r, err = bench.Simulate(w, core.Params{Model: pol.Model()})
 						if err != nil {
 							b.Fatal(err)
 						}
@@ -155,7 +155,7 @@ func BenchmarkFigure5(b *testing.B) {
 // banks, device conflicts rather than ordering constraints bound
 // throughput.
 func BenchmarkBanksAblation(b *testing.B) {
-	w := bench.Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 4, Inserts: 500, PayloadLen: benchPayload, Seed: 42}
+	w := bench.Workload{Design: queue.CWL, Policy: core.PolicyEpoch, Threads: 4, Inserts: 500, PayloadLen: benchPayload, Seed: 42}
 	tr, err := bench.Trace(w)
 	if err != nil {
 		b.Fatal(err)
@@ -219,7 +219,7 @@ func BenchmarkPSTMTable(b *testing.B) {
 func BenchmarkUnbufferedStrict(b *testing.B) {
 	var r core.Result
 	for i := 0; i < b.N; i++ {
-		w := bench.Workload{Design: queue.CWL, Policy: queue.PolicyStrict, Threads: 1, Inserts: benchInserts, PayloadLen: benchPayload, Seed: 42}
+		w := bench.Workload{Design: queue.CWL, Policy: core.PolicyStrict, Threads: 1, Inserts: benchInserts, PayloadLen: benchPayload, Seed: 42}
 		var err error
 		r, err = bench.Simulate(w, core.Params{Model: core.Strict})
 		if err != nil {

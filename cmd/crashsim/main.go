@@ -101,7 +101,7 @@ func run(env *cli.Env) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	model := workload.ModelForPolicy(*wl, policy)
+	model := policy.Model()
 	if *modelStr != "" {
 		model, err = workload.ParseModel(*modelStr)
 		if err != nil {
@@ -298,7 +298,7 @@ func replayTarget(s *fault.Scenario) (*workload.Run, core.Model, error) {
 	}
 	// KVOptions carry no model: a model= param names the one the
 	// finding was checked under; lines without one use the target.
-	model := workload.ModelForPolicy("kv", pol)
+	model := pol.Model()
 	if m, ok := s.Param("model"); ok {
 		if model, err = workload.ParseModel(m); err != nil {
 			return nil, 0, err

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/queue"
 	"repro/internal/workload"
 )
 
@@ -22,20 +21,11 @@ func TestReplayKVDispatch(t *testing.T) {
 		Shards: 2, Keys: 8, Threads: 2, Ops: 8,
 		ReadFrac: 0.5, Seed: 7, PolicyStr: "epoch",
 	}
-	pol, err := workload.ParsePolicy(kvOpts.PolicyStr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kvOpts.Policy, err = workload.JournalPolicy(pol)
-	if err != nil {
-		t.Fatal(err)
-	}
 	run, err := workload.BuildKV(kvOpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := workload.ModelForPolicy("kv", pol)
-	g, err := graph.Build(run.Trace, core.Params{Model: model})
+	g, err := graph.Build(run.Trace, core.Params{Model: kvOpts.Policy.Model()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,12 +45,7 @@ func TestReplayKVDispatch(t *testing.T) {
 func TestReplayKVModelParam(t *testing.T) {
 	kvOpts := workload.KVOptions{
 		Shards: 2, Keys: 8, Threads: 2, Ops: 8,
-		ReadFrac: 0.5, Seed: 7, PolicyStr: "epoch",
-	}
-	var err error
-	kvOpts.Policy, err = workload.JournalPolicy(queue.PolicyEpoch)
-	if err != nil {
-		t.Fatal(err)
+		ReadFrac: 0.5, Policy: core.PolicyEpoch, Seed: 7, PolicyStr: "epoch",
 	}
 	run, err := workload.BuildKV(kvOpts, nil)
 	if err != nil {
@@ -111,7 +96,7 @@ func TestReplayQueueDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Model = workload.ModelForPolicy(o.Workload, o.Policy)
+	o.Model = o.Policy.Model()
 	run, err := workload.Build(o, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/journal"
-	"repro/internal/queue"
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
@@ -113,7 +112,7 @@ func run(env *cli.Env) (int, error) {
 		}
 		return itemOut{results: res, events: int64(kv.Trace.Len())}, nil
 	}, func(i int, v itemOut) error {
-		target := workload.ModelForPolicy("journal", grid[i].qpol)
+		target := grid[i].opts.Policy.Model()
 		for _, r := range v.results {
 			telemetry.ObserveResult(reg, fmt.Sprintf("kv/%s/%v", grid[i].name, r.Model), r)
 			rows = append(rows, row{
@@ -154,11 +153,9 @@ func run(env *cli.Env) (int, error) {
 	return 0, nil
 }
 
-// gridItem pairs the policy's flag spelling with the built options;
-// the queue-space enum is kept only to resolve the target model.
+// gridItem pairs the policy's flag spelling with the built options.
 type gridItem struct {
 	name string
-	qpol queue.Policy
 	opts workload.KVOptions
 }
 
@@ -166,23 +163,19 @@ func parseGrid(policies string, shards int, keys uint64, threads, ops int, readF
 	var grid []gridItem
 	for _, name := range strings.Split(policies, ",") {
 		name = strings.TrimSpace(name)
-		qp, err := workload.ParsePolicy(name)
-		if err != nil {
-			return nil, err
-		}
-		jp, err := workload.JournalPolicy(qp)
+		pol, err := workload.ParsePolicy(name)
 		if err != nil {
 			return nil, err
 		}
 		opts := workload.KVOptions{
 			Shards: shards, Keys: keys, Threads: threads, Ops: ops,
-			ReadFrac: readFrac, ZipfS: zipfS, Policy: jp,
+			ReadFrac: readFrac, ZipfS: zipfS, Policy: pol,
 			Integrity: integrity, Seed: seed, PolicyStr: name,
 		}
 		if err := opts.Validate(); err != nil {
 			return nil, err
 		}
-		grid = append(grid, gridItem{name: name, qpol: qp, opts: opts})
+		grid = append(grid, gridItem{name: name, opts: opts})
 	}
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("empty policy grid")
@@ -247,7 +240,7 @@ func dumpGraph(path string, item gridItem, spans *telemetry.SpanTracer) error {
 	if err != nil {
 		return err
 	}
-	p := core.Params{Model: workload.ModelForPolicy("journal", item.qpol)}
+	p := core.Params{Model: item.opts.Policy.Model()}
 	sp := spans.Start("graph", "build").Arg("model", p.Model.String())
 	g, err := graph.Build(run.Trace, p)
 	if err == nil {

@@ -247,7 +247,7 @@ func run(env *cli.Env) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	models := []core.Model{workload.ModelForPolicy(*wl, policy)}
+	models := []core.Model{policy.Model()}
 	switch {
 	case *allModels:
 		models = core.Models
@@ -268,13 +268,9 @@ func run(env *cli.Env) (int, error) {
 		DesignStr: *designStr, PolicyStr: *policyStr,
 	})
 	if *wl == "kv" {
-		jp, err := workload.JournalPolicy(policy)
-		if err != nil {
-			return 0, err
-		}
 		build = kvBuilder(workload.KVOptions{
 			Shards: *shards, Keys: *keys, Threads: *threads, Ops: *inserts,
-			ReadFrac: *readFrac, ZipfS: 1.1, Policy: jp,
+			ReadFrac: *readFrac, ZipfS: 1.1, Policy: policy,
 			Integrity: *integrity, Seed: *seed, PolicyStr: *policyStr,
 		})
 	}

@@ -34,13 +34,9 @@ func kvFixture(t *testing.T, policy string, readFrac float64) builder {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jp, err := workload.JournalPolicy(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return kvBuilder(workload.KVOptions{
 		Shards: 2, Keys: 8, Threads: 2, Ops: 8,
-		ReadFrac: readFrac, ZipfS: 1.1, Policy: jp, Seed: 42, PolicyStr: policy,
+		ReadFrac: readFrac, ZipfS: 1.1, Policy: p, Seed: 42, PolicyStr: policy,
 	})
 }
 
@@ -53,7 +49,7 @@ func kvTarget(t *testing.T, policy string, readFrac float64, exhaustive bool) (s
 	}
 	text, total, err := checkModels(checkConfig{
 		build:      kvFixture(t, policy, readFrac),
-		models:     []core.Model{workload.ModelForPolicy("kv", p)},
+		models:     []core.Model{p.Model()},
 		exhaustive: exhaustive,
 		parallel:   1,
 	})

@@ -34,7 +34,7 @@ const (
 
 // runFS executes the rename workload under a policy and returns the
 // trace plus recovery metadata.
-func runFS(policy journal.Policy, seed int64) (*trace.Trace, journal.Meta) {
+func runFS(policy core.Policy, seed int64) (*trace.Trace, journal.Meta) {
 	tr := &trace.Trace{}
 	m := exec.NewMachine(exec.Config{Threads: threads, Seed: seed, Sink: tr})
 	s := m.SetupThread()
@@ -80,7 +80,7 @@ func atomicityCheck(meta journal.Meta) func(*memory.Image) error {
 }
 
 // crashStorm samples crash states and reports the corruption count.
-func crashStorm(policy journal.Policy, seed int64) (corrupt, total int) {
+func crashStorm(policy core.Policy, seed int64) (corrupt, total int) {
 	tr, meta := runFS(policy, seed)
 	g, err := graph.Build(tr, core.Params{Model: core.Epoch})
 	if err != nil {
@@ -102,14 +102,14 @@ func main() {
 	fmt.Printf("journaled metadata: %d threads × %d renames, %dB ring (checkpoints occur)\n\n",
 		threads, renames, ringBytes)
 
-	c, n := crashStorm(journal.PolicyEpoch, 1)
+	c, n := crashStorm(core.PolicyEpoch, 1)
 	fmt.Printf("epoch discipline         : %4d/%d crash states corrupt\n", c, n)
 
 	// The racing hazard's window is narrow (a truncation racing another
 	// thread's buffered applies); hunt across seeds with the observer.
 	var racingErr error
 	for seed := int64(0); seed < 16 && racingErr == nil; seed++ {
-		tr, meta := runFS(journal.PolicyRacingEpoch, seed)
+		tr, meta := runFS(core.PolicyRacingEpoch, seed)
 		racingErr, _ = observer.FindCorruption(tr, core.Params{Model: core.Epoch},
 			observer.RecoverFunc(atomicityCheck(meta)), observer.Config{Samples: 800, Seed: seed})
 	}

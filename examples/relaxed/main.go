@@ -28,7 +28,7 @@ import (
 	"repro/internal/trace"
 )
 
-func run(fences bool, policy queue.Policy, model core.Model) (reachableCorruption error) {
+func run(fences bool, policy core.Policy, model core.Model) (reachableCorruption error) {
 	for seed := int64(0); seed < 15; seed++ {
 		tr := &trace.Trace{}
 		m := exec.NewMachine(exec.Config{
@@ -65,17 +65,17 @@ func main() {
 	fmt.Println("persistent queue on a PSO machine (store visibility reorders)")
 	fmt.Println()
 
-	if corr := run(false, queue.PolicyStrict, core.Strict); corr != nil {
+	if corr := run(false, core.PolicyStrict, core.Strict); corr != nil {
 		fmt.Printf("strict persistency, no fences : CORRUPTIBLE — %v\n", corr)
 	} else {
 		fmt.Println("strict persistency, no fences : no corruption sampled (rerun)")
 	}
-	if corr := run(true, queue.PolicyStrict, core.Strict); corr == nil {
+	if corr := run(true, core.PolicyStrict, core.Strict); corr == nil {
 		fmt.Println("strict persistency, fenced    : every sampled crash state recovers")
 	} else {
 		panic(fmt.Sprintf("BUG: fenced strict corrupted: %v", corr))
 	}
-	if corr := run(true, queue.PolicyEpoch, core.Epoch); corr == nil {
+	if corr := run(true, core.PolicyEpoch, core.Epoch); corr == nil {
 		fmt.Println("epoch persistency,  fenced    : every sampled crash state recovers")
 	} else {
 		panic(fmt.Sprintf("BUG: fenced epoch corrupted: %v", corr))

@@ -71,7 +71,7 @@ func main() {
 	log := queue.MustNew(s, queue.Config{
 		DataBytes:  1 << 13,
 		Design:     queue.CWL,
-		Policy:     queue.PolicyRacingEpoch,
+		Policy:     core.PolicyRacingEpoch,
 		MaxThreads: threads,
 	})
 	meta := log.Meta()

@@ -25,7 +25,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	tr := &trace.Trace{}
 	m := exec.NewMachine(exec.Config{Threads: 2, Seed: 42, Sink: tr})
 	s := m.SetupThread()
-	q := queue.MustNew(s, queue.Config{DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyEpoch})
+	q := queue.MustNew(s, queue.Config{DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch})
 	meta := q.Meta()
 	m.Run(func(th *exec.Thread) {
 		for i := 0; i < 8; i++ {
@@ -99,7 +99,7 @@ func TestEndToEndPipeline(t *testing.T) {
 // TestTraceCodecRoundTripsWorkload checks the on-disk trace format on a
 // real workload, and that the decoded trace simulates identically.
 func TestTraceCodecRoundTripsWorkload(t *testing.T) {
-	tr, err := bench.Trace(bench.Workload{Design: queue.TwoLock, Policy: queue.PolicyRacingEpoch, Threads: 3, Inserts: 30, Seed: 9})
+	tr, err := bench.Trace(bench.Workload{Design: queue.TwoLock, Policy: core.PolicyRacingEpoch, Threads: 3, Inserts: 30, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestTraceCodecRoundTripsWorkload(t *testing.T) {
 
 // TestDeterministicTable1Row pins one full Table 1 cell end to end.
 func TestDeterministicTable1Row(t *testing.T) {
-	w := bench.Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 1, Inserts: 500, PayloadLen: 100, Seed: 42}
+	w := bench.Workload{Design: queue.CWL, Policy: core.PolicyEpoch, Threads: 1, Inserts: 500, PayloadLen: 100, Seed: 42}
 	r, err := bench.Simulate(w, core.Params{Model: core.Epoch})
 	if err != nil {
 		t.Fatal(err)

@@ -18,9 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/durable"
 	"repro/internal/exec"
-	"repro/internal/memory"
 	"repro/internal/queue"
 	"repro/internal/trace"
 )
@@ -30,7 +28,7 @@ type Workload struct {
 	// Design selects CWL or TwoLock.
 	Design queue.Design
 	// Policy selects the annotation discipline (Table 1 column).
-	Policy queue.Policy
+	Policy core.Policy
 	// Threads is the simulated thread count (Table 1 uses 1 and 8).
 	Threads int
 	// Inserts is the total number of inserts across all threads.
@@ -190,42 +188,6 @@ func QueueMeta(w Workload) (queue.Meta, error) {
 		return queue.Meta{}, err
 	}
 	return q.Meta(), nil
-}
-
-// SiteLabel maps persist addresses to the queue's annotation sites
-// ("head", "tail", "slot data") given its layout — the labeler
-// critical-path attribution reports use.
-func SiteLabel(meta queue.Meta) func(memory.Addr) string {
-	ptrSpan := memory.Addr(memory.WordSize)
-	if meta.Integrity {
-		ptrSpan = durable.WordBytes
-	}
-	return func(a memory.Addr) string {
-		switch {
-		case a >= meta.Head && a < meta.Head+ptrSpan:
-			return "head"
-		case a >= meta.Tail && a < meta.Tail+ptrSpan:
-			return "tail"
-		case a >= meta.Data && a < meta.Data+memory.Addr(meta.DataBytes):
-			return "slot data"
-		default:
-			return "other"
-		}
-	}
-}
-
-// ModelFor maps an annotation policy to the persistency model it is
-// written for (Table 1's column pairing: the Racing Epochs column is
-// epoch persistency with racing annotations).
-func ModelFor(p queue.Policy) core.Model {
-	switch p {
-	case queue.PolicyStrict:
-		return core.Strict
-	case queue.PolicyStrand:
-		return core.Strand
-	default:
-		return core.Epoch
-	}
 }
 
 // NativeRate measures the instruction execution rate: inserts/second of

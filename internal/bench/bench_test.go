@@ -27,7 +27,7 @@ func TestWorkloadNormalize(t *testing.T) {
 }
 
 func TestRunProducesExpectedWork(t *testing.T) {
-	w := Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 3, Inserts: 10, PayloadLen: 40, Seed: 1}
+	w := Workload{Design: queue.CWL, Policy: core.PolicyEpoch, Threads: 3, Inserts: 10, PayloadLen: 40, Seed: 1}
 	r, err := Simulate(w, core.Params{Model: core.Epoch})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestTable1Shape(t *testing.T) {
 	if len(rows) != 2*2*4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	get := func(d queue.Design, p queue.Policy, th int) Table1Row {
+	get := func(d queue.Design, p core.Policy, th int) Table1Row {
 		for _, r := range rows {
 			if r.Design == d && r.Policy == p && r.Threads == th {
 				return r
@@ -63,7 +63,7 @@ func TestTable1Shape(t *testing.T) {
 
 	// Paper shape 1: strict persistency is persist-bound and far below
 	// instruction rate; CWL 1T suffers roughly a 30× slowdown.
-	s1 := get(queue.CWL, queue.PolicyStrict, 1)
+	s1 := get(queue.CWL, core.PolicyStrict, 1)
 	if s1.Normalized > 0.2 {
 		t.Errorf("CWL/strict/1T normalized = %v, expected heavily persist-bound", s1.Normalized)
 	}
@@ -74,7 +74,7 @@ func TestTable1Shape(t *testing.T) {
 
 	// Paper shape 2: epoch persistency removes intra-insert
 	// serialization: CWL 1T path per insert ≈ 2.
-	e1 := get(queue.CWL, queue.PolicyEpoch, 1)
+	e1 := get(queue.CWL, core.PolicyEpoch, 1)
 	eppw := float64(e1.CriticalPath) / float64(e1.Result.WorkItems)
 	if eppw < 1.5 || eppw > 3.5 {
 		t.Errorf("CWL/epoch/1T path per insert = %.2f, expected ~2", eppw)
@@ -85,19 +85,19 @@ func TestTable1Shape(t *testing.T) {
 
 	// Paper shape 3: racing epochs equal epoch at one thread (races
 	// cannot occur within one thread), and help at several threads.
-	r1 := get(queue.CWL, queue.PolicyRacingEpoch, 1)
+	r1 := get(queue.CWL, core.PolicyRacingEpoch, 1)
 	if r1.CriticalPath != e1.CriticalPath {
 		t.Errorf("racing (%d) != epoch (%d) at 1T", r1.CriticalPath, e1.CriticalPath)
 	}
-	e4 := get(queue.CWL, queue.PolicyEpoch, 4)
-	r4 := get(queue.CWL, queue.PolicyRacingEpoch, 4)
+	e4 := get(queue.CWL, core.PolicyEpoch, 4)
+	r4 := get(queue.CWL, core.PolicyRacingEpoch, 4)
 	if r4.CriticalPath > e4.CriticalPath {
 		t.Errorf("racing at 4T (%d) should not exceed epoch (%d)", r4.CriticalPath, e4.CriticalPath)
 	}
 
 	// Paper shape 4: strand reaches (or vastly exceeds) instruction
 	// rate even single-threaded.
-	st1 := get(queue.CWL, queue.PolicyStrand, 1)
+	st1 := get(queue.CWL, core.PolicyStrand, 1)
 	if st1.Normalized < 1 {
 		t.Errorf("CWL/strand/1T normalized = %v, expected ≥ 1", st1.Normalized)
 	}
@@ -107,8 +107,8 @@ func TestTable1Shape(t *testing.T) {
 
 	// Paper shape 5: 2LC under strict persistency is persist-bound and
 	// roughly thread-insensitive (everything serializes).
-	t2s1 := get(queue.TwoLock, queue.PolicyStrict, 1)
-	t2s4 := get(queue.TwoLock, queue.PolicyStrict, 4)
+	t2s1 := get(queue.TwoLock, core.PolicyStrict, 1)
+	t2s4 := get(queue.TwoLock, core.PolicyStrict, 4)
 	if t2s1.Normalized > 0.2 || t2s4.Normalized > 0.2 {
 		t.Errorf("2LC/strict normalized = %v / %v, expected persist-bound", t2s1.Normalized, t2s4.Normalized)
 	}
@@ -147,9 +147,9 @@ func TestFig3ShapeAndBreakEven(t *testing.T) {
 		}
 	}
 	// Break-even ordering: strict leaves the plateau first, strand last.
-	bStrict := BreakEvenLatency(points, queue.PolicyStrict)
-	bEpoch := BreakEvenLatency(points, queue.PolicyEpoch)
-	bStrand := BreakEvenLatency(points, queue.PolicyStrand)
+	bStrict := BreakEvenLatency(points, core.PolicyStrict)
+	bEpoch := BreakEvenLatency(points, core.PolicyEpoch)
+	bStrand := BreakEvenLatency(points, core.PolicyStrand)
 	if !(bStrict < bEpoch && bEpoch < bStrand) {
 		t.Errorf("break-even ordering: strict %v, epoch %v, strand %v", bStrict, bEpoch, bStrand)
 	}
@@ -164,7 +164,7 @@ func TestFig4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := func(p queue.Policy, g uint64) float64 {
+	at := func(p core.Policy, g uint64) float64 {
 		for _, pt := range points {
 			if pt.Policy == p && pt.Granularity == g {
 				return pt.PathPerInsert
@@ -175,14 +175,14 @@ func TestFig4Shape(t *testing.T) {
 	}
 	// Strict improves with atomic persist size; epoch stays flat; they
 	// converge at 256 B (paper Figure 4).
-	if !(at(queue.PolicyStrict, 8) > 3*at(queue.PolicyStrict, 256)) {
-		t.Errorf("strict@8=%.2f should far exceed strict@256=%.2f", at(queue.PolicyStrict, 8), at(queue.PolicyStrict, 256))
+	if !(at(core.PolicyStrict, 8) > 3*at(core.PolicyStrict, 256)) {
+		t.Errorf("strict@8=%.2f should far exceed strict@256=%.2f", at(core.PolicyStrict, 8), at(core.PolicyStrict, 256))
 	}
-	if ratio := at(queue.PolicyEpoch, 256) / at(queue.PolicyEpoch, 8); ratio < 0.5 || ratio > 1.5 {
+	if ratio := at(core.PolicyEpoch, 256) / at(core.PolicyEpoch, 8); ratio < 0.5 || ratio > 1.5 {
 		t.Errorf("epoch should be insensitive to atomic size, ratio %.2f", ratio)
 	}
-	if ratio := at(queue.PolicyStrict, 256) / at(queue.PolicyEpoch, 256); ratio > 1.6 {
-		t.Errorf("strict@256 (%.2f) should approach epoch@256 (%.2f)", at(queue.PolicyStrict, 256), at(queue.PolicyEpoch, 256))
+	if ratio := at(core.PolicyStrict, 256) / at(core.PolicyEpoch, 256); ratio > 1.6 {
+		t.Errorf("strict@256 (%.2f) should approach epoch@256 (%.2f)", at(core.PolicyStrict, 256), at(core.PolicyEpoch, 256))
 	}
 	if RenderGran(points, "atomic").String() == "" {
 		t.Fatal("empty rendering")
@@ -194,7 +194,7 @@ func TestFig5Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at := func(p queue.Policy, g uint64) float64 {
+	at := func(p core.Policy, g uint64) float64 {
 		for _, pt := range points {
 			if pt.Policy == p && pt.Granularity == g {
 				return pt.PathPerInsert
@@ -205,14 +205,14 @@ func TestFig5Shape(t *testing.T) {
 	}
 	// Coarse tracking reintroduces constraints: epoch degrades toward
 	// strict; strict is unaffected (paper Figure 5).
-	if !(at(queue.PolicyEpoch, 256) > 3*at(queue.PolicyEpoch, 8)) {
-		t.Errorf("epoch@256=%.2f should far exceed epoch@8=%.2f", at(queue.PolicyEpoch, 256), at(queue.PolicyEpoch, 8))
+	if !(at(core.PolicyEpoch, 256) > 3*at(core.PolicyEpoch, 8)) {
+		t.Errorf("epoch@256=%.2f should far exceed epoch@8=%.2f", at(core.PolicyEpoch, 256), at(core.PolicyEpoch, 8))
 	}
-	if ratio := at(queue.PolicyStrict, 256) / at(queue.PolicyStrict, 8); ratio < 0.8 || ratio > 1.3 {
+	if ratio := at(core.PolicyStrict, 256) / at(core.PolicyStrict, 8); ratio < 0.8 || ratio > 1.3 {
 		t.Errorf("strict should be insensitive to tracking size, ratio %.2f", ratio)
 	}
-	if ratio := at(queue.PolicyEpoch, 256) / at(queue.PolicyStrict, 256); ratio < 0.5 || ratio > 1.5 {
-		t.Errorf("epoch@256 (%.2f) should approach strict@256 (%.2f)", at(queue.PolicyEpoch, 256), at(queue.PolicyStrict, 256))
+	if ratio := at(core.PolicyEpoch, 256) / at(core.PolicyStrict, 256); ratio < 0.5 || ratio > 1.5 {
+		t.Errorf("epoch@256 (%.2f) should approach strict@256 (%.2f)", at(core.PolicyEpoch, 256), at(core.PolicyStrict, 256))
 	}
 }
 
@@ -224,12 +224,12 @@ func TestFig2Shape(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	byPolicy := make(map[queue.Policy]Fig2Row)
+	byPolicy := make(map[core.Policy]Fig2Row)
 	for _, r := range rows {
 		byPolicy[r.Policy] = r
 	}
 	// Same workload -> same persist count everywhere.
-	n := byPolicy[queue.PolicyStrict].Persists
+	n := byPolicy[core.PolicyStrict].Persists
 	for _, r := range rows {
 		if r.Persists != n {
 			t.Errorf("persist count differs: %v has %d, strict has %d", r.Policy, r.Persists, n)
@@ -237,12 +237,12 @@ func TestFig2Shape(t *testing.T) {
 	}
 	// Relaxation strictly reduces the critical path: strict > epoch ≥
 	// racing ≥ strand (1 thread: epoch == racing).
-	cp := func(p queue.Policy) int64 { return byPolicy[p].CriticalPath }
-	if !(cp(queue.PolicyStrict) > cp(queue.PolicyEpoch)) {
-		t.Errorf("strict CP %d should exceed epoch %d", cp(queue.PolicyStrict), cp(queue.PolicyEpoch))
+	cp := func(p core.Policy) int64 { return byPolicy[p].CriticalPath }
+	if !(cp(core.PolicyStrict) > cp(core.PolicyEpoch)) {
+		t.Errorf("strict CP %d should exceed epoch %d", cp(core.PolicyStrict), cp(core.PolicyEpoch))
 	}
-	if !(cp(queue.PolicyEpoch) >= cp(queue.PolicyStrand)) {
-		t.Errorf("epoch CP %d should be ≥ strand %d", cp(queue.PolicyEpoch), cp(queue.PolicyStrand))
+	if !(cp(core.PolicyEpoch) >= cp(core.PolicyStrand)) {
+		t.Errorf("epoch CP %d should be ≥ strand %d", cp(core.PolicyEpoch), cp(core.PolicyStrand))
 	}
 	if RenderFig2(rows).String() == "" {
 		t.Fatal("empty fig2 rendering")
@@ -280,7 +280,7 @@ func TestCoalesceWindowBoundsStrand(t *testing.T) {
 	// (CoalesceWindow) closes open persists, so head persists
 	// periodically bump the path — strand stays far below epoch but is
 	// no longer unbounded.
-	w := Workload{Design: queue.CWL, Policy: queue.PolicyStrand, Threads: 1, Inserts: 600, Seed: 1}
+	w := Workload{Design: queue.CWL, Policy: core.PolicyStrand, Threads: 1, Inserts: 600, Seed: 1}
 	unbounded, err := Simulate(w, core.Params{Model: core.Strand})
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +294,7 @@ func TestCoalesceWindowBoundsStrand(t *testing.T) {
 			windowed.CriticalPath, unbounded.CriticalPath)
 	}
 	epoch, err := Simulate(
-		Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 1, Inserts: 600, Seed: 1},
+		Workload{Design: queue.CWL, Policy: core.PolicyEpoch, Threads: 1, Inserts: 600, Seed: 1},
 		core.Params{Model: core.Epoch, CoalesceWindow: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestOverwriteLogWorkload(t *testing.T) {
 	// Overwrite mode wraps the buffer many times without panicking and
 	// still produces a valid simulation.
 	r, err := Simulate(
-		Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 2, Inserts: 300, Seed: 2,
+		Workload{Design: queue.CWL, Policy: core.PolicyEpoch, Threads: 2, Inserts: 300, Seed: 2,
 			DataBytes: 4096, Overwrite: true},
 		core.Params{Model: core.Epoch})
 	if err != nil {
@@ -323,7 +323,7 @@ func TestRacingPolicyActuallyRaces(t *testing.T) {
 	// The paper's configurations by construction: the non-racing epoch
 	// discipline (barriers around locks) produces no persist-epoch
 	// races; the racing discipline produces them.
-	races := func(pol queue.Policy) int {
+	races := func(pol core.Policy) int {
 		tr, err := Trace(Workload{Design: queue.CWL, Policy: pol, Threads: 4, Inserts: 40, Seed: 8})
 		if err != nil {
 			t.Fatal(err)
@@ -334,19 +334,34 @@ func TestRacingPolicyActuallyRaces(t *testing.T) {
 		}
 		return rep.Total
 	}
-	if n := races(queue.PolicyEpoch); n != 0 {
+	if n := races(core.PolicyEpoch); n != 0 {
 		t.Errorf("non-racing epoch policy raced %d times", n)
 	}
-	if n := races(queue.PolicyRacingEpoch); n == 0 {
+	if n := races(core.PolicyRacingEpoch); n == 0 {
 		t.Error("racing policy produced no persist-epoch races")
 	}
 }
 
+// TestModelFor checks the model each Table 1 column is reported under:
+// the Racing Epochs column is epoch persistency with fewer barriers.
 func TestModelFor(t *testing.T) {
-	if ModelFor(queue.PolicyStrict) != core.Strict ||
-		ModelFor(queue.PolicyEpoch) != core.Epoch ||
-		ModelFor(queue.PolicyRacingEpoch) != core.Epoch ||
-		ModelFor(queue.PolicyStrand) != core.Strand {
-		t.Fatal("policy-model pairing wrong")
+	want := map[core.Policy]string{
+		core.PolicyStrict:      "strict",
+		core.PolicyEpoch:       "epoch",
+		core.PolicyRacingEpoch: "epoch",
+		core.PolicyStrand:      "strand",
+	}
+	var rows []Table1Row
+	for _, p := range core.Policies {
+		rows = append(rows, Table1Row{Policy: p})
+	}
+	got := Table1Report(Table1Config{}, rows).Rows.([]table1RowJSON)
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
+	}
+	for i, r := range got {
+		if p := core.Policies[i]; r.Model != want[p] {
+			t.Errorf("%v reported under model %q, want %q", p, r.Model, want[p])
+		}
 	}
 }

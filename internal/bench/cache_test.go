@@ -19,7 +19,7 @@ func cachedTrace(c *TraceCache, w Workload) (*trace.Trace, error) {
 
 func TestTraceCacheHitReturnsSameTrace(t *testing.T) {
 	c := NewTraceCache(8)
-	w := Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 2, Inserts: 50, Seed: 7}
+	w := Workload{Design: queue.CWL, Policy: core.PolicyEpoch, Threads: 2, Inserts: 50, Seed: 7}
 	a, err := cachedTrace(c, w)
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +49,8 @@ func TestTraceCacheHitReturnsSameTrace(t *testing.T) {
 func TestSimulateCachedMatchesStreaming(t *testing.T) {
 	c := NewTraceCache(16)
 	for _, w := range []Workload{
-		{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 2, Inserts: 60, Seed: 3},
-		{Design: queue.TwoLock, Policy: queue.PolicyStrand, Threads: 3, Inserts: 40, Seed: 9},
+		{Design: queue.CWL, Policy: core.PolicyEpoch, Threads: 2, Inserts: 60, Seed: 3},
+		{Design: queue.TwoLock, Policy: core.PolicyStrand, Threads: 3, Inserts: 40, Seed: 9},
 	} {
 		for _, m := range core.Models {
 			p := core.Params{Model: m, TrackWorkPath: true}
@@ -71,7 +71,7 @@ func TestSimulateCachedMatchesStreaming(t *testing.T) {
 
 func TestTraceCacheSingleflight(t *testing.T) {
 	c := NewTraceCache(8)
-	w := Workload{Design: queue.CWL, Policy: queue.PolicyStrict, Threads: 2, Inserts: 80, Seed: 11}
+	w := Workload{Design: queue.CWL, Policy: core.PolicyStrict, Threads: 2, Inserts: 80, Seed: 11}
 	const n = 16
 	got := make([]*trace.Trace, n)
 	var wg sync.WaitGroup
@@ -102,7 +102,7 @@ func TestTraceCacheSingleflight(t *testing.T) {
 func TestTraceCacheEviction(t *testing.T) {
 	c := NewTraceCache(2)
 	mk := func(seed int64) Workload {
-		return Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 1, Inserts: 20, Seed: seed}
+		return Workload{Design: queue.CWL, Policy: core.PolicyEpoch, Threads: 1, Inserts: 20, Seed: seed}
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		if _, err := cachedTrace(c, mk(seed)); err != nil {
@@ -137,7 +137,7 @@ func TestTraceCacheEviction(t *testing.T) {
 func TestTraceCacheEventBudget(t *testing.T) {
 	c := NewTraceCache(64)
 	mk := func(seed int64) Workload {
-		return Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 1, Inserts: 30, Seed: seed}
+		return Workload{Design: queue.CWL, Policy: core.PolicyEpoch, Threads: 1, Inserts: 30, Seed: seed}
 	}
 	// Escaped: the caller holds this trace across later evictions.
 	held, err := cachedTrace(c, mk(100))
@@ -186,7 +186,7 @@ func TestTraceCacheEventBudget(t *testing.T) {
 func TestSimulateCachedConcurrent(t *testing.T) {
 	c := NewTraceCache(64)
 	c.SetEventBudget(1) // evict everything as soon as pins drop
-	w := Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 2, Inserts: 40, Seed: 13}
+	w := Workload{Design: queue.CWL, Policy: core.PolicyEpoch, Threads: 2, Inserts: 40, Seed: 13}
 	p := core.Params{Model: core.Epoch}
 	want, err := Simulate(w, p)
 	if err != nil {
@@ -231,7 +231,7 @@ func TestTraceCacheCachesErrors(t *testing.T) {
 
 func TestTraceCacheNil(t *testing.T) {
 	var c *TraceCache
-	w := Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 1, Inserts: 20, Seed: 1}
+	w := Workload{Design: queue.CWL, Policy: core.PolicyEpoch, Threads: 1, Inserts: 20, Seed: 1}
 	a, err := cachedTrace(c, w)
 	if err != nil {
 		t.Fatal(err)

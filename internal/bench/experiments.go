@@ -69,7 +69,7 @@ func (c *Table1Config) normalize() {
 // Table1Row is one cell group of Table 1.
 type Table1Row struct {
 	Design       queue.Design
-	Policy       queue.Policy
+	Policy       core.Policy
 	Threads      int
 	Result       core.Result
 	InstrRate    float64 // items/s, native execution
@@ -90,7 +90,7 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 	type cell struct {
 		threads int
 		design  queue.Design
-		policy  queue.Policy
+		policy  core.Policy
 		instr   float64
 	}
 	var grid []cell
@@ -107,7 +107,7 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 					return nil, err
 				}
 			}
-			for _, pol := range queue.Policies {
+			for _, pol := range core.Policies {
 				grid = append(grid, cell{threads, design, pol, instr})
 			}
 		}
@@ -122,7 +122,7 @@ func Table1(cfg Table1Config) ([]Table1Row, error) {
 				Design: c.design, Policy: c.policy, Threads: c.threads,
 				Inserts: cfg.Inserts, PayloadLen: cfg.PayloadLen, Seed: cfg.Seed,
 			}
-			r, err := SimulateCached(cfg.Cache, w, core.Params{Model: ModelFor(c.policy)})
+			r, err := SimulateCached(cfg.Cache, w, core.Params{Model: c.policy.Model()})
 			if err != nil {
 				return Table1Row{}, fmt.Errorf("bench: %v: %w", w, err)
 			}
@@ -167,7 +167,7 @@ func RenderTable1(rows []Table1Row) *stats.Table {
 	for _, th := range threads {
 		row := []string{fmt.Sprintf("%d", th)}
 		for _, d := range []queue.Design{queue.CWL, queue.TwoLock} {
-			for _, p := range queue.Policies {
+			for _, p := range core.Policies {
 				row = append(row, cell[fmt.Sprintf("%d/%v/%v", th, d, p)])
 			}
 		}
@@ -196,7 +196,7 @@ type Fig3Config struct {
 // one policy/model pairing.
 type Fig3Point struct {
 	Latency time.Duration
-	Policy  queue.Policy
+	Policy  core.Policy
 	Model   core.Model
 	// Rate is min(instruction rate, persist-bound rate), items/s.
 	Rate float64
@@ -205,7 +205,7 @@ type Fig3Point struct {
 }
 
 // Fig3Policies are the models Figure 3 plots.
-var Fig3Policies = []queue.Policy{queue.PolicyStrict, queue.PolicyEpoch, queue.PolicyStrand}
+var Fig3Policies = []core.Policy{core.PolicyStrict, core.PolicyEpoch, core.PolicyStrand}
 
 // Fig3 sweeps persist latency. The critical path is latency-independent,
 // so each policy's workload runs once and the sweep is analytic — the
@@ -237,11 +237,11 @@ func Fig3(cfg Fig3Config) ([]Fig3Point, error) {
 		func(i int) (core.Result, error) {
 			pol := Fig3Policies[i]
 			w := Workload{Design: queue.CWL, Policy: pol, Threads: 1, Inserts: cfg.Inserts, PayloadLen: cfg.PayloadLen, Seed: cfg.Seed}
-			return Simulate(w, core.Params{Model: ModelFor(pol)})
+			return Simulate(w, core.Params{Model: pol.Model()})
 		},
 		func(i int, r core.Result) error {
 			pol := Fig3Policies[i]
-			model := ModelFor(pol)
+			model := pol.Model()
 			for _, lat := range cfg.Latencies {
 				pb := r.PersistBoundRate(lat)
 				rate := math.Min(instr, pb)
@@ -262,7 +262,7 @@ func Fig3(cfg Fig3Config) ([]Fig3Point, error) {
 // policy still achieves instruction rate (the x-coordinate where its
 // Figure 3 curve leaves the compute-bound plateau), or 0 if it is
 // persist-bound everywhere.
-func BreakEvenLatency(points []Fig3Point, pol queue.Policy) time.Duration {
+func BreakEvenLatency(points []Fig3Point, pol core.Policy) time.Duration {
 	var best time.Duration
 	for _, p := range points {
 		if p.Policy == pol && !p.PersistBound && p.Latency > best {
@@ -276,12 +276,12 @@ func BreakEvenLatency(points []Fig3Point, pol queue.Policy) time.Duration {
 // per policy (million inserts/s, the paper's y-axis).
 func RenderFig3(points []Fig3Point) *stats.Table {
 	t := stats.NewTable("latency", "strict", "epoch", "strand")
-	byLat := make(map[time.Duration]map[queue.Policy]float64)
+	byLat := make(map[time.Duration]map[core.Policy]float64)
 	var order []time.Duration
 	for _, p := range points {
 		m, ok := byLat[p.Latency]
 		if !ok {
-			m = make(map[queue.Policy]float64)
+			m = make(map[core.Policy]float64)
 			byLat[p.Latency] = m
 			order = append(order, p.Latency)
 		}
@@ -290,9 +290,9 @@ func RenderFig3(points []Fig3Point) *stats.Table {
 	for _, lat := range order {
 		t.AddRow(
 			lat.String(),
-			fmt.Sprintf("%.3f", byLat[lat][queue.PolicyStrict]/1e6),
-			fmt.Sprintf("%.3f", byLat[lat][queue.PolicyEpoch]/1e6),
-			fmt.Sprintf("%.3f", byLat[lat][queue.PolicyStrand]/1e6),
+			fmt.Sprintf("%.3f", byLat[lat][core.PolicyStrict]/1e6),
+			fmt.Sprintf("%.3f", byLat[lat][core.PolicyEpoch]/1e6),
+			fmt.Sprintf("%.3f", byLat[lat][core.PolicyStrand]/1e6),
 		)
 	}
 	return t
@@ -329,13 +329,13 @@ func (c *GranularityConfig) normalize() {
 // path per insert at one granularity.
 type GranPoint struct {
 	Granularity   uint64
-	Policy        queue.Policy
+	Policy        core.Policy
 	Model         core.Model
 	PathPerInsert float64
 }
 
 // granPolicies are the two curves in Figures 4 and 5.
-var granPolicies = []queue.Policy{queue.PolicyStrict, queue.PolicyEpoch}
+var granPolicies = []core.Policy{core.PolicyStrict, core.PolicyEpoch}
 
 func granularitySweep(cfg GranularityConfig, mkParams func(core.Model, uint64) core.Params) ([]GranPoint, error) {
 	cfg.normalize()
@@ -363,7 +363,7 @@ func granularitySweep(cfg GranularityConfig, mkParams func(core.Model, uint64) c
 		func(i int) (GranPoint, error) {
 			pol := granPolicies[i/ng]
 			g := cfg.Granularities[i%ng]
-			model := ModelFor(pol)
+			model := pol.Model()
 			sp := cfg.Sweep.Spans.Start("simulate", model.String()).Arg("granularity", g)
 			r, err := core.Simulate(traces[i/ng], mkParams(model, g))
 			sp.End()
@@ -406,7 +406,7 @@ func RenderGran(points []GranPoint, axis string) *stats.Table {
 	t := stats.NewTable(axis, "strict", "epoch")
 	type key struct {
 		g uint64
-		p queue.Policy
+		p core.Policy
 	}
 	vals := make(map[key]float64)
 	var order []uint64
@@ -421,8 +421,8 @@ func RenderGran(points []GranPoint, axis string) *stats.Table {
 	for _, g := range order {
 		t.AddRow(
 			fmt.Sprintf("%dB", g),
-			fmt.Sprintf("%.2f", vals[key{g, queue.PolicyStrict}]),
-			fmt.Sprintf("%.2f", vals[key{g, queue.PolicyEpoch}]),
+			fmt.Sprintf("%.2f", vals[key{g, core.PolicyStrict}]),
+			fmt.Sprintf("%.2f", vals[key{g, core.PolicyEpoch}]),
 		)
 	}
 	return t
@@ -450,7 +450,7 @@ func WindowAblation(inserts int, seed int64, windows []int64, sw sweep.Config) (
 	if len(windows) == 0 {
 		windows = []int64{0, 1024, 256, 64, 16, 4}
 	}
-	w := Workload{Design: queue.CWL, Policy: queue.PolicyStrand, Threads: 1, Inserts: inserts, PayloadLen: 100, Seed: seed}
+	w := Workload{Design: queue.CWL, Policy: core.PolicyStrand, Threads: 1, Inserts: inserts, PayloadLen: 100, Seed: seed}
 	tr, err := Trace(w)
 	if err != nil {
 		return nil, err
@@ -496,7 +496,7 @@ func RenderWindow(points []WindowPoint) *stats.Table {
 // epoch removes the intra-insert serialization (the paper's "A"
 // constraints), strand removes inter-insert serialization ("B").
 type Fig2Row struct {
-	Policy       queue.Policy
+	Policy       core.Policy
 	Model        core.Model
 	Persists     int
 	ProgramOrder int
@@ -515,10 +515,10 @@ func Fig2(inserts int, seed int64, sw sweep.Config) ([]Fig2Row, error) {
 		inserts = 50
 	}
 	// Phase 1: one trace per policy.
-	traces := make([]*trace.Trace, len(queue.Policies))
-	err := sweep.Run(len(queue.Policies), sw.Named("fig2-trace"),
+	traces := make([]*trace.Trace, len(core.Policies))
+	err := sweep.Run(len(core.Policies), sw.Named("fig2-trace"),
 		func(i int) (*trace.Trace, error) {
-			pol := queue.Policies[i]
+			pol := core.Policies[i]
 			w := Workload{Design: queue.CWL, Policy: pol, Threads: 1, Inserts: inserts, PayloadLen: 100, Seed: seed}
 			return Trace(w)
 		},
@@ -530,11 +530,11 @@ func Fig2(inserts int, seed int64, sw sweep.Config) ([]Fig2Row, error) {
 		return nil, err
 	}
 	// Phase 2: constraint graphs over the read-only traces.
-	rows := make([]Fig2Row, 0, len(queue.Policies))
-	err = sweep.Run(len(queue.Policies), sw.Named("fig2"),
+	rows := make([]Fig2Row, 0, len(core.Policies))
+	err = sweep.Run(len(core.Policies), sw.Named("fig2"),
 		func(i int) (Fig2Row, error) {
-			pol := queue.Policies[i]
-			model := ModelFor(pol)
+			pol := core.Policies[i]
+			model := pol.Model()
 			sp := sw.Spans.Start("graph", "build").Arg("model", model.String())
 			g, err := graph.Build(traces[i], core.Params{Model: model})
 			if err == nil {

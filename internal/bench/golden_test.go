@@ -18,17 +18,17 @@ func TestGoldenCriticalPaths(t *testing.T) {
 	cases := []struct {
 		design    queue.Design
 		model     core.Model
-		policy    queue.Policy
+		policy    core.Policy
 		path      int64
 		placed    int64
 		coalesced int64
 	}{
-		{queue.CWL, core.Strict, queue.PolicyStrict, 32002, 32002, 0},
-		{queue.CWL, core.Epoch, queue.PolicyEpoch, 4001, 32002, 0},
-		{queue.CWL, core.Strand, queue.PolicyStrand, 3, 30003, 1999},
-		{queue.TwoLock, core.Strict, queue.PolicyStrict, 13734, 31215, 406},
-		{queue.TwoLock, core.Epoch, queue.PolicyEpoch, 553, 30553, 1050},
-		{queue.TwoLock, core.Strand, queue.PolicyStrand, 3, 30003, 1533},
+		{queue.CWL, core.Strict, core.PolicyStrict, 32002, 32002, 0},
+		{queue.CWL, core.Epoch, core.PolicyEpoch, 4001, 32002, 0},
+		{queue.CWL, core.Strand, core.PolicyStrand, 3, 30003, 1999},
+		{queue.TwoLock, core.Strict, core.PolicyStrict, 13734, 31215, 406},
+		{queue.TwoLock, core.Epoch, core.PolicyEpoch, 553, 30553, 1050},
+		{queue.TwoLock, core.Strand, core.PolicyStrand, 3, 30003, 1533},
 	}
 	for _, c := range cases {
 		w := Workload{

@@ -18,7 +18,7 @@ import (
 // JournalWorkload describes one journal benchmark configuration.
 type JournalWorkload struct {
 	// Policy selects the annotation discipline.
-	Policy journal.Policy
+	Policy core.Policy
 	// Threads is the simulated thread count.
 	Threads int
 	// Txns is the total transaction count.
@@ -89,23 +89,11 @@ func RunJournal(w JournalWorkload, sink trace.Sink) error {
 
 // JournalRow is one row of the journal persist-concurrency table.
 type JournalRow struct {
-	Policy       journal.Policy
+	Policy       core.Policy
 	Threads      int
 	Result       core.Result
 	PathPerTxn   float64
 	CriticalPath int64
-}
-
-// JournalModelFor maps journal policies to their target models.
-func JournalModelFor(p journal.Policy) core.Model {
-	switch p {
-	case journal.PolicyStrict:
-		return core.Strict
-	case journal.PolicyStrand:
-		return core.Strand
-	default:
-		return core.Epoch
-	}
 }
 
 // JournalTable evaluates persist concurrency of the journal under
@@ -117,12 +105,12 @@ func JournalTable(txns int, threads []int, seed int64, sw sweep.Config) ([]Journ
 	}
 	type cell struct {
 		threads int
-		policy  journal.Policy
+		policy  core.Policy
 	}
 	var grid []cell
 	for _, th := range threads {
-		for _, pol := range journal.Policies {
-			if pol == journal.PolicyRacingEpoch {
+		for _, pol := range core.Policies {
+			if pol == core.PolicyRacingEpoch {
 				continue // unsafe for this structure; excluded from the table
 			}
 			grid = append(grid, cell{th, pol})
@@ -133,7 +121,7 @@ func JournalTable(txns int, threads []int, seed int64, sw sweep.Config) ([]Journ
 		func(i int) (JournalRow, error) {
 			c := grid[i]
 			w := JournalWorkload{Policy: c.policy, Threads: c.threads, Txns: txns, Seed: seed}
-			r, err := streamSim(core.Params{Model: JournalModelFor(c.policy)}, func(s trace.Sink) error { return RunJournal(w, s) })
+			r, err := streamSim(core.Params{Model: c.policy.Model()}, func(s trace.Sink) error { return RunJournal(w, s) })
 			if err != nil {
 				return JournalRow{}, fmt.Errorf("bench: journal %v/%dT: %w", c.policy, c.threads, err)
 			}

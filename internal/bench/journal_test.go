@@ -5,15 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/journal"
-	"repro/internal/pstm"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
 func TestRunJournalProducesWork(t *testing.T) {
 	sim := core.MustNewSim(core.Params{Model: core.Epoch})
-	if err := RunJournal(JournalWorkload{Policy: journal.PolicyEpoch, Threads: 3, Txns: 10, Seed: 1}, sim); err != nil {
+	if err := RunJournal(JournalWorkload{Policy: core.PolicyEpoch, Threads: 3, Txns: 10, Seed: 1}, sim); err != nil {
 		t.Fatal(err)
 	}
 	r := sim.Result()
@@ -33,7 +31,7 @@ func TestJournalTableShape(t *testing.T) {
 	if len(rows) != 6 { // 3 policies × 2 thread counts (racing excluded)
 		t.Fatalf("rows = %d", len(rows))
 	}
-	at := func(p journal.Policy, th int) JournalRow {
+	at := func(p core.Policy, th int) JournalRow {
 		for _, r := range rows {
 			if r.Policy == p && r.Threads == th {
 				return r
@@ -42,9 +40,9 @@ func TestJournalTableShape(t *testing.T) {
 		t.Fatalf("missing %v/%d", p, th)
 		return JournalRow{}
 	}
-	s := at(journal.PolicyStrict, 1)
-	e := at(journal.PolicyEpoch, 1)
-	d := at(journal.PolicyStrand, 1)
+	s := at(core.PolicyStrict, 1)
+	e := at(core.PolicyEpoch, 1)
+	d := at(core.PolicyStrand, 1)
 	// Strict serializes every persist of a transaction (~41 for
 	// 2-block transactions); epoch collapses each stage (~3); strand
 	// coalesces the commit word and keeps only stage ordering.
@@ -74,9 +72,9 @@ func TestPSTMTableShape(t *testing.T) {
 	var strict, epoch float64
 	for _, r := range rows {
 		switch r.Policy {
-		case pstm.PolicyStrict:
+		case core.PolicyStrict:
 			strict = r.PathPerTxn
-		case pstm.PolicyEpoch:
+		case core.PolicyEpoch:
 			epoch = r.PathPerTxn
 		}
 	}
@@ -91,18 +89,35 @@ func TestPSTMTableShape(t *testing.T) {
 	}
 }
 
+// TestJournalModelFor checks that each journal table row is simulated
+// under its policy's model and that the unsafe racing column is left out.
 func TestJournalModelFor(t *testing.T) {
-	if JournalModelFor(journal.PolicyStrict) != core.Strict ||
-		JournalModelFor(journal.PolicyEpoch) != core.Epoch ||
-		JournalModelFor(journal.PolicyRacingEpoch) != core.Epoch ||
-		JournalModelFor(journal.PolicyStrand) != core.Strand {
-		t.Fatal("model pairing")
+	want := map[core.Policy]core.Model{
+		core.PolicyStrict: core.Strict,
+		core.PolicyEpoch:  core.Epoch,
+		core.PolicyStrand: core.Strand,
+	}
+	rows, err := JournalTable(16, []int{1}, 3, sweep.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(rows), len(want))
+	}
+	for _, r := range rows {
+		m, ok := want[r.Policy]
+		if !ok {
+			t.Fatalf("unexpected policy %v in journal table", r.Policy)
+		}
+		if r.Result.Model != m {
+			t.Errorf("%v simulated under %v, want %v", r.Policy, r.Result.Model, m)
+		}
 	}
 }
 
 func TestRunJournalTraceValid(t *testing.T) {
 	tr := &trace.Trace{}
-	if err := RunJournal(JournalWorkload{Policy: journal.PolicyStrand, Threads: 2, Txns: 8, Seed: 5}, tr); err != nil {
+	if err := RunJournal(JournalWorkload{Policy: core.PolicyStrand, Threads: 2, Txns: 8, Seed: 5}, tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Validate(); err != nil {

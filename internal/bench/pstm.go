@@ -20,7 +20,7 @@ import (
 // pstm metadata.
 type PSTMWorkload struct {
 	// Policy selects the annotation discipline.
-	Policy pstm.Policy
+	Policy core.Policy
 	// Threads is the simulated thread count.
 	Threads int
 	// Txns is the total transaction count.
@@ -65,22 +65,10 @@ func RunPSTM(w PSTMWorkload, sink trace.Sink) error {
 
 // PSTMRow is one row of the pstm persist-concurrency table.
 type PSTMRow struct {
-	Policy     pstm.Policy
+	Policy     core.Policy
 	Threads    int
 	Result     core.Result
 	PathPerTxn float64
-}
-
-// PSTMModelFor maps pstm policies to their target models.
-func PSTMModelFor(p pstm.Policy) core.Model {
-	switch p {
-	case pstm.PolicyStrict:
-		return core.Strict
-	case pstm.PolicyStrand:
-		return core.Strand
-	default:
-		return core.Epoch
-	}
 }
 
 // PSTMTable evaluates persist concurrency of paired-word durable
@@ -95,12 +83,12 @@ func PSTMTable(txns int, threads []int, seed int64, sw sweep.Config) ([]PSTMRow,
 	}
 	type cell struct {
 		threads int
-		policy  pstm.Policy
+		policy  core.Policy
 	}
 	var grid []cell
 	for _, th := range threads {
-		for _, pol := range pstm.Policies {
-			if pol == pstm.PolicyRacingEpoch {
+		for _, pol := range core.Policies {
+			if pol == core.PolicyRacingEpoch {
 				continue
 			}
 			grid = append(grid, cell{th, pol})
@@ -111,7 +99,7 @@ func PSTMTable(txns int, threads []int, seed int64, sw sweep.Config) ([]PSTMRow,
 		func(i int) (PSTMRow, error) {
 			c := grid[i]
 			w := PSTMWorkload{Policy: c.policy, Threads: c.threads, Txns: txns, Seed: seed}
-			r, err := streamSim(core.Params{Model: PSTMModelFor(c.policy)}, func(s trace.Sink) error { return RunPSTM(w, s) })
+			r, err := streamSim(core.Params{Model: c.policy.Model()}, func(s trace.Sink) error { return RunPSTM(w, s) })
 			if err != nil {
 				return PSTMRow{}, fmt.Errorf("bench: pstm %v/%dT: %w", c.policy, c.threads, err)
 			}

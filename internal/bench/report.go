@@ -60,7 +60,7 @@ func Table1Report(cfg Table1Config, rows []Table1Row) *Report {
 		out = append(out, table1RowJSON{
 			Design:       r.Design.String(),
 			Policy:       r.Policy.String(),
-			Model:        ModelFor(r.Policy).String(),
+			Model:        r.Policy.Model().String(),
 			Threads:      r.Threads,
 			Persists:     r.Result.Persists,
 			Placed:       r.Result.Placed,

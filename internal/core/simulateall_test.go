@@ -18,7 +18,7 @@ func TestSimulateAllEquivalence(t *testing.T) {
 	for _, design := range []queue.Design{queue.CWL, queue.TwoLock} {
 		for _, seed := range []int64{1, 7, 42} {
 			w := bench.Workload{
-				Design: design, Policy: queue.PolicyEpoch,
+				Design: design, Policy: core.PolicyEpoch,
 				Threads: 2, Inserts: 120, Seed: seed,
 			}
 			tr, err := bench.Trace(w)

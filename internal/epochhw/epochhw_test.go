@@ -193,7 +193,7 @@ func TestHardwareEnforcesModelOnStructuredTraces(t *testing.T) {
 }
 
 func TestHardwareEnforcesModelOnQueueWorkloads(t *testing.T) {
-	for _, pol := range []queue.Policy{queue.PolicyEpoch, queue.PolicyRacingEpoch} {
+	for _, pol := range []core.Policy{core.PolicyEpoch, core.PolicyRacingEpoch} {
 		for _, threads := range []int{1, 3} {
 			tr, err := bench.Trace(bench.Workload{
 				Design: queue.CWL, Policy: pol, Threads: threads,
@@ -211,7 +211,7 @@ func TestHardwareForcedDrainsReflectSharing(t *testing.T) {
 	// The shared head pointer forces drains under multi-threaded CWL;
 	// a single thread with per-insert barriers needs none beyond its
 	// own same-line epoch handoffs.
-	multi, err := bench.Trace(bench.Workload{Design: queue.CWL, Policy: queue.PolicyEpoch, Threads: 4, Inserts: 60, Seed: 2})
+	multi, err := bench.Trace(bench.Workload{Design: queue.CWL, Policy: core.PolicyEpoch, Threads: 4, Inserts: 60, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

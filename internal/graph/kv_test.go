@@ -20,18 +20,14 @@ func kvTrace(tb testing.TB, policy string, ops int, readFrac float64, seed int64
 	if err != nil {
 		tb.Fatal(err)
 	}
-	jp, err := workload.JournalPolicy(qp)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	run, err := workload.BuildKV(workload.KVOptions{
 		Shards: 16, Keys: 65536, Threads: 32, Ops: ops,
-		ReadFrac: readFrac, ZipfS: 1.1, Policy: jp, Seed: seed, PolicyStr: policy,
+		ReadFrac: readFrac, ZipfS: 1.1, Policy: qp, Seed: seed, PolicyStr: policy,
 	}, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return run.Trace, workload.ModelForPolicy("kv", qp)
+	return run.Trace, qp.Model()
 }
 
 // TestBuildMatchesReferenceOnKV checks the production builder against

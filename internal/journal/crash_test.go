@@ -38,27 +38,16 @@ func traceJournal(t *testing.T, cfg Config, threads, txnsPerThread int, seed int
 	}
 }
 
-func modelFor(p Policy) core.Model {
-	switch p {
-	case PolicyStrict:
-		return core.Strict
-	case PolicyStrand:
-		return core.Strand
-	default:
-		return core.Epoch
-	}
-}
-
 func TestCrashSafetyUnderTargetModels(t *testing.T) {
 	// Strict, epoch, and strand annotations must make every crash state
 	// transaction-atomic under their models, including with checkpoint
 	// pressure (a small ring).
-	for _, pol := range []Policy{PolicyStrict, PolicyEpoch, PolicyStrand} {
+	for _, pol := range []core.Policy{core.PolicyStrict, core.PolicyEpoch, core.PolicyStrand} {
 		for _, threads := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%v/%dT", pol, threads), func(t *testing.T) {
 				cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: pol} // ring wraps
 				tr, rec := traceJournal(t, cfg, threads, 6, 13)
-				out, err := observer.CrashTest(tr, core.Params{Model: modelFor(pol)}, rec, observer.Config{Samples: 150, Seed: 3})
+				out, err := observer.CrashTest(tr, core.Params{Model: pol.Model()}, rec, observer.Config{Samples: 150, Seed: 3})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,7 +67,7 @@ func TestRacingEpochsUnsafeForJournal(t *testing.T) {
 	// the paper's point that relaxed annotation is per-algorithm.)
 	found := false
 	for seed := int64(0); seed < 12 && !found; seed++ {
-		cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: PolicyRacingEpoch}
+		cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: core.PolicyRacingEpoch}
 		tr, rec := traceJournal(t, cfg, 3, 6, seed)
 		corr, err := observer.FindCorruption(tr, core.Params{Model: core.Epoch}, rec, observer.Config{Samples: 500, Seed: seed})
 		if err != nil {
@@ -96,7 +85,7 @@ func TestRacingEpochsUnsafeAdversarially(t *testing.T) {
 	// by the single-victim sweep rather than random sampling.
 	found := false
 	for seed := int64(0); seed < 6 && !found; seed++ {
-		cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: PolicyRacingEpoch}
+		cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: core.PolicyRacingEpoch}
 		tr, rec := traceJournal(t, cfg, 3, 6, seed)
 		out, err := observer.Adversarial(tr, core.Params{Model: core.Epoch}, rec)
 		if err != nil {
@@ -117,7 +106,7 @@ func TestBrokenRecordCommitOrderIsLoadBearing(t *testing.T) {
 	// persistency checker flags statically.
 	found := false
 	for seed := int64(0); seed < 8 && !found; seed++ {
-		cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: PolicyEpoch, BreakRecordCommitOrder: true}
+		cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: core.PolicyEpoch, BreakRecordCommitOrder: true}
 		tr, rec := traceJournal(t, cfg, 3, 6, seed)
 		corr, err := observer.FindCorruption(tr, core.Params{Model: core.Epoch}, rec, observer.Config{Samples: 500, Seed: seed})
 		if err != nil {
@@ -138,7 +127,7 @@ func TestOmitStrandRecipeIsLoadBearing(t *testing.T) {
 	// the fixture the checker's escape analysis flags.
 	found := false
 	for seed := int64(0); seed < 8 && !found; seed++ {
-		cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: PolicyStrand, OmitStrandRecipe: true}
+		cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: core.PolicyStrand, OmitStrandRecipe: true}
 		tr, rec := traceJournal(t, cfg, 3, 6, seed)
 		corr, err := observer.FindCorruption(tr, core.Params{Model: core.Strand}, rec, observer.Config{Samples: 500, Seed: seed})
 		if err != nil {
@@ -154,10 +143,10 @@ func TestOmitStrandRecipeIsLoadBearing(t *testing.T) {
 func TestAdversarialCleanJournal(t *testing.T) {
 	// The correctly annotated journal survives the deterministic sweep
 	// under each target model, with checkpoint pressure.
-	for _, pol := range []Policy{PolicyStrict, PolicyEpoch, PolicyStrand} {
+	for _, pol := range []core.Policy{core.PolicyStrict, core.PolicyEpoch, core.PolicyStrand} {
 		cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: pol}
 		tr, rec := traceJournal(t, cfg, 3, 5, 2)
-		out, err := observer.Adversarial(tr, core.Params{Model: modelFor(pol)}, rec)
+		out, err := observer.Adversarial(tr, core.Params{Model: pol.Model()}, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,17 +158,17 @@ func TestAdversarialCleanJournal(t *testing.T) {
 
 func TestJournalPersistConcurrency(t *testing.T) {
 	// The relaxation hierarchy holds for the journal workload too.
-	cp := func(pol Policy) int64 {
+	cp := func(pol core.Policy) int64 {
 		tr, _ := traceJournal(t, Config{Blocks: 2 * 2, JournalBytes: 1 << 13, Policy: pol}, 2, 10, 4)
-		r, err := core.Simulate(tr, core.Params{Model: modelFor(pol)})
+		r, err := core.Simulate(tr, core.Params{Model: pol.Model()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r.CriticalPath
 	}
-	strict := cp(PolicyStrict)
-	epoch := cp(PolicyEpoch)
-	strand := cp(PolicyStrand)
+	strict := cp(core.PolicyStrict)
+	epoch := cp(core.PolicyEpoch)
+	strand := cp(core.PolicyStrand)
 	if !(strand <= epoch && epoch < strict) {
 		t.Fatalf("hierarchy: strict %d, epoch %d, strand %d", strict, epoch, strand)
 	}

@@ -3,6 +3,7 @@ package journal_test
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/journal"
 )
@@ -15,7 +16,7 @@ func ExampleStore_Update() {
 	st := journal.MustNew(s, journal.Config{
 		Blocks:       4,
 		JournalBytes: 4096,
-		Policy:       journal.PolicyEpoch,
+		Policy:       core.PolicyEpoch,
 	})
 
 	st.Update(s, []journal.Write{

@@ -3,6 +3,7 @@ package journal
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/exec"
 	"repro/internal/memory"
@@ -14,7 +15,7 @@ func buildImageFmt(t *testing.T, integrity bool) (*memory.Image, Meta) {
 	t.Helper()
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	st, err := New(s, Config{Blocks: 4, JournalBytes: 1 << 11, Policy: PolicyEpoch, Integrity: integrity})
+	st, err := New(s, Config{Blocks: 4, JournalBytes: 1 << 11, Policy: core.PolicyEpoch, Integrity: integrity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestTableBlockFlipSilentLegacyDetectedWithIntegrity(t *testing.T) {
 		s := m.SetupThread()
 		// A small ring: the group-1 updates push the checkpoint past
 		// group 0's records, leaving block 0 in-place only.
-		st, err := New(s, Config{Blocks: 4, JournalBytes: 1 << 10, Policy: PolicyEpoch, Integrity: integrity})
+		st, err := New(s, Config{Blocks: 4, JournalBytes: 1 << 10, Policy: core.PolicyEpoch, Integrity: integrity})
 		if err != nil {
 			t.Fatal(err)
 		}

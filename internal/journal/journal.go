@@ -32,49 +32,12 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/exec"
 	"repro/internal/locks"
 	"repro/internal/memory"
 )
-
-// Policy selects the annotation discipline, mirroring Algorithm 1's
-// options for this structure.
-type Policy uint8
-
-const (
-	// PolicyStrict emits no annotations (strict persistency).
-	PolicyStrict Policy = iota
-	// PolicyEpoch surrounds the lock with barriers and keeps the
-	// record/commit/apply stages in separate epochs.
-	PolicyEpoch
-	// PolicyRacingEpoch drops the barriers around the lock. Unsafe for
-	// this structure (see the package comment); provided for the
-	// negative crash tests.
-	PolicyRacingEpoch
-	// PolicyStrand begins a new strand per transaction after the
-	// checkpoint bookkeeping.
-	PolicyStrand
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyStrict:
-		return "strict"
-	case PolicyEpoch:
-		return "epoch"
-	case PolicyRacingEpoch:
-		return "racing-epochs"
-	case PolicyStrand:
-		return "strand"
-	default:
-		return fmt.Sprintf("policy(%d)", uint8(p))
-	}
-}
-
-// Policies lists the annotation disciplines.
-var Policies = []Policy{PolicyStrict, PolicyEpoch, PolicyRacingEpoch, PolicyStrand}
 
 const (
 	// BlockBytes is the metadata block size (one cache line).
@@ -99,14 +62,14 @@ type Config struct {
 	// JournalBytes is the redo ring capacity (multiple of 64).
 	JournalBytes uint64
 	// Policy selects annotations.
-	Policy Policy
+	Policy core.Policy
 	// BreakRecordCommitOrder omits the barrier between the redo records
 	// and the commit persist (stage 1 → stage 2). For negative testing
 	// only: under relaxed persistency the commit record can then persist
 	// before its payload, so recovery redoes garbage.
 	BreakRecordCommitOrder bool
 	// OmitStrandRecipe omits §5.3's read-then-barrier recipe after
-	// NewStrand under PolicyStrand. For negative testing only: the
+	// NewStrand under core.PolicyStrand. For negative testing only: the
 	// transaction's persists are then unordered after the checkpoint
 	// truncation the thread observed, so a crash can expose a stale
 	// checkpoint alongside newer ring contents.
@@ -206,20 +169,28 @@ func MustNew(s *exec.Thread, cfg Config) *Store {
 // Meta returns the persistent layout for recovery.
 func (st *Store) Meta() Meta { return st.meta }
 
+// Annotation helpers: which barriers each core.Policy emits here.
+// Epoch surrounds the lock with barriers and keeps the record, commit
+// and apply stages in separate epochs; strand also begins a new strand
+// per transaction after the checkpoint bookkeeping. Racing epochs drops
+// the barriers around the lock (barrierInner), which is unsafe for this
+// structure (see the package comment); it exists for the negative crash
+// tests.
+
 func (st *Store) barrierOuter(t *exec.Thread) {
-	if st.cfg.Policy != PolicyStrict {
+	if st.cfg.Policy != core.PolicyStrict {
 		t.PersistBarrier()
 	}
 }
 
 func (st *Store) barrierInner(t *exec.Thread) {
-	if st.cfg.Policy == PolicyEpoch || st.cfg.Policy == PolicyStrand {
+	if st.cfg.Policy == core.PolicyEpoch || st.cfg.Policy == core.PolicyStrand {
 		t.PersistBarrier()
 	}
 }
 
 func (st *Store) barrierStage(t *exec.Thread) {
-	if st.cfg.Policy != PolicyStrict {
+	if st.cfg.Policy != core.PolicyStrict {
 		t.PersistBarrier()
 	}
 }
@@ -230,7 +201,7 @@ func (st *Store) barrierStage(t *exec.Thread) {
 // uses, so the strand recipe's Load8 keeps importing the right
 // dependence either way.
 
-func (st *Store) relaxed() bool { return st.cfg.Policy != PolicyStrict }
+func (st *Store) relaxed() bool { return st.cfg.Policy != core.PolicyStrict }
 
 func (st *Store) loadCheckpoint(t *exec.Thread) uint64 {
 	if st.cfg.Integrity {
@@ -300,7 +271,7 @@ func (st *Store) Update(t *exec.Thread, writes []Write) uint64 {
 		st.barrierStage(t)
 	}
 
-	if st.cfg.Policy == PolicyStrand {
+	if st.cfg.Policy == core.PolicyStrand {
 		t.NewStrand()
 		if !st.cfg.OmitStrandRecipe {
 			// §5.3's recipe: "a persist strand begins by reading persisted

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/memory"
 	"repro/internal/trace"
@@ -38,7 +39,7 @@ func checkGroups(table [][]byte) error {
 func TestUpdateReadRecover(t *testing.T) {
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	st := MustNew(s, Config{Blocks: 8, JournalBytes: 1 << 12, Policy: PolicyEpoch})
+	st := MustNew(s, Config{Blocks: 8, JournalBytes: 1 << 12, Policy: core.PolicyEpoch})
 	st.Update(s, groupWrites(0, 7))
 	st.Update(s, groupWrites(1, 9))
 	st.Update(s, groupWrites(0, 11)) // overwrite group 0
@@ -67,7 +68,7 @@ func TestUpdateReadRecover(t *testing.T) {
 }
 
 func TestAllPoliciesMultiThread(t *testing.T) {
-	for _, pol := range Policies {
+	for _, pol := range core.Policies {
 		for _, threads := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%v/%dT", pol, threads), func(t *testing.T) {
 				m := exec.NewMachine(exec.Config{Threads: threads, Seed: 5})
@@ -101,7 +102,7 @@ func TestRingWrapAndCheckpoint(t *testing.T) {
 	// recoverable throughout.
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	st := MustNew(s, Config{Blocks: 4, JournalBytes: 1 << 10, Policy: PolicyEpoch}) // 1 KiB: ~3 txns per ring
+	st := MustNew(s, Config{Blocks: 4, JournalBytes: 1 << 10, Policy: core.PolicyEpoch}) // 1 KiB: ~3 txns per ring
 	for i := uint64(1); i <= 50; i++ {
 		st.Update(s, groupWrites(int(i%2), i))
 		if i%7 == 0 {
@@ -133,7 +134,7 @@ func TestConfigValidation(t *testing.T) {
 func TestUpdateValidation(t *testing.T) {
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	st := MustNew(s, Config{Blocks: 4, JournalBytes: 1 << 12, Policy: PolicyEpoch})
+	st := MustNew(s, Config{Blocks: 4, JournalBytes: 1 << 12, Policy: core.PolicyEpoch})
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -151,7 +152,7 @@ func TestUpdateValidation(t *testing.T) {
 func TestRecoverDetectsCorruption(t *testing.T) {
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	st := MustNew(s, Config{Blocks: 4, JournalBytes: 1 << 12, Policy: PolicyEpoch})
+	st := MustNew(s, Config{Blocks: 4, JournalBytes: 1 << 12, Policy: core.PolicyEpoch})
 	st.Update(s, groupWrites(0, 5))
 	meta := st.Meta()
 
@@ -184,7 +185,7 @@ func TestUncommittedTailIgnored(t *testing.T) {
 	// write records directly, leave CommittedHead at 0.
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	st := MustNew(s, Config{Blocks: 4, JournalBytes: 1 << 12, Policy: PolicyEpoch})
+	st := MustNew(s, Config{Blocks: 4, JournalBytes: 1 << 12, Policy: core.PolicyEpoch})
 	st.appendRecord(s, 0, 1, 0, MakeBlock(42))
 	state, err := Recover(m.PersistentImage(), st.Meta())
 	if err != nil {
@@ -218,19 +219,22 @@ func TestBlockTagHelpers(t *testing.T) {
 	}
 }
 
+// TestPolicyStrings checks that every policy the journal takes has a
+// name for its test and table labels, and that an out-of-range value
+// still prints.
 func TestPolicyStrings(t *testing.T) {
-	for _, p := range Policies {
+	for _, p := range core.Policies {
 		if p.String() == "" {
 			t.Fatal("empty policy name")
 		}
 	}
-	if Policy(9).String() != "policy(9)" {
+	if core.Policy(9).String() != "policy(9)" {
 		t.Fatal("unknown policy string")
 	}
 }
 
 func TestAnnotationCounts(t *testing.T) {
-	count := func(pol Policy) (barriers, strands int) {
+	count := func(pol core.Policy) (barriers, strands int) {
 		tr := &trace.Trace{}
 		m := exec.NewMachine(exec.Config{Sink: tr})
 		s := m.SetupThread()
@@ -242,17 +246,17 @@ func TestAnnotationCounts(t *testing.T) {
 	// Setup emits one barrier. Per txn without checkpoint: outer(2) +
 	// inner(2) + stage(2) for epoch/strand; stage(2) + outer(2) for
 	// racing; none for strict.
-	if b, s := count(PolicyStrict); b != 1 || s != 0 {
+	if b, s := count(core.PolicyStrict); b != 1 || s != 0 {
 		t.Errorf("strict: %d barriers %d strands", b, s)
 	}
-	if b, _ := count(PolicyEpoch); b != 1+6 {
+	if b, _ := count(core.PolicyEpoch); b != 1+6 {
 		t.Errorf("epoch: %d barriers", b)
 	}
-	if b, _ := count(PolicyRacingEpoch); b != 1+4 {
+	if b, _ := count(core.PolicyRacingEpoch); b != 1+4 {
 		t.Errorf("racing: %d barriers", b)
 	}
 	// Strand adds the §5.3 ordering-read barrier after NewStrand.
-	if b, s := count(PolicyStrand); b != 1+7 || s != 1 {
+	if b, s := count(core.PolicyStrand); b != 1+7 || s != 1 {
 		t.Errorf("strand: %d barriers %d strands", b, s)
 	}
 }

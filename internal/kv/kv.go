@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/journal"
@@ -38,7 +39,7 @@ type Config struct {
 	// 0 means 4 KiB.
 	RingBytes uint64
 	// Policy selects the journal's annotation discipline per shard.
-	Policy journal.Policy
+	Policy core.Policy
 	// Integrity hardens the per-shard durable format (CRC-framed redo
 	// records, dual-copy pointer words, shadow block checksums).
 	Integrity bool

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/journal"
 	"repro/internal/memory"
@@ -16,7 +17,7 @@ func TestPutGetRecoverRoundTrip(t *testing.T) {
 	const keys, shards = 37, 5
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	st, err := New(s, Config{Shards: shards, Keys: keys, Policy: journal.PolicyEpoch})
+	st, err := New(s, Config{Shards: shards, Keys: keys, Policy: core.PolicyEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestPutGetRecoverRoundTrip(t *testing.T) {
 }
 
 func TestAllPoliciesMultiThread(t *testing.T) {
-	for _, pol := range journal.Policies {
+	for _, pol := range core.Policies {
 		for _, threads := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%v/%dT", pol, threads), func(t *testing.T) {
 				const keys = 64
@@ -111,7 +112,7 @@ func TestShardingInvariants(t *testing.T) {
 	// still construct and recover.
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	st := MustNew(s, Config{Shards: 8, Keys: 3, Policy: journal.PolicyStrict})
+	st := MustNew(s, Config{Shards: 8, Keys: 3, Policy: core.PolicyStrict})
 	for key := uint64(0); key < 3; key++ {
 		st.Put(s, key, key+10, 1)
 	}
@@ -129,7 +130,7 @@ func TestShardingInvariants(t *testing.T) {
 	// after we overwrite, so replay won't repair it).
 	m2 := exec.NewMachine(exec.Config{})
 	s2 := m2.SetupThread()
-	st2 := MustNew(s2, Config{Shards: 2, Keys: 8, Policy: journal.PolicyEpoch})
+	st2 := MustNew(s2, Config{Shards: 2, Keys: 8, Policy: core.PolicyEpoch})
 	st2.Put(s2, 0, 42, 1)
 	im := m2.PersistentImage()
 	im.WriteWord(st2.Meta().Shards[1].Table, 0+1) // key-0 tag in shard 1
@@ -179,7 +180,7 @@ func TestConfigValidation(t *testing.T) {
 func TestSiteLabelAndChecks(t *testing.T) {
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	st := MustNew(s, Config{Shards: 3, Keys: 9, Policy: journal.PolicyEpoch})
+	st := MustNew(s, Config{Shards: 3, Keys: 9, Policy: core.PolicyEpoch})
 	meta := st.Meta()
 	label := meta.SiteLabel()
 	for i, sm := range meta.Shards {
@@ -227,7 +228,7 @@ func TestSiteLabelAndChecks(t *testing.T) {
 func TestChecksTagPubCap(t *testing.T) {
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	st := MustNew(s, Config{Shards: 1, Keys: tagPubCap + 1, RingBytes: 1 << 12, Policy: journal.PolicyEpoch})
+	st := MustNew(s, Config{Shards: 1, Keys: tagPubCap + 1, RingBytes: 1 << 12, Policy: core.PolicyEpoch})
 	checks := st.Meta().Checks()
 	for _, p := range checks.Pubs {
 		if strings.HasSuffix(p.Name, "-tag") {

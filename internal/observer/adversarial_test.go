@@ -8,9 +8,9 @@ import (
 )
 
 func TestAdversarialCleanOnCorrectQueue(t *testing.T) {
-	for _, pol := range queue.Policies {
+	for _, pol := range core.Policies {
 		tr, rec := traceQueue(t, queue.Config{DataBytes: 1 << 13, Design: queue.CWL, Policy: pol}, 2, 5, 7)
-		out, err := Adversarial(tr, core.Params{Model: modelFor(pol)}, rec)
+		out, err := Adversarial(tr, core.Params{Model: pol.Model()}, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +28,7 @@ func TestAdversarialFindsBrokenBarrierDeterministically(t *testing.T) {
 	// cannot miss a single-persist ordering violation. The data→head
 	// break must be caught on the FIRST seed.
 	tr, rec := traceQueue(t, queue.Config{
-		DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyEpoch,
+		DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
 		BreakDataHeadOrder: true,
 	}, 1, 4, 0)
 	out, err := Adversarial(tr, core.Params{Model: core.Epoch}, rec)
@@ -50,7 +50,7 @@ func TestAdversarialFindsCompletionBarrierHazard(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 6 && !found; seed++ {
 		tr, rec := traceQueue(t, queue.Config{
-			DataBytes: 1 << 13, Design: queue.TwoLock, Policy: queue.PolicyEpoch,
+			DataBytes: 1 << 13, Design: queue.TwoLock, Policy: core.PolicyEpoch,
 			OmitCompletionBarrier: true,
 		}, 3, 4, seed)
 		out, err := Adversarial(tr, core.Params{Model: core.Epoch}, rec)

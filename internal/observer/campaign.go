@@ -109,9 +109,6 @@ type CampaignConfig struct {
 	// Device, when Latency > 0, charges each plan's transient write
 	// failures into the nvram timing model and accumulates the cost.
 	Device nvram.Config
-	// MinimizeBudget caps recovery executions spent shrinking the first
-	// failure. 0 means 2000; negative disables minimization.
-	MinimizeBudget int
 	// Progress, when non-nil, receives the running outcome every
 	// ProgressEvery scenarios and after the last one — live campaign
 	// telemetry for long runs. It is called synchronously from the
@@ -135,15 +132,16 @@ type CampaignConfig struct {
 	Spans *telemetry.SpanTracer
 }
 
+// minimizeBudget caps the recovery executions spent shrinking a
+// campaign's first failure.
+const minimizeBudget = 2000
+
 func (c *CampaignConfig) normalize() {
 	if c.Scenarios == 0 {
 		c.Scenarios = 1000
 	}
 	if len(c.KeepProbs) == 0 {
 		c.KeepProbs = []float64{0.05, 0.25, 0.5, 0.75, 0.95, 0.999}
-	}
-	if c.MinimizeBudget == 0 {
-		c.MinimizeBudget = 2000
 	}
 	if c.ProgressEvery <= 0 {
 		c.ProgressEvery = 100
@@ -408,12 +406,10 @@ func Campaign(tr *trace.Trace, p core.Params, rec CheckedRecoverFunc, cfg Campai
 		if class == AnnotationCorrupt {
 			mp = fault.Plan{} // the empty plan already fails
 		}
-		if cfg.MinimizeBudget > 0 {
-			mc, mp = MinimizeScenario(g, mc, mp, func(c2 graph.Cut, p2 fault.Plan) bool {
-				cl, _, _ := classify(g, c2, p2, rec, maxRetries)
-				return cl == class
-			}, cfg.MinimizeBudget)
-		}
+		mc, mp = MinimizeScenario(g, mc, mp, func(c2 graph.Cut, p2 fault.Plan) bool {
+			cl, _, _ := classify(g, c2, p2, rec, maxRetries)
+			return cl == class
+		}, minimizeBudget)
 		out.FirstFailure = &fault.Scenario{Params: cfg.Params, Cut: mc, Plan: mp}
 		msp.End()
 	}

@@ -63,7 +63,7 @@ func traceQueueChecked(t *testing.T, cfg queue.Config, threads, perThread int, s
 func TestCampaignQueueCleanUnderFaults(t *testing.T) {
 	for _, d := range []queue.Design{queue.CWL, queue.TwoLock} {
 		tr, rec := traceQueueChecked(t, queue.Config{
-			DataBytes: 1 << 13, Design: d, Policy: queue.PolicyEpoch, MaxThreads: 2,
+			DataBytes: 1 << 13, Design: d, Policy: core.PolicyEpoch, MaxThreads: 2,
 		}, 2, 6, 11)
 		out, err := Campaign(tr, core.Params{Model: core.Epoch}, rec, CampaignConfig{
 			Scenarios: 300, Seed: 7,
@@ -87,7 +87,7 @@ func TestCampaignQueueCleanUnderFaults(t *testing.T) {
 func TestCampaignDeterministicFromSeed(t *testing.T) {
 	run := func() CampaignOutcome {
 		tr, rec := traceQueueChecked(t, queue.Config{
-			DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyEpoch,
+			DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
 		}, 1, 8, 3)
 		out, err := Campaign(tr, core.Params{Model: core.Epoch}, rec, CampaignConfig{Scenarios: 120, Seed: 99})
 		if err != nil {
@@ -104,7 +104,7 @@ func TestCampaignDeterministicFromSeed(t *testing.T) {
 func TestCampaignFindsBrokenBarrierAndReplays(t *testing.T) {
 	build := func() (*trace.Trace, CheckedRecoverFunc) {
 		return traceQueueChecked(t, queue.Config{
-			DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyEpoch,
+			DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
 			BreakDataHeadOrder: true,
 		}, 1, 8, 5)
 	}
@@ -138,7 +138,7 @@ func TestCampaignFindsBrokenBarrierAndReplays(t *testing.T) {
 // sampled, and the minimized scenario still fails.
 func TestMinimizeScenarioNeverGrows(t *testing.T) {
 	tr, _ := traceQueueChecked(t, queue.Config{
-		DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyEpoch,
+		DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
 	}, 1, 6, 17)
 	g, err := graph.Build(tr, core.Params{Model: core.Epoch})
 	if err != nil {

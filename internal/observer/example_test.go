@@ -17,7 +17,7 @@ func ExampleCrashTest() {
 	tr := &trace.Trace{}
 	m := exec.NewMachine(exec.Config{Threads: 1, Seed: 1, Sink: tr})
 	s := m.SetupThread()
-	q := queue.MustNew(s, queue.Config{DataBytes: 4096, Design: queue.CWL, Policy: queue.PolicyEpoch})
+	q := queue.MustNew(s, queue.Config{DataBytes: 4096, Design: queue.CWL, Policy: core.PolicyEpoch})
 	meta := q.Meta()
 	m.Run(func(t *exec.Thread) {
 		for i := uint64(0); i < 4; i++ {

@@ -35,25 +35,12 @@ func traceQueue(t *testing.T, cfg queue.Config, threads, perThread int, seed int
 	}
 }
 
-// modelFor maps an annotation policy to the persistency model it
-// targets.
-func modelFor(p queue.Policy) core.Model {
-	switch p {
-	case queue.PolicyStrict:
-		return core.Strict
-	case queue.PolicyStrand:
-		return core.Strand
-	default:
-		return core.Epoch
-	}
-}
-
 func TestAllPoliciesRecoverUnderTheirModel(t *testing.T) {
 	for _, d := range []queue.Design{queue.CWL, queue.TwoLock} {
-		for _, pol := range queue.Policies {
+		for _, pol := range core.Policies {
 			for _, threads := range []int{1, 3} {
 				tr, rec := traceQueue(t, queue.Config{DataBytes: 1 << 13, Design: d, Policy: pol}, threads, 6, 11)
-				out, err := CrashTest(tr, core.Params{Model: modelFor(pol)}, rec, Config{Samples: 120, Seed: 1})
+				out, err := CrashTest(tr, core.Params{Model: pol.Model()}, rec, Config{Samples: 120, Seed: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +59,7 @@ func TestBrokenDataHeadOrderIsCaught(t *testing.T) {
 	// Dropping Algorithm 1's line-8 barrier must expose a crash state
 	// where the head pointer covers unpersisted data.
 	tr, rec := traceQueue(t, queue.Config{
-		DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyEpoch,
+		DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
 		BreakDataHeadOrder: true,
 	}, 1, 8, 3)
 	corr, err := FindCorruption(tr, core.Params{Model: core.Epoch}, rec, Config{Samples: 400, Seed: 2})
@@ -92,7 +79,7 @@ func TestBrokenOrderHarmlessUnderStrict(t *testing.T) {
 	// persistency: SC ordering alone protects it. This is the paper's
 	// core trade-off in executable form.
 	tr, rec := traceQueue(t, queue.Config{
-		DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyEpoch,
+		DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
 		BreakDataHeadOrder: true,
 	}, 1, 8, 3)
 	out, err := CrashTest(tr, core.Params{Model: core.Strict}, rec, Config{Samples: 300, Seed: 2})
@@ -108,7 +95,7 @@ func TestStrictAnnotationsUnsafeUnderEpoch(t *testing.T) {
 	// Running the unannotated (strict-policy) queue under epoch
 	// persistency must be unsafe: relaxation requires annotation.
 	tr, rec := traceQueue(t, queue.Config{
-		DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyStrict,
+		DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyStrict,
 	}, 1, 8, 5)
 	corr, err := FindCorruption(tr, core.Params{Model: core.Epoch}, rec, Config{Samples: 400, Seed: 7})
 	if err != nil {
@@ -127,7 +114,7 @@ func TestTwoLockCompletionBarrierIsLoadBearing(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 10 && !found; seed++ {
 		tr, rec := traceQueue(t, queue.Config{
-			DataBytes: 1 << 13, Design: queue.TwoLock, Policy: queue.PolicyEpoch,
+			DataBytes: 1 << 13, Design: queue.TwoLock, Policy: core.PolicyEpoch,
 			OmitCompletionBarrier: true,
 		}, 3, 6, seed)
 		corr, err := FindCorruption(tr, core.Params{Model: core.Epoch}, rec, Config{Samples: 600, Seed: seed})
@@ -142,7 +129,7 @@ func TestTwoLockCompletionBarrierIsLoadBearing(t *testing.T) {
 }
 
 func TestExhaustiveSmallQueue(t *testing.T) {
-	tr, rec := traceQueue(t, queue.Config{DataBytes: 1 << 12, Design: queue.CWL, Policy: queue.PolicyEpoch}, 1, 2, 1)
+	tr, rec := traceQueue(t, queue.Config{DataBytes: 1 << 12, Design: queue.CWL, Policy: core.PolicyEpoch}, 1, 2, 1)
 	out, err := Exhaustive(tr, core.Params{Model: core.Epoch}, rec, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +143,7 @@ func TestExhaustiveSmallQueue(t *testing.T) {
 }
 
 func TestExhaustiveRefusesLargeGraphs(t *testing.T) {
-	tr, rec := traceQueue(t, queue.Config{DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyEpoch}, 1, 10, 1)
+	tr, rec := traceQueue(t, queue.Config{DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch}, 1, 10, 1)
 	if _, err := Exhaustive(tr, core.Params{Model: core.Epoch}, rec, 10); err == nil {
 		t.Fatal("exhaustive should refuse large graphs")
 	}
@@ -169,7 +156,7 @@ func TestInsertRemoveCrashSafety(t *testing.T) {
 	tr := &trace.Trace{}
 	m := exec.NewMachine(exec.Config{Threads: 3, Seed: 21, Sink: tr})
 	s := m.SetupThread()
-	q, err := queue.New(s, queue.Config{DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyEpoch})
+	q, err := queue.New(s, queue.Config{DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +193,7 @@ func TestStrandInsertRemoveCrashSafety(t *testing.T) {
 	tr := &trace.Trace{}
 	m := exec.NewMachine(exec.Config{Threads: 2, Seed: 31, Sink: tr})
 	s := m.SetupThread()
-	q, err := queue.New(s, queue.Config{DataBytes: 512, Design: queue.CWL, Policy: queue.PolicyStrand})
+	q, err := queue.New(s, queue.Config{DataBytes: 512, Design: queue.CWL, Policy: core.PolicyStrand})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +229,7 @@ func TestTwoLockUnsafeUnderEpochTSO(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 12 && !found; seed++ {
 		tr, rec := traceQueue(t, queue.Config{
-			DataBytes: 1 << 13, Design: queue.TwoLock, Policy: queue.PolicyEpoch,
+			DataBytes: 1 << 13, Design: queue.TwoLock, Policy: core.PolicyEpoch,
 		}, 3, 6, seed)
 		corr, err := FindCorruption(tr, core.Params{Model: core.EpochTSO}, rec, Config{Samples: 600, Seed: seed})
 		if err != nil {
@@ -257,7 +244,7 @@ func TestTwoLockUnsafeUnderEpochTSO(t *testing.T) {
 	// issued by the inserting thread itself, so only thread-local
 	// barriers and strong persist atomicity — both still enforced —
 	// protect recovery.
-	tr, rec := traceQueue(t, queue.Config{DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyEpoch}, 3, 6, 4)
+	tr, rec := traceQueue(t, queue.Config{DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch}, 3, 6, 4)
 	out, err := CrashTest(tr, core.Params{Model: core.EpochTSO}, rec, Config{Samples: 400, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +261,7 @@ func TestFullCutMatchesMachineImage(t *testing.T) {
 	tr := &trace.Trace{}
 	m := exec.NewMachine(exec.Config{Threads: 2, Seed: 13, Sink: tr})
 	s := m.SetupThread()
-	q, err := queue.New(s, queue.Config{DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyEpoch})
+	q, err := queue.New(s, queue.Config{DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}

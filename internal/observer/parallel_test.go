@@ -17,7 +17,7 @@ import (
 func TestCampaignParallelMatchesSequential(t *testing.T) {
 	run := func(parallel int) (CampaignOutcome, []string) {
 		tr, rec := traceQueueChecked(t, queue.Config{
-			DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyEpoch, MaxThreads: 2,
+			DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch, MaxThreads: 2,
 		}, 2, 6, 11)
 		var progress []string
 		out, err := Campaign(tr, core.Params{Model: core.Epoch}, rec, CampaignConfig{
@@ -49,7 +49,7 @@ func TestCampaignParallelMatchesSequential(t *testing.T) {
 func TestCampaignFailureReproParallelMatchesSequential(t *testing.T) {
 	run := func(parallel int) CampaignOutcome {
 		tr, rec := traceQueueChecked(t, queue.Config{
-			DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyEpoch,
+			DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
 			BreakDataHeadOrder: true,
 		}, 1, 8, 5)
 		out, err := Campaign(tr, core.Params{Model: core.Epoch}, rec, CampaignConfig{
@@ -81,7 +81,7 @@ func TestCampaignFailureReproParallelMatchesSequential(t *testing.T) {
 func TestCrashTestParallelMatchesSequential(t *testing.T) {
 	run := func(parallel int) Outcome {
 		tr, checked := traceQueueChecked(t, queue.Config{
-			DataBytes: 1 << 13, Design: queue.CWL, Policy: queue.PolicyEpoch,
+			DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
 		}, 1, 8, 3)
 		out, err := CrashTest(tr, core.Params{Model: core.Epoch}, func(im *memory.Image) error {
 			_, e := checked(im)

@@ -16,7 +16,7 @@ import (
 // programmer must add consistency fences too ("the programmer is now
 // responsible for inserting the correct memory barriers", §4.1).
 
-func tracePSOQueue(t *testing.T, fences bool, policy queue.Policy, seed int64) (*trace.Trace, RecoverFunc) {
+func tracePSOQueue(t *testing.T, fences bool, policy core.Policy, seed int64) (*trace.Trace, RecoverFunc) {
 	t.Helper()
 	tr := &trace.Trace{}
 	m := exec.NewMachine(exec.Config{Threads: 2, Seed: seed, Sink: tr, Consistency: exec.PSO})
@@ -40,8 +40,8 @@ func tracePSOQueue(t *testing.T, fences bool, policy queue.Policy, seed int64) (
 }
 
 func TestPSOFencedQueueRecovers(t *testing.T) {
-	for _, pol := range []queue.Policy{queue.PolicyStrict, queue.PolicyEpoch, queue.PolicyStrand} {
-		model := modelFor(pol)
+	for _, pol := range []core.Policy{core.PolicyStrict, core.PolicyEpoch, core.PolicyStrand} {
+		model := pol.Model()
 		tr, rec := tracePSOQueue(t, true, pol, 5)
 		out, err := CrashTest(tr, core.Params{Model: model}, rec, Config{Samples: 300, Seed: 5})
 		if err != nil {
@@ -58,8 +58,8 @@ func TestPSOUnfencedQueueCorrupts(t *testing.T) {
 	// before the entry's stores — even under strict persistency, whose
 	// ordering IS the visible order. The corruption must be reachable
 	// for both strict and epoch targets.
-	for _, pol := range []queue.Policy{queue.PolicyStrict, queue.PolicyEpoch} {
-		model := modelFor(pol)
+	for _, pol := range []core.Policy{core.PolicyStrict, core.PolicyEpoch} {
+		model := pol.Model()
 		found := false
 		for seed := int64(0); seed < 15 && !found; seed++ {
 			tr, rec := tracePSOQueue(t, false, pol, seed)
@@ -79,7 +79,7 @@ func TestPSOQueueRuntimeStillCorrect(t *testing.T) {
 	// Even unfenced, the *runtime* queue semantics hold (the engine's
 	// drain-on-overlap and lock fences preserve program semantics);
 	// only crash states are endangered. The full-run image recovers.
-	tr, rec := tracePSOQueue(t, false, queue.PolicyEpoch, 3)
+	tr, rec := tracePSOQueue(t, false, core.PolicyEpoch, 3)
 	g := tr.Persists()
 	if len(g) == 0 {
 		t.Fatal("no persists traced")

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/persistcheck"
-	"repro/internal/queue"
 	"repro/internal/workload"
 )
 
@@ -14,18 +13,14 @@ import (
 // Zipf 1.1, seed 42) with its store's annotations. One op is a whole
 // Check, graph build included; ns/event is its cost per trace event.
 func BenchmarkPersistcheckKV(b *testing.B) {
-	jp, err := workload.JournalPolicy(queue.PolicyEpoch)
-	if err != nil {
-		b.Fatal(err)
-	}
 	run, err := workload.BuildKV(workload.KVOptions{
 		Shards: 16, Keys: 65536, Threads: 32, Ops: 1024,
-		ReadFrac: 0.9, ZipfS: 1.1, Policy: jp, Seed: 42, PolicyStr: "epoch",
+		ReadFrac: 0.9, ZipfS: 1.1, Policy: core.PolicyEpoch, Seed: 42, PolicyStr: "epoch",
 	}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := core.Params{Model: workload.ModelForPolicy("kv", queue.PolicyEpoch)}
+	p := core.Params{Model: core.Epoch}
 	cfg := persistcheck.Config{SiteLabel: run.SiteLabel}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

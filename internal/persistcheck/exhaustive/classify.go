@@ -279,7 +279,7 @@ func minimize(g *graph.Graph, f final, hazard *outcome, tr *trie, strict observe
 	cut := f.cut(n)
 	orig := cut.Size()
 	cur := hazard
-	budget := cfg.minimizeBudget()
+	budget := minimizeBudget
 	sc := tr.scratch()
 	for i := n - 1; i >= 0 && budget > 0; i-- {
 		if !cut.Included[i] {

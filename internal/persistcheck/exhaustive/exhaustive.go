@@ -127,10 +127,11 @@ type Config struct {
 	// ReproParams, when set, are serialized into counterexample repro
 	// lines (the workload's Options.Params()).
 	ReproParams []fault.Param
-	// MinimizeBudget caps counterexample-minimization classification
-	// probes. 0 means 4096.
-	MinimizeBudget int
 }
+
+// minimizeBudget caps counterexample-minimization classification
+// probes.
+const minimizeBudget = 4096
 
 func (cfg Config) budget() int {
 	if cfg.Budget > 0 {
@@ -142,13 +143,6 @@ func (cfg Config) budget() int {
 func (cfg Config) maxPersists() int {
 	if cfg.MaxPersists > 0 {
 		return cfg.MaxPersists
-	}
-	return 4096
-}
-
-func (cfg Config) minimizeBudget() int {
-	if cfg.MinimizeBudget > 0 {
-		return cfg.MinimizeBudget
 	}
 	return 4096
 }

@@ -49,18 +49,14 @@ func buildRun(t testing.TB, fx fixture) (*workload.Run, workload.Options, core.M
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := workload.ModelForPolicy(fx.wl, policy)
+	model := policy.Model()
 	if fx.wl == "kv" {
-		jp, err := workload.JournalPolicy(policy)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if fx.readFrac == 0 {
 			fx.readFrac = 0.75
 		}
 		run, err := workload.BuildKV(workload.KVOptions{
 			Shards: 2, Keys: 8, Threads: fx.threads, Ops: fx.inserts,
-			ReadFrac: fx.readFrac, ZipfS: 1.1, Policy: jp,
+			ReadFrac: fx.readFrac, ZipfS: 1.1, Policy: policy,
 			Integrity: fx.integrity, Seed: fx.seed, PolicyStr: fx.policy,
 		}, nil)
 		if err != nil {

@@ -33,7 +33,7 @@ func opt(t *testing.T, wl, design, policy string, threads, inserts int, seed int
 	}
 	return workload.Options{
 		Workload: wl, Design: d, Policy: p,
-		Model:   workload.ModelForPolicy(wl, p),
+		Model:   p.Model(),
 		Threads: threads, Inserts: inserts, Payload: 64, Seed: seed,
 		DesignStr: design, PolicyStr: policy,
 	}

@@ -14,7 +14,7 @@ import (
 // tracePSTM runs paired-word transactions and returns the trace plus a
 // recovery-and-invariant checker: both words of each pair must always
 // carry the same value after recovery (transaction atomicity).
-func tracePSTM(t *testing.T, pol Policy, threads, txns int, seed int64) (*trace.Trace, observer.RecoverFunc) {
+func tracePSTM(t *testing.T, pol core.Policy, threads, txns int, seed int64) (*trace.Trace, observer.RecoverFunc) {
 	t.Helper()
 	tr := &trace.Trace{}
 	m := exec.NewMachine(exec.Config{Threads: threads, Seed: seed, Sink: tr})
@@ -47,23 +47,12 @@ func tracePSTM(t *testing.T, pol Policy, threads, txns int, seed int64) (*trace.
 	}
 }
 
-func modelFor(p Policy) core.Model {
-	switch p {
-	case PolicyStrict:
-		return core.Strict
-	case PolicyStrand:
-		return core.Strand
-	default:
-		return core.Epoch
-	}
-}
-
 func TestCrashSafetyUnderTargetModels(t *testing.T) {
-	for _, pol := range []Policy{PolicyStrict, PolicyEpoch, PolicyStrand} {
+	for _, pol := range []core.Policy{core.PolicyStrict, core.PolicyEpoch, core.PolicyStrand} {
 		for _, threads := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%v/%dT", pol, threads), func(t *testing.T) {
 				tr, rec := tracePSTM(t, pol, threads, 5, 17)
-				out, err := observer.Adversarial(tr, core.Params{Model: modelFor(pol)}, rec)
+				out, err := observer.Adversarial(tr, core.Params{Model: pol.Model()}, rec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,7 +60,7 @@ func TestCrashSafetyUnderTargetModels(t *testing.T) {
 					t.Fatalf("%v", out)
 				}
 				// Random sampling too, for cut shapes the sweep misses.
-				out, err = observer.CrashTest(tr, core.Params{Model: modelFor(pol)}, rec, observer.Config{Samples: 150, Seed: 3})
+				out, err = observer.CrashTest(tr, core.Params{Model: pol.Model()}, rec, observer.Config{Samples: 150, Seed: 3})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -89,7 +78,7 @@ func TestRacingEpochsUnsafeForPSTM(t *testing.T) {
 	// lock, so the racing discipline corrupts.
 	found := false
 	for seed := int64(0); seed < 10 && !found; seed++ {
-		tr, rec := tracePSTM(t, PolicyRacingEpoch, 3, 5, seed)
+		tr, rec := tracePSTM(t, core.PolicyRacingEpoch, 3, 5, seed)
 		out, err := observer.Adversarial(tr, core.Params{Model: core.Epoch}, rec)
 		if err != nil {
 			t.Fatal(err)
@@ -117,7 +106,7 @@ func TestBrokenUndoOrderCaught(t *testing.T) {
 	// evaporates.
 	found := false
 	for seed := int64(0); seed < 10 && !found; seed++ {
-		tr, rec := tracePSTM(t, PolicyEpoch, 3, 5, seed)
+		tr, rec := tracePSTM(t, core.PolicyEpoch, 3, 5, seed)
 		out, err := observer.Adversarial(tr, core.Params{Model: core.EpochTSO}, rec)
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package pstm_test
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/pstm"
 )
@@ -12,7 +13,7 @@ import (
 func ExampleHeap_Atomic() {
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	h := pstm.MustNew(s, pstm.Config{Words: 2, Policy: pstm.PolicyEpoch})
+	h := pstm.MustNew(s, pstm.Config{Words: 2, Policy: core.PolicyEpoch})
 
 	// Seed balances.
 	h.Atomic(s, func(tx *pstm.Tx) {

@@ -3,6 +3,7 @@ package pstm
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/exec"
 	"repro/internal/memory"
@@ -14,7 +15,7 @@ func buildImageFmt(t *testing.T, integrity bool) (*memory.Image, Meta) {
 	t.Helper()
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	h, err := New(s, Config{Words: 4, UndoCap: 8, Policy: PolicyEpoch, Integrity: integrity})
+	h, err := New(s, Config{Words: 4, UndoCap: 8, Policy: core.PolicyEpoch, Integrity: integrity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestIntegrityUndoFrameFlipBelowCountDetected(t *testing.T) {
 	// hole the explicit count closes).
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	h, err := New(s, Config{Words: 4, UndoCap: 8, Policy: PolicyEpoch, Integrity: true})
+	h, err := New(s, Config{Words: 4, UndoCap: 8, Policy: core.PolicyEpoch, Integrity: true})
 	if err != nil {
 		t.Fatal(err)
 	}

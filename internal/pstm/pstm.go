@@ -29,46 +29,12 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/exec"
 	"repro/internal/locks"
 	"repro/internal/memory"
 )
-
-// Policy selects the annotation discipline.
-type Policy uint8
-
-const (
-	// PolicyStrict emits no annotations.
-	PolicyStrict Policy = iota
-	// PolicyEpoch uses persist barriers around the lock and between
-	// transaction stages.
-	PolicyEpoch
-	// PolicyRacingEpoch drops the barriers around the lock (unsafe for
-	// this structure; for negative tests).
-	PolicyRacingEpoch
-	// PolicyStrand runs each transaction in its own persist strand.
-	PolicyStrand
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyStrict:
-		return "strict"
-	case PolicyEpoch:
-		return "epoch"
-	case PolicyRacingEpoch:
-		return "racing-epochs"
-	case PolicyStrand:
-		return "strand"
-	default:
-		return fmt.Sprintf("policy(%d)", uint8(p))
-	}
-}
-
-// Policies lists the annotation disciplines.
-var Policies = []Policy{PolicyStrict, PolicyEpoch, PolicyRacingEpoch, PolicyStrand}
 
 const (
 	// recordBytes is one undo slot: word index, old value, checksum,
@@ -116,7 +82,7 @@ type Config struct {
 	// UndoCap bounds the write set of one transaction.
 	UndoCap int
 	// Policy selects annotations.
-	Policy Policy
+	Policy core.Policy
 	// Integrity enables the corruption-detecting durable format
 	// (internal/durable): the arm and seal words become dual-copy
 	// durable words behind corruption-detecting booleans, undo records
@@ -212,7 +178,7 @@ func MustNew(s *exec.Thread, cfg Config) *Heap {
 // Meta returns the persistent layout for recovery.
 func (h *Heap) Meta() Meta { return h.meta }
 
-func (h *Heap) relaxed() bool { return h.cfg.Policy != PolicyStrict }
+func (h *Heap) relaxed() bool { return h.cfg.Policy != core.PolicyStrict }
 
 func (h *Heap) storeTxnID(t *exec.Thread, v uint64) {
 	if h.cfg.Integrity {
@@ -241,20 +207,27 @@ func (h *Heap) storeData(t *exec.Thread, i uint64, v uint64) {
 	}
 }
 
+// Annotation helpers: which barriers each core.Policy emits here.
+// Epoch puts persist barriers around the lock and between transaction
+// stages; strand runs each transaction in its own persist strand.
+// Racing epochs drops the barriers around the lock (barrierInner),
+// which is unsafe for this structure (see the package comment); it
+// exists for the negative tests.
+
 func (h *Heap) barrierOuter(t *exec.Thread) {
-	if h.cfg.Policy != PolicyStrict {
+	if h.cfg.Policy != core.PolicyStrict {
 		t.PersistBarrier()
 	}
 }
 
 func (h *Heap) barrierInner(t *exec.Thread) {
-	if h.cfg.Policy == PolicyEpoch || h.cfg.Policy == PolicyStrand {
+	if h.cfg.Policy == core.PolicyEpoch || h.cfg.Policy == core.PolicyStrand {
 		t.PersistBarrier()
 	}
 }
 
 func (h *Heap) barrierStage(t *exec.Thread) {
-	if h.cfg.Policy != PolicyStrict {
+	if h.cfg.Policy != core.PolicyStrict {
 		t.PersistBarrier()
 	}
 }
@@ -331,7 +304,7 @@ func (h *Heap) Atomic(t *exec.Thread, fn func(tx *Tx)) bool {
 	h.lock.Acquire(t)
 	id := t.Add8(h.seqV, 1)
 	h.barrierInner(t)
-	if h.cfg.Policy == PolicyStrand {
+	if h.cfg.Policy == core.PolicyStrand {
 		t.NewStrand()
 		// §5.3: this transaction's persists (records overwrite the
 		// previous transaction's slots; the arm and seal words chain)

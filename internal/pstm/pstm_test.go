@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/memory"
 )
 
-func newHeap(t *testing.T, words int, pol Policy) (*exec.Machine, *Heap) {
+func newHeap(t *testing.T, words int, pol core.Policy) (*exec.Machine, *Heap) {
 	t.Helper()
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
@@ -20,7 +21,7 @@ func newHeap(t *testing.T, words int, pol Policy) (*exec.Machine, *Heap) {
 }
 
 func TestAtomicBasics(t *testing.T) {
-	m, h := newHeap(t, 8, PolicyEpoch)
+	m, h := newHeap(t, 8, core.PolicyEpoch)
 	s := m.SetupThread()
 	ok := h.Atomic(s, func(tx *Tx) {
 		tx.Store(0, 100)
@@ -42,7 +43,7 @@ func TestAtomicBasics(t *testing.T) {
 }
 
 func TestAbortRollsBack(t *testing.T) {
-	m, h := newHeap(t, 4, PolicyEpoch)
+	m, h := newHeap(t, 4, core.PolicyEpoch)
 	s := m.SetupThread()
 	h.Atomic(s, func(tx *Tx) { tx.Store(0, 7) })
 	ok := h.Atomic(s, func(tx *Tx) {
@@ -66,7 +67,7 @@ func TestAbortRollsBack(t *testing.T) {
 }
 
 func TestRepeatedWritesOneUndoRecord(t *testing.T) {
-	m, h := newHeap(t, 4, PolicyEpoch)
+	m, h := newHeap(t, 4, core.PolicyEpoch)
 	s := m.SetupThread()
 	h.Atomic(s, func(tx *Tx) {
 		for i := uint64(0); i < 20; i++ {
@@ -83,7 +84,7 @@ func TestRepeatedWritesOneUndoRecord(t *testing.T) {
 }
 
 func TestUndoCapPanics(t *testing.T) {
-	m, h := newHeap(t, 16, PolicyEpoch)
+	m, h := newHeap(t, 16, core.PolicyEpoch)
 	s := m.SetupThread()
 	defer func() {
 		if recover() == nil {
@@ -98,7 +99,7 @@ func TestUndoCapPanics(t *testing.T) {
 }
 
 func TestOutOfRangePanics(t *testing.T) {
-	m, h := newHeap(t, 4, PolicyEpoch)
+	m, h := newHeap(t, 4, core.PolicyEpoch)
 	s := m.SetupThread()
 	defer func() {
 		if recover() == nil {
@@ -109,7 +110,7 @@ func TestOutOfRangePanics(t *testing.T) {
 }
 
 func TestMultiThreadTxns(t *testing.T) {
-	for _, pol := range Policies {
+	for _, pol := range core.Policies {
 		t.Run(pol.String(), func(t *testing.T) {
 			m := exec.NewMachine(exec.Config{Threads: 3, Seed: 4})
 			s := m.SetupThread()
@@ -141,7 +142,7 @@ func TestRecoverValidation(t *testing.T) {
 	if _, err := Recover(memory.NewImage(), Meta{}); err == nil {
 		t.Fatal("bad meta accepted")
 	}
-	m, h := newHeap(t, 4, PolicyEpoch)
+	m, h := newHeap(t, 4, core.PolicyEpoch)
 	s := m.SetupThread()
 	h.Atomic(s, func(tx *Tx) { tx.Store(0, 5) })
 	im := m.PersistentImage()
@@ -155,7 +156,7 @@ func TestRecoverValidation(t *testing.T) {
 func TestUnsealedTxnRollsBackAtRecovery(t *testing.T) {
 	// Arm a transaction and write undo + in-place by hand, leaving the
 	// seal stale: recovery must roll back.
-	m, h := newHeap(t, 4, PolicyEpoch)
+	m, h := newHeap(t, 4, core.PolicyEpoch)
 	s := m.SetupThread()
 	h.Atomic(s, func(tx *Tx) { tx.Store(0, 5) }) // txn 1, sealed
 	meta := h.Meta()
@@ -178,13 +179,16 @@ func TestUnsealedTxnRollsBackAtRecovery(t *testing.T) {
 	}
 }
 
+// TestPolicyStrings checks that every policy the heap takes has a
+// name for its test and table labels, and that an out-of-range value
+// still prints.
 func TestPolicyStrings(t *testing.T) {
-	for _, p := range Policies {
+	for _, p := range core.Policies {
 		if p.String() == "" {
 			t.Fatal("empty policy name")
 		}
 	}
-	if Policy(9).String() != "policy(9)" {
+	if core.Policy(9).String() != "policy(9)" {
 		t.Fatal("unknown policy")
 	}
 }

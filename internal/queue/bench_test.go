@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 )
 
@@ -33,7 +34,7 @@ func BenchmarkSimulatedInsert(b *testing.B) {
 		b.Run(d.String(), func(b *testing.B) {
 			m := exec.NewMachine(exec.Config{})
 			s := m.SetupThread()
-			q := MustNew(s, Config{DataBytes: 1 << 22, Design: d, Policy: PolicyEpoch, Overwrite: true})
+			q := MustNew(s, Config{DataBytes: 1 << 22, Design: d, Policy: core.PolicyEpoch, Overwrite: true})
 			payload := MakePayload(1, 100)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -56,7 +57,7 @@ func BenchmarkRecover(b *testing.B) {
 		b.Run(fmt.Sprintf("%dentries", entries), func(b *testing.B) {
 			m := exec.NewMachine(exec.Config{})
 			s := m.SetupThread()
-			q := MustNew(s, Config{DataBytes: uint64(entries+2) * SlotBytes(100), Design: CWL, Policy: PolicyEpoch})
+			q := MustNew(s, Config{DataBytes: uint64(entries+2) * SlotBytes(100), Design: CWL, Policy: core.PolicyEpoch})
 			for i := 0; i < entries; i++ {
 				q.Insert(s, MakePayload(uint64(i), 100))
 			}

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"repro/internal/durable"
+	"repro/internal/memory"
 	"repro/internal/persistcheck"
 )
 
@@ -54,5 +55,27 @@ func (m Meta) Checks() persistcheck.Annotations {
 			tw.Extent(),
 			{Addr: m.Data, Size: m.DataBytes},
 		},
+	}
+}
+
+// SiteLabel maps persist addresses to the queue's annotation sites
+// ("head", "tail", "slot data"), following the telemetry attribution
+// convention.
+func (m Meta) SiteLabel() func(memory.Addr) string {
+	ptrSpan := memory.Addr(memory.WordSize)
+	if m.Integrity {
+		ptrSpan = durable.WordBytes
+	}
+	return func(a memory.Addr) string {
+		switch {
+		case a >= m.Head && a < m.Head+ptrSpan:
+			return "head"
+		case a >= m.Tail && a < m.Tail+ptrSpan:
+			return "tail"
+		case a >= m.Data && a < m.Data+memory.Addr(m.DataBytes):
+			return "slot data"
+		default:
+			return "other"
+		}
 	}
 }

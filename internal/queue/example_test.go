@@ -3,6 +3,7 @@ package queue_test
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/queue"
 )
@@ -15,7 +16,7 @@ func ExampleQueue() {
 	q := queue.MustNew(s, queue.Config{
 		DataBytes: 4096,
 		Design:    queue.CWL,
-		Policy:    queue.PolicyEpoch,
+		Policy:    core.PolicyEpoch,
 	})
 
 	q.Insert(s, []byte("first"))

@@ -3,6 +3,7 @@ package queue
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/exec"
 	"repro/internal/memory"
@@ -14,7 +15,7 @@ func buildImageFmt(t *testing.T, n int, integrity bool) (*memory.Image, Meta) {
 	t.Helper()
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	q := MustNew(s, Config{DataBytes: 1 << 14, Design: CWL, Policy: PolicyEpoch, Integrity: integrity})
+	q := MustNew(s, Config{DataBytes: 1 << 14, Design: CWL, Policy: core.PolicyEpoch, Integrity: integrity})
 	for i := uint64(0); i < uint64(n); i++ {
 		q.Insert(s, MakePayload(i, 24))
 	}

@@ -23,6 +23,7 @@ package queue
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/exec"
 	"repro/internal/locks"
@@ -53,50 +54,6 @@ func (d Design) String() string {
 		return fmt.Sprintf("design(%d)", uint8(d))
 	}
 }
-
-// Policy selects the annotation discipline from Algorithm 1. The same
-// queue code runs under every persistency model; only the annotations
-// differ, exactly as in the paper.
-type Policy uint8
-
-const (
-	// PolicyStrict emits no annotations: strict persistency derives all
-	// ordering from SC itself.
-	PolicyStrict Policy = iota
-	// PolicyEpoch surrounds lock operations with persist barriers so
-	// epochs never race: persists are ordered across critical sections
-	// (the paper's "Epoch" configuration).
-	PolicyEpoch
-	// PolicyRacingEpoch omits the barriers inside the critical section
-	// (Algorithm 1 lines 5 and 11, marked "removing allows race"),
-	// intentionally allowing persist-epoch races; head-pointer persists
-	// stay ordered through strong persist atomicity (the paper's
-	// "Racing Epochs" configuration).
-	PolicyRacingEpoch
-	// PolicyStrand additionally begins a new persist strand per insert
-	// (Algorithm 1 lines 6 and 21), making inserts independent except
-	// where strong persist atomicity orders them.
-	PolicyStrand
-)
-
-// String names the policy as in the paper's Table 1 columns.
-func (p Policy) String() string {
-	switch p {
-	case PolicyStrict:
-		return "strict"
-	case PolicyEpoch:
-		return "epoch"
-	case PolicyRacingEpoch:
-		return "racing-epochs"
-	case PolicyStrand:
-		return "strand"
-	default:
-		return fmt.Sprintf("policy(%d)", uint8(p))
-	}
-}
-
-// Policies lists the annotation policies in Table 1 order.
-var Policies = []Policy{PolicyStrict, PolicyEpoch, PolicyRacingEpoch, PolicyStrand}
 
 const (
 	// SlotAlign is the entry slot alignment (§7: 64-byte padding).
@@ -135,7 +92,7 @@ type Config struct {
 	// Design selects CWL or TwoLock.
 	Design Design
 	// Policy selects the annotation discipline.
-	Policy Policy
+	Policy core.Policy
 	// MaxThreads bounds concurrent inserters (sizes the 2LC insert
 	// list). Zero means 16.
 	MaxThreads int
@@ -267,7 +224,9 @@ func (q *Queue) Meta() Meta { return q.meta }
 // Config returns the queue's configuration.
 func (q *Queue) Config() Config { return q.cfg }
 
-// annotation helpers: which Algorithm 1 barriers each policy emits.
+// annotation helpers: which Algorithm 1 barriers each core.Policy
+// emits. Under racing epochs, entries race but head-pointer persists
+// stay ordered through strong persist atomicity.
 // With Fences set, each annotation point also fences store visibility
 // (needed on PSO machines; strict persistency relies on the fences
 // alone there, since visible order is all it has).
@@ -280,34 +239,34 @@ func (q *Queue) fence(t *exec.Thread) {
 
 func (q *Queue) barrierOuter(t *exec.Thread) { // lines 3 and 13
 	q.fence(t)
-	if q.cfg.Policy != PolicyStrict {
+	if q.cfg.Policy != core.PolicyStrict {
 		t.PersistBarrier()
 	}
 }
 
 func (q *Queue) barrierInner(t *exec.Thread) { // lines 5 and 11 ("removing allows race")
 	q.fence(t)
-	if q.cfg.Policy == PolicyEpoch || q.cfg.Policy == PolicyStrand {
+	if q.cfg.Policy == core.PolicyEpoch || q.cfg.Policy == core.PolicyStrand {
 		t.PersistBarrier()
 	}
 }
 
 func (q *Queue) barrierMid(t *exec.Thread) { // lines 8 and 27 (data → head)
 	q.fence(t)
-	if q.cfg.Policy != PolicyStrict && !q.cfg.BreakDataHeadOrder {
+	if q.cfg.Policy != core.PolicyStrict && !q.cfg.BreakDataHeadOrder {
 		t.PersistBarrier()
 	}
 }
 
 func (q *Queue) barrierCompletion(t *exec.Thread) { // 2LC, between lines 22 and 23
 	q.fence(t)
-	if q.cfg.Policy != PolicyStrict && !q.cfg.OmitCompletionBarrier {
+	if q.cfg.Policy != core.PolicyStrict && !q.cfg.OmitCompletionBarrier {
 		t.PersistBarrier()
 	}
 }
 
 func (q *Queue) newStrand(t *exec.Thread) { // lines 6 and 21
-	if q.cfg.Policy == PolicyStrand {
+	if q.cfg.Policy == core.PolicyStrand {
 		t.NewStrand()
 	}
 }
@@ -320,7 +279,7 @@ func (q *Queue) newStrand(t *exec.Thread) { // lines 6 and 21
 // (including racing-epochs, whose entries otherwise rely on same-word
 // persist atomicity that a multi-word pointer no longer has).
 
-func (q *Queue) relaxed() bool { return q.cfg.Policy != PolicyStrict }
+func (q *Queue) relaxed() bool { return q.cfg.Policy != core.PolicyStrict }
 
 func (q *Queue) loadHead(t *exec.Thread) uint64 {
 	if q.cfg.Integrity {
@@ -360,7 +319,7 @@ func (q *Queue) storeTail(t *exec.Thread, v uint64) {
 // overwritten slots. The read imports the dependence; the barrier
 // binds it before the entry's persists.
 func (q *Queue) strandOrderingRead(t *exec.Thread) {
-	if q.cfg.Policy == PolicyStrand {
+	if q.cfg.Policy == core.PolicyStrand {
 		t.Load8(q.meta.Tail)
 		t.PersistBarrier()
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/trace"
 )
@@ -59,7 +60,7 @@ func recoveredIDs(t *testing.T, entries []Entry, payloadLen int) map[uint64]bool
 }
 
 func TestCWLSingleThreadInsertRecover(t *testing.T) {
-	m, q, _ := runInserts(t, Config{DataBytes: 1 << 16, Design: CWL, Policy: PolicyEpoch}, 1, 20, 100, 1)
+	m, q, _ := runInserts(t, Config{DataBytes: 1 << 16, Design: CWL, Policy: core.PolicyEpoch}, 1, 20, 100, 1)
 	entries, err := Recover(m.PersistentImage(), q.Meta())
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +84,7 @@ func TestCWLSingleThreadInsertRecover(t *testing.T) {
 
 func TestQueueAllDesignsAllPolicies(t *testing.T) {
 	for _, d := range []Design{CWL, TwoLock} {
-		for _, p := range Policies {
+		for _, p := range core.Policies {
 			for _, threads := range []int{1, 4} {
 				name := fmt.Sprintf("%v/%v/%dT", d, p, threads)
 				t.Run(name, func(t *testing.T) {
@@ -109,7 +110,7 @@ func TestQueueAllDesignsAllPolicies(t *testing.T) {
 func TestRemoveFIFO(t *testing.T) {
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	q := MustNew(s, Config{DataBytes: 1 << 14, Design: CWL, Policy: PolicyEpoch})
+	q := MustNew(s, Config{DataBytes: 1 << 14, Design: CWL, Policy: core.PolicyEpoch})
 	var want [][]byte
 	for i := uint64(0); i < 10; i++ {
 		p := MakePayload(i, 50)
@@ -135,7 +136,7 @@ func TestWrapAround(t *testing.T) {
 	// pattern that forces wraps, including a non-dividing entry size.
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	q := MustNew(s, Config{DataBytes: 512, Design: CWL, Policy: PolicyEpoch})
+	q := MustNew(s, Config{DataBytes: 512, Design: CWL, Policy: core.PolicyEpoch})
 	seq := uint64(0)
 	for round := 0; round < 10; round++ {
 		sizes := []int{100, 40, 150} // 150 -> slot 192: forces misaligned wraps
@@ -166,7 +167,7 @@ func TestWrapAround(t *testing.T) {
 func TestQueueFullPanics(t *testing.T) {
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	q := MustNew(s, Config{DataBytes: 256, Design: CWL, Policy: PolicyEpoch})
+	q := MustNew(s, Config{DataBytes: 256, Design: CWL, Policy: core.PolicyEpoch})
 	defer func() {
 		if recover() == nil {
 			t.Error("overfilling the queue should panic")
@@ -194,24 +195,24 @@ func TestConfigValidation(t *testing.T) {
 func TestAnnotationCounts(t *testing.T) {
 	// Verify the Algorithm 1 barrier placement per policy for CWL.
 	const inserts = 10
-	counts := func(p Policy) (barriers, strands int) {
+	counts := func(p core.Policy) (barriers, strands int) {
 		_, _, tr := runInserts(t, Config{DataBytes: 1 << 16, Design: CWL, Policy: p}, 1, inserts, 100, 3)
 		s := trace.Summarize(tr)
 		return s.Barriers, s.Strands
 	}
 	// Setup emits one barrier after initializing head/tail.
-	if b, s := counts(PolicyStrict); b != 1 || s != 0 {
+	if b, s := counts(core.PolicyStrict); b != 1 || s != 0 {
 		t.Errorf("strict: %d barriers %d strands", b, s)
 	}
-	if b, s := counts(PolicyEpoch); b != 1+5*inserts || s != 0 {
+	if b, s := counts(core.PolicyEpoch); b != 1+5*inserts || s != 0 {
 		t.Errorf("epoch: %d barriers, want %d", b, 1+5*inserts)
 		_ = s
 	}
-	if b, _ := counts(PolicyRacingEpoch); b != 1+3*inserts {
+	if b, _ := counts(core.PolicyRacingEpoch); b != 1+3*inserts {
 		t.Errorf("racing: %d barriers, want %d", b, 1+3*inserts)
 	}
 	// Strand adds the §5.3 ordering-read barrier after each NewStrand.
-	if b, s := counts(PolicyStrand); b != 1+6*inserts || s != inserts {
+	if b, s := counts(core.PolicyStrand); b != 1+6*inserts || s != inserts {
 		t.Errorf("strand: %d barriers %d strands", b, s)
 	}
 }
@@ -243,7 +244,7 @@ func TestTwoLockListBackpressure(t *testing.T) {
 	// A tiny insert list (MaxThreads 1 -> capacity 2) with more threads
 	// than capacity: appenders must wait for the front to advance, and
 	// the run must still complete with every entry recoverable.
-	m, q, _ := runInserts(t, Config{DataBytes: 1 << 15, Design: TwoLock, Policy: PolicyEpoch, MaxThreads: 1}, 4, 15, 64, 9)
+	m, q, _ := runInserts(t, Config{DataBytes: 1 << 15, Design: TwoLock, Policy: core.PolicyEpoch, MaxThreads: 1}, 4, 15, 64, 9)
 	entries, err := Recover(m.PersistentImage(), q.Meta())
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +259,7 @@ func TestOverwriteLogMode(t *testing.T) {
 	// without panicking; the head offset keeps growing monotonically.
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	q := MustNew(s, Config{DataBytes: 512, Design: CWL, Policy: PolicyEpoch, Overwrite: true})
+	q := MustNew(s, Config{DataBytes: 512, Design: CWL, Policy: core.PolicyEpoch, Overwrite: true})
 	for i := uint64(0); i < 100; i++ {
 		q.Insert(s, MakePayload(i, 100))
 	}
@@ -272,7 +273,7 @@ func TestDesignPolicyStrings(t *testing.T) {
 	if CWL.String() == "" || TwoLock.String() == "" || Design(7).String() == "" {
 		t.Error("design strings")
 	}
-	for _, p := range Policies {
+	for _, p := range core.Policies {
 		if p.String() == "" {
 			t.Error("policy string empty")
 		}

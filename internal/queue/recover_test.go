@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/memory"
 )
@@ -13,7 +14,7 @@ func buildImage(t *testing.T) (*memory.Image, Meta) {
 	t.Helper()
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	q := MustNew(s, Config{DataBytes: 1 << 14, Design: CWL, Policy: PolicyEpoch})
+	q := MustNew(s, Config{DataBytes: 1 << 14, Design: CWL, Policy: core.PolicyEpoch})
 	for i := uint64(0); i < 5; i++ {
 		q.Insert(s, MakePayload(i, 100))
 	}
@@ -70,7 +71,7 @@ func TestRecoverDetectsEntryPastHead(t *testing.T) {
 func TestRecoverEmptyQueue(t *testing.T) {
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
-	q := MustNew(s, Config{DataBytes: 1 << 12, Design: CWL, Policy: PolicyEpoch})
+	q := MustNew(s, Config{DataBytes: 1 << 12, Design: CWL, Policy: core.PolicyEpoch})
 	entries, err := Recover(m.PersistentImage(), q.Meta())
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +174,7 @@ func TestNativeMatchesSimulatedOffsets(t *testing.T) {
 		}
 		m := exec.NewMachine(exec.Config{})
 		s := m.SetupThread()
-		q := MustNew(s, Config{DataBytes: 1 << 14, Design: d, Policy: PolicyEpoch})
+		q := MustNew(s, Config{DataBytes: 1 << 14, Design: d, Policy: core.PolicyEpoch})
 		for i := uint64(0); i < 12; i++ {
 			p := MakePayload(i, 100)
 			if no, so := n.Insert(p), q.Insert(s, p); no != so {

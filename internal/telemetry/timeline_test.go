@@ -15,14 +15,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-func policyFor(m core.Model) queue.Policy {
+func policyFor(m core.Model) core.Policy {
 	switch m {
 	case core.Strict:
-		return queue.PolicyStrict
+		return core.PolicyStrict
 	case core.Strand:
-		return queue.PolicyStrand
+		return core.PolicyStrand
 	default:
-		return queue.PolicyEpoch
+		return core.PolicyEpoch
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/journal"
+	"repro/internal/core"
 )
 
 // BenchmarkBuildKV traces one kv-read-shaped serving run per iteration:
@@ -16,7 +16,7 @@ import (
 func BenchmarkBuildKV(b *testing.B) {
 	o := KVOptions{
 		Shards: 16, Keys: 65536, Threads: 32, Ops: 4096,
-		ReadFrac: 0.9, ZipfS: 1.1, Policy: journal.PolicyEpoch, Seed: 42,
+		ReadFrac: 0.9, ZipfS: 1.1, Policy: core.PolicyEpoch, Seed: 42,
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -6,8 +6,8 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/journal"
 	"repro/internal/memory"
 	"repro/internal/queue"
 	"repro/internal/trace"
@@ -33,7 +33,7 @@ func traceSHA(t *testing.T, tr *trace.Trace) string {
 // inserts perThread entries and then stores its id to a private
 // persistent word without a fence, so under PSO that store is still
 // buffered when the thread exits.
-func queueRun(t *testing.T, cfg exec.Config, policy queue.Policy, fences bool, perThread int) *trace.Trace {
+func queueRun(t *testing.T, cfg exec.Config, policy core.Policy, fences bool, perThread int) *trace.Trace {
 	t.Helper()
 	tr := &trace.Trace{}
 	cfg.Sink = tr
@@ -64,7 +64,7 @@ func TestGoldenTraceHashes(t *testing.T) {
 		{"kv-read-4096", func(t *testing.T) *trace.Trace {
 			run, err := BuildKV(KVOptions{
 				Shards: 16, Keys: 65536, Threads: 32, Ops: 4096,
-				ReadFrac: 0.9, ZipfS: 1.1, Policy: journal.PolicyEpoch, Seed: 42,
+				ReadFrac: 0.9, ZipfS: 1.1, Policy: core.PolicyEpoch, Seed: 42,
 			}, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -73,7 +73,7 @@ func TestGoldenTraceHashes(t *testing.T) {
 		}, "9247ba3cb2c6aa3a6fa6341ef7854b6e942b4b22c3f246e256066ccccc10e549"},
 		{"queue-cwl-8-threads", func(t *testing.T) *trace.Trace {
 			run, err := Build(Options{
-				Workload: "queue", Design: queue.CWL, Policy: queue.PolicyEpoch,
+				Workload: "queue", Design: queue.CWL, Policy: core.PolicyEpoch,
 				Threads: 8, Inserts: 128, Payload: 64, Seed: 42,
 			}, nil)
 			if err != nil {
@@ -83,13 +83,13 @@ func TestGoldenTraceHashes(t *testing.T) {
 		}, "2af9a9115ec378fa2b5b465bdeb2f2d2c0a6b58427a61e0d39f2fabcf4feac86"},
 		{"pso-4-threads-buffer-8", func(t *testing.T) *trace.Trace {
 			return queueRun(t, exec.Config{Threads: 4, Seed: 42, Consistency: exec.PSO, StoreBuffer: 8},
-				queue.PolicyStrand, true, 12)
+				core.PolicyStrand, true, 12)
 		}, "e74d77dbaa190433e38433ba66c7b1a1c7cc0c29148edd6dbc662a56457e9c89"},
 		{"slice-1", func(t *testing.T) *trace.Trace {
-			return queueRun(t, exec.Config{Threads: 3, Seed: 42, Slice: 1}, queue.PolicyEpoch, false, 12)
+			return queueRun(t, exec.Config{Threads: 3, Seed: 42, Slice: 1}, core.PolicyEpoch, false, 12)
 		}, "931f01fc5e62af0c32a583778ac6b919068448084a6a1254d2a5a59c0ad022de"},
 		{"sc-1-thread", func(t *testing.T) *trace.Trace {
-			return queueRun(t, exec.Config{Threads: 1, Seed: 42}, queue.PolicyStrict, false, 32)
+			return queueRun(t, exec.Config{Threads: 1, Seed: 42}, core.PolicyStrict, false, 32)
 		}, "e4d84dca55599b67716afba388a1144536e96428b887653a54360964bd9a8896"},
 	}
 	for _, c := range cases {

@@ -15,7 +15,7 @@ import (
 // the corruption-detecting format toggled.
 func integrityOpt(wl string, integrity bool) Options {
 	return Options{
-		Workload: wl, Design: queue.CWL, Policy: queue.PolicyEpoch,
+		Workload: wl, Design: queue.CWL, Policy: core.PolicyEpoch,
 		Model: core.Epoch, Threads: 2, Inserts: 16, Payload: 64, Seed: 1,
 		DesignStr: "cwl", PolicyStr: "epoch", Integrity: integrity,
 	}
@@ -222,7 +222,7 @@ func TestIntegrityCrashSafeUnderTargetModels(t *testing.T) {
 				}
 				o := integrityOpt(wl, true)
 				o.Policy, o.PolicyStr = p, policy
-				o.Model = ModelForPolicy(wl, p)
+				o.Model = p.Model()
 				run, err := Build(o, nil)
 				if err != nil {
 					t.Fatal(err)

@@ -7,9 +7,9 @@ import (
 	"strconv"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
-	"repro/internal/journal"
 	"repro/internal/kv"
 	"repro/internal/memory"
 	"repro/internal/trace"
@@ -76,7 +76,7 @@ type KVOptions struct {
 	Ops       int // total, split evenly across threads
 	ReadFrac  float64
 	ZipfS     float64
-	Policy    journal.Policy
+	Policy    core.Policy
 	Integrity bool
 	Seed      int64
 
@@ -150,10 +150,6 @@ func KVFromScenario(s *fault.Scenario) (KVOptions, error) {
 	if err != nil {
 		return KVOptions{}, err
 	}
-	jpol, err := JournalPolicy(pol)
-	if err != nil {
-		return KVOptions{}, err
-	}
 	seed, err := strconv.ParseInt(get("seed", "1"), 10, 64)
 	if err != nil {
 		return KVOptions{}, err
@@ -166,7 +162,7 @@ func KVFromScenario(s *fault.Scenario) (KVOptions, error) {
 		Shards: atoi("shards", "8"), Keys: keys,
 		Threads: atoi("threads", "4"), Ops: atoi("ops", "256"),
 		ReadFrac: atof("read-frac", "0.9"), ZipfS: atof("zipf", "1.1"),
-		Policy: jpol, Seed: seed,
+		Policy: pol, Seed: seed,
 		Integrity: get("integrity", "") == "1",
 		PolicyStr: get("policy", "epoch"),
 	}

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/journal"
 	"repro/internal/trace"
 )
 
@@ -110,7 +110,7 @@ func TestKVGenReadWriteMix(t *testing.T) {
 func TestKVOptionsParamsRoundTrip(t *testing.T) {
 	o := KVOptions{
 		Shards: 16, Keys: 1 << 20, Threads: 128, Ops: 1 << 20,
-		ReadFrac: 0.9, ZipfS: 1.1, Policy: journal.PolicyStrand,
+		ReadFrac: 0.9, ZipfS: 1.1, Policy: core.PolicyStrand,
 		Integrity: true, Seed: 31, PolicyStr: "strand",
 	}
 	o2, err := KVFromScenario(&fault.Scenario{Params: o.Params()})
@@ -131,7 +131,7 @@ func TestKVOptionsParamsRoundTrip(t *testing.T) {
 func TestBuildKVIsDeterministicAndCacheable(t *testing.T) {
 	o := KVOptions{
 		Shards: 4, Keys: 256, Threads: 3, Ops: 90,
-		ReadFrac: 0.7, ZipfS: 1.1, Policy: journal.PolicyEpoch,
+		ReadFrac: 0.7, ZipfS: 1.1, Policy: core.PolicyEpoch,
 		Seed: 5, PolicyStr: "epoch",
 	}
 	direct, err := BuildKV(o, nil)

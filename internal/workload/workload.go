@@ -8,6 +8,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/bench"
@@ -29,7 +30,7 @@ import (
 type Options struct {
 	Workload string
 	Design   queue.Design
-	Policy   queue.Policy
+	Policy   core.Policy
 	Model    core.Model
 	Threads  int
 	Inserts  int
@@ -79,9 +80,9 @@ type Run struct {
 }
 
 // Validate rejects option sets no workload can run: fewer than one
-// thread, a negative insert count, or (for the queue) a payload outside
-// [1, queue.MaxPayload]. Build calls it first, so a bad flag or a
-// hand-edited repro line is an error instead of a panic deep in exec or
+// thread, a negative insert count, a policy outside core.Policies, or
+// (for the queue) a payload outside [1, queue.MaxPayload]. Build calls
+// it first, so a bad flag or a hand-edited repro line is an error instead of a panic deep in exec or
 // the queue.
 func (o Options) Validate() error {
 	if o.Threads < 1 {
@@ -89,6 +90,9 @@ func (o Options) Validate() error {
 	}
 	if o.Inserts < 0 {
 		return fmt.Errorf("%s workload: negative insert count %d", o.Workload, o.Inserts)
+	}
+	if !slices.Contains(core.Policies, o.Policy) {
+		return fmt.Errorf("%s workload: unknown policy %v", o.Workload, o.Policy)
 	}
 	if o.Workload == "queue" && (o.Payload < 1 || o.Payload > queue.MaxPayload) {
 		return fmt.Errorf("queue workload: payload %d bytes outside [1, %d]", o.Payload, queue.MaxPayload)
@@ -266,17 +270,13 @@ func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 			return rep, CheckQueueEntries(entries, expect)
 		}
 		run.Checks = meta.Checks()
-		run.SiteLabel = bench.SiteLabel(meta)
+		run.SiteLabel = meta.SiteLabel()
 		run.Describe = fmt.Sprintf("%v queue, %v annotations, %d threads, %d inserts", o.Design, o.Policy, o.Threads, per*o.Threads)
 	case "journal":
-		jpol, err := JournalPolicy(o.Policy)
-		if err != nil {
-			return nil, nil, err
-		}
 		st, err := journal.New(s, journal.Config{
 			Blocks:                 2 * o.Threads,
 			JournalBytes:           1 << 11, // small ring: checkpoints occur
-			Policy:                 jpol,
+			Policy:                 o.Policy,
 			BreakRecordCommitOrder: o.BreakCommit,
 			OmitStrandRecipe:       o.OmitRecipe,
 			Integrity:              o.Integrity,
@@ -318,10 +318,9 @@ func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 		}
 		run.Checks = meta.Checks()
 		run.SiteLabel = meta.SiteLabel()
-		run.Describe = fmt.Sprintf("journal, %v annotations, %d threads, %d txns", jpol, o.Threads, per*o.Threads)
+		run.Describe = fmt.Sprintf("journal, %v annotations, %d threads, %d txns", o.Policy, o.Threads, per*o.Threads)
 	case "pstm":
-		ppol := PSTMPolicy(o.Policy)
-		h, err := pstm.New(s, pstm.Config{Words: 2 * o.Threads, UndoCap: 8, Policy: ppol, Integrity: o.Integrity})
+		h, err := pstm.New(s, pstm.Config{Words: 2 * o.Threads, UndoCap: 8, Policy: o.Policy, Integrity: o.Integrity})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -353,7 +352,7 @@ func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 		}
 		run.Checks = meta.Checks()
 		run.SiteLabel = meta.SiteLabel()
-		run.Describe = fmt.Sprintf("pstm heap, %v annotations, %d threads, %d txns", ppol, o.Threads, per*o.Threads)
+		run.Describe = fmt.Sprintf("pstm heap, %v annotations, %d threads, %d txns", o.Policy, o.Threads, per*o.Threads)
 	default:
 		return nil, nil, fmt.Errorf("unknown workload %q", o.Workload)
 	}
@@ -433,42 +432,19 @@ func ParseDesign(s string) (queue.Design, error) {
 }
 
 // ParsePolicy parses a -policy flag value.
-func ParsePolicy(s string) (queue.Policy, error) {
+func ParsePolicy(s string) (core.Policy, error) {
 	switch s {
 	case "strict":
-		return queue.PolicyStrict, nil
+		return core.PolicyStrict, nil
 	case "epoch":
-		return queue.PolicyEpoch, nil
+		return core.PolicyEpoch, nil
 	case "racing":
-		return queue.PolicyRacingEpoch, nil
+		return core.PolicyRacingEpoch, nil
 	case "strand":
-		return queue.PolicyStrand, nil
+		return core.PolicyStrand, nil
 	default:
 		return 0, fmt.Errorf("unknown policy %q", s)
 	}
-}
-
-// JournalPolicy maps the shared policy flag onto journal's policy
-// space.
-func JournalPolicy(p queue.Policy) (journal.Policy, error) {
-	switch p {
-	case queue.PolicyStrict:
-		return journal.PolicyStrict, nil
-	case queue.PolicyEpoch:
-		return journal.PolicyEpoch, nil
-	case queue.PolicyRacingEpoch:
-		return journal.PolicyRacingEpoch, nil
-	case queue.PolicyStrand:
-		return journal.PolicyStrand, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %v", p)
-	}
-}
-
-// PSTMPolicy maps the shared policy flag onto pstm's policy space (the
-// enums are parallel).
-func PSTMPolicy(p queue.Policy) pstm.Policy {
-	return pstm.Policy(p)
 }
 
 // ParseModel parses a -model flag value.
@@ -481,12 +457,20 @@ func ParseModel(s string) (core.Model, error) {
 	return 0, fmt.Errorf("unknown model %q", s)
 }
 
-// ModelForPolicy returns the natural model for a policy (the one the
-// policy's annotations target), honoring the pstm policy space for the
-// pstm workload.
-func ModelForPolicy(workload string, p queue.Policy) core.Model {
-	if workload == "pstm" {
-		return bench.PSTMModelFor(PSTMPolicy(p))
+// JournalPolicy rejects values outside core.Policies and otherwise
+// returns p unchanged.
+//
+// Deprecated: journal and kv take core.Policy directly. Kept for the
+// benchmark harness until its next revision.
+func JournalPolicy(p core.Policy) (core.Policy, error) {
+	if !slices.Contains(core.Policies, p) {
+		return 0, fmt.Errorf("unknown policy %v", p)
 	}
-	return bench.ModelFor(p)
+	return p, nil
 }
+
+// ModelForPolicy returns p.Model(); the workload name is ignored.
+//
+// Deprecated: call p.Model(). Kept for the benchmark harness until its
+// next revision.
+func ModelForPolicy(_ string, p core.Policy) core.Model { return p.Model() }

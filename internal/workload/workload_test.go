@@ -14,7 +14,7 @@ func TestParamsRoundTrip(t *testing.T) {
 	// serialization into repro params and back, so a finding's repro line
 	// rebuilds the identical workload.
 	o := Options{
-		Workload: "journal", Design: queue.CWL, Policy: queue.PolicyEpoch,
+		Workload: "journal", Design: queue.CWL, Policy: core.PolicyEpoch,
 		Model: core.Epoch, Threads: 3, Inserts: 12, Payload: 32, Seed: 7,
 		BreakBar: true, OmitComp: true, BreakCommit: true, OmitRecipe: true,
 		DesignStr: "cwl", PolicyStr: "epoch",
@@ -35,7 +35,7 @@ func TestFromScenarioDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Options{
-		Workload: "queue", Design: queue.CWL, Policy: queue.PolicyEpoch,
+		Workload: "queue", Design: queue.CWL, Policy: core.PolicyEpoch,
 		Model: core.Epoch, Threads: 2, Inserts: 16, Payload: 64, Seed: 1,
 		DesignStr: "cwl", PolicyStr: "epoch",
 	}
@@ -49,7 +49,7 @@ func TestBuildIsDeterministicAndCacheable(t *testing.T) {
 	// bench trace cache (which only replays the cheap setup pass on a
 	// hit), and the run's adapters come back wired either way.
 	o := Options{
-		Workload: "pstm", Design: queue.CWL, Policy: queue.PolicyEpoch,
+		Workload: "pstm", Design: queue.CWL, Policy: core.PolicyEpoch,
 		Model: core.Epoch, Threads: 2, Inserts: 8, Payload: 64, Seed: 3,
 		DesignStr: "cwl", PolicyStr: "epoch",
 	}
@@ -111,6 +111,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"journal negative inserts", func(o *Options) { o.Workload = "journal"; o.Inserts = -1 }, false},
 		{"zero payload", func(o *Options) { o.Payload = 0 }, false},
 		{"oversized payload", func(o *Options) { o.Payload = queue.MaxPayload + 1 }, false},
+		{"journal unknown policy", func(o *Options) { o.Workload = "journal"; o.Policy = 4 }, false},
+		{"pstm unknown policy", func(o *Options) { o.Workload = "pstm"; o.Policy = 99 }, false},
 	}
 	for _, tc := range cases {
 		o := ok
@@ -128,19 +130,51 @@ func TestOptionsValidate(t *testing.T) {
 func TestModelForPolicy(t *testing.T) {
 	cases := []struct {
 		wl     string
-		policy queue.Policy
+		policy core.Policy
 		want   core.Model
 	}{
-		{"queue", queue.PolicyStrict, core.Strict},
-		{"queue", queue.PolicyEpoch, core.Epoch},
-		{"queue", queue.PolicyRacingEpoch, core.Epoch},
-		{"queue", queue.PolicyStrand, core.Strand},
-		{"pstm", queue.PolicyStrand, core.Strand},
-		{"journal", queue.PolicyEpoch, core.Epoch},
+		{"queue", core.PolicyStrict, core.Strict},
+		{"queue", core.PolicyEpoch, core.Epoch},
+		{"queue", core.PolicyRacingEpoch, core.Epoch},
+		{"queue", core.PolicyStrand, core.Strand},
+		{"pstm", core.PolicyStrand, core.Strand},
+		{"journal", core.PolicyEpoch, core.Epoch},
 	}
 	for _, c := range cases {
 		if got := ModelForPolicy(c.wl, c.policy); got != c.want {
 			t.Fatalf("ModelForPolicy(%s, %v) = %v, want %v", c.wl, c.policy, got, c.want)
+		}
+	}
+}
+
+// TestPolicyFlags pins the -policy flag spellings: ParsePolicy accepts
+// exactly strict, epoch, racing and strand, one per core.Policies entry
+// in order, and each policy survives a round trip through repro params
+// for the grid workloads and for kv.
+func TestPolicyFlags(t *testing.T) {
+	for i, flag := range []string{"strict", "epoch", "racing", "strand"} {
+		p, err := ParsePolicy(flag)
+		if err != nil || p != core.Policies[i] {
+			t.Fatalf("ParsePolicy(%q) = %v, %v; want %v", flag, p, err, core.Policies[i])
+		}
+		o := Options{
+			Workload: "pstm", Design: queue.CWL, Policy: p, Model: p.Model(),
+			Threads: 2, Inserts: 4, Payload: 16, Seed: 1, DesignStr: "cwl", PolicyStr: flag,
+		}
+		if o2, err := FromScenario(&fault.Scenario{Params: o.Params()}); err != nil || o2 != o {
+			t.Errorf("%s: FromScenario round trip = %+v, %v; want %+v", flag, o2, err, o)
+		}
+		k := KVOptions{
+			Shards: 2, Keys: 8, Threads: 2, Ops: 8, ReadFrac: 0.5, ZipfS: 1.1,
+			Policy: p, Seed: 1, PolicyStr: flag,
+		}
+		if k2, err := KVFromScenario(&fault.Scenario{Params: k.Params()}); err != nil || k2 != k {
+			t.Errorf("%s: KVFromScenario round trip = %+v, %v; want %+v", flag, k2, err, k)
+		}
+	}
+	for _, flag := range []string{"racing-epochs", "Strict", "epochs", "policy(4)", ""} {
+		if p, err := ParsePolicy(flag); err == nil {
+			t.Errorf("ParsePolicy(%q) = %v, want an error", flag, p)
 		}
 	}
 }
@@ -161,7 +195,7 @@ func TestParseHelpers(t *testing.T) {
 			t.Fatalf("ParseModel(%s) = %v, %v", m, got, err)
 		}
 	}
-	if _, err := JournalPolicy(queue.Policy(99)); err == nil {
+	if _, err := JournalPolicy(core.Policy(99)); err == nil {
 		t.Fatal("bad journal policy accepted")
 	}
 }
