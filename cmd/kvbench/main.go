@@ -244,7 +244,7 @@ func dumpGraph(path string, item gridItem, spans *telemetry.SpanTracer) error {
 	sp := spans.Start("graph", "build").Arg("model", p.Model.String())
 	g, err := graph.Build(run.Trace, p)
 	if err == nil {
-		sp.Arg("nodes", g.Len()).Arg("peak-ranges", g.Stats.PeakRanges)
+		sp.Arg("nodes", g.Len())
 	}
 	sp.End()
 	if err != nil {
@@ -255,8 +255,8 @@ func dumpGraph(path string, item gridItem, spans *telemetry.SpanTracer) error {
 		return err
 	}
 	w := bufio.NewWriter(f)
-	fmt.Fprintf(w, "kvbench graph dump: policy %s model %v nodes %d stats %+v\n",
-		item.name, p.Model, g.Len(), g.Stats)
+	fmt.Fprintf(w, "kvbench graph dump: policy %s model %v nodes %d\n",
+		item.name, p.Model, g.Len())
 	for _, n := range g.Nodes {
 		fmt.Fprintf(w, "%d %d %d %x %d", n.ID, n.Event.TID, n.Event.Kind, n.Event.Addr, n.Event.Size)
 		for _, e := range n.In {

@@ -135,9 +135,19 @@ func run(env *cli.Env) (int, error) {
 	}
 	man := env.Manifest.Seed("seed", *seed).ModelGrid(core.Models...)
 	reg := env.Registry
-	threads, err := parseInts(*threadsStr)
+	threads, err := parseThreads(*threadsStr)
 	if err != nil {
 		return 0, err
+	}
+	switch {
+	case *inserts <= 0:
+		return 0, fmt.Errorf("-inserts %d: must be positive", *inserts)
+	case *traceIns <= 0:
+		return 0, fmt.Errorf("-trace-inserts %d: must be positive", *traceIns)
+	case *latency <= 0:
+		return 0, fmt.Errorf("-latency %v: must be positive", *latency)
+	case *payload < 1 || *payload > queue.MaxPayload:
+		return 0, fmt.Errorf("-payload %d: must be in [1, %d]", *payload, queue.MaxPayload)
 	}
 	c := &runCfg{
 		inserts: *inserts, payload: *payload, threads: threads,
@@ -287,9 +297,6 @@ func runBanks(c *runCfg) error {
 	}
 	sp := c.spans.Start("graph", "build").Arg("model", core.Epoch.String())
 	g, err := graph.Build(tr, core.Params{Model: core.Epoch})
-	if err == nil {
-		sp.Arg("frontier-ranges", g.Stats.FrontierRanges).Arg("peak-ranges", g.Stats.PeakRanges)
-	}
 	sp.End()
 	if err != nil {
 		return err
@@ -421,9 +428,6 @@ func runWear(c *runCfg) error {
 	}
 	sp := c.spans.Start("graph", "build").Arg("model", core.Epoch.String())
 	g, err := graph.Build(tr, core.Params{Model: core.Epoch})
-	if err == nil {
-		sp.Arg("frontier-ranges", g.Stats.FrontierRanges).Arg("peak-ranges", g.Stats.PeakRanges)
-	}
 	sp.End()
 	if err != nil {
 		return err
@@ -543,11 +547,13 @@ func tracePass(reg *telemetry.Registry, man *telemetry.Manifest, path string, th
 	return nil
 }
 
-func parseInts(s string) ([]int, error) {
+// parseThreads parses the comma-separated -threads list; every entry
+// must be a positive count.
+func parseThreads(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
+		if err != nil || v < 1 {
 			return nil, fmt.Errorf("bad thread count %q", part)
 		}
 		out = append(out, v)

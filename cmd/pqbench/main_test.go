@@ -81,3 +81,26 @@ func TestAllDeterministicAcrossParallel(t *testing.T) {
 		t.Errorf("stdout differs:\n--- parallel=1\n%s\n--- parallel=4\n%s", outs[0], outs[1])
 	}
 }
+
+// TestBadNumericFlags pins that out-of-range numeric flags exit 1
+// before anything runs, instead of falling back to a default or
+// labelling rows with the bad value.
+func TestBadNumericFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-inserts", "-3", "-threads", "1"},
+		{"-inserts", "0"},
+		{"-threads", "-1", "-inserts", "200"},
+		{"-threads", "0,1", "-inserts", "200"},
+		{"-trace-inserts", "0", "-inserts", "200"},
+		{"-latency", "0s", "-inserts", "200"},
+		{"-latency", "-5ns", "-inserts", "200"},
+		{"-payload", "0", "-inserts", "200"},
+		{"-payload", "1048577", "-inserts", "200"},
+	} {
+		args = append([]string{"-experiment", "table1", "-instr-rate", "1e8"}, args...)
+		code, out, errOut := runPQ(t, args...)
+		if code != 1 || out != "" || !strings.Contains(errOut, "pqbench: ") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1, no stdout and an error", args, code, out, errOut)
+		}
+	}
+}

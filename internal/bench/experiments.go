@@ -537,9 +537,6 @@ func Fig2(inserts int, seed int64, sw sweep.Config) ([]Fig2Row, error) {
 			model := pol.Model()
 			sp := sw.Spans.Start("graph", "build").Arg("model", model.String())
 			g, err := graph.Build(traces[i], core.Params{Model: model})
-			if err == nil {
-				sp.Arg("frontier-ranges", g.Stats.FrontierRanges).Arg("peak-ranges", g.Stats.PeakRanges)
-			}
 			sp.End()
 			if err != nil {
 				return Fig2Row{}, err

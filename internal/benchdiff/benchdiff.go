@@ -161,12 +161,12 @@ const minSamples = 4
 
 // Delta is one benchmark's old-vs-new comparison.
 type Delta struct {
-	Name      string
-	OldNs     float64 // mean over samples
-	NewNs     float64
-	NsRatio   float64 // (new-old)/old; +Inf when old == 0 and new > 0
-	OldBytes  float64
-	NewBytes  float64
+	Name     string
+	OldNs    float64 // mean over samples
+	NewNs    float64
+	NsRatio  float64 // (new-old)/old; +Inf when old == 0 and new > 0
+	OldBytes float64
+	NewBytes float64
 	// BytesRatio is (new-old)/old for B/op; NaN when old == 0 and
 	// new == 0, +Inf when old == 0 and new > 0.
 	BytesRatio float64

@@ -105,52 +105,15 @@ type threadState struct {
 	epoch, strand int64
 }
 
-// Paged state tables. A table maps a block-id offset to a slot through
-// a two-level directory: the offset's low pageBits pick the slot within
-// a fixed page, the next dirBits pick the page within a directory, and
-// the rest index the top level. Pages and directories are allocated on
-// first touch and never move, so a slot pointer stays valid for the
-// table's lifetime and storage grows with the pages a trace touches:
-// a few blocks at both ends of the 1 TiB persistent space cost two
-// pages and two directories, where a dense table would span it all.
+// State tables are paged through a memory.Pages: a block-id offset's
+// low pageBits pick the slot within a fixed page and the rest number
+// the page. Pages are allocated on first touch and never move, so a
+// slot pointer stays valid for the table's lifetime and storage grows
+// with the pages a trace touches.
 const (
-	pageBits = 8  // 256 slots per page
-	dirBits  = 12 // 4096 pages (1 Mi slots) per directory
+	pageBits = 8 // 256 slots per page
 	pageMask = 1<<pageBits - 1
-	dirMask  = 1<<dirBits - 1
 )
-
-// pageDirs is a table's top level: directories of page pointers.
-type pageDirs[P any] []*[1 << dirBits]*P
-
-// page returns the page covering offset i, or nil when it is not yet
-// allocated.
-func (ds pageDirs[P]) page(i uint64) *P {
-	if d := i >> (pageBits + dirBits); d < uint64(len(ds)) && ds[d] != nil {
-		return ds[d][i>>pageBits&dirMask]
-	}
-	return nil
-}
-
-// addPage allocates the page covering offset i (and its directory, if
-// need be); the page must not exist yet. It is kept out of line so the
-// lookups that call it on a miss stay small.
-//
-//go:noinline
-func (ds *pageDirs[P]) addPage(i uint64) *P {
-	d := i >> (pageBits + dirBits)
-	if d >= uint64(len(*ds)) {
-		*ds = append(*ds, make(pageDirs[P], d+1-uint64(len(*ds)))...)
-	}
-	dir := (*ds)[d]
-	if dir == nil {
-		dir = new([1 << dirBits]*P)
-		(*ds)[d] = dir
-	}
-	pg := new(P)
-	dir[i>>pageBits&dirMask] = pg
-	return pg
-}
 
 // blockEntry is a blockTable slot: tracking-block state plus the
 // generation stamp that says whether it belongs to the current run.
@@ -163,16 +126,16 @@ type blockEntry struct {
 // by block-id offset from the space's base.
 type blockTable struct {
 	base  memory.BlockID
-	pages pageDirs[[1 << pageBits]blockEntry]
+	pages memory.Pages[[1 << pageBits]blockEntry]
 }
 
 // get returns the live state for block b, lazily reinitializing a slot
 // left over from an earlier generation.
 func (tb *blockTable) get(b memory.BlockID, gen uint64) *blockState {
 	i := uint64(b - tb.base)
-	pg := tb.pages.page(i)
+	pg := tb.pages.Get(i >> pageBits)
 	if pg == nil {
-		pg = tb.pages.addPage(i)
+		pg = tb.pages.Add(i >> pageBits)
 	}
 	e := &pg[i&pageMask]
 	if e.gen != gen {
@@ -194,15 +157,15 @@ type atomEntry struct {
 
 type atomTable struct {
 	base  memory.BlockID
-	pages pageDirs[[1 << pageBits]atomEntry]
+	pages memory.Pages[[1 << pageBits]atomEntry]
 }
 
 // at returns the slot for block b.
 func (tb *atomTable) at(b memory.BlockID) *atomEntry {
 	i := uint64(b - tb.base)
-	pg := tb.pages.page(i)
+	pg := tb.pages.Get(i >> pageBits)
 	if pg == nil {
-		pg = tb.pages.addPage(i)
+		pg = tb.pages.Add(i >> pageBits)
 	}
 	return &pg[i&pageMask]
 }

@@ -23,7 +23,6 @@ import (
 	"iter"
 	"math/rand"
 
-	"repro/internal/intervals"
 	"repro/internal/memory"
 	"repro/internal/trace"
 )
@@ -123,22 +122,13 @@ const (
 	pageMask  = pageWords - 1
 )
 
-// wordStore holds one address space's contents: an interval map from
-// page index to demand-allocated page. Only touched pages have entries,
-// so cost is proportional to resident data, not to the highest address
-// written — a store at base+1TiB costs one entry and one page, where
-// the former dense page-pointer slice would have materialized (and
-// grown one nil at a time) a quarter-billion slots. The map's locality
-// hint makes the repeated-page case (the hot path) a single compare.
+// wordStore holds one address space's contents: a sparse page table
+// of demand-allocated pages. Only touched pages exist, so cost is
+// proportional to resident data, not to the highest address written:
+// a store at base+1TiB costs one page and a few index nodes.
 type wordStore struct {
 	base  memory.Addr
-	pages *intervals.Map[uint64, *[pageWords]uint64]
-}
-
-func newWordStore(base memory.Addr) wordStore {
-	// eq=nil: page entries are identity-valued and never coalesce, so
-	// every entry spans exactly one page index.
-	return wordStore{base: base, pages: intervals.NewMap[uint64, *[pageWords]uint64](nil)}
+	pages memory.Pages[[pageWords]uint64]
 }
 
 // load reads the word at the 8-byte-aligned address w; absent pages
@@ -147,8 +137,8 @@ func newWordStore(base memory.Addr) wordStore {
 // space.
 func (ws *wordStore) load(w memory.Addr) uint64 {
 	off := uint64(w-ws.base) / memory.WordSize
-	page, ok := ws.pages.Get(off >> pageShift)
-	if !ok {
+	page := ws.pages.Get(off >> pageShift)
+	if page == nil {
 		return 0
 	}
 	return page[off&pageMask]
@@ -158,11 +148,9 @@ func (ws *wordStore) load(w memory.Addr) uint64 {
 // on demand.
 func (ws *wordStore) ptr(w memory.Addr) *uint64 {
 	off := uint64(w-ws.base) / memory.WordSize
-	p := off >> pageShift
-	page, ok := ws.pages.Get(p)
-	if !ok {
-		page = new([pageWords]uint64)
-		ws.pages.Set(p, p+1, page)
+	page := ws.pages.Get(off >> pageShift)
+	if page == nil {
+		page = ws.pages.Add(off >> pageShift)
 	}
 	return &page[off&pageMask]
 }
@@ -171,13 +159,12 @@ func (ws *wordStore) ptr(w memory.Addr) *uint64 {
 // runs of contiguous resident pages).
 func (ws *wordStore) resident() (pages, extents int) {
 	next := uint64(0)
-	ws.pages.EachAll(func(r intervals.Range[uint64], _ *[pageWords]uint64) bool {
+	ws.pages.Each(func(n uint64, _ *[pageWords]uint64) {
 		pages++
-		if r.Lo != next || extents == 0 {
+		if n != next || extents == 0 {
 			extents++
 		}
-		next = r.Hi
-		return true
+		next = n + 1
 	})
 	return pages, extents
 }
@@ -208,8 +195,8 @@ func NewMachine(cfg Config) *Machine {
 		cfg:      cfg,
 		sink:     sink,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		volWords: newWordStore(memory.VolatileBase),
-		perWords: newWordStore(memory.PersistentBase),
+		volWords: wordStore{base: memory.VolatileBase},
+		perWords: wordStore{base: memory.PersistentBase},
 		PerHeap:  memory.NewHeap(memory.Persistent),
 		VolHeap:  memory.NewHeap(memory.Volatile),
 	}
@@ -346,14 +333,13 @@ func (m *Machine) storeRaw(a memory.Addr, size int, v uint64) {
 // states against prefixes of this.
 func (m *Machine) PersistentImage() *memory.Image {
 	im := memory.NewImage()
-	m.perWords.pages.EachAll(func(r intervals.Range[uint64], page *[pageWords]uint64) bool {
-		base := m.perWords.base + memory.Addr(r.Lo*pageWords*memory.WordSize)
+	m.perWords.pages.Each(func(n uint64, page *[pageWords]uint64) {
+		base := m.perWords.base + memory.Addr(n*pageWords*memory.WordSize)
 		for si, w := range page {
 			if w != 0 {
 				im.WriteWord(base+memory.Addr(si*memory.WordSize), w)
 			}
 		}
-		return true
 	})
 	return im
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/memory"
@@ -11,8 +12,8 @@ import (
 // proportional to the pages actually touched. Under the old
 // pages []*[pageWords]uint64 representation, the first store near the
 // top of the space materialized a quarter-billion nil page slots (and
-// appended them one at a time); with the interval-indexed store each
-// address below costs exactly one 32 KiB page and one index entry.
+// appended them one at a time); with the sparse page table each address
+// below costs exactly one 32 KiB page and a few index nodes.
 func TestSparseFarAddresses(t *testing.T) {
 	m := NewMachine(Config{Threads: 1})
 	s := m.SetupThread()
@@ -23,8 +24,18 @@ func TestSparseFarAddresses(t *testing.T) {
 		memory.PersistentBase + 513<<30,
 		memory.PersistentBase + memory.Addr(memory.PersistentSize) - memory.WordSize,
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i, a := range addrs {
 		s.Store8(a, uint64(i)+1)
+	}
+	runtime.ReadMemStats(&after)
+	// The stores allocate their pages plus a bounded page index: the
+	// index for the top of the space is a few nodes and a top slice of
+	// one pointer per 2^18 pages.
+	const pageBytes = pageWords * memory.WordSize
+	if idx := after.TotalAlloc - before.TotalAlloc - uint64(len(addrs))*pageBytes; idx > 256<<10 {
+		t.Fatalf("far-page stores allocated %d index bytes beyond their pages, want <= %d", idx, 256<<10)
 	}
 	for i, a := range addrs {
 		if got := s.Load8(a); got != uint64(i)+1 {
@@ -44,7 +55,6 @@ func TestSparseFarAddresses(t *testing.T) {
 	if ms.PerExtents != len(addrs) {
 		t.Fatalf("resident extents %d, want %d (all pages disjoint)", ms.PerExtents, len(addrs))
 	}
-	const pageBytes = pageWords * memory.WordSize
 	if ms.PerBytes != uint64(len(addrs))*pageBytes {
 		t.Fatalf("resident bytes %d, want %d", ms.PerBytes, uint64(len(addrs))*pageBytes)
 	}

@@ -32,7 +32,7 @@ type BarrierInfo struct {
 }
 
 // BuildWithBarriers is Build plus a per-annotation effect report, in
-// trace order. The graph, Stats included, is identical to Build's.
+// trace order. The graph is identical to Build's.
 func BuildWithBarriers(tr *trace.Trace, p core.Params) (*Graph, []BarrierInfo, error) {
 	return build(tr, p, true)
 }

@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/intervals"
 	"repro/internal/memory"
 	"repro/internal/trace"
 )
@@ -88,9 +87,6 @@ type Node struct {
 // manually built graphs may contain cycles, which FindCycle exposes.
 type Graph struct {
 	Nodes []*Node
-	// Stats describes the interval dependence frontier of a trace build
-	// (zero for manual graphs); see BuildStats.
-	Stats BuildStats
 	// slab is preallocated node storage (see Grow): AddNode takes slots
 	// from it while capacity lasts, so a trace build with a known persist
 	// count performs one node allocation instead of one per persist.
@@ -300,8 +296,7 @@ func (g *Graph) DOT(name string) string {
 // model. Parameters follow core.Params (granularities; coalescing is
 // intentionally not modeled — see the package comment). The state
 // machine mirrors core.Sim but carries dependence *frontiers* (sets of
-// node ids) instead of scalar levels, keyed by address interval rather
-// than per block (see frontier.go).
+// node ids) instead of scalar levels (see frontier.go).
 func Build(tr *trace.Trace, p core.Params) (*Graph, error) {
 	g, _, err := build(tr, p, false)
 	return g, err
@@ -340,7 +335,6 @@ func build(tr *trace.Trace, p core.Params, barriers bool) (*Graph, []BarrierInfo
 			}
 		}
 	}
-	b.g.Stats = b.statsOf()
 	return b.g, infos, nil
 }
 
@@ -363,12 +357,9 @@ type builder struct {
 	lbs      bool // load-before-store conflicts
 	volc     bool // volatile conflicts
 	threads  map[int32]*gThread
-	// blocks is the interval-keyed dependence frontier: byte ranges
-	// (always aligned to the tracking granularity) mapped to the
-	// frontier state future persists of that range depend on. Untouched
-	// space has no entry at all.
-	blocks     *intervals.Map[memory.Addr, blockState]
-	peakRanges int
+	// trackV/trackP hold the per-tracking-block frontiers of the
+	// volatile and persistent spaces.
+	trackV, trackP blockTable
 	// mark dedups a persist's edge sources: node n is already a source
 	// of the current persist iff mark[n] == stamp. Each persist takes a
 	// fresh stamp, so the array is never cleared between persists.
@@ -376,7 +367,7 @@ type builder struct {
 	stamp uint32
 	// Per-persist scratch and slabs, reused across events.
 	edgeBuf  []Edge
-	tiles    []blockState
+	touched  []*blockState
 	tmp      []NodeID
 	idSlab   []NodeID
 	edgeSlab []Edge
@@ -393,7 +384,8 @@ func newBuilder(p core.Params) (*builder, error) {
 		g:       &Graph{},
 		p:       p,
 		threads: make(map[int32]*gThread),
-		blocks:  newFrontier(),
+		trackV:  blockTable{base: memory.BlockOf(memory.VolatileBase, p.TrackingGranularity)},
+		trackP:  blockTable{base: memory.BlockOf(memory.PersistentBase, p.TrackingGranularity)},
 	}
 	switch p.Model {
 	case core.Strict:
@@ -419,22 +411,16 @@ func (b *builder) thread(tid int32) *gThread {
 	return t
 }
 
-// span returns the tracking-granularity-aligned byte range the event's
-// access covers: the interval-map key range standing in for the block
-// ids the per-block builder enumerated. Event sizes are 1..8 and
-// validated, so the range is never empty.
-func (b *builder) span(e trace.Event) (lo, hi memory.Addr) {
-	g := b.p.TrackingGranularity
-	lo = memory.AlignDown(e.Addr, g)
-	hi = memory.AlignDown(e.Addr+memory.Addr(e.Size)-1, g) + memory.Addr(g)
-	return lo, hi
-}
-
-// trackPeak records the frontier's high-water mark after a mutation.
-func (b *builder) trackPeak() {
-	if n := b.blocks.Len(); n > b.peakRanges {
-		b.peakRanges = n
+// blocks returns the table holding the tracking blocks an access
+// spans, and their ids. The whole span lies in one address space
+// (Event.Validate checks the range).
+func (b *builder) blocks(e trace.Event) (tb *blockTable, first, last memory.BlockID) {
+	first, last = memory.BlockSpan(e.Addr, int(e.Size), b.p.TrackingGranularity)
+	tb = &b.trackV
+	if first >= b.trackP.base {
+		tb = &b.trackP
 	}
+	return tb, first, last
 }
 
 func (b *builder) feed(e trace.Event) error {
@@ -447,11 +433,9 @@ func (b *builder) feed(e trace.Event) error {
 			return nil
 		}
 		t := b.thread(e.TID)
-		lo, hi := b.span(e)
-		b.blocks.Update(lo, hi, func(_ intervals.Range[memory.Addr], bs blockState, ok bool) (blockState, bool) {
-			if !ok {
-				bs.lastP = -1
-			}
+		tb, first, last := b.blocks(e)
+		for blk := first; blk <= last; blk++ {
+			bs := tb.get(blk)
 			if b.strict {
 				t.active = b.unionInto(t.active, bs.writer)
 			} else {
@@ -460,33 +444,25 @@ func (b *builder) feed(e trace.Event) error {
 			if b.lbs {
 				bs.reader = vecAddSet(bs.reader, t.active)
 			}
-			// An absent range stays absent unless it gained readers:
-			// empty frontier state is equivalent to no state.
-			return bs, ok || len(bs.reader) > 0
-		})
-		b.trackPeak()
+		}
 	case trace.Store, trace.RMW:
 		if memory.IsPersistent(e.Addr) {
 			b.persist(e)
 		} else if b.volc {
 			t := b.thread(e.TID)
-			lo, hi := b.span(e)
-			b.blocks.Update(lo, hi, func(_ intervals.Range[memory.Addr], bs blockState, ok bool) (blockState, bool) {
-				if !ok {
-					bs.lastP = -1
-				}
-				// The store inherits the range's dependences...
+			tb, first, last := b.blocks(e)
+			for blk := first; blk <= last; blk++ {
+				bs := tb.get(blk)
+				// The store inherits the block's dependences...
 				if b.strict {
 					t.active = b.unionInto(b.unionInto(t.active, bs.writer), bs.reader)
 				} else {
 					t.pending = b.unionInto(b.unionInto(t.pending, bs.writer), bs.reader)
 				}
-				// ...and becomes, with them, the range's write frontier.
+				// ...and becomes, with them, the block's write frontier.
 				bs.writer = vecAddSet(vecUnion(bs.writer, bs.reader), t.active)
 				bs.reader = nil
-				return bs, ok || len(bs.writer) > 0
-			})
-			b.trackPeak()
+			}
 		}
 	case trace.PersistBarrier:
 		if b.barriers {
@@ -524,7 +500,6 @@ func (b *builder) bindEpoch(t *gThread) {
 func (b *builder) persist(e trace.Event) {
 	t := b.thread(e.TID)
 	id := b.g.AddNode("", e)
-	lo, hi := b.span(e)
 
 	// Deduplicated edge insertion: a fresh stamp marks this persist's
 	// sources in O(1) each. Edges stage in edgeBuf and commit as one
@@ -542,20 +517,20 @@ func (b *builder) persist(e trace.Event) {
 	// One edge per distinct source; when a source orders this persist
 	// for several reasons, the most specific class wins (atomicity,
 	// then conflict, then program order), matching Figure 2's
-	// classification. The frontier walk is read-only and visits ranges
-	// in ascending address order; tile states are staged in scratch so
-	// the conflict phase (which must run after every atomicity edge)
-	// doesn't pay a second ordered lookup.
-	b.tiles = b.tiles[:0]
-	b.blocks.Each(lo, hi, func(_ intervals.Range[memory.Addr], bs blockState) bool {
+	// classification. The blocks are visited in ascending address order
+	// and staged in touched for the conflict phase, which must run after
+	// every atomicity edge, and for the update below.
+	b.touched = b.touched[:0]
+	tb, first, last := b.blocks(e)
+	for blk := first; blk <= last; blk++ {
+		bs := tb.get(blk)
 		// Strong persist atomicity.
 		if bs.lastP >= 0 {
 			addEdge(bs.lastP, Atomicity)
 		}
-		b.tiles = append(b.tiles, bs)
-		return true
-	})
-	for _, bs := range b.tiles {
+		b.touched = append(b.touched, bs)
+	}
+	for _, bs := range b.touched {
 		// Cross-thread (and self) conflict dependences through memory.
 		for _, from := range bs.writer {
 			addEdge(from, Conflict)
@@ -586,11 +561,12 @@ func (b *builder) persist(e trace.Event) {
 		t.pending = slices.DeleteFunc(t.pending, func(from NodeID) bool { return b.mark[from] == b.stamp })
 	}
 	// The persist has edges from every prior dependence of its whole
-	// footprint, so it alone is the new dependence frontier: one
-	// uniform range entry, regardless of how many blocks the store
-	// spanned or how fragmented the space was before.
-	b.blocks.Set(lo, hi, blockState{writer: b.single(id), lastP: id})
-	b.trackPeak()
+	// footprint, so it alone is the new dependence frontier of every
+	// block it spans, which share one singleton vec.
+	w := b.single(id)
+	for _, bs := range b.touched {
+		*bs = blockState{writer: w, lastP: id}
+	}
 }
 
 // nextStamp starts a fresh dedup generation, first sizing the mark

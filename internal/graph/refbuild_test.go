@@ -13,9 +13,9 @@ import (
 	"repro/internal/trace"
 )
 
-// This file retains the pre-interval per-block builder as a test-only
+// This file retains an earlier per-block builder as a test-only
 // reference implementation. The production builder keeps its
-// dependence frontiers in one ordered interval map (frontier.go); the
+// dependence frontiers in paged block tables (frontier.go); the
 // reference keeps a map[BlockID]*refBlock with nodeSet frontiers, the
 // way the builder worked before, and walks each set in ascending order.
 // The differential tests below assert the two produce identical graphs

@@ -50,11 +50,11 @@ const (
 	// PersistentBase is the first address of the persistent space.
 	PersistentBase Addr = 0x0000_0001_0000_0000
 	// PersistentSize is the extent of the persistent space: 1 TiB, far
-	// more than any workload materializes. The execution layer's memory
-	// cost is proportional to *touched* data (interval-indexed sparse
-	// pages), so a huge space is free; it exists so workloads can spread
-	// structures across distant addresses the way real NVRAM mappings
-	// do.
+	// more than any workload materializes. Every per-address store is
+	// a sparse page table (Pages), so memory cost is proportional to
+	// *touched* data and a huge space is free; it exists so workloads
+	// can spread structures across distant addresses the way real NVRAM
+	// mappings do.
 	PersistentSize uint64 = 1 << 40
 )
 

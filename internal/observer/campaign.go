@@ -274,9 +274,6 @@ func Campaign(tr *trace.Trace, p core.Params, rec CheckedRecoverFunc, cfg Campai
 	cfg.normalize()
 	sp := cfg.Spans.Start("campaign", "graph-build").Arg("model", p.Model.String())
 	g, err := graph.Build(tr, p)
-	if err == nil {
-		sp.Arg("frontier-ranges", g.Stats.FrontierRanges).Arg("peak-ranges", g.Stats.PeakRanges)
-	}
 	sp.End()
 	if err != nil {
 		return CampaignOutcome{}, err

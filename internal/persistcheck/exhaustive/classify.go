@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/intervals"
 	"repro/internal/memory"
 	"repro/internal/observer"
 	"repro/internal/sweep"
@@ -84,9 +83,10 @@ func (n *tnode) child(v uint64) *tnode {
 
 // scratch is one classifying goroutine's reusable buffers.
 type scratch struct {
-	dense []uint64  // slot-indexed image words and a last, unwritten slot; zero between lookups
-	seq   []readEv  // the reads of the latest recovery run
-	img   []wordVal // a final's image
+	dense   []uint64                 // slot-indexed image words and a last, unwritten slot; zero between lookups
+	seq     []readEv                 // the reads of the latest recovery run
+	img     []wordVal                // a final's image
+	written map[memory.Addr]struct{} // the words the latest recovery run wrote
 }
 
 func (tr *trie) scratch() *scratch {
@@ -170,15 +170,14 @@ func (tr *trie) classify(img []wordVal, sc *scratch, strict observer.RecoverFunc
 	if o, ok := tr.lookup(img, sc); ok {
 		return o, nil
 	}
-	var out outcome
-	out, sc.seq = execClassify(tr.words, img, sc.seq[:0], strict, checked)
+	out := execClassify(tr.words, img, sc, strict, checked)
 	return tr.insert(sc.seq, out)
 }
 
 // execClassify materializes img, runs strict then checked recovery
-// with read recording, and classifies the state. The reads are
-// appended to seq.
-func execClassify(words *wordTable, img []wordVal, seq []readEv, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc) (outcome, []readEv) {
+// with read recording, and classifies the state. The reads are left in
+// sc.seq.
+func execClassify(words *wordTable, img []wordVal, sc *scratch, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc) outcome {
 	im := memory.NewImage()
 	for _, wv := range img {
 		im.WriteWord(words.addrs[wv.slot], wv.val)
@@ -186,13 +185,17 @@ func execClassify(words *wordTable, img []wordVal, seq []readEv, strict observer
 	// Words the recovery itself wrote (salvage repairs): reads of
 	// those are implied by earlier pristine reads and are excluded
 	// from the signature.
-	written := intervals.NewSet[memory.Addr]()
+	if sc.written == nil {
+		sc.written = make(map[memory.Addr]struct{})
+	}
+	clear(sc.written)
+	sc.seq = sc.seq[:0]
 	im.Observe(func(a memory.Addr, v uint64) {
-		if !written.Contains(a) {
-			seq = append(seq, readEv{addr: a, val: v})
+		if _, ok := sc.written[a]; !ok {
+			sc.seq = append(sc.seq, readEv{addr: a, val: v})
 		}
 	}, func(a memory.Addr) {
-		written.Insert(a, a+memory.WordSize)
+		sc.written[a] = struct{}{}
 	})
 	sErr := strict(im)
 	_, cErr := checked(im)
@@ -213,7 +216,7 @@ func execClassify(words *wordTable, img []wordVal, seq []readEv, strict observer
 	if cErr != nil {
 		out.checkedErr = cErr.Error()
 	}
-	return out, seq
+	return out
 }
 
 // classifyChunk is the number of images one classification sweep item

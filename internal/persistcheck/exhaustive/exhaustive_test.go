@@ -137,7 +137,7 @@ func TestAgainstBruteForce(t *testing.T) {
 			}
 			var rec, det, haz int
 			for _, k := range order {
-				out, _ := execClassify(words, images[k], nil, run.Recover, run.Checked)
+				out := execClassify(words, images[k], &scratch{}, run.Recover, run.Checked)
 				switch out.class {
 				case ClassRecovered:
 					rec++

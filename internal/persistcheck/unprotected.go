@@ -1,11 +1,12 @@
 package persistcheck
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/intervals"
 	"repro/internal/memory"
 )
 
@@ -28,16 +29,21 @@ func checkUnprotected(g *graph.Graph, ann Annotations, cfg Config, r *Report) {
 	if len(ann.Pubs) == 0 && len(ann.OrderAfter) == 0 {
 		return
 	}
-	// Protected extents collapse into an interval set (adjacent and
-	// overlapping extents merge), so coverage is one ordered query —
-	// and a word jointly covered by two abutting frames correctly
-	// counts as protected, which the old single-extent scan missed.
-	prot := intervals.NewSet[memory.Addr]()
-	for _, x := range ann.Protected {
-		prot.Insert(x.Addr, x.Addr+memory.Addr(x.Size))
-	}
+	// Protected extents are sorted and merged once (abutting and
+	// overlapping extents join), so coverage is one binary search and a
+	// word jointly covered by two abutting frames counts as protected.
+	prot := mergeExtents(ann.Protected)
 	covered := func(a memory.Addr, size uint64) bool {
-		return prot.Covers(a, a+memory.Addr(size))
+		if size == 0 {
+			return true
+		}
+		// The last merged extent starting at or below a is the only one
+		// that can cover it.
+		i, found := slices.BinarySearchFunc(prot, a, func(x Extent, a memory.Addr) int { return cmp.Compare(x.Addr, a) })
+		if !found {
+			i--
+		}
+		return i >= 0 && uint64(a-prot[i].Addr)+size <= prot[i].Size
 	}
 	report := func(name string, a memory.Addr, size uint64) {
 		cut := g.Full()
@@ -85,4 +91,25 @@ func checkUnprotected(g *graph.Graph, ann Annotations, cfg Config, r *Report) {
 			report(reg.Name, reg.Addr, reg.Size)
 		}
 	}
+}
+
+// mergeExtents returns a sorted copy of xs with empty extents dropped
+// and abutting or overlapping extents joined, so the result is
+// disjoint and ascending.
+func mergeExtents(xs []Extent) []Extent {
+	xs = slices.Clone(xs)
+	slices.SortFunc(xs, func(a, b Extent) int { return cmp.Compare(a.Addr, b.Addr) })
+	out := xs[:0]
+	for _, x := range xs {
+		if x.Size == 0 {
+			continue
+		}
+		if n := len(out); n > 0 && x.Addr <= out[n-1].Addr+memory.Addr(out[n-1].Size) {
+			end := max(out[n-1].Addr+memory.Addr(out[n-1].Size), x.Addr+memory.Addr(x.Size))
+			out[n-1].Size = uint64(end - out[n-1].Addr)
+			continue
+		}
+		out = append(out, x)
+	}
+	return out
 }

@@ -138,9 +138,9 @@ func (t *Tracer) chromeEvents(pid int64) []chromeEvent {
 func (t *Tracer) spanEvents(pid int64) []chromeEvent {
 	var ev []chromeEvent
 	type span struct{ start, index int64 }
-	epochs := make(map[int32]span)   // open epoch per thread
-	strands := make(map[int32]span)  // open strand per thread
-	work := make(map[uint64]int64)   // open work bracket -> begin event
+	epochs := make(map[int32]span)  // open epoch per thread
+	strands := make(map[int32]span) // open strand per thread
+	work := make(map[uint64]int64)  // open work bracket -> begin event
 	workTID := make(map[uint64]int32)
 	closeSpan := func(tid int32, k int, cat string, s span, end int64) chromeEvent {
 		return chromeEvent{

@@ -282,9 +282,9 @@ type SiteShare struct {
 
 // Attribution is the critical-path attribution report.
 type Attribution struct {
-	Model    core.Model
-	Name     string
-	Placed   int64
+	Model     core.Model
+	Name      string
+	Placed    int64
 	Coalesced int64
 	// CriticalPath is the reconstructed critical path.
 	CriticalPath int64
