@@ -119,7 +119,13 @@ func DetectEpochRaces(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 
 	// Pass 2: replay through the epoch state machine, checking each
 	// conflicting access before feeding it to the simulator.
-	sim := MustNewSim(Params{Model: Epoch, TrackingGranularity: cfg.TrackingGranularity})
+	// The simulator comes from the pool Simulate uses, so its block and
+	// atom pages are reused across calls instead of allocated afresh.
+	sim, err := AcquireSim(Params{Model: Epoch, TrackingGranularity: cfg.TrackingGranularity})
+	if err != nil {
+		return RaceReport{}, err
+	}
+	defer ReleaseSim(sim)
 	type blockMarks struct {
 		write, read exportMark
 		hasW, hasR  bool

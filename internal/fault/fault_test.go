@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -141,6 +142,12 @@ func TestParseReproErrors(t *testing.T) {
 		"fault1||cut=1:01|plan=bogus@3",
 		"fault1||cut=1:01|plan=torn@1",
 		"fault1||cut=1:01|plan=flipd@zz.1",
+		// Node ids are 32-bit: these used to wrap to node 0.
+		"fault1||cut=1:01|plan=drop@4294967296",
+		"fault1||cut=1:01|plan=torn@4294967296/0f",
+		"fault1||cut=1:01|plan=retry@4294967296x2",
+		"fault1||cut=1:01|plan=drop@2147483648",
+		"fault1||cut=1:01|plan=drop@-1",
 	} {
 		if _, err := ParseRepro(bad); err == nil {
 			t.Errorf("ParseRepro(%q) should fail", bad)
@@ -314,6 +321,20 @@ func TestMaterializeMatchesReference(t *testing.T) {
 		}
 		if !Materialize(g, c, p).Equal(refMaterialize(g, c, p)) {
 			t.Fatalf("iter %d: Materialize differs from the reference for plan %v", iter, p)
+		}
+	}
+}
+
+// TestParsePlanLargestNode pins the upper end of the node range: the
+// largest 32-bit id parses as itself.
+func TestParsePlanLargestNode(t *testing.T) {
+	p, err := ParsePlan("drop@2147483647;torn@2147483647/01;retry@2147483647x1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range p.Faults {
+		if f.Node != math.MaxInt32 {
+			t.Fatalf("%v: node %d, want %d", f.Kind, f.Node, math.MaxInt32)
 		}
 	}
 }

@@ -143,29 +143,29 @@ func parseFault(in string) (Fault, error) {
 		if !ok {
 			return bad()
 		}
-		node, err1 := strconv.Atoi(nodeStr)
+		node, err1 := parseNode(nodeStr)
 		mask, err2 := strconv.ParseUint(maskStr, 16, 8)
-		if err1 != nil || err2 != nil || node < 0 {
+		if err1 != nil || err2 != nil {
 			return bad()
 		}
-		return Fault{Kind: Torn, Node: graph.NodeID(node), Mask: uint8(mask)}, nil
+		return Fault{Kind: Torn, Node: node, Mask: uint8(mask)}, nil
 	case "drop":
-		node, err := strconv.Atoi(rest)
-		if err != nil || node < 0 {
+		node, err := parseNode(rest)
+		if err != nil {
 			return bad()
 		}
-		return Fault{Kind: Drop, Node: graph.NodeID(node)}, nil
+		return Fault{Kind: Drop, Node: node}, nil
 	case "retry":
 		nodeStr, attStr, ok := strings.Cut(rest, "x")
 		if !ok {
 			return bad()
 		}
-		node, err1 := strconv.Atoi(nodeStr)
+		node, err1 := parseNode(nodeStr)
 		att, err2 := strconv.Atoi(attStr)
-		if err1 != nil || err2 != nil || node < 0 || att <= 0 {
+		if err1 != nil || err2 != nil || att <= 0 {
 			return bad()
 		}
-		return Fault{Kind: Retry, Node: graph.NodeID(node), Attempts: att}, nil
+		return Fault{Kind: Retry, Node: node, Attempts: att}, nil
 	case "flipd", "flips":
 		addrStr, bitStr, ok := strings.Cut(rest, ".")
 		if !ok {
@@ -184,6 +184,19 @@ func parseFault(in string) (Fault, error) {
 	default:
 		return Fault{}, fmt.Errorf("fault: unknown fault kind %q", name)
 	}
+}
+
+// parseNode parses a fault's node id. Ids are 32-bit, so a value out
+// of range is an error rather than a wrapped id naming another node.
+func parseNode(s string) (graph.NodeID, error) {
+	n, err := strconv.ParseInt(s, 10, 32)
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("fault: negative node %d", n)
+	}
+	return graph.NodeID(n), nil
 }
 
 // encodeBits packs a bool slice into hex, node i in byte i/8, bit i%8.

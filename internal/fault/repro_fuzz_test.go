@@ -14,6 +14,7 @@ func FuzzParseRepro(f *testing.F) {
 		"fault1|workload=queue,design=cwl,policy=epoch,model=epoch,threads=2,inserts=6,payload=16,seed=1|cut=20:ff0f03|plan=torn@3/0f;drop@5;retry@7x2;flipd@100000040.3;flips@100000048.7",
 		"fault1|workload=kv,policy=strand,shards=2,keys=8,threads=2,ops=8,read-frac=0.75,zipf=1.1,seed=42,model=strand|cut=46:ffffffffff3f|plan=",
 		"fault1||cut=0:|plan=",
+		"fault1||cut=0:|plan=drop@4294967296",
 	} {
 		f.Add(seed)
 	}

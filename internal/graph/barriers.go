@@ -52,7 +52,7 @@ func (b *builder) annotationRedundant(e trace.Event) bool {
 			return true
 		}
 		// Clearing is a no-op only when there is nothing to clear.
-		return t == nil || (len(t.active) == 0 && len(t.pending) == 0 && len(t.epochMax) == 0)
+		return t == nil || (len(t.active.ids) == 0 && len(t.pending.ids) == 0 && len(t.epochMax) == 0)
 	case trace.PersistSync:
 		// PersistSync binds under every model, like a barrier.
 	}
@@ -63,5 +63,5 @@ func (b *builder) annotationRedundant(e trace.Event) bool {
 	if t == nil || len(t.epochMax) > 0 {
 		return t == nil
 	}
-	return missing(t.active, t.pending) == 0
+	return b.missingFrom(t.active, t.pending) == 0
 }

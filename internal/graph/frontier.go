@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/memory"
@@ -16,29 +17,50 @@ import (
 // space (the overwhelming majority of a gigabyte-scale heap) is never
 // materialized.
 //
-// Frontier node sets are stored as nodeVec — sorted, immutable,
-// copy-on-write slices. Sharing is safe because no operation mutates a
-// published vec in place; singletons (the dominant case: a block just
-// persisted) are carved from a chunked slab so the per-persist
-// frontier reset allocates nothing in steady state. Thread frontiers
-// are nodeVecs too, but each is owned by its thread and updated in
-// place (unionInto); only copies of them are ever published.
+// Frontier node sets are stored as nodeVec — sorted slices of 32-bit
+// node ids. Published vecs (a block's writer and reader) are immutable
+// and copy-on-write, so sharing them is safe; singletons (the dominant
+// case: a block just persisted) are carved from a chunked slab so the
+// per-persist frontier reset allocates nothing in steady state. Thread
+// frontiers are nodeVecs too, but each is owned by its thread and
+// updated in place (absorb); only copies of them are ever published.
+//
+// Every frontier set carries a version (vset). The builder draws a
+// fresh version whenever a set's ids change — a merge, an epoch bind, a
+// persist's reset, a scrub that removed something — and a copy keeps
+// the version of what it copied, so one version always names one set
+// of ids. Most unions on real traces add nothing: a thread re-reads a
+// block whose writer it already depends on, or publishes an active
+// frontier the block's readers already hold. The builder records each
+// proven "version s ⊆ version d" in a per-build subset-fact cache
+// (subsetFacts), and every thread absorb, block publish and barrier
+// redundancy test consults it before walking the two sets.
 
 // nodeVec is a sorted set of node ids. The empty vec is nil. Vecs are
 // immutable once stored in a frontier: operations return new (or
 // shared) slices, never append in place.
 type nodeVec []NodeID
 
+// vset is a frontier set with its version. The empty set has version 0
+// and every non-empty set a version the builder drew for its ids, so
+// two vsets with one version hold the same ids.
+type vset struct {
+	ids nodeVec
+	ver uint64
+}
+
 // blockState is the per-block dependence frontier: the nodes whose
-// persists/reads future persists of this block must order after.
+// persists/reads future persists of this block must order after. Only
+// a persist writes a persistent block's writer, and it sets it to
+// itself alone, so a persistent block's writer is its last persist
+// (the source of strong persist atomicity) or empty before the first.
 type blockState struct {
-	writer nodeVec
-	reader nodeVec
-	lastP  NodeID // last persist targeting the block; -1 when none
+	writer vset
+	reader vset
 }
 
 // Block tables page their slots 32 to a page, not core.Sim's 256: a
-// blockState is 56 bytes and KV traces touch blocks sparsely, so
+// blockState is 64 bytes and KV traces touch blocks sparsely, so
 // 256-slot pages raised a KV graph build's allocation by about a fifth.
 const (
 	pageBits = 5
@@ -52,18 +74,68 @@ type blockTable struct {
 	pages memory.Pages[[1 << pageBits]blockState]
 }
 
-// get returns block b's frontier, allocating its page (with every
-// slot's lastP unset) on first touch.
+// get returns block b's frontier, allocating its page on first touch.
 func (tb *blockTable) get(b memory.BlockID) *blockState {
 	i := uint64(b - tb.base)
 	pg := tb.pages.Get(i >> pageBits)
 	if pg == nil {
 		pg = tb.pages.Add(i >> pageBits)
-		for j := range pg {
-			pg[j].lastP = -1
-		}
 	}
 	return &pg[i&pageMask]
+}
+
+// subsetFacts is the builder's cache of proven facts "version sub ⊆
+// version sup". It is direct-mapped: a fact lands in the one slot its
+// pair hashes to and evicts whatever was there, so the table never
+// grows and a lookup is one probe. Versions are never reused within a
+// build, so a recorded fact stays true; an evicted one only costs a
+// later walk. The table is allocated by the first fact, so a build
+// that never unions (a write-only trace under strict persistency)
+// pays nothing for it.
+type subsetFacts struct {
+	slots []subsetFact
+	shift uint
+	bits  int // log2 of the table size, fixed at construction
+}
+
+type subsetFact struct{ sub, sup uint64 }
+
+// Fact tables hold one slot per four trace events, as a power of two
+// between these bounds: a small trace's table costs little, and a
+// large one's stays within a few hundred KiB.
+const (
+	minFactBits = 6
+	maxFactBits = 14
+)
+
+func newSubsetFacts(events int) subsetFacts {
+	return subsetFacts{bits: min(max(bits.Len(uint(events/4)), minFactBits), maxFactBits)}
+}
+
+func (f *subsetFacts) slot(sub, sup uint64) *subsetFact {
+	h := (sub*0x9e3779b97f4a7c15 ^ sup) * 0xbf58476d1ce4e5b9
+	return &f.slots[h>>f.shift]
+}
+
+func (f *subsetFacts) has(sub, sup uint64) bool {
+	return f.slots != nil && *f.slot(sub, sup) == subsetFact{sub, sup}
+}
+
+func (f *subsetFacts) add(sub, sup uint64) {
+	if f.slots == nil {
+		f.slots, f.shift = make([]subsetFact, 1<<f.bits), uint(64-f.bits)
+	}
+	*f.slot(sub, sup) = subsetFact{sub, sup}
+}
+
+// fresh draws a version for a set whose ids just changed: 0 when the
+// set is now empty, otherwise a number no set has carried before.
+func (b *builder) fresh(ids nodeVec) vset {
+	if len(ids) == 0 {
+		return vset{ids: ids}
+	}
+	b.ver++
+	return vset{ids: ids, ver: b.ver}
 }
 
 // single returns a slab-backed immutable singleton vec. The full-slice
@@ -116,39 +188,60 @@ func missing(v, s nodeVec) int {
 	return n
 }
 
-// unionInto returns dst ∪ src, reusing storage: dst must be a
+// missingFrom counts the ids of src absent from dst. Equal versions or
+// a recorded fact answer 0 without a walk, and a walk that finds
+// nothing missing is recorded.
+func (b *builder) missingFrom(dst, src vset) int {
+	if src.ver == 0 || src.ver == dst.ver {
+		return 0
+	}
+	if b.facts.has(src.ver, dst.ver) {
+		return 0
+	}
+	m := missing(dst.ids, src.ids)
+	if m == 0 {
+		b.facts.add(src.ver, dst.ver)
+	}
+	return m
+}
+
+// absorb sets *dst to *dst ∪ src, reusing storage: dst must be a
 // thread-owned frontier, never a published vec. The union is merged
-// into the builder's scratch buffer, which then trades places with dst,
-// so neither buffer is ever referenced from two places.
-func (b *builder) unionInto(dst, src nodeVec) nodeVec {
-	if missing(dst, src) == 0 {
-		return dst
+// into the builder's scratch buffer, which then trades places with
+// dst's, so neither buffer is ever referenced from two places.
+func (b *builder) absorb(dst *vset, src vset) {
+	if b.missingFrom(*dst, src) == 0 {
+		return
 	}
-	out := mergeInto(b.tmp[:0], dst, src)
-	b.tmp = dst
-	return out
+	out := mergeInto(b.tmp[:0], dst.ids, src.ids)
+	b.tmp = dst.ids
+	*dst = b.fresh(out)
+	b.facts.add(src.ver, dst.ver)
 }
 
-// vecAddSet is vecUnion for a thread-owned s: it never returns s
-// itself, which its thread goes on updating in place.
-func vecAddSet(v, s nodeVec) nodeVec {
-	if len(v) == 0 && len(s) > 0 {
-		return slices.Clone(s)
+// publish is union for a thread-owned s: it never returns s's storage,
+// which its thread goes on updating in place. A copy of s keeps its
+// version.
+func (b *builder) publish(v, s vset) vset {
+	if v.ver == 0 {
+		return vset{ids: slices.Clone(s.ids), ver: s.ver}
 	}
-	return vecUnion(v, s)
+	return b.union(v, s)
 }
 
-// vecUnion returns a ∪ b, sharing an input when it already contains
-// the other.
-func vecUnion(a, b nodeVec) nodeVec {
-	if len(a) == 0 {
-		return b
+// union returns a ∪ c for published sets, sharing an input when it
+// already contains the other.
+func (b *builder) union(a, c vset) vset {
+	if a.ver == 0 {
+		return c
 	}
-	m := missing(a, b)
+	m := b.missingFrom(a, c)
 	if m == 0 {
 		return a
 	}
-	return mergeInto(make(nodeVec, 0, len(a)+m), a, b)
+	out := b.fresh(mergeInto(make(nodeVec, 0, len(a.ids)+m), a.ids, c.ids))
+	b.facts.add(c.ver, out.ver)
+	return out
 }
 
 // mergeInto appends the sorted set a ∪ b to out, which must not share

@@ -22,6 +22,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -60,8 +61,10 @@ func (c EdgeClass) String() string {
 	}
 }
 
-// NodeID indexes a persist node within its graph.
-type NodeID int
+// NodeID indexes a persist node within its graph. Ids are 32 bits, so
+// an Edge is 8 bytes and a frontier set holds 4-byte ids; Build
+// rejects traces with more persists than ids.
+type NodeID int32
 
 // Edge is a directed constraint: the owning node persists only after
 // node From.
@@ -305,13 +308,17 @@ func Build(tr *trace.Trace, p core.Params) (*Graph, error) {
 // build is the one feed loop behind Build and BuildWithBarriers. With
 // barriers set it also reports each annotation's effect, in trace order.
 func build(tr *trace.Trace, p core.Params, barriers bool) (*Graph, []BarrierInfo, error) {
-	b, err := newBuilder(p)
+	// Pre-pass: one graph node per persist event, so the node slab can
+	// be sized exactly before building (a planes-only SoA walk).
+	n := tr.CountPersists()
+	if n > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("graph: %d persists exceed the %d node ids", n, math.MaxInt32)
+	}
+	b, err := newBuilder(p, tr.Len())
 	if err != nil {
 		return nil, nil, err
 	}
-	// Pre-pass: one graph node per persist event, so the node slab can
-	// be sized exactly before building (a planes-only SoA walk).
-	b.g.Grow(tr.CountPersists())
+	b.g.Grow(n)
 	var infos []BarrierInfo
 	var epochs map[int32]int64
 	for _, c := range tr.Chunks() {
@@ -341,10 +348,11 @@ func build(tr *trace.Trace, p core.Params, barriers bool) (*Graph, []BarrierInfo
 // gThread is one thread's dependence state. The three frontiers are
 // sorted id slices owned by the thread and updated in place; they are
 // never stored in the block frontier (publishing one copies it, see
-// vecAddSet), so in-place updates cannot leak.
+// publish), so in-place updates cannot leak. Only active and pending
+// are versioned: epochMax is never a union operand.
 type gThread struct {
-	active   nodeVec
-	pending  nodeVec
+	active   vset
+	pending  vset
 	epochMax nodeVec
 }
 
@@ -365,6 +373,10 @@ type builder struct {
 	// fresh stamp, so the array is never cleared between persists.
 	mark  []uint32
 	stamp uint32
+	// ver is the last version drawn (see fresh); facts holds proven
+	// subset relations between versions.
+	ver   uint64
+	facts subsetFacts
 	// Per-persist scratch and slabs, reused across events.
 	edgeBuf  []Edge
 	touched  []*blockState
@@ -373,7 +385,7 @@ type builder struct {
 	edgeSlab []Edge
 }
 
-func newBuilder(p core.Params) (*builder, error) {
+func newBuilder(p core.Params, events int) (*builder, error) {
 	if p.TrackingGranularity == 0 {
 		p.TrackingGranularity = memory.WordSize
 	}
@@ -384,6 +396,7 @@ func newBuilder(p core.Params) (*builder, error) {
 		g:       &Graph{},
 		p:       p,
 		threads: make(map[int32]*gThread),
+		facts:   newSubsetFacts(events),
 		trackV:  blockTable{base: memory.BlockOf(memory.VolatileBase, p.TrackingGranularity)},
 		trackP:  blockTable{base: memory.BlockOf(memory.PersistentBase, p.TrackingGranularity)},
 	}
@@ -437,12 +450,12 @@ func (b *builder) feed(e trace.Event) error {
 		for blk := first; blk <= last; blk++ {
 			bs := tb.get(blk)
 			if b.strict {
-				t.active = b.unionInto(t.active, bs.writer)
+				b.absorb(&t.active, bs.writer)
 			} else {
-				t.pending = b.unionInto(t.pending, bs.writer)
+				b.absorb(&t.pending, bs.writer)
 			}
 			if b.lbs {
-				bs.reader = vecAddSet(bs.reader, t.active)
+				bs.reader = b.publish(bs.reader, t.active)
 			}
 		}
 	case trace.Store, trace.RMW:
@@ -454,14 +467,15 @@ func (b *builder) feed(e trace.Event) error {
 			for blk := first; blk <= last; blk++ {
 				bs := tb.get(blk)
 				// The store inherits the block's dependences...
+				dst := &t.pending
 				if b.strict {
-					t.active = b.unionInto(b.unionInto(t.active, bs.writer), bs.reader)
-				} else {
-					t.pending = b.unionInto(b.unionInto(t.pending, bs.writer), bs.reader)
+					dst = &t.active
 				}
+				b.absorb(dst, bs.writer)
+				b.absorb(dst, bs.reader)
 				// ...and becomes, with them, the block's write frontier.
-				bs.writer = vecAddSet(vecUnion(bs.writer, bs.reader), t.active)
-				bs.reader = nil
+				bs.writer = b.publish(b.union(bs.writer, bs.reader), t.active)
+				bs.reader = vset{}
 			}
 		}
 	case trace.PersistBarrier:
@@ -471,7 +485,8 @@ func (b *builder) feed(e trace.Event) error {
 	case trace.NewStrand:
 		if b.strands {
 			t := b.thread(e.TID)
-			t.active, t.pending, t.epochMax = t.active[:0], t.pending[:0], t.epochMax[:0]
+			t.active, t.pending = vset{ids: t.active.ids[:0]}, vset{ids: t.pending.ids[:0]}
+			t.epochMax = t.epochMax[:0]
 		}
 	case trace.PersistSync:
 		b.bindEpoch(b.thread(e.TID))
@@ -487,13 +502,13 @@ func (b *builder) bindEpoch(t *gThread) {
 		// active set, so the old set is dominated and can be dropped —
 		// the frontier pruning that keeps dependence sets bounded. The
 		// new set is merged into the old one's storage.
-		t.active = mergeInto(t.active[:0], t.pending, t.epochMax)
+		t.active = b.fresh(mergeInto(t.active.ids[:0], t.pending.ids, t.epochMax))
 	} else {
-		t.active = b.unionInto(t.active, t.pending)
+		b.absorb(&t.active, t.pending)
 	}
 	// Keep pending's and epochMax's storage too: the next epoch refills
 	// them.
-	t.pending = t.pending[:0]
+	t.pending = vset{ids: t.pending.ids[:0]}
 	t.epochMax = t.epochMax[:0]
 }
 
@@ -524,24 +539,25 @@ func (b *builder) persist(e trace.Event) {
 	tb, first, last := b.blocks(e)
 	for blk := first; blk <= last; blk++ {
 		bs := tb.get(blk)
-		// Strong persist atomicity.
-		if bs.lastP >= 0 {
-			addEdge(bs.lastP, Atomicity)
+		// Strong persist atomicity: the block's writer is its last
+		// persist.
+		if len(bs.writer.ids) > 0 {
+			addEdge(bs.writer.ids[0], Atomicity)
 		}
 		b.touched = append(b.touched, bs)
 	}
 	for _, bs := range b.touched {
 		// Cross-thread (and self) conflict dependences through memory.
-		for _, from := range bs.writer {
+		for _, from := range bs.writer.ids {
 			addEdge(from, Conflict)
 		}
-		for _, from := range bs.reader {
+		for _, from := range bs.reader.ids {
 			addEdge(from, Conflict)
 		}
 	}
 	// Program-order / barrier dependences. t.active is sorted, so this
 	// segment comes out in ascending source order.
-	for _, from := range t.active {
+	for _, from := range t.active.ids {
 		addEdge(from, ProgramOrder)
 	}
 	n := b.g.Nodes[id]
@@ -550,29 +566,32 @@ func (b *builder) persist(e trace.Event) {
 
 	if b.strict {
 		// The new persist subsumes everything it depends on.
-		t.active = append(t.active[:0], id)
+		t.active = b.fresh(append(t.active.ids[:0], id))
 	} else {
 		// Ids grow with the trace, so appending keeps epochMax sorted.
 		t.epochMax = append(t.epochMax, id)
 		// Everything this persist directly depends on is now dominated
 		// by it; scrub those nodes (this persist's marked sources) from
 		// pending rather than adding the block contexts (they would
-		// only produce redundant edges).
-		t.pending = slices.DeleteFunc(t.pending, func(from NodeID) bool { return b.mark[from] == b.stamp })
+		// only produce redundant edges). A scrub that removed
+		// something changes the set, so it takes a fresh version.
+		if ids := slices.DeleteFunc(t.pending.ids, func(from NodeID) bool { return b.mark[from] == b.stamp }); len(ids) < len(t.pending.ids) {
+			t.pending = b.fresh(ids)
+		}
 	}
 	// The persist has edges from every prior dependence of its whole
 	// footprint, so it alone is the new dependence frontier of every
 	// block it spans, which share one singleton vec.
-	w := b.single(id)
+	w := b.fresh(b.single(id))
 	for _, bs := range b.touched {
-		*bs = blockState{writer: w, lastP: id}
+		*bs = blockState{writer: w}
 	}
 }
 
 // nextStamp starts a fresh dedup generation, first sizing the mark
 // array to cover every node added so far. Build pre-grows the graph to
 // its persist count, so the array is allocated once per build. Stamps
-// count persists, and a graph of 2^32 nodes would not fit in memory, so
+// count persists, and Build admits at most math.MaxInt32 of them, so
 // the stamp never wraps.
 func (b *builder) nextStamp() {
 	if n := b.g.Len(); len(b.mark) < n {

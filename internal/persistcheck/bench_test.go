@@ -1,6 +1,7 @@
 package persistcheck_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -24,6 +25,15 @@ func BenchmarkPersistcheckKV(b *testing.B) {
 	cfg := persistcheck.Config{SiteLabel: run.SiteLabel}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// The race detector draws its simulator from a sync.Pool, and
+		// whether one survives from the previous op depends on GC
+		// timing: single samples differed by half their bytes. Two
+		// untimed collections empty the pool, so every op starts cold,
+		// as a one-shot persistcheck run does.
+		b.StopTimer()
+		runtime.GC()
+		runtime.GC()
+		b.StartTimer()
 		if _, err := persistcheck.Check(run.Trace, p, run.Checks, cfg); err != nil {
 			b.Fatal(err)
 		}
