@@ -22,8 +22,9 @@ const (
 	// DepConflict: a conflicting access propagated the dependence
 	// through memory (block writer/reader context).
 	DepConflict
-	// DepAtomicity: strong persist atomicity — the previous persist to
-	// the same tracking block (§4.3).
+	// DepAtomicity: strong persist atomicity (§4.3) — the atomic
+	// block's open persist forced the level. A same-tracking-block
+	// persist that binds through the block's writer is DepConflict.
 	DepAtomicity
 )
 

@@ -134,9 +134,9 @@ func TestRaceGranularityFalseSharing(t *testing.T) {
 
 // TestDetectEpochRacesReusesSim pins that the race detector takes its
 // simulator from the pool: a warm call allocates only its own small
-// maps and report, never a fresh simulator's 256-slot block and atom
-// pages. On this trace a warm call makes 9 allocations; with a fresh
-// simulator per call it made 28.
+// maps and report, never a fresh simulator's block and atom pages. On
+// this trace a warm call makes 9 allocations; with a fresh simulator
+// per call it made 28.
 func TestDetectEpochRacesReusesSim(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled simulators at random under -race")

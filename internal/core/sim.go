@@ -109,9 +109,14 @@ type threadState struct {
 // low pageBits pick the slot within a fixed page and the rest number
 // the page. Pages are allocated on first touch and never move, so a
 // slot pointer stays valid for the table's lifetime and storage grows
-// with the pages a trace touches.
+// with the pages a trace touches. Pages are small because KV traces
+// scatter their blocks over a large store: a fresh simulator fed a
+// 16k-op kv-read trace (about 16k tracking blocks) allocates 26.6 MB
+// of tables at 256 slots a page, 8.5 MB at 32 and 4.4 MB at 8, and the
+// dense queue traces run no slower at 8. Small pages do not cost an
+// allocation each: memory.Pages hands them out of slabs.
 const (
-	pageBits = 8 // 256 slots per page
+	pageBits = 3 // 8 slots per page
 	pageMask = 1<<pageBits - 1
 )
 
@@ -141,8 +146,8 @@ func (tb *blockTable) get(b memory.BlockID, gen uint64) *blockState {
 	if e.gen != gen {
 		e.gen = gen
 		e.blockState = blockState{
-			writer: zeroCtx, reader: zeroCtx, lastP: zeroCtx,
-			writerSrc: -1, readerSrc: -1, lastPSrc: -1,
+			writer: zeroCtx, reader: zeroCtx,
+			writerSrc: -1, readerSrc: -1,
 		}
 	}
 	return &e.blockState
@@ -174,17 +179,18 @@ func (tb *atomTable) at(b memory.BlockID) *atomEntry {
 type blockState struct {
 	// writer is the persist context made visible by stores to this
 	// block: a conflicting later access is ordered after these persists.
+	// In the persistent space only a persist sets it, to that persist
+	// alone, so there it is also the block's most recent persist: the
+	// source of strong persist atomicity, which orders same-block
+	// persists under every model (and makes coarse tracking false
+	// sharing).
 	writer Ctx
 	// reader accumulates contexts of threads that loaded this block
 	// since the last store; a subsequent store conflicts with those
 	// loads (load-before-store, the SC-vs-TSO distinction).
 	reader Ctx
-	// lastP is the most recent persist to this tracking block (level +
-	// atomic block): strong persist atomicity orders same-block persists
-	// under every model, and coarse tracking makes this false sharing.
-	lastP Ctx
-	// Provenance ids for the three contexts (see srcOf).
-	writerSrc, readerSrc, lastPSrc int64
+	// Provenance ids for the two contexts (see srcOf).
+	writerSrc, readerSrc int64
 }
 
 // NewSim constructs a simulator; Params are validated here.
@@ -426,7 +432,7 @@ func (s *Sim) persist(e trace.Event) {
 	// scalar merge, track which persist supplies the maximum level and
 	// through which channel it arrived — the channel is the constraint's
 	// class (program order from the thread, conflict from writer/reader
-	// contexts, atomicity from the block's last persist).
+	// contexts; the writer is also the block's last persist).
 	dep := t.active
 	depSrc, depClass := t.activeSrc, DepProgramOrder
 	absorb := func(c Ctx, src int64, class DepClass) {
@@ -439,7 +445,6 @@ func (s *Sim) persist(e trace.Event) {
 	s.trackingBlocks(e, func(bs *blockState) {
 		absorb(bs.writer, bs.writerSrc, DepConflict)
 		absorb(bs.reader, bs.readerSrc, DepConflict)
-		absorb(bs.lastP, bs.lastPSrc, DepAtomicity)
 		s.touched = append(s.touched, bs)
 	})
 	if depSrc < 0 {
@@ -526,7 +531,6 @@ func (s *Sim) persist(e trace.Event) {
 	for _, bs := range s.touched {
 		bs.writer, bs.writerSrc = placedCtx, placedSrc
 		bs.reader, bs.readerSrc = zeroCtx, -1
-		bs.lastP, bs.lastPSrc = placedCtx, placedSrc
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // pages []*[pageWords]uint64 representation, the first store near the
 // top of the space materialized a quarter-billion nil page slots (and
 // appended them one at a time); with the sparse page table each address
-// below costs exactly one 32 KiB page and a few index nodes.
+// below costs exactly one 4 KiB page and a few index nodes.
 func TestSparseFarAddresses(t *testing.T) {
 	m := NewMachine(Config{Threads: 1})
 	s := m.SetupThread()

@@ -59,9 +59,10 @@ type blockState struct {
 	reader vset
 }
 
-// Block tables page their slots 32 to a page, not core.Sim's 256: a
-// blockState is 64 bytes and KV traces touch blocks sparsely, so
-// 256-slot pages raised a KV graph build's allocation by about a fifth.
+// Block tables page their slots 32 to a page: a blockState is 64 bytes
+// and KV traces touch blocks sparsely, so 256-slot pages raised a KV
+// graph build's allocation by about a fifth. core.Sim's 8-slot pages
+// have not been measured here.
 const (
 	pageBits = 5
 	pageMask = 1<<pageBits - 1

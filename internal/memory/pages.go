@@ -1,5 +1,7 @@
 package memory
 
+import "unsafe"
+
 // Pages is a sparse page table: it maps a page number to a
 // demand-allocated page of type P, normally an array of per-address
 // slots. It is the one per-address store behind the execution engine's
@@ -14,9 +16,22 @@ package memory
 // the span they lie in: a store at each end of the 1 TiB persistent
 // space costs two pages, a few nodes and a top slice of one pointer per
 // 2^18 pages. The zero Pages is an empty table.
+//
+// Pages are handed out of slabs: each slab holds as many pages as the
+// table already has, up to slabBytes, so a table of n pages costs
+// O(log n + n·size/slabBytes) allocations instead of n, and at most
+// one slab's worth of pages, never more than the pages in use, sits
+// allocated but unused.
 type Pages[P any] struct {
-	top []*node[*node[*node[*P]]]
+	top  []*node[*node[*node[*P]]]
+	slab []P // pages of the current slab not yet handed out
+	n    int // pages handed out
 }
+
+// slabBytes caps a slab: large enough that a fresh table of thousands
+// of small pages costs tens of allocations, small enough that the
+// unused rest of the last slab is noise beside the pages in use.
+const slabBytes = 16 << 10
 
 const (
 	nodeBits = 6
@@ -56,7 +71,11 @@ func (t *Pages[P]) Get(n uint64) *P {
 func (t *Pages[P]) Add(n uint64) *P {
 	i := n >> topShift
 	if i >= uint64(len(t.top)) {
-		t.top = append(t.top, make([]*node[*node[*node[*P]]], i+1-uint64(len(t.top)))...)
+		// One make and a copy: append of a made slice allocates the
+		// grown top twice under the race detector.
+		top := make([]*node[*node[*node[*P]]], i+1)
+		copy(top, t.top)
+		t.top = top
 	}
 	a := t.top[i]
 	if a == nil {
@@ -71,7 +90,13 @@ func (t *Pages[P]) Add(n uint64) *P {
 	if *c == nil {
 		*c = new(node[*P])
 	}
-	pg := new(P)
+	if len(t.slab) == 0 {
+		k := max(1, min(t.n, slabBytes/max(1, int(unsafe.Sizeof(*new(P))))))
+		t.slab = make([]P, k)
+	}
+	pg := &t.slab[0]
+	t.slab = t.slab[1:]
+	t.n++
 	(*c)[n&nodeMask] = pg
 	return pg
 }

@@ -64,3 +64,34 @@ func TestPagesFarIndexCost(t *testing.T) {
 		t.Fatal("pages not found after Add")
 	}
 }
+
+// TestPagesSlabs pins slab allocation: 4096 fresh 64-byte pages cost
+// tens of allocations, not one each, and little storage beyond the
+// pages themselves; each page is zeroed and distinct from the others.
+func TestPagesSlabs(t *testing.T) {
+	const pages = 4096
+	var pt Pages[[8]uint64]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := uint64(0); n < pages; n++ {
+		pg := pt.Add(n)
+		if *pg != ([8]uint64{}) {
+			t.Fatalf("page %d not zeroed: %v", n, *pg)
+		}
+		pg[7] = n + 1
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs > 128 {
+		t.Errorf("%d pages took %d allocations, want <= 128", pages, allocs)
+	}
+	// Beyond the pages: 66 index nodes of 512 bytes and at most one
+	// slab's unused rest.
+	if extra := after.TotalAlloc - before.TotalAlloc - pages*64; extra > 64<<10 {
+		t.Errorf("%d pages took %d bytes beyond their own, want <= %d", pages, extra, 64<<10)
+	}
+	for n := uint64(0); n < pages; n++ {
+		if pg := pt.Get(n); pg[7] != n+1 {
+			t.Fatalf("page %d reads tag %d, want %d", n, pg[7], n+1)
+		}
+	}
+}

@@ -36,3 +36,26 @@ func BenchmarkBuildKV(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 	b.ReportMetric(float64(ms.Mallocs-mallocs)/float64(events), "allocs/event")
 }
+
+// BenchmarkSimTablesKV feeds one kv-read-shaped trace (kvReadShape,
+// 16,384 ops) to a fresh epoch simulator per iteration, so B/op is the
+// footprint of a new simulator's block and atom tables (plus its small
+// per-thread slice) and ns/event the cold-table simulation cost: what
+// a pooled simulator holds after its first kv-read job.
+func BenchmarkSimTablesKV(b *testing.B) {
+	run, err := BuildKV(kvReadShape, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := core.MustNewSim(core.Params{Model: core.Epoch})
+		for e := range run.Trace.All() {
+			if err := s.Feed(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*run.Trace.Len()), "ns/event")
+}

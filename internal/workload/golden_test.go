@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"hash"
 	"testing"
 
 	"repro/internal/core"
@@ -98,5 +100,69 @@ func TestGoldenTraceHashes(t *testing.T) {
 				t.Errorf("trace sha256 = %s, want %s", got, c.want)
 			}
 		})
+	}
+}
+
+// hashProbe folds every persist record a simulator reports into a
+// running SHA-256.
+type hashProbe struct{ h hash.Hash }
+
+func (p hashProbe) PersistPlaced(r core.PersistRecord) { fmt.Fprintf(p.h, "%+v\n", r) }
+func (hashProbe) EpochMark(int32, int64, int64, bool)  {}
+func (hashProbe) StrandMark(int32, int64, int64)       {}
+func (hashProbe) WorkMark(int32, int64, uint64, bool)  {}
+
+// TestGoldenSimRecords pins the timing simulator's outputs: one SHA-256
+// over the Simulate result and every PersistRecord a probe sees, for KV
+// traces under each annotation policy at word and 64-byte tracking
+// (plus 64-byte atomic persists) and a 2LC queue trace, each under all
+// four models. A change to the simulator's per-block state or its
+// tables that shifts one level, source or coalescing decision fails it.
+func TestGoldenSimRecords(t *testing.T) {
+	var traces []*trace.Trace
+	for _, pol := range core.Policies {
+		o := kvReadShape
+		o.Ops, o.Policy = 2048, pol
+		run, err := BuildKV(o, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, run.Trace)
+	}
+	run, err := Build(Options{
+		Workload: "queue", Design: queue.TwoLock, Policy: core.PolicyEpoch,
+		Threads: 8, Inserts: 256, Payload: 64, Seed: 42,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces = append(traces, run.Trace)
+
+	h := sha256.New()
+	for _, tr := range traces {
+		for _, g := range []struct{ track, atomic uint64 }{{8, 8}, {64, 8}, {64, 64}} {
+			for _, m := range core.Models {
+				p := core.Params{Model: m, TrackingGranularity: g.track, AtomicGranularity: g.atomic}
+				res, err := core.Simulate(tr, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(h, "%+v\n", res)
+				s := core.MustNewSim(p)
+				s.SetProbe(hashProbe{h})
+				for e := range tr.All() {
+					if err := s.Feed(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := s.Result(); got.CriticalPath != res.CriticalPath || got.Placed != res.Placed {
+					t.Fatalf("probed run %+v differs from Simulate %+v", got, res)
+				}
+			}
+		}
+	}
+	const want = "eddb697a1820329097fa71a8ae060e0165353ef3ce4068a4804653a749b92467"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("simulator records sha256 = %s, want %s", got, want)
 	}
 }
