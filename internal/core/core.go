@@ -82,39 +82,6 @@ func (m Model) String() string {
 // Models lists the evaluated models in presentation order.
 var Models = []Model{Strict, Epoch, EpochTSO, Strand}
 
-// spec captures the behavioral switches distinguishing the models.
-type spec struct {
-	// immediate: conflicts and own persists bind the thread's active
-	// dependence immediately (strict persistency couples persistency to
-	// SC program order). When false, they bind at the next barrier.
-	immediate bool
-	// barriers: persist barriers separate epochs (epoch/strand).
-	barriers bool
-	// strands: NewStrand clears thread dependence state.
-	strands bool
-	// loadBeforeStore: track reader contexts so a store after a remote
-	// load is ordered (SC conflict ordering). BPFS cannot (§5.2).
-	loadBeforeStore bool
-	// volatileConflicts: conflicts on volatile addresses propagate
-	// persist order. BPFS tracks only the persistent space (§5.2).
-	volatileConflicts bool
-}
-
-func (m Model) spec() spec {
-	switch m {
-	case Strict:
-		return spec{immediate: true, loadBeforeStore: true, volatileConflicts: true}
-	case Epoch:
-		return spec{barriers: true, loadBeforeStore: true, volatileConflicts: true}
-	case EpochTSO:
-		return spec{barriers: true}
-	case Strand:
-		return spec{barriers: true, strands: true, loadBeforeStore: true, volatileConflicts: true}
-	default:
-		panic("core: unknown model " + m.String())
-	}
-}
-
 // Params configures a simulation.
 type Params struct {
 	// Model is the persistency model to apply.
@@ -145,6 +112,9 @@ type Params struct {
 }
 
 func (p *Params) normalize() error {
+	if int(p.Model) >= len(specs) {
+		return fmt.Errorf("core: unknown model %v", p.Model)
+	}
 	if p.TrackingGranularity == 0 {
 		p.TrackingGranularity = memory.WordSize
 	}

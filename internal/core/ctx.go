@@ -33,47 +33,44 @@ type Ctx struct {
 	// Invariant: Lvl2 <= Lvl, and Src == memory.NoBlock implies
 	// Lvl2 == Lvl.
 	Lvl2 int64
+	// id is the context's provenance: the placed persist (0-based
+	// placement order) that supplies Lvl, or -1 when none does. A
+	// non-negative id always names a persist whose level equals Lvl,
+	// so a probe can reconstruct the exact constraint chain behind the
+	// scalar critical path — and verifying that reconstruction against
+	// Result.CriticalPath cross-checks the timing model.
+	id int64
 }
 
 // zeroCtx is the empty dependence context.
-var zeroCtx = Ctx{Src: memory.NoBlock}
+var zeroCtx = Ctx{Src: memory.NoBlock, id: -1}
 
-// persistCtx returns the context contributed by a persist at level lvl
-// in atomic block src. Its Lvl2 is 0 because a persist's own
+// persistCtx returns the context contributed by placed persist id at
+// level lvl in atomic block src. Its Lvl2 is 0 because a persist's own
 // dependences are strictly below its level by construction.
-func persistCtx(lvl int64, src memory.BlockID) Ctx {
-	return Ctx{Lvl: lvl, Src: src}
+func persistCtx(lvl int64, src memory.BlockID, id int64) Ctx {
+	return Ctx{Lvl: lvl, Src: src, id: id}
 }
 
 // merge combines two dependence contexts. It is commutative and
 // order-insensitive in the properties that matter (see TestCtxMerge*).
+// The provenance id comes from the context supplying the higher level,
+// preferring a known id, then a's, on ties.
 func merge(a, b Ctx) Ctx {
-	if a.Lvl < b.Lvl {
+	if a.Lvl < b.Lvl || (a.Lvl == b.Lvl && a.id < 0) {
 		a, b = b, a
 	}
-	// a.Lvl >= b.Lvl from here on.
+	// a.Lvl >= b.Lvl from here on, and a supplies the provenance.
 	if a.Lvl == b.Lvl && a.Src != b.Src {
 		// Two distinct top sources at the same level: no unique source.
-		return Ctx{Lvl: a.Lvl, Src: memory.NoBlock, Lvl2: a.Lvl}
+		return Ctx{Lvl: a.Lvl, Src: memory.NoBlock, Lvl2: a.Lvl, id: a.id}
 	}
-	out := Ctx{Lvl: a.Lvl, Src: a.Src, Lvl2: a.Lvl2}
 	other := b.Lvl
 	if b.Src == a.Src {
 		other = b.Lvl2
 	}
-	if other > out.Lvl2 {
-		out.Lvl2 = other
-	}
-	return out
-}
-
-// mergeAll folds merge over any number of contexts.
-func mergeAll(cs ...Ctx) Ctx {
-	out := zeroCtx
-	for _, c := range cs {
-		out = merge(out, c)
-	}
-	return out
+	a.Lvl2 = max(a.Lvl2, other)
+	return a
 }
 
 // Excluding returns the maximum dependence level ignoring contributions

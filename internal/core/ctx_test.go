@@ -37,7 +37,7 @@ func TestZeroCtxValid(t *testing.T) {
 }
 
 func TestPersistCtx(t *testing.T) {
-	c := persistCtx(5, 2)
+	c := persistCtx(5, 2, 0)
 	if !c.valid() || c.Lvl != 5 || c.Src != 2 || c.Lvl2 != 0 {
 		t.Fatalf("persistCtx wrong: %+v", c)
 	}
@@ -50,8 +50,8 @@ func TestPersistCtx(t *testing.T) {
 }
 
 func TestMergeBasics(t *testing.T) {
-	a := persistCtx(5, 1)
-	b := persistCtx(3, 2)
+	a := persistCtx(5, 1, 0)
+	b := persistCtx(3, 2, 0)
 	m := merge(a, b)
 	if m.Lvl != 5 || m.Src != 1 || m.Lvl2 != 3 {
 		t.Fatalf("merge = %+v", m)
@@ -65,7 +65,7 @@ func TestMergeBasics(t *testing.T) {
 }
 
 func TestMergeTieDistinctSources(t *testing.T) {
-	m := merge(persistCtx(4, 1), persistCtx(4, 2))
+	m := merge(persistCtx(4, 1, 0), persistCtx(4, 2, 0))
 	if m.Src != memory.NoBlock || m.Lvl != 4 || m.Lvl2 != 4 {
 		t.Fatalf("tie merge = %+v", m)
 	}
@@ -127,8 +127,17 @@ func TestMergeAll(t *testing.T) {
 	if mergeAll() != zeroCtx {
 		t.Fatal("empty mergeAll should be zero")
 	}
-	m := mergeAll(persistCtx(1, 0), persistCtx(3, 1), persistCtx(2, 2))
+	m := mergeAll(persistCtx(1, 0, 0), persistCtx(3, 1, 0), persistCtx(2, 2, 0))
 	if m.Lvl != 3 || m.Src != 1 || m.Lvl2 != 2 {
 		t.Fatalf("mergeAll = %+v", m)
 	}
+}
+
+// mergeAll folds merge over any number of contexts.
+func mergeAll(cs ...Ctx) Ctx {
+	out := zeroCtx
+	for _, c := range cs {
+		out = merge(out, c)
+	}
+	return out
 }

@@ -110,7 +110,7 @@ type Probe interface {
 // SetProbe attaches a persist-timeline probe. It must be called before
 // any event is fed; a nil probe detaches.
 func (s *Sim) SetProbe(p Probe) {
-	if s.res.Events > 0 {
+	if s.k.events > 0 {
 		panic("core: SetProbe after events were fed")
 	}
 	s.probe = p

@@ -155,7 +155,7 @@ func DetectEpochRaces(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 			}
 			continue
 		}
-		t := sim.thread(e.TID)
+		t := sim.k.thread(e.TID)
 		me := epochKey{e.TID, epochOf[e.TID]}
 		first, last := memory.BlockSpan(e.Addr, int(e.Size), cfg.TrackingGranularity)
 		check := func(m exportMark, incoming Ctx, e trace.Event) {
@@ -164,7 +164,7 @@ func DetectEpochRaces(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 			}
 			// Receiver-side: imported context not yet bound, this epoch
 			// persists, and the exporter's epoch persisted.
-			receiverRaces := persistsIn[me] && incoming.Lvl > t.active.Lvl && persistsIn[epochKey{m.tid, m.epoch}]
+			receiverRaces := persistsIn[me] && incoming.Lvl > t.Active.Lvl && persistsIn[epochKey{m.tid, m.epoch}]
 			// Exporter-side: the exporter left unbound persists behind.
 			exporterRaces := persistsIn[me] && m.residual && persistsIn[epochKey{m.tid, m.epoch}]
 			if receiverRaces || exporterRaces {
@@ -172,22 +172,22 @@ func DetectEpochRaces(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 			}
 		}
 		for b := first; b <= last; b++ {
-			bs := sim.block(b)
+			bs := sim.k.block(b)
 			bm := marks[b]
 			if bm == nil {
 				continue
 			}
 			// Conflict with the last store (store→load or store→store).
 			if bm.hasW {
-				check(bm.write, bs.writer, e)
+				check(bm.write, bs.Writer, e)
 			}
 			// Load-before-store conflict.
 			if bm.hasR && e.Kind.HasStoreSemantics() {
-				check(bm.read, bs.reader, e)
+				check(bm.read, bs.Reader, e)
 			}
 		}
 		// Record this access as the blocks' latest potential exporter.
-		mark := exportMark{seq: e.Seq, tid: e.TID, epoch: epochOf[e.TID], residual: t.epochMax.Lvl > 0}
+		mark := exportMark{seq: e.Seq, tid: e.TID, epoch: epochOf[e.TID], residual: t.EpochMax.Lvl > 0}
 		for b := first; b <= last; b++ {
 			bm := marks[b]
 			if bm == nil {

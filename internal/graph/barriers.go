@@ -19,8 +19,11 @@ type BarrierInfo struct {
 	// Kind is the annotation kind (PersistBarrier, NewStrand,
 	// PersistSync).
 	Kind trace.Kind
-	// Epoch is the thread's epoch index after this annotation (counted
-	// over all annotation kinds, matching core.PersistRecord.Epoch).
+	// Epoch counts the thread's annotations of every kind up to and
+	// including this one: core.Thread's Epoch plus Strand. It is not
+	// core.PersistRecord.Epoch, which counts barriers and syncs only:
+	// under strand persistency, NewStrand; Store; PersistBarrier; Store
+	// reports annotations 1 and 2 but persists in epochs 0 and 1.
 	Epoch int64
 	// Redundant reports that the annotation changed no builder state:
 	// for a barrier, the thread had no unbound persists and no imported
@@ -38,30 +41,27 @@ func BuildWithBarriers(tr *trace.Trace, p core.Params) (*Graph, []BarrierInfo, e
 }
 
 // annotationRedundant reports whether feeding e would change no builder
-// state. It must be called immediately before feed(e).
+// state. It must be called immediately before the kernel feeds e.
 func (b *builder) annotationRedundant(e trace.Event) bool {
-	t := b.threads[e.TID]
-	switch e.Kind {
-	case trace.PersistBarrier:
-		if !b.barriers {
-			// The model ignores barriers (strict persistency).
-			return true
-		}
-	case trace.NewStrand:
-		if !b.strands {
-			return true
-		}
+	spec, t := b.k.Spec(), b.k.Thread(e.TID)
+	switch {
+	case e.Kind == trace.PersistBarrier && !spec.Barriers,
+		e.Kind == trace.NewStrand && !spec.Strands:
+		// The model ignores the annotation (barriers under strict
+		// persistency, strands outside strand persistency).
+		return true
+	case t == nil:
+		return true
+	case e.Kind == trace.NewStrand:
 		// Clearing is a no-op only when there is nothing to clear.
-		return t == nil || (len(t.active.ids) == 0 && len(t.pending.ids) == 0 && len(t.epochMax) == 0)
-	case trace.PersistSync:
-		// PersistSync binds under every model, like a barrier.
+		return len(t.Active.ids) == 0 && len(t.Pending.ids) == 0 && len(t.EpochMax.ids) == 0
+	case len(t.EpochMax.ids) > 0:
+		// A barrier/sync binds pending and epochMax into active; with
+		// unbound persists the frontier is rebuilt, which future
+		// persists observe.
+		return false
 	}
-	// A barrier/sync binds pending and epochMax into active. It is a
-	// no-op iff the thread holds no unbound persists (epochMax empty)
-	// and every imported dependence is already active. (When epochMax is
-	// non-empty the frontier is rebuilt, which future persists observe.)
-	if t == nil || len(t.epochMax) > 0 {
-		return t == nil
-	}
-	return b.missingFrom(t.active, t.pending) == 0
+	// Otherwise it is a no-op iff every imported dependence is already
+	// active. PersistSync binds under every model, like a barrier.
+	return b.missingFrom(t.Active, t.Pending) == 0
 }

@@ -3,16 +3,13 @@ package graph
 import (
 	"math/bits"
 	"slices"
-
-	"repro/internal/memory"
 )
 
-// Per-block dependence frontiers.
+// Dependence frontiers.
 //
 // The builder's per-address state — which nodes last wrote/read each
 // tracking-granularity block, and which persist last targeted it — is
-// kept in two paged block tables, one per address space, laid out like
-// core.Sim's: a block's slot is found through a memory.Pages, so an
+// core.Kernel's block table, the one core.Sim uses, holding vsets: an
 // access updates its one or two slots in place and untouched address
 // space (the overwhelming majority of a gigabyte-scale heap) is never
 // materialized.
@@ -47,42 +44,6 @@ type nodeVec []NodeID
 type vset struct {
 	ids nodeVec
 	ver uint64
-}
-
-// blockState is the per-block dependence frontier: the nodes whose
-// persists/reads future persists of this block must order after. Only
-// a persist writes a persistent block's writer, and it sets it to
-// itself alone, so a persistent block's writer is its last persist
-// (the source of strong persist atomicity) or empty before the first.
-type blockState struct {
-	writer vset
-	reader vset
-}
-
-// Block tables page their slots 32 to a page: a blockState is 64 bytes
-// and KV traces touch blocks sparsely, so 256-slot pages raised a KV
-// graph build's allocation by about a fifth. core.Sim's 8-slot pages
-// have not been measured here.
-const (
-	pageBits = 5
-	pageMask = 1<<pageBits - 1
-)
-
-// blockTable holds the frontiers of one address space, indexed by
-// block-id offset from the space's base block.
-type blockTable struct {
-	base  memory.BlockID
-	pages memory.Pages[[1 << pageBits]blockState]
-}
-
-// get returns block b's frontier, allocating its page on first touch.
-func (tb *blockTable) get(b memory.BlockID) *blockState {
-	i := uint64(b - tb.base)
-	pg := tb.pages.Get(i >> pageBits)
-	if pg == nil {
-		pg = tb.pages.Add(i >> pageBits)
-	}
-	return &pg[i&pageMask]
 }
 
 // subsetFacts is the builder's cache of proven facts "version sub ⊆

@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/memory"
 	"repro/internal/trace"
 )
 
@@ -297,9 +296,10 @@ func (g *Graph) DOT(name string) string {
 
 // Build constructs the persist-order DAG of a trace under a persistency
 // model. Parameters follow core.Params (granularities; coalescing is
-// intentionally not modeled — see the package comment). The state
-// machine mirrors core.Sim but carries dependence *frontiers* (sets of
-// node ids) instead of scalar levels (see frontier.go).
+// intentionally not modeled — see the package comment). The ordering
+// rules are core.Kernel's, the ones core.Sim runs, applied to
+// dependence *frontiers* (sets of node ids) instead of scalar levels
+// (see frontier.go).
 func Build(tr *trace.Trace, p core.Params) (*Graph, error) {
 	g, _, err := build(tr, p, false)
 	return g, err
@@ -314,60 +314,44 @@ func build(tr *trace.Trace, p core.Params, barriers bool) (*Graph, []BarrierInfo
 	if n > math.MaxInt32 {
 		return nil, nil, fmt.Errorf("graph: %d persists exceed the %d node ids", n, math.MaxInt32)
 	}
-	b, err := newBuilder(p, tr.Len())
-	if err != nil {
+	b := &builder{g: &Graph{}, facts: newSubsetFacts(tr.Len())}
+	if err := b.k.Reset(&p, b, vset{}); err != nil {
 		return nil, nil, err
 	}
 	b.g.Grow(n)
 	var infos []BarrierInfo
-	var epochs map[int32]int64
 	for _, c := range tr.Chunks() {
 		for i := 0; i < c.Len(); i++ {
 			e := c.Event(i)
-			if barriers && e.Kind.IsAnnotation() {
-				if epochs == nil {
-					epochs = make(map[int32]int64)
-				}
-				epochs[e.TID]++
+			info := barriers && e.Kind.IsAnnotation()
+			redundant := info && b.annotationRedundant(e)
+			if err := b.k.Feed(e); err != nil {
+				return nil, nil, err
+			}
+			if info {
+				t := b.k.Thread(e.TID)
 				infos = append(infos, BarrierInfo{
 					Seq:       e.Seq,
 					TID:       e.TID,
 					Kind:      e.Kind,
-					Epoch:     epochs[e.TID],
-					Redundant: b.annotationRedundant(e),
+					Epoch:     t.Epoch + t.Strand,
+					Redundant: redundant,
 				})
-			}
-			if err := b.feed(e); err != nil {
-				return nil, nil, err
 			}
 		}
 	}
 	return b.g, infos, nil
 }
 
-// gThread is one thread's dependence state. The three frontiers are
-// sorted id slices owned by the thread and updated in place; they are
-// never stored in the block frontier (publishing one copies it, see
-// publish), so in-place updates cannot leak. Only active and pending
-// are versioned: epochMax is never a union operand.
-type gThread struct {
-	active   vset
-	pending  vset
-	epochMax nodeVec
-}
-
+// builder supplies core.Kernel's rules over frontier sets. A thread's
+// three frontiers are sorted id slices owned by the thread and updated
+// in place; they are never stored in a block frontier (publishing one
+// copies it, see publish), so in-place updates cannot leak. Only
+// Active and Pending are versioned: EpochMax is never a union operand,
+// so its version stays 0 whatever ids it holds.
 type builder struct {
-	g        *Graph
-	p        core.Params
-	strict   bool
-	barriers bool
-	strands  bool
-	lbs      bool // load-before-store conflicts
-	volc     bool // volatile conflicts
-	threads  map[int32]*gThread
-	// trackV/trackP hold the per-tracking-block frontiers of the
-	// volatile and persistent spaces.
-	trackV, trackP blockTable
+	k core.Kernel[vset, *builder]
+	g *Graph
 	// mark dedups a persist's edge sources: node n is already a source
 	// of the current persist iff mark[n] == stamp. Each persist takes a
 	// fresh stamp, so the array is never cleared between persists.
@@ -379,141 +363,47 @@ type builder struct {
 	facts subsetFacts
 	// Per-persist scratch and slabs, reused across events.
 	edgeBuf  []Edge
-	touched  []*blockState
 	tmp      []NodeID
 	idSlab   []NodeID
 	edgeSlab []Edge
 }
 
-func newBuilder(p core.Params, events int) (*builder, error) {
-	if p.TrackingGranularity == 0 {
-		p.TrackingGranularity = memory.WordSize
-	}
-	if !memory.IsPowerOfTwo(p.TrackingGranularity) {
-		return nil, fmt.Errorf("graph: bad tracking granularity %d", p.TrackingGranularity)
-	}
-	b := &builder{
-		g:       &Graph{},
-		p:       p,
-		threads: make(map[int32]*gThread),
-		facts:   newSubsetFacts(events),
-		trackV:  blockTable{base: memory.BlockOf(memory.VolatileBase, p.TrackingGranularity)},
-		trackP:  blockTable{base: memory.BlockOf(memory.PersistentBase, p.TrackingGranularity)},
-	}
-	switch p.Model {
-	case core.Strict:
-		b.strict, b.lbs, b.volc = true, true, true
-	case core.Epoch:
-		b.barriers, b.lbs, b.volc = true, true, true
-	case core.EpochTSO:
-		b.barriers = true
-	case core.Strand:
-		b.barriers, b.strands, b.lbs, b.volc = true, true, true, true
-	default:
-		return nil, fmt.Errorf("graph: unknown model %v", p.Model)
-	}
-	return b, nil
-}
+// Import, Export and Join are the set unions of frontier.go.
+func (b *builder) Import(dst *vset, src vset) { b.absorb(dst, src) }
+func (b *builder) Export(v, t vset) vset      { return b.publish(v, t) }
+func (b *builder) Join(a, c vset) vset        { return b.union(a, c) }
 
-func (b *builder) thread(tid int32) *gThread {
-	t, ok := b.threads[tid]
-	if !ok {
-		t = &gThread{}
-		b.threads[tid] = t
-	}
-	return t
-}
-
-// blocks returns the table holding the tracking blocks an access
-// spans, and their ids. The whole span lies in one address space
-// (Event.Validate checks the range).
-func (b *builder) blocks(e trace.Event) (tb *blockTable, first, last memory.BlockID) {
-	first, last = memory.BlockSpan(e.Addr, int(e.Size), b.p.TrackingGranularity)
-	tb = &b.trackV
-	if first >= b.trackP.base {
-		tb = &b.trackP
-	}
-	return tb, first, last
-}
-
-func (b *builder) feed(e trace.Event) error {
-	if err := e.Validate(); err != nil {
-		return err
-	}
-	switch e.Kind {
-	case trace.Load:
-		if !b.volc && !memory.IsPersistent(e.Addr) {
-			return nil
-		}
-		t := b.thread(e.TID)
-		tb, first, last := b.blocks(e)
-		for blk := first; blk <= last; blk++ {
-			bs := tb.get(blk)
-			if b.strict {
-				b.absorb(&t.active, bs.writer)
-			} else {
-				b.absorb(&t.pending, bs.writer)
-			}
-			if b.lbs {
-				bs.reader = b.publish(bs.reader, t.active)
-			}
-		}
-	case trace.Store, trace.RMW:
-		if memory.IsPersistent(e.Addr) {
-			b.persist(e)
-		} else if b.volc {
-			t := b.thread(e.TID)
-			tb, first, last := b.blocks(e)
-			for blk := first; blk <= last; blk++ {
-				bs := tb.get(blk)
-				// The store inherits the block's dependences...
-				dst := &t.pending
-				if b.strict {
-					dst = &t.active
-				}
-				b.absorb(dst, bs.writer)
-				b.absorb(dst, bs.reader)
-				// ...and becomes, with them, the block's write frontier.
-				bs.writer = b.publish(b.union(bs.writer, bs.reader), t.active)
-				bs.reader = vset{}
-			}
-		}
-	case trace.PersistBarrier:
-		if b.barriers {
-			b.bindEpoch(b.thread(e.TID))
-		}
-	case trace.NewStrand:
-		if b.strands {
-			t := b.thread(e.TID)
-			t.active, t.pending = vset{ids: t.active.ids[:0]}, vset{ids: t.pending.ids[:0]}
-			t.epochMax = t.epochMax[:0]
-		}
-	case trace.PersistSync:
-		b.bindEpoch(b.thread(e.TID))
-	case trace.Malloc, trace.Free, trace.BeginWork, trace.EndWork:
-		// No ordering significance.
-	}
-	return nil
-}
-
-func (b *builder) bindEpoch(t *gThread) {
-	if len(t.epochMax) > 0 {
+// Bind closes the thread's epoch.
+func (b *builder) Bind(t *core.Thread[vset]) {
+	if len(t.EpochMax.ids) > 0 {
 		// Every persist of the closing epoch carries edges from the old
 		// active set, so the old set is dominated and can be dropped —
 		// the frontier pruning that keeps dependence sets bounded. The
 		// new set is merged into the old one's storage.
-		t.active = b.fresh(mergeInto(t.active.ids[:0], t.pending.ids, t.epochMax))
+		t.Active = b.fresh(mergeInto(t.Active.ids[:0], t.Pending.ids, t.EpochMax.ids))
 	} else {
-		b.absorb(&t.active, t.pending)
+		b.absorb(&t.Active, t.Pending)
 	}
 	// Keep pending's and epochMax's storage too: the next epoch refills
 	// them.
-	t.pending = vset{ids: t.pending.ids[:0]}
-	t.epochMax = t.epochMax[:0]
+	t.Pending = vset{ids: t.Pending.ids[:0]}
+	t.EpochMax = vset{ids: t.EpochMax.ids[:0]}
 }
 
-func (b *builder) persist(e trace.Event) {
-	t := b.thread(e.TID)
+// Clear empties the thread's frontiers, keeping their storage.
+func (b *builder) Clear(t *core.Thread[vset]) {
+	t.Active = vset{ids: t.Active.ids[:0]}
+	t.Pending = vset{ids: t.Pending.ids[:0]}
+	t.EpochMax = vset{ids: t.EpochMax.ids[:0]}
+}
+
+// The graph has no use for annotation and work marks.
+func (*builder) EpochMark(trace.Event, *core.Thread[vset])  {}
+func (*builder) StrandMark(trace.Event, *core.Thread[vset]) {}
+func (*builder) WorkMark(trace.Event)                       {}
+
+// Persist adds the persist's node with one edge per distinct source.
+func (b *builder) Persist(e trace.Event, t *core.Thread[vset], blocks []*core.Block[vset]) vset {
 	id := b.g.AddNode("", e)
 
 	// Deduplicated edge insertion: a fresh stamp marks this persist's
@@ -529,63 +419,53 @@ func (b *builder) persist(e trace.Event) {
 		b.edgeBuf = append(b.edgeBuf, Edge{From: from, Class: class})
 	}
 
-	// One edge per distinct source; when a source orders this persist
-	// for several reasons, the most specific class wins (atomicity,
-	// then conflict, then program order), matching Figure 2's
-	// classification. The blocks are visited in ascending address order
-	// and staged in touched for the conflict phase, which must run after
-	// every atomicity edge, and for the update below.
-	b.touched = b.touched[:0]
-	tb, first, last := b.blocks(e)
-	for blk := first; blk <= last; blk++ {
-		bs := tb.get(blk)
+	// When a source orders this persist for several reasons, the most
+	// specific class wins (atomicity, then conflict, then program
+	// order), matching Figure 2's classification. The blocks come in
+	// ascending address order; every atomicity edge goes first.
+	for _, bs := range blocks {
 		// Strong persist atomicity: the block's writer is its last
 		// persist.
-		if len(bs.writer.ids) > 0 {
-			addEdge(bs.writer.ids[0], Atomicity)
+		if len(bs.Writer.ids) > 0 {
+			addEdge(bs.Writer.ids[0], Atomicity)
 		}
-		b.touched = append(b.touched, bs)
 	}
-	for _, bs := range b.touched {
+	for _, bs := range blocks {
 		// Cross-thread (and self) conflict dependences through memory.
-		for _, from := range bs.writer.ids {
+		for _, from := range bs.Writer.ids {
 			addEdge(from, Conflict)
 		}
-		for _, from := range bs.reader.ids {
+		for _, from := range bs.Reader.ids {
 			addEdge(from, Conflict)
 		}
 	}
-	// Program-order / barrier dependences. t.active is sorted, so this
+	// Program-order / barrier dependences. t.Active is sorted, so this
 	// segment comes out in ascending source order.
-	for _, from := range t.active.ids {
+	for _, from := range t.Active.ids {
 		addEdge(from, ProgramOrder)
 	}
 	n := b.g.Nodes[id]
 	n.In = b.allocEdges(len(b.edgeBuf))
 	copy(n.In, b.edgeBuf)
 
-	if b.strict {
+	if b.k.Spec().Immediate {
 		// The new persist subsumes everything it depends on.
-		t.active = b.fresh(append(t.active.ids[:0], id))
+		t.Active = b.fresh(append(t.Active.ids[:0], id))
 	} else {
-		// Ids grow with the trace, so appending keeps epochMax sorted.
-		t.epochMax = append(t.epochMax, id)
+		// Ids grow with the trace, so appending keeps EpochMax sorted.
+		t.EpochMax.ids = append(t.EpochMax.ids, id)
 		// Everything this persist directly depends on is now dominated
 		// by it; scrub those nodes (this persist's marked sources) from
 		// pending rather than adding the block contexts (they would
 		// only produce redundant edges). A scrub that removed
 		// something changes the set, so it takes a fresh version.
-		if ids := slices.DeleteFunc(t.pending.ids, func(from NodeID) bool { return b.mark[from] == b.stamp }); len(ids) < len(t.pending.ids) {
-			t.pending = b.fresh(ids)
+		if ids := slices.DeleteFunc(t.Pending.ids, func(from NodeID) bool { return b.mark[from] == b.stamp }); len(ids) < len(t.Pending.ids) {
+			t.Pending = b.fresh(ids)
 		}
 	}
 	// The persist has edges from every prior dependence of its whole
-	// footprint, so it alone is the new dependence frontier of every
-	// block it spans, which share one singleton vec.
-	w := b.fresh(b.single(id))
-	for _, bs := range b.touched {
-		*bs = blockState{writer: w}
-	}
+	// footprint, so the blocks it spans share its one singleton vec.
+	return b.fresh(b.single(id))
 }
 
 // nextStamp starts a fresh dedup generation, first sizing the mark

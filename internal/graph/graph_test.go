@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -262,5 +263,47 @@ func TestBuildErrors(t *testing.T) {
 	}
 	if _, _, err := BuildWithBarriers(&ok.tr, core.Params{Model: core.Model(99)}); err == nil {
 		t.Error("BuildWithBarriers accepted unknown model")
+	}
+}
+
+// epochProbe collects the epoch of every persist record.
+type epochProbe struct{ epochs []int64 }
+
+func (p *epochProbe) PersistPlaced(r core.PersistRecord) { p.epochs = append(p.epochs, r.Epoch) }
+func (*epochProbe) EpochMark(int32, int64, int64, bool)  {}
+func (*epochProbe) StrandMark(int32, int64, int64)       {}
+func (*epochProbe) WorkMark(int32, int64, uint64, bool)  {}
+
+// TestBarrierInfoEpochCountsStrands pins what BarrierInfo.Epoch counts:
+// every annotation, strands included, where a persist record's Epoch
+// counts barriers and syncs only.
+func TestBarrierInfoEpochCountsStrands(t *testing.T) {
+	var b tb
+	b.newStrand(0)
+	b.store(0, paddr(0), 1)
+	b.barrier(0)
+	b.store(0, paddr(1), 2)
+	p := core.Params{Model: core.Strand}
+	_, infos, err := BuildWithBarriers(&b.tr, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int64
+	for _, in := range infos {
+		got = append(got, in.Epoch)
+	}
+	if !slices.Equal(got, []int64{1, 2}) {
+		t.Errorf("BarrierInfo epochs = %v, want [1 2]", got)
+	}
+	s := core.MustNewSim(p)
+	var probe epochProbe
+	s.SetProbe(&probe)
+	for e := range b.tr.All() {
+		if err := s.Feed(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(probe.epochs, []int64{0, 1}) {
+		t.Errorf("persist record epochs = %v, want [0 1]", probe.epochs)
 	}
 }

@@ -5,8 +5,9 @@ import "unsafe"
 // Pages is a sparse page table: it maps a page number to a
 // demand-allocated page of type P, normally an array of per-address
 // slots. It is the one per-address store behind the execution engine's
-// simulated memory, the timing simulator's tracking-block and
-// atomic-block tables, and the graph builder's dependence frontiers.
+// simulated memory, the ordering kernel's tracking-block table (the
+// timing simulator's and the graph builder's) and the simulator's
+// atomic-block table.
 //
 // A page number selects its page through a radix tree: the low
 // 3·nodeBits bits walk three levels of nodeLen-entry nodes, and the

@@ -29,7 +29,8 @@ func encode(tb testing.TB, events ...trace.Event) []byte {
 // only Seq renumbered (and, where the stored Seq was already
 // positional, re-encode to the input bytes); and every accepted trace
 // must simulate and build a graph under each model to a result or an
-// error, never a panic.
+// error, never a panic, with the simulator and the graph builder
+// accepting or rejecting it together.
 func FuzzReadAll(f *testing.F) {
 	p, v := memory.PersistentBase, memory.VolatileBase
 	f.Add([]byte{})
@@ -45,6 +46,11 @@ func FuzzReadAll(f *testing.F) {
 		trace.Event{TID: 0, Kind: trace.PersistSync},
 		trace.Event{TID: 1, Kind: trace.EndWork, Val: 7},
 		trace.Event{Kind: trace.Free, Addr: p},
+	))
+	// A kind byte past EndWork, which both consumers must refuse.
+	f.Add(encode(f,
+		trace.Event{Kind: trace.Store, Addr: p, Size: 8, Val: 1},
+		trace.Event{Kind: trace.Kind(42)},
 	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.ReadAll(bytes.NewReader(data))
@@ -76,8 +82,11 @@ func FuzzReadAll(f *testing.F) {
 		}
 		for _, m := range core.Models {
 			p := core.Params{Model: m}
-			_, _ = core.Simulate(tr, p)
-			_, _ = graph.Build(tr, p)
+			_, serr := core.Simulate(tr, p)
+			_, gerr := graph.Build(tr, p)
+			if (serr == nil) != (gerr == nil) {
+				t.Fatalf("%v: Simulate error %v but Build error %v", m, serr, gerr)
+			}
 		}
 	})
 }

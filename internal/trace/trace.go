@@ -161,8 +161,8 @@ func (e Event) Validate() error {
 		if memory.SpaceOf(e.Addr) == memory.Unmapped {
 			return fmt.Errorf("trace: %s of unmapped address %#x", e.Kind, uint64(e.Addr))
 		}
-	case e.Kind == Invalid:
-		return fmt.Errorf("trace: invalid event kind")
+	case e.Kind == Invalid || e.Kind > EndWork:
+		return fmt.Errorf("trace: invalid event kind %d", uint8(e.Kind))
 	}
 	if e.TID < 0 || e.TID >= MaxThreads {
 		return fmt.Errorf("trace: thread id %d outside [0, %d)", e.TID, MaxThreads)

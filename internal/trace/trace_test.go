@@ -74,6 +74,8 @@ func TestEventValidate(t *testing.T) {
 		{Kind: Store, Addr: 0, Size: 8},
 		{Kind: Malloc, Addr: 12, Val: 64},
 		{Kind: Invalid},
+		{Kind: EndWork + 1},
+		{Kind: Kind(42)},
 		{Kind: PersistBarrier, TID: -1},
 		{Kind: PersistBarrier, TID: MaxThreads},
 	}

@@ -103,21 +103,28 @@ func TestGoldenTraceHashes(t *testing.T) {
 	}
 }
 
-// hashProbe folds every persist record a simulator reports into a
-// running SHA-256.
+// hashProbe folds every persist record and annotation mark a
+// simulator reports into a running SHA-256.
 type hashProbe struct{ h hash.Hash }
 
 func (p hashProbe) PersistPlaced(r core.PersistRecord) { fmt.Fprintf(p.h, "%+v\n", r) }
-func (hashProbe) EpochMark(int32, int64, int64, bool)  {}
-func (hashProbe) StrandMark(int32, int64, int64)       {}
-func (hashProbe) WorkMark(int32, int64, uint64, bool)  {}
+func (p hashProbe) EpochMark(tid int32, i, epoch int64, sync bool) {
+	fmt.Fprintf(p.h, "epoch %d %d %d %t\n", tid, i, epoch, sync)
+}
+func (p hashProbe) StrandMark(tid int32, i, strand int64) {
+	fmt.Fprintf(p.h, "strand %d %d %d\n", tid, i, strand)
+}
+func (p hashProbe) WorkMark(tid int32, i int64, id uint64, begin bool) {
+	fmt.Fprintf(p.h, "work %d %d %d %t\n", tid, i, id, begin)
+}
 
 // TestGoldenSimRecords pins the timing simulator's outputs: one SHA-256
-// over the Simulate result and every PersistRecord a probe sees, for KV
-// traces under each annotation policy at word and 64-byte tracking
-// (plus 64-byte atomic persists) and a 2LC queue trace, each under all
-// four models. A change to the simulator's per-block state or its
-// tables that shifts one level, source or coalescing decision fails it.
+// over the Simulate result and every PersistRecord and annotation mark
+// a probe sees, for KV traces under each annotation policy at word and
+// 64-byte tracking (plus 64-byte atomic persists) and a 2LC queue
+// trace, each under all four models. A change to the simulator's
+// per-block state or its tables that shifts one level, source,
+// coalescing decision or mark fails it.
 func TestGoldenSimRecords(t *testing.T) {
 	var traces []*trace.Trace
 	for _, pol := range core.Policies {
@@ -161,7 +168,7 @@ func TestGoldenSimRecords(t *testing.T) {
 			}
 		}
 	}
-	const want = "eddb697a1820329097fa71a8ae060e0165353ef3ce4068a4804653a749b92467"
+	const want = "e88773d8cb6a3846a2d1073c90ad85841f82c944bf335921d13f00b568827011"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("simulator records sha256 = %s, want %s", got, want)
 	}
