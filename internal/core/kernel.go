@@ -200,9 +200,16 @@ func (k *Kernel[V, R]) blocks(e trace.Event) []*Block[V] {
 
 // Feed validates one event and applies it in SC order. The state
 // indexers rely on Validate's range checks.
-func (k *Kernel[V, R]) Feed(e trace.Event) error {
-	if err := e.Validate(); err != nil {
-		return err
+func (k *Kernel[V, R]) Feed(e trace.Event) error { return k.feed(e, true) }
+
+// feed is Feed, validating e only if validate is set; otherwise e must
+// have passed Event.Validate. SimulateAll validates a trace in its
+// first pass and replays it unvalidated in the others.
+func (k *Kernel[V, R]) feed(e trace.Event, validate bool) error {
+	if validate {
+		if err := e.Validate(); err != nil {
+			return err
+		}
 	}
 	k.events++
 	switch e.Kind {

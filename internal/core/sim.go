@@ -291,30 +291,46 @@ func Simulate(tr *trace.Trace, p Params) (Result, error) {
 	if err := s.Reset(p); err != nil {
 		return Result{}, err
 	}
-	for _, c := range tr.Chunks() {
-		for i := 0; i < c.Len(); i++ {
-			if err := s.Feed(c.Event(i)); err != nil {
-				return Result{}, err
-			}
-		}
+	if err := s.replay(tr, true); err != nil {
+		return Result{}, err
 	}
 	return s.Result(), nil
 }
 
 // SimulateAll runs one trace through every model in Models with shared
 // granularity parameters (base.Model is ignored), returning results in
-// Models order. Each model replays the trace through the pooled solo
-// Simulate, so one simulator's table pages serve every model in turn.
+// Models order. One pooled simulator replays the trace once per model,
+// so its table pages serve every model in turn. The first pass
+// validates each event, and fails as Simulate under that model would;
+// the later passes replay the events it accepted without validating
+// them again.
 func SimulateAll(tr *trace.Trace, base Params) ([]Result, error) {
+	s := simPool.Get().(*Sim)
+	defer simPool.Put(s)
 	out := make([]Result, len(Models))
 	for i, m := range Models {
 		p := base
 		p.Model = m
-		r, err := Simulate(tr, p)
-		if err != nil {
+		if err := s.Reset(p); err != nil {
 			return nil, err
 		}
-		out[i] = r
+		if err := s.replay(tr, i == 0); err != nil {
+			return nil, err
+		}
+		out[i] = s.Result()
 	}
 	return out, nil
+}
+
+// replay feeds every event of tr to s, validating each one if validate
+// is set; otherwise the events must have passed Event.Validate.
+func (s *Sim) replay(tr *trace.Trace, validate bool) error {
+	for _, c := range tr.Chunks() {
+		for i := 0; i < c.Len(); i++ {
+			if err := s.k.feed(c.Event(i), validate); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

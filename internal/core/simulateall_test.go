@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/memory"
 	"repro/internal/queue"
+	"repro/internal/trace"
 )
 
 // TestSimulateAllEquivalence pins SimulateAll against solo Simulate:
@@ -46,5 +48,51 @@ func TestSimulateAllEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSimulateAllErrorsLikeSimulate pins SimulateAll's error against
+// Simulate's on traces that turn invalid at position k: SimulateAll
+// validates events only in its first pass, and must still fail with
+// the error every model's Simulate returns for the first bad event.
+// Parameter errors come first, as they do in Simulate.
+func TestSimulateAllErrorsLikeSimulate(t *testing.T) {
+	good, err := bench.Trace(bench.Workload{
+		Design: queue.CWL, Policy: core.PolicyEpoch, Threads: 2, Inserts: 20, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []trace.Event{
+		{Kind: trace.Kind(42)},
+		{Kind: trace.Store, Addr: memory.PersistentBase, Size: 0},
+		{Kind: trace.Load, Addr: memory.VolatileBase, Size: 8, TID: trace.MaxThreads},
+	}
+	for _, k := range []int{0, 1, good.Len() / 2, good.Len() - 1} {
+		for _, be := range bad {
+			tr := &trace.Trace{}
+			for i := 0; i < good.Len(); i++ {
+				e := good.At(i)
+				if i == k {
+					e = be
+				}
+				tr.Emit(e)
+			}
+			_, allErr := core.SimulateAll(tr, core.Params{})
+			if allErr == nil {
+				t.Fatalf("k=%d %v: SimulateAll accepted an invalid trace", k, be)
+			}
+			for _, m := range core.Models {
+				_, err := core.Simulate(tr, core.Params{Model: m})
+				if err == nil || err.Error() != allErr.Error() {
+					t.Errorf("k=%d %v %v: Simulate error %v, SimulateAll error %v", k, be, m, err, allErr)
+				}
+			}
+		}
+	}
+	p := core.Params{TrackingGranularity: 12}
+	_, want := core.Simulate(good, p)
+	if _, err := core.SimulateAll(good, p); want == nil || err == nil || err.Error() != want.Error() {
+		t.Errorf("bad params: SimulateAll error %v, Simulate error %v", err, want)
 	}
 }

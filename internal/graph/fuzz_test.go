@@ -32,6 +32,9 @@ func FuzzBuildMatchesRef(f *testing.F) {
 		rand.New(rand.NewSource(seed)).Read(data)
 		f.Add(data)
 	}
+	// A persist-heavy seed: over 128 persists, so the dense frontier
+	// sets' 32-id windows span several words and slide as ids grow.
+	f.Add(persistHeavySeed(f, 250))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, gran := decodeFuzzTrace(data)
 		for _, m := range core.Models {
@@ -58,6 +61,25 @@ func FuzzBuildMatchesRef(f *testing.F) {
 			}
 		}
 	})
+}
+
+// persistHeavySeed returns fuzz bytes for a trace of events events,
+// about two thirds of them persists and the rest any kind, spread over
+// three threads.
+func persistHeavySeed(f *testing.F, events int) []byte {
+	rng := rand.New(rand.NewSource(25))
+	data := []byte{1, 0}
+	for i := 0; i < events; i++ {
+		kind := byte(rng.Intn(10))
+		if rng.Intn(3) > 0 {
+			kind = 2
+		}
+		data = append(data, byte(10*rng.Intn(25))+kind, byte(rng.Intn(256)))
+	}
+	if tr, _ := decodeFuzzTrace(data); tr.CountPersists() <= 128 {
+		f.Fatalf("persist-heavy seed has %d persists", tr.CountPersists())
+	}
+	return data
 }
 
 // decodeFuzzTrace turns fuzz bytes into a small trace. The first byte

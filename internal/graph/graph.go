@@ -344,11 +344,12 @@ func build(tr *trace.Trace, p core.Params, barriers bool) (*Graph, []BarrierInfo
 }
 
 // builder supplies core.Kernel's rules over frontier sets. A thread's
-// three frontiers are sorted id slices owned by the thread and updated
-// in place; they are never stored in a block frontier (publishing one
-// copies it, see publish), so in-place updates cannot leak. Only
-// Active and Pending are versioned: EpochMax is never a union operand,
-// so its version stays 0 whatever ids it holds.
+// three frontiers are id sets (frontier.go) owned by the thread and
+// updated in place; they are never stored in a block frontier
+// (publishing one copies it, see publish), so in-place updates cannot
+// leak. Only Active and Pending are versioned: EpochMax is never an
+// operand of a versioned union or subset test, so its version stays 0
+// whatever ids it holds.
 type builder struct {
 	k core.Kernel[vset, *builder]
 	g *Graph
@@ -375,14 +376,21 @@ func (b *builder) Join(a, c vset) vset        { return b.union(a, c) }
 
 // Bind closes the thread's epoch.
 func (b *builder) Bind(t *core.Thread[vset]) {
-	if len(t.EpochMax.ids) > 0 {
-		// Every persist of the closing epoch carries edges from the old
-		// active set, so the old set is dominated and can be dropped —
-		// the frontier pruning that keeps dependence sets bounded. The
-		// new set is merged into the old one's storage.
-		t.Active = b.fresh(mergeInto(t.Active.ids[:0], t.Pending.ids, t.EpochMax.ids))
-	} else {
+	// Every persist of the closing epoch carries edges from the old
+	// active set, so when the epoch persisted anything the old set is
+	// dominated and can be dropped — the frontier pruning that keeps
+	// dependence sets bounded.
+	switch {
+	case len(t.EpochMax.ids) == 0:
 		b.absorb(&t.Active, t.Pending)
+	case len(t.Pending.ids) == 0:
+		// The new set is the epoch's persists, copied as they are
+		// (sparse) into the old set's storage.
+		t.Active = b.fresh(append(t.Active.ids[:0], t.EpochMax.ids...))
+	default:
+		// The new set is built in the old one's storage.
+		n := t.Pending.ids.size() + missing(t.Pending.ids, t.EpochMax.ids)
+		t.Active = b.fresh(unionInto(t.Active.ids, t.Pending.ids, t.EpochMax.ids, n))
 	}
 	// Keep pending's and epochMax's storage too: the next epoch refills
 	// them.
@@ -410,13 +418,23 @@ func (b *builder) Persist(e trace.Event, t *core.Thread[vset], blocks []*core.Bl
 	// sources in O(1) each. Edges stage in edgeBuf and commit as one
 	// exact-size slab slice below.
 	b.nextStamp()
-	b.edgeBuf = b.edgeBuf[:0]
-	addEdge := func(from NodeID, class EdgeClass) {
-		if b.mark[from] == b.stamp {
+	buf, mark, stamp := b.edgeBuf[:0], b.mark, b.stamp
+	add := func(from NodeID, class EdgeClass) {
+		if mark[from] != stamp {
+			mark[from] = stamp
+			buf = append(buf, Edge{From: from, Class: class})
+		}
+	}
+	// Sets walk in ascending id order; sparse ones inline (most are
+	// one or two ids), dense ones a word at a time.
+	each := func(v nodeVec, class EdgeClass) {
+		if v.dense() {
+			buf = b.addDense(buf, v, class)
 			return
 		}
-		b.mark[from] = b.stamp
-		b.edgeBuf = append(b.edgeBuf, Edge{From: from, Class: class})
+		for _, from := range v {
+			add(from, class)
+		}
 	}
 
 	// When a source orders this persist for several reasons, the most
@@ -425,28 +443,22 @@ func (b *builder) Persist(e trace.Event, t *core.Thread[vset], blocks []*core.Bl
 	// ascending address order; every atomicity edge goes first.
 	for _, bs := range blocks {
 		// Strong persist atomicity: the block's writer is its last
-		// persist.
-		if len(bs.Writer.ids) > 0 {
-			addEdge(bs.Writer.ids[0], Atomicity)
+		// persist, a singleton (so sparse).
+		if w := bs.Writer.ids; len(w) > 0 {
+			add(w[0], Atomicity)
 		}
 	}
 	for _, bs := range blocks {
 		// Cross-thread (and self) conflict dependences through memory.
-		for _, from := range bs.Writer.ids {
-			addEdge(from, Conflict)
-		}
-		for _, from := range bs.Reader.ids {
-			addEdge(from, Conflict)
-		}
+		each(bs.Writer.ids, Conflict)
+		each(bs.Reader.ids, Conflict)
 	}
-	// Program-order / barrier dependences. t.Active is sorted, so this
-	// segment comes out in ascending source order.
-	for _, from := range t.Active.ids {
-		addEdge(from, ProgramOrder)
-	}
+	// Program-order / barrier dependences.
+	each(t.Active.ids, ProgramOrder)
+	b.edgeBuf = buf
 	n := b.g.Nodes[id]
-	n.In = b.allocEdges(len(b.edgeBuf))
-	copy(n.In, b.edgeBuf)
+	n.In = b.allocEdges(len(buf))
+	copy(n.In, buf)
 
 	if b.k.Spec().Immediate {
 		// The new persist subsumes everything it depends on.
@@ -459,8 +471,14 @@ func (b *builder) Persist(e trace.Event, t *core.Thread[vset], blocks []*core.Bl
 		// pending rather than adding the block contexts (they would
 		// only produce redundant edges). A scrub that removed
 		// something changes the set, so it takes a fresh version.
-		if ids := slices.DeleteFunc(t.Pending.ids, func(from NodeID) bool { return b.mark[from] == b.stamp }); len(ids) < len(t.Pending.ids) {
-			t.Pending = b.fresh(ids)
+		p, before := t.Pending.ids, t.Pending.ids.size()
+		if p.dense() {
+			p = b.scrub(p, b.edgeBuf)
+		} else {
+			p = slices.DeleteFunc(p, func(from NodeID) bool { return b.mark[from] == b.stamp })
+		}
+		if p.size() < before {
+			t.Pending = b.fresh(p)
 		}
 	}
 	// The persist has edges from every prior dependence of its whole

@@ -3,6 +3,7 @@ package graph_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -104,11 +105,13 @@ func TestBuildWithBarriersMatchesBuild(t *testing.T) {
 }
 
 // BenchmarkGraphBuildKV builds the persist-order DAG of a 1024-op,
-// 0.9-read epoch KV trace, whose thread frontiers are about a hundred
-// nodes wide. ns/event tracks the builder's cost per trace event and
-// edges/node the size of what it emits, so a return of per-persist work
-// quadratic in the frontier width shows up as ns/event growing while
-// edges/node stays put.
+// 0.9-read epoch KV trace. A persist's active frontier holds 107 nodes
+// on average (810 at most), and a union or subset test that its version
+// facts cannot settle takes operands of about 220 ids together; half
+// the active frontiers at a persist are dense sets. ns/event tracks the
+// builder's cost per trace event and edges/node the size of what it
+// emits, so a return of per-persist work quadratic in the frontier
+// width shows up as ns/event growing while edges/node stays put.
 func BenchmarkGraphBuildKV(b *testing.B) {
 	tr, model := kvTrace(b, "epoch", 1024, 0.9, 42)
 	p := core.Params{Model: model}
@@ -123,6 +126,36 @@ func BenchmarkGraphBuildKV(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/event")
 	b.ReportMetric(float64(countEdges(g))/float64(g.Len()), "edges/node")
+}
+
+// BenchmarkGraphBuildKVWrites builds the persist-order DAG of a
+// 2048-op write-only KV trace under epoch and strand persistency: the
+// kv-graph pipeline workload's trace shape at 16 times its length,
+// where thread frontiers grow to thousands of nodes. ns/event and
+// B/event track the builder's cost per trace event; growth in either
+// against BenchmarkGraphBuildKV's read-heavy trace is the frontier
+// cost that outgrows the trace.
+func BenchmarkGraphBuildKVWrites(b *testing.B) {
+	for _, policy := range []string{"epoch", "strand"} {
+		b.Run(policy, func(b *testing.B) {
+			tr, model := kvTrace(b, policy, 2048, 0, 42)
+			p := core.Params{Model: model}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := graph.Build(tr, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			per := float64(b.N) * float64(tr.Len())
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/event")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/event")
+			b.ReportMetric(float64(tr.Len()), "events/op")
+		})
+	}
 }
 
 // BenchmarkCriticalPathKV takes the critical path of the epoch KV graph

@@ -30,7 +30,8 @@ func encode(tb testing.TB, events ...trace.Event) []byte {
 // positional, re-encode to the input bytes); and every accepted trace
 // must simulate and build a graph under each model to a result or an
 // error, never a panic, with the simulator and the graph builder
-// accepting or rejecting it together.
+// accepting or rejecting it together. SimulateAll, which validates
+// only in its first pass, must return Simulate's error.
 func FuzzReadAll(f *testing.F) {
 	p, v := memory.PersistentBase, memory.VolatileBase
 	f.Add([]byte{})
@@ -80,13 +81,20 @@ func FuzzReadAll(f *testing.F) {
 		if positional && len(data) > 0 && !bytes.Equal(buf.Bytes(), data) {
 			t.Fatal("a positionally numbered stream did not re-encode to its own bytes")
 		}
-		for _, m := range core.Models {
+		var first error
+		for i, m := range core.Models {
 			p := core.Params{Model: m}
 			_, serr := core.Simulate(tr, p)
 			_, gerr := graph.Build(tr, p)
 			if (serr == nil) != (gerr == nil) {
 				t.Fatalf("%v: Simulate error %v but Build error %v", m, serr, gerr)
 			}
+			if i == 0 {
+				first = serr
+			}
+		}
+		if _, aerr := core.SimulateAll(tr, core.Params{}); (aerr == nil) != (first == nil) || aerr != nil && aerr.Error() != first.Error() {
+			t.Fatalf("SimulateAll error %v but Simulate error %v", aerr, first)
 		}
 	})
 }

@@ -17,12 +17,17 @@
 # gate. One extra warmup iteration per benchmark runs and is
 # discarded, so the JSON holds exactly `count` steady-state samples
 # per name.
+#
+# BenchmarkGraphBuildKVWrites/epoch builds a 2048-op write-only KV graph
+# of about 189M edges in roughly a second, so at 100x and count 5 the
+# graph package alone runs past go test's default 10-minute timeout;
+# the timeout is raised to an hour.
 set -e
 benchtime="${1:-100x}"
 count="${2:-1}"
 cd "$(dirname "$0")/.."
 
-go test -run '^$' -benchmem -benchtime "$benchtime" -count $((count + 1)) \
+go test -run '^$' -timeout 60m -benchmem -benchtime "$benchtime" -count $((count + 1)) \
     -bench 'BenchmarkSimFeed|BenchmarkSimulateAll|BenchmarkTraceReplay|BenchmarkTraceEmit|BenchmarkGraphBuild|BenchmarkCriticalPathKV|BenchmarkBuildKV|BenchmarkSimTablesKV|BenchmarkPersistcheckKV|BenchmarkExhaustiveCheck' \
     ./internal/core ./internal/trace ./internal/graph ./internal/workload ./internal/persistcheck ./internal/persistcheck/exhaustive |
 awk -v benchtime="$benchtime" '
