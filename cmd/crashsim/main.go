@@ -51,6 +51,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/graph"
 	"repro/internal/nvram"
 	"repro/internal/observer"
 	"repro/internal/sweep"
@@ -131,7 +132,13 @@ func run(env *cli.Env) (int, error) {
 		wlabel := w.Describe
 		tty := stderrIsTTY()
 		stop := reg.Timer(telemetry.Label("crashsim_campaign", "workload", wlabel)).Time()
-		out, err := observer.Campaign(w.Trace, core.Params{Model: model}, w.Checked, observer.CampaignConfig{
+		sp := spans.Start("campaign", "graph-build").Arg("model", model.String())
+		g, err := graph.Build(w.Trace, core.Params{Model: model})
+		sp.End()
+		if err != nil {
+			return 0, err
+		}
+		out, err := observer.Campaign(g, w.Checked, observer.CampaignConfig{
 			Scenarios: *scenarios,
 			Seed:      *seed,
 			Gen:       fault.GenConfig{MaxFaults: *faults},
@@ -190,7 +197,11 @@ func run(env *cli.Env) (int, error) {
 		return 2, nil
 	}
 
-	out, err := observer.CrashTest(w.Trace, core.Params{Model: model}, w.Recover, observer.Config{Samples: *samples, Seed: *seed, Sweep: sweep.Config{Parallel: *parallel, Spans: spans}})
+	g, err := graph.Build(w.Trace, core.Params{Model: model})
+	if err != nil {
+		return 0, err
+	}
+	out, err := observer.CrashTest(g, observer.Sampled{Samples: *samples, Seed: *seed}, w.Recover, sweep.Config{Parallel: *parallel, Spans: spans})
 	if err != nil {
 		return 0, err
 	}
@@ -262,10 +273,14 @@ func replay(line string) (int, error) {
 	}
 	fmt.Printf("workload : %s\n", run.Describe)
 	fmt.Printf("scenario : cut %d nodes, plan [%s]\n", s.Cut.Size(), s.Plan.String())
-	class, rerr := observer.Replay(run.Trace, core.Params{Model: model}, run.Checked, s, campaignDevice())
+	g, err := graph.Build(run.Trace, core.Params{Model: model})
+	if err != nil {
+		return 0, err
+	}
+	class, rerr := observer.Replay(g, run.Checked, s, campaignDevice())
 	if rerr != nil && class == observer.Masked {
 		// classify never produces Masked with an error; this is an
-		// infrastructure failure (graph build or cut/workload mismatch).
+		// infrastructure failure (a cut/workload mismatch).
 		return 0, rerr
 	}
 	fmt.Printf("class    : %v\n", class)

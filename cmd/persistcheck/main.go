@@ -69,6 +69,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/graph"
 	"repro/internal/persistcheck"
 	"repro/internal/persistcheck/exhaustive"
 	"repro/internal/sweep"
@@ -146,9 +147,14 @@ func checkModels(cfg checkConfig) (string, *modelOutput, error) {
 			if err != nil {
 				return nil, err
 			}
+			// One graph per (trace, model), shared by both checkers.
+			g, err := graph.Build(run.Trace, core.Params{Model: model})
+			if err != nil {
+				return nil, err
+			}
 			var b strings.Builder
 			fmt.Fprintf(&b, "model    : %v\n", model)
-			rep, err := persistcheck.Check(run.Trace, core.Params{Model: model}, run.Checks, persistcheck.Config{
+			rep, err := persistcheck.CheckGraph(run.Trace, g, run.Checks, persistcheck.Config{
 				Limit:       cfg.limit,
 				ReproParams: params,
 				SiteLabel:   run.SiteLabel,
@@ -165,7 +171,7 @@ func checkModels(cfg checkConfig) (string, *modelOutput, error) {
 				robustness: rep.RobustnessFindings(),
 			}
 			if cfg.exhaustive {
-				res, err := exhaustive.Check(run.Trace, core.Params{Model: model}, run.Recover, run.Checked,
+				res, err := exhaustive.CheckGraph(g, model, run.Recover, run.Checked,
 					exhaustive.Config{
 						Budget:      cfg.stateBudget,
 						ReproParams: params,

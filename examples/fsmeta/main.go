@@ -22,6 +22,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/memory"
 	"repro/internal/observer"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -110,8 +111,16 @@ func main() {
 	var racingErr error
 	for seed := int64(0); seed < 16 && racingErr == nil; seed++ {
 		tr, meta := runFS(core.PolicyRacingEpoch, seed)
-		racingErr, _ = observer.FindCorruption(tr, core.Params{Model: core.Epoch},
-			observer.RecoverFunc(atomicityCheck(meta)), observer.Config{Samples: 800, Seed: seed})
+		g, err := graph.Build(tr, core.Params{Model: core.Epoch})
+		if err != nil {
+			panic(err)
+		}
+		out, err := observer.CrashTest(g, observer.Sampled{Samples: 800, Seed: seed},
+			observer.RecoverFunc(atomicityCheck(meta)), sweep.Config{})
+		if err != nil {
+			panic(err)
+		}
+		racingErr = out.FirstCorruption
 	}
 	if racingErr != nil {
 		fmt.Printf("racing-epochs discipline : corruption reachable — %v\n", racingErr)

@@ -22,9 +22,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/graph"
 	"repro/internal/memory"
 	"repro/internal/observer"
 	"repro/internal/queue"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -49,13 +51,16 @@ func run(fences bool, policy core.Policy, model core.Model) (reachableCorruption
 			_, err := queue.Recover(im, meta)
 			return err
 		}
-		corr, err := observer.FindCorruption(tr, core.Params{Model: model}, rec,
-			observer.Config{Samples: 500, Seed: seed})
+		g, err := graph.Build(tr, core.Params{Model: model})
 		if err != nil {
 			panic(err)
 		}
-		if corr != nil {
-			return corr
+		out, err := observer.CrashTest(g, observer.Sampled{Samples: 500, Seed: seed}, rec, sweep.Config{})
+		if err != nil {
+			panic(err)
+		}
+		if out.FirstCorruption != nil {
+			return out.FirstCorruption
 		}
 	}
 	return nil

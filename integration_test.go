@@ -16,6 +16,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/observer"
 	"repro/internal/queue"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -82,12 +83,12 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("recovered %d entries", len(entries))
 	}
 
-	// 5. Observer: adversarial sweep is clean.
+	// 5. Observer: the single-victim sweep over the same graph is clean.
 	rec := func(im *memory.Image) error {
 		_, err := queue.Recover(im, meta)
 		return err
 	}
-	out, err := observer.Adversarial(tr, core.Params{Model: core.Epoch}, rec)
+	out, err := observer.CrashTest(g, observer.SingleVictim{}, rec, sweep.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

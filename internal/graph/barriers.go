@@ -1,13 +1,11 @@
 package graph
 
-import (
-	"repro/internal/core"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // BarrierInfo describes the effect one persistency annotation event had
-// on the constraint graph under the model it was built for. It is the
-// input to the persistency checker's redundant-barrier lint: an
+// on the constraint graph under the model it was built for. Build
+// records one per annotation, in trace order, in Graph.Barriers. It is
+// the input to the persistency checker's redundant-barrier lint: an
 // annotation that binds nothing changes no dependence frontier, so
 // removing it leaves the constraint graph's edge set identical — the
 // barrier is pure overhead under that model.
@@ -32,12 +30,6 @@ type BarrierInfo struct {
 	// annotation kind entirely (e.g. barriers under strict persistency)
 	// make it trivially redundant.
 	Redundant bool
-}
-
-// BuildWithBarriers is Build plus a per-annotation effect report, in
-// trace order. The graph is identical to Build's.
-func BuildWithBarriers(tr *trace.Trace, p core.Params) (*Graph, []BarrierInfo, error) {
-	return build(tr, p, true)
 }
 
 // annotationRedundant reports whether feeding e would change no builder

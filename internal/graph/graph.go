@@ -89,6 +89,12 @@ type Node struct {
 // manually built graphs may contain cycles, which FindCycle exposes.
 type Graph struct {
 	Nodes []*Node
+	// Params are the model parameters Build was called with (zero for
+	// hand-built graphs).
+	Params core.Params
+	// Barriers holds, for a built graph, each annotation's effect in
+	// trace order (see BarrierInfo); nil for hand-built graphs.
+	Barriers []BarrierInfo
 	// slab is preallocated node storage (see Grow): AddNode takes slots
 	// from it while capacity lasts, so a trace build with a known persist
 	// count performs one node allocation instead of one per persist.
@@ -299,38 +305,35 @@ func (g *Graph) DOT(name string) string {
 // intentionally not modeled — see the package comment). The ordering
 // rules are core.Kernel's, the ones core.Sim runs, applied to
 // dependence *frontiers* (sets of node ids) instead of scalar levels
-// (see frontier.go).
+// (see frontier.go). The graph records p and each annotation's effect
+// (Barriers), so every checker of this (trace, model) pair can share it.
 func Build(tr *trace.Trace, p core.Params) (*Graph, error) {
-	g, _, err := build(tr, p, false)
-	return g, err
-}
-
-// build is the one feed loop behind Build and BuildWithBarriers. With
-// barriers set it also reports each annotation's effect, in trace order.
-func build(tr *trace.Trace, p core.Params, barriers bool) (*Graph, []BarrierInfo, error) {
-	// Pre-pass: one graph node per persist event, so the node slab can
-	// be sized exactly before building (a planes-only SoA walk).
+	// Pre-pass: one graph node per persist event and one BarrierInfo
+	// per annotation, so both are sized exactly before building
+	// (planes-only walks).
 	n := tr.CountPersists()
 	if n > math.MaxInt32 {
-		return nil, nil, fmt.Errorf("graph: %d persists exceed the %d node ids", n, math.MaxInt32)
+		return nil, fmt.Errorf("graph: %d persists exceed the %d node ids", n, math.MaxInt32)
 	}
-	b := &builder{g: &Graph{}, facts: newSubsetFacts(tr.Len())}
+	b := &builder{g: &Graph{Params: p}, facts: newSubsetFacts(tr.Len())}
 	if err := b.k.Reset(&p, b, vset{}); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	b.g.Grow(n)
-	var infos []BarrierInfo
+	if a := tr.CountAnnotations(); a > 0 {
+		b.g.Barriers = make([]BarrierInfo, 0, a)
+	}
 	for _, c := range tr.Chunks() {
 		for i := 0; i < c.Len(); i++ {
 			e := c.Event(i)
-			info := barriers && e.Kind.IsAnnotation()
+			info := e.Kind.IsAnnotation()
 			redundant := info && b.annotationRedundant(e)
 			if err := b.k.Feed(e); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if info {
 				t := b.k.Thread(e.TID)
-				infos = append(infos, BarrierInfo{
+				b.g.Barriers = append(b.g.Barriers, BarrierInfo{
 					Seq:       e.Seq,
 					TID:       e.TID,
 					Kind:      e.Kind,
@@ -340,7 +343,7 @@ func build(tr *trace.Trace, p core.Params, barriers bool) (*Graph, []BarrierInfo
 			}
 		}
 	}
-	return b.g, infos, nil
+	return b.g, nil
 }
 
 // builder supplies core.Kernel's rules over frontier sets. A thread's

@@ -231,9 +231,9 @@ func TestDuplicateEdgeIgnored(t *testing.T) {
 	}
 }
 
-// TestBuildErrors pins the builders' error paths: an invalid event
-// aborts Build and BuildWithBarriers, without a panic, with the error
-// trace.Event.Validate reports for it, and an unknown model is refused.
+// TestBuildErrors pins Build's error paths: an invalid event aborts it,
+// without a panic, with the error trace.Event.Validate reports for it,
+// and an unknown model is refused.
 func TestBuildErrors(t *testing.T) {
 	var b tb
 	b.store(0, paddr(0), 1)
@@ -252,17 +252,11 @@ func TestBuildErrors(t *testing.T) {
 		if _, err := Build(&b.tr, p); err == nil || err.Error() != verr.Error() {
 			t.Errorf("%v: Build error %v, want %v", m, err, verr)
 		}
-		if _, _, err := BuildWithBarriers(&b.tr, p); err == nil || err.Error() != verr.Error() {
-			t.Errorf("%v: BuildWithBarriers error %v, want %v", m, err, verr)
-		}
 	}
 	var ok tb
 	ok.store(0, paddr(0), 1)
 	if _, err := Build(&ok.tr, core.Params{Model: core.Model(99)}); err == nil {
 		t.Error("Build accepted unknown model")
-	}
-	if _, _, err := BuildWithBarriers(&ok.tr, core.Params{Model: core.Model(99)}); err == nil {
-		t.Error("BuildWithBarriers accepted unknown model")
 	}
 }
 
@@ -284,12 +278,12 @@ func TestBarrierInfoEpochCountsStrands(t *testing.T) {
 	b.barrier(0)
 	b.store(0, paddr(1), 2)
 	p := core.Params{Model: core.Strand}
-	_, infos, err := BuildWithBarriers(&b.tr, p)
+	g, err := Build(&b.tr, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []int64
-	for _, in := range infos {
+	for _, in := range g.Barriers {
 		got = append(got, in.Epoch)
 	}
 	if !slices.Equal(got, []int64{1, 2}) {

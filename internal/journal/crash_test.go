@@ -6,8 +6,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/graph"
 	"repro/internal/memory"
 	"repro/internal/observer"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -38,6 +40,21 @@ func traceJournal(t *testing.T, cfg Config, threads, txnsPerThread int, seed int
 	}
 }
 
+// crashTest builds tr's persist-order graph under model and runs the
+// observer over its cuts from src on the default sweep pool.
+func crashTest(t *testing.T, tr *trace.Trace, model core.Model, src observer.CutSource, rec observer.RecoverFunc) observer.Outcome {
+	t.Helper()
+	g, err := graph.Build(tr, core.Params{Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := observer.CrashTest(g, src, rec, sweep.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestCrashSafetyUnderTargetModels(t *testing.T) {
 	// Strict, epoch, and strand annotations must make every crash state
 	// transaction-atomic under their models, including with checkpoint
@@ -47,10 +64,7 @@ func TestCrashSafetyUnderTargetModels(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%dT", pol, threads), func(t *testing.T) {
 				cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: pol} // ring wraps
 				tr, rec := traceJournal(t, cfg, threads, 6, 13)
-				out, err := observer.CrashTest(tr, core.Params{Model: pol.Model()}, rec, observer.Config{Samples: 150, Seed: 3})
-				if err != nil {
-					t.Fatal(err)
-				}
+				out := crashTest(t, tr, pol.Model(), observer.Sampled{Samples: 150, Seed: 3}, rec)
 				if !out.AllRecovered() {
 					t.Fatalf("%v", out)
 				}
@@ -69,10 +83,7 @@ func TestRacingEpochsUnsafeForJournal(t *testing.T) {
 	for seed := int64(0); seed < 12 && !found; seed++ {
 		cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: core.PolicyRacingEpoch}
 		tr, rec := traceJournal(t, cfg, 3, 6, seed)
-		corr, err := observer.FindCorruption(tr, core.Params{Model: core.Epoch}, rec, observer.Config{Samples: 500, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
+		corr := crashTest(t, tr, core.Epoch, observer.Sampled{Samples: 500, Seed: seed}, rec).FirstCorruption
 		found = corr != nil
 	}
 	if !found {
@@ -87,10 +98,7 @@ func TestRacingEpochsUnsafeAdversarially(t *testing.T) {
 	for seed := int64(0); seed < 6 && !found; seed++ {
 		cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: core.PolicyRacingEpoch}
 		tr, rec := traceJournal(t, cfg, 3, 6, seed)
-		out, err := observer.Adversarial(tr, core.Params{Model: core.Epoch}, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := crashTest(t, tr, core.Epoch, observer.SingleVictim{}, rec)
 		found = !out.AllRecovered()
 	}
 	if !found {
@@ -108,10 +116,7 @@ func TestBrokenRecordCommitOrderIsLoadBearing(t *testing.T) {
 	for seed := int64(0); seed < 8 && !found; seed++ {
 		cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: core.PolicyEpoch, BreakRecordCommitOrder: true}
 		tr, rec := traceJournal(t, cfg, 3, 6, seed)
-		corr, err := observer.FindCorruption(tr, core.Params{Model: core.Epoch}, rec, observer.Config{Samples: 500, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
+		corr := crashTest(t, tr, core.Epoch, observer.Sampled{Samples: 500, Seed: seed}, rec).FirstCorruption
 		found = corr != nil
 	}
 	if !found {
@@ -129,10 +134,7 @@ func TestOmitStrandRecipeIsLoadBearing(t *testing.T) {
 	for seed := int64(0); seed < 8 && !found; seed++ {
 		cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: core.PolicyStrand, OmitStrandRecipe: true}
 		tr, rec := traceJournal(t, cfg, 3, 6, seed)
-		corr, err := observer.FindCorruption(tr, core.Params{Model: core.Strand}, rec, observer.Config{Samples: 500, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
+		corr := crashTest(t, tr, core.Strand, observer.Sampled{Samples: 500, Seed: seed}, rec).FirstCorruption
 		found = corr != nil
 	}
 	if !found {
@@ -146,10 +148,7 @@ func TestAdversarialCleanJournal(t *testing.T) {
 	for _, pol := range []core.Policy{core.PolicyStrict, core.PolicyEpoch, core.PolicyStrand} {
 		cfg := Config{Blocks: 2 * 3, JournalBytes: 1 << 11, Policy: pol}
 		tr, rec := traceJournal(t, cfg, 3, 5, 2)
-		out, err := observer.Adversarial(tr, core.Params{Model: pol.Model()}, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := crashTest(t, tr, pol.Model(), observer.SingleVictim{}, rec)
 		if !out.AllRecovered() {
 			t.Errorf("%v: %v", pol, out)
 		}

@@ -10,10 +10,7 @@ import (
 func TestAdversarialCleanOnCorrectQueue(t *testing.T) {
 	for _, pol := range core.Policies {
 		tr, rec := traceQueue(t, queue.Config{DataBytes: 1 << 13, Design: queue.CWL, Policy: pol}, 2, 5, 7)
-		out, err := Adversarial(tr, core.Params{Model: pol.Model()}, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := crashTest(t, tr, pol.Model(), SingleVictim{}, rec)
 		if !out.AllRecovered() {
 			t.Errorf("%v: %v", pol, out)
 		}
@@ -31,10 +28,7 @@ func TestAdversarialFindsBrokenBarrierDeterministically(t *testing.T) {
 		DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
 		BreakDataHeadOrder: true,
 	}, 1, 4, 0)
-	out, err := Adversarial(tr, core.Params{Model: core.Epoch}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := crashTest(t, tr, core.Epoch, SingleVictim{}, rec)
 	if out.AllRecovered() {
 		t.Fatal("adversarial sweep missed the broken barrier")
 	}
@@ -53,10 +47,7 @@ func TestAdversarialFindsCompletionBarrierHazard(t *testing.T) {
 			DataBytes: 1 << 13, Design: queue.TwoLock, Policy: core.PolicyEpoch,
 			OmitCompletionBarrier: true,
 		}, 3, 4, seed)
-		out, err := Adversarial(tr, core.Params{Model: core.Epoch}, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := crashTest(t, tr, core.Epoch, SingleVictim{}, rec)
 		found = !out.AllRecovered()
 	}
 	if !found {

@@ -25,7 +25,6 @@ import (
 	"repro/internal/nvram"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // CheckedRecoverFunc is the campaign-side recovery contract: run the
@@ -92,15 +91,8 @@ func (c Class) Failure() bool { return c == AnnotationCorrupt || c == SilentCorr
 type CampaignConfig struct {
 	// Scenarios is the number of (cut, plan) scenarios. 0 means 1000.
 	Scenarios int
-	// Seed drives cut sampling and plan generation when Rand is nil.
+	// Seed drives cut sampling and plan generation.
 	Seed int64
-	// Rand, when non-nil, supplies all campaign randomness; campaigns
-	// with the same Rand stream are identical regardless of Seed. This
-	// is what makes a repro string self-contained: replay needs no
-	// state beyond the recorded cut and plan.
-	Rand *rand.Rand
-	// KeepProbs sweeps cut-inclusion probabilities as in Config.
-	KeepProbs []float64
 	// Gen parameterizes fault-plan generation.
 	Gen fault.GenConfig
 	// Params are workload parameters baked into emitted repro strings
@@ -109,15 +101,13 @@ type CampaignConfig struct {
 	// Device, when Latency > 0, charges each plan's transient write
 	// failures into the nvram timing model and accumulates the cost.
 	Device nvram.Config
-	// Progress, when non-nil, receives the running outcome every
-	// ProgressEvery scenarios and after the last one — live campaign
+	// Progress, when non-nil, receives the running outcome every 100
+	// scenarios (progressEvery) and after the last one — live campaign
 	// telemetry for long runs. It is called synchronously from the
 	// merge loop in scenario order (deterministic at any worker
 	// count); a FirstFailure it observes is not yet minimized —
 	// minimization runs once, after the sweep.
 	Progress func(out CampaignOutcome)
-	// ProgressEvery is the Progress stride in scenarios; 0 means 100.
-	ProgressEvery int
 	// Sweep controls parallel scenario evaluation; the zero value uses
 	// GOMAXPROCS workers. rec must then be safe for concurrent calls.
 	// Scenario generation stays sequential (one rng stream) and
@@ -126,9 +116,9 @@ type CampaignConfig struct {
 	// at any worker count.
 	Sweep sweep.Config
 	// Spans, when non-nil, records wall-clock spans for the campaign's
-	// phases: graph build, scenario generation, per-scenario classify
-	// (under category "campaign"), and failure minimization. Set
-	// Sweep.Spans too to get per-item worker attribution.
+	// phases: scenario generation, per-scenario classify (under category
+	// "campaign"), and failure minimization. Set Sweep.Spans too to get
+	// per-item worker attribution.
 	Spans *telemetry.SpanTracer
 }
 
@@ -136,15 +126,12 @@ type CampaignConfig struct {
 // campaign's first failure.
 const minimizeBudget = 2000
 
+// progressEvery is the CampaignConfig.Progress stride in scenarios.
+const progressEvery = 100
+
 func (c *CampaignConfig) normalize() {
 	if c.Scenarios == 0 {
 		c.Scenarios = 1000
-	}
-	if len(c.KeepProbs) == 0 {
-		c.KeepProbs = []float64{0.05, 0.25, 0.5, 0.75, 0.95, 0.999}
-	}
-	if c.ProgressEvery <= 0 {
-		c.ProgressEvery = 100
 	}
 }
 
@@ -267,22 +254,14 @@ func classify(g *graph.Graph, c graph.Cut, p fault.Plan, rec CheckedRecoverFunc,
 	}
 }
 
-// Campaign sweeps Scenarios random (cut, fault-plan) pairs over the
-// traced execution, classifies each, and minimizes the first failure
-// into a replayable repro.
-func Campaign(tr *trace.Trace, p core.Params, rec CheckedRecoverFunc, cfg CampaignConfig) (CampaignOutcome, error) {
+// Campaign sweeps Scenarios random (cut, fault-plan) pairs over g, the
+// traced execution's persist-order graph under the model tested,
+// classifies each, and minimizes the first failure into a replayable
+// repro.
+func Campaign(g *graph.Graph, rec CheckedRecoverFunc, cfg CampaignConfig) (CampaignOutcome, error) {
 	cfg.normalize()
-	sp := cfg.Spans.Start("campaign", "graph-build").Arg("model", p.Model.String())
-	g, err := graph.Build(tr, p)
-	sp.End()
-	if err != nil {
-		return CampaignOutcome{}, err
-	}
-	rng := cfg.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
-	out := CampaignOutcome{Model: p.Model, Persists: g.Len()}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	out := CampaignOutcome{Model: g.Params.Model, Persists: g.Len()}
 	maxRetries := cfg.Device.MaxRetries
 
 	// Adversarial prelude: the first scenarios use single-victim cuts
@@ -310,8 +289,7 @@ func Campaign(tr *trace.Trace, p core.Params, rec CheckedRecoverFunc, cfg Campai
 		if i < adversarial {
 			c = g.DropCut(graph.NodeID(i))
 		} else {
-			keep := cfg.KeepProbs[i%len(cfg.KeepProbs)]
-			c = g.SampleCut(rng, keep)
+			c = g.SampleCut(rng, keepProbs[i%len(keepProbs)])
 		}
 		words := g.Materialize(c).WrittenWords()
 		scens[i] = scenario{c: c, plan: fault.GenPlan(rng, g, c, words, cfg.Gen)}
@@ -329,7 +307,7 @@ func Campaign(tr *trace.Trace, p core.Params, rec CheckedRecoverFunc, cfg Campai
 		haveRes bool
 	}
 	firstIdx := -1
-	err = sweep.Run(cfg.Scenarios, cfg.Sweep.Named("campaign"),
+	err := sweep.Run(cfg.Scenarios, cfg.Sweep.Named("campaign"),
 		func(i int) (verdict, error) {
 			csp := cfg.Spans.Start("campaign", "classify").Arg("scenario", i)
 			class, rep, cerr := classify(g, scens[i].c, scens[i].plan, rec, maxRetries)
@@ -382,7 +360,7 @@ func Campaign(tr *trace.Trace, p core.Params, rec CheckedRecoverFunc, cfg Campai
 				out.RetryTime += v.res.RetryTime
 				out.FailedPersists += v.res.FailedPersists
 			}
-			if cfg.Progress != nil && (out.Scenarios%cfg.ProgressEvery == 0 || out.Scenarios == cfg.Scenarios) {
+			if cfg.Progress != nil && (out.Scenarios%progressEvery == 0 || out.Scenarios == cfg.Scenarios) {
 				cfg.Progress(out)
 			}
 			return nil
@@ -460,16 +438,13 @@ func MinimizeScenario(g *graph.Graph, c graph.Cut, p fault.Plan, bad func(graph.
 	return c, p
 }
 
-// Replay re-runs a parsed repro scenario against a freshly rebuilt
-// trace and returns its classification. The caller must rebuild the
-// workload with the same parameters recorded in the scenario (the
-// graph's node count is checked as a cheap guard against mismatched
-// workloads).
-func Replay(tr *trace.Trace, p core.Params, rec CheckedRecoverFunc, s *fault.Scenario, dev nvram.Config) (Class, error) {
-	g, err := graph.Build(tr, p)
-	if err != nil {
-		return Masked, err
-	}
+// Replay re-runs a parsed repro scenario against g, the graph of the
+// freshly rebuilt workload under the scenario's model, and returns its
+// classification. The caller must rebuild the workload with the same
+// parameters recorded in the scenario; the graph's node count and the
+// cut's down-closure are checked as cheap guards against mismatched
+// workloads.
+func Replay(g *graph.Graph, rec CheckedRecoverFunc, s *fault.Scenario, dev nvram.Config) (Class, error) {
 	if g.Len() != len(s.Cut.Included) {
 		return Masked, fmt.Errorf("observer: repro cut covers %d persists but workload produced %d (wrong parameters?)",
 			len(s.Cut.Included), g.Len())
@@ -477,11 +452,6 @@ func Replay(tr *trace.Trace, p core.Params, rec CheckedRecoverFunc, s *fault.Sce
 	if !g.Valid(s.Cut) {
 		return Masked, fmt.Errorf("observer: repro cut is not downward-closed for this workload")
 	}
-	return ReplayOnGraph(g, rec, s, dev)
-}
-
-// ReplayOnGraph is Replay against an already-built graph.
-func ReplayOnGraph(g *graph.Graph, rec CheckedRecoverFunc, s *fault.Scenario, dev nvram.Config) (Class, error) {
 	class, _, err := classify(g, s.Cut, s.Plan, rec, dev.MaxRetries)
 	return class, err
 }

@@ -2,6 +2,7 @@ package observer
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/memory"
+	"repro/internal/nvram"
 	"repro/internal/queue"
 	"repro/internal/trace"
 )
@@ -65,7 +67,7 @@ func TestCampaignQueueCleanUnderFaults(t *testing.T) {
 		tr, rec := traceQueueChecked(t, queue.Config{
 			DataBytes: 1 << 13, Design: d, Policy: core.PolicyEpoch, MaxThreads: 2,
 		}, 2, 6, 11)
-		out, err := Campaign(tr, core.Params{Model: core.Epoch}, rec, CampaignConfig{
+		out, err := Campaign(buildGraph(t, tr, core.Epoch), rec, CampaignConfig{
 			Scenarios: 300, Seed: 7,
 		})
 		if err != nil {
@@ -89,7 +91,7 @@ func TestCampaignDeterministicFromSeed(t *testing.T) {
 		tr, rec := traceQueueChecked(t, queue.Config{
 			DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
 		}, 1, 8, 3)
-		out, err := Campaign(tr, core.Params{Model: core.Epoch}, rec, CampaignConfig{Scenarios: 120, Seed: 99})
+		out, err := Campaign(buildGraph(t, tr, core.Epoch), rec, CampaignConfig{Scenarios: 120, Seed: 99})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +111,7 @@ func TestCampaignFindsBrokenBarrierAndReplays(t *testing.T) {
 		}, 1, 8, 5)
 	}
 	tr, rec := build()
-	out, err := Campaign(tr, core.Params{Model: core.Epoch}, rec, CampaignConfig{Scenarios: 400, Seed: 2})
+	out, err := Campaign(buildGraph(t, tr, core.Epoch), rec, CampaignConfig{Scenarios: 400, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +129,7 @@ func TestCampaignFindsBrokenBarrierAndReplays(t *testing.T) {
 		t.Fatalf("emitted repro %q does not parse: %v", line, err)
 	}
 	tr2, rec2 := build()
-	class, rerr := Replay(tr2, core.Params{Model: core.Epoch}, rec2, parsed, CampaignConfig{}.Device)
+	class, rerr := Replay(buildGraph(t, tr2, core.Epoch), rec2, parsed, CampaignConfig{}.Device)
 	if rerr == nil || class != AnnotationCorrupt {
 		t.Fatalf("replay of %q = %v (%v), want annotation-corrupt with error", line, class, rerr)
 	}
@@ -180,5 +182,36 @@ func TestMinimizeScenarioNeverGrows(t *testing.T) {
 	bc, bp := MinimizeScenario(g, c, p, bad, 1)
 	if !bad(bc, bp) || bp.Len() > p.Len() {
 		t.Fatal("budgeted minimization broke the scenario")
+	}
+}
+
+// TestReplayRejectsMismatchedGraphs pins Replay's guards: a repro cut
+// over a different persist count, or one that is not downward-closed
+// in the graph it is replayed on, is an error classified Masked, never
+// a recovery run.
+func TestReplayRejectsMismatchedGraphs(t *testing.T) {
+	tr, rec := traceQueueChecked(t, queue.Config{
+		DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
+	}, 1, 4, 1)
+	g := buildGraph(t, tr, core.Epoch)
+	other, _ := traceQueueChecked(t, queue.Config{
+		DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
+	}, 1, 5, 1)
+	short := &fault.Scenario{Cut: buildGraph(t, other, core.Epoch).Full()}
+	// Including only the last persist skips its ancestors.
+	upward := &fault.Scenario{Cut: g.Empty()}
+	upward.Cut.Included[g.Len()-1] = true
+	for _, tc := range []struct {
+		name string
+		s    *fault.Scenario
+		want string
+	}{
+		{"persist count", short, "wrong parameters"},
+		{"not downward-closed", upward, "not downward-closed"},
+	} {
+		class, err := Replay(g, rec, tc.s, nvram.Config{})
+		if err == nil || class != Masked || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Replay = %v, %v; want Masked and an error containing %q", tc.name, class, err, tc.want)
+		}
 	}
 }

@@ -5,14 +5,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/graph"
 	"repro/internal/memory"
 	"repro/internal/observer"
 	"repro/internal/queue"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
-// ExampleCrashTest traces a few queue inserts and verifies that every
-// sampled crash state recovers.
+// ExampleCrashTest traces a few queue inserts, builds their
+// persist-order graph, and verifies that every sampled crash state
+// recovers.
 func ExampleCrashTest() {
 	tr := &trace.Trace{}
 	m := exec.NewMachine(exec.Config{Threads: 1, Seed: 1, Sink: tr})
@@ -29,7 +32,11 @@ func ExampleCrashTest() {
 		_, err := queue.Recover(im, meta)
 		return err
 	}
-	out, err := observer.CrashTest(tr, core.Params{Model: core.Epoch}, rec, observer.Config{Samples: 50, Seed: 1})
+	g, err := graph.Build(tr, core.Params{Model: core.Epoch})
+	if err != nil {
+		panic(err)
+	}
+	out, err := observer.CrashTest(g, observer.Sampled{Samples: 50, Seed: 1}, rec, sweep.Config{})
 	if err != nil {
 		panic(err)
 	}

@@ -5,10 +5,10 @@
 // atomically reads all of persistent memory at the moment of failure";
 // the set of states the observer may see is exactly the set of
 // downward-closed cuts of the persist-order constraint graph. This
-// package samples (or exhaustively enumerates) those cuts for a traced
-// execution under a chosen persistency model, materializes each cut
-// into an NVRAM image, runs the application's recovery procedure on it,
-// and tallies successes and corruption.
+// package samples those cuts (or sweeps one per persist) from the graph
+// of a traced execution under a chosen persistency model, materializes
+// each cut into an NVRAM image, runs the application's recovery
+// procedure on it, and tallies successes and corruption.
 //
 // Used positively, it verifies that a correctly annotated data
 // structure recovers from *every* reachable crash state; used
@@ -25,7 +25,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/memory"
 	"repro/internal/sweep"
-	"repro/internal/trace"
 )
 
 // RecoverFunc runs an application's recovery procedure against a
@@ -33,35 +32,52 @@ import (
 // unrecoverable (corrupt).
 type RecoverFunc func(*memory.Image) error
 
-// Config parameterizes crash sampling.
-type Config struct {
-	// Samples is the number of random cuts to test. Zero means 100.
-	Samples int
-	// Seed drives cut sampling.
-	Seed int64
-	// Rand, when non-nil, supplies the sampling randomness instead of
-	// Seed, letting callers share one stream across sweeps and replay
-	// them exactly.
-	Rand *rand.Rand
-	// KeepProbs are the inclusion probabilities to sweep; crashes near
-	// the end of execution (keep→1) and near the beginning (keep→0)
-	// exercise different recovery paths. Nil means {0.05, 0.25, 0.5,
-	// 0.75, 0.95, 0.999}.
-	KeepProbs []float64
-	// Sweep controls parallel cut evaluation; the zero value uses
-	// GOMAXPROCS workers. rec must then be safe for concurrent calls
-	// (recovery closures over read-only state are). Outcomes merge in
-	// sampling order, so results are identical at any worker count.
-	Sweep sweep.Config
+// keepProbs are the inclusion probabilities sampled cuts cycle through;
+// crashes near the end of execution (keep→1) and near the beginning
+// (keep→0) exercise different recovery paths.
+var keepProbs = []float64{0.05, 0.25, 0.5, 0.75, 0.95, 0.999}
+
+// A CutSource chooses the crash states CrashTest tries after the full
+// and empty cuts, which are always reachable and always tried.
+type CutSource interface {
+	// cuts returns how many cuts the source adds for g and how to build
+	// the i-th; cut is called from sweep workers, concurrently.
+	cuts(g *graph.Graph) (int, func(i int) graph.Cut)
 }
 
-func (c *Config) normalize() {
-	if c.Samples <= 0 {
-		c.Samples = 100
+// Sampled draws Samples random cuts (zero means 100) from one rng
+// stream seeded by Seed, cycling through the inclusion probabilities.
+// The cuts are drawn before any is tried, in sampling order, so an
+// outcome is identical at any worker count.
+type Sampled struct {
+	Samples int
+	Seed    int64
+}
+
+func (s Sampled) cuts(g *graph.Graph) (int, func(int) graph.Cut) {
+	n := s.Samples
+	if n <= 0 {
+		n = 100
 	}
-	if len(c.KeepProbs) == 0 {
-		c.KeepProbs = []float64{0.05, 0.25, 0.5, 0.75, 0.95, 0.999}
+	rng := rand.New(rand.NewSource(s.Seed))
+	cuts := make([]graph.Cut, n)
+	for i := range cuts {
+		cuts[i] = g.SampleCut(rng, keepProbs[i%len(keepProbs)])
 	}
+	return n, func(i int) graph.Cut { return cuts[i] }
+}
+
+// SingleVictim is the deterministic single-victim sweep: for every
+// persist v, the *latest* crash at which v has not yet persisted
+// (everything except v and its dependents, g.DropCut(v)). Any recovery
+// invariant that hinges on one persist being ordered before others is
+// violated by exactly one of these cuts, so — unlike random sampling —
+// a clean sweep is a strong statement. Each cut is built inside its
+// sweep item, so memory stays linear in the persist count.
+type SingleVictim struct{}
+
+func (SingleVictim) cuts(g *graph.Graph) (int, func(int) graph.Cut) {
+	return g.Len(), func(i int) graph.Cut { return g.DropCut(graph.NodeID(i)) }
 }
 
 // Outcome summarizes a crash-testing run.
@@ -93,33 +109,28 @@ func (o Outcome) String() string {
 	return fmt.Sprintf("model %v: %d persists, %d crash states: %s", o.Model, o.Persists, o.Cuts, status)
 }
 
-// CrashTest samples random crash states of the traced execution under
-// model parameters p and verifies recovery on each.
-func CrashTest(tr *trace.Trace, p core.Params, rec RecoverFunc, cfg Config) (Outcome, error) {
-	cfg.normalize()
-	g, err := graph.Build(tr, p)
-	if err != nil {
-		return Outcome{}, err
-	}
-	out := Outcome{Model: p.Model, Persists: g.Len()}
-	rng := cfg.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
-	// Cuts are sampled sequentially — one rng stream, consumed in the
-	// same order as ever — then evaluated on the sweep pool. Tallies
-	// merge in sampling order, so the outcome (including which
-	// corruption is "first") is identical at any worker count.
-	cuts := make([]graph.Cut, 0, cfg.Samples+2)
-	// The no-failure and nothing-persisted states are always reachable.
-	cuts = append(cuts, g.Full(), g.Empty())
-	for i := 0; i < cfg.Samples; i++ {
-		keep := cfg.KeepProbs[i%len(cfg.KeepProbs)]
-		cuts = append(cuts, g.SampleCut(rng, keep))
-	}
-	err = sweep.Run(len(cuts), cfg.Sweep.Named("crash-cuts"),
+// CrashTest runs recovery on the full cut, the empty cut and then every
+// cut src chooses of g, the persist-order graph graph.Build made under
+// the model tested, and tallies the outcomes. Cuts are tried on the
+// sweep pool sw (the zero value uses GOMAXPROCS workers), so rec must
+// be safe for concurrent calls (recovery closures over read-only state
+// are). Tallies merge in cut order, so the outcome — including which
+// corruption is "first" — is identical at any worker count.
+func CrashTest(g *graph.Graph, src CutSource, rec RecoverFunc, sw sweep.Config) (Outcome, error) {
+	n, cut := src.cuts(g)
+	out := Outcome{Model: g.Params.Model, Persists: g.Len()}
+	err := sweep.Run(n+2, sw.Named("crash-cuts"),
 		func(i int) (error, error) {
-			return rec(g.Materialize(cuts[i])), nil
+			var c graph.Cut
+			switch i {
+			case 0:
+				c = g.Full()
+			case 1:
+				c = g.Empty()
+			default:
+				c = cut(i - 2)
+			}
+			return rec(g.Materialize(c)), nil
 		},
 		func(_ int, recErr error) error {
 			out.Cuts++
@@ -135,80 +146,6 @@ func CrashTest(tr *trace.Trace, p core.Params, rec RecoverFunc, cfg Config) (Out
 		})
 	if err != nil {
 		return Outcome{}, err
-	}
-	return out, nil
-}
-
-// Exhaustive tests every consistent cut; it refuses graphs with more
-// than limit persists (the cut count is exponential). limit <= 0 means
-// 24.
-func Exhaustive(tr *trace.Trace, p core.Params, rec RecoverFunc, limit int) (Outcome, error) {
-	if limit <= 0 {
-		limit = 24
-	}
-	g, err := graph.Build(tr, p)
-	if err != nil {
-		return Outcome{}, err
-	}
-	if g.Len() > limit {
-		return Outcome{}, fmt.Errorf("observer: %d persists exceeds exhaustive limit %d", g.Len(), limit)
-	}
-	out := Outcome{Model: p.Model, Persists: g.Len()}
-	g.EnumerateCuts(func(c graph.Cut) bool {
-		out.Cuts++
-		if err := rec(g.Materialize(c)); err != nil {
-			out.Corrupt++
-			if out.FirstCorruption == nil {
-				out.FirstCorruption = err
-			}
-		} else {
-			out.Recovered++
-		}
-		return true
-	})
-	return out, nil
-}
-
-// FindCorruption hunts for a reachable corrupt state, sampling up to
-// cfg.Samples cuts, and returns the first corruption error found (nil
-// if none surfaced). It is the negative-testing entry point: a dropped
-// barrier is proven load-bearing by a non-nil result.
-func FindCorruption(tr *trace.Trace, p core.Params, rec RecoverFunc, cfg Config) (error, error) {
-	out, err := CrashTest(tr, p, rec, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return out.FirstCorruption, nil
-}
-
-// Adversarial runs the deterministic single-victim crash sweep: for
-// every persist p, it tests the *latest* crash at which p has not yet
-// persisted (everything except p and its dependents). Any recovery
-// invariant that hinges on one persist being ordered before others is
-// violated by exactly one of these cuts, so — unlike random sampling —
-// a clean sweep is a strong statement. The cost is one graph walk and
-// one recovery per persist.
-func Adversarial(tr *trace.Trace, p core.Params, rec RecoverFunc) (Outcome, error) {
-	g, err := graph.Build(tr, p)
-	if err != nil {
-		return Outcome{}, err
-	}
-	out := Outcome{Model: p.Model, Persists: g.Len()}
-	try := func(c graph.Cut) {
-		out.Cuts++
-		if err := rec(g.Materialize(c)); err != nil {
-			out.Corrupt++
-			if out.FirstCorruption == nil {
-				out.FirstCorruption = err
-			}
-		} else {
-			out.Recovered++
-		}
-	}
-	try(g.Full())
-	try(g.Empty())
-	for v := 0; v < g.Len(); v++ {
-		try(g.DropCut(graph.NodeID(v)))
 	}
 	return out, nil
 }

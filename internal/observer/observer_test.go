@@ -8,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/memory"
 	"repro/internal/queue"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -35,15 +36,52 @@ func traceQueue(t *testing.T, cfg queue.Config, threads, perThread int, seed int
 	}
 }
 
+// buildGraph builds tr's persist-order graph under model.
+func buildGraph(t testing.TB, tr *trace.Trace, model core.Model) *graph.Graph {
+	t.Helper()
+	g, err := graph.Build(tr, core.Params{Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// crashTest runs CrashTest over tr's graph under model on the default
+// sweep pool.
+func crashTest(t testing.TB, tr *trace.Trace, model core.Model, src CutSource, rec RecoverFunc) Outcome {
+	t.Helper()
+	out, err := CrashTest(buildGraph(t, tr, model), src, rec, sweep.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// allCuts runs recovery on every consistent cut of g: the brute-force
+// observer that the sampled and single-victim sources approximate.
+func allCuts(g *graph.Graph, rec RecoverFunc) Outcome {
+	out := Outcome{Model: g.Params.Model, Persists: g.Len()}
+	g.EnumerateCuts(func(c graph.Cut) bool {
+		out.Cuts++
+		if err := rec(g.Materialize(c)); err != nil {
+			out.Corrupt++
+			if out.FirstCorruption == nil {
+				out.FirstCorruption = err
+			}
+		} else {
+			out.Recovered++
+		}
+		return true
+	})
+	return out
+}
+
 func TestAllPoliciesRecoverUnderTheirModel(t *testing.T) {
 	for _, d := range []queue.Design{queue.CWL, queue.TwoLock} {
 		for _, pol := range core.Policies {
 			for _, threads := range []int{1, 3} {
 				tr, rec := traceQueue(t, queue.Config{DataBytes: 1 << 13, Design: d, Policy: pol}, threads, 6, 11)
-				out, err := CrashTest(tr, core.Params{Model: pol.Model()}, rec, Config{Samples: 120, Seed: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
+				out := crashTest(t, tr, pol.Model(), Sampled{Samples: 120, Seed: 1}, rec)
 				if !out.AllRecovered() {
 					t.Errorf("%v/%v/%dT: %v", d, pol, threads, out)
 				}
@@ -62,10 +100,7 @@ func TestBrokenDataHeadOrderIsCaught(t *testing.T) {
 		DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
 		BreakDataHeadOrder: true,
 	}, 1, 8, 3)
-	corr, err := FindCorruption(tr, core.Params{Model: core.Epoch}, rec, Config{Samples: 400, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	corr := crashTest(t, tr, core.Epoch, Sampled{Samples: 400, Seed: 2}, rec).FirstCorruption
 	if corr == nil {
 		t.Fatal("removing the data→head barrier should be catchable")
 	}
@@ -82,10 +117,7 @@ func TestBrokenOrderHarmlessUnderStrict(t *testing.T) {
 		DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
 		BreakDataHeadOrder: true,
 	}, 1, 8, 3)
-	out, err := CrashTest(tr, core.Params{Model: core.Strict}, rec, Config{Samples: 300, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := crashTest(t, tr, core.Strict, Sampled{Samples: 300, Seed: 2}, rec)
 	if !out.AllRecovered() {
 		t.Fatalf("strict persistency should tolerate missing barriers: %v", out)
 	}
@@ -97,10 +129,7 @@ func TestStrictAnnotationsUnsafeUnderEpoch(t *testing.T) {
 	tr, rec := traceQueue(t, queue.Config{
 		DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyStrict,
 	}, 1, 8, 5)
-	corr, err := FindCorruption(tr, core.Params{Model: core.Epoch}, rec, Config{Samples: 400, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	corr := crashTest(t, tr, core.Epoch, Sampled{Samples: 400, Seed: 7}, rec).FirstCorruption
 	if corr == nil {
 		t.Fatal("epoch persistency without barriers should corrupt")
 	}
@@ -117,10 +146,7 @@ func TestTwoLockCompletionBarrierIsLoadBearing(t *testing.T) {
 			DataBytes: 1 << 13, Design: queue.TwoLock, Policy: core.PolicyEpoch,
 			OmitCompletionBarrier: true,
 		}, 3, 6, seed)
-		corr, err := FindCorruption(tr, core.Params{Model: core.Epoch}, rec, Config{Samples: 600, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
+		corr := crashTest(t, tr, core.Epoch, Sampled{Samples: 600, Seed: seed}, rec).FirstCorruption
 		found = corr != nil
 	}
 	if !found {
@@ -130,22 +156,12 @@ func TestTwoLockCompletionBarrierIsLoadBearing(t *testing.T) {
 
 func TestExhaustiveSmallQueue(t *testing.T) {
 	tr, rec := traceQueue(t, queue.Config{DataBytes: 1 << 12, Design: queue.CWL, Policy: core.PolicyEpoch}, 1, 2, 1)
-	out, err := Exhaustive(tr, core.Params{Model: core.Epoch}, rec, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := allCuts(buildGraph(t, tr, core.Epoch), rec)
 	if !out.AllRecovered() {
 		t.Fatalf("exhaustive: %v", out)
 	}
 	if out.Cuts < 4 {
 		t.Fatalf("suspiciously few cuts: %d", out.Cuts)
-	}
-}
-
-func TestExhaustiveRefusesLargeGraphs(t *testing.T) {
-	tr, rec := traceQueue(t, queue.Config{DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch}, 1, 10, 1)
-	if _, err := Exhaustive(tr, core.Params{Model: core.Epoch}, rec, 10); err == nil {
-		t.Fatal("exhaustive should refuse large graphs")
 	}
 }
 
@@ -176,10 +192,7 @@ func TestInsertRemoveCrashSafety(t *testing.T) {
 		_, err := queue.Recover(im, meta)
 		return err
 	}
-	out, err := CrashTest(tr, core.Params{Model: core.Epoch}, rec, Config{Samples: 300, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := crashTest(t, tr, core.Epoch, Sampled{Samples: 300, Seed: 3}, rec)
 	if !out.AllRecovered() {
 		t.Fatalf("insert/remove crash safety: %v", out)
 	}
@@ -211,10 +224,7 @@ func TestStrandInsertRemoveCrashSafety(t *testing.T) {
 		_, err := queue.Recover(im, meta)
 		return err
 	}
-	out, err := CrashTest(tr, core.Params{Model: core.Strand}, rec, Config{Samples: 400, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := crashTest(t, tr, core.Strand, Sampled{Samples: 400, Seed: 9}, rec)
 	if !out.AllRecovered() {
 		t.Fatalf("strand insert/remove: %v", out)
 	}
@@ -231,10 +241,7 @@ func TestTwoLockUnsafeUnderEpochTSO(t *testing.T) {
 		tr, rec := traceQueue(t, queue.Config{
 			DataBytes: 1 << 13, Design: queue.TwoLock, Policy: core.PolicyEpoch,
 		}, 3, 6, seed)
-		corr, err := FindCorruption(tr, core.Params{Model: core.EpochTSO}, rec, Config{Samples: 600, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
+		corr := crashTest(t, tr, core.EpochTSO, Sampled{Samples: 600, Seed: seed}, rec).FirstCorruption
 		found = corr != nil
 	}
 	if !found {
@@ -245,10 +252,7 @@ func TestTwoLockUnsafeUnderEpochTSO(t *testing.T) {
 	// barriers and strong persist atomicity — both still enforced —
 	// protect recovery.
 	tr, rec := traceQueue(t, queue.Config{DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch}, 3, 6, 4)
-	out, err := CrashTest(tr, core.Params{Model: core.EpochTSO}, rec, Config{Samples: 400, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := crashTest(t, tr, core.EpochTSO, Sampled{Samples: 400, Seed: 4}, rec)
 	if !out.AllRecovered() {
 		t.Fatalf("CWL under EpochTSO should stay safe: %v", out)
 	}

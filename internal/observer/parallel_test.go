@@ -2,10 +2,10 @@ package observer
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/memory"
 	"repro/internal/queue"
 	"repro/internal/sweep"
 )
@@ -20,9 +20,10 @@ func TestCampaignParallelMatchesSequential(t *testing.T) {
 			DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch, MaxThreads: 2,
 		}, 2, 6, 11)
 		var progress []string
-		out, err := Campaign(tr, core.Params{Model: core.Epoch}, rec, CampaignConfig{
-			Scenarios: 300, Seed: 7,
-			ProgressEvery: 50,
+		// 350 scenarios: progress fires at 100, 200 and 300 and after
+		// the last scenario.
+		out, err := Campaign(buildGraph(t, tr, core.Epoch), rec, CampaignConfig{
+			Scenarios: 350, Seed: 7,
 			Progress: func(o CampaignOutcome) {
 				progress = append(progress, o.String())
 			},
@@ -41,8 +42,11 @@ func TestCampaignParallelMatchesSequential(t *testing.T) {
 	if fmt.Sprint(seqProg) != fmt.Sprint(parProg) {
 		t.Fatalf("progress sequences differ:\nseq: %v\npar: %v", seqProg, parProg)
 	}
-	if len(seqProg) != 300/50 {
-		t.Fatalf("progress fired %d times, want %d", len(seqProg), 300/50)
+	if len(seqProg) != 4 {
+		t.Fatalf("progress fired %d times, want 4", len(seqProg))
+	}
+	if !strings.Contains(seqProg[3], " 350 scenarios") {
+		t.Fatalf("last progress call is not the final outcome: %s", seqProg[3])
 	}
 }
 
@@ -52,7 +56,7 @@ func TestCampaignFailureReproParallelMatchesSequential(t *testing.T) {
 			DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
 			BreakDataHeadOrder: true,
 		}, 1, 8, 5)
-		out, err := Campaign(tr, core.Params{Model: core.Epoch}, rec, CampaignConfig{
+		out, err := Campaign(buildGraph(t, tr, core.Epoch), rec, CampaignConfig{
 			Scenarios: 400, Seed: 2,
 			Sweep: sweep.Config{Parallel: parallel},
 		})
@@ -78,25 +82,40 @@ func TestCampaignFailureReproParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestCrashTestParallelMatchesSequential runs both cut sources on a
+// clean and a broken queue: outcomes, first corruption included, must
+// not depend on the worker count.
 func TestCrashTestParallelMatchesSequential(t *testing.T) {
-	run := func(parallel int) Outcome {
-		tr, checked := traceQueueChecked(t, queue.Config{
+	for _, broken := range []bool{false, true} {
+		tr, rec := traceQueue(t, queue.Config{
 			DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
+			BreakDataHeadOrder: broken,
 		}, 1, 8, 3)
-		out, err := CrashTest(tr, core.Params{Model: core.Epoch}, func(im *memory.Image) error {
-			_, e := checked(im)
-			return e
-		}, Config{Samples: 200, Seed: 9, Sweep: sweep.Config{Parallel: parallel}})
-		if err != nil {
-			t.Fatal(err)
+		g := buildGraph(t, tr, core.Epoch)
+		for _, tc := range []struct {
+			src  CutSource
+			cuts int
+		}{
+			{Sampled{Samples: 200, Seed: 9}, 202},
+			{SingleVictim{}, g.Len() + 2},
+		} {
+			run := func(parallel int) Outcome {
+				out, err := CrashTest(g, tc.src, rec, sweep.Config{Parallel: parallel})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			seq, par := run(1), run(8)
+			if seq.String() != par.String() {
+				t.Fatalf("%T broken=%v: -parallel 8 crash test differs from sequential:\n%s\n%s", tc.src, broken, par.String(), seq.String())
+			}
+			if seq.Cuts != tc.cuts {
+				t.Fatalf("%T: tested %d cuts, want %d", tc.src, seq.Cuts, tc.cuts)
+			}
+			if broken && seq.AllRecovered() {
+				t.Fatalf("%T: broken queue recovered from every cut", tc.src)
+			}
 		}
-		return out
-	}
-	seq, par := run(1), run(8)
-	if seq.String() != par.String() {
-		t.Fatalf("-parallel 8 crash test differs from sequential:\n%s\n%s", par.String(), seq.String())
-	}
-	if seq.Cuts != 202 {
-		t.Fatalf("tested %d cuts, want 202", seq.Cuts)
 	}
 }

@@ -43,10 +43,7 @@ func TestPSOFencedQueueRecovers(t *testing.T) {
 	for _, pol := range []core.Policy{core.PolicyStrict, core.PolicyEpoch, core.PolicyStrand} {
 		model := pol.Model()
 		tr, rec := tracePSOQueue(t, true, pol, 5)
-		out, err := CrashTest(tr, core.Params{Model: model}, rec, Config{Samples: 300, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := crashTest(t, tr, model, Sampled{Samples: 300, Seed: 5}, rec)
 		if !out.AllRecovered() {
 			t.Errorf("PSO + fences + %v: %v", pol, out)
 		}
@@ -63,10 +60,7 @@ func TestPSOUnfencedQueueCorrupts(t *testing.T) {
 		found := false
 		for seed := int64(0); seed < 15 && !found; seed++ {
 			tr, rec := tracePSOQueue(t, false, pol, seed)
-			corr, err := FindCorruption(tr, core.Params{Model: model}, rec, Config{Samples: 500, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
+			corr := crashTest(t, tr, model, Sampled{Samples: 500, Seed: seed}, rec).FirstCorruption
 			found = corr != nil
 		}
 		if !found {
@@ -80,14 +74,11 @@ func TestPSOQueueRuntimeStillCorrect(t *testing.T) {
 	// drain-on-overlap and lock fences preserve program semantics);
 	// only crash states are endangered. The full-run image recovers.
 	tr, rec := tracePSOQueue(t, false, core.PolicyEpoch, 3)
-	g := tr.Persists()
-	if len(g) == 0 {
+	g := buildGraph(t, tr, core.Epoch)
+	if g.Len() == 0 {
 		t.Fatal("no persists traced")
 	}
-	// Full image = materialization of all persists; recovery succeeds.
-	out, err := CrashTest(tr, core.Params{Model: core.Epoch}, rec, Config{Samples: 0, Seed: 1, KeepProbs: []float64{1}})
-	if err != nil {
-		t.Fatal(err)
+	if err := rec(g.Materialize(g.Full())); err != nil {
+		t.Fatalf("full-run image does not recover: %v", err)
 	}
-	_ = out // the full cut is always included; reaching here without panic suffices
 }

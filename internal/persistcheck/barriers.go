@@ -8,10 +8,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Redundant-barrier analysis. graph.BuildWithBarriers reports, for each
-// annotation, whether it changed the builder's dependence state; an
-// annotation that binds nothing induces no constraint edge, so removing
-// it leaves the graph identical — the barrier is pure execution cost
+// Redundant-barrier analysis. graph.Build records, for each annotation,
+// whether it changed the builder's dependence state; an annotation that
+// binds nothing induces no constraint edge, so removing it leaves the
+// graph identical — the barrier is pure execution cost
 // (§4.1's motivation: persist barriers are the stalls the relaxed
 // models exist to avoid). Findings are Perf severity, not hazards:
 // redundancy is model-relative (every barrier is trivially redundant

@@ -3,8 +3,6 @@ package exhaustive
 import (
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/sweep"
 )
 
@@ -24,12 +22,12 @@ func BenchmarkExhaustiveCheck(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			run, _, model := buildRun(b, bc.fx)
-			g, err := graph.Build(run.Trace, core.Params{Model: model})
-			if err != nil {
-				b.Fatal(err)
-			}
+			g := buildGraph(b, run, model)
 			cfg := Config{Sweep: sweep.Config{Parallel: 1}}
-			var res *Result
+			var (
+				res *Result
+				err error
+			)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {

@@ -54,7 +54,6 @@ import (
 	"repro/internal/memory"
 	"repro/internal/observer"
 	"repro/internal/sweep"
-	"repro/internal/trace"
 )
 
 // Class is the classification of one reachable post-crash image.
@@ -213,16 +212,6 @@ func (r *Result) String() string {
 		}
 	}
 	return s
-}
-
-// Check builds the persist-order graph for the trace under model p and
-// runs CheckGraph.
-func Check(tr *trace.Trace, p core.Params, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc, cfg Config) (*Result, error) {
-	g, err := graph.Build(tr, p)
-	if err != nil {
-		return nil, err
-	}
-	return CheckGraph(g, p.Model, strict, checked, cfg)
 }
 
 // CheckGraph enumerates every reachable post-crash image of g and

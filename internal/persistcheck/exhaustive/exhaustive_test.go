@@ -79,11 +79,22 @@ func buildRun(t testing.TB, fx fixture) (*workload.Run, workload.Options, core.M
 	return run, o, model
 }
 
-func check(t *testing.T, run *workload.Run, model core.Model, cfg Config) *Result {
+// buildGraph builds run's persist-order graph under model.
+func buildGraph(t testing.TB, run *workload.Run, model core.Model) *graph.Graph {
 	t.Helper()
-	res, err := Check(run.Trace, core.Params{Model: model}, run.Recover, run.Checked, cfg)
+	g, err := graph.Build(run.Trace, core.Params{Model: model})
 	if err != nil {
-		t.Fatalf("Check: %v", err)
+		t.Fatal(err)
+	}
+	return g
+}
+
+// check runs CheckGraph on g, run's graph, with run's recovery.
+func check(t *testing.T, g *graph.Graph, run *workload.Run, cfg Config) *Result {
+	t.Helper()
+	res, err := CheckGraph(g, g.Params.Model, run.Recover, run.Checked, cfg)
+	if err != nil {
+		t.Fatalf("CheckGraph: %v", err)
 	}
 	return res
 }
@@ -103,12 +114,8 @@ func TestAgainstBruteForce(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run, _, model := buildRun(t, tc.fx)
-			p := core.Params{Model: model}
-			g, err := graph.Build(run.Trace, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := check(t, run, model, Config{})
+			g := buildGraph(t, run, model)
+			res := check(t, g, run, Config{})
 			if res.Cuts > 500000 || res.CutsSaturated {
 				t.Fatalf("fixture too large for brute force: %d cuts", res.Cuts)
 			}

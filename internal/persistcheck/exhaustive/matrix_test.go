@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/graph"
 	"repro/internal/nvram"
 	"repro/internal/observer"
 	"repro/internal/persistcheck"
@@ -56,7 +56,7 @@ func TestCleanMatrix(t *testing.T) {
 				t.Skip("six-figure state space, skipped under -short")
 			}
 			run, _, model := buildRun(t, tc.fx)
-			res := check(t, run, model, Config{Budget: 1 << 21})
+			res := check(t, buildGraph(t, run, model), run, Config{Budget: 1 << 21})
 			if res.Verdict != DurablyLinearizable || res.Detected != 0 || res.Hazards != 0 {
 				t.Fatalf("%s: want durably-linearizable, got %v (r/d/h %d/%d/%d)",
 					tc.name, res.Verdict, res.Recovered, res.Detected, res.Hazards)
@@ -101,7 +101,7 @@ func TestBrokenMatrix(t *testing.T) {
 	for _, tc := range brokenMatrix {
 		t.Run(tc.name, func(t *testing.T) {
 			run, opts, model := buildRun(t, tc.fx)
-			res := check(t, run, model, Config{Budget: 1 << 21, ReproParams: opts.Params()})
+			res := check(t, buildGraph(t, run, model), run, Config{Budget: 1 << 21, ReproParams: opts.Params()})
 			if res.Verdict != tc.verdict {
 				t.Fatalf("%s: want %v, got %v (r/d/h %d/%d/%d)",
 					tc.name, tc.verdict, res.Verdict, res.Recovered, res.Detected, res.Hazards)
@@ -137,7 +137,7 @@ func TestBrokenMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			class, _ := observer.Replay(rrun.Trace, core.Params{Model: ropts.Model}, rrun.Checked, s, nvram.Config{})
+			class, _ := observer.Replay(buildGraph(t, rrun, ropts.Model), rrun.Checked, s, nvram.Config{})
 			if !class.Failure() {
 				t.Errorf("counterexample does not reproduce under the observer: class %v\n%s", class, ce.Repro)
 			}
@@ -180,12 +180,13 @@ func TestWitnessPairCrossValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run, _, model := buildRun(t, tc.fx)
-			rep, err := persistcheck.Check(run.Trace, core.Params{Model: model}, run.Checks,
+			g := buildGraph(t, run, model)
+			rep, err := persistcheck.CheckGraph(run.Trace, g, run.Checks,
 				persistcheck.Config{SiteLabel: run.SiteLabel})
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := check(t, run, model, Config{Budget: 1 << 21})
+			res := check(t, g, run, Config{Budget: 1 << 21})
 			witnessed := rep.Hazards() > 0
 			if res.Verdict != DurablyLinearizable && !witnessed {
 				t.Errorf("%s: reachable bad states (%v) but no witness-pair hazard", tc.name, res.Verdict)
@@ -214,12 +215,9 @@ func TestObserverAgreement(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run, _, model := buildRun(t, tc.fx)
-			p := core.Params{Model: model}
-			res := check(t, run, model, Config{})
-			out, err := observer.Exhaustive(run.Trace, p, run.Recover, res.Persists)
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := buildGraph(t, run, model)
+			res := check(t, g, run, Config{})
+			out := allCuts(g, run.Recover)
 			if uint64(out.Cuts) != res.Cuts || res.CutsSaturated {
 				t.Errorf("cut counts disagree: observer %d, exhaustive %d (sat %v)",
 					out.Cuts, res.Cuts, res.CutsSaturated)
@@ -235,6 +233,25 @@ func TestObserverAgreement(t *testing.T) {
 	}
 }
 
+// allCuts runs strict recovery on every consistent cut of g: the
+// brute-force observer, which enumerates cuts with no reduction.
+func allCuts(g *graph.Graph, rec observer.RecoverFunc) observer.Outcome {
+	out := observer.Outcome{Model: g.Params.Model, Persists: g.Len()}
+	g.EnumerateCuts(func(c graph.Cut) bool {
+		out.Cuts++
+		if err := rec(g.Materialize(c)); err != nil {
+			out.Corrupt++
+			if out.FirstCorruption == nil {
+				out.FirstCorruption = err
+			}
+		} else {
+			out.Recovered++
+		}
+		return true
+	})
+	return out
+}
+
 // TestParallelDeterminism pins byte-identical results — tallies,
 // counterexample cut, repro line — across sweep worker counts on a
 // hazardous fixture, where classification order could plausibly leak
@@ -242,11 +259,12 @@ func TestObserverAgreement(t *testing.T) {
 func TestParallelDeterminism(t *testing.T) {
 	fx := fixture{wl: "journal", policy: "epoch", threads: 2, inserts: 4, breakCommit: true, sparse: true}
 	run, opts, model := buildRun(t, fx)
+	g := buildGraph(t, run, model)
 	var results []*Result
 	for _, workers := range []int{1, 4, 8} {
 		cfg := Config{Budget: 1 << 21, ReproParams: opts.Params(),
 			Sweep: sweep.Config{Parallel: workers}}
-		results = append(results, check(t, run, model, cfg))
+		results = append(results, check(t, g, run, cfg))
 	}
 	for i := 1; i < len(results); i++ {
 		if !reflect.DeepEqual(results[0], results[i]) {
@@ -263,11 +281,12 @@ func TestParallelDeterminism(t *testing.T) {
 // a silent sample.
 func TestBudgetRefusal(t *testing.T) {
 	run, _, model := buildRun(t, fixture{wl: "journal", policy: "epoch", threads: 2, inserts: 4, sparse: true})
-	_, err := Check(run.Trace, core.Params{Model: model}, run.Recover, run.Checked, Config{Budget: 64})
+	g := buildGraph(t, run, model)
+	_, err := CheckGraph(g, model, run.Recover, run.Checked, Config{Budget: 64})
 	if err == nil || !strings.Contains(err.Error(), "state budget 64 exceeded") {
 		t.Errorf("want state-budget error, got %v", err)
 	}
-	_, err = Check(run.Trace, core.Params{Model: model}, run.Recover, run.Checked, Config{MaxPersists: 10})
+	_, err = CheckGraph(g, model, run.Recover, run.Checked, Config{MaxPersists: 10})
 	if err == nil || !strings.Contains(err.Error(), "exceeds MaxPersists 10") {
 		t.Errorf("want MaxPersists error, got %v", err)
 	}
@@ -307,10 +326,11 @@ func TestHashCollisions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			run, opts, model := buildRun(t, tc.fx)
 			cfg := tc.cfg(opts)
-			want := check(t, run, model, cfg)
+			g := buildGraph(t, run, model)
+			want := check(t, g, run, cfg)
 			collideHashes = true
 			defer func() { collideHashes = false }()
-			got := check(t, run, model, cfg)
+			got := check(t, g, run, cfg)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("colliding hashes changed the result:\n%v\nwant\n%v", got, want)
 			}

@@ -166,27 +166,55 @@ func (c *Config) site(a memory.Addr) string {
 	return c.SiteLabel(a)
 }
 
-// Check runs all analyses over one trace under one persistency model.
-// The constraint graph is built once (coalescing is irrelevant to
-// ordering, as in package graph) and shared.
+// Check builds the trace's constraint graph under p (coalescing is
+// irrelevant to ordering, as in package graph) and runs CheckGraph's
+// analyses over it. Callers that hand the graph to other checkers too
+// build it once and call CheckGraph; the pipeline benchmark's kv-graph
+// job calls Check.
 func Check(tr *trace.Trace, p core.Params, ann Annotations, cfg Config) (*Report, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	g, barriers, err := graph.BuildWithBarriers(tr, p)
+	g, err := graph.Build(tr, p)
 	if err != nil {
 		return nil, err
 	}
+	return check(tr, g, ann, cfg), nil
+}
+
+// CheckGraph runs all analyses over one trace and the graph graph.Build
+// built from it, under the model the graph records. It refuses a graph
+// whose persists or annotations do not match the trace's.
+func CheckGraph(tr *trace.Trace, g *graph.Graph, ann Annotations, cfg Config) (*Report, error) {
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	if n := tr.CountPersists(); g.Len() != n {
+		return nil, fmt.Errorf("persistcheck: graph has %d persists, trace %d", g.Len(), n)
+	}
+	for _, n := range g.Nodes {
+		if n.Event.Seq >= uint64(tr.Len()) {
+			return nil, fmt.Errorf("persistcheck: graph node %d has seq %d beyond the trace's %d events", n.ID, n.Event.Seq, tr.Len())
+		}
+	}
+	if n := tr.CountAnnotations(); len(g.Barriers) != n {
+		return nil, fmt.Errorf("persistcheck: graph records %d annotations, trace has %d", len(g.Barriers), n)
+	}
+	return check(tr, g, ann, cfg), nil
+}
+
+// check runs every analysis over a graph built from tr.
+func check(tr *trace.Trace, g *graph.Graph, ann Annotations, cfg Config) *Report {
+	p := g.Params
 	r := &Report{Model: p.Model, Events: tr.Len(), Persists: g.Len(), Counts: map[Kind]int{}}
 	idx := newGraphIndex(tr, g)
 
 	checkPublications(tr, g, idx, ann, cfg, r)
 	checkEscapes(tr, g, idx, p, ann, cfg, r)
 	checkEpochRaces(tr, g, idx, p, cfg, r)
-	checkBarriers(tr, p, barriers, cfg, r)
+	checkBarriers(tr, p, g.Barriers, cfg, r)
 	checkUnprotected(g, ann, cfg, r)
-
-	return r, nil
+	return r
 }
 
 // addHazard counts a hazard finding and, while its kind is under the

@@ -16,6 +16,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/observer"
 	"repro/internal/persistcheck"
+	"repro/internal/sweep"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -53,6 +55,21 @@ func check(t *testing.T, o workload.Options) (*workload.Run, *persistcheck.Repor
 		t.Fatal(err)
 	}
 	return run, rep
+}
+
+// crashTest builds tr's persist-order graph under model and runs the
+// observer over its cuts from src on the default sweep pool.
+func crashTest(t *testing.T, tr *trace.Trace, model core.Model, src observer.CutSource, rec observer.RecoverFunc) observer.Outcome {
+	t.Helper()
+	g, err := graph.Build(tr, core.Params{Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := observer.CrashTest(g, src, rec, sweep.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestCorrectWorkloadsReportNoHazards(t *testing.T) {
@@ -103,11 +120,7 @@ func TestTwoLockEpochHazardousUnderEpochTSO(t *testing.T) {
 	if rep.Hazards() == 0 {
 		t.Fatalf("2lc/epoch under epoch-tso not flagged:\n%s", rep)
 	}
-	corr, err := observer.FindCorruption(run.Trace, core.Params{Model: core.EpochTSO}, run.Recover,
-		observer.Config{Samples: 600, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	corr := crashTest(t, run.Trace, core.EpochTSO, observer.Sampled{Samples: 600, Seed: 1}, run.Recover).FirstCorruption
 	if corr == nil {
 		t.Fatal("observer found no corruption for 2lc/epoch under epoch-tso")
 	}
@@ -202,11 +215,7 @@ func TestRacingVerdictsMatchObserver(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			o := opt(t, c.wl, c.design, "racing", 2, 16, 1)
 			run, rep := check(t, o)
-			corr, err := observer.FindCorruption(run.Trace, core.Params{Model: o.Model}, run.Recover,
-				observer.Config{Samples: 600, Seed: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			corr := crashTest(t, run.Trace, o.Model, observer.Sampled{Samples: 600, Seed: 1}, run.Recover).FirstCorruption
 			if c.unsafe {
 				if rep.Hazards() == 0 {
 					t.Fatalf("racing %s not flagged:\n%s", c.name, rep)

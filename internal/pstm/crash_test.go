@@ -6,8 +6,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/graph"
 	"repro/internal/memory"
 	"repro/internal/observer"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -47,23 +49,39 @@ func tracePSTM(t *testing.T, pol core.Policy, threads, txns int, seed int64) (*t
 	}
 }
 
+// buildGraph builds tr's persist-order graph under model.
+func buildGraph(t *testing.T, tr *trace.Trace, model core.Model) *graph.Graph {
+	t.Helper()
+	g, err := graph.Build(tr, core.Params{Model: model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// crashTest runs the observer over g's cuts from src on the default
+// sweep pool.
+func crashTest(t *testing.T, g *graph.Graph, src observer.CutSource, rec observer.RecoverFunc) observer.Outcome {
+	t.Helper()
+	out, err := observer.CrashTest(g, src, rec, sweep.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestCrashSafetyUnderTargetModels(t *testing.T) {
 	for _, pol := range []core.Policy{core.PolicyStrict, core.PolicyEpoch, core.PolicyStrand} {
 		for _, threads := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%v/%dT", pol, threads), func(t *testing.T) {
 				tr, rec := tracePSTM(t, pol, threads, 5, 17)
-				out, err := observer.Adversarial(tr, core.Params{Model: pol.Model()}, rec)
-				if err != nil {
-					t.Fatal(err)
-				}
+				g := buildGraph(t, tr, pol.Model())
+				out := crashTest(t, g, observer.SingleVictim{}, rec)
 				if !out.AllRecovered() {
 					t.Fatalf("%v", out)
 				}
 				// Random sampling too, for cut shapes the sweep misses.
-				out, err = observer.CrashTest(tr, core.Params{Model: pol.Model()}, rec, observer.Config{Samples: 150, Seed: 3})
-				if err != nil {
-					t.Fatal(err)
-				}
+				out = crashTest(t, g, observer.Sampled{Samples: 150, Seed: 3}, rec)
 				if !out.AllRecovered() {
 					t.Fatalf("sampled: %v", out)
 				}
@@ -79,16 +97,10 @@ func TestRacingEpochsUnsafeForPSTM(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 10 && !found; seed++ {
 		tr, rec := tracePSTM(t, core.PolicyRacingEpoch, 3, 5, seed)
-		out, err := observer.Adversarial(tr, core.Params{Model: core.Epoch}, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		found = !out.AllRecovered()
+		g := buildGraph(t, tr, core.Epoch)
+		found = !crashTest(t, g, observer.SingleVictim{}, rec).AllRecovered()
 		if !found {
-			corr, err := observer.FindCorruption(tr, core.Params{Model: core.Epoch}, rec, observer.Config{Samples: 400, Seed: seed})
-			if err != nil {
-				t.Fatal(err)
-			}
+			corr := crashTest(t, g, observer.Sampled{Samples: 400, Seed: seed}, rec).FirstCorruption
 			found = corr != nil
 		}
 	}
@@ -107,11 +119,7 @@ func TestBrokenUndoOrderCaught(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 10 && !found; seed++ {
 		tr, rec := tracePSTM(t, core.PolicyEpoch, 3, 5, seed)
-		out, err := observer.Adversarial(tr, core.Params{Model: core.EpochTSO}, rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		found = !out.AllRecovered()
+		found = !crashTest(t, buildGraph(t, tr, core.EpochTSO), observer.SingleVictim{}, rec).AllRecovered()
 	}
 	if !found {
 		t.Skip("EpochTSO did not tear this workload on the tried seeds")

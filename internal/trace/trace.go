@@ -442,6 +442,20 @@ func (t *Trace) CountPersists() int {
 	return n
 }
 
+// CountAnnotations returns the number of persistency annotation events
+// (barriers, strand starts, syncs), touching only the op plane.
+func (t *Trace) CountAnnotations() int {
+	n := 0
+	for _, c := range t.chunks {
+		for _, k := range c.Kinds() {
+			if k.IsAnnotation() {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // SplitByThread partitions the trace into per-thread subsequences
 // (program orders), indexed by TID. Events keep their global Seq so
 // positions in the SC order remain recoverable.

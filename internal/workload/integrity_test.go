@@ -6,9 +6,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/graph"
 	"repro/internal/observer"
 	"repro/internal/persistcheck"
 	"repro/internal/queue"
+	"repro/internal/sweep"
 )
 
 // integrityOpt builds the crashsim-default options for a workload with
@@ -29,7 +31,11 @@ func silentCampaign(t *testing.T, o Options, scenarios int, seed int64) observer
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := observer.Campaign(run.Trace, core.Params{Model: o.Model}, run.Checked, observer.CampaignConfig{
+	g, err := graph.Build(run.Trace, core.Params{Model: o.Model})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := observer.Campaign(g, run.Checked, observer.CampaignConfig{
 		Scenarios: scenarios, Seed: seed,
 		Gen: fault.GenConfig{FlipSilentWeight: 1},
 	})
@@ -142,8 +148,11 @@ func TestUnprotectedLintReprosDemonstrateSilentCorruption(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				class, rerr := observer.Replay(run2.Trace, core.Params{Model: o2.Model}, run2.Checked, sc,
-					observer.CampaignConfig{}.Device)
+				g2, err := graph.Build(run2.Trace, core.Params{Model: o2.Model})
+				if err != nil {
+					t.Fatal(err)
+				}
+				class, rerr := observer.Replay(g2, run2.Checked, sc, observer.CampaignConfig{}.Device)
 				if rerr != nil && class == observer.Masked {
 					t.Fatalf("repro %q does not replay against its own workload: %v", f.Repro, rerr)
 				}
@@ -227,8 +236,11 @@ func TestIntegrityCrashSafeUnderTargetModels(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				out, err := observer.CrashTest(run.Trace, core.Params{Model: o.Model}, run.Recover,
-					observer.Config{Samples: 120, Seed: 5})
+				g, err := graph.Build(run.Trace, core.Params{Model: o.Model})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := observer.CrashTest(g, observer.Sampled{Samples: 120, Seed: 5}, run.Recover, sweep.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
