@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/journal"
 	"repro/internal/memory"
@@ -59,25 +60,27 @@ func runFS(policy core.Policy, seed int64) (*trace.Trace, journal.Meta) {
 	return tr, meta
 }
 
-// atomicityCheck verifies no half-applied rename in a recovered image.
-func atomicityCheck(meta journal.Meta) func(*memory.Image) error {
-	return func(im *memory.Image) error {
-		state, err := journal.Recover(im, meta)
+// atomicityCheck recovers an image and verifies no half-applied rename;
+// observer.Strict also fails an image whose recovery report detected
+// corruption.
+func atomicityCheck(meta journal.Meta) observer.RecoverFunc {
+	return observer.Strict(func(im *memory.Image) (fault.RecoveryReport, error) {
+		state, rep, err := journal.Recover(im, meta)
 		if err != nil {
-			return err
+			return rep, err
 		}
 		for d := 0; d < dirs; d++ {
 			t0, ok0 := journal.BlockTag(state.Block(2 * d))
 			t1, ok1 := journal.BlockTag(state.Block(2*d + 1))
 			if !ok0 || !ok1 {
-				return fmt.Errorf("directory %d: torn inode block", d)
+				return rep, fmt.Errorf("directory %d: torn inode block", d)
 			}
 			if t0 != t1 {
-				return fmt.Errorf("directory %d: half a rename (tags %d, %d)", d, t0, t1)
+				return rep, fmt.Errorf("directory %d: half a rename (tags %d, %d)", d, t0, t1)
 			}
 		}
-		return nil
-	}
+		return rep, nil
+	})
 }
 
 // crashStorm samples crash states and reports the corruption count.
@@ -116,7 +119,7 @@ func main() {
 			panic(err)
 		}
 		out, err := observer.CrashTest(g, observer.Sampled{Samples: 800, Seed: seed},
-			observer.RecoverFunc(atomicityCheck(meta)), sweep.Config{})
+			atomicityCheck(meta), sweep.Config{})
 		if err != nil {
 			panic(err)
 		}

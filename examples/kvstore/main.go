@@ -24,7 +24,9 @@ package main
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -67,9 +69,12 @@ func (st *store) barrier(t *exec.Thread) {
 
 // update atomically sets several slot/value pairs.
 func (st *store) update(t *exec.Thread, pairs map[int]uint64) {
+	// Slots in ascending order: ranging over the map would order the
+	// undo records and stores differently on every run.
+	slots := slices.Sorted(maps.Keys(pairs))
 	// 1. Write undo records.
 	i := 0
-	for slot := range pairs {
+	for _, slot := range slots {
 		rec := st.undo + 8 + memory.Addr(i*24)
 		a := st.slots + memory.Addr(slot*slotSize)
 		t.Store8(rec, uint64(slot))
@@ -83,10 +88,10 @@ func (st *store) update(t *exec.Thread, pairs map[int]uint64) {
 	t.Store8(st.commit, 1)
 	st.barrier(t) // flag before in-place updates
 	// 3. Apply in place.
-	for slot, val := range pairs {
+	for _, slot := range slots {
 		a := st.slots + memory.Addr(slot*slotSize)
 		t.Store8(a, uint64(slot)) // key
-		t.Store8(a+8, val)
+		t.Store8(a+8, pairs[slot])
 	}
 	st.barrier(t) // updates before disarming
 	// 4. Disarm.
@@ -107,8 +112,8 @@ func recoverStore(im *memory.Image, slots, undo, commit memory.Addr) map[uint64]
 		a := slots + memory.Addr(i*slotSize)
 		return im.ReadWord(a), im.ReadWord(a + 8)
 	}
-	table := make(map[int][2]uint64)
-	for i := 0; i < slotCount; i++ {
+	var table [slotCount][2]uint64
+	for i := range table {
 		k, v := read(i)
 		table[i] = [2]uint64{k, v}
 	}
@@ -117,10 +122,13 @@ func recoverStore(im *memory.Image, slots, undo, commit memory.Addr) map[uint64]
 		n := im.ReadWord(undo)
 		for i := uint64(0); i < n && i < undoMax; i++ {
 			rec := undo + 8 + memory.Addr(i*24)
-			slot := im.ReadWord(rec)
-			table[int(slot)] = [2]uint64{im.ReadWord(rec + 8), im.ReadWord(rec + 16)}
+			if slot := im.ReadWord(rec); slot < slotCount {
+				table[slot] = [2]uint64{im.ReadWord(rec + 8), im.ReadWord(rec + 16)}
+			}
 		}
 	}
+	// Slots in index order, so when two slots of a torn image hold the
+	// same key the later slot's value wins on every run.
 	for _, kv := range table {
 		if kv[0] != 0 || kv[1] != 0 {
 			vals[kv[0]] = kv[1]

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/memory"
 	"repro/internal/observer"
@@ -47,10 +48,10 @@ func run(fences bool, policy core.Policy, model core.Model) (reachableCorruption
 				q.Insert(t, queue.MakePayload(uint64(t.TID())*100+uint64(i), 48))
 			}
 		})
-		rec := func(im *memory.Image) error {
-			_, err := queue.Recover(im, meta)
-			return err
-		}
+		rec := observer.Strict(func(im *memory.Image) (fault.RecoveryReport, error) {
+			_, rep, err := queue.Recover(im, meta)
+			return rep, err
+		})
 		g, err := graph.Build(tr, core.Params{Model: model})
 		if err != nil {
 			panic(err)

@@ -19,7 +19,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/graph"
+	"repro/internal/memory"
+	"repro/internal/observer"
 	"repro/internal/queue"
 	"repro/internal/trace"
 )
@@ -97,14 +100,18 @@ func main() {
 
 	// Crash at increasing points of the persist drain: the recovered
 	// log is always a clean prefix of the appended records.
+	strict := observer.Strict(func(im *memory.Image) (fault.RecoveryReport, error) {
+		_, rep, err := queue.Recover(im, meta)
+		return rep, err
+	})
 	for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
-		cut := g.PrefixCut(int(frac * float64(g.Len())))
-		entries, err := queue.Recover(g.Materialize(cut), meta)
-		if err != nil {
+		im := g.Materialize(g.PrefixCut(int(frac * float64(g.Len()))))
+		if err := strict(im); err != nil {
 			// Under correct annotations this is unreachable; seeing it
 			// would mean the persistency model was violated.
 			panic(fmt.Sprintf("WAL corrupt after crash: %v", err))
 		}
+		entries, _, _ := queue.Recover(im, meta)
 		table := replay(entries)
 		fmt.Printf("crash at %3.0f%% of persist drain: %2d/%2d records recovered, %d keys replayed — consistent\n",
 			frac*100, len(entries), threads*txns, len(table))
@@ -116,7 +123,7 @@ func main() {
 	corrupt := 0
 	for i := 0; i < 2000; i++ {
 		cut := g.SampleCut(rng, []float64{0.3, 0.7, 0.95}[i%3])
-		if _, err := queue.Recover(g.Materialize(cut), meta); err != nil {
+		if err := strict(g.Materialize(cut)); err != nil {
 			corrupt++
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/memory"
 	"repro/internal/observer"
@@ -75,19 +76,20 @@ func TestEndToEndPipeline(t *testing.T) {
 	if !im.Equal(m.PersistentImage()) {
 		t.Fatal("materialized image differs from machine memory")
 	}
-	entries, err := queue.Recover(im, meta)
-	if err != nil {
-		t.Fatal(err)
+	entries, rep, err := queue.Recover(im, meta)
+	if err != nil || rep.Detected() {
+		t.Fatalf("full-cut recovery: err %v, report %s", err, rep.String())
 	}
 	if len(entries) != 16 {
 		t.Fatalf("recovered %d entries", len(entries))
 	}
 
-	// 5. Observer: the single-victim sweep over the same graph is clean.
-	rec := func(im *memory.Image) error {
-		_, err := queue.Recover(im, meta)
-		return err
-	}
+	// 5. Observer: the single-victim sweep over the same graph is clean
+	// under the strict reading of the queue's recovery scan.
+	rec := observer.Strict(func(im *memory.Image) (fault.RecoveryReport, error) {
+		_, rep, err := queue.Recover(im, meta)
+		return rep, err
+	})
 	out, err := observer.CrashTest(g, observer.SingleVictim{}, rec, sweep.Config{})
 	if err != nil {
 		t.Fatal(err)

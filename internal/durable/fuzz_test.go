@@ -110,7 +110,7 @@ func FuzzWordRead(f *testing.F) {
 			t.Fatalf("recovered %d, want one of the committed values %d/%d (off %d xor %#x)",
 				r.Val, v1, v2, off, mutXor)
 		}
-		if !r.Detected() && r.Val != v2 {
+		if !detected(r) && r.Val != v2 {
 			t.Fatalf("silent corruption: no detection evidence but value %d != latest %d (off %d xor %#x)",
 				r.Val, v2, off, mutXor)
 		}

@@ -135,11 +135,6 @@ type WordRead struct {
 	Fallback bool
 }
 
-// Detected reports whether the read saw any evidence of corruption.
-func (r WordRead) Detected() bool {
-	return r.CRCDetected > 0 || r.CDBDetected > 0 || r.PoisonedWords > 0
-}
-
 // Absorb merges the read's detections into a recovery report,
 // labeling notes with the word's role (e.g. "head", "committed").
 func (r WordRead) Absorb(rep *fault.RecoveryReport, name string) {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/memory"
 	"repro/internal/observer"
@@ -31,13 +32,13 @@ func traceJournal(t *testing.T, cfg Config, threads, txnsPerThread int, seed int
 			st.Update(th, groupWrites(g, uint64(th.TID()*1000+i+1)))
 		}
 	})
-	return tr, func(im *memory.Image) error {
-		state, err := Recover(im, meta)
+	return tr, observer.Strict(func(im *memory.Image) (fault.RecoveryReport, error) {
+		state, rep, err := Recover(im, meta)
 		if err != nil {
-			return err
+			return rep, err
 		}
-		return checkGroups(state.Table)
-	}
+		return rep, checkGroups(state.Table)
+	})
 }
 
 // crashTest builds tr's persist-order graph under model and runs the

@@ -24,13 +24,13 @@ func ExampleStore_Update() {
 		{Block: 1, Data: journal.MakeBlock(7)},
 	})
 
-	state, err := journal.Recover(m.PersistentImage(), st.Meta())
+	state, rep, err := journal.Recover(m.PersistentImage(), st.Meta())
 	if err != nil {
 		panic(err)
 	}
 	t0, _ := journal.BlockTag(state.Block(0))
 	t1, _ := journal.BlockTag(state.Block(1))
-	fmt.Printf("txns=%d tags=%d,%d\n", state.Txns, t0, t1)
+	fmt.Printf("txns=%d tags=%d,%d detected=%v\n", state.Txns, t0, t1, rep.Detected())
 	// Output:
-	// txns=1 tags=7,7
+	// txns=1 tags=7,7 detected=false
 }

@@ -28,16 +28,9 @@ func buildImageFmt(t *testing.T, integrity bool) (*memory.Image, Meta) {
 
 func TestIntegrityJournalRoundTrip(t *testing.T) {
 	im, meta := buildImageFmt(t, true)
-	state, err := Recover(im, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := recoverClean(t, im, meta)
 	if err := checkGroups(state.Table); err != nil {
 		t.Fatal(err)
-	}
-	_, rep, err := RecoverSalvage(im, meta)
-	if err != nil || rep.Detected() {
-		t.Fatalf("salvage on clean image: detected=%v, err=%v\n%+v", rep.Detected(), err, rep)
 	}
 }
 
@@ -69,7 +62,7 @@ func TestTableBlockFlipSilentLegacyDetectedWithIntegrity(t *testing.T) {
 
 	im, meta := build(false)
 	flip(im, meta)
-	_, rep, err := RecoverSalvage(im, meta)
+	_, rep, err := Recover(im, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +72,7 @@ func TestTableBlockFlipSilentLegacyDetectedWithIntegrity(t *testing.T) {
 
 	im, meta = build(true)
 	flip(im, meta)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("strict integrity recovery accepted a corrupt block: %v", err)
-	}
-	_, rep, err = RecoverSalvage(im, meta)
+	_, rep, err = Recover(im, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +95,7 @@ func TestIntegrityCommitPointerFlipDetected(t *testing.T) {
 	}
 	a := meta.CommittedHead + valOff
 	im.WriteWord(a, im.ReadWord(a)^(1<<7))
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("strict recovery accepted a corrupt commit pointer: %v", err)
-	}
-	_, rep, err := RecoverSalvage(im, meta)
+	_, rep, err := Recover(im, meta)
 	if err != nil {
 		t.Fatal(err)
 	}

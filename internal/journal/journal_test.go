@@ -49,10 +49,7 @@ func TestUpdateReadRecover(t *testing.T) {
 		t.Fatalf("runtime read: tag %d ok %v", tag, ok)
 	}
 	// Recovery from the full image matches.
-	state, err := Recover(m.PersistentImage(), st.Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := recoverClean(t, m.PersistentImage(), st.Meta())
 	if err := checkGroups(state.Table); err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +77,7 @@ func TestAllPoliciesMultiThread(t *testing.T) {
 						st.Update(th, groupWrites(g, uint64(th.TID()*1000+i+1)))
 					}
 				})
-				state, err := Recover(m.PersistentImage(), st.Meta())
-				if err != nil {
-					t.Fatal(err)
-				}
+				state := recoverClean(t, m.PersistentImage(), st.Meta())
 				if err := checkGroups(state.Table); err != nil {
 					t.Fatal(err)
 				}
@@ -106,10 +100,7 @@ func TestRingWrapAndCheckpoint(t *testing.T) {
 	for i := uint64(1); i <= 50; i++ {
 		st.Update(s, groupWrites(int(i%2), i))
 		if i%7 == 0 {
-			state, err := Recover(m.PersistentImage(), st.Meta())
-			if err != nil {
-				t.Fatalf("txn %d: %v", i, err)
-			}
+			state := recoverClean(t, m.PersistentImage(), st.Meta())
 			if err := checkGroups(state.Table); err != nil {
 				t.Fatalf("txn %d: %v", i, err)
 			}
@@ -149,6 +140,28 @@ func TestUpdateValidation(t *testing.T) {
 	mustPanic("bad size", func() { st.Update(s, []Write{{Block: 0, Data: []byte("short")}}) })
 }
 
+// recoverClean runs Recover and fails t unless it returns no error and
+// a clean report: the strict reading, for images recovery must accept.
+func recoverClean(t testing.TB, im *memory.Image, meta Meta) *State {
+	t.Helper()
+	state, rep, err := Recover(im, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Detected() {
+		t.Fatalf("clean image produced a dirty report: %s", rep.String())
+	}
+	return state
+}
+
+// recoverDetects fails t unless Recover on im reports corruption.
+func recoverDetects(t *testing.T, im *memory.Image, meta Meta) {
+	t.Helper()
+	if _, rep, err := Recover(im, meta); err != nil || !rep.Detected() {
+		t.Fatalf("want detected corruption, got err %v, report %s", err, rep.String())
+	}
+}
+
 func TestRecoverDetectsCorruption(t *testing.T) {
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
@@ -159,23 +172,17 @@ func TestRecoverDetectsCorruption(t *testing.T) {
 	// Checksum damage below the committed head.
 	im := m.PersistentImage()
 	im.WriteWord(meta.Journal+24, 0xbad)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	recoverDetects(t, im, meta)
 	// Checkpoint beyond committed head.
 	im = m.PersistentImage()
 	im.WriteWord(meta.Checkpoint, im.ReadWord(meta.CommittedHead)+64)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	recoverDetects(t, im, meta)
 	// Oversized window.
 	im = m.PersistentImage()
 	im.WriteWord(meta.CommittedHead, meta.JournalBytes*3)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	recoverDetects(t, im, meta)
 	// Bad metadata.
-	if _, err := Recover(memory.NewImage(), Meta{}); err == nil {
+	if _, _, err := Recover(memory.NewImage(), Meta{}); err == nil {
 		t.Fatal("bad meta accepted")
 	}
 }
@@ -187,10 +194,7 @@ func TestUncommittedTailIgnored(t *testing.T) {
 	s := m.SetupThread()
 	st := MustNew(s, Config{Blocks: 4, JournalBytes: 1 << 12, Policy: core.PolicyEpoch})
 	st.appendRecord(s, 0, 1, 0, MakeBlock(42))
-	state, err := Recover(m.PersistentImage(), st.Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := recoverClean(t, m.PersistentImage(), st.Meta())
 	if state.Records != 0 {
 		t.Fatalf("uncommitted record replayed: %+v", state)
 	}

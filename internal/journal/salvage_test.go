@@ -117,7 +117,7 @@ func TestJournalSalvageTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			im, meta := salvageImage(3)
 			tc.corrupt(im, meta)
-			st, rep, err := RecoverSalvage(im, meta)
+			st, rep, err := Recover(im, meta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,27 +140,21 @@ func TestJournalSalvageTable(t *testing.T) {
 	}
 }
 
-// TestJournalSalvageMatchesRecoverOnCleanImages pins the baseline-clean
-// invariant: wherever strict Recover succeeds, salvage replays the same
-// table with a clean report.
-func TestJournalSalvageMatchesRecoverOnCleanImages(t *testing.T) {
+// TestJournalRecoverCleanOnCleanImages pins the baseline-clean
+// invariant the fault campaign and the strict reading rely on: a clean
+// image replays every committed record with a clean report.
+func TestJournalRecoverCleanOnCleanImages(t *testing.T) {
 	im, meta := salvageImage(3)
-	strict, err := Recover(im, meta)
-	if err != nil {
-		t.Fatal(err)
+	st := recoverClean(t, im, meta)
+	if st.Records != 3 || st.Txns != 3 {
+		t.Fatalf("replayed %d records of %d txns, want 3 of 3", st.Records, st.Txns)
 	}
-	soft, rep, err := RecoverSalvage(im, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Detected() {
-		t.Fatalf("clean image produced dirty report: %s", rep.String())
-	}
-	if strict.Records != soft.Records || strict.Txns != soft.Txns {
-		t.Fatalf("strict %+v vs salvage %+v", strict, soft)
-	}
-	for i := range strict.Table {
-		if string(strict.Table[i]) != string(soft.Table[i]) {
+	for i := range st.Table {
+		want := MakeBlock(uint64(100 + i))
+		if i < 3 {
+			want = MakeBlock(uint64(i + 1))
+		}
+		if string(st.Table[i]) != string(want) {
 			t.Fatalf("table block %d differs", i)
 		}
 	}

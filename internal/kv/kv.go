@@ -253,31 +253,14 @@ func (s *State) decodeShard(m Meta, shard int, js *journal.State) error {
 }
 
 // Recover rebuilds the store from a post-crash image: every shard's
-// journal replays independently, then each table decodes under the
-// key-placement invariant.
-func Recover(im *memory.Image, m Meta) (*State, error) {
-	st := &State{Entries: make(map[uint64][2]uint64)}
-	for i, sm := range m.Shards {
-		js, err := journal.Recover(im, sm)
-		if err != nil {
-			return nil, fmt.Errorf("kv: shard %d: %w", i, err)
-		}
-		if err := st.decodeShard(m, i, js); err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
-// RecoverSalvage is Recover in detect-and-discard mode: per-shard
-// salvage reports aggregate, and decode violations count as discarded
-// shards rather than hard failures only when salvage already flagged
-// the shard.
-func RecoverSalvage(im *memory.Image, m Meta) (*State, fault.RecoveryReport, error) {
+// journal replays independently (journal.Recover) and the per-shard
+// reports aggregate, then each table decodes under the key-placement
+// invariant. A decode violation is an error.
+func Recover(im *memory.Image, m Meta) (*State, fault.RecoveryReport, error) {
 	var rep fault.RecoveryReport
 	st := &State{Entries: make(map[uint64][2]uint64)}
 	for i, sm := range m.Shards {
-		js, srep, err := journal.RecoverSalvage(im, sm)
+		js, srep, err := journal.Recover(im, sm)
 		rep.Merge(srep)
 		if err != nil {
 			return nil, rep, fmt.Errorf("kv: shard %d: %w", i, err)

@@ -42,10 +42,7 @@ func TestPutGetRecoverRoundTrip(t *testing.T) {
 		}
 	}
 	// Recovery from the full image reproduces exactly the written map.
-	state, err := Recover(m.PersistentImage(), st.Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := recoverClean(t, m.PersistentImage(), st.Meta())
 	if len(state.Entries) != len(want) {
 		t.Fatalf("recovered %d keys, want %d", len(state.Entries), len(want))
 	}
@@ -60,6 +57,20 @@ func TestPutGetRecoverRoundTrip(t *testing.T) {
 	if state.Txns != 100 || state.Records != 100 {
 		t.Fatalf("replay stats: txns %d records %d", state.Txns, state.Records)
 	}
+}
+
+// recoverClean runs Recover and fails t unless it returns no error and
+// a clean report: the strict reading, for images recovery must accept.
+func recoverClean(t testing.TB, im *memory.Image, m Meta) *State {
+	t.Helper()
+	state, rep, err := Recover(im, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Detected() {
+		t.Fatalf("clean image produced a dirty report: %s", rep.String())
+	}
+	return state
 }
 
 func TestAllPoliciesMultiThread(t *testing.T) {
@@ -79,10 +90,7 @@ func TestAllPoliciesMultiThread(t *testing.T) {
 						st.Put(th, key, tid*100+i, i+1)
 					}
 				})
-				state, err := Recover(m.PersistentImage(), st.Meta())
-				if err != nil {
-					t.Fatal(err)
-				}
+				state := recoverClean(t, m.PersistentImage(), st.Meta())
 				for tid := uint64(0); tid < uint64(threads); tid++ {
 					for i := uint64(0); i < 12; i++ {
 						key := (tid + uint64(threads)*i) % keys
@@ -90,17 +98,6 @@ func TestAllPoliciesMultiThread(t *testing.T) {
 							t.Fatalf("tid %d op %d key %d: recovered %d, %v", tid, i, key, val, ok)
 						}
 					}
-				}
-				// Clean images salvage with nothing discarded.
-				st2, rep, err := RecoverSalvage(m.PersistentImage(), st.Meta())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep.Quarantined != 0 || rep.Dropped != 0 || rep.CRCDetected != 0 {
-					t.Fatalf("clean salvage reported %+v", rep)
-				}
-				if len(st2.Entries) != len(state.Entries) {
-					t.Fatalf("salvage recovered %d keys, strict %d", len(st2.Entries), len(state.Entries))
 				}
 			})
 		}
@@ -116,10 +113,7 @@ func TestShardingInvariants(t *testing.T) {
 	for key := uint64(0); key < 3; key++ {
 		st.Put(s, key, key+10, 1)
 	}
-	state, err := Recover(m.PersistentImage(), st.Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := recoverClean(t, m.PersistentImage(), st.Meta())
 	if len(state.Entries) != 3 {
 		t.Fatalf("recovered %d keys", len(state.Entries))
 	}
@@ -134,7 +128,7 @@ func TestShardingInvariants(t *testing.T) {
 	st2.Put(s2, 0, 42, 1)
 	im := m2.PersistentImage()
 	im.WriteWord(st2.Meta().Shards[1].Table, 0+1) // key-0 tag in shard 1
-	if _, err := Recover(im, st2.Meta()); err == nil {
+	if _, _, err := Recover(im, st2.Meta()); err == nil {
 		t.Fatal("misplaced key accepted")
 	}
 

@@ -1,6 +1,7 @@
 package observer
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -32,8 +33,8 @@ func TestAdversarialFindsBrokenBarrierDeterministically(t *testing.T) {
 	if out.AllRecovered() {
 		t.Fatal("adversarial sweep missed the broken barrier")
 	}
-	if !queue.IsCorruption(out.FirstCorruption) {
-		t.Fatalf("unexpected corruption type: %v", out.FirstCorruption)
+	if !strings.HasPrefix(out.FirstCorruption.Error(), "recovery not clean: ") {
+		t.Fatalf("corruption not detected by the recovery scan: %v", out.FirstCorruption)
 	}
 }
 

@@ -27,12 +27,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// CheckedRecoverFunc is the campaign-side recovery contract: run the
-// application's salvage recovery against a post-crash image, validate
-// the recovered state against application invariants, and return what
-// the recovery layer *reported* alongside what the validation *found*.
-// A non-nil error with a clean report is the definition of silent
-// corruption.
+// CheckedRecoverFunc is the recovery contract every checker builds on:
+// run the application's one recovery scan against a post-crash image,
+// validate the recovered state against application invariants, and
+// return what the recovery layer *reported* alongside what the
+// validation *found*. A non-nil error with a clean report is the
+// definition of silent corruption; Strict gives the strict reading.
 type CheckedRecoverFunc func(*memory.Image) (fault.RecoveryReport, error)
 
 // Class classifies one campaign scenario.
@@ -227,14 +227,11 @@ func effectivePlan(g *graph.Graph, c graph.Cut, p fault.Plan, maxRetries int) fa
 // campaigns can aggregate the integrity-layer detection counters.
 func classify(g *graph.Graph, c graph.Cut, p fault.Plan, rec CheckedRecoverFunc, maxRetries int) (Class, fault.RecoveryReport, error) {
 	baseRep, baseErr := rec(g.Materialize(c))
-	if baseErr != nil || baseRep.Detected() {
-		// The cut itself — no faults — fails or trips the salvage
-		// detectors. Default-annotation workloads keep salvage reports
+	if err := notClean("fault-free baseline", baseRep, baseErr); err != nil {
+		// The cut itself — no faults — fails or trips the recovery
+		// scan's detectors. Default-annotation workloads keep reports
 		// clean on every legal cut, so this is an ordering bug.
-		if baseErr == nil {
-			baseErr = fmt.Errorf("fault-free baseline not clean: %s", baseRep.String())
-		}
-		return AnnotationCorrupt, baseRep, baseErr
+		return AnnotationCorrupt, baseRep, err
 	}
 	rep, err := rec(fault.Materialize(g, c, effectivePlan(g, c, p, maxRetries)))
 	switch {

@@ -44,7 +44,7 @@ func traceQueueChecked(t *testing.T, cfg queue.Config, threads, perThread int, s
 		}
 	})
 	return tr, func(im *memory.Image) (fault.RecoveryReport, error) {
-		entries, rep, err := queue.RecoverSalvage(im, meta)
+		entries, rep, err := queue.Recover(im, meta)
 		if err != nil {
 			return rep, err
 		}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/memory"
 	"repro/internal/observer"
@@ -28,10 +29,10 @@ func ExampleCrashTest() {
 		}
 	})
 
-	rec := func(im *memory.Image) error {
-		_, err := queue.Recover(im, meta)
-		return err
-	}
+	rec := observer.Strict(func(im *memory.Image) (fault.RecoveryReport, error) {
+		_, rep, err := queue.Recover(im, meta)
+		return rep, err
+	})
 	g, err := graph.Build(tr, core.Params{Model: core.Epoch})
 	if err != nil {
 		panic(err)

@@ -22,15 +22,39 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/memory"
 	"repro/internal/sweep"
 )
 
-// RecoverFunc runs an application's recovery procedure against a
-// post-crash NVRAM image, returning an error when the image is
-// unrecoverable (corrupt).
+// RecoverFunc is the strict recovery contract: run the application's
+// recovery procedure against a post-crash NVRAM image and return an
+// error when the image does not recover cleanly. Each shipped
+// structure has one recovery scan, which returns a fault.RecoveryReport
+// (a CheckedRecoverFunc); Strict turns it into a RecoverFunc.
 type RecoverFunc func(*memory.Image) error
+
+// Strict is the strict reading of a checked recovery: an image
+// recovers iff checked returns no error and a report whose Detected()
+// is false. It returns checked's error, or else an error naming the
+// report when the scan detected corruption.
+func Strict(checked CheckedRecoverFunc) RecoverFunc {
+	return func(im *memory.Image) error {
+		rep, err := checked(im)
+		return notClean("recovery", rep, err)
+	}
+}
+
+// notClean is the strict rule on one checked result: err, or else,
+// when rep detected corruption, an error naming what (the recovery or
+// the campaign's fault-free baseline) and the report.
+func notClean(what string, rep fault.RecoveryReport, err error) error {
+	if err == nil && rep.Detected() {
+		err = fmt.Errorf("%s not clean: %s", what, rep.String())
+	}
+	return err
+}
 
 // keepProbs are the inclusion probabilities sampled cuts cycle through;
 // crashes near the end of execution (keep→1) and near the beginning

@@ -1,10 +1,13 @@
 package observer
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/memory"
 	"repro/internal/queue"
@@ -30,9 +33,14 @@ func traceQueue(t *testing.T, cfg queue.Config, threads, perThread int, seed int
 			q.Insert(th, queue.MakePayload(id, 48))
 		}
 	})
-	return tr, func(im *memory.Image) error {
-		_, err := queue.Recover(im, meta)
-		return err
+	return tr, Strict(queueScan(meta))
+}
+
+// queueScan is the queue's recovery scan as a checked recovery.
+func queueScan(meta queue.Meta) CheckedRecoverFunc {
+	return func(im *memory.Image) (fault.RecoveryReport, error) {
+		_, rep, err := queue.Recover(im, meta)
+		return rep, err
 	}
 }
 
@@ -104,8 +112,8 @@ func TestBrokenDataHeadOrderIsCaught(t *testing.T) {
 	if corr == nil {
 		t.Fatal("removing the data→head barrier should be catchable")
 	}
-	if !queue.IsCorruption(corr) {
-		t.Fatalf("unexpected error type: %v", corr)
+	if !strings.HasPrefix(corr.Error(), "recovery not clean: ") {
+		t.Fatalf("corruption not detected by the recovery scan: %v", corr)
 	}
 }
 
@@ -188,10 +196,7 @@ func TestInsertRemoveCrashSafety(t *testing.T) {
 			q.Insert(th, queue.MakePayload(uint64(th.TID())*1000+uint64(i), 48))
 		}
 	})
-	rec := func(im *memory.Image) error {
-		_, err := queue.Recover(im, meta)
-		return err
-	}
+	rec := Strict(queueScan(meta))
 	out := crashTest(t, tr, core.Epoch, Sampled{Samples: 300, Seed: 3}, rec)
 	if !out.AllRecovered() {
 		t.Fatalf("insert/remove crash safety: %v", out)
@@ -220,10 +225,7 @@ func TestStrandInsertRemoveCrashSafety(t *testing.T) {
 			}
 		}
 	})
-	rec := func(im *memory.Image) error {
-		_, err := queue.Recover(im, meta)
-		return err
-	}
+	rec := Strict(queueScan(meta))
 	out := crashTest(t, tr, core.Strand, Sampled{Samples: 400, Seed: 9}, rec)
 	if !out.AllRecovered() {
 		t.Fatalf("strand insert/remove: %v", out)
@@ -283,13 +285,34 @@ func TestFullCutMatchesMachineImage(t *testing.T) {
 	}
 }
 
+func TestStrict(t *testing.T) {
+	bad := errors.New("invariant broken")
+	var clean, dirty fault.RecoveryReport
+	dirty.Quarantined = 1
+	for _, c := range []struct {
+		rep     fault.RecoveryReport
+		err     error
+		wantErr string
+	}{
+		{clean, nil, ""},
+		{dirty, nil, "recovery not clean: " + dirty.String()},
+		{clean, bad, bad.Error()},
+		{dirty, bad, bad.Error()},
+	} {
+		got := Strict(func(*memory.Image) (fault.RecoveryReport, error) { return c.rep, c.err })(memory.NewImage())
+		if (got == nil) != (c.wantErr == "") || (got != nil && got.Error() != c.wantErr) {
+			t.Errorf("Strict(%s, %v) = %v, want %q", c.rep.String(), c.err, got, c.wantErr)
+		}
+	}
+}
+
 func TestOutcomeString(t *testing.T) {
 	o := Outcome{Model: core.Epoch, Persists: 3, Cuts: 10, Recovered: 10}
 	if o.String() == "" || !o.AllRecovered() {
 		t.Fatal("outcome formatting")
 	}
 	o.Corrupt = 1
-	o.FirstCorruption = &queue.CorruptionError{Offset: 1, Reason: "x"}
+	o.FirstCorruption = errors.New("x")
 	if o.AllRecovered() {
 		t.Fatal("AllRecovered with corrupt > 0")
 	}

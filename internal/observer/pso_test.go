@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/memory"
 	"repro/internal/queue"
 	"repro/internal/trace"
 )
@@ -33,10 +32,7 @@ func tracePSOQueue(t *testing.T, fences bool, policy core.Policy, seed int64) (*
 			q.Insert(th, queue.MakePayload(uint64(th.TID())*100+uint64(i), 48))
 		}
 	})
-	return tr, func(im *memory.Image) error {
-		_, err := queue.Recover(im, meta)
-		return err
-	}
+	return tr, Strict(queueScan(meta))
 }
 
 func TestPSOFencedQueueRecovers(t *testing.T) {

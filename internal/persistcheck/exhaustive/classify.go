@@ -30,8 +30,8 @@ type readEv struct {
 // deterministic function of the words it reads, so two images that
 // agree on a complete root-to-leaf path share the leaf's outcome
 // without re-running recovery. Reads of words the recovery itself
-// wrote are excluded from signatures — their values are implied by
-// the pristine reads before them.
+// wrote or already read are excluded from signatures — their values
+// are implied by the pristine reads before them.
 //
 // Each node stores its address's slot in the enumeration's word table
 // (resolved once, at insert), and a lookup first spreads the image
@@ -86,7 +86,7 @@ type scratch struct {
 	dense   []uint64                 // slot-indexed image words and a last, unwritten slot; zero between lookups
 	seq     []readEv                 // the reads of the latest recovery run
 	img     []wordVal                // a final's image
-	written map[memory.Addr]struct{} // the words the latest recovery run wrote
+	implied map[memory.Addr]struct{} // the words the latest recovery run wrote or already read
 }
 
 func (tr *trie) scratch() *scratch {
@@ -182,20 +182,22 @@ func execClassify(words *wordTable, img []wordVal, sc *scratch, strict observer.
 	for _, wv := range img {
 		im.WriteWord(words.addrs[wv.slot], wv.val)
 	}
-	// Words the recovery itself wrote (salvage repairs): reads of
-	// those are implied by earlier pristine reads and are excluded
-	// from the signature.
-	if sc.written == nil {
-		sc.written = make(map[memory.Addr]struct{})
+	// Words the recovery itself wrote (salvage repairs) or already
+	// read: later reads of those are implied by earlier pristine reads
+	// and are excluded from the signature. Strict recovery normally
+	// repeats the checked scan, so the checked run adds no reads.
+	if sc.implied == nil {
+		sc.implied = make(map[memory.Addr]struct{})
 	}
-	clear(sc.written)
+	clear(sc.implied)
 	sc.seq = sc.seq[:0]
 	im.Observe(func(a memory.Addr, v uint64) {
-		if _, ok := sc.written[a]; !ok {
+		if _, ok := sc.implied[a]; !ok {
+			sc.implied[a] = struct{}{}
 			sc.seq = append(sc.seq, readEv{addr: a, val: v})
 		}
 	}, func(a memory.Addr) {
-		sc.written[a] = struct{}{}
+		sc.implied[a] = struct{}{}
 	})
 	sErr := strict(im)
 	_, cErr := checked(im)

@@ -30,12 +30,14 @@
 //     image count.
 //
 // Every reachable image is classified by running strict recovery and
-// checked (salvage + invariants) recovery:
+// checked recovery (the structure's one recovery scan plus the
+// application invariants); strict is normally the checked scan read
+// strictly (observer.Strict):
 //
 //   - recovered: both succeed — the state is a prefix-consistent
 //     recovered state.
-//   - detected: strict recovery errors but salvage flags and repairs
-//     the damage — a torn state the format detects.
+//   - detected: the checked invariants hold but the scan's report
+//     flags (and repairs) damage — a torn state the format detects.
 //   - hazard: checked recovery fails — silent corruption or
 //     unrecoverable loss.
 //
@@ -63,7 +65,7 @@ const (
 	// ClassRecovered: strict recovery succeeds.
 	ClassRecovered Class = iota
 	// ClassDetected: strict recovery errors, checked recovery flags
-	// and salvages — the torn state is detectable.
+	// and repairs — the torn state is detectable.
 	ClassDetected
 	// ClassHazard: checked recovery fails — silent corruption or
 	// unrecoverable state.
@@ -215,9 +217,12 @@ func (r *Result) String() string {
 }
 
 // CheckGraph enumerates every reachable post-crash image of g and
-// classifies each through the recovery entry points. strict must be
-// non-nil; a nil checked falls back to strict (no Detected class —
-// every strict failure is then a hazard).
+// classifies each through the recovery entry points: a checked error
+// is a hazard, a strict error alone is detected. strict is normally
+// observer.Strict(checked), which fails exactly the images whose
+// checked error is non-nil or whose report detected corruption. strict
+// must be non-nil; a nil checked falls back to strict (no Detected
+// class — every strict failure is then a hazard).
 func CheckGraph(g *graph.Graph, model core.Model, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc, cfg Config) (*Result, error) {
 	if strict == nil {
 		return nil, fmt.Errorf("exhaustive: nil strict recovery")

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/graph"
+	"repro/internal/memory"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -143,8 +146,23 @@ func TestAgainstBruteForce(t *testing.T) {
 				t.Errorf("states: brute %d, checker %d", len(images), res.States)
 			}
 			var rec, det, haz int
+			noCheck := func(*memory.Image) (fault.RecoveryReport, error) { return fault.RecoveryReport{}, nil }
 			for _, k := range order {
-				out := execClassify(words, images[k], &scratch{}, run.Recover, run.Checked)
+				sc, scStrict := &scratch{}, &scratch{}
+				out := execClassify(words, images[k], sc, run.Recover, run.Checked)
+				// A signature names each word once, and the checked run
+				// adds no reads to its strict reading's.
+				seen := make(map[memory.Addr]bool)
+				for _, ev := range sc.seq {
+					if seen[ev.addr] {
+						t.Fatalf("signature reads %#x twice", uint64(ev.addr))
+					}
+					seen[ev.addr] = true
+				}
+				execClassify(words, images[k], scStrict, run.Recover, noCheck)
+				if !slices.Equal(sc.seq, scStrict.seq) {
+					t.Fatalf("checked recovery read beyond the strict reading: %d reads, strict alone %d", len(sc.seq), len(scStrict.seq))
+				}
 				switch out.class {
 				case ClassRecovered:
 					rec++

@@ -36,6 +36,8 @@ var cleanMatrix = []struct {
 	{name: "pstm-strand", fx: fixture{wl: "pstm", policy: "strand", threads: 2, inserts: 6}},
 	{name: "queue-epoch-integrity", fx: fixture{wl: "queue", policy: "epoch", threads: 2, inserts: 6, integrity: true}},
 	{name: "journal-epoch-integrity", fx: fixture{wl: "journal", policy: "epoch", threads: 2, inserts: 4, integrity: true, sparse: true}},
+	{name: "pstm-epoch-integrity", fx: fixture{wl: "pstm", policy: "epoch", threads: 2, inserts: 6, integrity: true}},
+	{name: "kv-epoch-integrity", fx: fixture{wl: "kv", policy: "epoch", threads: 2, inserts: 8, seed: 42, integrity: true}},
 	// The sharded kv store at a 75%-read serving mix: 46 persists across
 	// two shards; the strand space reduces ~36M cuts to ~10k states.
 	{name: "kv-strict", fx: fixture{wl: "kv", policy: "strict", threads: 2, inserts: 8, seed: 42}},
@@ -69,28 +71,33 @@ func TestCleanMatrix(t *testing.T) {
 	}
 }
 
-// brokenMatrix pins the verdict for every seeded ordering bug: silent
-// corruption is hazardous, while formats whose salvage detects and
-// discards the torn state stay detectably-recoverable.
+// brokenMatrix pins the verdict and the class counts for every seeded
+// ordering bug: silent corruption is hazardous, while formats whose
+// recovery scan detects and discards the torn state stay
+// detectably-recoverable. The counts (recovered/detected/hazards of
+// states) pin where the strict reading draws the line between
+// recovered and detected images.
 var brokenMatrix = []struct {
-	name    string
-	fx      fixture
-	verdict Verdict
+	name                         string
+	fx                           fixture
+	verdict                      Verdict
+	recovered, detected, hazards int
+	states                       int
 }{
 	{name: "queue-break-barrier", fx: fixture{wl: "queue", policy: "epoch", threads: 2, inserts: 6, breakBar: true},
-		verdict: DetectablyRecoverable},
+		verdict: DetectablyRecoverable, recovered: 97, detected: 90, states: 187},
 	{name: "queue-2lc-omit-completion", fx: fixture{wl: "queue", design: "2lc", policy: "epoch", threads: 2, inserts: 6, omitComp: true},
-		verdict: DetectablyRecoverable},
+		verdict: DetectablyRecoverable, recovered: 16881, detected: 3840, states: 20721},
 	{name: "journal-break-commit", fx: fixture{wl: "journal", policy: "epoch", threads: 2, inserts: 4, breakCommit: true, sparse: true},
-		verdict: Hazardous},
+		verdict: Hazardous, recovered: 3085, detected: 2852, hazards: 216, states: 6153},
 	{name: "pstm-racing", fx: fixture{wl: "pstm", policy: "racing", threads: 2, inserts: 6},
-		verdict: Hazardous},
+		verdict: Hazardous, recovered: 216, hazards: 16, states: 232},
 	// The integrity formats repair both hazards: break-commit garbage is
 	// discarded by record CRCs, racing pstm words by shadow checksums.
 	{name: "journal-break-commit-integrity", fx: fixture{wl: "journal", policy: "epoch", threads: 2, inserts: 4, breakCommit: true, integrity: true, sparse: true},
-		verdict: DurablyLinearizable},
+		verdict: DurablyLinearizable, recovered: 3156, states: 3156},
 	{name: "pstm-racing-integrity", fx: fixture{wl: "pstm", policy: "racing", threads: 2, inserts: 6, integrity: true},
-		verdict: DurablyLinearizable},
+		verdict: DurablyLinearizable, recovered: 579, states: 579},
 }
 
 // TestBrokenMatrix checks the seeded-bug verdicts, and for every
@@ -105,6 +112,11 @@ func TestBrokenMatrix(t *testing.T) {
 			if res.Verdict != tc.verdict {
 				t.Fatalf("%s: want %v, got %v (r/d/h %d/%d/%d)",
 					tc.name, tc.verdict, res.Verdict, res.Recovered, res.Detected, res.Hazards)
+			}
+			if res.Recovered != tc.recovered || res.Detected != tc.detected || res.Hazards != tc.hazards || res.States != tc.states {
+				t.Fatalf("%s: r/d/h %d/%d/%d of %d states, want %d/%d/%d of %d",
+					tc.name, res.Recovered, res.Detected, res.Hazards, res.States,
+					tc.recovered, tc.detected, tc.hazards, tc.states)
 			}
 			if res.Verdict != Hazardous {
 				return

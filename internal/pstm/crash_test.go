@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/memory"
 	"repro/internal/observer"
@@ -35,18 +36,18 @@ func tracePSTM(t *testing.T, pol core.Policy, threads, txns int, seed int64) (*t
 			})
 		}
 	})
-	return tr, func(im *memory.Image) error {
-		state, err := Recover(im, meta)
+	return tr, observer.Strict(func(im *memory.Image) (fault.RecoveryReport, error) {
+		state, rep, err := Recover(im, meta)
 		if err != nil {
-			return err
+			return rep, err
 		}
 		for g := 0; g < threads; g++ {
 			if state.Words[2*g] != state.Words[2*g+1] {
-				return fmt.Errorf("pair %d torn: %d vs %d", g, state.Words[2*g], state.Words[2*g+1])
+				return rep, fmt.Errorf("pair %d torn: %d vs %d", g, state.Words[2*g], state.Words[2*g+1])
 			}
 		}
-		return nil
-	}
+		return rep, nil
+	})
 }
 
 // buildGraph builds tr's persist-order graph under model.

@@ -31,11 +31,11 @@ func ExampleHeap_Atomic() {
 		tx.Store(1, tx.Load(1)+30)
 	})
 
-	state, err := pstm.Recover(m.PersistentImage(), h.Meta())
+	state, rep, err := pstm.Recover(m.PersistentImage(), h.Meta())
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("committed=%v balances=%v\n", committed, state.Words)
+	fmt.Printf("committed=%v balances=%v detected=%v\n", committed, state.Words, rep.Detected())
 	// Output:
-	// committed=true balances=[70 30]
+	// committed=true balances=[70 30] detected=false
 }

@@ -34,19 +34,15 @@ func buildImageFmt(t *testing.T, integrity bool) (*memory.Image, Meta) {
 
 func TestIntegrityPSTMRoundTrip(t *testing.T) {
 	im, meta := buildImageFmt(t, true)
-	st, err := Recover(im, meta)
-	if err != nil {
-		t.Fatal(err)
+	st, rep, err := Recover(im, meta)
+	if err != nil || rep.Detected() {
+		t.Fatalf("recovery of a clean image: detected=%v, err=%v\n%+v", rep.Detected(), err, rep)
 	}
 	want := []uint64{30, 30, 300, 300}
 	for i, w := range want {
 		if st.Words[i] != w {
 			t.Fatalf("word %d = %d, want %d", i, st.Words[i], w)
 		}
-	}
-	_, rep, err := RecoverSalvage(im, meta)
-	if err != nil || rep.Detected() {
-		t.Fatalf("salvage on clean image: detected=%v, err=%v\n%+v", rep.Detected(), err, rep)
 	}
 	// The sealed transaction's records are deliberately left behind:
 	// detect-and-discard must count them, not replay them.
@@ -58,24 +54,19 @@ func TestIntegrityPSTMRoundTrip(t *testing.T) {
 func TestDataWordFlipSilentLegacyDetectedWithIntegrity(t *testing.T) {
 	// A silent flip in a committed data word. The legacy heap trusts
 	// in-place words unconditionally — wrong data, clean report. The
-	// shadow-checksum array turns it into a detection in both recovery
-	// paths.
+	// shadow-checksum array turns it into a detection.
 	flip := func(im *memory.Image, meta Meta) {
 		im.WriteWord(meta.Data, im.ReadWord(meta.Data)^(1<<3))
 	}
 
 	im, meta := buildImageFmt(t, false)
 	flip(im, meta)
-	st, err := Recover(im, meta)
+	st, rep, err := Recover(im, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Words[0] == 30 {
 		t.Fatal("flip did not land")
-	}
-	_, rep, err := RecoverSalvage(im, meta)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if rep.Detected() {
 		t.Fatalf("legacy data flip unexpectedly detected: %+v", rep)
@@ -83,10 +74,7 @@ func TestDataWordFlipSilentLegacyDetectedWithIntegrity(t *testing.T) {
 
 	im, meta = buildImageFmt(t, true)
 	flip(im, meta)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("strict integrity recovery accepted a corrupt data word: %v", err)
-	}
-	_, rep, err = RecoverSalvage(im, meta)
+	_, rep, err = Recover(im, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +97,7 @@ func TestIntegrityArmedWordFlipDetected(t *testing.T) {
 	}
 	a := meta.TxnID + valOff
 	im.WriteWord(a, im.ReadWord(a)^(1<<40))
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("strict recovery accepted a corrupt armed word: %v", err)
-	}
-	st, rep, err := RecoverSalvage(im, meta)
+	st, rep, err := Recover(im, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +143,7 @@ func TestIntegrityUndoFrameFlipBelowCountDetected(t *testing.T) {
 	// Flip one bit inside the newest undo frame's payload.
 	a := meta.Undo + memory.Addr(recordBytes) + 8
 	im.WriteWord(a, im.ReadWord(a)^(1<<9))
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("strict recovery treated a corrupt frame below count as a frontier: %v", err)
-	}
-	_, rep, err := RecoverSalvage(im, meta)
+	_, rep, err := Recover(im, meta)
 	if err != nil {
 		t.Fatal(err)
 	}

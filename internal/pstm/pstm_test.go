@@ -33,10 +33,7 @@ func TestAtomicBasics(t *testing.T) {
 	if !ok {
 		t.Fatal("commit reported abort")
 	}
-	state, err := Recover(m.PersistentImage(), h.Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := recoverClean(t, m.PersistentImage(), h.Meta())
 	if state.Words[0] != 100 || state.Words[1] != 200 || state.RolledBack {
 		t.Fatalf("recovered: %+v", state)
 	}
@@ -57,10 +54,7 @@ func TestAbortRollsBack(t *testing.T) {
 	if got := s.Load8(h.Meta().Data); got != 7 {
 		t.Fatalf("word 0 = %d after abort", got)
 	}
-	state, err := Recover(m.PersistentImage(), h.Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := recoverClean(t, m.PersistentImage(), h.Meta())
 	if state.Words[0] != 7 || state.Words[1] != 0 {
 		t.Fatalf("recovered after abort: %+v", state.Words[:2])
 	}
@@ -74,10 +68,7 @@ func TestRepeatedWritesOneUndoRecord(t *testing.T) {
 			tx.Store(0, i) // must not exhaust UndoCap=8
 		}
 	})
-	state, err := Recover(m.PersistentImage(), h.Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := recoverClean(t, m.PersistentImage(), h.Meta())
 	if state.Words[0] != 19 {
 		t.Fatalf("word 0 = %d", state.Words[0])
 	}
@@ -125,10 +116,7 @@ func TestMultiThreadTxns(t *testing.T) {
 					})
 				}
 			})
-			state, err := Recover(m.PersistentImage(), h.Meta())
-			if err != nil {
-				t.Fatal(err)
-			}
+			state := recoverClean(t, m.PersistentImage(), h.Meta())
 			for g := 0; g < 3; g++ {
 				if state.Words[2*g] != 10 || state.Words[2*g+1] != 10 {
 					t.Fatalf("group %d: %v", g, state.Words[2*g:2*g+2])
@@ -138,8 +126,22 @@ func TestMultiThreadTxns(t *testing.T) {
 	}
 }
 
+// recoverClean runs Recover and fails t unless it returns no error and
+// a clean report: the strict reading, for images recovery must accept.
+func recoverClean(t testing.TB, im *memory.Image, meta Meta) *State {
+	t.Helper()
+	state, rep, err := Recover(im, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Detected() {
+		t.Fatalf("clean image produced a dirty report: %s", rep.String())
+	}
+	return state
+}
+
 func TestRecoverValidation(t *testing.T) {
-	if _, err := Recover(memory.NewImage(), Meta{}); err == nil {
+	if _, _, err := Recover(memory.NewImage(), Meta{}); err == nil {
 		t.Fatal("bad meta accepted")
 	}
 	m, h := newHeap(t, 4, core.PolicyEpoch)
@@ -148,8 +150,8 @@ func TestRecoverValidation(t *testing.T) {
 	im := m.PersistentImage()
 	// Seal beyond armed id.
 	im.WriteWord(h.Meta().Done, 99)
-	if _, err := Recover(im, h.Meta()); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
+	if _, rep, err := Recover(im, h.Meta()); err != nil || !rep.HeaderQuarantined {
+		t.Fatalf("want a quarantined header, got err %v, report %s", err, rep.String())
 	}
 }
 
@@ -167,10 +169,7 @@ func TestUnsealedTxnRollsBackAtRecovery(t *testing.T) {
 	im.WriteWord(rec+8, 5)                        // old value
 	im.WriteWord(rec+16, recChecksum(2, 0, 0, 5)) // valid record
 	im.WriteWord(meta.Data, 1234)                 // torn in-place write
-	state, err := Recover(im, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := recoverClean(t, im, meta)
 	if !state.RolledBack || state.Undone != 1 {
 		t.Fatalf("rollback stats: %+v", state)
 	}

@@ -116,7 +116,7 @@ func TestPSTMSalvageTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			im, meta := salvageImage()
 			tc.corrupt(im, meta)
-			st, rep, err := RecoverSalvage(im, meta)
+			st, rep, err := Recover(im, meta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,28 +140,18 @@ func TestPSTMSalvageTable(t *testing.T) {
 	}
 }
 
-// TestPSTMSalvageMatchesRecoverOnCleanImages pins the baseline-clean
-// invariant: wherever strict Recover succeeds, salvage rolls back to
-// the same state with a clean report.
-func TestPSTMSalvageMatchesRecoverOnCleanImages(t *testing.T) {
+// TestPSTMRecoverCleanOnCleanImages pins the baseline-clean invariant
+// the fault campaign and the strict reading rely on: a clean
+// mid-transaction image rolls back every record with a clean report.
+func TestPSTMRecoverCleanOnCleanImages(t *testing.T) {
 	im, meta := salvageImage()
-	strict, err := Recover(im, meta)
-	if err != nil {
-		t.Fatal(err)
+	st := recoverClean(t, im, meta)
+	if st.Undone != 2 || !st.RolledBack {
+		t.Fatalf("rollback stats %+v, want 2 records undone", st)
 	}
-	soft, rep, err := RecoverSalvage(im, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Detected() {
-		t.Fatalf("clean image produced dirty report: %s", rep.String())
-	}
-	if strict.Undone != soft.Undone || strict.RolledBack != soft.RolledBack {
-		t.Fatalf("strict %+v vs salvage %+v", strict, soft)
-	}
-	for i := range strict.Words {
-		if strict.Words[i] != soft.Words[i] {
-			t.Fatalf("word %d: strict %#x, salvage %#x", i, strict.Words[i], soft.Words[i])
+	for i, w := range []uint64{0x100, 0xAA, 0xBB, 0x103} {
+		if st.Words[i] != w {
+			t.Fatalf("word %d = %#x, want %#x", i, st.Words[i], w)
 		}
 	}
 }

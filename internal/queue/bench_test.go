@@ -65,7 +65,7 @@ func BenchmarkRecover(b *testing.B) {
 			meta := q.Meta()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Recover(im, meta); err != nil {
+				if _, _, err := Recover(im, meta); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -25,15 +25,18 @@ func ExampleQueue() {
 		fmt.Printf("removed %q\n", payload)
 	}
 
-	// Recovery reads the live entries straight out of the NVRAM image.
-	entries, err := queue.Recover(m.PersistentImage(), q.Meta())
+	// Recovery reads the live entries straight out of the NVRAM image;
+	// the report discloses any corruption it detected.
+	entries, rep, err := queue.Recover(m.PersistentImage(), q.Meta())
 	if err != nil {
 		panic(err)
 	}
 	for _, e := range entries {
 		fmt.Printf("recovered %q\n", e.Payload)
 	}
+	fmt.Println("corruption detected:", rep.Detected())
 	// Output:
 	// removed "first"
 	// recovered "second"
+	// corruption detected: false
 }

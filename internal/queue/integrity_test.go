@@ -24,16 +24,8 @@ func buildImageFmt(t *testing.T, n int, integrity bool) (*memory.Image, Meta) {
 
 func TestIntegrityQueueRoundTrip(t *testing.T) {
 	im, meta := buildImageFmt(t, 5, true)
-	entries, err := Recover(im, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 5 {
+	if entries := recoverClean(t, im, meta); len(entries) != 5 {
 		t.Fatalf("recovered %d entries, want 5", len(entries))
-	}
-	salvaged, rep, err := RecoverSalvage(im, meta)
-	if err != nil || rep.Detected() || len(salvaged) != 5 {
-		t.Fatalf("salvage on clean image: %d entries, detected=%v, err=%v", len(salvaged), rep.Detected(), err)
 	}
 }
 
@@ -49,7 +41,7 @@ func TestLegacyHeadFlipIsSilentDataLoss(t *testing.T) {
 		t.Fatalf("test needs a power-of-two slot, got %d", stride)
 	}
 	im.WriteWord(meta.Head, im.ReadWord(meta.Head)^stride)
-	entries, rep, err := RecoverSalvage(im, meta)
+	entries, rep, err := Recover(im, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +68,7 @@ func TestIntegrityHeadCopyFlipDetected(t *testing.T) {
 	}
 	a := meta.Head + valOff
 	im.WriteWord(a, im.ReadWord(a)^SlotBytes(24))
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("strict recovery accepted a corrupt head copy: %v", err)
-	}
-	entries, rep, err := RecoverSalvage(im, meta)
+	entries, rep, err := Recover(im, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +87,7 @@ func TestIntegrityHeadCDBFlipDetected(t *testing.T) {
 	// prefers the larger (monotonic) value and reports the corrupt CDB.
 	im, meta := buildImageFmt(t, 5, true)
 	im.WriteWord(meta.Head, im.ReadWord(meta.Head)^(1<<13))
-	entries, rep, err := RecoverSalvage(im, meta)
+	entries, rep, err := Recover(im, meta)
 	if err != nil {
 		t.Fatal(err)
 	}

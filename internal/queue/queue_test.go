@@ -61,10 +61,7 @@ func recoveredIDs(t *testing.T, entries []Entry, payloadLen int) map[uint64]bool
 
 func TestCWLSingleThreadInsertRecover(t *testing.T) {
 	m, q, _ := runInserts(t, Config{DataBytes: 1 << 16, Design: CWL, Policy: core.PolicyEpoch}, 1, 20, 100, 1)
-	entries, err := Recover(m.PersistentImage(), q.Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := recoverClean(t, m.PersistentImage(), q.Meta())
 	if len(entries) != 20 {
 		t.Fatalf("recovered %d entries, want 20", len(entries))
 	}
@@ -89,10 +86,7 @@ func TestQueueAllDesignsAllPolicies(t *testing.T) {
 				name := fmt.Sprintf("%v/%v/%dT", d, p, threads)
 				t.Run(name, func(t *testing.T) {
 					m, q, _ := runInserts(t, Config{DataBytes: 1 << 16, Design: d, Policy: p}, threads, 25, 100, 7)
-					entries, err := Recover(m.PersistentImage(), q.Meta())
-					if err != nil {
-						t.Fatal(err)
-					}
+					entries := recoverClean(t, m.PersistentImage(), q.Meta())
 					want := threads * 25
 					if len(entries) != want {
 						t.Fatalf("recovered %d entries, want %d", len(entries), want)
@@ -148,10 +142,7 @@ func TestWrapAround(t *testing.T) {
 			q.Insert(s, p)
 		}
 		// Recovery must see exactly the live entries.
-		entries, err := Recover(m.PersistentImage(), q.Meta())
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
+		entries := recoverClean(t, m.PersistentImage(), q.Meta())
 		if len(entries) != len(sizes) {
 			t.Fatalf("round %d: recovered %d, want %d", round, len(entries), len(sizes))
 		}
@@ -245,10 +236,7 @@ func TestTwoLockListBackpressure(t *testing.T) {
 	// than capacity: appenders must wait for the front to advance, and
 	// the run must still complete with every entry recoverable.
 	m, q, _ := runInserts(t, Config{DataBytes: 1 << 15, Design: TwoLock, Policy: core.PolicyEpoch, MaxThreads: 1}, 4, 15, 64, 9)
-	entries, err := Recover(m.PersistentImage(), q.Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := recoverClean(t, m.PersistentImage(), q.Meta())
 	if len(entries) != 60 {
 		t.Fatalf("recovered %d entries, want 60", len(entries))
 	}

@@ -21,13 +21,33 @@ func buildImage(t *testing.T) (*memory.Image, Meta) {
 	return m.PersistentImage(), q.Meta()
 }
 
+// recoverClean runs Recover and fails t unless it returns no error and
+// a clean report: the strict reading, for images recovery must accept.
+func recoverClean(t testing.TB, im *memory.Image, meta Meta) []Entry {
+	t.Helper()
+	entries, rep, err := Recover(im, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Detected() {
+		t.Fatalf("clean image produced a dirty report: %s", rep.String())
+	}
+	return entries
+}
+
+// recoverDetects fails t unless Recover on im reports corruption.
+func recoverDetects(t *testing.T, im *memory.Image, meta Meta) {
+	t.Helper()
+	if _, rep, err := Recover(im, meta); err != nil || !rep.Detected() {
+		t.Fatalf("want detected corruption, got err %v, report %s", err, rep.String())
+	}
+}
+
 func TestRecoverDetectsBadLength(t *testing.T) {
 	im, meta := buildImage(t)
 	// Zero out the third entry's length word.
 	im.WriteWord(meta.Data+memory.Addr(2*SlotBytes(100)), 0)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	recoverDetects(t, im, meta)
 }
 
 func TestRecoverDetectsChecksumMismatch(t *testing.T) {
@@ -38,66 +58,41 @@ func TestRecoverDetectsChecksumMismatch(t *testing.T) {
 	im.ReadBytes(a, b[:])
 	b[0] ^= 0xff
 	im.WriteBytes(a, b[:])
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	recoverDetects(t, im, meta)
 }
 
 func TestRecoverDetectsTailBeyondHead(t *testing.T) {
 	im, meta := buildImage(t)
 	im.WriteWord(meta.Tail, im.ReadWord(meta.Head)+64)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	recoverDetects(t, im, meta)
 }
 
 func TestRecoverDetectsOversizedLiveRegion(t *testing.T) {
 	im, meta := buildImage(t)
 	im.WriteWord(meta.Head, meta.DataBytes*2)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	recoverDetects(t, im, meta)
 }
 
 func TestRecoverDetectsEntryPastHead(t *testing.T) {
 	im, meta := buildImage(t)
 	// Head in the middle of the second entry.
 	im.WriteWord(meta.Head, SlotBytes(100)+8)
-	if _, err := Recover(im, meta); !IsCorruption(err) {
-		t.Fatalf("want corruption, got %v", err)
-	}
+	recoverDetects(t, im, meta)
 }
 
 func TestRecoverEmptyQueue(t *testing.T) {
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
 	q := MustNew(s, Config{DataBytes: 1 << 12, Design: CWL, Policy: core.PolicyEpoch})
-	entries, err := Recover(m.PersistentImage(), q.Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
+	if entries := recoverClean(t, m.PersistentImage(), q.Meta()); len(entries) != 0 {
 		t.Fatalf("empty queue recovered %d entries", len(entries))
 	}
 }
 
 func TestRecoverBadMeta(t *testing.T) {
 	im := memory.NewImage()
-	if _, err := Recover(im, Meta{DataBytes: 100}); err == nil {
+	if _, _, err := Recover(im, Meta{DataBytes: 100}); err == nil {
 		t.Fatal("unaligned meta accepted")
-	}
-}
-
-func TestIsCorruption(t *testing.T) {
-	err := &CorruptionError{Offset: 4, Reason: "x"}
-	if !IsCorruption(err) {
-		t.Fatal("IsCorruption(corruption) = false")
-	}
-	if IsCorruption(nil) {
-		t.Fatal("IsCorruption(nil) = true")
-	}
-	if err.Error() == "" {
-		t.Fatal("empty error string")
 	}
 }
 

@@ -110,7 +110,7 @@ func TestQueueSalvageTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			im, meta, _ := salvageImage(3)
 			tc.corrupt(im, meta)
-			got, rep, err := RecoverSalvage(im, meta)
+			got, rep, err := Recover(im, meta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,28 +130,21 @@ func TestQueueSalvageTable(t *testing.T) {
 	}
 }
 
-// TestQueueSalvageMatchesRecoverOnCleanImages pins the baseline-clean
-// invariant the fault campaign relies on: wherever strict Recover
-// succeeds, salvage recovers the same entries with a clean report.
-func TestQueueSalvageMatchesRecoverOnCleanImages(t *testing.T) {
+// TestQueueRecoverCleanOnCleanImages pins the baseline-clean invariant
+// the fault campaign and the strict reading rely on: a clean image
+// recovers every entry, in order, with a clean report.
+func TestQueueRecoverCleanOnCleanImages(t *testing.T) {
 	im, meta, _ := salvageImage(5)
-	strict, err := Recover(im, meta)
-	if err != nil {
-		t.Fatal(err)
+	got := recoverClean(t, im, meta)
+	if len(got) != 5 {
+		t.Fatalf("recovered %d entries, want 5", len(got))
 	}
-	soft, rep, err := RecoverSalvage(im, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Detected() {
-		t.Fatalf("clean image produced dirty report: %s", rep.String())
-	}
-	if len(strict) != len(soft) {
-		t.Fatalf("strict recovered %d, salvage %d", len(strict), len(soft))
-	}
-	for i := range strict {
-		if strict[i].Offset != soft[i].Offset || string(strict[i].Payload) != string(soft[i].Payload) {
-			t.Fatalf("entry %d differs", i)
+	pos := uint64(0)
+	for i, e := range got {
+		want := MakePayload(uint64(i+1), 24)
+		if e.Offset != pos || string(e.Payload) != string(want) {
+			t.Fatalf("entry %d = (%d, %x), want (%d, %x)", i, e.Offset, e.Payload, pos, want)
 		}
+		pos += SlotBytes(len(want))
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kv"
 	"repro/internal/memory"
+	"repro/internal/observer"
 	"repro/internal/trace"
 )
 
@@ -249,12 +250,8 @@ func setupKV(o KVOptions, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 		}
 	}
 	run := &Run{
-		Recover: func(im *memory.Image) error {
-			_, err := kv.Recover(im, meta)
-			return err
-		},
 		Checked: func(im *memory.Image) (fault.RecoveryReport, error) {
-			_, rep, err := kv.RecoverSalvage(im, meta)
+			_, rep, err := kv.Recover(im, meta)
 			return rep, err
 		},
 		Checks:    meta.Checks(),
@@ -262,6 +259,7 @@ func setupKV(o KVOptions, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 		Describe: fmt.Sprintf("sharded kv, %v annotations, %d shards, %d keys, %d threads, %d ops (%.0f%% reads, zipf %.2f)",
 			o.Policy, o.Shards, o.Keys, o.Threads, per*o.Threads, 100*o.ReadFrac, o.ZipfS),
 	}
+	run.Recover = observer.Strict(run.Checked)
 	if o.Integrity {
 		run.Describe += ", integrity format"
 	}

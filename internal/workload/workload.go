@@ -65,10 +65,12 @@ type Options struct {
 // annotations.
 type Run struct {
 	Trace *trace.Trace
-	// Recover is strict recovery (plain observer).
-	Recover observer.RecoverFunc
-	// Checked is salvage recovery plus app invariants (campaigns).
+	// Checked is the structure's one recovery scan plus the
+	// application invariants: the report and the invariant error.
 	Checked observer.CheckedRecoverFunc
+	// Recover is the strict reading of Checked, observer.Strict: no
+	// error and a report whose Detected() is false.
+	Recover observer.RecoverFunc
 	// Checks declares the structure's recovery-critical metadata for
 	// the persistency checker.
 	Checks persistcheck.Annotations
@@ -258,12 +260,8 @@ func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 				q.Insert(t, queue.MakePayload(uint64(t.TID())<<32|uint64(i), o.Payload))
 			}
 		}
-		run.Recover = func(im *memory.Image) error {
-			_, err := queue.Recover(im, meta)
-			return err
-		}
 		run.Checked = func(im *memory.Image) (fault.RecoveryReport, error) {
-			entries, rep, err := queue.RecoverSalvage(im, meta)
+			entries, rep, err := queue.Recover(im, meta)
 			if err != nil {
 				return rep, err
 			}
@@ -302,15 +300,8 @@ func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 				})
 			}
 		}
-		run.Recover = func(im *memory.Image) error {
-			state, err := journal.Recover(im, meta)
-			if err != nil {
-				return err
-			}
-			return CheckJournalPairsBy(state, o.Threads, tagOf)
-		}
 		run.Checked = func(im *memory.Image) (fault.RecoveryReport, error) {
-			state, rep, err := journal.RecoverSalvage(im, meta)
+			state, rep, err := journal.Recover(im, meta)
 			if err != nil {
 				return rep, err
 			}
@@ -336,15 +327,8 @@ func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 				})
 			}
 		}
-		run.Recover = func(im *memory.Image) error {
-			state, err := pstm.Recover(im, meta)
-			if err != nil {
-				return err
-			}
-			return CheckPSTMPairs(state, o.Threads)
-		}
 		run.Checked = func(im *memory.Image) (fault.RecoveryReport, error) {
-			state, rep, err := pstm.RecoverSalvage(im, meta)
+			state, rep, err := pstm.Recover(im, meta)
 			if err != nil {
 				return rep, err
 			}
@@ -356,6 +340,7 @@ func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 	default:
 		return nil, nil, fmt.Errorf("unknown workload %q", o.Workload)
 	}
+	run.Recover = observer.Strict(run.Checked)
 	if o.Integrity {
 		run.Describe += ", integrity format"
 	}
