@@ -5,15 +5,14 @@
 //
 // Usage:
 //
-//	crashsim [-workload queue|journal|pstm] [-design cwl|2lc]
-//	         [-policy strict|epoch|racing|strand]
-//	         [-model strict|epoch|epoch-tso|strand] [-threads N]
-//	         [-inserts N] [-samples N] [-seed S]
-//	         [-break-barrier] [-omit-completion-barrier]
-//	         [-break-commit] [-omit-strand-recipe]
-//	         [-integrity]
+//	crashsim [workload flags] [-samples N]
 //	         [-campaign] [-scenarios N] [-faults N] [-parallel N]
 //	         [-fail-on-silent] [-replay REPRO]
+//
+// The workload flags (-workload queue|journal|pstm|kv, -design, -policy,
+// -model, -threads, -inserts, -payload, -seed, the negative-test
+// switches and -integrity) are internal/workload's common set, shared
+// with cmd/persistcheck; -seed also seeds the crash sampling.
 //
 // With -break-barrier the data→head barrier is dropped, and the
 // observer demonstrates the resulting corruption — the ordering
@@ -21,9 +20,9 @@
 // so checkpoint truncations occur; try it with -policy racing to see
 // the per-algorithm unsafety discussed in EXPERIMENTS.md.
 //
-// The static persistency checkers run through cmd/persistcheck, which
-// takes the same workload flags; -replay accepts the repro lines its
-// hazards and counterexamples carry.
+// The static persistency checkers run through cmd/persistcheck; -replay
+// accepts the repro lines its hazards and counterexamples carry. A line
+// without a model= parameter replays under the policy's target model.
 //
 // With -campaign the sampled crash states are additionally perturbed
 // by injected device faults (torn/dropped persists, transient write
@@ -63,21 +62,9 @@ func main() { cli.Main("crashsim", run) }
 
 func run(env *cli.Env) (int, error) {
 	fs := env.Flags
+	workloadOpts := workload.Flags(fs, workload.CommonFlags...)
 	var (
-		wl         = fs.String("workload", "queue", "queue, journal, or pstm")
-		designStr  = fs.String("design", "cwl", "cwl or 2lc (queue only)")
-		policyStr  = fs.String("policy", "epoch", "strict|epoch|racing|strand")
-		modelStr   = fs.String("model", "", "persistency model (default: the policy's target model)")
-		threads    = fs.Int("threads", 2, "simulated threads")
-		inserts    = fs.Int("inserts", 16, "total inserts/transactions")
 		samples    = fs.Int("samples", 500, "crash states to sample")
-		seed       = fs.Int64("seed", 1, "interleaving + sampling seed")
-		breakBar   = fs.Bool("break-barrier", false, "drop the data→head barrier (negative test)")
-		omitComp   = fs.Bool("omit-completion-barrier", false, "drop 2LC's completion barrier (negative test)")
-		breakCmt   = fs.Bool("break-commit", false, "drop the journal's records→commit barrier (negative test)")
-		omitRcp    = fs.Bool("omit-strand-recipe", false, "drop the journal's §5.3 strand recipe (negative test)")
-		integrity  = fs.Bool("integrity", false, "build with the corruption-detecting durable format (CRC frames, durable words, shadows)")
-		payloadLen = fs.Int("payload", 64, "payload bytes (queue only)")
 		campaign   = fs.Bool("campaign", false, "run a fault-injection campaign (salvage recovery)")
 		failSilent = fs.Bool("fail-on-silent", false, "campaign: exit 2 if any silent bit flip corrupted state undetected (the bar -integrity is expected to meet)")
 		scenarios  = fs.Int("scenarios", 1000, "campaign scenarios (cut × fault plan)")
@@ -88,64 +75,43 @@ func run(env *cli.Env) (int, error) {
 	if err := env.Parse(); err != nil {
 		return 0, err
 	}
-	man := env.Manifest.Seed("seed", *seed)
-
+	// A replay rebuilds its workload from the repro line; the workload
+	// flags only reach the manifest.
+	opts, err := workloadOpts()
+	man := env.Manifest.Seed("seed", opts.Seed)
 	if *replayStr != "" {
 		return replay(*replayStr)
 	}
-
-	design, err := workload.ParseDesign(*designStr)
 	if err != nil {
 		return 0, err
 	}
-	policy, err := workload.ParsePolicy(*policyStr)
-	if err != nil {
-		return 0, err
-	}
-	model := policy.Model()
-	if *modelStr != "" {
-		model, err = workload.ParseModel(*modelStr)
-		if err != nil {
-			return 0, err
-		}
-	}
-
-	opts := workload.Options{
-		Workload: *wl, Design: design, Policy: policy, Model: model,
-		Threads: *threads, Inserts: *inserts, Payload: *payloadLen, Seed: *seed,
-		BreakBar: *breakBar, OmitComp: *omitComp,
-		BreakCommit: *breakCmt, OmitRecipe: *omitRcp,
-		Integrity: *integrity,
-		DesignStr: *designStr, PolicyStr: *policyStr,
-	}
-	man.ModelGrid(model)
+	man.ModelGrid(opts.Model)
 	// One workload per process: a trace cache could never hit.
 	w, err := workload.Build(opts, nil)
 	if err != nil {
 		return 0, err
 	}
 	fmt.Printf("workload : %s\n", w.Describe)
-	fmt.Printf("model    : %v\n", model)
+	fmt.Printf("model    : %v\n", opts.Model)
 
 	reg, spans := env.Registry, env.Spans
 	if *campaign {
 		wlabel := w.Describe
 		tty := stderrIsTTY()
 		stop := reg.Timer(telemetry.Label("crashsim_campaign", "workload", wlabel)).Time()
-		sp := spans.Start("campaign", "graph-build").Arg("model", model.String())
-		g, err := graph.Build(w.Trace, core.Params{Model: model})
+		sp := spans.Start("campaign", "graph-build").Arg("model", opts.Model.String())
+		g, err := graph.Build(w.Trace, core.Params{Model: opts.Model})
 		sp.End()
 		if err != nil {
 			return 0, err
 		}
 		out, err := observer.Campaign(g, w.Checked, observer.CampaignConfig{
 			Scenarios: *scenarios,
-			Seed:      *seed,
+			Seed:      opts.Seed,
 			Gen:       fault.GenConfig{MaxFaults: *faults},
 			Params:    opts.Params(),
 			Device:    campaignDevice(),
 			Sweep:     sweep.Config{Parallel: *parallel, Registry: reg, Spans: spans},
-			Spans:     spans,
 			// Live progress: update the registry's campaign gauges and
 			// print a running counter to stderr. On a terminal the
 			// counter rewrites itself in place; redirected to a file or
@@ -197,11 +163,11 @@ func run(env *cli.Env) (int, error) {
 		return 2, nil
 	}
 
-	g, err := graph.Build(w.Trace, core.Params{Model: model})
+	g, err := graph.Build(w.Trace, core.Params{Model: opts.Model})
 	if err != nil {
 		return 0, err
 	}
-	out, err := observer.CrashTest(g, observer.Sampled{Samples: *samples, Seed: *seed}, w.Recover, sweep.Config{Parallel: *parallel, Spans: spans})
+	out, err := observer.CrashTest(g, observer.Sampled{Samples: *samples, Seed: opts.Seed}, w.Recover, sweep.Config{Parallel: *parallel, Spans: spans})
 	if err != nil {
 		return 0, err
 	}
@@ -258,22 +224,25 @@ func campaignDevice() nvram.Config {
 	return nvram.Config{Latency: 100 * time.Nanosecond, RetryBackoff: 50 * time.Nanosecond}
 }
 
-// replay parses a repro string, rebuilds the recorded workload (the
-// queue/journal/pstm grid, or the sharded KV store for workload=kv
-// lines such as persistcheck -workload kv counterexamples), and re-runs
-// the recorded scenario. Exit status 2 means the corruption reproduced.
+// replay parses a repro string, rebuilds the recorded workload under
+// the model its cut was taken in, and re-runs the recorded scenario.
+// Exit status 2 means the corruption reproduced.
 func replay(line string) (int, error) {
 	s, err := fault.ParseRepro(line)
 	if err != nil {
 		return 0, err
 	}
-	run, model, err := replayTarget(s)
+	opts, err := workload.FromScenario(s)
+	if err != nil {
+		return 0, err
+	}
+	run, err := workload.Build(opts, nil)
 	if err != nil {
 		return 0, err
 	}
 	fmt.Printf("workload : %s\n", run.Describe)
 	fmt.Printf("scenario : cut %d nodes, plan [%s]\n", s.Cut.Size(), s.Plan.String())
-	g, err := graph.Build(run.Trace, core.Params{Model: model})
+	g, err := graph.Build(run.Trace, core.Params{Model: opts.Model})
 	if err != nil {
 		return 0, err
 	}
@@ -290,35 +259,4 @@ func replay(line string) (int, error) {
 	}
 	fmt.Println("verdict  : scenario handled (masked/salvaged/detected)")
 	return 0, nil
-}
-
-// replayTarget rebuilds the workload a repro scenario records and
-// resolves the model its cut was taken under.
-func replayTarget(s *fault.Scenario) (*workload.Run, core.Model, error) {
-	if wl, _ := s.Param("workload"); wl != "kv" {
-		opts, err := workload.FromScenario(s)
-		if err != nil {
-			return nil, 0, err
-		}
-		run, err := workload.Build(opts, nil)
-		return run, opts.Model, err
-	}
-	opts, err := workload.KVFromScenario(s)
-	if err != nil {
-		return nil, 0, err
-	}
-	pol, err := workload.ParsePolicy(opts.PolicyStr)
-	if err != nil {
-		return nil, 0, err
-	}
-	// KVOptions carry no model: a model= param names the one the
-	// finding was checked under; lines without one use the target.
-	model := pol.Model()
-	if m, ok := s.Param("model"); ok {
-		if model, err = workload.ParseModel(m); err != nil {
-			return nil, 0, err
-		}
-	}
-	run, err := workload.BuildKV(opts, nil)
-	return run, model, err
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,20 +13,29 @@ import (
 	"repro/internal/workload"
 )
 
-// TestReplayKVDispatch pins the -replay workload dispatch: repro lines
-// whose params carry workload=kv (emitted by persistcheck -workload kv)
-// rebuild through KVFromScenario/BuildKV rather than the queue/journal
-// grid, and a fully-persisted cut replays clean.
-func TestReplayKVDispatch(t *testing.T) {
-	kvOpts := workload.KVOptions{
-		Shards: 2, Keys: 8, Threads: 2, Ops: 8,
-		ReadFrac: 0.5, Seed: 7, PolicyStr: "epoch",
-	}
-	run, err := workload.BuildKV(kvOpts, nil)
+// kvOptions is a small kv run: 2 shards, 8 keys, 2 threads, 8 ops at
+// 0.5 reads, epoch annotations, seed 7.
+func kvOptions(t *testing.T) workload.Options {
+	t.Helper()
+	s, err := fault.ParseRepro("fault1|workload=kv,policy=epoch,shards=2,keys=8,threads=2,ops=8,read-frac=0.5,seed=7|cut=0:|plan=")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := graph.Build(run.Trace, core.Params{Model: kvOpts.Policy.Model()})
+	o, err := workload.FromScenario(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// fullCut includes every node of o's graph under model.
+func fullCut(t *testing.T, o workload.Options, model core.Model) graph.Cut {
+	t.Helper()
+	run, err := workload.Build(o, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.Build(run.Trace, core.Params{Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +43,16 @@ func TestReplayKVDispatch(t *testing.T) {
 	for i := range full.Included {
 		full.Included[i] = true
 	}
-	s := fault.Scenario{Params: kvOpts.Params(), Cut: full}
+	return full
+}
+
+// TestReplayKVDispatch pins the -replay workload dispatch: repro lines
+// whose params carry workload=kv (emitted by persistcheck -workload kv)
+// rebuild the sharded KV store, and a fully-persisted cut replays
+// clean.
+func TestReplayKVDispatch(t *testing.T) {
+	o := kvOptions(t)
+	s := fault.Scenario{Params: o.Params(), Cut: fullCut(t, o, o.Model)}
 	if got, err := replay(s.Repro()); err != nil || got != 0 {
 		t.Errorf("replay of fully-persisted kv cut exited %d (err %v), want 0", got, err)
 	}
@@ -43,36 +62,25 @@ func TestReplayKVDispatch(t *testing.T) {
 // model= param (persistcheck appends the checked model) wins over the
 // policy's target, and a line without one falls back to the target.
 func TestReplayKVModelParam(t *testing.T) {
-	kvOpts := workload.KVOptions{
-		Shards: 2, Keys: 8, Threads: 2, Ops: 8,
-		ReadFrac: 0.5, Policy: core.PolicyEpoch, Seed: 7, PolicyStr: "epoch",
-	}
-	run, err := workload.BuildKV(kvOpts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := graph.Build(run.Trace, core.Params{Model: core.Strand})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := graph.Cut{Included: make([]bool, g.Len())}
-	for i := range full.Included {
-		full.Included[i] = true
-	}
+	o := kvOptions(t)
+	full := fullCut(t, o, core.Strand)
+	noModel := slices.DeleteFunc(o.Params(), func(p fault.Param) bool { return p.Key == "model" })
+	strand := o
+	strand.Model = core.Strand
 	for _, tc := range []struct {
 		params []fault.Param
 		want   core.Model
 	}{
-		{kvOpts.Params(), core.Epoch},
-		{append(kvOpts.Params(), fault.Param{Key: "model", Value: "strand"}), core.Strand},
+		{noModel, core.Epoch},
+		{strand.Params(), core.Strand},
 	} {
 		s := fault.Scenario{Params: tc.params, Cut: full}
 		parsed, err := fault.ParseRepro(s.Repro())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, model, err := replayTarget(parsed); err != nil || model != tc.want {
-			t.Errorf("%s: replays under %v (err %v), want %v", s.Repro(), model, err, tc.want)
+		if got, err := workload.FromScenario(parsed); err != nil || got.Model != tc.want {
+			t.Errorf("%s: replays under %v (err %v), want %v", s.Repro(), got.Model, err, tc.want)
 		}
 		if got, err := replay(s.Repro()); err != nil || got != 0 {
 			t.Errorf("replay of fully-persisted kv cut %s exited %d (err %v), want 0", s.Repro(), got, err)
@@ -80,36 +88,22 @@ func TestReplayKVModelParam(t *testing.T) {
 	}
 }
 
-// TestReplayQueueDispatch keeps the non-kv path covered: a queue repro
-// line still rebuilds via FromScenario/Build.
+// TestReplayQueueDispatch keeps the grid path covered: a queue repro
+// line rebuilds through FromScenario/Build, and one without model=
+// replays under the policy's target model (strict for policy=strict).
 func TestReplayQueueDispatch(t *testing.T) {
-	o := workload.Options{
-		Workload: "queue", Threads: 1, Inserts: 2, Payload: 16, Seed: 1,
-		DesignStr: "cwl", PolicyStr: "epoch",
-	}
-	var err error
-	o.Design, err = workload.ParseDesign(o.DesignStr)
+	s, err := fault.ParseRepro("fault1|workload=queue,policy=strict,threads=1,inserts=2,payload=16|cut=0:|plan=")
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Policy, err = workload.ParsePolicy(o.PolicyStr)
+	o, err := workload.FromScenario(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Model = o.Policy.Model()
-	run, err := workload.Build(o, nil)
-	if err != nil {
-		t.Fatal(err)
+	if o.Model != core.Strict {
+		t.Fatalf("workload=queue,policy=strict line without model= rebuilds under %v, want strict", o.Model)
 	}
-	g, err := graph.Build(run.Trace, core.Params{Model: o.Model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := graph.Cut{Included: make([]bool, g.Len())}
-	for i := range full.Included {
-		full.Included[i] = true
-	}
-	s := fault.Scenario{Params: o.Params(), Cut: full}
+	s.Cut = fullCut(t, o, core.Strict)
 	if got, err := replay(s.Repro()); err != nil || got != 0 {
 		t.Errorf("replay of fully-persisted queue cut exited %d (err %v), want 0", got, err)
 	}

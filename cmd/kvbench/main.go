@@ -10,8 +10,12 @@
 //	        [-integrity] [-parallel N] [-json] [-out FILE]
 //	        [-graph-dump FILE]
 //
+// -shards, -keys, -threads, -ops, -read-frac, -zipf, -seed and
+// -integrity are internal/workload's kv parameters, with serving-sized
+// defaults (64 shards, 1<<20 keys, 128 threads, 1<<20 ops, seed 42).
 // The persistency checkers run over the same store through
-// `persistcheck -workload kv` (-inserts is the op count there).
+// `persistcheck -workload kv` (-inserts is the op count there, ops= in
+// its repro lines).
 //
 // Every reported number is simulated and deterministic: the same
 // flags produce the same bytes at any -parallel, so -out artifacts and
@@ -66,16 +70,10 @@ func main() { cli.Main("kvbench", run) }
 
 func run(env *cli.Env) (int, error) {
 	fs := env.Flags
+	workloadOpts := workload.Flags(fs, "shards=64", "keys=1048576", "threads=128", "ops=1048576",
+		"read-frac", "zipf", "seed=42", "integrity")
 	var (
-		shards    = fs.Int("shards", 64, "shard count (one journaled table per shard)")
-		keys      = fs.Uint64("keys", 1<<20, "dense key-space size")
-		threads   = fs.Int("threads", 128, "simulated serving threads")
-		ops       = fs.Int("ops", 1<<20, "total operations, split across threads")
-		readFrac  = fs.Float64("read-frac", 0.9, "fraction of operations that are reads")
-		zipfS     = fs.Float64("zipf", 1.1, "Zipf skew s (>1); 0 means uniform keys")
-		seed      = fs.Int64("seed", 42, "generator and interleaving seed")
 		policyStr = fs.String("policies", "strict,epoch,racing,strand", "comma-separated annotation policies to sweep")
-		integrity = fs.Bool("integrity", false, "use the corruption-detecting durable format in every shard")
 		parallel  = fs.Int("parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
 		jsonOut   = fs.Bool("json", false, "emit the report JSON to stdout instead of aligned tables")
 		out       = fs.String("out", "", "write the report JSON to this file (e.g. BENCH_kv.json)")
@@ -84,9 +82,13 @@ func run(env *cli.Env) (int, error) {
 	if err := env.Parse(); err != nil {
 		return 0, err
 	}
-	man := env.Manifest.Seed("seed", *seed).ModelGrid(core.Models...)
+	base, err := workloadOpts()
+	if err != nil {
+		return 0, err
+	}
+	man := env.Manifest.Seed("seed", base.Seed).ModelGrid(core.Models...)
 	reg, spans := env.Registry, env.Spans
-	grid, err := parseGrid(*policyStr, *shards, *keys, *threads, *ops, *readFrac, *zipfS, *seed, *integrity)
+	grid, err := parseGrid(*policyStr, base)
 	if err != nil {
 		return 0, err
 	}
@@ -102,7 +104,7 @@ func run(env *cli.Env) (int, error) {
 	rows := make([]row, 0, len(grid)*len(core.Models))
 	sw := sweep.Config{Parallel: *parallel, Registry: reg, Spans: spans}.Named("kvbench")
 	err = sweep.Run(len(grid), sw, func(i int) (itemOut, error) {
-		kv, err := workload.BuildKV(grid[i].opts, nil)
+		kv, err := workload.Build(grid[i].opts, nil)
 		if err != nil {
 			return itemOut{}, err
 		}
@@ -112,7 +114,7 @@ func run(env *cli.Env) (int, error) {
 		}
 		return itemOut{results: res, events: int64(kv.Trace.Len())}, nil
 	}, func(i int, v itemOut) error {
-		target := grid[i].opts.Policy.Model()
+		target := grid[i].opts.Model
 		for _, r := range v.results {
 			telemetry.ObserveResult(reg, fmt.Sprintf("kv/%s/%v", grid[i].name, r.Model), r)
 			rows = append(rows, row{
@@ -120,7 +122,7 @@ func run(env *cli.Env) (int, error) {
 				Target: r.Model == target, Events: v.events,
 				Persists: r.Persists, Placed: r.Placed, Coalesced: r.Coalesced,
 				CriticalPath: r.CriticalPath, PathPerOp: r.PathPerWork(),
-				Ops: grid[i].opts.Ops,
+				Ops: grid[i].opts.Inserts,
 			})
 		}
 		return nil
@@ -156,10 +158,12 @@ func run(env *cli.Env) (int, error) {
 // gridItem pairs the policy's flag spelling with the built options.
 type gridItem struct {
 	name string
-	opts workload.KVOptions
+	opts workload.Options
 }
 
-func parseGrid(policies string, shards int, keys uint64, threads, ops int, readFrac, zipfS float64, seed int64, integrity bool) ([]gridItem, error) {
+// parseGrid makes one kv run of base per listed policy, under the
+// policy's target model.
+func parseGrid(policies string, base workload.Options) ([]gridItem, error) {
 	var grid []gridItem
 	for _, name := range strings.Split(policies, ",") {
 		name = strings.TrimSpace(name)
@@ -167,11 +171,8 @@ func parseGrid(policies string, shards int, keys uint64, threads, ops int, readF
 		if err != nil {
 			return nil, err
 		}
-		opts := workload.KVOptions{
-			Shards: shards, Keys: keys, Threads: threads, Ops: ops,
-			ReadFrac: readFrac, ZipfS: zipfS, Policy: pol,
-			Integrity: integrity, Seed: seed, PolicyStr: name,
-		}
+		opts := base
+		opts.Workload, opts.Policy, opts.Model = "kv", pol, pol.Model()
 		if err := opts.Validate(); err != nil {
 			return nil, err
 		}
@@ -189,14 +190,14 @@ func parseGrid(policies string, shards int, keys uint64, threads, ops int, readF
 // latency-side figure of merit), bytes_per_op the persist traffic per
 // operation (64B per placed persist), allocs_per_op the raw persist
 // count per operation.
-func buildReport(man *telemetry.Manifest, rows []row, o workload.KVOptions) *report {
+func buildReport(man *telemetry.Manifest, rows []row, o workload.Options) *report {
 	rep := &report{
 		Suite: benchdiff.Suite{Suite: "kv-serving", Manifest: man},
 		Config: map[string]string{
 			"shards":    strconv.Itoa(o.Shards),
 			"keys":      strconv.FormatUint(o.Keys, 10),
 			"threads":   strconv.Itoa(o.Threads),
-			"ops":       strconv.Itoa(o.Ops),
+			"ops":       strconv.Itoa(o.Inserts),
 			"read-frac": strconv.FormatFloat(o.ReadFrac, 'g', -1, 64),
 			"zipf":      strconv.FormatFloat(o.ZipfS, 'g', -1, 64),
 			"seed":      strconv.FormatInt(o.Seed, 10),
@@ -236,11 +237,11 @@ func printTables(rows []row) {
 // grid policy under its target model and writes a deterministic
 // line-oriented dump.
 func dumpGraph(path string, item gridItem, spans *telemetry.SpanTracer) error {
-	run, err := workload.BuildKV(item.opts, nil)
+	run, err := workload.Build(item.opts, nil)
 	if err != nil {
 		return err
 	}
-	p := core.Params{Model: item.opts.Policy.Model()}
+	p := core.Params{Model: item.opts.Model}
 	sp := spans.Start("graph", "build").Arg("model", p.Model.String())
 	g, err := graph.Build(run.Trace, p)
 	if err == nil {

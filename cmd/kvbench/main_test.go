@@ -3,19 +3,30 @@ package main
 import (
 	"math"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // TestParseGridRejectsBadReadFrac pins flag validation: -read-frac 1.5
 // once ran an all-read grid silently; it must now fail before any
 // tracing, as must a negative or NaN zipf skew.
 func TestParseGridRejectsBadReadFrac(t *testing.T) {
-	if _, err := parseGrid("strict,epoch", 2, 8, 2, 8, 1.5, 1.1, 42, false); err == nil {
-		t.Error("parseGrid accepted -read-frac 1.5")
+	base := workload.Options{Workload: "kv", Shards: 2, Keys: 8, Threads: 2, Inserts: 8, ReadFrac: 0.5, ZipfS: 1.1, Seed: 42}
+	if _, err := parseGrid("strict,epoch", base); err != nil {
+		t.Fatalf("parseGrid rejected a valid grid: %v", err)
 	}
-	if _, err := parseGrid("epoch", 2, 8, 2, 8, 0.5, -1, 42, false); err == nil {
-		t.Error("parseGrid accepted -zipf -1")
-	}
-	if _, err := parseGrid("epoch", 2, 8, 2, 8, 0.5, math.NaN(), 42, false); err == nil {
-		t.Error("parseGrid accepted -zipf NaN")
+	for _, tc := range []struct {
+		name string
+		edit func(*workload.Options)
+	}{
+		{"-read-frac 1.5", func(o *workload.Options) { o.ReadFrac = 1.5 }},
+		{"-zipf -1", func(o *workload.Options) { o.ZipfS = -1 }},
+		{"-zipf NaN", func(o *workload.Options) { o.ZipfS = math.NaN() }},
+	} {
+		o := base
+		tc.edit(&o)
+		if _, err := parseGrid("epoch", o); err == nil {
+			t.Errorf("parseGrid accepted %s", tc.name)
+		}
 	}
 }

@@ -28,24 +28,24 @@
 //
 // Usage:
 //
-//	persistcheck [-workload queue|journal|pstm|kv] [-design cwl|2lc]
-//	             [-policy strict|epoch|racing|strand]
-//	             [-model strict|epoch|epoch-tso|strand] [-all-models]
-//	             [-threads N] [-inserts N] [-payload N] [-seed S]
-//	             [-shards N] [-keys N] [-read-frac F]
-//	             [-break-barrier] [-omit-completion-barrier]
-//	             [-break-commit] [-omit-strand-recipe]
-//	             [-integrity] [-require-integrity] [-sparse-blocks]
+//	persistcheck [workload flags] [-shards N] [-keys N] [-read-frac F]
+//	             [-sparse-blocks] [-all-models] [-require-integrity]
 //	             [-exhaustive] [-state-budget N] [-parallel N]
 //	             [-limit N] [-metrics-out FILE] [-spans-out FILE]
 //	             [-cpuprofile FILE] [-memprofile FILE]
 //
+// The workload flags (-workload queue|journal|pstm|kv, -design, -policy,
+// -model, -threads, -inserts, -payload, -seed, the negative-test
+// switches and -integrity) are internal/workload's common set, shared
+// with cmd/crashsim; -shards, -keys, -read-frac and -sparse-blocks come
+// from the same parameter table.
+//
 // -workload kv checks the sharded KV serving store (internal/kv driven
 // by the Zipfian generator, skew 1.1): -inserts is the total operation
-// count, -shards, -keys and -read-frac shape the store and the mix, and
-// the queue/journal fixture knobs do not apply. This is the only
-// command that runs the checkers; kvbench, pqbench and crashsim
-// measure and replay.
+// count (ops= in its repro lines), -shards, -keys and -read-frac shape
+// the store and the mix, and the queue/journal fixture knobs do not
+// apply. This is the only command that runs the checkers; kvbench,
+// pqbench and crashsim measure and replay.
 //
 // Without -model the checker uses the policy's natural target model
 // (the Table 1 column pairing); -all-models checks every model in one
@@ -64,11 +64,11 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/persistcheck"
 	"repro/internal/persistcheck/exhaustive"
@@ -80,7 +80,7 @@ import (
 // checkConfig is everything one checker invocation needs; main parses
 // flags into it, tests construct it directly.
 type checkConfig struct {
-	build       builder
+	opts        workload.Options // Model is set per checked model
 	models      []core.Model
 	exhaustive  bool
 	stateBudget int
@@ -102,31 +102,6 @@ type modelOutput struct {
 	exHazards  int
 }
 
-// builder traces the checked workload for one model and returns the
-// run with the repro params its findings carry.
-type builder func(model core.Model) (*workload.Run, []fault.Param, error)
-
-// gridBuilder builds the queue/journal/pstm grid; the model is part of
-// the options, so it lands in the repro params.
-func gridBuilder(o workload.Options) builder {
-	return func(model core.Model) (*workload.Run, []fault.Param, error) {
-		o := o // models build concurrently
-		o.Model = model
-		run, err := workload.Build(o, nil)
-		return run, o.Params(), err
-	}
-}
-
-// kvBuilder builds the sharded KV store. KVOptions carry no model, so
-// the checked one is appended to the repro params: crashsim -replay
-// then rebuilds the graph under it rather than the policy's target.
-func kvBuilder(o workload.KVOptions) builder {
-	return func(model core.Model) (*workload.Run, []fault.Param, error) {
-		run, err := workload.BuildKV(o, nil)
-		return run, append(o.Params(), fault.Param{Key: "model", Value: model.String()}), err
-	}
-}
-
 // checkModels runs the witness-pair checker (and optionally the
 // exhaustive checker) for every model in the grid, fanning models out
 // across sweep workers. Output is assembled in model order and findings
@@ -143,10 +118,13 @@ func checkModels(cfg checkConfig) (string, *modelOutput, error) {
 	err := sweep.Run(len(cfg.models), sweep.Config{Parallel: outer, Name: "persistcheck-models", Spans: cfg.spans},
 		func(i int) (*modelOutput, error) {
 			model := cfg.models[i]
-			run, params, err := cfg.build(model)
+			o := cfg.opts
+			o.Model = model
+			run, err := workload.Build(o, nil)
 			if err != nil {
 				return nil, err
 			}
+			params := o.Params()
 			// One graph per (trace, model), shared by both checkers.
 			g, err := graph.Build(run.Trace, core.Params{Model: model})
 			if err != nil {
@@ -215,26 +193,10 @@ func main() { cli.Main("persistcheck", run) }
 
 func run(env *cli.Env) (int, error) {
 	fs := env.Flags
+	workloadOpts := workload.Flags(fs, slices.Concat(workload.CommonFlags, []string{"shards", "keys", "read-frac", "sparse-blocks"})...)
 	var (
-		wl          = fs.String("workload", "queue", "queue, journal, pstm, or kv")
-		designStr   = fs.String("design", "cwl", "cwl or 2lc (queue only)")
-		policyStr   = fs.String("policy", "epoch", "strict|epoch|racing|strand")
-		modelStr    = fs.String("model", "", "persistency model (default: the policy's target model)")
 		allModels   = fs.Bool("all-models", false, "check under every persistency model")
-		threads     = fs.Int("threads", 2, "simulated threads")
-		inserts     = fs.Int("inserts", 16, "total inserts/transactions (kv: operations)")
-		payloadLen  = fs.Int("payload", 64, "payload bytes (queue only)")
-		seed        = fs.Int64("seed", 1, "interleaving seed")
-		shards      = fs.Int("shards", 8, "shard count (kv only)")
-		keys        = fs.Uint64("keys", 1024, "dense key-space size (kv only)")
-		readFrac    = fs.Float64("read-frac", 0.9, "fraction of operations that are reads (kv only)")
-		breakBar    = fs.Bool("break-barrier", false, "drop the data→head barrier (negative test)")
-		omitComp    = fs.Bool("omit-completion-barrier", false, "drop 2LC's completion barrier (negative test)")
-		breakCmt    = fs.Bool("break-commit", false, "drop the journal's records→commit barrier (negative test)")
-		omitRcp     = fs.Bool("omit-strand-recipe", false, "drop the journal's §5.3 strand recipe (negative test)")
-		integrity   = fs.Bool("integrity", false, "build with the corruption-detecting durable format (CRC frames, durable words, shadows)")
 		requireInt  = fs.Bool("require-integrity", false, "fail (exit 2) on unprotected recovery metadata findings")
-		sparse      = fs.Bool("sparse-blocks", false, "journal writes tag-word-only blocks (keeps -exhaustive state spaces tractable)")
 		exhaustiveF = fs.Bool("exhaustive", false, "enumerate and classify every reachable crash state (bounded model checking)")
 		stateBudget = fs.Int("state-budget", 0, "exhaustive checker state budget; exceeding it refuses the fixture (0 = 1<<20)")
 		parallel    = fs.Int("parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
@@ -243,47 +205,19 @@ func run(env *cli.Env) (int, error) {
 	if err := env.Parse(); err != nil {
 		return 0, err
 	}
-	env.Manifest.Seed("seed", *seed)
-
-	design, err := workload.ParseDesign(*designStr)
+	opts, err := workloadOpts()
 	if err != nil {
 		return 0, err
 	}
-	policy, err := workload.ParsePolicy(*policyStr)
-	if err != nil {
-		return 0, err
-	}
-	models := []core.Model{policy.Model()}
-	switch {
-	case *allModels:
+	env.Manifest.Seed("seed", opts.Seed)
+	models := []core.Model{opts.Model}
+	if *allModels {
 		models = core.Models
-	case *modelStr != "":
-		m, err := workload.ParseModel(*modelStr)
-		if err != nil {
-			return 0, err
-		}
-		models = []core.Model{m}
-	}
-
-	build := gridBuilder(workload.Options{
-		Workload: *wl, Design: design, Policy: policy,
-		Threads: *threads, Inserts: *inserts, Payload: *payloadLen, Seed: *seed,
-		BreakBar: *breakBar, OmitComp: *omitComp,
-		BreakCommit: *breakCmt, OmitRecipe: *omitRcp,
-		Integrity: *integrity, SparseBlocks: *sparse,
-		DesignStr: *designStr, PolicyStr: *policyStr,
-	})
-	if *wl == "kv" {
-		build = kvBuilder(workload.KVOptions{
-			Shards: *shards, Keys: *keys, Threads: *threads, Ops: *inserts,
-			ReadFrac: *readFrac, ZipfS: 1.1, Policy: policy,
-			Integrity: *integrity, Seed: *seed, PolicyStr: *policyStr,
-		})
 	}
 
 	env.Manifest.ModelGrid(models...)
 	cfg := checkConfig{
-		build:       build,
+		opts:        opts,
 		models:      models,
 		exhaustive:  *exhaustiveF,
 		stateBudget: *stateBudget,

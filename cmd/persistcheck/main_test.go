@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,47 +10,38 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/workload"
 )
 
-func gridFixture(wl, design, policy string, threads, inserts int, mut func(*workload.Options)) builder {
-	d, _ := workload.ParseDesign(design)
-	p, _ := workload.ParsePolicy(policy)
-	o := workload.Options{
-		Workload: wl, Design: d, Policy: p,
-		Threads: threads, Inserts: inserts, Payload: 16, Seed: 1,
-		DesignStr: design, PolicyStr: policy,
+// fixture parses a repro line's parameters into the checked options.
+func fixture(t *testing.T, params string) workload.Options {
+	t.Helper()
+	s, err := fault.ParseRepro("fault1|" + params + "|cut=0:|plan=")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mut != nil {
-		mut(&o)
+	o, err := workload.FromScenario(s)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return gridBuilder(o)
+	return o
 }
 
 // kvFixture is the sharded KV fixture the CI gates check: 2 shards, 8
 // keys, 2 threads, 8 operations, seed 42.
-func kvFixture(t *testing.T, policy string, readFrac float64) builder {
+func kvFixture(t *testing.T, policy string, readFrac float64) workload.Options {
 	t.Helper()
-	p, err := workload.ParsePolicy(policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return kvBuilder(workload.KVOptions{
-		Shards: 2, Keys: 8, Threads: 2, Ops: 8,
-		ReadFrac: readFrac, ZipfS: 1.1, Policy: p, Seed: 42, PolicyStr: policy,
-	})
+	return fixture(t, fmt.Sprintf("workload=kv,policy=%s,shards=2,keys=8,threads=2,ops=8,read-frac=%v,seed=42", policy, readFrac))
 }
 
 // kvTarget checks the KV fixture under the policy's target model.
 func kvTarget(t *testing.T, policy string, readFrac float64, exhaustive bool) (string, *modelOutput) {
 	t.Helper()
-	p, err := workload.ParsePolicy(policy)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := kvFixture(t, policy, readFrac)
 	text, total, err := checkModels(checkConfig{
-		build:      kvFixture(t, policy, readFrac),
-		models:     []core.Model{p.Model()},
+		opts:       o,
+		models:     []core.Model{o.Model},
 		exhaustive: exhaustive,
 		parallel:   1,
 	})
@@ -63,7 +55,7 @@ func kvTarget(t *testing.T, policy string, readFrac float64, exhaustive bool) (s
 // policies report no hazards, and racing — which drops the journal's
 // inner barrier, flagged by the epoch-race detector on a write-heavy
 // mix — reports witness hazards whose repro lines name the checked
-// model, since KVOptions.Params carries none.
+// model last.
 func TestKVExitContract(t *testing.T) {
 	for _, pol := range []string{"strict", "epoch", "strand"} {
 		if _, total := kvTarget(t, pol, 0.5, false); total.hazards != 0 {
@@ -101,22 +93,19 @@ func TestKVExhaustive(t *testing.T) {
 // -parallel worker count.
 func TestAllModelsDeterministicAcrossParallel(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		build builder
+		name string
+		opts workload.Options
 	}{
-		{"queue-break-barrier", gridFixture("queue", "cwl", "epoch", 2, 6, func(o *workload.Options) { o.BreakBar = true })},
-		{"journal-break-commit", gridFixture("journal", "cwl", "epoch", 1, 2, func(o *workload.Options) {
-			o.BreakCommit = true
-			o.SparseBlocks = true
-		})},
-		{"pstm-racing", gridFixture("pstm", "cwl", "racing", 2, 6, nil)},
+		{"queue-break-barrier", fixture(t, "workload=queue,policy=epoch,threads=2,inserts=6,payload=16,break-barrier=1")},
+		{"journal-break-commit", fixture(t, "workload=journal,policy=epoch,threads=1,inserts=2,payload=16,break-commit=1,sparse-blocks=1")},
+		{"pstm-racing", fixture(t, "workload=pstm,policy=racing,threads=2,inserts=6,payload=16")},
 		{"kv-racing", kvFixture(t, "racing", 0.5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var first string
 			for _, workers := range []int{1, 4, 8} {
 				cfg := checkConfig{
-					build:      tc.build,
+					opts:       tc.opts,
 					models:     core.Models,
 					exhaustive: true,
 					parallel:   workers,

@@ -34,17 +34,13 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracedump", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	workloadOpts := workload.Flags(fs, "design", "policy", "threads=4", "inserts=1000", "seed")
 	var (
-		designStr = fs.String("design", "cwl", "cwl or 2lc")
-		policyStr = fs.String("policy", "epoch", "strict|epoch|racing|strand")
-		threads   = fs.Int("threads", 4, "simulated threads")
-		inserts   = fs.Int("inserts", 1000, "total inserts")
-		seed      = fs.Int64("seed", 1, "interleaving seed")
-		out       = fs.String("o", "", "write the binary trace to this file")
-		dump      = fs.Int("dump", 0, "print the first N events")
-		replay    = fs.String("replay", "", "read a binary trace instead of running a workload")
-		dot       = fs.String("dot", "", "write the persist constraint graph (Graphviz) to this file")
-		dotModel  = fs.String("dot-model", "epoch", "persistency model for -dot")
+		out      = fs.String("o", "", "write the binary trace to this file")
+		dump     = fs.Int("dump", 0, "print the first N events")
+		replay   = fs.String("replay", "", "read a binary trace instead of running a workload")
+		dot      = fs.String("dot", "", "write the persist constraint graph (Graphviz) to this file")
+		dotModel = fs.String("dot-model", "epoch", "persistency model for -dot")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -53,16 +49,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "tracedump:", err)
 		return 1
 	}
+	o, err := workloadOpts()
 	switch {
-	case *inserts <= 0:
-		return fail(fmt.Errorf("-inserts %d: must be positive", *inserts))
-	case *threads < 1:
-		return fail(fmt.Errorf("-threads %d: must be positive", *threads))
+	case err != nil:
+		return fail(err)
+	case o.Inserts <= 0:
+		return fail(fmt.Errorf("-inserts %d: must be positive", o.Inserts))
+	case o.Threads < 1:
+		return fail(fmt.Errorf("-threads %d: must be positive", o.Threads))
 	}
 
 	man := telemetry.NewManifest("tracedump").
 		CaptureFlags(fs).
-		Seed("seed", *seed).
+		Seed("seed", o.Seed).
 		ModelGrid(core.Models...)
 	fmt.Fprintln(stderr, man.String())
 
@@ -78,17 +77,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	} else {
-		policy, err := workload.ParsePolicy(*policyStr)
-		if err != nil {
-			return fail(err)
-		}
-		design, err := workload.ParseDesign(*designStr)
-		if err != nil {
-			return fail(err)
-		}
 		tr, err = bench.Trace(bench.Workload{
-			Design: design, Policy: policy, Threads: *threads,
-			Inserts: *inserts, PayloadLen: 100, Seed: *seed,
+			Design: o.Design, Policy: o.Policy, Threads: o.Threads,
+			Inserts: o.Inserts, PayloadLen: 100, Seed: o.Seed,
 		})
 		if err != nil {
 			return fail(err)

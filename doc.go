@@ -13,7 +13,7 @@
 //	internal/exec      SC/PSO simulated multithreading (PIN-substitute tracer)
 //	internal/memory    address spaces, heaps, crash images
 //	internal/trace     memory-event model + binary codec
-//	internal/locks     MCS/ticket/TAS locks on simulated memory
+//	internal/locks     MCS queue lock on simulated memory
 //	internal/graph     explicit persist-order DAGs, cycles, crash cuts, DOT
 //	internal/observer  recovery observer: sampling + adversarial crash sweeps
 //	internal/queue     the paper's persistent queue (CWL, 2LC) + recovery

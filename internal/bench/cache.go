@@ -152,8 +152,8 @@ func (c *TraceCache) fill(e *cacheEntry, tr *trace.Trace, err error) {
 
 // Do returns the trace for an arbitrary comparable key, filling via gen
 // on miss. Keys of distinct types never collide, so callers need no
-// namespacing beyond their own key type (workload.Options and
-// workload.KVOptions key the shipped workloads). A nil receiver is a
+// namespacing beyond their own key type (workload.Options keys the
+// shipped workloads). A nil receiver is a
 // pass-through: gen runs uncached, so every caller can thread an
 // optional *TraceCache without branching. The returned trace escapes
 // to the caller, so eviction will never pool-Release it.

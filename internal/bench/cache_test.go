@@ -12,7 +12,7 @@ import (
 )
 
 // cachedTrace fetches w's trace through c.Do, keyed by the workload —
-// the lookup workload.Build and workload.BuildKV make.
+// the lookup workload.Build makes.
 func cachedTrace(c *TraceCache, w Workload) (*trace.Trace, error) {
 	return c.Do(w, func() (*trace.Trace, error) { return Trace(w) })
 }

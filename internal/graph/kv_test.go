@@ -21,9 +21,10 @@ func kvTrace(tb testing.TB, policy string, ops int, readFrac float64, seed int64
 	if err != nil {
 		tb.Fatal(err)
 	}
-	run, err := workload.BuildKV(workload.KVOptions{
-		Shards: 16, Keys: 65536, Threads: 32, Ops: ops,
-		ReadFrac: readFrac, ZipfS: 1.1, Policy: qp, Seed: seed, PolicyStr: policy,
+	run, err := workload.Build(workload.Options{
+		Workload: "kv", Policy: qp, Model: qp.Model(),
+		Threads: 32, Inserts: ops, Seed: seed,
+		Shards: 16, Keys: 65536, ReadFrac: readFrac, ZipfS: 1.1,
 	}, nil)
 	if err != nil {
 		tb.Fatal(err)

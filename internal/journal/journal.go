@@ -108,7 +108,7 @@ type Meta struct {
 type Store struct {
 	cfg  Config
 	meta Meta
-	lock locks.Lock
+	lock *locks.MCS
 	// headV is the volatile journal append cursor (monotonic).
 	headV memory.Addr
 	// txnSeq is the volatile transaction id counter.

@@ -6,9 +6,8 @@
 // point of the paper's "Epoch" vs. "Racing Epochs" distinction, so the
 // locks must be real memory algorithms, not Go mutexes.
 //
-// The paper's benchmarks use MCS queue locks (§7, [20]); MCS is the
-// default here, with ticket and test-and-set locks for comparison.
-// All locks live in the volatile address space, following the paper's
+// The paper's benchmarks use MCS queue locks (§7, [20]), the one lock
+// here. Locks live in the volatile address space, following the paper's
 // guidance to "only place locks in the volatile address space" (§5.2).
 package locks
 
@@ -19,16 +18,10 @@ import (
 	"repro/internal/memory"
 )
 
-// Lock is a mutual-exclusion lock on simulated memory. Acquire and
-// Release must be called from the owning simulated thread, in pairs.
-type Lock interface {
-	Acquire(t *exec.Thread)
-	Release(t *exec.Thread)
-}
-
 // MCS is the Mellor-Crummey/Scott queue-based spin lock: threads
 // enqueue a per-thread node and spin on their own cache line, giving
-// FIFO order and local spinning.
+// FIFO order and local spinning. Acquire and Release must be called
+// from the owning simulated thread, in pairs.
 //
 // Layout: the lock itself is one volatile word holding the tail node
 // address (0 = free). Each thread's node is two volatile words:
@@ -110,61 +103,4 @@ func (l *MCS) Release(t *exec.Thread) {
 	// Critical-section stores must be visible before the handoff.
 	t.Fence()
 	t.Store8(succ+mcsLocked, 0)
-}
-
-// Ticket is a FIFO ticket lock: two volatile words, next (+0) and
-// serving (+8).
-type Ticket struct {
-	base memory.Addr
-}
-
-// NewTicket allocates the ticket lock using t.
-func NewTicket(t *exec.Thread) *Ticket {
-	l := &Ticket{base: t.MallocVolatile(16, memory.DefaultAlign)}
-	t.Store8(l.base, 0)
-	t.Store8(l.base+8, 0)
-	return l
-}
-
-// Acquire draws a ticket and spins until served.
-func (l *Ticket) Acquire(t *exec.Thread) {
-	my := t.Add8(l.base, 1) - 1
-	for t.Load8(l.base+8) != my {
-		t.Yield()
-	}
-}
-
-// Release serves the next ticket.
-func (l *Ticket) Release(t *exec.Thread) {
-	v := t.Load8(l.base + 8)
-	t.Fence() // critical-section stores visible before the handoff
-	t.Store8(l.base+8, v+1)
-}
-
-// TAS is a test-and-set spin lock on a single volatile word.
-type TAS struct {
-	word memory.Addr
-}
-
-// NewTAS allocates the lock word using t.
-func NewTAS(t *exec.Thread) *TAS {
-	l := &TAS{word: t.MallocVolatile(memory.WordSize, memory.DefaultAlign)}
-	t.Store8(l.word, 0)
-	return l
-}
-
-// Acquire spins with test-test-and-set.
-func (l *TAS) Acquire(t *exec.Thread) {
-	for {
-		if t.Load8(l.word) == 0 && t.CAS8(l.word, 0, 1) {
-			return
-		}
-		t.Yield()
-	}
-}
-
-// Release clears the lock word.
-func (l *TAS) Release(t *exec.Thread) {
-	t.Fence() // critical-section stores visible before the handoff
-	t.Store8(l.word, 0)
 }

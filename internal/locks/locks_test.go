@@ -13,11 +13,11 @@ import (
 // section each thread writes its id into a guard word, does unrelated
 // work, and verifies the guard is untouched before incrementing a
 // counter non-atomically (load, work, store).
-func exerciseMutualExclusion(t *testing.T, mk func(*exec.Thread) Lock, threads, iters int, seed int64) {
+func exerciseMutualExclusion(t *testing.T, mk func(*exec.Thread) *MCS, threads, iters int, seed int64) {
 	t.Helper()
 	m := exec.NewMachine(exec.Config{Threads: threads, Seed: seed, Slice: 3})
 	s := m.SetupThread()
-	var l Lock = mk(s)
+	l := mk(s)
 	guard := s.MallocVolatile(8, 8)
 	ctr := s.MallocVolatile(8, 8)
 	violations := s.MallocVolatile(8, 8)
@@ -45,14 +45,14 @@ func exerciseMutualExclusion(t *testing.T, mk func(*exec.Thread) Lock, threads, 
 
 func TestMCSMutualExclusion(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
-		exerciseMutualExclusion(t, func(s *exec.Thread) Lock { return NewMCS(s) }, 4, 100, seed)
+		exerciseMutualExclusion(t, func(s *exec.Thread) *MCS { return NewMCS(s) }, 4, 100, seed)
 	}
 }
 
 // exerciseMutualExclusionPSO repeats the torture test on a
 // relaxed-consistency machine: the locks' internal fences must keep
 // critical sections exclusive when store visibility reorders.
-func exerciseMutualExclusionPSO(t *testing.T, mk func(*exec.Thread) Lock, seed int64) {
+func exerciseMutualExclusionPSO(t *testing.T, mk func(*exec.Thread) *MCS, seed int64) {
 	t.Helper()
 	m := exec.NewMachine(exec.Config{Threads: 4, Seed: seed, Slice: 3, Consistency: exec.PSO})
 	s := m.SetupThread()
@@ -73,21 +73,7 @@ func exerciseMutualExclusionPSO(t *testing.T, mk func(*exec.Thread) Lock, seed i
 
 func TestLocksUnderPSO(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		exerciseMutualExclusionPSO(t, func(s *exec.Thread) Lock { return NewMCS(s) }, seed)
-		exerciseMutualExclusionPSO(t, func(s *exec.Thread) Lock { return NewTicket(s) }, seed)
-		exerciseMutualExclusionPSO(t, func(s *exec.Thread) Lock { return NewTAS(s) }, seed)
-	}
-}
-
-func TestTicketMutualExclusion(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		exerciseMutualExclusion(t, func(s *exec.Thread) Lock { return NewTicket(s) }, 4, 100, seed)
-	}
-}
-
-func TestTASMutualExclusion(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		exerciseMutualExclusion(t, func(s *exec.Thread) Lock { return NewTAS(s) }, 4, 100, seed)
+		exerciseMutualExclusionPSO(t, func(s *exec.Thread) *MCS { return NewMCS(s) }, seed)
 	}
 }
 
@@ -157,8 +143,6 @@ func TestLocksAreVolatile(t *testing.T) {
 	m := exec.NewMachine(exec.Config{})
 	s := m.SetupThread()
 	NewMCS(s)
-	NewTicket(s)
-	NewTAS(s)
 	if m.PerHeap.LiveCount() != 0 {
 		t.Fatal("locks allocated persistent memory")
 	}

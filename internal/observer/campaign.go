@@ -24,7 +24,6 @@ import (
 	"repro/internal/memory"
 	"repro/internal/nvram"
 	"repro/internal/sweep"
-	"repro/internal/telemetry"
 )
 
 // CheckedRecoverFunc is the recovery contract every checker builds on:
@@ -113,13 +112,11 @@ type CampaignConfig struct {
 	// Scenario generation stays sequential (one rng stream) and
 	// verdicts merge in scenario order, so the outcome — tallies,
 	// progress sequence, first failure, minimized repro — is identical
-	// at any worker count.
+	// at any worker count. Sweep.Spans, when non-nil, also records
+	// wall-clock spans for the campaign's phases under category
+	// "campaign": scenario generation, per-scenario classify, and
+	// failure minimization.
 	Sweep sweep.Config
-	// Spans, when non-nil, records wall-clock spans for the campaign's
-	// phases: scenario generation, per-scenario classify (under category
-	// "campaign"), and failure minimization. Set Sweep.Spans too to get
-	// per-item worker attribution.
-	Spans *telemetry.SpanTracer
 }
 
 // minimizeBudget caps the recovery executions spent shrinking a
@@ -279,7 +276,7 @@ func Campaign(g *graph.Graph, rec CheckedRecoverFunc, cfg CampaignConfig) (Campa
 		c    graph.Cut
 		plan fault.Plan
 	}
-	genSpan := cfg.Spans.Start("campaign", "scenario-gen").Arg("scenarios", cfg.Scenarios)
+	genSpan := cfg.Sweep.Spans.Start("campaign", "scenario-gen").Arg("scenarios", cfg.Scenarios)
 	scens := make([]scenario, cfg.Scenarios)
 	for i := 0; i < cfg.Scenarios; i++ {
 		var c graph.Cut
@@ -306,7 +303,7 @@ func Campaign(g *graph.Graph, rec CheckedRecoverFunc, cfg CampaignConfig) (Campa
 	firstIdx := -1
 	err := sweep.Run(cfg.Scenarios, cfg.Sweep.Named("campaign"),
 		func(i int) (verdict, error) {
-			csp := cfg.Spans.Start("campaign", "classify").Arg("scenario", i)
+			csp := cfg.Sweep.Spans.Start("campaign", "classify").Arg("scenario", i)
 			class, rep, cerr := classify(g, scens[i].c, scens[i].plan, rec, maxRetries)
 			csp.End()
 			v := verdict{class: class, rep: rep, cerr: cerr}
@@ -372,7 +369,7 @@ func Campaign(g *graph.Graph, rec CheckedRecoverFunc, cfg CampaignConfig) (Campa
 	// guarantees this is the same failure the sequential campaign
 	// would have minimized.
 	if firstIdx >= 0 {
-		msp := cfg.Spans.Start("campaign", "minimize").Arg("scenario", firstIdx)
+		msp := cfg.Sweep.Spans.Start("campaign", "minimize").Arg("scenario", firstIdx)
 		class := out.FirstFailureClass
 		mc, mp := scens[firstIdx].c, scens[firstIdx].plan
 		if class == AnnotationCorrupt {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/queue"
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 )
 
 // The campaign-level determinism contract: equal seeds must yield
@@ -116,6 +117,33 @@ func TestCrashTestParallelMatchesSequential(t *testing.T) {
 			if broken && seq.AllRecovered() {
 				t.Fatalf("%T: broken queue recovered from every cut", tc.src)
 			}
+		}
+	}
+}
+
+// TestCampaignPhaseSpansFromSweepConfig pins where campaign phase spans
+// go: with only Sweep.Spans set, the tracer records the scenario-gen,
+// classify and minimize spans (category "campaign") beside the
+// sweep's own per-item spans.
+func TestCampaignPhaseSpansFromSweepConfig(t *testing.T) {
+	tr, rec := traceQueueChecked(t, queue.Config{
+		DataBytes: 1 << 13, Design: queue.CWL, Policy: core.PolicyEpoch,
+		BreakDataHeadOrder: true,
+	}, 1, 8, 5)
+	spans := telemetry.NewSpanTracer(nil)
+	out, err := Campaign(buildGraph(t, tr, core.Epoch), rec, CampaignConfig{
+		Scenarios: 400, Seed: 2,
+		Sweep: sweep.Config{Parallel: 2, Spans: spans},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.FirstFailure == nil {
+		t.Fatal("broken barrier not found: no minimize phase to record")
+	}
+	for _, name := range []string{"scenario-gen", "classify", "minimize"} {
+		if n := len(spans.WorkerTotals("campaign", name)); n == 0 {
+			t.Errorf("no campaign/%s span recorded", name)
 		}
 	}
 }

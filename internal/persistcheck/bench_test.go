@@ -14,9 +14,10 @@ import (
 // Zipf 1.1, seed 42) with its store's annotations. One op is a whole
 // Check, graph build included; ns/event is its cost per trace event.
 func BenchmarkPersistcheckKV(b *testing.B) {
-	run, err := workload.BuildKV(workload.KVOptions{
-		Shards: 16, Keys: 65536, Threads: 32, Ops: 1024,
-		ReadFrac: 0.9, ZipfS: 1.1, Policy: core.PolicyEpoch, Seed: 42, PolicyStr: "epoch",
+	run, err := workload.Build(workload.Options{
+		Workload: "kv", Policy: core.PolicyEpoch, Model: core.Epoch,
+		Threads: 32, Inserts: 1024, Seed: 42,
+		Shards: 16, Keys: 65536, ReadFrac: 0.9, ZipfS: 1.1,
 	}, nil)
 	if err != nil {
 		b.Fatal(err)

@@ -30,56 +30,43 @@ type fixture struct {
 }
 
 // buildRun traces a workload fixture for checking and returns its
-// target model alongside. The returned Options are zero for kv
-// fixtures (they parameterize differently and seed no broken
-// variants, so nothing downstream needs their repro params).
+// options and target model alongside. kv fixtures run 2 shards and 8
+// keys.
 func buildRun(t testing.TB, fx fixture) (*workload.Run, workload.Options, core.Model) {
 	t.Helper()
-	if fx.design == "" {
-		fx.design = "cwl"
-	}
-	if fx.payload == 0 {
-		fx.payload = 16
-	}
-	if fx.seed == 0 {
-		fx.seed = 1
-	}
-	design, err := workload.ParseDesign(fx.design)
+	o, err := workload.FromScenario(&fault.Scenario{}) // the flag defaults
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy, err := workload.ParsePolicy(fx.policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := policy.Model()
-	if fx.wl == "kv" {
-		if fx.readFrac == 0 {
-			fx.readFrac = 0.75
-		}
-		run, err := workload.BuildKV(workload.KVOptions{
-			Shards: 2, Keys: 8, Threads: fx.threads, Ops: fx.inserts,
-			ReadFrac: fx.readFrac, ZipfS: 1.1, Policy: policy,
-			Integrity: fx.integrity, Seed: fx.seed, PolicyStr: fx.policy,
-		}, nil)
-		if err != nil {
+	if fx.design != "" {
+		if o.Design, err = workload.ParseDesign(fx.design); err != nil {
 			t.Fatal(err)
 		}
-		return run, workload.Options{}, model
 	}
-	o := workload.Options{
-		Workload: fx.wl, Design: design, Policy: policy, Model: model,
-		Threads: fx.threads, Inserts: fx.inserts, Payload: fx.payload, Seed: fx.seed,
-		BreakBar: fx.breakBar, OmitComp: fx.omitComp,
-		BreakCommit: fx.breakCommit, OmitRecipe: fx.omitRecipe,
-		Integrity: fx.integrity, SparseBlocks: fx.sparse,
-		DesignStr: fx.design, PolicyStr: fx.policy,
+	if o.Policy, err = workload.ParsePolicy(fx.policy); err != nil {
+		t.Fatal(err)
+	}
+	o.Model = o.Policy.Model()
+	o.Workload, o.Threads, o.Inserts, o.Payload, o.Seed = fx.wl, fx.threads, fx.inserts, 16, 1
+	if fx.payload != 0 {
+		o.Payload = fx.payload
+	}
+	if fx.seed != 0 {
+		o.Seed = fx.seed
+	}
+	o.BreakBar, o.OmitComp, o.BreakCommit = fx.breakBar, fx.omitComp, fx.breakCommit
+	o.OmitRecipe, o.Integrity, o.SparseBlocks = fx.omitRecipe, fx.integrity, fx.sparse
+	if fx.wl == "kv" {
+		o.Shards, o.Keys, o.ReadFrac = 2, 8, 0.75
+		if fx.readFrac != 0 {
+			o.ReadFrac = fx.readFrac
+		}
 	}
 	run, err := workload.Build(o, nil)
 	if err != nil {
 		t.Fatalf("build %+v: %v", o, err)
 	}
-	return run, o, model
+	return run, o, o.Model
 }
 
 // buildGraph builds run's persist-order graph under model.

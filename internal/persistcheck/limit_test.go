@@ -47,7 +47,7 @@ func TestLimitOnlyTruncates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := fmt.Sprintf("%s/%s/%v", o.Workload, o.PolicyStr, o.Model)
+		name := fmt.Sprintf("%s/%v/%v", o.Workload, o.Policy, o.Model)
 		var reps []*persistcheck.Report
 		for _, limit := range []int{1, 0, 1 << 20} {
 			rep, err := persistcheck.Check(run.Trace, core.Params{Model: o.Model}, run.Checks, persistcheck.Config{

@@ -25,20 +25,16 @@ import (
 // natural model, mirroring the cmd/persistcheck defaults.
 func opt(t *testing.T, wl, design, policy string, threads, inserts int, seed int64) workload.Options {
 	t.Helper()
-	d, err := workload.ParseDesign(design)
+	s, err := fault.ParseRepro(fmt.Sprintf("fault1|workload=%s,design=%s,policy=%s,threads=%d,inserts=%d,seed=%d|cut=0:|plan=",
+		wl, design, policy, threads, inserts, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := workload.ParsePolicy(policy)
+	o, err := workload.FromScenario(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return workload.Options{
-		Workload: wl, Design: d, Policy: p,
-		Model:   p.Model(),
-		Threads: threads, Inserts: inserts, Payload: 64, Seed: seed,
-		DesignStr: design, PolicyStr: policy,
-	}
+	return o
 }
 
 func check(t *testing.T, o workload.Options) (*workload.Run, *persistcheck.Report) {

@@ -118,7 +118,7 @@ type Meta struct {
 type Heap struct {
 	cfg  Config
 	meta Meta
-	lock locks.Lock
+	lock *locks.MCS
 	// seqV is the volatile transaction id counter.
 	seqV memory.Addr
 }

@@ -153,10 +153,10 @@ type Queue struct {
 	meta Meta
 
 	// CWL lock.
-	queueLock locks.Lock
+	queueLock *locks.MCS
 	// 2LC locks and volatile insert list.
-	reserveLock locks.Lock
-	updateLock  locks.Lock
+	reserveLock *locks.MCS
+	updateLock  *locks.MCS
 	list        *insertList
 	// headV is the 2LC volatile head reservation cursor.
 	headV memory.Addr

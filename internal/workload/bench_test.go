@@ -14,10 +14,8 @@ import (
 // serving path runs before simulation. ns/event and allocs/event are
 // per trace event, so they compare with the core and graph benchmarks.
 func BenchmarkBuildKV(b *testing.B) {
-	o := KVOptions{
-		Shards: 16, Keys: 65536, Threads: 32, Ops: 4096,
-		ReadFrac: 0.9, ZipfS: 1.1, Policy: core.PolicyEpoch, Seed: 42,
-	}
+	o := kvReadShape
+	o.Inserts = 4096
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocs := ms.Mallocs
@@ -25,7 +23,7 @@ func BenchmarkBuildKV(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run, err := BuildKV(o, nil)
+		run, err := Build(o, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,7 +41,7 @@ func BenchmarkBuildKV(b *testing.B) {
 // per-thread slice) and ns/event the cold-table simulation cost: what
 // a pooled simulator holds after its first kv-read job.
 func BenchmarkSimTablesKV(b *testing.B) {
-	run, err := BuildKV(kvReadShape, nil)
+	run, err := Build(kvReadShape, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

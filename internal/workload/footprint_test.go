@@ -11,9 +11,10 @@ import (
 
 // kvReadShape is one kv-read serving run: 16 shards, 65,536 keys, 32
 // threads and 16,384 ops at 0.9 reads, Zipf 1.1, epoch annotations.
-var kvReadShape = KVOptions{
-	Shards: 16, Keys: 65536, Threads: 32, Ops: 16384,
-	ReadFrac: 0.9, ZipfS: 1.1, Policy: core.PolicyEpoch, Seed: 42,
+var kvReadShape = Options{
+	Workload: "kv", Policy: core.PolicyEpoch, Model: core.Epoch,
+	Threads: 32, Inserts: 16384, Seed: 42,
+	Shards: 16, Keys: 65536, ReadFrac: 0.9, ZipfS: 1.1,
 }
 
 // TestKVFootprint bounds the per-address memory of the serving path on
@@ -24,7 +25,7 @@ var kvReadShape = KVOptions{
 // pages 1.1 MB (bound 1.5 MiB). With 256-slot simulator pages of
 // 104-byte slots the tables took 37 MB, and 32 KiB word pages 3.1 MB.
 func TestKVFootprint(t *testing.T) {
-	// BuildKV's run inline: its Run does not expose the machine, and
+	// Build's kv run inline: its Run does not expose the machine, and
 	// MemStats needs it.
 	tr := &trace.Trace{}
 	m := exec.NewMachine(exec.Config{Threads: kvReadShape.Threads, Seed: kvReadShape.Seed, Sink: tr})

@@ -64,10 +64,9 @@ func TestGoldenTraceHashes(t *testing.T) {
 		want  string
 	}{
 		{"kv-read-4096", func(t *testing.T) *trace.Trace {
-			run, err := BuildKV(KVOptions{
-				Shards: 16, Keys: 65536, Threads: 32, Ops: 4096,
-				ReadFrac: 0.9, ZipfS: 1.1, Policy: core.PolicyEpoch, Seed: 42,
-			}, nil)
+			o := kvReadShape
+			o.Inserts = 4096
+			run, err := Build(o, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,8 +128,8 @@ func TestGoldenSimRecords(t *testing.T) {
 	var traces []*trace.Trace
 	for _, pol := range core.Policies {
 		o := kvReadShape
-		o.Ops, o.Policy = 2048, pol
-		run, err := BuildKV(o, nil)
+		o.Inserts, o.Policy = 2048, pol
+		run, err := Build(o, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

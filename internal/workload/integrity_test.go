@@ -9,18 +9,15 @@ import (
 	"repro/internal/graph"
 	"repro/internal/observer"
 	"repro/internal/persistcheck"
-	"repro/internal/queue"
 	"repro/internal/sweep"
 )
 
-// integrityOpt builds the crashsim-default options for a workload with
-// the corruption-detecting format toggled.
+// integrityOpt builds the default options for a workload with the
+// corruption-detecting format toggled.
 func integrityOpt(wl string, integrity bool) Options {
-	return Options{
-		Workload: wl, Design: queue.CWL, Policy: core.PolicyEpoch,
-		Model: core.Epoch, Threads: 2, Inserts: 16, Payload: 64, Seed: 1,
-		DesignStr: "cwl", PolicyStr: "epoch", Integrity: integrity,
-	}
+	o := defaults()
+	o.Workload, o.Integrity = wl, integrity
+	return o
 }
 
 // silentCampaign runs a campaign whose every plan is silent bit flips —
@@ -230,7 +227,7 @@ func TestIntegrityCrashSafeUnderTargetModels(t *testing.T) {
 					t.Fatal(err)
 				}
 				o := integrityOpt(wl, true)
-				o.Policy, o.PolicyStr = p, policy
+				o.Policy = p
 				o.Model = p.Model()
 				run, err := Build(o, nil)
 				if err != nil {

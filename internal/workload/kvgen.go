@@ -2,9 +2,7 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"strconv"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -13,7 +11,6 @@ import (
 	"repro/internal/kv"
 	"repro/internal/memory"
 	"repro/internal/observer"
-	"repro/internal/trace"
 )
 
 // Open-loop KV traffic generation. Each simulated thread owns an
@@ -68,8 +65,11 @@ func (g KVGen) Schedule(tid, n int) []KVOp {
 	return ops
 }
 
-// KVOptions carries everything needed to rebuild a KV serving run.
-// The struct is comparable and keys the bench trace cache.
+// KVOptions is the kv workload's former option set.
+//
+// Deprecated: set Workload "kv" and the kv fields of Options, and call
+// Build. Kept, with BuildKV, for the benchmark harness until its next
+// revision.
 type KVOptions struct {
 	Shards    int
 	Keys      uint64
@@ -81,93 +81,7 @@ type KVOptions struct {
 	Integrity bool
 	Seed      int64
 
-	// PolicyStr preserves the flag spelling for repro params.
 	PolicyStr string
-}
-
-// Validate rejects generator input no run can honor. Every KV build
-// path (kvbench grids, persistcheck, crashsim -replay kv lines) goes
-// through it, so untrusted repro parameters are checked here. Shard
-// counts are checked by kv.New.
-func (o KVOptions) Validate() error {
-	if o.Threads <= 0 || o.Ops < o.Threads {
-		return fmt.Errorf("kv workload: need ops >= threads > 0 (ops %d, threads %d)", o.Ops, o.Threads)
-	}
-	if o.Keys == 0 {
-		return fmt.Errorf("kv workload: empty key space")
-	}
-	if !(o.ReadFrac >= 0 && o.ReadFrac <= 1) {
-		return fmt.Errorf("kv workload: read fraction %v outside [0, 1]", o.ReadFrac)
-	}
-	if !(o.ZipfS >= 0) || math.IsInf(o.ZipfS, 1) {
-		return fmt.Errorf("kv workload: zipf skew %v must be finite and non-negative", o.ZipfS)
-	}
-	return nil
-}
-
-// Params serializes the options into repro-string parameters.
-func (o KVOptions) Params() []fault.Param {
-	ps := []fault.Param{
-		{Key: "workload", Value: "kv"},
-		{Key: "policy", Value: o.PolicyStr},
-		{Key: "shards", Value: strconv.Itoa(o.Shards)},
-		{Key: "keys", Value: strconv.FormatUint(o.Keys, 10)},
-		{Key: "threads", Value: strconv.Itoa(o.Threads)},
-		{Key: "ops", Value: strconv.Itoa(o.Ops)},
-		{Key: "read-frac", Value: strconv.FormatFloat(o.ReadFrac, 'g', -1, 64)},
-		{Key: "zipf", Value: strconv.FormatFloat(o.ZipfS, 'g', -1, 64)},
-		{Key: "seed", Value: strconv.FormatInt(o.Seed, 10)},
-	}
-	if o.Integrity {
-		ps = append(ps, fault.Param{Key: "integrity", Value: "1"})
-	}
-	return ps
-}
-
-// KVFromScenario rebuilds options from a repro string's parameters.
-func KVFromScenario(s *fault.Scenario) (KVOptions, error) {
-	get := func(key, dflt string) string {
-		if v, ok := s.Param(key); ok {
-			return v
-		}
-		return dflt
-	}
-	var firstErr error
-	atoi := func(key, dflt string) int {
-		v, err := strconv.Atoi(get(key, dflt))
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("repro param %s: %v", key, err)
-		}
-		return v
-	}
-	atof := func(key, dflt string) float64 {
-		v, err := strconv.ParseFloat(get(key, dflt), 64)
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("repro param %s: %v", key, err)
-		}
-		return v
-	}
-	pol, err := ParsePolicy(get("policy", "epoch"))
-	if err != nil {
-		return KVOptions{}, err
-	}
-	seed, err := strconv.ParseInt(get("seed", "1"), 10, 64)
-	if err != nil {
-		return KVOptions{}, err
-	}
-	keys, err := strconv.ParseUint(get("keys", "1024"), 10, 64)
-	if err != nil {
-		return KVOptions{}, err
-	}
-	o := KVOptions{
-		Shards: atoi("shards", "8"), Keys: keys,
-		Threads: atoi("threads", "4"), Ops: atoi("ops", "256"),
-		ReadFrac: atof("read-frac", "0.9"), ZipfS: atof("zipf", "1.1"),
-		Policy: pol, Seed: seed,
-		Integrity: get("integrity", "") == "1",
-		PolicyStr: get("policy", "epoch"),
-	}
-	return o, firstErr
 }
 
 // ValFor is the deterministic value a generated Put writes for (key,
@@ -177,46 +91,21 @@ func ValFor(key uint64, tid, i int) uint64 {
 	return v | 1 // nonzero
 }
 
-// BuildKV traces one KV serving run and wires up the recovery
-// adapters and checker annotations, following the same
-// construction-path and cache contract as Build.
+// BuildKV builds o's kv run through Build.
+//
+// Deprecated: call Build with Workload "kv". Kept for the benchmark
+// harness until its next revision.
 func BuildKV(o KVOptions, cache *bench.TraceCache) (*Run, error) {
-	if cache == nil {
-		tr := &trace.Trace{}
-		m := exec.NewMachine(exec.Config{Threads: o.Threads, Seed: o.Seed, Sink: tr})
-		run, body, err := setupKV(o, m)
-		if err != nil {
-			return nil, err
-		}
-		m.Run(body)
-		run.Trace = tr
-		return run, nil
-	}
-	tr, err := cache.Do(o, func() (*trace.Trace, error) {
-		run, err := BuildKV(o, nil)
-		if err != nil {
-			return nil, err
-		}
-		return run.Trace, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	m := exec.NewMachine(exec.Config{Threads: o.Threads, Seed: o.Seed, Sink: trace.Discard})
-	run, _, err := setupKV(o, m)
-	if err != nil {
-		return nil, err
-	}
-	run.Trace = tr
-	return run, nil
+	return Build(Options{
+		Workload: "kv", Policy: o.Policy, Model: o.Policy.Model(),
+		Threads: o.Threads, Inserts: o.Ops, Seed: o.Seed, Integrity: o.Integrity,
+		Shards: o.Shards, Keys: o.Keys, ReadFrac: o.ReadFrac, ZipfS: o.ZipfS,
+	}, cache)
 }
 
 // setupKV constructs the sharded store and per-thread bodies without
-// executing the threads.
-func setupKV(o KVOptions, m *exec.Machine) (*Run, func(*exec.Thread), error) {
-	if err := o.Validate(); err != nil {
-		return nil, nil, err
-	}
+// executing the threads; o.Inserts is the total operation count.
+func setupKV(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 	s := m.SetupThread()
 	st, err := kv.New(s, kv.Config{
 		Shards:    o.Shards,
@@ -228,7 +117,7 @@ func setupKV(o KVOptions, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 		return nil, nil, err
 	}
 	meta := st.Meta()
-	per := o.Ops / o.Threads
+	per := o.Inserts / o.Threads
 	gen := KVGen{Seed: o.Seed, Keys: o.Keys, ZipfS: o.ZipfS, ReadFrac: o.ReadFrac}
 	// Precomputed outside m.Run: each thread's schedule must not depend
 	// on the interleaving, and one rng drawn from inside the threads

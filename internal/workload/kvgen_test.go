@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -107,46 +108,82 @@ func TestKVGenReadWriteMix(t *testing.T) {
 	}
 }
 
+// kvOpts is a small kv run with the given shape.
+func kvOpts(shards int, keys uint64, threads, ops int, readFrac float64, seed int64) Options {
+	o := defaults()
+	o.Workload = "kv"
+	o.Shards, o.Keys, o.Threads, o.Inserts, o.ReadFrac, o.Seed = shards, keys, threads, ops, readFrac, seed
+	return o
+}
+
+// TestKVOptionsParamsRoundTrip pins the kv repro line: its keys in
+// print order (ops for the operation count, model last) and a round
+// trip back to the same options.
 func TestKVOptionsParamsRoundTrip(t *testing.T) {
-	o := KVOptions{
-		Shards: 16, Keys: 1 << 20, Threads: 128, Ops: 1 << 20,
-		ReadFrac: 0.9, ZipfS: 1.1, Policy: core.PolicyStrand,
-		Integrity: true, Seed: 31, PolicyStr: "strand",
+	o := kvOpts(16, 1<<20, 128, 1<<20, 0.9, 31)
+	o.Policy, o.Model, o.Integrity = core.PolicyStrand, core.Epoch, true
+	s := fault.Scenario{Params: o.Params()}
+	const want = "workload=kv,policy=strand,shards=16,keys=1048576,threads=128,ops=1048576,read-frac=0.9,zipf=1.1,seed=31,integrity=1,model=epoch"
+	if got := s.Repro(); !strings.Contains(got, "|"+want+"|") {
+		t.Fatalf("kv repro %s, want params %s", got, want)
 	}
-	o2, err := KVFromScenario(&fault.Scenario{Params: o.Params()})
+	o2, err := FromScenario(&s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o2 != o {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", o2, o)
 	}
-	if _, err := KVFromScenario(&fault.Scenario{Params: []fault.Param{{Key: "policy", Value: "bogus"}}}); err == nil {
-		t.Fatal("bad policy accepted")
+	for _, bad := range []fault.Param{{Key: "policy", Value: "bogus"}, {Key: "ops", Value: "x"}, {Key: "read-frac", Value: "NaN"}} {
+		ps := []fault.Param{{Key: "workload", Value: "kv"}, bad}
+		if _, err := FromScenario(&fault.Scenario{Params: ps}); err == nil {
+			t.Errorf("bad %s=%s accepted", bad.Key, bad.Value)
+		}
 	}
-	if _, err := KVFromScenario(&fault.Scenario{Params: []fault.Param{{Key: "ops", Value: "x"}}}); err == nil {
-		t.Fatal("bad ops accepted")
+}
+
+// TestBuildKVAdapter pins the deprecated KVOptions path: BuildKV traces
+// what Build does for the same kv options, with no extra allocation.
+func TestBuildKVAdapter(t *testing.T) {
+	k := KVOptions{
+		Shards: 2, Keys: 8, Threads: 2, Ops: 8, ReadFrac: 0.5, ZipfS: 1.1,
+		Policy: core.PolicyStrand, Seed: 7,
+	}
+	o := kvOpts(2, 8, 2, 8, 0.5, 7)
+	o.Policy, o.Model = core.PolicyStrand, core.Strand
+	a, err := BuildKV(k, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Build(o, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Trace.Equal(b.Trace) || a.Describe != b.Describe {
+		t.Fatalf("BuildKV and Build differ: %q vs %q", a.Describe, b.Describe)
+	}
+	viaKV := testing.AllocsPerRun(5, func() { _, _ = BuildKV(k, nil) })
+	direct := testing.AllocsPerRun(5, func() { _, _ = Build(o, nil) })
+	if viaKV != direct {
+		t.Errorf("BuildKV makes %v allocations per call, Build %v", viaKV, direct)
 	}
 }
 
 func TestBuildKVIsDeterministicAndCacheable(t *testing.T) {
-	o := KVOptions{
-		Shards: 4, Keys: 256, Threads: 3, Ops: 90,
-		ReadFrac: 0.7, ZipfS: 1.1, Policy: core.PolicyEpoch,
-		Seed: 5, PolicyStr: "epoch",
-	}
-	direct, err := BuildKV(o, nil)
+	o := kvOpts(4, 256, 3, 90, 0.7, 5)
+	direct, err := Build(o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := bench.NewTraceCache(4)
-	cached, err := BuildKV(o, cache)
+	cached, err := Build(o, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cached.Trace.Equal(direct.Trace) {
 		t.Fatal("cached build traces a different execution")
 	}
-	again, err := BuildKV(o, cache)
+	again, err := Build(o, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +199,8 @@ func TestBuildKVIsDeterministicAndCacheable(t *testing.T) {
 	// Every scheduled op traces a completed work item, and the write
 	// share of the mix reaches the journals as persists.
 	sum := trace.Summarize(direct.Trace)
-	if sum.WorkItems != o.Ops {
-		t.Fatalf("traced %d work items, scheduled %d ops", sum.WorkItems, o.Ops)
+	if sum.WorkItems != o.Inserts {
+		t.Fatalf("traced %d work items, scheduled %d ops", sum.WorkItems, o.Inserts)
 	}
 	if sum.Persists == 0 {
 		t.Fatal("no persists traced")
@@ -175,34 +212,34 @@ func TestBuildKVIsDeterministicAndCacheable(t *testing.T) {
 // NaN or out-of-range read fractions and NaN, infinite or negative Zipf
 // skews are refused, while the boundary values run.
 func TestBuildKVValidation(t *testing.T) {
-	base := KVOptions{Shards: 2, Keys: 8, Threads: 2, Ops: 8, ReadFrac: 0.5, ZipfS: 1.1, Seed: 1}
+	base := kvOpts(2, 8, 2, 8, 0.5, 1)
 	cases := []struct {
 		name string
-		edit func(*KVOptions)
+		edit func(*Options)
 		ok   bool
 	}{
-		{"valid", func(*KVOptions) {}, true},
-		{"zero-threads", func(o *KVOptions) { o.Threads = 0 }, false},
-		{"ops-below-threads", func(o *KVOptions) { o.Threads, o.Ops = 4, 2 }, false},
-		{"empty-key-space", func(o *KVOptions) { o.Keys = 0 }, false},
-		{"zero-shards", func(o *KVOptions) { o.Shards = 0 }, false},
-		{"all-writes", func(o *KVOptions) { o.ReadFrac = 0 }, true},
-		{"all-reads", func(o *KVOptions) { o.ReadFrac = 1 }, true},
-		{"uniform-keys", func(o *KVOptions) { o.ZipfS = 0 }, true},
-		{"read-frac-above-one", func(o *KVOptions) { o.ReadFrac = 1.5 }, false},
-		{"read-frac-negative", func(o *KVOptions) { o.ReadFrac = -0.1 }, false},
-		{"read-frac-nan", func(o *KVOptions) { o.ReadFrac = math.NaN() }, false},
-		{"zipf-negative", func(o *KVOptions) { o.ZipfS = -1 }, false},
-		{"zipf-nan", func(o *KVOptions) { o.ZipfS = math.NaN() }, false},
-		{"zipf-plus-inf", func(o *KVOptions) { o.ZipfS = math.Inf(1) }, false},
-		{"zipf-minus-inf", func(o *KVOptions) { o.ZipfS = math.Inf(-1) }, false},
+		{"valid", func(*Options) {}, true},
+		{"zero-threads", func(o *Options) { o.Threads = 0 }, false},
+		{"ops-below-threads", func(o *Options) { o.Threads, o.Inserts = 4, 2 }, false},
+		{"empty-key-space", func(o *Options) { o.Keys = 0 }, false},
+		{"zero-shards", func(o *Options) { o.Shards = 0 }, false},
+		{"all-writes", func(o *Options) { o.ReadFrac = 0 }, true},
+		{"all-reads", func(o *Options) { o.ReadFrac = 1 }, true},
+		{"uniform-keys", func(o *Options) { o.ZipfS = 0 }, true},
+		{"read-frac-above-one", func(o *Options) { o.ReadFrac = 1.5 }, false},
+		{"read-frac-negative", func(o *Options) { o.ReadFrac = -0.1 }, false},
+		{"read-frac-nan", func(o *Options) { o.ReadFrac = math.NaN() }, false},
+		{"zipf-negative", func(o *Options) { o.ZipfS = -1 }, false},
+		{"zipf-nan", func(o *Options) { o.ZipfS = math.NaN() }, false},
+		{"zipf-plus-inf", func(o *Options) { o.ZipfS = math.Inf(1) }, false},
+		{"zipf-minus-inf", func(o *Options) { o.ZipfS = math.Inf(-1) }, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			o := base
 			c.edit(&o)
-			if _, err := BuildKV(o, nil); (err == nil) != c.ok {
-				t.Fatalf("BuildKV error = %v, want ok=%v", err, c.ok)
+			if _, err := Build(o, nil); (err == nil) != c.ok {
+				t.Fatalf("Build error = %v, want ok=%v", err, c.ok)
 			}
 		})
 	}

@@ -1,15 +1,22 @@
 // Package workload builds the shipped persistent-structure workloads —
-// the CWL/2LC queue, the journaled metadata store, the PSTM heap — as
-// traced executions with their recovery adapters and persistency-check
-// annotations attached. It is the single construction path shared by
-// cmd/crashsim, cmd/persistcheck, and the cross-validation tests, so a
-// repro string's parameters rebuild the identical trace everywhere.
+// the CWL/2LC queue, the journaled metadata store, the PSTM heap and
+// the sharded KV store — as traced executions with their recovery
+// adapters and persistency-check annotations attached. It is the
+// construction path for the checkers (cmd/persistcheck, cmd/crashsim,
+// the cross-validation tests) and for cmd/kvbench; Table 1's queue
+// traces come from internal/bench instead.
+//
+// One table (params.go) declares every workload parameter: its flag
+// and repro key, default, help text and Options field. The commands'
+// flags (Flags), repro lines (Options.Params) and their parser
+// (FromScenario) all walk it, so a repro string's parameters rebuild
+// the identical trace everywhere.
 package workload
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"strconv"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -57,7 +64,17 @@ type Options struct {
 	// sparse blocks collapse to one image-changing persist each.
 	SparseBlocks bool
 
-	// DesignStr/PolicyStr preserve the flag spellings for repro params.
+	// Shards, Keys, ReadFrac and ZipfS shape the kv workload: its shard
+	// count, dense key space, read share and Zipf key skew (see KVGen).
+	// Inserts is kv's total operation count.
+	Shards   int
+	Keys     uint64
+	ReadFrac float64
+	ZipfS    float64
+
+	// Deprecated: the flag spellings follow from Design and Policy, and
+	// nothing reads these. Kept for the benchmark harness's literals
+	// until its next revision.
 	DesignStr, PolicyStr string
 }
 
@@ -82,10 +99,13 @@ type Run struct {
 }
 
 // Validate rejects option sets no workload can run: fewer than one
-// thread, a negative insert count, a policy outside core.Policies, or
-// (for the queue) a payload outside [1, queue.MaxPayload]. Build calls
-// it first, so a bad flag or a hand-edited repro line is an error instead of a panic deep in exec or
-// the queue.
+// thread, a negative insert count, a policy outside core.Policies, for
+// the queue a payload outside [1, queue.MaxPayload], and for kv fewer
+// operations than threads, an empty key space, a read fraction outside
+// [0, 1] or a Zipf skew that is negative or not finite (kv.New checks
+// the shard count). Build calls it first, so a bad flag or a
+// hand-edited repro line is an error instead of a panic deep in exec
+// or the structure.
 func (o Options) Validate() error {
 	if o.Threads < 1 {
 		return fmt.Errorf("%s workload: need threads >= 1 (threads %d)", o.Workload, o.Threads)
@@ -99,89 +119,18 @@ func (o Options) Validate() error {
 	if o.Workload == "queue" && (o.Payload < 1 || o.Payload > queue.MaxPayload) {
 		return fmt.Errorf("queue workload: payload %d bytes outside [1, %d]", o.Payload, queue.MaxPayload)
 	}
+	switch {
+	case o.Workload != "kv": // the rest are kv's checks
+	case o.Inserts < o.Threads:
+		return fmt.Errorf("kv workload: need ops >= threads > 0 (ops %d, threads %d)", o.Inserts, o.Threads)
+	case o.Keys == 0:
+		return fmt.Errorf("kv workload: empty key space")
+	case !(o.ReadFrac >= 0 && o.ReadFrac <= 1):
+		return fmt.Errorf("kv workload: read fraction %v outside [0, 1]", o.ReadFrac)
+	case !(o.ZipfS >= 0) || math.IsInf(o.ZipfS, 1):
+		return fmt.Errorf("kv workload: zipf skew %v must be finite and non-negative", o.ZipfS)
+	}
 	return nil
-}
-
-// Params serializes the options into repro-string parameters,
-// sufficient for FromScenario to rebuild the identical trace.
-func (o Options) Params() []fault.Param {
-	ps := []fault.Param{
-		{Key: "workload", Value: o.Workload},
-		{Key: "design", Value: o.DesignStr},
-		{Key: "policy", Value: o.PolicyStr},
-		{Key: "model", Value: o.Model.String()},
-		{Key: "threads", Value: strconv.Itoa(o.Threads)},
-		{Key: "inserts", Value: strconv.Itoa(o.Inserts)},
-		{Key: "payload", Value: strconv.Itoa(o.Payload)},
-		{Key: "seed", Value: strconv.FormatInt(o.Seed, 10)},
-	}
-	if o.BreakBar {
-		ps = append(ps, fault.Param{Key: "break-barrier", Value: "1"})
-	}
-	if o.OmitComp {
-		ps = append(ps, fault.Param{Key: "omit-completion-barrier", Value: "1"})
-	}
-	if o.BreakCommit {
-		ps = append(ps, fault.Param{Key: "break-commit", Value: "1"})
-	}
-	if o.OmitRecipe {
-		ps = append(ps, fault.Param{Key: "omit-strand-recipe", Value: "1"})
-	}
-	if o.Integrity {
-		ps = append(ps, fault.Param{Key: "integrity", Value: "1"})
-	}
-	if o.SparseBlocks {
-		ps = append(ps, fault.Param{Key: "sparse-blocks", Value: "1"})
-	}
-	return ps
-}
-
-// FromScenario rebuilds options from a repro string's parameters,
-// applying the same defaults as the crashsim flags.
-func FromScenario(s *fault.Scenario) (Options, error) {
-	get := func(key, dflt string) string {
-		if v, ok := s.Param(key); ok {
-			return v
-		}
-		return dflt
-	}
-	var firstErr error
-	atoi := func(key, dflt string) int {
-		v, err := strconv.Atoi(get(key, dflt))
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("repro param %s: %v", key, err)
-		}
-		return v
-	}
-	design, err := ParseDesign(get("design", "cwl"))
-	if err != nil {
-		return Options{}, err
-	}
-	policy, err := ParsePolicy(get("policy", "epoch"))
-	if err != nil {
-		return Options{}, err
-	}
-	model, err := ParseModel(get("model", "epoch"))
-	if err != nil {
-		return Options{}, err
-	}
-	seed, err := strconv.ParseInt(get("seed", "1"), 10, 64)
-	if err != nil {
-		return Options{}, err
-	}
-	o := Options{
-		Workload: get("workload", "queue"), Design: design, Policy: policy, Model: model,
-		Threads: atoi("threads", "2"), Inserts: atoi("inserts", "16"), Payload: atoi("payload", "64"),
-		Seed:         seed,
-		BreakBar:     get("break-barrier", "") == "1",
-		OmitComp:     get("omit-completion-barrier", "") == "1",
-		BreakCommit:  get("break-commit", "") == "1",
-		OmitRecipe:   get("omit-strand-recipe", "") == "1",
-		Integrity:    get("integrity", "") == "1",
-		SparseBlocks: get("sparse-blocks", "") == "1",
-		DesignStr:    get("design", "cwl"), PolicyStr: get("policy", "epoch"),
-	}
-	return o, firstErr
 }
 
 // Build traces one workload run and wires up the recovery adapters and
@@ -227,6 +176,9 @@ func Build(o Options, cache *bench.TraceCache) (*Run, error) {
 // their allocation/initialization events into m's sink) and returns the
 // run skeleton plus the per-thread body, without executing the threads.
 func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
+	if o.Workload == "kv" {
+		return setupKV(o, m)
+	}
 	s := m.SetupThread()
 	run := &Run{}
 	var body func(*exec.Thread)
@@ -305,7 +257,7 @@ func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 			if err != nil {
 				return rep, err
 			}
-			return rep, CheckJournalPairsBy(state, o.Threads, tagOf)
+			return rep, CheckJournalPairs(state, o.Threads, tagOf)
 		}
 		run.Checks = meta.Checks()
 		run.SiteLabel = meta.SiteLabel()
@@ -367,15 +319,9 @@ func CheckQueueEntries(entries []queue.Entry, expect map[string]bool) error {
 }
 
 // CheckJournalPairs validates the journal app invariant: each thread's
-// block pair was updated atomically, so tags match and blocks are
-// intact.
-func CheckJournalPairs(state *journal.State, threads int) error {
-	return CheckJournalPairsBy(state, threads, journal.BlockTag)
-}
-
-// CheckJournalPairsBy is CheckJournalPairs with an explicit tag
-// extractor, for workloads writing sparse blocks.
-func CheckJournalPairsBy(state *journal.State, threads int, tagOf func([]byte) (uint64, bool)) error {
+// block pair was updated atomically, so tags (read by tagOf) match and
+// blocks are intact.
+func CheckJournalPairs(state *journal.State, threads int, tagOf func([]byte) (uint64, bool)) error {
 	for g := 0; g < threads; g++ {
 		t0, ok0 := tagOf(state.Block(2 * g))
 		t1, ok1 := tagOf(state.Block(2*g + 1))
@@ -402,44 +348,6 @@ func CheckPSTMPairs(state *pstm.State, threads int) error {
 func DataBytes(inserts, payload int) uint64 {
 	n := uint64(inserts+2) * queue.SlotBytes(payload)
 	return n + queue.SlotAlign
-}
-
-// ParseDesign parses a -design flag value.
-func ParseDesign(s string) (queue.Design, error) {
-	switch s {
-	case "cwl":
-		return queue.CWL, nil
-	case "2lc":
-		return queue.TwoLock, nil
-	default:
-		return 0, fmt.Errorf("unknown design %q", s)
-	}
-}
-
-// ParsePolicy parses a -policy flag value.
-func ParsePolicy(s string) (core.Policy, error) {
-	switch s {
-	case "strict":
-		return core.PolicyStrict, nil
-	case "epoch":
-		return core.PolicyEpoch, nil
-	case "racing":
-		return core.PolicyRacingEpoch, nil
-	case "strand":
-		return core.PolicyStrand, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", s)
-	}
-}
-
-// ParseModel parses a -model flag value.
-func ParseModel(s string) (core.Model, error) {
-	for _, m := range core.Models {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown model %q", s)
 }
 
 // JournalPolicy rejects values outside core.Policies and otherwise

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"flag"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -9,16 +11,25 @@ import (
 	"repro/internal/queue"
 )
 
+// defaults returns the options an empty repro line, or a command line
+// without workload flags, describes.
+func defaults() Options {
+	o, err := FromScenario(&fault.Scenario{})
+	if err != nil {
+		panic(err)
+	}
+	return o
+}
+
 func TestParamsRoundTrip(t *testing.T) {
 	// Every option — including all four bug-fixture knobs — must survive
 	// serialization into repro params and back, so a finding's repro line
 	// rebuilds the identical workload.
-	o := Options{
-		Workload: "journal", Design: queue.CWL, Policy: core.PolicyEpoch,
-		Model: core.Epoch, Threads: 3, Inserts: 12, Payload: 32, Seed: 7,
-		BreakBar: true, OmitComp: true, BreakCommit: true, OmitRecipe: true,
-		DesignStr: "cwl", PolicyStr: "epoch",
-	}
+	o := defaults()
+	o.Workload, o.Design, o.Policy, o.Model = "journal", queue.TwoLock, core.PolicyStrand, core.Epoch
+	o.Threads, o.Inserts, o.Payload, o.Seed = 3, 12, 32, 7
+	o.BreakBar, o.OmitComp, o.BreakCommit, o.OmitRecipe = true, true, true, true
+	o.Integrity, o.SparseBlocks = true, true
 	o2, err := FromScenario(&fault.Scenario{Params: o.Params()})
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +40,7 @@ func TestParamsRoundTrip(t *testing.T) {
 }
 
 func TestFromScenarioDefaults(t *testing.T) {
-	// An empty scenario yields the crashsim flag defaults.
+	// An empty scenario yields the flag defaults.
 	o, err := FromScenario(&fault.Scenario{})
 	if err != nil {
 		t.Fatal(err)
@@ -37,10 +48,84 @@ func TestFromScenarioDefaults(t *testing.T) {
 	want := Options{
 		Workload: "queue", Design: queue.CWL, Policy: core.PolicyEpoch,
 		Model: core.Epoch, Threads: 2, Inserts: 16, Payload: 64, Seed: 1,
-		DesignStr: "cwl", PolicyStr: "epoch",
+		Shards: 8, Keys: 1024, ReadFrac: 0.9, ZipfS: 1.1,
 	}
 	if o != want {
 		t.Fatalf("defaults:\n got %+v\nwant %+v", o, want)
+	}
+	// So does a flag set with no arguments, and a kv line missing its
+	// counts takes the same threads and ops.
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	parse := Flags(fs, slices.Concat(CommonFlags, []string{"shards", "keys", "read-frac", "sparse-blocks"})...)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := parse(); err != nil || got != want {
+		t.Fatalf("flag defaults = %+v, %v; want %+v", got, err, want)
+	}
+	kv, err := FromScenario(&fault.Scenario{Params: []fault.Param{{Key: "workload", Value: "kv"}}})
+	if err != nil || kv.Threads != 2 || kv.Inserts != 16 {
+		t.Fatalf("kv line without threads/ops = %+v, %v; want threads 2, ops 16", kv, err)
+	}
+}
+
+// TestMissingModelIsPolicyTarget pins the one model default: a repro
+// line or command line without a model uses the policy's target model,
+// for the grid workloads and kv alike.
+func TestMissingModelIsPolicyTarget(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		want core.Model
+	}{
+		{"fault1|workload=queue,policy=strict|cut=0:|plan=", core.Strict},
+		{"fault1|workload=journal,policy=strand|cut=0:|plan=", core.Strand},
+		{"fault1|workload=kv,policy=strict|cut=0:|plan=", core.Strict},
+	} {
+		s, err := fault.ParseRepro(tc.line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o, err := FromScenario(s); err != nil || o.Model != tc.want {
+			t.Errorf("%s: model %v (err %v), want %v", tc.line, o.Model, err, tc.want)
+		}
+	}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	parse := Flags(fs, CommonFlags...)
+	if err := fs.Parse([]string{"-policy", "strand"}); err != nil {
+		t.Fatal(err)
+	}
+	if o, err := parse(); err != nil || o.Model != core.Strand {
+		t.Fatalf("-policy strand = %+v, %v; want model strand", o, err)
+	}
+}
+
+// TestFlagDefaultOverride pins a command's own defaults ("threads=128")
+// and the kv spelling of inserts ("ops"): both register and parse into
+// Options, and an unregistered parameter keeps its table default.
+func TestFlagDefaultOverride(t *testing.T) {
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	parse := Flags(fs, "threads=128", "ops=4096", "seed=42", "read-frac")
+	if got := fs.Lookup("threads").DefValue; got != "128" {
+		t.Fatalf("-threads default %q, want 128", got)
+	}
+	if err := fs.Parse([]string{"-ops", "512", "-read-frac", "0.25"}); err != nil {
+		t.Fatal(err)
+	}
+	o, err := parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Threads != 128 || o.Inserts != 512 || o.Seed != 42 || o.ReadFrac != 0.25 || o.Shards != 8 {
+		t.Fatalf("parsed %+v", o)
+	}
+	// The flag package parses NaN; the table's parser refuses it.
+	fs = flag.NewFlagSet("t", flag.ContinueOnError)
+	parse = Flags(fs, "read-frac")
+	if err := fs.Parse([]string{"-read-frac", "NaN"}); err != nil {
+		t.Fatal(err)
+	}
+	if o, err := parse(); err == nil {
+		t.Errorf("-read-frac NaN accepted: %+v", o)
 	}
 }
 
@@ -51,7 +136,6 @@ func TestBuildIsDeterministicAndCacheable(t *testing.T) {
 	o := Options{
 		Workload: "pstm", Design: queue.CWL, Policy: core.PolicyEpoch,
 		Model: core.Epoch, Threads: 2, Inserts: 8, Payload: 64, Seed: 3,
-		DesignStr: "cwl", PolicyStr: "epoch",
 	}
 	direct, err := Build(o, nil)
 	if err != nil {
@@ -157,19 +241,15 @@ func TestPolicyFlags(t *testing.T) {
 		if err != nil || p != core.Policies[i] {
 			t.Fatalf("ParsePolicy(%q) = %v, %v; want %v", flag, p, err, core.Policies[i])
 		}
-		o := Options{
-			Workload: "pstm", Design: queue.CWL, Policy: p, Model: p.Model(),
-			Threads: 2, Inserts: 4, Payload: 16, Seed: 1, DesignStr: "cwl", PolicyStr: flag,
-		}
-		if o2, err := FromScenario(&fault.Scenario{Params: o.Params()}); err != nil || o2 != o {
-			t.Errorf("%s: FromScenario round trip = %+v, %v; want %+v", flag, o2, err, o)
-		}
-		k := KVOptions{
-			Shards: 2, Keys: 8, Threads: 2, Ops: 8, ReadFrac: 0.5, ZipfS: 1.1,
-			Policy: p, Seed: 1, PolicyStr: flag,
-		}
-		if k2, err := KVFromScenario(&fault.Scenario{Params: k.Params()}); err != nil || k2 != k {
-			t.Errorf("%s: KVFromScenario round trip = %+v, %v; want %+v", flag, k2, err, k)
+		for _, wl := range []string{"pstm", "kv"} {
+			o := defaults()
+			o.Workload, o.Policy, o.Model = wl, p, p.Model()
+			if v, _ := (&fault.Scenario{Params: o.Params()}).Param("policy"); v != flag {
+				t.Errorf("%s: %s line spells the policy %q", flag, wl, v)
+			}
+			if o2, err := FromScenario(&fault.Scenario{Params: o.Params()}); err != nil || o2 != o {
+				t.Errorf("%s: %s round trip = %+v, %v; want %+v", flag, wl, o2, err, o)
+			}
 		}
 	}
 	for _, flag := range []string{"racing-epochs", "Strict", "epochs", "policy(4)", ""} {
