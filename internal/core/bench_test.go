@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/memory"
@@ -37,6 +38,10 @@ func BenchmarkSimFeed(b *testing.B) {
 	tr := synthTrace(10000)
 	for _, m := range Models {
 		b.Run(m.String(), func(b *testing.B) {
+			// One P: sync.Pool keeps what an op puts back in that
+			// P's private slot, so an op that resumed on another P
+			// would miss the warm simulator and allocate its tables.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			if _, err := Simulate(tr, Params{Model: m}); err != nil {
 				b.Fatal(err)
 			}
@@ -56,6 +61,8 @@ func BenchmarkSimFeed(b *testing.B) {
 // warm-up replay (see BenchmarkSimFeed).
 func BenchmarkSimulateAll(b *testing.B) {
 	tr := synthTrace(10000)
+	// One P, as in BenchmarkSimFeed.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	if _, err := SimulateAll(tr, Params{}); err != nil {
 		b.Fatal(err)
 	}

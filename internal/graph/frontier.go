@@ -48,7 +48,7 @@ import (
 // of ids, whatever its form. Most unions on real traces add nothing: a
 // thread re-reads a block whose writer it already depends on, or
 // publishes an active frontier the block's readers already hold. The
-// builder records each proven "version s ⊆ version d" in a per-build
+// builder records each proven "version s ⊆ version d" in a
 // subset-fact cache (subsetFacts), and every thread absorb, block
 // publish and barrier redundancy test consults it before walking the
 // two sets.
@@ -125,15 +125,16 @@ type vset struct {
 // subsetFacts is the builder's cache of proven facts "version sub ⊆
 // version sup". It is direct-mapped: a fact lands in the one slot its
 // pair hashes to and evicts whatever was there, so the table never
-// grows and a lookup is one probe. Versions are never reused within a
-// build, so a recorded fact stays true; an evicted one only costs a
-// later walk. The table is allocated by the first fact, so a build
-// that never unions (a write-only trace under strict persistency)
-// pays nothing for it.
+// grows within a build and a lookup is one probe. Versions are never
+// reused, within a build or across the builds of a pooled builder, so
+// a recorded fact stays true; an evicted one only costs a later walk.
+// The table is allocated by the first fact, so a build that never
+// unions (a write-only trace under strict persistency) pays nothing
+// for it, and a later build reuses it when it is large enough.
 type subsetFacts struct {
 	slots []subsetFact
 	shift uint
-	bits  int // log2 of the table size, fixed at construction
+	bits  int // log2 of the table size, fixed for a build by reset
 }
 
 type subsetFact struct{ sub, sup uint64 }
@@ -146,8 +147,16 @@ const (
 	maxFactBits = 14
 )
 
-func newSubsetFacts(events int) subsetFacts {
-	return subsetFacts{bits: min(max(bits.Len(uint(events/4)), minFactBits), maxFactBits)}
+// reset sizes the table for a build of events events. A kept table that
+// is large enough serves the build from its first 1<<bits slots; its
+// stale facts name versions no new set carries.
+func (f *subsetFacts) reset(events int) {
+	f.bits = min(max(bits.Len(uint(events/4)), minFactBits), maxFactBits)
+	if len(f.slots) < 1<<f.bits {
+		f.slots = nil
+		return
+	}
+	f.slots, f.shift = f.slots[:1<<f.bits], uint(64-f.bits)
 }
 
 func (f *subsetFacts) slot(sub, sup uint64) *subsetFact {
@@ -178,33 +187,46 @@ func (b *builder) fresh(ids nodeVec) vset {
 
 // single returns a slab-backed immutable singleton vec. The full-slice
 // expression caps the result so a stray append could never clobber the
-// slab.
+// slab. Every persist takes one singleton, so reset sizes the slab for
+// the trace's persists (up to idChunk) and hands a kept chunk out again
+// from its start: the singletons of an earlier build sit only in stale
+// block-table slots, which are never read.
 func (b *builder) single(id NodeID) nodeVec {
 	if len(b.idSlab) == cap(b.idSlab) {
-		b.idSlab = make([]NodeID, 0, 1024)
+		b.idSlab = make([]NodeID, 0, idChunk)
 	}
 	b.idSlab = append(b.idSlab, id)
 	n := len(b.idSlab)
 	return nodeVec(b.idSlab[n-1 : n : n])
 }
 
-// allocEdges carves an exact-size In slice from the chunked edge slab.
-// Later AddEdge calls on the node fall back to ordinary append (the
-// slice is at capacity), copying out of the slab safely.
-func (b *builder) allocEdges(n int) []Edge {
-	if n == 0 {
+// idChunk is the largest singleton chunk, in ids.
+const idChunk = 1 << 16
+
+// reserveEdges returns an empty slice with room for n edges at the end
+// of the chunked edge slab, for commitEdges to keep. Appends within n
+// write straight into the slab.
+func (b *builder) reserveEdges(n int) []Edge {
+	if cap(b.edgeSlab)-len(b.edgeSlab) < n {
+		b.edgeSlab = make([]Edge, 0, max(edgeChunk, n))
+	}
+	return b.edgeSlab[len(b.edgeSlab) : len(b.edgeSlab) : len(b.edgeSlab)+n]
+}
+
+// edgeChunk is the edge slab's usual chunk size; a persist whose bound
+// exceeds it takes a chunk of its own size.
+const edgeChunk = 4096
+
+// commitEdges keeps the edges written into the slice reserveEdges
+// returned and gives the rest back to the slab. The result is capped at
+// its length, so a later AddEdge on the node copies out of the slab
+// instead of overwriting its neighbour's edges.
+func (b *builder) commitEdges(buf []Edge) []Edge {
+	if len(buf) == 0 {
 		return nil
 	}
-	if cap(b.edgeSlab)-len(b.edgeSlab) < n {
-		c := 4096
-		if n > c {
-			c = n
-		}
-		b.edgeSlab = make([]Edge, 0, c)
-	}
-	s := b.edgeSlab[len(b.edgeSlab) : len(b.edgeSlab)+n : len(b.edgeSlab)+n]
-	b.edgeSlab = b.edgeSlab[:len(b.edgeSlab)+n]
-	return s
+	b.edgeSlab = b.edgeSlab[:len(b.edgeSlab)+len(buf)]
+	return buf[:len(buf):len(buf)]
 }
 
 // Every set operation below is linear in the sizes of its inputs: a
@@ -295,11 +317,18 @@ func (b *builder) absorb(dst *vset, src vset) {
 // publish is union for a thread-owned s: it never returns s's storage,
 // which its thread goes on updating in place. A copy of s keeps its
 // version.
+//
+// Copies are immutable, so while s keeps its version the last copy made
+// of it serves again: a thread that loads one block after another
+// without a change to its active set publishes one copy, not one each.
 func (b *builder) publish(v, s vset) vset {
-	if v.ver == 0 {
-		return vset{ids: slices.Clone(s.ids), ver: s.ver}
+	if v.ver != 0 {
+		return b.union(v, s)
 	}
-	return b.union(v, s)
+	if s.ver == 0 || s.ver != b.lastPub.ver {
+		b.lastPub = vset{ids: slices.Clone(s.ids), ver: s.ver}
+	}
+	return b.lastPub
 }
 
 // union returns a ∪ c for published sets, sharing an input when it

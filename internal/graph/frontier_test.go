@@ -166,7 +166,8 @@ func TestFrontierSetsMatchReference(t *testing.T) {
 
 		// Published unions leave their inputs alone and share an input
 		// that already holds the other.
-		b := &builder{facts: newSubsetFacts(0)}
+		b := &builder{}
+		b.facts.reset(0)
 		va, vc := b.fresh(a), b.fresh(c)
 		u := b.union(va, vc)
 		checkVec(t, ctx+" union", u.ids, want, true)
@@ -235,7 +236,8 @@ func TestFrontierDensityThreshold(t *testing.T) {
 		t.Fatalf("%v: sparse at the threshold", at)
 	}
 	// Sparse ∪ sparse crossing the threshold builds a dense set.
-	b := &builder{facts: newSubsetFacts(0)}
+	b := &builder{}
+	b.facts.reset(0)
 	sp := b.fresh(canon(thin))
 	u := b.union(sp, b.fresh(canon([]NodeID{120})))
 	checkVec(t, "sparse→dense union", u.ids, at, true)

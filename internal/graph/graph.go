@@ -25,6 +25,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -307,7 +308,18 @@ func (g *Graph) DOT(name string) string {
 // dependence *frontiers* (sets of node ids) instead of scalar levels
 // (see frontier.go). The graph records p and each annotation's effect
 // (Barriers), so every checker of this (trace, model) pair can share it.
+//
+// The builder's working state comes from a pool (see builderPool), so a
+// repeated Build allocates little beyond the graph it returns.
 func Build(tr *trace.Trace, p core.Params) (*Graph, error) {
+	b := builderPool.Get().(*builder)
+	defer builderPool.Put(b)
+	return b.build(tr, p)
+}
+
+// build is Build on b, which may hold state from earlier builds. It
+// returns with b holding no reference to the graph.
+func (b *builder) build(tr *trace.Trace, p core.Params) (*Graph, error) {
 	// Pre-pass: one graph node per persist event and one BarrierInfo
 	// per annotation, so both are sized exactly before building
 	// (planes-only walks).
@@ -315,13 +327,16 @@ func Build(tr *trace.Trace, p core.Params) (*Graph, error) {
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: %d persists exceed the %d node ids", n, math.MaxInt32)
 	}
-	b := &builder{g: &Graph{Params: p}, facts: newSubsetFacts(tr.Len())}
+	g := &Graph{Params: p}
+	b.g = g
+	defer b.drop()
 	if err := b.k.Reset(&p, b, vset{}); err != nil {
 		return nil, err
 	}
-	b.g.Grow(n)
+	b.reset(tr.Len(), n)
+	g.Grow(n)
 	if a := tr.CountAnnotations(); a > 0 {
-		b.g.Barriers = make([]BarrierInfo, 0, a)
+		g.Barriers = make([]BarrierInfo, 0, a)
 	}
 	for _, c := range tr.Chunks() {
 		for i := 0; i < c.Len(); i++ {
@@ -333,7 +348,7 @@ func Build(tr *trace.Trace, p core.Params) (*Graph, error) {
 			}
 			if info {
 				t := b.k.Thread(e.TID)
-				b.g.Barriers = append(b.g.Barriers, BarrierInfo{
+				g.Barriers = append(g.Barriers, BarrierInfo{
 					Seq:       e.Seq,
 					TID:       e.TID,
 					Kind:      e.Kind,
@@ -343,8 +358,46 @@ func Build(tr *trace.Trace, p core.Params) (*Graph, error) {
 			}
 		}
 	}
-	return b.g, nil
+	return g, nil
 }
+
+// builderPool recycles builders across Build calls, the way core's
+// simulator pool recycles Sims: the kernel's block and thread tables,
+// the subset-fact table, the mark array and the singleton and scratch
+// buffers survive from one build to the next. Nothing a build returns
+// lives in that state: the graph's node slab, edge slab and Barriers
+// are its own, and the builder drops every reference to them before it
+// goes back to the pool.
+//
+// Left-over state is harmless without clearing. Block-table slots carry
+// the kernel's generation and reinitialize on first touch; versions
+// keep counting across builds, so an old subset fact or published copy
+// never matches a new set; stamps keep counting too, so an old mark
+// never matches a new persist (reset clears the marks before the stamp
+// could wrap). A pooled builder may pin the sets an earlier trace left
+// in its block table until the pool drops it, which sync.Pool does
+// after two garbage collections.
+var builderPool = sync.Pool{New: func() any { return new(builder) }}
+
+// reset readies a pooled builder for a trace of events events and
+// persists persists.
+func (b *builder) reset(events, persists int) {
+	b.facts.reset(events)
+	if uint64(b.stamp)+uint64(persists) > math.MaxUint32 {
+		clear(b.mark)
+		b.stamp = 0
+	}
+	if c := min(persists, idChunk); cap(b.idSlab) < c {
+		b.idSlab = make([]NodeID, 0, c)
+	} else {
+		b.idSlab = b.idSlab[:0]
+	}
+	b.lastPub = vset{}
+}
+
+// drop lets go of the graph b built and of the edge slab its nodes
+// point into.
+func (b *builder) drop() { b.g, b.edgeSlab = nil, nil }
 
 // builder supplies core.Kernel's rules over frontier sets. A thread's
 // three frontiers are id sets (frontier.go) owned by the thread and
@@ -365,8 +418,9 @@ type builder struct {
 	// subset relations between versions.
 	ver   uint64
 	facts subsetFacts
-	// Per-persist scratch and slabs, reused across events.
-	edgeBuf  []Edge
+	// lastPub is the latest copy publish made of a thread-owned set.
+	lastPub vset
+	// Scratch and slabs, reused across events.
 	tmp      []NodeID
 	idSlab   []NodeID
 	edgeSlab []Edge
@@ -418,10 +472,15 @@ func (b *builder) Persist(e trace.Event, t *core.Thread[vset], blocks []*core.Bl
 	id := b.g.AddNode("", e)
 
 	// Deduplicated edge insertion: a fresh stamp marks this persist's
-	// sources in O(1) each. Edges stage in edgeBuf and commit as one
-	// exact-size slab slice below.
+	// sources in O(1) each. Every source is an id of one of the sets
+	// below, so their sizes bound the edge count: the edges are written
+	// straight into that much reserved slab, which is trimmed after.
 	b.nextStamp()
-	buf, mark, stamp := b.edgeBuf[:0], b.mark, b.stamp
+	bound := t.Active.ids.size()
+	for _, bs := range blocks {
+		bound += bs.Writer.ids.size() + bs.Reader.ids.size()
+	}
+	buf, mark, stamp := b.reserveEdges(bound), b.mark, b.stamp
 	add := func(from NodeID, class EdgeClass) {
 		if mark[from] != stamp {
 			mark[from] = stamp
@@ -458,10 +517,8 @@ func (b *builder) Persist(e trace.Event, t *core.Thread[vset], blocks []*core.Bl
 	}
 	// Program-order / barrier dependences.
 	each(t.Active.ids, ProgramOrder)
-	b.edgeBuf = buf
-	n := b.g.Nodes[id]
-	n.In = b.allocEdges(len(buf))
-	copy(n.In, buf)
+	in := b.commitEdges(buf)
+	b.g.Nodes[id].In = in
 
 	if b.k.Spec().Immediate {
 		// The new persist subsumes everything it depends on.
@@ -476,7 +533,7 @@ func (b *builder) Persist(e trace.Event, t *core.Thread[vset], blocks []*core.Bl
 		// something changes the set, so it takes a fresh version.
 		p, before := t.Pending.ids, t.Pending.ids.size()
 		if p.dense() {
-			p = b.scrub(p, b.edgeBuf)
+			p = b.scrub(p, in)
 		} else {
 			p = slices.DeleteFunc(p, func(from NodeID) bool { return b.mark[from] == b.stamp })
 		}
@@ -491,9 +548,9 @@ func (b *builder) Persist(e trace.Event, t *core.Thread[vset], blocks []*core.Bl
 
 // nextStamp starts a fresh dedup generation, first sizing the mark
 // array to cover every node added so far. Build pre-grows the graph to
-// its persist count, so the array is allocated once per build. Stamps
-// count persists, and Build admits at most math.MaxInt32 of them, so
-// the stamp never wraps.
+// its persist count, so the array grows at most once per build, and a
+// pooled builder keeps it. Stamps count persists across builds; reset
+// clears the array and restarts them before a build could wrap them.
 func (b *builder) nextStamp() {
 	if n := b.g.Len(); len(b.mark) < n {
 		b.mark = append(b.mark, make([]uint32, max(n, cap(b.g.Nodes))-len(b.mark))...)

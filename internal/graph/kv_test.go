@@ -129,10 +129,18 @@ func TestBuildRecordsBarriers(t *testing.T) {
 func BenchmarkGraphBuildKV(b *testing.B) {
 	tr, model := kvTrace(b, "epoch", 1024, 0.9, 42)
 	p := core.Params{Model: model}
-	var g *graph.Graph
+	// Warm the builder pool, which tracing the workload may have
+	// emptied, so every op measures a repeated build.
+	// One P: sync.Pool keeps what an op puts back in that P's private
+	// slot, so an op that resumed on another P would miss the warm
+	// builder and read a cold build's B/op.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g, err := graph.Build(tr, p)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
 		if g, err = graph.Build(tr, p); err != nil {
 			b.Fatal(err)
 		}

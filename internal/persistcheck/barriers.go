@@ -54,6 +54,10 @@ func checkBarriers(tr *trace.Trace, p core.Params, barriers []graph.BarrierInfo,
 		if !info.Redundant || info.Kind == trace.PersistSync {
 			continue
 		}
+		// A finding past the storage limit is only counted.
+		if !r.keep(RedundantBarrier, cfg.limit()) {
+			continue
+		}
 		what := "binds no new persist-order dependence"
 		if info.Kind == trace.NewStrand {
 			what = "clears no dependence state"
@@ -72,7 +76,5 @@ func checkBarriers(tr *trace.Trace, p core.Params, barriers []graph.BarrierInfo,
 			pendingByTID[e.TID] = append(pendingByTID[e.TID], len(findings)-1)
 		}
 	}
-	for i := range findings {
-		r.add(findings[i], cfg.limit())
-	}
+	r.Findings = append(r.Findings, findings...)
 }

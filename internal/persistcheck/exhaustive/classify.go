@@ -47,8 +47,16 @@ type trie struct {
 	mu     sync.Mutex
 	words  *wordTable
 	root   tnode
-	nodes  slab[tnode]
+	store  *trieStore
 	leaves int
+}
+
+// trieStore is the storage a trie draws on, kept in the pooled
+// enumerator so a repeated check reuses it: node chunks, and the
+// scratch buffers of classifying goroutines that finished.
+type trieStore struct {
+	nodes slab[tnode]
+	spare []*scratch
 }
 
 type tnode struct {
@@ -89,8 +97,33 @@ type scratch struct {
 	implied map[memory.Addr]struct{} // the words the latest recovery run wrote or already read
 }
 
+// scratch returns a scratch buffer set for one goroutine, a spare one
+// from the store when it has one. A spare dense buffer is all zero, so
+// it only needs the right length.
 func (tr *trie) scratch() *scratch {
-	return &scratch{dense: make([]uint64, len(tr.words.addrs)+1)}
+	var sc *scratch
+	tr.mu.Lock()
+	if n := len(tr.store.spare); n > 0 {
+		sc = tr.store.spare[n-1]
+		tr.store.spare = tr.store.spare[:n-1]
+	}
+	tr.mu.Unlock()
+	if sc == nil {
+		sc = &scratch{}
+	}
+	if need := len(tr.words.addrs) + 1; cap(sc.dense) >= need {
+		sc.dense = sc.dense[:need]
+	} else {
+		sc.dense = make([]uint64, need)
+	}
+	return sc
+}
+
+// done hands a scratch buffer set back to the store.
+func (tr *trie) done(sc *scratch) {
+	tr.mu.Lock()
+	tr.store.spare = append(tr.store.spare, sc)
+	tr.mu.Unlock()
 }
 
 // lookup walks img down the trie; ok is false on the first unexplored
@@ -144,7 +177,7 @@ func (tr *trie) insert(seq []readEv, out outcome) (*outcome, error) {
 		}
 		kid := n.child(ev.val)
 		if kid == nil {
-			kid = &tr.nodes.take(1)[0]
+			kid = &tr.store.nodes.take(1)[0]
 			if n.kid == nil {
 				n.val, n.kid = ev.val, kid
 			} else {
@@ -225,11 +258,11 @@ func execClassify(words *wordTable, img []wordVal, sc *scratch, strict observer.
 // handles.
 const classifyChunk = 256
 
-// classifyAll classifies every distinct reachable image through the
-// shared trie, tallies classes in discovery order, and minimizes the
+// classifyAll classifies every distinct reachable image through a trie
+// over store, tallies classes in discovery order, and minimizes the
 // first hazardous image's representative cut.
-func classifyAll(g *graph.Graph, sp *space, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc, cfg Config, res *Result) error {
-	tr := &trie{words: sp.words}
+func classifyAll(g *graph.Graph, sp *space, store *trieStore, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc, cfg Config, res *Result) error {
+	tr := &trie{words: sp.words, store: store}
 	outs := make([]*outcome, len(sp.finals))
 	scfg := cfg.Sweep
 	scfg.Name = "exhaustive-classify"
@@ -245,6 +278,7 @@ func classifyAll(g *graph.Graph, sp *space, strict observer.RecoverFunc, checked
 			}
 			outs[i] = o
 		}
+		tr.done(sc)
 		return struct{}{}, nil
 	}, nil)
 	if err != nil {
@@ -286,6 +320,7 @@ func minimize(g *graph.Graph, f final, hazard *outcome, tr *trie, strict observe
 	cur := hazard
 	budget := minimizeBudget
 	sc := tr.scratch()
+	defer tr.done(sc)
 	for i := n - 1; i >= 0 && budget > 0; i-- {
 		if !cut.Included[i] {
 			continue

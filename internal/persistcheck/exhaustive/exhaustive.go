@@ -223,6 +223,9 @@ func (r *Result) String() string {
 // checked error is non-nil or whose report detected corruption. strict
 // must be non-nil; a nil checked falls back to strict (no Detected
 // class — every strict failure is then a hazard).
+//
+// The enumeration and classification state comes from a pool (see
+// enumPool), so a repeated check allocates little beyond its Result.
 func CheckGraph(g *graph.Graph, model core.Model, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc, cfg Config) (*Result, error) {
 	if strict == nil {
 		return nil, fmt.Errorf("exhaustive: nil strict recovery")
@@ -236,7 +239,16 @@ func CheckGraph(g *graph.Graph, model core.Model, strict observer.RecoverFunc, c
 		return nil, fmt.Errorf("exhaustive: %d persists exceeds MaxPersists %d (shrink the fixture or raise the bound)",
 			g.Len(), cfg.maxPersists())
 	}
-	space, err := enumerate(g, cfg)
+	e := enumPool.Get().(*enumerator)
+	defer enumPool.Put(e)
+	return e.check(g, model, strict, checked, cfg)
+}
+
+// check is CheckGraph's enumeration and classification on e, which may
+// hold storage from earlier checks; it resets e before returning.
+func (e *enumerator) check(g *graph.Graph, model core.Model, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc, cfg Config) (*Result, error) {
+	defer e.reset()
+	space, err := e.enumerate(g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +261,7 @@ func CheckGraph(g *graph.Graph, model core.Model, strict observer.RecoverFunc, c
 		PeakLive:      space.peakLive,
 		Subsumed:      space.subsumed,
 	}
-	if err := classifyAll(g, space, strict, checked, cfg, res); err != nil {
+	if err := classifyAll(g, space, &e.tries, strict, checked, cfg, res); err != nil {
 		return nil, err
 	}
 	switch {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/memory"
@@ -12,8 +13,6 @@ import (
 
 // bits is a fixed-width bitset over graph node IDs.
 type bits []uint64
-
-func newBits(n int) bits { return make(bits, (n+63)/64) }
 
 func (b bits) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
@@ -83,15 +82,14 @@ type wordWrite struct {
 	mask, bits uint64
 }
 
-// nodeWrites splits a persist event into per-word masked writes, in
-// ascending address order.
-func nodeWrites(g *graph.Graph, id int) []wordWrite {
+// appendNodeWrites appends a persist event's per-word masked writes to
+// dst, in ascending address order.
+func appendNodeWrites(dst []wordWrite, g *graph.Graph, id int) []wordWrite {
 	n := g.Nodes[id]
 	if !n.Event.Kind.IsAccess() {
-		return nil
+		return dst
 	}
 	addr, size, val := n.Event.Addr, int(n.Event.Size), n.Event.Val
-	var out []wordWrite
 	for size > 0 {
 		w := memory.AlignDown(addr, memory.WordSize)
 		off := int(addr - w)
@@ -105,7 +103,7 @@ func nodeWrites(g *graph.Graph, id int) []wordWrite {
 		} else {
 			mask = (1<<(8*uint(span)) - 1) << (8 * uint(off))
 		}
-		out = append(out, wordWrite{
+		dst = append(dst, wordWrite{
 			addr: w,
 			mask: mask,
 			bits: (val << (8 * uint(off))) & mask,
@@ -114,7 +112,7 @@ func nodeWrites(g *graph.Graph, id int) []wordWrite {
 		val >>= 8 * uint(span)
 		size -= span
 	}
-	return out
+	return dst
 }
 
 // wordTable numbers the words any persist of a graph writes: slot i
@@ -125,13 +123,27 @@ type wordTable struct {
 	writes [][]wordWrite // per node, ascending slot
 }
 
+// newWordTable builds g's table. Every node's writes are carved from
+// one array, sized by a first walk over the nodes' spans.
 func newWordTable(g *graph.Graph) *wordTable {
 	wt := &wordTable{writes: make([][]wordWrite, g.Len())}
-	for i := range wt.writes {
-		wt.writes[i] = nodeWrites(g, i)
-		for _, w := range wt.writes[i] {
-			wt.addrs = append(wt.addrs, w.addr)
+	total := 0
+	for _, n := range g.Nodes {
+		if e := n.Event; e.Kind.IsAccess() && e.Size > 0 {
+			first := memory.AlignDown(e.Addr, memory.WordSize)
+			last := memory.AlignDown(e.Addr+memory.Addr(e.Size)-1, memory.WordSize)
+			total += int((last-first)/memory.WordSize) + 1
 		}
+	}
+	all := make([]wordWrite, 0, total)
+	for i := range wt.writes {
+		k := len(all)
+		all = appendNodeWrites(all, g, i)
+		wt.writes[i] = all[k:len(all):len(all)]
+	}
+	wt.addrs = make([]memory.Addr, len(all))
+	for j, w := range all {
+		wt.addrs[j] = w.addr
 	}
 	slices.Sort(wt.addrs)
 	wt.addrs = slices.Compact(wt.addrs)
@@ -239,11 +251,15 @@ func applyHash(img []wordVal, h uint64, ws []wordWrite) (uint64, bool) {
 }
 
 // slab carves fixed slices out of chunks that double in size up to
-// slabMax elements, so survivors of a merge cost no allocation each.
-// A chunk is freed once no slice carved from it is reachable.
+// slabMax elements, so survivors of a merge cost no allocation each. A
+// slab keeps its chunks: reset hands them out again, in the order they
+// were made, so a pooled slab serves a repeated check from the storage
+// of the last one.
 type slab[T any] struct {
-	free []T
-	size int
+	chunks [][]T // every chunk made, in hand-out order
+	used   int   // chunks[:used] were handed out since the last reset
+	free   []T
+	size   int
 }
 
 const (
@@ -253,12 +269,41 @@ const (
 
 func (s *slab[T]) take(n int) []T {
 	if len(s.free) < n {
-		s.size = min(max(2*s.size, slabMin), slabMax)
-		s.free = make([]T, max(n, s.size))
+		s.refill(n)
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	return out
+}
+
+// refill makes the next kept chunk that holds n elements the free one,
+// or a new chunk when none is left.
+func (s *slab[T]) refill(n int) {
+	for s.used < len(s.chunks) {
+		c := s.chunks[s.used]
+		s.used++
+		if len(c) >= n {
+			s.free = c
+			return
+		}
+	}
+	s.size = min(max(2*s.size, slabMin), slabMax)
+	s.free = make([]T, max(n, s.size))
+	s.chunks = append(s.chunks, s.free)
+	s.used = len(s.chunks)
+}
+
+// reset makes every chunk available again. With zero, the chunks handed
+// out since the last reset are cleared first, so take returns zeroed
+// elements and the chunks pin nothing they once pointed to; without it,
+// taken slices hold stale values their taker must overwrite.
+func (s *slab[T]) reset(zero bool) {
+	if zero {
+		for _, c := range s.chunks[:s.used] {
+			clear(c)
+		}
+	}
+	s.used, s.free = 0, nil
 }
 
 // state is one search state after deciding nodes [0, t): the partial
@@ -345,44 +390,91 @@ const (
 	expandChunk       = 1024
 )
 
-// enumerator is enumerate's working set. Its live and next levels,
-// children, bucket map and scratch buffers are reused from level to
-// level; slabs hold the storage of states that survive a merge.
+// enumerator is a check's working set. Its live and next levels,
+// children, maps and scratch buffers are reused from level to level;
+// slabs hold the storage of states that survive a merge, and tries the
+// classification trie's. CheckGraph takes an enumerator from enumPool
+// and puts it back once classification is done, so all of it is also
+// reused from one check to the next.
 type enumerator struct {
 	n, t   int
 	desc   [][]uint64 // per node, its descendants (graph.Descendants)
 	words  *wordTable
-	sp     *space
+	sp     space
 	live   []state
 	next   []state
 	kids   []child
 	bucket map[uint64]int32 // image hash → latest next-level state with it
 	fhead  map[uint64]int32 // image hash → latest final with that hash
 	flink  []int32          // per final: the previous one with its hash
+	widest int              // most bucket entries a level of this check held
 	bitsOf slab[uint64]
 	imgOf  slab[wordVal]
+	tries  trieStore
 	img    []wordVal // scratch: the image of a writeChild
 	fimg   []wordVal // scratch: the image of a recorded final
 	killed bits      // scratch: the killed-set of an excludeChild
+}
+
+// enumPool recycles enumerators across checks. Nothing a check returns
+// references one: a Result's counterexample cut and strings are built
+// fresh. sync.Pool drops idle enumerators after two garbage
+// collections, so a large check's storage outlives it only briefly.
+var enumPool = sync.Pool{New: func() any { return newEnumerator() }}
+
+func newEnumerator() *enumerator {
+	return &enumerator{bucket: make(map[uint64]int32), fhead: make(map[uint64]int32)}
+}
+
+// maxKeptMap is the most entries a map may have held for reset to keep
+// it. Clearing a Go map costs its capacity, which never shrinks, so a
+// bucket map grown by a wide check would make every level of the
+// checks after it pay for that width.
+const maxKeptMap = 1 << 14
+
+// reset drops what e holds of the last check and makes its storage
+// available to the next. The state slabs hold plain values that every
+// taker overwrites, so they are not cleared; trie nodes hold pointers,
+// so theirs are.
+func (e *enumerator) reset() {
+	e.desc, e.words = nil, nil
+	e.sp = space{finals: e.sp.finals[:0]}
+	if max(e.widest, len(e.bucket)) > maxKeptMap {
+		e.bucket = make(map[uint64]int32)
+	}
+	e.widest = 0
+	if len(e.fhead) > maxKeptMap {
+		e.fhead = make(map[uint64]int32)
+	} else {
+		clear(e.fhead)
+	}
+	e.flink = e.flink[:0]
+	e.bitsOf.reset(false)
+	e.imgOf.reset(false)
+	e.tries.nodes.reset(true)
+}
+
+// zeroBits returns a cleared slab bitset over n nodes.
+func (e *enumerator) zeroBits(n int) bits {
+	b := bits(e.bitsOf.take((n + 63) / 64))
+	clear(b)
+	return b
 }
 
 // enumerate walks the graph's nodes in trace (topological) order,
 // branching each undecided node into exclude/include, deduplicating
 // states by (image, killed-set) and folding dominated states into
 // their antichain maxima. See the package comment for the soundness
-// argument.
-func enumerate(g *graph.Graph, cfg Config) (*space, error) {
+// argument. The space it returns lives in e.
+func (e *enumerator) enumerate(g *graph.Graph, cfg Config) (*space, error) {
 	n := g.Len()
 	budget := cfg.budget()
 	desc := g.Descendants()
-	e := &enumerator{
-		n: n, desc: desc, words: newWordTable(g),
-		bucket: make(map[uint64]int32),
-		fhead:  make(map[uint64]int32),
-		killed: newBits(n),
-	}
-	e.sp = &space{words: e.words}
-	e.live = []state{{killed: newBits(n), dec: newBits(n), link: -1}}
+	e.n, e.desc, e.words = n, desc, newWordTable(g)
+	e.sp.words = e.words
+	e.killed = slices.Grow(e.killed[:0], (n+63)/64)[:(n+63)/64]
+	e.live = append(e.live[:0], state{killed: e.zeroBits(n), dec: e.zeroBits(n), link: -1})
+	e.next = e.next[:0]
 	for t := 0; t < n; t++ {
 		e.t = t
 		if err := e.expand(cfg.Sweep); err != nil {
@@ -393,6 +485,7 @@ func enumerate(g *graph.Graph, cfg Config) (*space, error) {
 		// hash; the live states of one image in a bucket are an
 		// antichain of killed-sets, so the order they are compared in
 		// does not matter.
+		e.widest = max(e.widest, len(e.bucket))
 		clear(e.bucket)
 		for _, c := range e.kids {
 			if c.kind != noChild {
@@ -425,7 +518,7 @@ func enumerate(g *graph.Graph, cfg Config) (*space, error) {
 		e.addFinal(s.h, s.img, final{img: s.img, dec: s.dec, node: -1})
 	}
 	e.sp.cuts, e.sp.cutsSat = countCuts(g, desc, budget)
-	return e.sp, nil
+	return &e.sp, nil
 }
 
 // expand describes the children of every live state at node t: one

@@ -45,7 +45,12 @@ func checkUnprotected(g *graph.Graph, ann Annotations, cfg Config, r *Report) {
 		}
 		return i >= 0 && uint64(a-prot[i].Addr)+size <= prot[i].Size
 	}
+	// Findings past the storage limit are only counted: their cut and
+	// repro are never built.
 	report := func(name string, a memory.Addr, size uint64) {
+		if !r.keep(UnprotectedMetadata, cfg.limit()) {
+			return
+		}
 		cut := g.Full()
 		repro := ""
 		if len(cfg.ReproParams) > 0 {
@@ -60,7 +65,7 @@ func checkUnprotected(g *graph.Graph, ann Annotations, cfg Config, r *Report) {
 			}
 			repro = s.Repro()
 		}
-		r.add(Finding{
+		r.Findings = append(r.Findings, Finding{
 			Kind:     UnprotectedMetadata,
 			Severity: Robustness,
 			Msg: fmt.Sprintf("recovery metadata %q at %#x/%d has no integrity protection (CRC frame, shadow, or durable word)",
@@ -70,7 +75,7 @@ func checkUnprotected(g *graph.Graph, ann Annotations, cfg Config, r *Report) {
 			WitnessB: -1,
 			Cut:      cut,
 			Repro:    repro,
-		}, cfg.limit())
+		})
 	}
 	seen := map[memory.Addr]bool{}
 	for _, pub := range ann.Pubs {
