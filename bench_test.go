@@ -185,10 +185,10 @@ func BenchmarkBanksAblation(b *testing.B) {
 // BenchmarkJournalTable regenerates the journaled-metadata persist
 // concurrency table (reproduction-added workload).
 func BenchmarkJournalTable(b *testing.B) {
-	var rows []bench.JournalRow
+	var rows []bench.TxnRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.JournalTable(500, []int{1}, 42, sweep.Config{})
+		rows, err = bench.TxnTable("journal", 500, []int{1}, 42, sweep.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,10 +201,10 @@ func BenchmarkJournalTable(b *testing.B) {
 // BenchmarkPSTMTable regenerates the durable-transaction persist
 // concurrency table (reproduction-added workload).
 func BenchmarkPSTMTable(b *testing.B) {
-	var rows []bench.PSTMRow
+	var rows []bench.TxnRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.PSTMTable(500, []int{1}, 42, sweep.Config{})
+		rows, err = bench.TxnTable("pstm", 500, []int{1}, 42, sweep.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -81,10 +81,10 @@ var experiments = []experiment{
 	{"fig5", true, runFig5},
 	{"banks", false, runBanks},
 	{"window", true, runWindow},
-	{"journal", false, runJournal},
+	{"journal", false, runTxn("journal", "journaled metadata store (2-block transactions)")},
 	{"dist", false, runDist},
 	{"races", false, runRaces},
-	{"pstm", false, runPSTM},
+	{"pstm", false, runTxn("pstm", "durable undo-log transactions (paired-word)")},
 	{"wear", false, runWear},
 	{"unbuffered", false, runUnbuffered},
 }
@@ -116,7 +116,7 @@ func run(env *cli.Env) (int, error) {
 		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON persist timeline (Perfetto) to this file")
 		traceIns   = fs.Int("trace-inserts", 200, "inserts per configuration in the -trace-out timeline pass")
 		parallel   = fs.Int("parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
-		integrity  = fs.Bool("integrity", false, "use the corruption-detecting durable format in the ablation workloads (framing overhead shows up in persist counts)")
+		integrity  = fs.Bool("integrity", false, "use the corruption-detecting durable format in the banks, dist, races, wear and unbuffered queue runs and the -trace-out pass (framing overhead shows up in persist counts)")
 	)
 	if err := env.Parse(); err != nil {
 		return 0, err
@@ -322,7 +322,7 @@ func runBanks(c *runCfg) error {
 
 // runWindow is the coalescing-window ablation.
 func runWindow(c *runCfg) error {
-	points, err := bench.WindowAblation(min(c.inserts, 5000), c.seed, nil, c.sw)
+	points, err := bench.WindowAblation(min(c.inserts, 5000), c.seed, c.sw)
 	if err != nil {
 		return err
 	}
@@ -335,16 +335,20 @@ func runWindow(c *runCfg) error {
 	return nil
 }
 
-// runJournal measures the journaled metadata store by policy.
-func runJournal(c *runCfg) error {
-	rows, err := bench.JournalTable(min(c.inserts, 5000), c.threads, c.seed, c.sw)
-	if err != nil {
-		return err
+// runTxn returns the experiment that measures a transaction structure
+// (bench.Workload.Structure "journal" or "pstm", described by title)
+// by policy and thread count.
+func runTxn(structure, title string) func(*runCfg) error {
+	return func(c *runCfg) error {
+		rows, err := bench.TxnTable(structure, min(c.inserts, 5000), c.threads, c.seed, c.sw)
+		if err != nil {
+			return err
+		}
+		fmt.Println(title + ": persist concurrency by policy")
+		fmt.Println("(racing-epochs omitted: unsafe for this structure — see EXPERIMENTS.md)")
+		c.emit(bench.RenderTxn(rows))
+		return nil
 	}
-	fmt.Println("journaled metadata store (2-block transactions): persist concurrency by policy")
-	fmt.Println("(racing-epochs omitted: unsafe for this structure — see EXPERIMENTS.md)")
-	c.emit(bench.RenderJournal(rows))
-	return nil
 }
 
 // runDist reports the per-insert critical-path growth distribution.
@@ -397,18 +401,6 @@ func runRaces(c *runCfg) error {
 	}
 	fmt.Println("persist-epoch races detected (CWL workload)")
 	c.emit(tbl)
-	return nil
-}
-
-// runPSTM measures durable undo-log transactions by policy.
-func runPSTM(c *runCfg) error {
-	rows, err := bench.PSTMTable(min(c.inserts, 5000), c.threads, c.seed, c.sw)
-	if err != nil {
-		return err
-	}
-	fmt.Println("durable undo-log transactions (paired-word): persist concurrency by policy")
-	fmt.Println("(racing-epochs omitted: unsafe for this structure — see EXPERIMENTS.md)")
-	c.emit(bench.RenderPSTM(rows))
 	return nil
 }
 
@@ -505,12 +497,7 @@ func tracePass(reg *telemetry.Registry, man *telemetry.Manifest, path string, th
 				Threads: threads, Inserts: inserts, PayloadLen: payload, Seed: seed,
 				Integrity: integrity,
 			}
-			meta, err := bench.QueueMeta(w)
-			if err != nil {
-				return err
-			}
 			tr := telemetry.NewTracer(m, w.String())
-			tr.SiteLabel = meta.SiteLabel()
 			sim, err := core.NewSim(core.Params{Model: m})
 			if err != nil {
 				return err
@@ -518,9 +505,11 @@ func tracePass(reg *telemetry.Registry, man *telemetry.Manifest, path string, th
 			sim.SetProbe(tr)
 			// CountingSink feeds the per-thread op-mix series while the
 			// simulator consumes the same stream.
-			if _, err := bench.Run(w, telemetry.NewCountingSink(reg, sim)); err != nil {
+			label, err := bench.Run(w, telemetry.NewCountingSink(reg, sim))
+			if err != nil {
 				return err
 			}
+			tr.SiteLabel = label
 			if err := sim.Err(); err != nil {
 				return err
 			}

@@ -1,7 +1,8 @@
 // Package bench is the experiment harness: it wires workloads (the
-// persistent queue), the execution engine, and the persistency-model
-// simulator together to regenerate every table and figure in the
-// paper's evaluation (§8), plus this reproduction's ablations.
+// persistent queue, the journal and the pstm heap), the execution
+// engine, and the persistency-model simulator together to regenerate
+// every table and figure in the paper's evaluation (§8), plus this
+// reproduction's ablations.
 //
 // The paper's methodology (§7) computes system throughput as
 //
@@ -19,35 +20,49 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/journal"
+	"repro/internal/memory"
+	"repro/internal/pstm"
 	"repro/internal/queue"
 	"repro/internal/trace"
 )
 
-// Workload describes one queue benchmark configuration.
+// Workload describes one harness run: the structure it traces, the
+// structure's annotation policy, and the execution that drives it. It
+// is comparable, and its normalized form keys the trace cache.
 type Workload struct {
-	// Design selects CWL or TwoLock.
+	// Structure selects the traced structure, spelled as
+	// workload.Options.Workload: "" or "queue" for the §3 persistent
+	// queue, "journal" for the redo-journaled metadata store (the
+	// paper's journaled-file-system motivation, §6 and §9), "pstm" for
+	// paired-word undo-log durable transactions.
+	Structure string
+	// Design selects CWL or TwoLock (queue only).
 	Design queue.Design
 	// Policy selects the annotation discipline (Table 1 column).
 	Policy core.Policy
 	// Threads is the simulated thread count (Table 1 uses 1 and 8).
 	Threads int
-	// Inserts is the total number of inserts across all threads.
+	// Inserts is the total number of work items across all threads:
+	// queue inserts, or journal and pstm transactions.
 	Inserts int
-	// PayloadLen is the entry payload size; the paper uses 100 bytes.
+	// PayloadLen is the queue entry payload size; the paper uses 100
+	// bytes.
 	PayloadLen int
 	// Seed drives the interleaving.
 	Seed int64
-	// DataBytes sizes the data segment; 0 auto-sizes so the run never
-	// wraps (the evaluation is insert-only, as in the paper).
+	// DataBytes sizes the queue's data segment; 0 auto-sizes so the run
+	// never wraps (the evaluation is insert-only, as in the paper).
 	DataBytes uint64
 	// Overwrite runs the queue as an overwriting log (set DataBytes
 	// smaller than the inserted volume to exercise buffer reuse, which
 	// ratchets persist levels through strong persist atomicity on
 	// recycled blocks).
 	Overwrite bool
-	// Integrity runs the queue with the corruption-detecting durable
-	// format (internal/durable) — CRC-framed entries and dual-copy
-	// pointer words — so benchmarks expose the framing overhead.
+	// Integrity runs the structure with the corruption-detecting
+	// durable format (internal/durable) — CRC-framed records and
+	// dual-copy pointer words — so benchmarks expose the framing
+	// overhead.
 	Integrity bool
 }
 
@@ -57,6 +72,13 @@ func (w *Workload) normalize() error {
 	}
 	if w.Inserts <= 0 {
 		w.Inserts = 1000
+	}
+	switch w.Structure {
+	case "journal", "pstm":
+		return nil
+	case "", "queue":
+	default:
+		return fmt.Errorf("bench: unknown structure %q", w.Structure)
 	}
 	if w.PayloadLen <= 0 {
 		w.PayloadLen = 100
@@ -76,17 +98,98 @@ func (w *Workload) normalize() error {
 
 // String names the configuration compactly.
 func (w Workload) String() string {
-	return fmt.Sprintf("%v/%v/%dT", w.Design, w.Policy, w.Threads)
+	switch w.Structure {
+	case "", "queue":
+		return fmt.Sprintf("%v/%v/%dT", w.Design, w.Policy, w.Threads)
+	}
+	return fmt.Sprintf("%s %v/%dT", w.Structure, w.Policy, w.Threads)
 }
 
+// journalBlocksPerTxn is the journal transactions' write set size.
+const journalBlocksPerTxn = 2
+
 // Run executes the workload on the simulated machine, streaming events
-// into sink, and returns the machine (for final-state inspection).
-func Run(w Workload, sink trace.Sink) (*exec.Machine, error) {
+// into sink, and returns the structure's site labeller (annotation-site
+// names for persist addresses, which telemetry's critical-path
+// attribution reads when it renders).
+func Run(w Workload, sink trace.Sink) (func(memory.Addr) string, error) {
 	if err := w.normalize(); err != nil {
 		return nil, err
 	}
 	m := exec.NewMachine(exec.Config{Threads: w.Threads, Seed: w.Seed, Sink: sink})
-	s := m.SetupThread()
+	st, err := build(w, m.SetupThread())
+	if err != nil {
+		return nil, err
+	}
+	per, extra := st.items/w.Threads, st.items%w.Threads
+	m.Run(func(t *exec.Thread) {
+		n := per
+		if t.TID() < extra {
+			n++
+		}
+		for i := 0; i < n; i++ {
+			id := uint64(t.TID())<<32 | uint64(i)
+			t.BeginWork(id)
+			st.item(t, id, i)
+			t.EndWork(id)
+		}
+	})
+	return st.label, nil
+}
+
+// structure is one workload's structure, built on a machine: its site
+// labeller, the work items the run makes across all threads, and the
+// body of one item.
+type structure struct {
+	label func(memory.Addr) string
+	items int
+	item  func(t *exec.Thread, id uint64, i int)
+}
+
+// build constructs w's structure on the setup thread s. The harness
+// keeps its own bodies rather than internal/workload's checker
+// fixtures: each item runs inside Run's work brackets (the simulator's
+// per-item critical path is the paper's metric), and every structure
+// is sized never to wrap. Queue and journal give the remainder of
+// Inserts/Threads to the lowest thread ids; pstm drops it.
+func build(w Workload, s *exec.Thread) (structure, error) {
+	switch w.Structure {
+	case "journal":
+		// Each thread owns a disjoint block group, so transactions
+		// conflict only on the journal structures — the interesting
+		// part. The ring holds every transaction's records.
+		st, err := journal.New(s, journal.Config{
+			Blocks:       w.Threads * journalBlocksPerTxn,
+			JournalBytes: uint64(w.Inserts+w.Threads+2) * (journalBlocksPerTxn + 1) * 128,
+			Policy:       w.Policy,
+			Integrity:    w.Integrity,
+		})
+		if err != nil {
+			return structure{}, err
+		}
+		return structure{st.Meta().SiteLabel(), w.Inserts, func(t *exec.Thread, id uint64, _ int) {
+			base := t.TID() * journalBlocksPerTxn
+			writes := make([]journal.Write, journalBlocksPerTxn)
+			for b := range writes {
+				writes[b] = journal.Write{Block: base + b, Data: journal.MakeBlock(id + 1)}
+			}
+			st.Update(t, writes)
+		}}, nil
+	case "pstm":
+		// Each thread's transactions store to its own word pair, so
+		// they conflict only on the pstm metadata.
+		h, err := pstm.New(s, pstm.Config{Words: 2 * w.Threads, UndoCap: 8, Policy: w.Policy, Integrity: w.Integrity})
+		if err != nil {
+			return structure{}, err
+		}
+		return structure{h.Meta().SiteLabel(), w.Inserts - w.Inserts%w.Threads, func(t *exec.Thread, _ uint64, i int) {
+			h.Atomic(t, func(tx *pstm.Tx) {
+				v := uint64(i + 1)
+				tx.Store(t.TID()*2, v)
+				tx.Store(t.TID()*2+1, v)
+			})
+		}}, nil
+	}
 	q, err := queue.New(s, queue.Config{
 		DataBytes:  w.DataBytes,
 		Design:     w.Design,
@@ -96,23 +199,12 @@ func Run(w Workload, sink trace.Sink) (*exec.Machine, error) {
 		Integrity:  w.Integrity,
 	})
 	if err != nil {
-		return nil, err
+		return structure{}, err
 	}
-	per := w.Inserts / w.Threads
-	extra := w.Inserts % w.Threads
-	m.Run(func(t *exec.Thread) {
-		n := per
-		if t.TID() < extra {
-			n++
-		}
-		for i := 0; i < n; i++ {
-			id := uint64(t.TID())<<32 | uint64(i)
-			t.BeginWork(id)
-			q.Insert(t, queue.MakePayload(id, w.PayloadLen))
-			t.EndWork(id)
-		}
-	})
-	return m, nil
+	payload := w.PayloadLen
+	return structure{q.Meta().SiteLabel(), w.Inserts, func(t *exec.Thread, id uint64, _ int) {
+		q.Insert(t, queue.MakePayload(id, payload))
+	}}, nil
 }
 
 // Trace executes the workload and returns the captured trace (for
@@ -150,44 +242,6 @@ func SimulateProbed(w Workload, p core.Params, probe core.Probe) (core.Result, e
 		return core.Result{}, err
 	}
 	return sim.Result(), nil
-}
-
-// streamSim executes a workload body once, streaming straight into a
-// pooled simulator (no trace storage) — Simulate for the journal and
-// pstm workloads.
-func streamSim(p core.Params, run func(trace.Sink) error) (core.Result, error) {
-	sim, err := core.AcquireSim(p)
-	if err != nil {
-		return core.Result{}, err
-	}
-	defer core.ReleaseSim(sim)
-	if err := run(sim); err != nil {
-		return core.Result{}, err
-	}
-	if err := sim.Err(); err != nil {
-		return core.Result{}, err
-	}
-	return sim.Result(), nil
-}
-
-// QueueMeta reports the persistent layout Run creates for w without
-// executing the workload: queue.New allocates head, tail, then the data
-// segment deterministically, so a fresh machine reproduces the
-// addresses the real run will use.
-func QueueMeta(w Workload) (queue.Meta, error) {
-	if err := w.normalize(); err != nil {
-		return queue.Meta{}, err
-	}
-	m := exec.NewMachine(exec.Config{Threads: w.Threads, Seed: w.Seed, Sink: trace.Discard})
-	s := m.SetupThread()
-	q, err := queue.New(s, queue.Config{
-		DataBytes: w.DataBytes, Design: w.Design, Policy: w.Policy,
-		MaxThreads: w.Threads, Overwrite: w.Overwrite, Integrity: w.Integrity,
-	})
-	if err != nil {
-		return queue.Meta{}, err
-	}
-	return q.Meta(), nil
 }
 
 // NativeRate measures the instruction execution rate: inserts/second of

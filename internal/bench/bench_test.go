@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/queue"
 	"repro/internal/sweep"
+	"repro/internal/trace"
 )
 
 func TestWorkloadNormalize(t *testing.T) {
@@ -362,6 +363,31 @@ func TestModelFor(t *testing.T) {
 	for i, r := range got {
 		if p := core.Policies[i]; r.Model != want[p] {
 			t.Errorf("%v reported under model %q, want %q", p, r.Model, want[p])
+		}
+	}
+}
+
+// TestRunLabelsEveryPersist checks the site labeller Run returns: it
+// is the traced structure's own, so every persist of the run lands on
+// a named annotation site, in both durable formats.
+func TestRunLabelsEveryPersist(t *testing.T) {
+	for _, s := range []string{"queue", "journal", "pstm"} {
+		for _, integrity := range []bool{false, true} {
+			tr := &trace.Trace{}
+			w := Workload{Structure: s, Policy: core.PolicyEpoch, Threads: 3, Inserts: 20, Seed: 4, Integrity: integrity}
+			label, err := Run(w, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := tr.Persists()
+			if len(ps) == 0 {
+				t.Fatalf("%v: no persists", w)
+			}
+			for _, e := range ps {
+				if l := label(e.Addr); l == "other" {
+					t.Fatalf("%v (integrity %v): persist to %#x has no site", w, integrity, uint64(e.Addr))
+				}
+			}
 		}
 	}
 }

@@ -182,8 +182,6 @@ type Fig3Config struct {
 	Inserts int
 	// PayloadLen defaults to 100.
 	PayloadLen int
-	// Latencies to sweep; nil means a log sweep of 10 ns – 100 µs.
-	Latencies []time.Duration
 	// Seed drives the interleaving.
 	Seed int64
 	// InstrRate optionally fixes the instruction rate for determinism.
@@ -207,6 +205,14 @@ type Fig3Point struct {
 // Fig3Policies are the models Figure 3 plots.
 var Fig3Policies = []core.Policy{core.PolicyStrict, core.PolicyEpoch, core.PolicyStrand}
 
+// fig3Latencies are the persist latencies Figure 3 sweeps: a log sweep
+// of 10 ns – 100 µs.
+var fig3Latencies = []time.Duration{
+	10 * time.Nanosecond, 30 * time.Nanosecond, 100 * time.Nanosecond, 300 * time.Nanosecond,
+	time.Microsecond, 3 * time.Microsecond, 10 * time.Microsecond, 30 * time.Microsecond,
+	100 * time.Microsecond,
+}
+
 // Fig3 sweeps persist latency. The critical path is latency-independent,
 // so each policy's workload runs once and the sweep is analytic — the
 // same trick lets the paper plot smooth curves.
@@ -216,11 +222,6 @@ func Fig3(cfg Fig3Config) ([]Fig3Point, error) {
 	}
 	if cfg.PayloadLen <= 0 {
 		cfg.PayloadLen = 100
-	}
-	if len(cfg.Latencies) == 0 {
-		for _, ns := range []int64{10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000} {
-			cfg.Latencies = append(cfg.Latencies, time.Duration(ns)*time.Nanosecond)
-		}
 	}
 	instr := cfg.InstrRate
 	if instr <= 0 {
@@ -242,7 +243,7 @@ func Fig3(cfg Fig3Config) ([]Fig3Point, error) {
 		func(i int, r core.Result) error {
 			pol := Fig3Policies[i]
 			model := pol.Model()
-			for _, lat := range cfg.Latencies {
+			for _, lat := range fig3Latencies {
 				pb := r.PersistBoundRate(lat)
 				rate := math.Min(instr, pb)
 				out = append(out, Fig3Point{
@@ -305,8 +306,6 @@ type GranularityConfig struct {
 	Inserts int
 	// PayloadLen defaults to 100.
 	PayloadLen int
-	// Granularities to sweep; nil means 8..256.
-	Granularities []uint64
 	// Seed drives the interleaving.
 	Seed int64
 	// Sweep controls grid parallelism across (policy × granularity).
@@ -320,10 +319,11 @@ func (c *GranularityConfig) normalize() {
 	if c.PayloadLen <= 0 {
 		c.PayloadLen = 100
 	}
-	if len(c.Granularities) == 0 {
-		c.Granularities = []uint64{8, 16, 32, 64, 128, 256}
-	}
 }
+
+// granularities are the atomic persist and tracking granularities (in
+// bytes) Figures 4 and 5 sweep.
+var granularities = []uint64{8, 16, 32, 64, 128, 256}
 
 // GranPoint is one point of Figure 4 or 5: average persist critical
 // path per insert at one granularity.
@@ -357,12 +357,12 @@ func granularitySweep(cfg GranularityConfig, mkParams func(core.Model, uint64) c
 	}
 	// Phase 2: the (policy × granularity) grid; core.Simulate only
 	// reads the shared trace, so workers can share it freely.
-	ng := len(cfg.Granularities)
+	ng := len(granularities)
 	out := make([]GranPoint, 0, len(granPolicies)*ng)
 	err = sweep.Run(len(granPolicies)*ng, cfg.Sweep.Named("gran"),
 		func(i int) (GranPoint, error) {
 			pol := granPolicies[i/ng]
-			g := cfg.Granularities[i%ng]
+			g := granularities[i%ng]
 			model := pol.Model()
 			sp := cfg.Sweep.Spans.Start("simulate", model.String()).Arg("granularity", g)
 			r, err := core.Simulate(traces[i/ng], mkParams(model, g))
@@ -440,15 +440,16 @@ type WindowPoint struct {
 	Coalesced int64
 }
 
+// windows are the coalescing windows the ablation sweeps, in placed
+// persists (0 = unbounded).
+var windows = []int64{0, 1024, 256, 64, 16, 4}
+
 // WindowAblation sweeps the coalescing window for the strand-annotated
 // CWL queue (1 thread); the per-window simulations run on sw workers
 // over one shared trace.
-func WindowAblation(inserts int, seed int64, windows []int64, sw sweep.Config) ([]WindowPoint, error) {
+func WindowAblation(inserts int, seed int64, sw sweep.Config) ([]WindowPoint, error) {
 	if inserts <= 0 {
 		inserts = 5000
-	}
-	if len(windows) == 0 {
-		windows = []int64{0, 1024, 256, 64, 16, 4}
 	}
 	w := Workload{Design: queue.CWL, Policy: core.PolicyStrand, Threads: 1, Inserts: inserts, PayloadLen: 100, Seed: seed}
 	tr, err := Trace(w)
@@ -485,6 +486,72 @@ func RenderWindow(points []WindowPoint) *stats.Table {
 			label = "inf"
 		}
 		t.AddRow(label, fmt.Sprintf("%.4f", p.PathPerInsert), fmt.Sprint(p.Coalesced))
+	}
+	return t
+}
+
+// TxnRow is one row of a transaction-structure table (journal or
+// pstm).
+type TxnRow struct {
+	Policy     core.Policy
+	Threads    int
+	Result     core.Result
+	PathPerTxn float64
+}
+
+// TxnTable evaluates the persist concurrency of structure ("journal"
+// or "pstm", as in Workload.Structure) under every policy but racing
+// epochs (unsafe for both structures, so excluded from the table) at
+// each thread count, running txns transactions per configuration and
+// fanning the (threads × policy) grid across sw workers. The sweep is
+// named after the structure.
+func TxnTable(structure string, txns int, threads []int, seed int64, sw sweep.Config) ([]TxnRow, error) {
+	if len(threads) == 0 {
+		threads = []int{1, 4}
+	}
+	type cell struct {
+		threads int
+		policy  core.Policy
+	}
+	var grid []cell
+	for _, th := range threads {
+		for _, pol := range core.Policies {
+			if pol != core.PolicyRacingEpoch {
+				grid = append(grid, cell{th, pol})
+			}
+		}
+	}
+	rows := make([]TxnRow, 0, len(grid))
+	err := sweep.Run(len(grid), sw.Named(structure),
+		func(i int) (TxnRow, error) {
+			c := grid[i]
+			w := Workload{Structure: structure, Policy: c.policy, Threads: c.threads, Inserts: txns, Seed: seed}
+			r, err := Simulate(w, core.Params{Model: c.policy.Model()})
+			if err != nil {
+				return TxnRow{}, fmt.Errorf("bench: %v: %w", w, err)
+			}
+			return TxnRow{Policy: c.policy, Threads: c.threads, Result: r, PathPerTxn: r.PathPerWork()}, nil
+		},
+		func(_ int, r TxnRow) error {
+			rows = append(rows, r)
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// RenderTxn formats a transaction-structure table.
+func RenderTxn(rows []TxnRow) *stats.Table {
+	t := stats.NewTable("policy", "threads", "critical-path", "path/txn", "coalesced")
+	for _, r := range rows {
+		t.AddRow(
+			r.Policy.String(), fmt.Sprint(r.Threads),
+			fmt.Sprint(r.Result.CriticalPath),
+			fmt.Sprintf("%.2f", r.PathPerTxn),
+			fmt.Sprint(r.Result.Coalesced),
+		)
 	}
 	return t
 }

@@ -86,37 +86,20 @@ func TestFig3ParallelMatchesSequential(t *testing.T) {
 }
 
 func TestJournalPSTMParallelMatchesSequential(t *testing.T) {
-	seqJ, err := JournalTable(120, []int{1, 2}, 3, sweep.Config{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parJ, err := JournalTable(120, []int{1, 2}, 3, sweep.Config{Parallel: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqJ) != len(parJ) {
-		t.Fatalf("journal row counts differ: %d vs %d", len(seqJ), len(parJ))
-	}
-	for i := range seqJ {
-		if !reflect.DeepEqual(seqJ[i], parJ[i]) {
-			t.Fatalf("journal row %d differs: %+v vs %+v", i, seqJ[i], parJ[i])
+	for _, c := range []struct {
+		structure string
+		seed      int64
+	}{{"journal", 3}, {"pstm", 5}} {
+		seq, err := TxnTable(c.structure, 120, []int{1, 2}, c.seed, sweep.Config{Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	seqP, err := PSTMTable(120, []int{1, 2}, 5, sweep.Config{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parP, err := PSTMTable(120, []int{1, 2}, 5, sweep.Config{Parallel: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqP) != len(parP) {
-		t.Fatalf("pstm row counts differ: %d vs %d", len(seqP), len(parP))
-	}
-	for i := range seqP {
-		if !reflect.DeepEqual(seqP[i], parP[i]) {
-			t.Fatalf("pstm row %d differs: %+v vs %+v", i, seqP[i], parP[i])
+		par, err := TxnTable(c.structure, 120, []int{1, 2}, c.seed, sweep.Config{Parallel: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, par) {
+			t.Fatalf("%s rows differ:\n%+v\nvs\n%+v", c.structure, seq, par)
 		}
 	}
 }

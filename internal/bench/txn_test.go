@@ -11,7 +11,7 @@ import (
 
 func TestRunJournalProducesWork(t *testing.T) {
 	sim := core.MustNewSim(core.Params{Model: core.Epoch})
-	if err := RunJournal(JournalWorkload{Policy: core.PolicyEpoch, Threads: 3, Txns: 10, Seed: 1}, sim); err != nil {
+	if _, err := Run(Workload{Structure: "journal", Policy: core.PolicyEpoch, Threads: 3, Inserts: 10, Seed: 1}, sim); err != nil {
 		t.Fatal(err)
 	}
 	r := sim.Result()
@@ -24,21 +24,21 @@ func TestRunJournalProducesWork(t *testing.T) {
 }
 
 func TestJournalTableShape(t *testing.T) {
-	rows, err := JournalTable(200, []int{1, 2}, 3, sweep.Config{})
+	rows, err := TxnTable("journal", 200, []int{1, 2}, 3, sweep.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 6 { // 3 policies × 2 thread counts (racing excluded)
 		t.Fatalf("rows = %d", len(rows))
 	}
-	at := func(p core.Policy, th int) JournalRow {
+	at := func(p core.Policy, th int) TxnRow {
 		for _, r := range rows {
 			if r.Policy == p && r.Threads == th {
 				return r
 			}
 		}
 		t.Fatalf("missing %v/%d", p, th)
-		return JournalRow{}
+		return TxnRow{}
 	}
 	s := at(core.PolicyStrict, 1)
 	e := at(core.PolicyEpoch, 1)
@@ -52,17 +52,17 @@ func TestJournalTableShape(t *testing.T) {
 	if e.PathPerTxn < 2 || e.PathPerTxn > 4.5 {
 		t.Errorf("epoch path/txn = %.1f", e.PathPerTxn)
 	}
-	if !(d.CriticalPath < e.CriticalPath && e.CriticalPath < s.CriticalPath) {
-		t.Errorf("hierarchy: strand %d epoch %d strict %d", d.CriticalPath, e.CriticalPath, s.CriticalPath)
+	if !(d.Result.CriticalPath < e.Result.CriticalPath && e.Result.CriticalPath < s.Result.CriticalPath) {
+		t.Errorf("hierarchy: strand %d epoch %d strict %d", d.Result.CriticalPath, e.Result.CriticalPath, s.Result.CriticalPath)
 	}
-	out := RenderJournal(rows).String()
+	out := RenderTxn(rows).String()
 	if !strings.Contains(out, "path/txn") || !strings.Contains(out, "strand") {
 		t.Fatalf("rendering:\n%s", out)
 	}
 }
 
 func TestPSTMTableShape(t *testing.T) {
-	rows, err := PSTMTable(200, []int{1}, 2, sweep.Config{})
+	rows, err := TxnTable("pstm", 200, []int{1}, 2, sweep.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,40 +84,43 @@ func TestPSTMTableShape(t *testing.T) {
 	if !(epoch < strict && epoch > strict/4) {
 		t.Fatalf("pstm paths: strict %.1f epoch %.1f", strict, epoch)
 	}
-	if RenderPSTM(rows).String() == "" {
+	if RenderTxn(rows).String() == "" {
 		t.Fatal("empty rendering")
 	}
 }
 
-// TestJournalModelFor checks that each journal table row is simulated
-// under its policy's model and that the unsafe racing column is left out.
+// TestJournalModelFor checks that each row of both transaction tables
+// is simulated under its policy's model and that the unsafe racing
+// column is left out.
 func TestJournalModelFor(t *testing.T) {
 	want := map[core.Policy]core.Model{
 		core.PolicyStrict: core.Strict,
 		core.PolicyEpoch:  core.Epoch,
 		core.PolicyStrand: core.Strand,
 	}
-	rows, err := JournalTable(16, []int{1}, 3, sweep.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(want) {
-		t.Fatalf("%d rows, want %d", len(rows), len(want))
-	}
-	for _, r := range rows {
-		m, ok := want[r.Policy]
-		if !ok {
-			t.Fatalf("unexpected policy %v in journal table", r.Policy)
+	for _, structure := range []string{"journal", "pstm"} {
+		rows, err := TxnTable(structure, 16, []int{1}, 3, sweep.Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Result.Model != m {
-			t.Errorf("%v simulated under %v, want %v", r.Policy, r.Result.Model, m)
+		if len(rows) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", structure, len(rows), len(want))
+		}
+		for _, r := range rows {
+			m, ok := want[r.Policy]
+			if !ok {
+				t.Fatalf("unexpected policy %v in %s table", r.Policy, structure)
+			}
+			if r.Result.Model != m {
+				t.Errorf("%s: %v simulated under %v, want %v", structure, r.Policy, r.Result.Model, m)
+			}
 		}
 	}
 }
 
 func TestRunJournalTraceValid(t *testing.T) {
 	tr := &trace.Trace{}
-	if err := RunJournal(JournalWorkload{Policy: core.PolicyStrand, Threads: 2, Txns: 8, Seed: 5}, tr); err != nil {
+	if _, err := Run(Workload{Structure: "journal", Policy: core.PolicyStrand, Threads: 2, Inserts: 8, Seed: 5}, tr); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Validate(); err != nil {
@@ -129,5 +132,14 @@ func TestRunJournalTraceValid(t *testing.T) {
 	}
 	if sum.WorkItems != 8 {
 		t.Fatalf("work items = %d", sum.WorkItems)
+	}
+}
+
+// TestTxnTableErrorNamesConfiguration checks that a failing cell's
+// error names the structure, policy and thread count.
+func TestTxnTableErrorNamesConfiguration(t *testing.T) {
+	_, err := TxnTable("btree", 8, []int{2}, 1, sweep.Config{Parallel: 1})
+	if err == nil || !strings.Contains(err.Error(), "bench: btree strict/2T: ") {
+		t.Fatalf("err = %v", err)
 	}
 }

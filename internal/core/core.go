@@ -42,7 +42,7 @@ const (
 	// path computed for Strict corresponds to *buffered* strict
 	// persistency (§4.1), the paper's best case for the model; the
 	// unbuffered variant additionally stalls execution (see
-	// bench.UnbufferedTime).
+	// bench.UnbufferedRate).
 	Strict Model = iota
 	// Epoch is epoch persistency (§5.2), the BPFS-inspired model with
 	// the paper's corrections: persist barriers divide each thread into

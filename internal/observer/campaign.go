@@ -224,7 +224,7 @@ func effectivePlan(g *graph.Graph, c graph.Cut, p fault.Plan, maxRetries int) fa
 // campaigns can aggregate the integrity-layer detection counters.
 func classify(g *graph.Graph, c graph.Cut, p fault.Plan, rec CheckedRecoverFunc, maxRetries int) (Class, fault.RecoveryReport, error) {
 	baseRep, baseErr := rec(g.Materialize(c))
-	if err := notClean("fault-free baseline", baseRep, baseErr); err != nil {
+	if err := NotClean("fault-free baseline", baseRep, baseErr); err != nil {
 		// The cut itself — no faults — fails or trips the recovery
 		// scan's detectors. Default-annotation workloads keep reports
 		// clean on every legal cut, so this is an ordering bug.

@@ -38,18 +38,20 @@ type RecoverFunc func(*memory.Image) error
 // Strict is the strict reading of a checked recovery: an image
 // recovers iff checked returns no error and a report whose Detected()
 // is false. It returns checked's error, or else an error naming the
-// report when the scan detected corruption.
+// report when the scan detected corruption (NotClean of "recovery").
 func Strict(checked CheckedRecoverFunc) RecoverFunc {
 	return func(im *memory.Image) error {
 		rep, err := checked(im)
-		return notClean("recovery", rep, err)
+		return NotClean("recovery", rep, err)
 	}
 }
 
-// notClean is the strict rule on one checked result: err, or else,
+// NotClean is the strict rule on one checked result: err, or else,
 // when rep detected corruption, an error naming what (the recovery or
-// the campaign's fault-free baseline) and the report.
-func notClean(what string, rep fault.RecoveryReport, err error) error {
+// the campaign's fault-free baseline) and the report. Callers that
+// already hold a checked result read it strictly with this instead of
+// running the recovery again through Strict.
+func NotClean(what string, rep fault.RecoveryReport, err error) error {
 	if err == nil && rep.Detected() {
 		err = fmt.Errorf("%s not clean: %s", what, rep.String())
 	}

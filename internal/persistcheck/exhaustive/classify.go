@@ -199,26 +199,26 @@ func (tr *trie) insert(seq []readEv, out outcome) (*outcome, error) {
 
 // classify returns img's outcome, running the recovery entry points
 // only on a signature-cache miss.
-func (tr *trie) classify(img []wordVal, sc *scratch, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc) (*outcome, error) {
+func (tr *trie) classify(img []wordVal, sc *scratch, checked observer.CheckedRecoverFunc) (*outcome, error) {
 	if o, ok := tr.lookup(img, sc); ok {
 		return o, nil
 	}
-	out := execClassify(tr.words, img, sc, strict, checked)
+	out := execClassify(tr.words, img, sc, checked)
 	return tr.insert(sc.seq, out)
 }
 
-// execClassify materializes img, runs strict then checked recovery
-// with read recording, and classifies the state. The reads are left in
-// sc.seq.
-func execClassify(words *wordTable, img []wordVal, sc *scratch, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc) outcome {
+// execClassify materializes img, runs checked recovery once with read
+// recording, and classifies the state, reading the strict verdict off
+// the same result by observer's strict rule (observer.NotClean, which
+// observer.Strict applies). The reads are left in sc.seq.
+func execClassify(words *wordTable, img []wordVal, sc *scratch, checked observer.CheckedRecoverFunc) outcome {
 	im := memory.NewImage()
 	for _, wv := range img {
 		im.WriteWord(words.addrs[wv.slot], wv.val)
 	}
 	// Words the recovery itself wrote (salvage repairs) or already
 	// read: later reads of those are implied by earlier pristine reads
-	// and are excluded from the signature. Strict recovery normally
-	// repeats the checked scan, so the checked run adds no reads.
+	// and are excluded from the signature.
 	if sc.implied == nil {
 		sc.implied = make(map[memory.Addr]struct{})
 	}
@@ -232,9 +232,9 @@ func execClassify(words *wordTable, img []wordVal, sc *scratch, strict observer.
 	}, func(a memory.Addr) {
 		sc.implied[a] = struct{}{}
 	})
-	sErr := strict(im)
-	_, cErr := checked(im)
+	rep, cErr := checked(im)
 	im.Observe(nil, nil)
+	sErr := observer.NotClean("recovery", rep, cErr)
 
 	out := outcome{}
 	switch {
@@ -261,7 +261,7 @@ const classifyChunk = 256
 // classifyAll classifies every distinct reachable image through a trie
 // over store, tallies classes in discovery order, and minimizes the
 // first hazardous image's representative cut.
-func classifyAll(g *graph.Graph, sp *space, store *trieStore, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc, cfg Config, res *Result) error {
+func classifyAll(g *graph.Graph, sp *space, store *trieStore, checked observer.CheckedRecoverFunc, cfg Config, res *Result) error {
 	tr := &trie{words: sp.words, store: store}
 	outs := make([]*outcome, len(sp.finals))
 	scfg := cfg.Sweep
@@ -272,7 +272,7 @@ func classifyAll(g *graph.Graph, sp *space, store *trieStore, strict observer.Re
 	err := sweep.Run(chunks, scfg, func(c int) (struct{}, error) {
 		sc := tr.scratch()
 		for i := c * classifyChunk; i < min((c+1)*classifyChunk, len(sp.finals)); i++ {
-			o, err := tr.classify(sp.finals[i].image(sp.words, &sc.img), sc, strict, checked)
+			o, err := tr.classify(sp.finals[i].image(sp.words, &sc.img), sc, checked)
 			if err != nil {
 				return struct{}{}, err
 			}
@@ -300,7 +300,7 @@ func classifyAll(g *graph.Graph, sp *space, store *trieStore, strict observer.Re
 	}
 	res.Signatures = tr.leaves
 	if firstHazard >= 0 {
-		ce, err := minimize(g, sp.finals[firstHazard], outs[firstHazard], tr, strict, checked, cfg)
+		ce, err := minimize(g, sp.finals[firstHazard], outs[firstHazard], tr, checked, cfg)
 		if err != nil {
 			return err
 		}
@@ -313,7 +313,7 @@ func classifyAll(g *graph.Graph, sp *space, store *trieStore, strict observer.Re
 // from the latest down, it drops each node (with its dependents, to
 // keep the cut downward-closed) whenever the resulting state still
 // classifies as a hazard.
-func minimize(g *graph.Graph, f final, hazard *outcome, tr *trie, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc, cfg Config) (*Counterexample, error) {
+func minimize(g *graph.Graph, f final, hazard *outcome, tr *trie, checked observer.CheckedRecoverFunc, cfg Config) (*Counterexample, error) {
 	n := g.Len()
 	cut := f.cut(n)
 	orig := cut.Size()
@@ -329,7 +329,7 @@ func minimize(g *graph.Graph, f final, hazard *outcome, tr *trie, strict observe
 		cand.Included[i] = false
 		g.DropDependents(cand, graph.NodeID(i))
 		budget--
-		o, err := tr.classify(imgOfCut(tr.words, cand), sc, strict, checked)
+		o, err := tr.classify(imgOfCut(tr.words, cand), sc, checked)
 		if err != nil {
 			return nil, err
 		}

@@ -29,13 +29,13 @@
 //     *signatures*, usually orders of magnitude below the distinct
 //     image count.
 //
-// Every reachable image is classified by running strict recovery and
-// checked recovery (the structure's one recovery scan plus the
-// application invariants); strict is normally the checked scan read
-// strictly (observer.Strict):
+// Every reachable image is classified by running checked recovery (the
+// structure's one recovery scan plus the application invariants) once
+// and reading its result both as is and strictly (observer.NotClean,
+// the rule observer.Strict applies):
 //
-//   - recovered: both succeed — the state is a prefix-consistent
-//     recovered state.
+//   - recovered: both readings succeed — the state is a
+//     prefix-consistent recovered state.
 //   - detected: the checked invariants hold but the scan's report
 //     flags (and repairs) damage — a torn state the format detects.
 //   - hazard: checked recovery fails — silent corruption or
@@ -53,7 +53,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/memory"
 	"repro/internal/observer"
 	"repro/internal/sweep"
 )
@@ -217,23 +216,18 @@ func (r *Result) String() string {
 }
 
 // CheckGraph enumerates every reachable post-crash image of g and
-// classifies each through the recovery entry points: a checked error
-// is a hazard, a strict error alone is detected. strict is normally
-// observer.Strict(checked), which fails exactly the images whose
-// checked error is non-nil or whose report detected corruption. strict
-// must be non-nil; a nil checked falls back to strict (no Detected
-// class — every strict failure is then a hazard).
+// classifies each through one checked recovery run: a checked error is
+// a hazard, and a run without error whose report detected corruption
+// is detected (the strict reading, observer.Strict, fails exactly
+// those two). checked must be non-nil. strict is unused: the strict
+// verdict is read off the checked result. It stays only because the
+// benchmark harness passes one (ROADMAP.md item 11 deletes it).
 //
 // The enumeration and classification state comes from a pool (see
 // enumPool), so a repeated check allocates little beyond its Result.
 func CheckGraph(g *graph.Graph, model core.Model, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc, cfg Config) (*Result, error) {
-	if strict == nil {
-		return nil, fmt.Errorf("exhaustive: nil strict recovery")
-	}
 	if checked == nil {
-		checked = func(im *memory.Image) (fault.RecoveryReport, error) {
-			return fault.RecoveryReport{}, strict(im)
-		}
+		return nil, fmt.Errorf("exhaustive: nil checked recovery")
 	}
 	if g.Len() > cfg.maxPersists() {
 		return nil, fmt.Errorf("exhaustive: %d persists exceeds MaxPersists %d (shrink the fixture or raise the bound)",
@@ -241,12 +235,12 @@ func CheckGraph(g *graph.Graph, model core.Model, strict observer.RecoverFunc, c
 	}
 	e := enumPool.Get().(*enumerator)
 	defer enumPool.Put(e)
-	return e.check(g, model, strict, checked, cfg)
+	return e.check(g, model, checked, cfg)
 }
 
 // check is CheckGraph's enumeration and classification on e, which may
 // hold storage from earlier checks; it resets e before returning.
-func (e *enumerator) check(g *graph.Graph, model core.Model, strict observer.RecoverFunc, checked observer.CheckedRecoverFunc, cfg Config) (*Result, error) {
+func (e *enumerator) check(g *graph.Graph, model core.Model, checked observer.CheckedRecoverFunc, cfg Config) (*Result, error) {
 	defer e.reset()
 	space, err := e.enumerate(g, cfg)
 	if err != nil {
@@ -261,7 +255,7 @@ func (e *enumerator) check(g *graph.Graph, model core.Model, strict observer.Rec
 		PeakLive:      space.peakLive,
 		Subsumed:      space.subsumed,
 	}
-	if err := classifyAll(g, space, &e.tries, strict, checked, cfg, res); err != nil {
+	if err := classifyAll(g, space, &e.tries, checked, cfg, res); err != nil {
 		return nil, err
 	}
 	switch {

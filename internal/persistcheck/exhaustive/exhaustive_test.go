@@ -133,12 +133,12 @@ func TestAgainstBruteForce(t *testing.T) {
 				t.Errorf("states: brute %d, checker %d", len(images), res.States)
 			}
 			var rec, det, haz int
-			noCheck := func(*memory.Image) (fault.RecoveryReport, error) { return fault.RecoveryReport{}, nil }
+			// strictOnly runs the strict reading as its own recovery.
+			strictOnly := func(im *memory.Image) (fault.RecoveryReport, error) { return fault.RecoveryReport{}, run.Recover(im) }
 			for _, k := range order {
 				sc, scStrict := &scratch{}, &scratch{}
-				out := execClassify(words, images[k], sc, run.Recover, run.Checked)
-				// A signature names each word once, and the checked run
-				// adds no reads to its strict reading's.
+				out := execClassify(words, images[k], sc, run.Checked)
+				// A signature names each word once.
 				seen := make(map[memory.Addr]bool)
 				for _, ev := range sc.seq {
 					if seen[ev.addr] {
@@ -146,9 +146,15 @@ func TestAgainstBruteForce(t *testing.T) {
 					}
 					seen[ev.addr] = true
 				}
-				execClassify(words, images[k], scStrict, run.Recover, noCheck)
+				// The one checked run reads exactly what a separate
+				// strict run reads, and the strict verdict read off
+				// its result is the strict run's error.
+				so := execClassify(words, images[k], scStrict, strictOnly)
 				if !slices.Equal(sc.seq, scStrict.seq) {
-					t.Fatalf("checked recovery read beyond the strict reading: %d reads, strict alone %d", len(sc.seq), len(scStrict.seq))
+					t.Fatalf("checked run reads %d words, strict run alone %d", len(sc.seq), len(scStrict.seq))
+				}
+				if out.strictErr != so.checkedErr {
+					t.Fatalf("strict verdict %q, strict run %q", out.strictErr, so.checkedErr)
 				}
 				switch out.class {
 				case ClassRecovered:

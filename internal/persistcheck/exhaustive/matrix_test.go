@@ -289,8 +289,8 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestBudgetRefusal checks the bounded-checker contract: exceeding the
-// state budget or the persist cap is a refusal with a clear error, not
-// a silent sample.
+// state budget or the persist cap, or passing no checked recovery, is a
+// refusal with an error, not a silent sample.
 func TestBudgetRefusal(t *testing.T) {
 	run, _, model := buildRun(t, fixture{wl: "journal", policy: "epoch", threads: 2, inserts: 4, sparse: true})
 	g := buildGraph(t, run, model)
@@ -301,6 +301,9 @@ func TestBudgetRefusal(t *testing.T) {
 	_, err = CheckGraph(g, model, run.Recover, run.Checked, Config{MaxPersists: 10})
 	if err == nil || !strings.Contains(err.Error(), "exceeds MaxPersists 10") {
 		t.Errorf("want MaxPersists error, got %v", err)
+	}
+	if _, err = CheckGraph(g, model, run.Recover, nil, Config{}); err == nil {
+		t.Error("a nil checked recovery was accepted")
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // checkWith runs e.check on g, run's graph, with run's recovery.
 func checkWith(t *testing.T, e *enumerator, g *graph.Graph, run *workload.Run, cfg Config) *Result {
 	t.Helper()
-	res, err := e.check(g, g.Params.Model, run.Recover, run.Checked, cfg)
+	res, err := e.check(g, g.Params.Model, run.Checked, cfg)
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}

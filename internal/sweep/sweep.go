@@ -138,7 +138,14 @@ func Run[T any](n int, cfg Config, fn func(i int) (T, error), merge func(i int, 
 		}
 		return nil
 	}
+	return runPool(n, workers, g, cfg.Spans, spanName, fn, merge)
+}
 
+// runPool is Run's parallel path on workers goroutines. It takes only
+// what the workers read: the goroutines capture its parameters, which
+// moves them to the heap, and as Run's own locals they would move on
+// every call, the sequential ones too.
+func runPool[T any](n, workers int, g gauges, spans *telemetry.SpanTracer, spanName string, fn func(i int) (T, error), merge func(i int, v T) error) error {
 	var (
 		next    atomic.Int64
 		stopped atomic.Bool
@@ -161,7 +168,7 @@ func Run[T any](n int, cfg Config, fn func(i int) (T, error), merge func(i int, 
 				if g.busy != nil {
 					g.busy.Set(float64(busy.Add(1)))
 				}
-				sp := cfg.Spans.Start("sweep", spanName).Worker(worker).Arg("item", i)
+				sp := spans.Start("sweep", spanName).Worker(worker).Arg("item", i)
 				v, err := fn(i)
 				sp.End()
 				if g.busy != nil {

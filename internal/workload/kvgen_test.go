@@ -162,6 +162,9 @@ func TestBuildKVAdapter(t *testing.T) {
 	if !a.Trace.Equal(b.Trace) || a.Describe != b.Describe {
 		t.Fatalf("BuildKV and Build differ: %q vs %q", a.Describe, b.Describe)
 	}
+	if raceEnabled {
+		return // sync.Pool drops puts at random under -race: counts vary
+	}
 	viaKV := testing.AllocsPerRun(5, func() { _, _ = BuildKV(k, nil) })
 	direct := testing.AllocsPerRun(5, func() { _, _ = Build(o, nil) })
 	if viaKV != direct {

@@ -3,8 +3,11 @@
 // the sharded KV store — as traced executions with their recovery
 // adapters and persistency-check annotations attached. It is the
 // construction path for the checkers (cmd/persistcheck, cmd/crashsim,
-// the cross-validation tests) and for cmd/kvbench; Table 1's queue
-// traces come from internal/bench instead.
+// the cross-validation tests) and for cmd/kvbench. The evaluation's
+// queue, journal and pstm runs come from internal/bench's Workload
+// instead: its bodies bracket every item with BeginWork/EndWork and
+// size each structure never to wrap, which the checker fixtures here
+// do not do.
 //
 // One table (params.go) declares every workload parameter: its flag
 // and repro key, default, help text and Options field. The commands'

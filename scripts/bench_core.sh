@@ -21,13 +21,15 @@
 # BenchmarkGraphBuildKVWrites/epoch builds a 2048-op write-only KV graph
 # of about 189M edges in roughly a second, so at 100x and count 5 the
 # graph package alone runs past go test's default 10-minute timeout;
-# the timeout is raised to an hour.
+# the timeout is raised to an hour. The packages run one at a time
+# (-p 1): side by side, that benchmark once slowed a 1x sample of
+# BenchmarkSimFeed/epoch sixfold.
 set -e
 benchtime="${1:-100x}"
 count="${2:-1}"
 cd "$(dirname "$0")/.."
 
-go test -run '^$' -timeout 60m -benchmem -benchtime "$benchtime" -count $((count + 1)) \
+go test -p 1 -run '^$' -timeout 60m -benchmem -benchtime "$benchtime" -count $((count + 1)) \
     -bench 'BenchmarkSimFeed|BenchmarkSimulateAll|BenchmarkTraceReplay|BenchmarkTraceEmit|BenchmarkGraphBuild|BenchmarkCriticalPathKV|BenchmarkBuildKV|BenchmarkSimTablesKV|BenchmarkPersistcheckKV|BenchmarkExhaustiveCheck' \
     ./internal/core ./internal/trace ./internal/graph ./internal/workload ./internal/persistcheck ./internal/persistcheck/exhaustive |
 awk -v benchtime="$benchtime" '
