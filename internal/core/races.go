@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/memory"
 	"repro/internal/trace"
@@ -71,17 +72,61 @@ type RaceConfig struct {
 	Limit int
 }
 
-type epochKey struct {
-	tid   int32
-	epoch int
-}
-
-// exportMark remembers the last conflicting exporter of a block.
+// exportMark remembers the last conflicting exporter of a block; has
+// is false until there is one.
 type exportMark struct {
 	seq      uint64
-	tid      int32
 	epoch    int
+	tid      int32
 	residual bool // exporter's epoch held unbound persists at export
+	has      bool
+}
+
+// blockMarks is a tracking block's last store and last load, as
+// potential exporters.
+type blockMarks struct{ write, read exportMark }
+
+// raceState is DetectEpochRaces's working state, kept across calls by
+// racePool: per-thread epoch counters and per-epoch persist flags,
+// indexed by TID and epoch, and the per-block marks in generation-
+// stamped tables like the kernel's, one per address space.
+type raceState struct {
+	gen            uint64
+	marksV, marksP table[blockMarks]
+	epochOf        []int
+	persists       [][]bool
+}
+
+var racePool = sync.Pool{New: func() any { return new(raceState) }}
+
+// marks returns block b's marks.
+func (r *raceState) marks(b memory.BlockID) *blockMarks {
+	if b >= r.marksP.base {
+		return r.marksP.at(b, r.gen)
+	}
+	return r.marksV.at(b, r.gen)
+}
+
+// thread returns tid's epoch counter, growing the table on first sight
+// of tid (which Validate bounds).
+func (r *raceState) thread(tid int32) *int {
+	for int(tid) >= len(r.epochOf) {
+		r.epochOf = append(r.epochOf, 0)
+		r.persists = append(r.persists, nil)
+	}
+	return &r.epochOf[tid]
+}
+
+// persisted reports whether thread tid's epoch holds a persist.
+func (r *raceState) persisted(tid int32, epoch int) bool {
+	p := r.persists[tid]
+	return epoch < len(p) && p[epoch]
+}
+
+// isEpochBoundary reports whether e starts a new per-thread epoch for
+// the detector: barriers, syncs and new strands all do.
+func isEpochBoundary(e trace.Event) bool {
+	return e.Kind == trace.PersistBarrier || e.Kind == trace.PersistSync || e.Kind == trace.NewStrand
 }
 
 // DetectEpochRaces scans the trace for persist-epoch races under epoch
@@ -96,26 +141,37 @@ func DetectEpochRaces(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 	if cfg.Limit <= 0 {
 		cfg.Limit = 16
 	}
+	rs := racePool.Get().(*raceState)
+	defer racePool.Put(rs)
+	rs.epochOf, rs.persists = rs.epochOf[:0], rs.persists[:0]
 
-	// Pass 1: which (thread, epoch) contain persists?
-	persistsIn := make(map[epochKey]bool)
-	epochOf := make(map[int32]int)
-	bump := func(e trace.Event) bool {
-		if e.Kind == trace.PersistBarrier || e.Kind == trace.PersistSync || e.Kind == trace.NewStrand {
-			epochOf[e.TID]++
-			return true
+	// Pass 1: validate every event (pass 2 replays them unvalidated)
+	// and find which (thread, epoch) pairs contain persists.
+	var report RaceReport
+	for _, c := range tr.Chunks() {
+		for i := 0; i < c.Len(); i++ {
+			e := c.Event(i)
+			if err := e.Validate(); err != nil {
+				return RaceReport{}, err
+			}
+			ep := rs.thread(e.TID)
+			switch {
+			case isEpochBoundary(e):
+				*ep++
+			case e.IsPersist():
+				p := rs.persists[e.TID]
+				for len(p) <= *ep {
+					p = append(p, false)
+				}
+				if !p[*ep] {
+					p[*ep] = true
+					report.Epochs++
+				}
+				rs.persists[e.TID] = p
+			}
 		}
-		return false
 	}
-	for e := range tr.All() {
-		if bump(e) {
-			continue
-		}
-		if e.IsPersist() {
-			persistsIn[epochKey{e.TID, epochOf[e.TID]}] = true
-		}
-	}
-	report := RaceReport{Epochs: len(persistsIn)}
+	clear(rs.epochOf)
 
 	// Pass 2: replay through the epoch state machine, checking each
 	// conflicting access before feeding it to the simulator.
@@ -126,83 +182,74 @@ func DetectEpochRaces(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 		return RaceReport{}, err
 	}
 	defer ReleaseSim(sim)
-	type blockMarks struct {
-		write, read exportMark
-		hasW, hasR  bool
-	}
-	marks := make(map[memory.BlockID]*blockMarks)
-	epochOf = make(map[int32]int)
+	rs.gen++
+	rs.marksV.reset(memory.BlockOf(memory.VolatileBase, cfg.TrackingGranularity), blockMarks{})
+	rs.marksP.reset(memory.BlockOf(memory.PersistentBase, cfg.TrackingGranularity), blockMarks{})
 	note := func(m exportMark, e trace.Event) {
 		report.Total++
 		if len(report.Races) < cfg.Limit {
 			report.Races = append(report.Races, Race{
 				First: m.seq, Second: e.Seq, Addr: e.Addr,
 				FirstTID: m.tid, SecondTID: e.TID,
-				FirstEpoch: m.epoch, SecondEpoch: epochOf[e.TID],
+				FirstEpoch: m.epoch, SecondEpoch: rs.epochOf[e.TID],
 			})
 		}
 	}
-	for e := range tr.All() {
-		if bump(e) {
-			if err := sim.Feed(e); err != nil {
-				return RaceReport{}, err
+	for _, c := range tr.Chunks() {
+		for i := 0; i < c.Len(); i++ {
+			e := c.Event(i)
+			if isEpochBoundary(e) {
+				rs.epochOf[e.TID]++
 			}
-			continue
-		}
-		if !e.Kind.IsAccess() {
-			if err := sim.Feed(e); err != nil {
-				return RaceReport{}, err
-			}
-			continue
-		}
-		t := sim.k.thread(e.TID)
-		me := epochKey{e.TID, epochOf[e.TID]}
-		first, last := memory.BlockSpan(e.Addr, int(e.Size), cfg.TrackingGranularity)
-		check := func(m exportMark, incoming Ctx, e trace.Event) {
-			if m.tid == e.TID {
-				return
-			}
-			// Receiver-side: imported context not yet bound, this epoch
-			// persists, and the exporter's epoch persisted.
-			receiverRaces := persistsIn[me] && incoming.Lvl > t.Active.Lvl && persistsIn[epochKey{m.tid, m.epoch}]
-			// Exporter-side: the exporter left unbound persists behind.
-			exporterRaces := persistsIn[me] && m.residual && persistsIn[epochKey{m.tid, m.epoch}]
-			if receiverRaces || exporterRaces {
-				note(m, e)
-			}
-		}
-		for b := first; b <= last; b++ {
-			bs := sim.k.block(b)
-			bm := marks[b]
-			if bm == nil {
+			if !e.Kind.IsAccess() {
+				if err := sim.k.feed(e, false); err != nil {
+					return RaceReport{}, err
+				}
 				continue
 			}
-			// Conflict with the last store (store→load or store→store).
-			if bm.hasW {
-				check(bm.write, bs.Writer, e)
+			t := sim.k.thread(e.TID)
+			epoch := rs.epochOf[e.TID]
+			mePersists := rs.persisted(e.TID, epoch)
+			first, last := memory.BlockSpan(e.Addr, int(e.Size), cfg.TrackingGranularity)
+			check := func(m exportMark, incoming Ctx) {
+				if m.tid == e.TID || !mePersists || !rs.persisted(m.tid, m.epoch) {
+					return
+				}
+				// Receiver-side: imported context not yet bound, this
+				// epoch persists, and the exporter's epoch persisted.
+				// Exporter-side: the exporter left unbound persists
+				// behind.
+				if incoming.Lvl > t.Active.Lvl || m.residual {
+					note(m, e)
+				}
 			}
-			// Load-before-store conflict.
-			if bm.hasR && e.Kind.HasStoreSemantics() {
-				check(bm.read, bs.Reader, e)
+			for b := first; b <= last; b++ {
+				bs, bm := sim.k.block(b), rs.marks(b)
+				// Conflict with the last store (store→load or
+				// store→store).
+				if bm.write.has {
+					check(bm.write, bs.Writer)
+				}
+				// Load-before-store conflict.
+				if bm.read.has && e.Kind.HasStoreSemantics() {
+					check(bm.read, bs.Reader)
+				}
 			}
-		}
-		// Record this access as the blocks' latest potential exporter.
-		mark := exportMark{seq: e.Seq, tid: e.TID, epoch: epochOf[e.TID], residual: t.EpochMax.Lvl > 0}
-		for b := first; b <= last; b++ {
-			bm := marks[b]
-			if bm == nil {
-				bm = &blockMarks{}
-				marks[b] = bm
+			// Record this access as the blocks' latest potential
+			// exporter.
+			mark := exportMark{seq: e.Seq, epoch: epoch, tid: e.TID, residual: t.EpochMax.Lvl > 0, has: true}
+			for b := first; b <= last; b++ {
+				bm := rs.marks(b)
+				if e.Kind.HasStoreSemantics() {
+					bm.write = mark
+					bm.read.has = false
+				} else {
+					bm.read = mark
+				}
 			}
-			if e.Kind.HasStoreSemantics() {
-				bm.write, bm.hasW = mark, true
-				bm.hasR = false
-			} else {
-				bm.read, bm.hasR = mark, true
+			if err := sim.k.feed(e, false); err != nil {
+				return RaceReport{}, err
 			}
-		}
-		if err := sim.Feed(e); err != nil {
-			return RaceReport{}, err
 		}
 	}
 	return report, nil

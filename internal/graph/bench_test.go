@@ -32,9 +32,9 @@ func benchTrace(n int) *trace.Trace {
 }
 
 // BenchmarkGraphBuild measures constraint-DAG construction over the
-// slab-allocated node and reused scratch storage, per model. An untimed
-// build first warms the builder pool, so every op, a 1x run's too,
-// measures a repeated build.
+// slab-allocated node and reused scratch storage, per model, and
+// reports the edges per node it emits. An untimed build first warms the
+// builder pool, so every op, a 1x run's too, measures a repeated build.
 func BenchmarkGraphBuild(b *testing.B) {
 	tr := benchTrace(20000)
 	for _, m := range []core.Model{core.Strict, core.Epoch} {
@@ -47,16 +47,23 @@ func BenchmarkGraphBuild(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
+			var g *Graph
 			for i := 0; i < b.N; i++ {
-				g, err := Build(tr, core.Params{Model: m})
-				if err != nil {
+				var err error
+				if g, err = Build(tr, core.Params{Model: m}); err != nil {
 					b.Fatal(err)
 				}
 				if g.Len() == 0 {
 					b.Fatal("empty graph")
 				}
 			}
+			b.StopTimer()
+			edges := 0
+			for _, n := range g.Nodes {
+				edges += len(n.In)
+			}
 			b.ReportMetric(float64(tr.Len()), "events/op")
+			b.ReportMetric(float64(edges)/float64(g.Len()), "edges/node")
 		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/memory"
 	"repro/internal/trace"
 )
@@ -137,23 +136,7 @@ func TestCoalescingNeverLengthensPath(t *testing.T) {
 // visibility order), so the two implementations must still agree.
 func TestDifferentialOnPSOTraces(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
-		tr := &trace.Trace{}
-		m := exec.NewMachine(exec.Config{Threads: 3, Seed: seed, Sink: tr, Consistency: exec.PSO})
-		s := m.SetupThread()
-		base := s.MallocPersistent(1024, 64)
-		flag := s.MallocVolatile(8, 8)
-		m.Run(func(th *exec.Thread) {
-			for i := uint64(0); i < 25; i++ {
-				th.Store8(base+memory.Addr(th.TID()*256)+memory.Addr((i%4)*8), i)
-				if i%5 == 0 {
-					th.PersistBarrier()
-				}
-				if i%7 == 0 {
-					th.Fence()
-					th.Add8(flag, 1)
-				}
-			}
-		})
+		tr := psoTrace(seed, 25)
 		for _, mo := range core.Models {
 			r, err := core.Simulate(tr, core.Params{Model: mo, NoCoalescing: true})
 			if err != nil {

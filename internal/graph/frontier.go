@@ -176,12 +176,16 @@ func (f *subsetFacts) add(sub, sup uint64) {
 }
 
 // fresh draws a version for a set whose ids just changed: 0 when the
-// set is now empty, otherwise a number no set has carried before.
-func (b *builder) fresh(ids nodeVec) vset {
+// set is now empty, otherwise a number no set has carried before. A
+// labeled build records lab as the version's cover label (labels.go).
+func (b *builder) fresh(ids nodeVec, lab int32) vset {
 	if len(ids) == 0 {
 		return vset{ids: ids}
 	}
 	b.ver++
+	if b.lab.on {
+		b.lab.ofVer = append(b.lab.ofVer, lab)
+	}
 	return vset{ids: ids, ver: b.ver}
 }
 
@@ -302,14 +306,15 @@ func (b *builder) absorb(dst *vset, src vset) {
 	if m == 0 {
 		return
 	}
+	lab := b.joinOf(*dst, src)
 	if d := dst.ids; d.dense() && covers(d, src.ids) {
 		orInto(d, src.ids)
 		d[1] += NodeID(m)
-		*dst = b.fresh(d)
+		*dst = b.fresh(d, lab)
 	} else {
 		out := unionInto(b.tmp, dst.ids, src.ids, dst.ids.size()+m)
 		b.tmp = dst.ids
-		*dst = b.fresh(out)
+		*dst = b.fresh(out, lab)
 	}
 	b.facts.add(src.ver, dst.ver)
 }
@@ -341,7 +346,7 @@ func (b *builder) union(a, c vset) vset {
 	if m == 0 {
 		return a
 	}
-	out := b.fresh(unionInto(nil, a.ids, c.ids, a.ids.size()+m))
+	out := b.fresh(unionInto(nil, a.ids, c.ids, a.ids.size()+m), b.joinOf(a, c))
 	b.facts.add(c.ver, out.ver)
 	return out
 }
@@ -493,23 +498,28 @@ func mergeInto(out, a, b nodeVec) nodeVec {
 	return out
 }
 
-// scrub removes the sources of edges from the thread-owned dense vec v
-// and returns the result: v itself, trimmed to its non-zero words, or,
-// when the remaining ids no longer fill the dense form, a sparse copy
-// built in the scratch buffer (which then takes v's storage).
-func (b *builder) scrub(v nodeVec, edges []Edge) nodeVec {
+// scrub removes the current persist's sources (sourced, with act) from
+// the thread-owned dense vec v and returns the result: v itself,
+// trimmed to its non-zero words, or, when the remaining ids no longer
+// fill the dense form, a sparse copy built in the scratch buffer (which
+// then takes v's storage).
+func (b *builder) scrub(v, act nodeVec) nodeVec {
 	n := v.size()
-	for _, e := range edges {
-		if v.has(e.From) {
-			v[denseHdr+int(e.From>>wordShift)-v.lo()] &^= bit(e.From)
-			n--
+	base := NodeID(v.lo() << wordShift)
+	w := v.words()
+	for k := range w {
+		for u := uint32(w[k]); u != 0; u &= u - 1 {
+			if id := base + NodeID(bits.TrailingZeros32(u)); b.sourced(id, act) {
+				w[k] &^= bit(id)
+				n--
+			}
 		}
+		base += 1 << wordShift
 	}
 	if n == v.size() {
 		return v
 	}
 	v[1] = NodeID(n)
-	w := v.words()
 	first, last := 0, len(w)-1
 	for first <= last && w[first] == 0 {
 		first++

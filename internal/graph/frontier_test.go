@@ -168,7 +168,7 @@ func TestFrontierSetsMatchReference(t *testing.T) {
 		// that already holds the other.
 		b := &builder{}
 		b.facts.reset(0)
-		va, vc := b.fresh(a), b.fresh(c)
+		va, vc := b.fresh(a, 0), b.fresh(c, 0)
 		u := b.union(va, vc)
 		checkVec(t, ctx+" union", u.ids, want, true)
 		checkVec(t, ctx+" union input a", va.ids, aIDs, true)
@@ -183,7 +183,7 @@ func TestFrontierSetsMatchReference(t *testing.T) {
 		checkVec(t, ctx+" publish", p.ids, want, true)
 
 		// A thread absorbs into its own storage, in place or not.
-		dst := b.fresh(slices.Clone(a))
+		dst := b.fresh(slices.Clone(a), 0)
 		before := dst.ver
 		b.absorb(&dst, vc)
 		checkVec(t, ctx+" absorb", dst.ids, want, true)
@@ -196,30 +196,50 @@ func TestFrontierSetsMatchReference(t *testing.T) {
 		}
 
 		// Scrubbing a dense set: remove a random share of its ids,
-		// sometimes all of them.
+		// sometimes all of them. The set moves down by whole words, a
+		// move that keeps its form, so the mark array stays small.
 		if a.dense() {
+			off := aIDs[0] &^ (1<<wordShift - 1)
+			ids := make([]NodeID, len(aIDs))
+			for i, id := range aIDs {
+				ids[i] = id - off
+			}
 			keep := rng.Float64()
 			if rng.Intn(5) == 0 {
 				keep = 0
 			}
-			var edges []Edge
-			var left []NodeID
-			for _, id := range aIDs {
+			var sources, left []NodeID
+			for _, id := range ids {
 				if rng.Float64() < keep {
 					left = append(left, id)
 				} else {
-					edges = append(edges, Edge{From: id})
+					sources = append(sources, id)
 				}
 			}
-			// Sources outside the set are ignored.
-			edges = append(edges, Edge{From: aIDs[len(aIDs)-1] + 100}, Edge{From: 0})
-			if slices.Contains(aIDs, 0) {
+			// Marked ids outside the set are ignored.
+			sources = append(sources, ids[len(ids)-1]+100, 0)
+			if slices.Contains(ids, 0) {
 				left = slices.DeleteFunc(left, func(id NodeID) bool { return id == 0 })
 			}
 			// A scrub keeps a dense set only while it pays.
-			checkVec(t, ctx+" scrub", b.scrub(slices.Clone(a), edges), left, true)
+			checkVec(t, ctx+" scrub", scrubbed(b, canon(ids), sources...), left, true)
 		}
 	}
+}
+
+// scrubbed scrubs ids from v as a persist with those sources does:
+// it marks them with a fresh stamp, then scrubs.
+func scrubbed(b *builder, v nodeVec, ids ...NodeID) nodeVec {
+	top := slices.Max(ids)
+	if v.size() > 0 {
+		_, hi := v.span()
+		top = max(top, NodeID(hi<<wordShift+(1<<wordShift-1)))
+	}
+	b.mark, b.stamp = make([]uint32, top+1), 1
+	for _, id := range ids {
+		b.mark[id] = b.stamp
+	}
+	return b.scrub(v, nil)
 }
 
 // TestFrontierDensityThreshold pins the rule at its edge: n ids over W
@@ -238,17 +258,17 @@ func TestFrontierDensityThreshold(t *testing.T) {
 	// Sparse ∪ sparse crossing the threshold builds a dense set.
 	b := &builder{}
 	b.facts.reset(0)
-	sp := b.fresh(canon(thin))
-	u := b.union(sp, b.fresh(canon([]NodeID{120})))
+	sp := b.fresh(canon(thin), 0)
+	u := b.union(sp, b.fresh(canon([]NodeID{120}), 0))
 	checkVec(t, "sparse→dense union", u.ids, at, true)
 	if !u.ids.dense() {
 		t.Fatal("union at the threshold stayed sparse")
 	}
 	// A scrub of one id drops it back to sparse.
-	s := b.scrub(slices.Clone(u.ids), []Edge{{From: 120}})
+	s := scrubbed(b, slices.Clone(u.ids), 120)
 	checkVec(t, "dense→sparse scrub", s, thin, true)
 	// A dense set whose union reaches far away becomes sparse.
-	far := b.union(u, b.fresh(canon([]NodeID{1 << 20})))
+	far := b.union(u, b.fresh(canon([]NodeID{1 << 20}), 0))
 	checkVec(t, "dense→sparse union", far.ids, append(slices.Clone(at), 1<<20), true)
 	// Singletons and pairs are always sparse.
 	for _, ids := range [][]NodeID{{0}, {31}, {1<<31 - 1}, {5, 6}} {
@@ -257,7 +277,7 @@ func TestFrontierDensityThreshold(t *testing.T) {
 		}
 	}
 	// A scrub that empties a set leaves the empty vec.
-	if e := b.scrub(slices.Clone(u.ids), []Edge{{From: 64}, {From: 100}, {From: 120}, {From: 130}, {From: 159}}); len(e) != 0 {
+	if e := scrubbed(b, slices.Clone(u.ids), 64, 100, 120, 130, 159); len(e) != 0 {
 		t.Fatalf("emptied scrub left %v", e)
 	}
 }

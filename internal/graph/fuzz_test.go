@@ -12,8 +12,12 @@ import (
 
 // FuzzBuildMatchesRef checks the production builder against the
 // reference builder (refbuild_test.go) on fuzzed traces: under every
-// model, Build's graph must equal refBuild's node for node, with every
-// node's edges in the same order. The builder skips unions it has
+// model, Build's graph must match refBuild's node for node
+// (requireSameGraph: equal edge lists in order under strict and strand
+// persistency; under the epoch models a subsequence of the reference's
+// edges with the same transitive closure, and equal class counts
+// everywhere), and under the epoch models every cover label claim must
+// hold (checkLabels). The builder skips unions it has
 // proven to be no-ops by version, so a version that outlived its set's
 // contents, or a subset fact recorded for the wrong pair, shows up here
 // as a missing edge. The graph's Barriers must equal the reference
@@ -47,6 +51,9 @@ func FuzzBuildMatchesRef(f *testing.F) {
 				t.Fatal(err)
 			}
 			requireSameGraph(t, ctx+" Build", got, want)
+			if (m == core.Epoch || m == core.EpochTSO) && tr.CountPersists() > 0 {
+				checkLabels(t, ctx, tr, p)
+			}
 			if got.Params != p {
 				t.Fatalf("%s: graph records params %+v", ctx, got.Params)
 			}

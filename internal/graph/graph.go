@@ -82,6 +82,9 @@ type Node struct {
 	// Label names manual nodes (Figure 1 style examples).
 	Label string
 	// In holds incoming constraint edges (dependences), deduplicated.
+	// Under the epoch models Build omits the transitively redundant
+	// sources its cover labels recognize (labels.go): In is then a
+	// reachability-preserving reduction of the node's dependences.
 	In []Edge
 }
 
@@ -100,7 +103,14 @@ type Graph struct {
 	// from it while capacity lasts, so a trace build with a known persist
 	// count performs one node allocation instead of one per persist.
 	slab []Node
+	// classes counts, for a labeled build (counted), its dependences
+	// per edge class before pruning: see EdgeCounts.
+	classes [numClasses]int
+	counted bool
 }
+
+// numClasses is the number of edge classes.
+const numClasses = int(Conflict) + 1
 
 // Grow preallocates storage for n additional nodes. Nodes already added
 // are unaffected. Grow is additive: a second call only replaces the
@@ -150,15 +160,31 @@ func (g *Graph) AddEdge(from, to NodeID, class EdgeClass) {
 		}
 	}
 	n.In = append(n.In, Edge{From: from, Class: class})
+	if g.counted && int(class) < numClasses {
+		g.classes[class]++
+	}
 }
 
 // Len returns the node count.
 func (g *Graph) Len() int { return len(g.Nodes) }
 
 // EdgeCounts tallies constraint edges by class — the quantitative view
-// of Figure 2: relaxing the model removes classes of edges.
+// of Figure 2: relaxing the model removes classes of edges. It counts
+// every node's distinct dependences in the class Build gave each. A
+// labeled epoch-model build prunes the transitively redundant ones
+// from In, so its counts are the ones it recorded before pruning (plus
+// any edge added since) and exceed its In edges; every other graph's
+// counts are its In edges.
 func (g *Graph) EdgeCounts() map[EdgeClass]int {
 	out := make(map[EdgeClass]int)
+	if g.counted {
+		for c, n := range g.classes {
+			if n > 0 {
+				out[EdgeClass(c)] = n
+			}
+		}
+		return out
+	}
 	for _, n := range g.Nodes {
 		for _, e := range n.In {
 			out[e.Class]++
@@ -333,9 +359,12 @@ func (b *builder) build(tr *trace.Trace, p core.Params) (*Graph, error) {
 	if err := b.k.Reset(&p, b, vset{}); err != nil {
 		return nil, err
 	}
+	a := tr.CountAnnotations()
 	b.reset(tr.Len(), n)
+	b.lab.reset(tr, n, a, b.k.Spec(), b.ver)
+	g.counted = b.lab.on
 	g.Grow(n)
-	if a := tr.CountAnnotations(); a > 0 {
+	if a > 0 {
 		g.Barriers = make([]BarrierInfo, 0, a)
 	}
 	for _, c := range tr.Chunks() {
@@ -424,6 +453,10 @@ type builder struct {
 	tmp      []NodeID
 	idSlab   []NodeID
 	edgeSlab []Edge
+	// lab holds the cover labels of an epoch-model build (labels.go),
+	// which gathers a persist's kept edges in stage.
+	lab   labels
+	stage []Edge
 }
 
 // Import, Export and Join are the set unions of frontier.go.
@@ -443,11 +476,12 @@ func (b *builder) Bind(t *core.Thread[vset]) {
 	case len(t.Pending.ids) == 0:
 		// The new set is the epoch's persists, copied as they are
 		// (sparse) into the old set's storage.
-		t.Active = b.fresh(append(t.Active.ids[:0], t.EpochMax.ids...))
+		t.Active = b.fresh(append(t.Active.ids[:0], t.EpochMax.ids...), b.epochLabel(t.EpochMax.ids))
 	default:
 		// The new set is built in the old one's storage.
 		n := t.Pending.ids.size() + missing(t.Pending.ids, t.EpochMax.ids)
-		t.Active = b.fresh(unionInto(t.Active.ids, t.Pending.ids, t.EpochMax.ids, n))
+		lab := b.lab.join(b.labelOf(t.Pending), b.epochLabel(t.EpochMax.ids))
+		t.Active = b.fresh(unionInto(t.Active.ids, t.Pending.ids, t.EpochMax.ids, n), lab)
 	}
 	// Keep pending's and epochMax's storage too: the next epoch refills
 	// them.
@@ -467,8 +501,13 @@ func (*builder) EpochMark(trace.Event, *core.Thread[vset])  {}
 func (*builder) StrandMark(trace.Event, *core.Thread[vset]) {}
 func (*builder) WorkMark(trace.Event)                       {}
 
-// Persist adds the persist's node with one edge per distinct source.
+// Persist adds the persist's node with one edge per distinct source;
+// a labeled build keeps only the sources no other source is ordered
+// after, as far as its cover labels tell (persistLabeled).
 func (b *builder) Persist(e trace.Event, t *core.Thread[vset], blocks []*core.Block[vset]) vset {
+	if b.lab.on {
+		return b.persistLabeled(e, t, blocks)
+	}
 	id := b.g.AddNode("", e)
 
 	// Deduplicated edge insertion: a fresh stamp marks this persist's
@@ -522,28 +561,40 @@ func (b *builder) Persist(e trace.Event, t *core.Thread[vset], blocks []*core.Bl
 
 	if b.k.Spec().Immediate {
 		// The new persist subsumes everything it depends on.
-		t.Active = b.fresh(append(t.Active.ids[:0], id))
+		t.Active = b.fresh(append(t.Active.ids[:0], id), 0)
 	} else {
-		// Ids grow with the trace, so appending keeps EpochMax sorted.
-		t.EpochMax.ids = append(t.EpochMax.ids, id)
-		// Everything this persist directly depends on is now dominated
-		// by it; scrub those nodes (this persist's marked sources) from
-		// pending rather than adding the block contexts (they would
-		// only produce redundant edges). A scrub that removed
-		// something changes the set, so it takes a fresh version.
-		p, before := t.Pending.ids, t.Pending.ids.size()
-		if p.dense() {
-			p = b.scrub(p, in)
-		} else {
-			p = slices.DeleteFunc(p, func(from NodeID) bool { return b.mark[from] == b.stamp })
-		}
-		if p.size() < before {
-			t.Pending = b.fresh(p)
-		}
+		b.settle(t, id, nil)
 	}
 	// The persist has edges from every prior dependence of its whole
 	// footprint, so the blocks it spans share its one singleton vec.
-	return b.fresh(b.single(id))
+	return b.fresh(b.single(id), 0)
+}
+
+// settle adds persist id to its thread's EpochMax. Ids grow with the
+// trace, so appending keeps EpochMax sorted. Everything the persist
+// depends on is now dominated by it; its sources (see sourced) are
+// scrubbed from pending rather than the block contexts added (they
+// would only produce redundant edges). A scrub that removed something
+// changes the set, so it takes a fresh version; in a labeled build it
+// keeps its label (labels.go).
+func (b *builder) settle(t *core.Thread[vset], id NodeID, act nodeVec) {
+	t.EpochMax.ids = append(t.EpochMax.ids, id)
+	p, before := t.Pending.ids, t.Pending.ids.size()
+	if p.dense() {
+		p = b.scrub(p, act)
+	} else {
+		p = slices.DeleteFunc(p, func(from NodeID) bool { return b.sourced(from, act) })
+	}
+	if p.size() < before {
+		t.Pending = b.fresh(p, b.labelOf(t.Pending))
+	}
+}
+
+// sourced reports whether id is a source of the current persist: it
+// carries the persist's stamp, or it is a member of act, a labeled
+// build's unmarked dense active set (nil: none).
+func (b *builder) sourced(id NodeID, act nodeVec) bool {
+	return b.mark[id] == b.stamp || act != nil && act.has(id)
 }
 
 // nextStamp starts a fresh dedup generation, first sizing the mark

@@ -16,6 +16,11 @@ import (
 // (16 shards, 65536 keys, 32 threads, Zipf 1.1) and returns it with the
 // persistency model its policy targets.
 func kvTrace(tb testing.TB, policy string, ops int, readFrac float64, seed int64) (*trace.Trace, core.Model) {
+	return kvTraceThreads(tb, policy, 32, ops, readFrac, seed)
+}
+
+// kvTraceThreads is kvTrace with the given thread count.
+func kvTraceThreads(tb testing.TB, policy string, threads, ops int, readFrac float64, seed int64) (*trace.Trace, core.Model) {
 	tb.Helper()
 	qp, err := workload.ParsePolicy(policy)
 	if err != nil {
@@ -23,7 +28,7 @@ func kvTrace(tb testing.TB, policy string, ops int, readFrac float64, seed int64
 	}
 	run, err := workload.Build(workload.Options{
 		Workload: "kv", Policy: qp, Model: qp.Model(),
-		Threads: 32, Inserts: ops, Seed: seed,
+		Threads: threads, Inserts: ops, Seed: seed,
 		Shards: 16, Keys: 65536, ReadFrac: readFrac, ZipfS: 1.1,
 	}, nil)
 	if err != nil {
@@ -33,9 +38,11 @@ func kvTrace(tb testing.TB, policy string, ops int, readFrac float64, seed int64
 }
 
 // TestBuildMatchesReferenceOnKV checks the production builder against
-// the per-block reference builder edge for edge, in emission order, on
-// real KV serving traces: wide per-thread frontiers and read-heavy
-// import patterns that the synthetic random traces never reach.
+// the per-block reference builder on real KV serving traces (edge for
+// edge, in emission order, under strict and strand persistency; by
+// closure and class counts under epoch, see requireSameGraph): wide
+// per-thread frontiers and read-heavy import patterns that the
+// synthetic random traces never reach.
 func TestBuildMatchesReferenceOnKV(t *testing.T) {
 	for _, policy := range []string{"strict", "epoch", "strand"} {
 		for _, readFrac := range []float64{0, 0.9} {
@@ -61,7 +68,7 @@ func TestBuildMatchesReferenceOnKV(t *testing.T) {
 }
 
 // TestReachOnKV runs the reachability property check on KV serving
-// graphs, whose nodes carry about a hundred dependences each.
+// graphs, whose nodes carry up to about a hundred dependences each.
 func TestReachOnKV(t *testing.T) {
 	for _, policy := range []string{"strict", "epoch", "strand"} {
 		for _, readFrac := range []float64{0, 0.9} {
@@ -124,8 +131,9 @@ func TestBuildRecordsBarriers(t *testing.T) {
 // facts cannot settle takes operands of about 220 ids together; half
 // the active frontiers at a persist are dense sets. ns/event tracks the
 // builder's cost per trace event and edges/node the size of what it
-// emits, so a return of per-persist work quadratic in the frontier
-// width shows up as ns/event growing while edges/node stays put.
+// emits after cover-label pruning, so a return of per-persist work
+// quadratic in the frontier width shows up as ns/event growing while
+// edges/node stays put, and a pruning regression as edges/node growing.
 func BenchmarkGraphBuildKV(b *testing.B) {
 	tr, model := kvTrace(b, "epoch", 1024, 0.9, 42)
 	p := core.Params{Model: model}
@@ -180,8 +188,37 @@ func BenchmarkGraphBuildKVWrites(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphBuildKVWide builds the epoch graph of a write-only KV
+// trace of one op per thread on each side of the label width bound:
+// with graph.MaxCoverThreads persisting threads the build is labeled
+// and pruned, with one more it is not. ns/event, B/op and edges/node
+// show what the labels cost and save at the bound (EXPERIMENTS.md,
+// "Cover labels").
+func BenchmarkGraphBuildKVWide(b *testing.B) {
+	for _, threads := range []int{graph.MaxCoverThreads, graph.MaxCoverThreads + 1} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			tr, model := kvTraceThreads(b, "epoch", threads, threads, 0, 42)
+			p := core.Params{Model: model}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			g, err := graph.Build(tr, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if g, err = graph.Build(tr, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/event")
+			b.ReportMetric(float64(countEdges(g))/float64(g.Len()), "edges/node")
+		})
+	}
+}
+
 // BenchmarkCriticalPathKV takes the critical path of the epoch KV graph
-// BenchmarkGraphBuildKV builds, about 115 edges per node. ns/edge
+// BenchmarkGraphBuildKV builds. ns/edge
 // tracks the one pass over the edges; a return of cycle checking or
 // successor lists on trace-built graphs shows up there and in allocs/op.
 func BenchmarkCriticalPathKV(b *testing.B) {

@@ -7,9 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exec"
-	"repro/internal/memory"
-	"repro/internal/trace"
 )
 
 // naiveAncestors returns b's strict ancestors by an unbounded
@@ -203,23 +200,7 @@ func TestReachOnRandomTraces(t *testing.T) {
 // visibility the PSO consistency model reordered.
 func TestReachOnPSOTraces(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
-		tr := &trace.Trace{}
-		m := exec.NewMachine(exec.Config{Threads: 3, Seed: seed, Sink: tr, Consistency: exec.PSO})
-		s := m.SetupThread()
-		base := s.MallocPersistent(1024, 64)
-		flag := s.MallocVolatile(8, 8)
-		m.Run(func(th *exec.Thread) {
-			for i := uint64(0); i < 30; i++ {
-				th.Store8(base+memory.Addr(th.TID()*256)+memory.Addr((i%4)*8), i)
-				if i%5 == 0 {
-					th.PersistBarrier()
-				}
-				if i%7 == 0 {
-					th.Fence()
-					th.Add8(flag, 1)
-				}
-			}
-		})
+		tr := psoTrace(seed, 30)
 		rng := rand.New(rand.NewSource(seed))
 		for _, mo := range core.Models {
 			g, err := Build(tr, core.Params{Model: mo})

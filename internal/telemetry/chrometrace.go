@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -184,14 +186,15 @@ func (t *Tracer) spanEvents(pid int64) []chromeEvent {
 			}
 		}
 	}
-	// Close trailing epoch/strand spans at the end of the trace.
-	for tid, s := range epochs {
-		if t.maxEvent > s.start || s.index > 0 {
+	// Close trailing epoch/strand spans at the end of the trace, in
+	// thread-id order so two exports of one trace are byte-identical.
+	for _, tid := range slices.Sorted(maps.Keys(epochs)) {
+		if s := epochs[tid]; t.maxEvent > s.start || s.index > 0 {
 			ev = append(ev, closeSpan(tid, laneEpoch, "epoch", s, t.maxEvent+1))
 		}
 	}
-	for tid, s := range strands {
-		if t.maxEvent > s.start || s.index > 0 {
+	for _, tid := range slices.Sorted(maps.Keys(strands)) {
+		if s := strands[tid]; t.maxEvent > s.start || s.index > 0 {
 			ev = append(ev, closeSpan(tid, laneStrand, "strand", s, t.maxEvent+1))
 		}
 	}

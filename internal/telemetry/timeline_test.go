@@ -173,6 +173,27 @@ func TestChromeTraceValid(t *testing.T) {
 	}
 }
 
+// TestChromeTraceDeterministic pins that exporting one trace twice
+// writes the same bytes: trailing epoch and strand spans close in
+// thread-id order, whatever order a map would visit the threads in.
+func TestChromeTraceDeterministic(t *testing.T) {
+	trEpoch, _ := traced(t, queue.TwoLock, core.Epoch, 8, 64)
+	trStrand, _ := traced(t, queue.TwoLock, core.Strand, 8, 64)
+	var first bytes.Buffer
+	if err := telemetry.EncodeChromeTrace(&first, trEpoch, trStrand); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		var again bytes.Buffer
+		if err := telemetry.EncodeChromeTrace(&again, trEpoch, trStrand); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), again.Bytes()) {
+			t.Fatalf("export %d differs from the first", i+2)
+		}
+	}
+}
+
 // TestObserveResult checks the result adapter writes the expected series.
 func TestObserveResult(t *testing.T) {
 	_, r := traced(t, queue.CWL, core.Epoch, 2, 100)
