@@ -20,9 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/journal"
 	"repro/internal/memory"
-	"repro/internal/pstm"
 	"repro/internal/queue"
 	"repro/internal/trace"
 )
@@ -73,6 +71,13 @@ func (w *Workload) normalize() error {
 	if w.Inserts <= 0 {
 		w.Inserts = 1000
 	}
+	return w.size()
+}
+
+// size rejects an unknown structure and fills the queue's zero sizes:
+// the paper's 100-byte payload, and a data segment that an insert-only
+// run never wraps.
+func (w *Workload) size() error {
 	switch w.Structure {
 	case "journal", "pstm":
 		return nil
@@ -84,11 +89,8 @@ func (w *Workload) normalize() error {
 		w.PayloadLen = 100
 	}
 	if w.DataBytes == 0 {
-		slots := uint64(w.Inserts+w.Threads+1) * queue.SlotBytes(w.PayloadLen)
-		w.DataBytes = slots + queue.SlotAlign
-		if rem := w.DataBytes % queue.SlotAlign; rem != 0 {
-			w.DataBytes += queue.SlotAlign - rem
-		}
+		// SlotBytes is a multiple of SlotAlign, so the sum is aligned.
+		w.DataBytes = uint64(w.Inserts+w.Threads+1)*queue.SlotBytes(w.PayloadLen) + queue.SlotAlign
 	}
 	if w.DataBytes%queue.SlotAlign != 0 {
 		return fmt.Errorf("bench: DataBytes %d not slot-aligned", w.DataBytes)
@@ -105,106 +107,30 @@ func (w Workload) String() string {
 	return fmt.Sprintf("%s %v/%dT", w.Structure, w.Policy, w.Threads)
 }
 
-// journalBlocksPerTxn is the journal transactions' write set size.
-const journalBlocksPerTxn = 2
-
 // Run executes the workload on the simulated machine, streaming events
 // into sink, and returns the structure's site labeller (annotation-site
 // names for persist addresses, which telemetry's critical-path
-// attribution reads when it renders).
+// attribution reads when it renders). Each item runs inside
+// BeginWork/EndWork brackets: the simulator's per-item critical path is
+// the paper's metric.
 func Run(w Workload, sink trace.Sink) (func(memory.Addr) string, error) {
 	if err := w.normalize(); err != nil {
 		return nil, err
 	}
 	m := exec.NewMachine(exec.Config{Threads: w.Threads, Seed: w.Seed, Sink: sink})
-	st, err := build(w, m.SetupThread())
+	f, err := NewFixture(m.SetupThread(), w, false, nil)
 	if err != nil {
 		return nil, err
 	}
-	per, extra := st.items/w.Threads, st.items%w.Threads
 	m.Run(func(t *exec.Thread) {
-		n := per
-		if t.TID() < extra {
-			n++
-		}
-		for i := 0; i < n; i++ {
-			id := uint64(t.TID())<<32 | uint64(i)
+		for i := range f.Count(t.TID()) {
+			id := itemID(t.TID(), i)
 			t.BeginWork(id)
-			st.item(t, id, i)
+			f.Item(t, i)
 			t.EndWork(id)
 		}
 	})
-	return st.label, nil
-}
-
-// structure is one workload's structure, built on a machine: its site
-// labeller, the work items the run makes across all threads, and the
-// body of one item.
-type structure struct {
-	label func(memory.Addr) string
-	items int
-	item  func(t *exec.Thread, id uint64, i int)
-}
-
-// build constructs w's structure on the setup thread s. The harness
-// keeps its own bodies rather than internal/workload's checker
-// fixtures: each item runs inside Run's work brackets (the simulator's
-// per-item critical path is the paper's metric), and every structure
-// is sized never to wrap. Queue and journal give the remainder of
-// Inserts/Threads to the lowest thread ids; pstm drops it.
-func build(w Workload, s *exec.Thread) (structure, error) {
-	switch w.Structure {
-	case "journal":
-		// Each thread owns a disjoint block group, so transactions
-		// conflict only on the journal structures — the interesting
-		// part. The ring holds every transaction's records.
-		st, err := journal.New(s, journal.Config{
-			Blocks:       w.Threads * journalBlocksPerTxn,
-			JournalBytes: uint64(w.Inserts+w.Threads+2) * (journalBlocksPerTxn + 1) * 128,
-			Policy:       w.Policy,
-			Integrity:    w.Integrity,
-		})
-		if err != nil {
-			return structure{}, err
-		}
-		return structure{st.Meta().SiteLabel(), w.Inserts, func(t *exec.Thread, id uint64, _ int) {
-			base := t.TID() * journalBlocksPerTxn
-			writes := make([]journal.Write, journalBlocksPerTxn)
-			for b := range writes {
-				writes[b] = journal.Write{Block: base + b, Data: journal.MakeBlock(id + 1)}
-			}
-			st.Update(t, writes)
-		}}, nil
-	case "pstm":
-		// Each thread's transactions store to its own word pair, so
-		// they conflict only on the pstm metadata.
-		h, err := pstm.New(s, pstm.Config{Words: 2 * w.Threads, UndoCap: 8, Policy: w.Policy, Integrity: w.Integrity})
-		if err != nil {
-			return structure{}, err
-		}
-		return structure{h.Meta().SiteLabel(), w.Inserts - w.Inserts%w.Threads, func(t *exec.Thread, _ uint64, i int) {
-			h.Atomic(t, func(tx *pstm.Tx) {
-				v := uint64(i + 1)
-				tx.Store(t.TID()*2, v)
-				tx.Store(t.TID()*2+1, v)
-			})
-		}}, nil
-	}
-	q, err := queue.New(s, queue.Config{
-		DataBytes:  w.DataBytes,
-		Design:     w.Design,
-		Policy:     w.Policy,
-		MaxThreads: w.Threads,
-		Overwrite:  w.Overwrite,
-		Integrity:  w.Integrity,
-	})
-	if err != nil {
-		return structure{}, err
-	}
-	payload := w.PayloadLen
-	return structure{q.Meta().SiteLabel(), w.Inserts, func(t *exec.Thread, id uint64, _ int) {
-		q.Insert(t, queue.MakePayload(id, payload))
-	}}, nil
+	return f.Label, nil
 }
 
 // Trace executes the workload and returns the captured trace (for

@@ -19,10 +19,10 @@ import (
 	"testing"
 )
 
-// File is the digest file, relative to the test's package directory.
-const File = "testdata/golden"
+// file is the digest file, relative to the test's package directory.
+const file = "testdata/golden"
 
-var update = flag.Bool("update", false, "rewrite "+File+" from this run's outputs")
+var update = flag.Bool("update", false, "rewrite "+file+" from this run's outputs")
 
 // Case is one pinned invocation. Run executes it, writing its report to
 // os.Stdout, and returns the exit code.
@@ -32,7 +32,8 @@ type Case struct {
 }
 
 // Check runs every case in order and compares "<exit code> <digest>"
-// with the case's line in File; with -update it rewrites File instead.
+// with the case's line in testdata/golden; with -update it rewrites
+// the file instead.
 func Check(t *testing.T, cases []Case) {
 	t.Helper()
 	want, err := read()
@@ -42,26 +43,26 @@ func Check(t *testing.T, cases []Case) {
 	var b strings.Builder
 	b.WriteString("# name exit-code sha256(stdout without the run manifest)\n")
 	for _, c := range cases {
-		code, out := Capture(t, c.Run)
-		got := fmt.Sprintf("%d %s", code, Digest(out))
+		code, out := capture(t, c.Run)
+		got := fmt.Sprintf("%d %s", code, digest(out))
 		fmt.Fprintf(&b, "%s %s\n", c.Name, got)
 		if !*update && want[c.Name] != got {
 			t.Errorf("%s: got %q, golden %q", c.Name, got, want[c.Name])
 		}
 	}
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(File), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(File, []byte(b.String()), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// read parses File into name → "<exit code> <digest>".
+// read parses file into name → "<exit code> <digest>".
 func read() (map[string]string, error) {
-	f, err := os.Open(File)
+	f, err := os.Open(file)
 	if err != nil {
 		return nil, err
 	}
@@ -75,16 +76,16 @@ func read() (map[string]string, error) {
 		}
 		name, rest, ok := strings.Cut(line, " ")
 		if !ok {
-			return nil, fmt.Errorf("%s: malformed line %q", File, line)
+			return nil, fmt.Errorf("%s: malformed line %q", file, line)
 		}
 		m[name] = rest
 	}
 	return m, sc.Err()
 }
 
-// Capture runs f with os.Stdout and os.Stderr redirected to temporary
+// capture runs f with os.Stdout and os.Stderr redirected to temporary
 // files and returns f's result and everything it wrote to stdout.
-func Capture(t *testing.T, f func() int) (int, []byte) {
+func capture(t *testing.T, f func() int) (int, []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	stdout, err := os.Create(filepath.Join(dir, "stdout"))
@@ -108,12 +109,12 @@ func Capture(t *testing.T, f func() int) (int, []byte) {
 	return code, out
 }
 
-// Digest is the hex SHA-256 of a command's stdout without its run
+// digest is the hex SHA-256 of a command's stdout without its run
 // manifest. Text reports print the manifest to stderr, so their stdout
 // is hashed as is; a JSON report object loses its "manifest" member
 // (which records flags, host and start time) and is re-encoded with
 // sorted keys.
-func Digest(out []byte) string {
+func digest(out []byte) string {
 	var obj map[string]json.RawMessage
 	if json.Unmarshal(out, &obj) == nil {
 		if _, ok := obj["manifest"]; ok {

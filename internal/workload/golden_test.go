@@ -81,7 +81,7 @@ func TestGoldenTraceHashes(t *testing.T) {
 				t.Fatal(err)
 			}
 			return run.Trace
-		}, "2af9a9115ec378fa2b5b465bdeb2f2d2c0a6b58427a61e0d39f2fabcf4feac86"},
+		}, "0a956e5a5837e093769640c873287da6df4dc3ebba170d5031580e238628cf14"},
 		{"pso-4-threads-buffer-8", func(t *testing.T) *trace.Trace {
 			return queueRun(t, exec.Config{Threads: 4, Seed: 42, Consistency: exec.PSO, StoreBuffer: 8},
 				core.PolicyStrand, true, 12)

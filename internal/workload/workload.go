@@ -3,11 +3,10 @@
 // the sharded KV store — as traced executions with their recovery
 // adapters and persistency-check annotations attached. It is the
 // construction path for the checkers (cmd/persistcheck, cmd/crashsim,
-// the cross-validation tests) and for cmd/kvbench. The evaluation's
-// queue, journal and pstm runs come from internal/bench's Workload
-// instead: its bodies bracket every item with BeginWork/EndWork and
-// size each structure never to wrap, which the checker fixtures here
-// do not do.
+// the cross-validation tests) and for cmd/kvbench. The queue, journal
+// and pstm come from internal/bench's fixtures, the same ones the
+// evaluation's harness runs, so the checkers recover the operations the
+// harness measures; here the items run without work brackets.
 //
 // One table (params.go) declares every workload parameter: its flag
 // and repro key, default, help text and Options field. The commands'
@@ -24,12 +23,10 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/fault"
 	"repro/internal/journal"
 	"repro/internal/memory"
 	"repro/internal/observer"
 	"repro/internal/persistcheck"
-	"repro/internal/pstm"
 	"repro/internal/queue"
 	"repro/internal/trace"
 )
@@ -101,15 +98,18 @@ type Run struct {
 	Describe string
 }
 
-// Validate rejects option sets no workload can run: fewer than one
-// thread, a negative insert count, a policy outside core.Policies, for
-// the queue a payload outside [1, queue.MaxPayload], and for kv fewer
-// operations than threads, an empty key space, a read fraction outside
-// [0, 1] or a Zipf skew that is negative or not finite (kv.New checks
-// the shard count). Build calls it first, so a bad flag or a
+// Validate rejects option sets no workload can run: an unknown
+// workload, fewer than one thread, a negative insert count, a policy
+// outside core.Policies, for the queue a payload outside [1,
+// queue.MaxPayload], and for kv fewer operations than threads, an
+// empty key space, a read fraction outside [0, 1] or a Zipf skew that
+// is negative or not finite (kv.New checks the shard count). Build calls it first, so a bad flag or a
 // hand-edited repro line is an error instead of a panic deep in exec
 // or the structure.
 func (o Options) Validate() error {
+	if !slices.Contains([]string{"queue", "journal", "pstm", "kv"}, o.Workload) {
+		return fmt.Errorf("unknown workload %q", o.Workload)
+	}
 	if o.Threads < 1 {
 		return fmt.Errorf("%s workload: need threads >= 1 (threads %d)", o.Workload, o.Threads)
 	}
@@ -182,175 +182,34 @@ func setup(o Options, m *exec.Machine) (*Run, func(*exec.Thread), error) {
 	if o.Workload == "kv" {
 		return setupKV(o, m)
 	}
-	s := m.SetupThread()
-	run := &Run{}
-	var body func(*exec.Thread)
-	switch o.Workload {
-	case "queue":
-		q, err := queue.New(s, queue.Config{
-			DataBytes:             DataBytes(o.Inserts, o.Payload),
-			Design:                o.Design,
-			Policy:                o.Policy,
-			MaxThreads:            o.Threads,
-			BreakDataHeadOrder:    o.BreakBar,
-			OmitCompletionBarrier: o.OmitComp,
-			Integrity:             o.Integrity,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		meta := q.Meta()
-		per := o.Inserts / o.Threads
-		// Precomputed outside m.Run: each thread's inserts, and so the
-		// set recovery must find, follow from the options alone and must
-		// not depend on the interleaving.
-		expect := make(map[string]bool)
-		for tid := 0; tid < o.Threads; tid++ {
-			for i := 0; i < per; i++ {
-				expect[string(queue.MakePayload(uint64(tid)<<32|uint64(i), o.Payload))] = true
-			}
-		}
-		body = func(t *exec.Thread) {
-			for i := 0; i < per; i++ {
-				q.Insert(t, queue.MakePayload(uint64(t.TID())<<32|uint64(i), o.Payload))
-			}
-		}
-		run.Checked = func(im *memory.Image) (fault.RecoveryReport, error) {
-			entries, rep, err := queue.Recover(im, meta)
-			if err != nil {
-				return rep, err
-			}
-			return rep, CheckQueueEntries(entries, expect)
-		}
-		run.Checks = meta.Checks()
-		run.SiteLabel = meta.SiteLabel()
-		run.Describe = fmt.Sprintf("%v queue, %v annotations, %d threads, %d inserts", o.Design, o.Policy, o.Threads, per*o.Threads)
-	case "journal":
-		st, err := journal.New(s, journal.Config{
-			Blocks:                 2 * o.Threads,
-			JournalBytes:           1 << 11, // small ring: checkpoints occur
-			Policy:                 o.Policy,
-			BreakRecordCommitOrder: o.BreakCommit,
-			OmitStrandRecipe:       o.OmitRecipe,
-			Integrity:              o.Integrity,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		meta := st.Meta()
-		per := o.Inserts / o.Threads
-		mkBlock := journal.MakeBlock
-		tagOf := journal.BlockTag
-		if o.SparseBlocks {
-			mkBlock = journal.MakeSparseBlock
-			tagOf = journal.SparseBlockTag
-		}
-		body = func(t *exec.Thread) {
-			g := t.TID()
-			for i := 0; i < per; i++ {
-				tag := uint64(t.TID()*100000 + i + 1)
-				st.Update(t, []journal.Write{
-					{Block: 2 * g, Data: mkBlock(tag)},
-					{Block: 2*g + 1, Data: mkBlock(tag)},
-				})
-			}
-		}
-		run.Checked = func(im *memory.Image) (fault.RecoveryReport, error) {
-			state, rep, err := journal.Recover(im, meta)
-			if err != nil {
-				return rep, err
-			}
-			return rep, CheckJournalPairs(state, o.Threads, tagOf)
-		}
-		run.Checks = meta.Checks()
-		run.SiteLabel = meta.SiteLabel()
-		run.Describe = fmt.Sprintf("journal, %v annotations, %d threads, %d txns", o.Policy, o.Threads, per*o.Threads)
-	case "pstm":
-		h, err := pstm.New(s, pstm.Config{Words: 2 * o.Threads, UndoCap: 8, Policy: o.Policy, Integrity: o.Integrity})
-		if err != nil {
-			return nil, nil, err
-		}
-		meta := h.Meta()
-		per := o.Inserts / o.Threads
-		body = func(t *exec.Thread) {
-			g := t.TID()
-			for i := 0; i < per; i++ {
-				v := uint64(t.TID()*100000 + i + 1)
-				h.Atomic(t, func(tx *pstm.Tx) {
-					tx.Store(2*g, v)
-					tx.Store(2*g+1, v)
-				})
-			}
-		}
-		run.Checked = func(im *memory.Image) (fault.RecoveryReport, error) {
-			state, rep, err := pstm.Recover(im, meta)
-			if err != nil {
-				return rep, err
-			}
-			return rep, CheckPSTMPairs(state, o.Threads)
-		}
-		run.Checks = meta.Checks()
-		run.SiteLabel = meta.SiteLabel()
-		run.Describe = fmt.Sprintf("pstm heap, %v annotations, %d threads, %d txns", o.Policy, o.Threads, per*o.Threads)
-	default:
-		return nil, nil, fmt.Errorf("unknown workload %q", o.Workload)
+	w := bench.Workload{
+		Structure: o.Workload, Design: o.Design, Policy: o.Policy, Threads: o.Threads,
+		Inserts: o.Inserts, PayloadLen: o.Payload, Seed: o.Seed, Integrity: o.Integrity,
 	}
-	run.Recover = observer.Strict(run.Checked)
-	if o.Integrity {
-		run.Describe += ", integrity format"
-	}
-	if o.SparseBlocks {
-		run.Describe += ", sparse blocks"
-	}
-	return run, body, nil
-}
-
-// CheckQueueEntries validates recovered entries against the insert set:
-// in offset order and carrying only payloads that were really inserted.
-func CheckQueueEntries(entries []queue.Entry, expect map[string]bool) error {
-	var lastOff uint64
-	for i, e := range entries {
-		if !expect[string(e.Payload)] {
-			return fmt.Errorf("entry %d carries a payload never inserted", i)
+	f, err := bench.NewFixture(m.SetupThread(), w, o.SparseBlocks, func(cfg any) {
+		switch c := cfg.(type) {
+		case *queue.Config:
+			c.BreakDataHeadOrder, c.OmitCompletionBarrier = o.BreakBar, o.OmitComp
+		case *journal.Config:
+			c.JournalBytes = 1 << 11 // small ring: checkpoints occur
+			c.BreakRecordCommitOrder, c.OmitStrandRecipe = o.BreakCommit, o.OmitRecipe
 		}
-		if i > 0 && e.Offset <= lastOff {
-			return fmt.Errorf("entry %d out of order", i)
-		}
-		lastOff = e.Offset
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil
-}
-
-// CheckJournalPairs validates the journal app invariant: each thread's
-// block pair was updated atomically, so tags (read by tagOf) match and
-// blocks are intact.
-func CheckJournalPairs(state *journal.State, threads int, tagOf func([]byte) (uint64, bool)) error {
-	for g := 0; g < threads; g++ {
-		t0, ok0 := tagOf(state.Block(2 * g))
-		t1, ok1 := tagOf(state.Block(2*g + 1))
-		if !ok0 || !ok1 || t0 != t1 {
-			return fmt.Errorf("group %d torn (tags %d/%d intact %v/%v)", g, t0, t1, ok0, ok1)
-		}
+	run := &Run{
+		Checked:   f.Checked,
+		Recover:   observer.Strict(f.Checked),
+		Checks:    f.Checks,
+		SiteLabel: f.Label,
+		Describe:  f.Describe,
 	}
-	return nil
-}
-
-// CheckPSTMPairs validates the pstm app invariant: transactions store
-// the same value to both words of a pair, so recovered pairs match.
-func CheckPSTMPairs(state *pstm.State, threads int) error {
-	for g := 0; g < threads; g++ {
-		if a, b := state.Words[2*g], state.Words[2*g+1]; a != b {
-			return fmt.Errorf("pair %d torn (%d != %d)", g, a, b)
+	return run, func(t *exec.Thread) {
+		for i := range f.Count(t.TID()) {
+			f.Item(t, i)
 		}
-	}
-	return nil
-}
-
-// DataBytes sizes the queue's data segment so an insert-only run never
-// wraps.
-func DataBytes(inserts, payload int) uint64 {
-	n := uint64(inserts+2) * queue.SlotBytes(payload)
-	return n + queue.SlotAlign
+	}, nil
 }
 
 // JournalPolicy rejects values outside core.Policies and otherwise
