@@ -13,13 +13,20 @@ import (
 // gates' invocations: the clean witness-pair loops, the exhaustive
 // clean matrix and its two hazardous runs, the two racing witness-pair
 // runs whose repro lines crashsim replays, and three runs whose insert
-// count the thread count does not divide.
+// count the thread count does not divide. Every exhaustive and
+// hazardous run is pinned a second time at -parallel 4, where
+// enumeration and classification fan out over sweep workers that each
+// hold their own scratch state.
 func TestGoldenDigests(t *testing.T) {
 	var cases []golden.Case
+	var exhaustive [][2]string // name, args
 	add := func(name, args string) {
 		cases = append(cases, golden.Case{Name: name, Run: func() int {
 			return cli.Run("persistcheck", strings.Fields(args), run)
 		}})
+		if strings.HasPrefix(name, "exhaustive-") || strings.HasPrefix(name, "hazardous-") {
+			exhaustive = append(exhaustive, [2]string{name, args})
+		}
 	}
 	for _, wl := range []string{"journal", "pstm"} {
 		for _, pol := range []string{"strict", "epoch", "strand"} {
@@ -58,5 +65,8 @@ func TestGoldenDigests(t *testing.T) {
 	add("remainder-queue", "-workload queue -threads 3 -inserts 13")
 	add("remainder-journal", "-workload journal -threads 3 -inserts 13 -sparse-blocks")
 	add("remainder-pstm", "-workload pstm -threads 3 -inserts 13")
+	for _, c := range exhaustive {
+		add(c[0]+"-p4", c[1]+" -parallel 4")
+	}
 	golden.Check(t, cases)
 }

@@ -40,6 +40,14 @@ func NewImage() *Image {
 	return &Image{words: make(map[Addr]uint64)}
 }
 
+// Reset empties the image, dropping its words and poison marks but
+// keeping its storage and hooks, so one Image can serve many
+// recoveries in turn.
+func (im *Image) Reset() {
+	clear(im.words)
+	clear(im.poison)
+}
+
 // Clone returns a deep copy of the image, poison marks included.
 func (im *Image) Clone() *Image {
 	c := NewImage()
@@ -140,39 +148,38 @@ func (im *Image) ReadWord(a Addr) uint64 {
 }
 
 // WriteBytes stores an arbitrary byte range (read-modify-write of the
-// covering words). The simulator issues only word-sized persists, but
-// recovery helpers and tests use byte granularity.
+// covering words, in ascending order, each stored once). The simulator
+// issues only word-sized persists, but recovery helpers and tests use
+// byte granularity.
 func (im *Image) WriteBytes(a Addr, b []byte) {
-	last := Addr(1) // impossible word address (words are 8-aligned)
-	for i := 0; i < len(b); i++ {
-		addr := a + Addr(i)
-		w := AlignDown(addr, WordSize)
-		word := im.words[w]
+	for len(b) > 0 {
+		w := AlignDown(a, WordSize)
 		var buf [WordSize]byte
-		binary.LittleEndian.PutUint64(buf[:], word)
-		buf[addr-w] = b[i]
+		binary.LittleEndian.PutUint64(buf[:], im.words[w])
+		n := copy(buf[a-w:], b)
 		im.words[w] = binary.LittleEndian.Uint64(buf[:])
-		if im.onWrite != nil && w != last {
+		if im.onWrite != nil {
 			im.onWrite(w)
-			last = w
 		}
+		a += Addr(n)
+		b = b[n:]
 	}
 }
 
-// ReadBytes fills b with the contents at address a.
+// ReadBytes fills b with the contents at address a, loading each
+// covering word once, in ascending order.
 func (im *Image) ReadBytes(a Addr, b []byte) {
-	last := Addr(1)
-	for i := 0; i < len(b); i++ {
-		addr := a + Addr(i)
-		w := AlignDown(addr, WordSize)
+	for len(b) > 0 {
+		w := AlignDown(a, WordSize)
 		word := im.words[w]
 		var buf [WordSize]byte
 		binary.LittleEndian.PutUint64(buf[:], word)
-		b[i] = buf[addr-w]
-		if im.onRead != nil && w != last {
+		n := copy(b, buf[a-w:])
+		if im.onRead != nil {
 			im.onRead(w, word)
-			last = w
 		}
+		a += Addr(n)
+		b = b[n:]
 	}
 }
 

@@ -2,6 +2,8 @@ package memory
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -167,5 +169,124 @@ func TestImageByteProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// access is one hook call: a word loaded (with its value) or stored.
+type access struct {
+	write bool
+	addr  Addr
+	val   uint64
+}
+
+// record installs hooks on im that append every access to *log.
+func record(im *Image, log *[]access) {
+	im.Observe(func(a Addr, v uint64) {
+		*log = append(*log, access{addr: a, val: v})
+	}, func(a Addr) {
+		*log = append(*log, access{write: true, addr: a})
+	})
+}
+
+// writeBytesPerByte and readBytesPerByte are the byte-at-a-time
+// loops WriteBytes and ReadBytes once were, kept as the oracle for
+// their word-at-a-time forms.
+func writeBytesPerByte(im *Image, a Addr, b []byte) {
+	last := Addr(1) // impossible word address (words are 8-aligned)
+	for i := 0; i < len(b); i++ {
+		addr := a + Addr(i)
+		w := AlignDown(addr, WordSize)
+		var buf [WordSize]byte
+		binary.LittleEndian.PutUint64(buf[:], im.words[w])
+		buf[addr-w] = b[i]
+		im.words[w] = binary.LittleEndian.Uint64(buf[:])
+		if im.onWrite != nil && w != last {
+			im.onWrite(w)
+			last = w
+		}
+	}
+}
+
+func readBytesPerByte(im *Image, a Addr, b []byte) {
+	last := Addr(1)
+	for i := 0; i < len(b); i++ {
+		addr := a + Addr(i)
+		w := AlignDown(addr, WordSize)
+		word := im.words[w]
+		var buf [WordSize]byte
+		binary.LittleEndian.PutUint64(buf[:], word)
+		b[i] = buf[addr-w]
+		if im.onRead != nil && w != last {
+			im.onRead(w, word)
+			last = w
+		}
+	}
+}
+
+// Property: on any range, aligned or not and within one word or across
+// several, WriteBytes and ReadBytes leave the same words, return the
+// same bytes and fire the same hook sequence as the per-byte loops.
+func TestImageBytesMatchPerByte(t *testing.T) {
+	f := func(seed []uint64, off uint8, data []byte) bool {
+		if len(data) > 40 {
+			data = data[:40]
+		}
+		base := PersistentBase + 256
+		a := base + Addr(off%64)
+		got, want := NewImage(), NewImage()
+		for i, v := range seed {
+			if i == 12 {
+				break
+			}
+			got.WriteWord(base+Addr(8*i), v)
+			want.WriteWord(base+Addr(8*i), v)
+		}
+		var gotLog, wantLog []access
+		record(got, &gotLog)
+		record(want, &wantLog)
+		gotBuf, wantBuf := make([]byte, len(data)+5), make([]byte, len(data)+5)
+		got.ReadBytes(a, gotBuf)
+		readBytesPerByte(want, a, wantBuf)
+		got.WriteBytes(a+3, data)
+		writeBytesPerByte(want, a+3, data)
+		got.ReadBytes(a+1, gotBuf[:len(data)])
+		readBytesPerByte(want, a+1, wantBuf[:len(data)])
+		return bytes.Equal(gotBuf, wantBuf) && reflect.DeepEqual(gotLog, wantLog) && reflect.DeepEqual(got.words, want.words)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	// Random bytes almost never zero a whole word; a zero write over
+	// unwritten words must still store them.
+	for _, off := range []uint8{0, 5, 8} {
+		if !f(nil, off, make([]byte, 20)) {
+			t.Errorf("zero bytes at offset %d differ from the per-byte loop", off)
+		}
+	}
+}
+
+func TestImageReset(t *testing.T) {
+	im := NewImage()
+	a := PersistentBase + 64
+	im.WriteWord(a, 7)
+	im.WriteBytes(a+13, []byte{1, 2, 3})
+	im.Poison(a + 8)
+	var log []access
+	record(im, &log)
+	im.Reset()
+	if ws := im.WrittenWords(); len(ws) != 0 {
+		t.Errorf("words after Reset: %v", ws)
+	}
+	if im.PoisonedWords() != 0 || im.Poisoned(a+8) || im.RangePoisoned(a, 64) {
+		t.Error("poison marks survived Reset")
+	}
+	if v := im.ReadWord(a); v != 0 {
+		t.Errorf("ReadWord after Reset = %#x, want 0", v)
+	}
+	if want := []access{{addr: a}}; !reflect.DeepEqual(log, want) {
+		t.Errorf("hooks after Reset saw %v, want %v", log, want)
+	}
+	if !im.Equal(NewImage()) {
+		t.Error("a reset image differs from a new one")
 	}
 }

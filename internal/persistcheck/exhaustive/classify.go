@@ -91,10 +91,25 @@ func (n *tnode) child(v uint64) *tnode {
 
 // scratch is one classifying goroutine's reusable buffers.
 type scratch struct {
-	dense   []uint64                 // slot-indexed image words and a last, unwritten slot; zero between lookups
-	seq     []readEv                 // the reads of the latest recovery run
-	img     []wordVal                // a final's image
-	implied map[memory.Addr]struct{} // the words the latest recovery run wrote or already read
+	dense   []uint64      // slot-indexed image words and a last, unwritten slot; zero between lookups
+	seq     []readEv      // the reads of the latest recovery run
+	img     []wordVal     // a final's image
+	im      *memory.Image // the image the latest recovery ran on
+	implied index         // word address → 0 for the words the latest recovery run wrote or already read
+	// im's access hooks, made with im so that installing them for
+	// each run allocates nothing.
+	onRead  func(a memory.Addr, v uint64)
+	onWrite func(a memory.Addr)
+}
+
+// imply marks word a implied and reports whether it was not already.
+func (sc *scratch) imply(a memory.Addr) bool {
+	head, at := sc.implied.lookup(uint64(a))
+	if head >= 0 {
+		return false
+	}
+	sc.implied.store(at, uint64(a), 0)
+	return true
 }
 
 // scratch returns a scratch buffer set for one goroutine, a spare one
@@ -207,31 +222,36 @@ func (tr *trie) classify(img []wordVal, sc *scratch, checked observer.CheckedRec
 	return tr.insert(sc.seq, out)
 }
 
-// execClassify materializes img, runs checked recovery once with read
-// recording, and classifies the state, reading the strict verdict off
-// the same result by observer's strict rule (observer.NotClean, which
-// observer.Strict applies). The reads are left in sc.seq.
+// execClassify materializes img in sc's image, runs checked recovery
+// once with read recording, and classifies the state, reading the
+// strict verdict off the same result by observer's strict rule
+// (observer.NotClean, which observer.Strict applies). The reads are
+// left in sc.seq. Only the outcome's strings outlive the run, so the
+// image is reused by the goroutine's next one.
 func execClassify(words *wordTable, img []wordVal, sc *scratch, checked observer.CheckedRecoverFunc) outcome {
-	im := memory.NewImage()
+	if sc.im == nil {
+		sc.im = memory.NewImage()
+		sc.onRead = func(a memory.Addr, v uint64) {
+			if sc.imply(a) {
+				sc.seq = append(sc.seq, readEv{addr: a, val: v})
+			}
+		}
+		sc.onWrite = func(a memory.Addr) { sc.imply(a) }
+	} else {
+		sc.im.Reset()
+	}
+	im := sc.im
 	for _, wv := range img {
 		im.WriteWord(words.addrs[wv.slot], wv.val)
 	}
 	// Words the recovery itself wrote (salvage repairs) or already
 	// read: later reads of those are implied by earlier pristine reads
-	// and are excluded from the signature.
-	if sc.implied == nil {
-		sc.implied = make(map[memory.Addr]struct{})
-	}
-	clear(sc.implied)
+	// and are excluded from the signature. The index is sized for the
+	// image's words or the last run's count, whichever is more: runs of
+	// one recovery touch about as many words each time.
+	sc.implied.reset(max(len(img), sc.implied.n))
 	sc.seq = sc.seq[:0]
-	im.Observe(func(a memory.Addr, v uint64) {
-		if _, ok := sc.implied[a]; !ok {
-			sc.implied[a] = struct{}{}
-			sc.seq = append(sc.seq, readEv{addr: a, val: v})
-		}
-	}, func(a memory.Addr) {
-		sc.implied[a] = struct{}{}
-	})
+	im.Observe(sc.onRead, sc.onWrite)
 	rep, cErr := checked(im)
 	im.Observe(nil, nil)
 	sErr := observer.NotClean("recovery", rep, cErr)

@@ -196,12 +196,12 @@ func fourChains() *graph.Graph {
 func TestSaturatedCutCount(t *testing.T) {
 	g := fourChains()
 	desc := g.Descendants()
-	if cuts, sat := countCuts(g, desc, 1<<20); cuts != 81 || sat {
+	if cuts, sat := countCuts(g, desc, 1<<20, new(index)); cuts != 81 || sat {
 		t.Fatalf("countCuts = (%d, %v), want (81, false)", cuts, sat)
 	}
 	// Deciding a_1..a_3 leaves 8 distinct killed suffixes, over the
 	// budget of 4: the count stops at the 8 paths so far.
-	cuts, sat := countCuts(g, desc, 4)
+	cuts, sat := countCuts(g, desc, 4, new(index))
 	if cuts != 8 || !sat {
 		t.Fatalf("countCuts at budget 4 = (%d, %v), want (8, true)", cuts, sat)
 	}

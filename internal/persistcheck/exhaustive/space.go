@@ -391,7 +391,7 @@ const (
 )
 
 // enumerator is a check's working set. Its live and next levels,
-// children, maps and scratch buffers are reused from level to level;
+// children, indexes and scratch buffers are reused from level to level;
 // slabs hold the storage of states that survive a merge, and tries the
 // classification trie's. CheckGraph takes an enumerator from enumPool
 // and puts it back once classification is done, so all of it is also
@@ -404,10 +404,9 @@ type enumerator struct {
 	live   []state
 	next   []state
 	kids   []child
-	bucket map[uint64]int32 // image hash → latest next-level state with it
-	fhead  map[uint64]int32 // image hash → latest final with that hash
-	flink  []int32          // per final: the previous one with its hash
-	widest int              // most bucket entries a level of this check held
+	bucket index   // image hash → latest next-level state with it; after the last level, countCuts' suffix hashes
+	fhead  index   // image hash → latest final with that hash
+	flink  []int32 // per final: the previous one with its hash
 	bitsOf slab[uint64]
 	imgOf  slab[wordVal]
 	tries  trieStore
@@ -422,15 +421,7 @@ type enumerator struct {
 // collections, so a large check's storage outlives it only briefly.
 var enumPool = sync.Pool{New: func() any { return newEnumerator() }}
 
-func newEnumerator() *enumerator {
-	return &enumerator{bucket: make(map[uint64]int32), fhead: make(map[uint64]int32)}
-}
-
-// maxKeptMap is the most entries a map may have held for reset to keep
-// it. Clearing a Go map costs its capacity, which never shrinks, so a
-// bucket map grown by a wide check would make every level of the
-// checks after it pay for that width.
-const maxKeptMap = 1 << 14
+func newEnumerator() *enumerator { return &enumerator{} }
 
 // reset drops what e holds of the last check and makes its storage
 // available to the next. The state slabs hold plain values that every
@@ -439,15 +430,6 @@ const maxKeptMap = 1 << 14
 func (e *enumerator) reset() {
 	e.desc, e.words = nil, nil
 	e.sp = space{finals: e.sp.finals[:0]}
-	if max(e.widest, len(e.bucket)) > maxKeptMap {
-		e.bucket = make(map[uint64]int32)
-	}
-	e.widest = 0
-	if len(e.fhead) > maxKeptMap {
-		e.fhead = make(map[uint64]int32)
-	} else {
-		clear(e.fhead)
-	}
 	e.flink = e.flink[:0]
 	e.bitsOf.reset(false)
 	e.imgOf.reset(false)
@@ -475,6 +457,7 @@ func (e *enumerator) enumerate(g *graph.Graph, cfg Config) (*space, error) {
 	e.killed = slices.Grow(e.killed[:0], (n+63)/64)[:(n+63)/64]
 	e.live = append(e.live[:0], state{killed: e.zeroBits(n), dec: e.zeroBits(n), link: -1})
 	e.next = e.next[:0]
+	e.fhead.reset(0)
 	for t := 0; t < n; t++ {
 		e.t = t
 		if err := e.expand(cfg.Sweep); err != nil {
@@ -484,9 +467,9 @@ func (e *enumerator) enumerate(g *graph.Graph, cfg Config) (*space, error) {
 		// states into their dominators. Buckets key on the image
 		// hash; the live states of one image in a bucket are an
 		// antichain of killed-sets, so the order they are compared in
-		// does not matter.
-		e.widest = max(e.widest, len(e.bucket))
-		clear(e.bucket)
+		// does not matter. Every child could enter the bucket index,
+		// so it is sized for all of them.
+		e.bucket.reset(len(e.kids))
 		for _, c := range e.kids {
 			if c.kind != noChild {
 				e.emit(c)
@@ -517,7 +500,7 @@ func (e *enumerator) enumerate(g *graph.Graph, cfg Config) (*space, error) {
 		s := &e.live[i]
 		e.addFinal(s.h, s.img, final{img: s.img, dec: s.dec, node: -1})
 	}
-	e.sp.cuts, e.sp.cutsSat = countCuts(g, desc, budget)
+	e.sp.cuts, e.sp.cutsSat = countCuts(g, desc, budget, &e.bucket)
 	return &e.sp, nil
 }
 
@@ -588,10 +571,7 @@ func (e *enumerator) emit(c child) {
 		e.killed.set(t)
 		killed = e.killed
 	}
-	head, ok := e.bucket[c.h]
-	if !ok {
-		head = -1
-	}
+	head, at := e.bucket.lookup(c.h)
 	for i := head; i >= 0; i = e.next[i].link {
 		s := &e.next[i]
 		if s.dead || !slices.Equal(s.img, img) {
@@ -610,7 +590,7 @@ func (e *enumerator) emit(c child) {
 			s.dead = true
 		}
 	}
-	e.bucket[c.h] = int32(len(e.next))
+	e.bucket.store(at, c.h, int32(len(e.next)))
 	e.next = append(e.next, state{img: p.img, h: c.h, killed: p.killed, dec: p.dec, link: head})
 	s := &e.next[len(e.next)-1]
 	switch c.kind {
@@ -628,16 +608,13 @@ func (e *enumerator) emit(c child) {
 // addFinal records a reachable image unless an equal one is already
 // recorded. img is the image and f the final that stands for it.
 func (e *enumerator) addFinal(h uint64, img []wordVal, f final) {
-	head, ok := e.fhead[h]
-	if !ok {
-		head = -1
-	}
+	head, at := e.fhead.lookup(h)
 	for i := head; i >= 0; i = e.flink[i] {
 		if slices.Equal(e.sp.finals[i].image(e.words, &e.fimg), img) {
 			return
 		}
 	}
-	e.fhead[h] = int32(len(e.sp.finals))
+	e.fhead.store(at, h, int32(len(e.sp.finals)))
 	e.flink = append(e.flink, head)
 	e.sp.finals = append(e.sp.finals, f)
 }
@@ -684,7 +661,9 @@ func suffixHash(ws []uint64) uint64 {
 // Entry i of a level keeps its killed-set in words [i*stride,
 // (i+1)*stride) of one flat array. Only the words holding bits from
 // the level's next node up are written: the DP never reads below them.
-func countCuts(g *graph.Graph, desc [][]uint64, budget int) (uint64, bool) {
+// head indexes a level's entries by suffix hash; it is reset for each
+// level, so it may hold anything on entry.
+func countCuts(g *graph.Graph, desc [][]uint64, budget int, head *index) (uint64, bool) {
 	n := g.Len()
 	stride := (n + 63) / 64
 	type centry struct {
@@ -704,13 +683,12 @@ func countCuts(g *graph.Graph, desc [][]uint64, budget int) (uint64, bool) {
 	killed := make([]uint64, stride)
 	var next []centry
 	var nextKilled []uint64
-	head := make(map[uint64]int32)
 	suffix := make([]uint64, stride)
 	for t := 0; t < n; t++ {
 		from := t + 1
 		w0 := from >> 6
 		next, nextKilled = next[:0], nextKilled[:0]
-		clear(head)
+		head.reset(2 * len(live))
 		// emit merges the killed-set k | or (or may be nil) with count
 		// paths into the next level. An exclusion's own bit t lies
 		// below the suffix, so or = desc[t] is the whole of it.
@@ -727,17 +705,14 @@ func countCuts(g *graph.Graph, desc [][]uint64, budget int) (uint64, bool) {
 				suf[0] &= ^uint64(0) << (uint(from) & 63)
 			}
 			h := suffixHash(suf)
-			first, ok := head[h]
-			if !ok {
-				first = -1
-			}
+			first, at := head.lookup(h)
 			for i := first; i >= 0; i = next[i].link {
 				if slices.Equal(nextKilled[int(i)*stride+w0:(int(i)+1)*stride], suf) {
 					next[i].count = add(next[i].count, count)
 					return
 				}
 			}
-			head[h] = int32(len(next))
+			head.store(at, h, int32(len(next)))
 			next = append(next, centry{count: count, link: first})
 			nextKilled = append(nextKilled, suffix...)
 		}

@@ -120,8 +120,9 @@ type Event struct {
 	// Addr is the accessed address for Load/Store/RMW, the allocation
 	// base for Malloc/Free, and 0 otherwise.
 	Addr memory.Addr
-	// Val is the value written (Store/RMW), the reserved size (Malloc),
-	// or the operation id (BeginWork/EndWork).
+	// Val is the value written (Store/RMW), the value read (Load,
+	// including the load a failed CAS records), the reserved size
+	// (Malloc), or the operation id (BeginWork/EndWork).
 	Val uint64
 }
 
