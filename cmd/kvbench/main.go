@@ -39,6 +39,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/sweep"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -93,33 +94,24 @@ func run(env *cli.Env) (int, error) {
 		return 0, err
 	}
 
-	// Sweep: one grid item per policy. Each item traces the workload
-	// once and simulates every persistency model over it; merge
-	// collects rows in grid order, so the report is byte-identical at
-	// any -parallel.
-	type itemOut struct {
-		results []core.Result
-		events  int64
-	}
+	// Sweep: one grid item per policy. Each item runs the workload
+	// once, feeding its events straight to the all-model simulator
+	// (no trace is stored); merge collects rows in grid order, so the
+	// report is byte-identical at any -parallel.
 	rows := make([]row, 0, len(grid)*len(core.Models))
 	sw := sweep.Config{Parallel: *parallel, Registry: reg, Spans: spans}.Named("kvbench")
-	err = sweep.Run(len(grid), sw, func(i int) (itemOut, error) {
-		kv, err := workload.Build(grid[i].opts, nil)
-		if err != nil {
-			return itemOut{}, err
-		}
-		res, err := core.SimulateAll(kv.Trace, core.Params{})
-		if err != nil {
-			return itemOut{}, err
-		}
-		return itemOut{results: res, events: int64(kv.Trace.Len())}, nil
-	}, func(i int, v itemOut) error {
+	err = sweep.Run(len(grid), sw, func(i int) ([]core.Result, error) {
+		return core.SimulateAllLive(core.Params{}, func(sink trace.Sink) error {
+			_, err := workload.Stream(grid[i].opts, sink)
+			return err
+		})
+	}, func(i int, results []core.Result) error {
 		target := grid[i].opts.Model
-		for _, r := range v.results {
+		for _, r := range results {
 			telemetry.ObserveResult(reg, fmt.Sprintf("kv/%s/%v", grid[i].name, r.Model), r)
 			rows = append(rows, row{
 				Policy: grid[i].name, Model: r.Model.String(),
-				Target: r.Model == target, Events: v.events,
+				Target: r.Model == target, Events: r.Events,
 				Persists: r.Persists, Placed: r.Placed, Coalesced: r.Coalesced,
 				CriticalPath: r.CriticalPath, PathPerOp: r.PathPerWork(),
 				Ops: grid[i].opts.Inserts,

@@ -48,7 +48,8 @@ func main() {
 		tr.Len(), trace.Summarize(tr).Persists)
 
 	// Replay the same trace through every persistency model
-	// (SimulateAll runs the pooled simulator once per model).
+	// (SimulateAll walks it once, with every model as one lane of a
+	// pooled simulator).
 	const latency = 500 * time.Nanosecond
 	tbl := stats.NewTable("model", "critical path", "coalesced", "persist-bound rate")
 	rs, err := core.SimulateAll(tr, core.Params{})

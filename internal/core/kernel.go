@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/memory"
 	"repro/internal/trace"
@@ -15,6 +16,14 @@ import (
 // state, and applies every rule that does not depend on what the value
 // is: loads, volatile stores, barriers and syncs, new strands. What a
 // persist does, and how values join, the consumer supplies as Rules.
+//
+// A Kernel walks one or more lanes. A lane is one model's run over the
+// trace: its own Spec, Rules value and per-thread table, and its own
+// Block in every tracking block's entry. The kernel validates, counts
+// and resolves each event's tracking blocks once, then applies the
+// rules lane by lane, so several models share one walk of a trace:
+// SimulateAll runs the four models as four lanes, while Simulate, a
+// streaming Sim and the graph builder run one.
 
 // Spec is one model's row of the rule table: the switches that
 // distinguish the persistency models.
@@ -112,137 +121,184 @@ type Rules[V any] interface {
 	WorkMark(e trace.Event)
 }
 
-// Kernel applies the ordering rules of one model to a trace, event by
-// event, for rules R over values V. The zero Kernel is ready for Reset.
+// lane is one model's run in a Kernel: its rule-table row, its rules
+// and its thread table, dense per-thread state indexed by TID (the
+// execution engine numbers threads from zero; Event.Validate bounds
+// TIDs).
+type lane[V any, R Rules[V]] struct {
+	rules   R
+	spec    Spec
+	threads []Thread[V]
+}
+
+// Kernel applies the ordering rules of one or more models to a trace,
+// event by event, for rules R over values V, one lane per model. The
+// zero Kernel is ready for Reset.
 type Kernel[V any, R Rules[V]] struct {
-	rules R
-	spec  Spec
+	lanes []lane[V, R]
 	empty V
 	gran  uint64
-	// gen stamps the block tables' slots: a slot is live iff its stamp
-	// equals gen. Reset bumps gen, invalidating all per-run state in
-	// O(1) without clearing or reallocating the tables.
-	gen uint64
-	// threads is dense per-thread state indexed by TID (the execution
-	// engine numbers threads from zero; Event.Validate bounds TIDs).
-	threads []Thread[V]
+	// volatile is set when some lane tracks volatile conflicts, so
+	// volatile accesses need their tracking blocks.
+	volatile bool
 	// trackV/trackP hold per-tracking-block state for the volatile and
-	// persistent address spaces, indexed by block-id offset from each
-	// space's base block.
+	// persistent address spaces, one Block per lane in each entry.
 	trackV, trackP table[Block[V]]
-	// span is per-access scratch: the tracking blocks it spans.
+	// span is per-access scratch: the tracking blocks it spans, lane
+	// by lane (see blocks).
 	span []*Block[V]
 	// events counts the events fed since Reset.
 	events int64
 }
 
-// Reset readies k for a fresh trace under *p, which it validates and
-// normalizes, with rules r and empty value empty. Allocated tables are
-// kept for reuse.
+// Reset readies k for a fresh trace with one lane, running p.Model
+// with rules r and empty value empty; it validates and normalizes *p.
+// Allocated tables are kept for reuse.
 func (k *Kernel[V, R]) Reset(p *Params, r R, empty V) error {
+	if err := k.reset(p, empty, 1); err != nil {
+		return err
+	}
+	k.setLane(0, p.Model, r)
+	return nil
+}
+
+// reset readies k for a fresh trace of n lanes under *p's
+// granularities, which it validates and normalizes; setLane then gives
+// each lane its model and rules. n is at most chunkLen.
+func (k *Kernel[V, R]) reset(p *Params, empty V, n int) error {
 	if err := p.normalize(); err != nil {
 		return err
 	}
-	k.rules, k.spec, k.empty, k.gran = r, p.Model.spec(), empty, p.TrackingGranularity
-	k.gen++
-	k.threads = k.threads[:0]
+	k.empty, k.gran, k.volatile = empty, p.TrackingGranularity, false
+	// Reslicing within the capacity keeps earlier lanes' thread tables.
+	if n > cap(k.lanes) {
+		k.lanes = append(k.lanes[:cap(k.lanes)], make([]lane[V, R], n-cap(k.lanes))...)
+	}
+	k.lanes = k.lanes[:n]
+	for i := range k.lanes {
+		k.lanes[i].threads = k.lanes[i].threads[:0]
+	}
 	init := Block[V]{Writer: empty, Reader: empty}
-	k.trackV.reset(memory.BlockOf(memory.VolatileBase, k.gran), init)
-	k.trackP.reset(memory.BlockOf(memory.PersistentBase, k.gran), init)
+	k.trackV.reset(memory.BlockOf(memory.VolatileBase, k.gran), init, n)
+	k.trackP.reset(memory.BlockOf(memory.PersistentBase, k.gran), init, n)
 	k.events = 0
 	return nil
 }
 
-// Spec returns the rule-table row of the model k runs.
-func (k *Kernel[V, R]) Spec() Spec { return k.spec }
+// setLane makes lane i run model m with rules r.
+func (k *Kernel[V, R]) setLane(i int, m Model, r R) {
+	l := &k.lanes[i]
+	l.rules, l.spec = r, m.spec()
+	k.volatile = k.volatile || l.spec.VolatileConflicts
+}
 
-// Thread returns thread tid's state, or nil while the table has not
-// grown to tid (no event of tid or a higher TID has been fed, so tid's
-// state is empty). The pointer is valid until the next Feed.
+// Spec returns the rule-table row of the model k's first lane runs.
+func (k *Kernel[V, R]) Spec() Spec { return k.lanes[0].spec }
+
+// Thread returns thread tid's state in k's first lane, or nil while
+// the table has not grown to tid (no event of tid or a higher TID has
+// been fed, so tid's state is empty). The pointer is valid until the
+// next Feed.
 func (k *Kernel[V, R]) Thread(tid int32) *Thread[V] {
-	if uint(tid) >= uint(len(k.threads)) {
+	t := k.lanes[0].threads
+	if uint(tid) >= uint(len(t)) {
 		return nil
 	}
-	return &k.threads[tid]
+	return &t[tid]
 }
 
-// thread returns thread tid's state, growing the dense table on first
-// sight. The pointer is valid until the next thread call.
-func (k *Kernel[V, R]) thread(tid int32) *Thread[V] {
-	for int(tid) >= len(k.threads) {
-		k.threads = append(k.threads, Thread[V]{Active: k.empty, Pending: k.empty, EpochMax: k.empty})
+// thread returns thread tid's state in lane l, growing the lane's
+// dense table on first sight. The pointer is valid until the next
+// thread call.
+func (k *Kernel[V, R]) thread(l *lane[V, R], tid int32) *Thread[V] {
+	for int(tid) >= len(l.threads) {
+		l.threads = append(l.threads, Thread[V]{Active: k.empty, Pending: k.empty, EpochMax: k.empty})
 	}
-	return &k.threads[tid]
+	return &l.threads[tid]
 }
 
-// block returns the state of tracking block b.
-func (k *Kernel[V, R]) block(b memory.BlockID) *Block[V] {
+// block returns tracking block b's values, one per lane.
+func (k *Kernel[V, R]) block(b memory.BlockID) []Block[V] {
 	if b >= k.trackP.base {
-		return k.trackP.at(b, k.gen)
+		return k.trackP.at(b)
 	}
-	return k.trackV.at(b, k.gen)
+	return k.trackV.at(b)
 }
 
-// blocks returns the tracking blocks an access spans. The whole span
-// lies in one address space (Event.Validate checks the range).
-func (k *Kernel[V, R]) blocks(e trace.Event) []*Block[V] {
+// blocks finds the n tracking blocks an access spans, once for every
+// lane, and returns n; lane i's blocks are then k.span[i*n:(i+1)*n],
+// in ascending order. The whole span lies in one address space
+// (Event.Validate checks the range).
+func (k *Kernel[V, R]) blocks(e trace.Event) int {
 	first, last := memory.BlockSpan(e.Addr, int(e.Size), k.gran)
 	tb := &k.trackV
 	if first >= k.trackP.base {
 		tb = &k.trackP
 	}
-	k.span = k.span[:0]
-	for b := first; b <= last; b++ {
-		k.span = append(k.span, tb.at(b, k.gen))
-	}
-	return k.span
-}
-
-// Feed validates one event and applies it in SC order. The state
-// indexers rely on Validate's range checks.
-func (k *Kernel[V, R]) Feed(e trace.Event) error { return k.feed(e, true) }
-
-// feed is Feed, validating e only if validate is set; otherwise e must
-// have passed Event.Validate. SimulateAll validates a trace in its
-// first pass and replays it unvalidated in the others.
-func (k *Kernel[V, R]) feed(e trace.Event, validate bool) error {
-	if validate {
-		if err := e.Validate(); err != nil {
-			return err
+	n := int(last-first) + 1
+	k.span = slices.Grow(k.span[:0], n*len(k.lanes))[:n*len(k.lanes)]
+	for j := range n {
+		vals := tb.at(first + memory.BlockID(j))
+		for i := range vals {
+			k.span[i*n+j] = &vals[i]
 		}
 	}
+	return n
+}
+
+// Feed validates one event and applies it in SC order in every lane.
+// The state indexers rely on Validate's range checks.
+func (k *Kernel[V, R]) Feed(e trace.Event) error {
+	if err := e.Validate(); err != nil {
+		return err
+	}
+	return k.step(e)
+}
+
+// step is Feed for an event that passed Event.Validate.
+func (k *Kernel[V, R]) step(e trace.Event) error {
 	k.events++
 	switch e.Kind {
 	case trace.Load:
-		k.load(e)
+		if k.volatile || memory.IsPersistent(e.Addr) {
+			k.load(e, k.blocks(e))
+		}
 	case trace.Store, trace.RMW:
 		// An RMW has load semantics too, but its store semantics absorb
 		// a superset of what the load would (reader and writer contexts
 		// both), so one path covers it.
 		if memory.IsPersistent(e.Addr) {
-			k.persist(e)
-		} else {
-			k.volatileStore(e)
+			k.persist(e, k.blocks(e))
+		} else if k.volatile {
+			k.volatileStore(e, k.blocks(e))
 		}
 	case trace.PersistBarrier, trace.PersistSync:
 		// A sync (buffered strict persistency, §4.1) makes execution
 		// wait for all of the thread's outstanding persists, so
 		// everything the thread has observed binds under every model.
-		t := k.thread(e.TID)
-		if k.spec.Barriers || e.Kind == trace.PersistSync {
-			k.rules.Bind(t)
+		for i := range k.lanes {
+			l := &k.lanes[i]
+			t := k.thread(l, e.TID)
+			if l.spec.Barriers || e.Kind == trace.PersistSync {
+				l.rules.Bind(t)
+			}
+			t.Epoch++
+			l.rules.EpochMark(e, t)
 		}
-		t.Epoch++
-		k.rules.EpochMark(e, t)
 	case trace.NewStrand:
-		t := k.thread(e.TID)
-		if k.spec.Strands {
-			k.rules.Clear(t)
+		for i := range k.lanes {
+			l := &k.lanes[i]
+			t := k.thread(l, e.TID)
+			if l.spec.Strands {
+				l.rules.Clear(t)
+			}
+			t.Strand++
+			l.rules.StrandMark(e, t)
 		}
-		t.Strand++
-		k.rules.StrandMark(e, t)
 	case trace.BeginWork, trace.EndWork:
-		k.rules.WorkMark(e)
+		for i := range k.lanes {
+			k.lanes[i].rules.WorkMark(e)
+		}
 	case trace.Malloc, trace.Free:
 		// No ordering significance. (Reusing freed persistent memory
 		// legitimately inherits the old block's persist state: addresses
@@ -257,19 +313,23 @@ func (k *Kernel[V, R]) feed(e trace.Event, validate bool) error {
 // (immediately under strict, pending-until-barrier otherwise) and
 // records the thread's active dependences as the block's reader, for
 // later load-before-store conflicts.
-func (k *Kernel[V, R]) load(e trace.Event) {
-	if !k.spec.VolatileConflicts && !memory.IsPersistent(e.Addr) {
-		return
-	}
-	t := k.thread(e.TID)
-	dst := &t.Pending
-	if k.spec.Immediate {
-		dst = &t.Active
-	}
-	for _, bs := range k.blocks(e) {
-		k.rules.Import(dst, bs.Writer)
-		if k.spec.LoadBeforeStore {
-			bs.Reader = k.rules.Export(bs.Reader, t.Active)
+func (k *Kernel[V, R]) load(e trace.Event, n int) {
+	persistent := memory.IsPersistent(e.Addr)
+	for i := range k.lanes {
+		l := &k.lanes[i]
+		if !l.spec.VolatileConflicts && !persistent {
+			continue
+		}
+		t := k.thread(l, e.TID)
+		dst := &t.Pending
+		if l.spec.Immediate {
+			dst = &t.Active
+		}
+		for _, bs := range k.span[i*n : (i+1)*n] {
+			l.rules.Import(dst, bs.Writer)
+			if l.spec.LoadBeforeStore {
+				bs.Reader = l.rules.Export(bs.Reader, t.Active)
+			}
 		}
 	}
 }
@@ -278,13 +338,16 @@ func (k *Kernel[V, R]) load(e trace.Event) {
 // is ordered after every dependence its blocks carried, so it alone is
 // each spanned block's new writer — keeping the writer single-sourced,
 // which also makes it the block's last persist.
-func (k *Kernel[V, R]) persist(e trace.Event) {
-	blocks := k.blocks(e)
-	w := k.rules.Persist(e, k.thread(e.TID), blocks)
-	for _, bs := range blocks {
-		// Field by field: a Block[V] composite literal compiles to a
-		// stack copy that stalls on store forwarding.
-		bs.Writer, bs.Reader = w, k.empty
+func (k *Kernel[V, R]) persist(e trace.Event, n int) {
+	for i := range k.lanes {
+		l := &k.lanes[i]
+		blocks := k.span[i*n : (i+1)*n]
+		w := l.rules.Persist(e, k.thread(l, e.TID), blocks)
+		for _, bs := range blocks {
+			// Field by field: a Block[V] composite literal compiles to
+			// a stack copy that stalls on store forwarding.
+			bs.Writer, bs.Reader = w, k.empty
+		}
 	}
 }
 
@@ -292,73 +355,120 @@ func (k *Kernel[V, R]) persist(e trace.Event) {
 // create no persist but conflict with earlier accesses, propagating
 // persist ordering through memory (this is how lock-protected persists
 // become ordered across threads under strict and non-racing epoch).
-func (k *Kernel[V, R]) volatileStore(e trace.Event) {
-	if !k.spec.VolatileConflicts {
-		return
-	}
-	t := k.thread(e.TID)
-	dst := &t.Pending
-	if k.spec.Immediate {
-		dst = &t.Active
-	}
-	for _, bs := range k.blocks(e) {
-		// The store inherits the block's dependences and exports them,
-		// with the thread's own, to later conflicting accesses.
-		inherit := k.rules.Join(bs.Writer, bs.Reader)
-		k.rules.Import(dst, inherit)
-		bs.Writer = k.rules.Export(inherit, t.Active)
-		bs.Reader = k.empty
+func (k *Kernel[V, R]) volatileStore(e trace.Event, n int) {
+	for i := range k.lanes {
+		l := &k.lanes[i]
+		if !l.spec.VolatileConflicts {
+			continue
+		}
+		t := k.thread(l, e.TID)
+		dst := &t.Pending
+		if l.spec.Immediate {
+			dst = &t.Active
+		}
+		for _, bs := range k.span[i*n : (i+1)*n] {
+			// The store inherits the block's dependences and exports
+			// them, with the thread's own, to later conflicting
+			// accesses.
+			inherit := l.rules.Join(bs.Writer, bs.Reader)
+			l.rules.Import(dst, inherit)
+			bs.Writer = l.rules.Export(inherit, t.Active)
+			bs.Reader = k.empty
+		}
 	}
 }
 
-// Per-block tables are paged through a memory.Pages: a block-id
-// offset's low pageBits pick the slot within a fixed page and the rest
-// number the page. Pages are allocated on first touch and never move,
-// so a slot pointer stays valid for the table's lifetime and storage
-// grows with the pages a trace touches. Pages are small because KV
-// traces scatter their blocks over a large store: a fresh simulator
-// fed a 16k-op kv-read trace (about 16k tracking blocks) allocated
-// 26.6 MB of tables at 256 slots a page, 8.5 MB at 32 and 4.4 MB at 8,
-// and the dense queue traces run no slower at 8; the graph builder's
-// KV build allocates a tenth less at 8 slots than at 32. Small pages
-// do not cost an allocation each: memory.Pages hands them out of slabs.
+// Per-block state lives in dense storage behind a sparse index. The
+// index is a memory.Pages of 8-byte slots: a block-id offset's low
+// pageBits pick the slot within a fixed page and the rest number the
+// page. A slot numbers its block's first value; a block's lanes values
+// are consecutive in one chunk of chunkLen values, handed out as blocks
+// are first touched, so storage follows the blocks a trace touches,
+// not the pages they fall in. A 16k-op kv-read trace touches 15,867
+// tracking blocks, a third of the slots of the 8-slot pages they fall
+// in: four lanes of 64-byte blocks kept in such pages would take about
+// 12 MB (5,809 pages of 264-byte slots), while a fresh four-lane
+// simulator's tables take 5.9 MB here, atoms included, and a one-lane
+// simulator's 2.3 MB (4.4 MB in the 72-byte slots of 8-slot pages).
+// Pages and chunks never move, so a value pointer stays valid for the
+// table's lifetime; small pages do not cost an allocation each, since
+// memory.Pages hands them out of slabs.
 const (
-	pageBits = 3 // 8 slots per page
+	pageBits = 4 // 16 slots per page
 	pageMask = 1<<pageBits - 1
+	chunkLen = 256 // values per chunk: 16 KiB of 64-byte blocks
 )
 
-// slot is one table entry with the generation that last initialized
-// it: a slot whose stamp is not the table's current generation is
-// stale and reinitializes on first touch, so a run writes only the
-// slots it touches and each access reads one slot's memory.
-type slot[S any] struct {
-	val S
-	gen uint64
-}
+// slot is one block's index entry: its values start at number idx of
+// the table's value storage. gen is the table generation that last
+// filled it: a slot whose stamp is not the table's current generation
+// is stale, and takes fresh values on first touch, so a run writes
+// only the slots it touches.
+type slot struct{ idx, gen uint32 }
 
-// table holds per-block slots of one address space, indexed by
-// block-id offset from the space's base.
+// table holds per-block state of one address space, indexed by
+// block-id offset from the space's base, lanes values per block.
 type table[S any] struct {
 	base  memory.BlockID
 	init  S
-	pages memory.Pages[[1 << pageBits]slot[S]]
+	lanes int
+	// gen is the current generation: reset bumps it, invalidating
+	// every slot in O(1) without clearing or reallocating the index.
+	gen   uint32
+	index memory.Pages[[1 << pageBits]slot]
+	// chunks is the value storage, kept across resets: value number n
+	// is chunks[n/chunkLen][n%chunkLen], and the current run has handed
+	// out the first next values.
+	chunks []*[chunkLen]S
+	next   uint32
 }
 
-func (tb *table[S]) reset(base memory.BlockID, init S) {
-	tb.base, tb.init = base, init
+// reset readies tb for a fresh run of lanes values per block, each
+// starting at init.
+func (tb *table[S]) reset(base memory.BlockID, init S, lanes int) {
+	tb.base, tb.init, tb.lanes, tb.next = base, init, lanes, 0
+	tb.gen++
+	if tb.gen == 0 {
+		// Wrapped: slots stamped with the generations to come may
+		// still be in the index.
+		tb.index.Each(func(_ uint64, pg *[1 << pageBits]slot) { *pg = [1 << pageBits]slot{} })
+		tb.gen = 1
+	}
 }
 
-// at returns block b's slot for generation gen, set to the table's
-// initial value if it is new or left over from an earlier generation.
-func (tb *table[S]) at(b memory.BlockID, gen uint64) *S {
+// at returns block b's values for the current generation, one per
+// lane, filling them afresh if the block is new or left over from an
+// earlier generation.
+func (tb *table[S]) at(b memory.BlockID) []S {
 	i := uint64(b - tb.base)
-	pg := tb.pages.Get(i >> pageBits)
+	pg := tb.index.Get(i >> pageBits)
 	if pg == nil {
-		pg = tb.pages.Add(i >> pageBits)
+		pg = tb.index.Add(i >> pageBits)
 	}
-	e := &pg[i&pageMask]
-	if e.gen != gen {
-		e.val, e.gen = tb.init, gen
+	sl := &pg[i&pageMask]
+	if sl.gen != tb.gen {
+		return tb.fill(sl)
 	}
-	return &e.val
+	off := sl.idx % chunkLen
+	return tb.chunks[sl.idx/chunkLen][off : off+uint32(tb.lanes)]
+}
+
+// fill points sl at the next lanes values of storage, in one chunk,
+// sets them to the table's initial value and returns them.
+func (tb *table[S]) fill(sl *slot) []S {
+	n := uint32(tb.lanes)
+	if tb.next%chunkLen+n > chunkLen {
+		tb.next += chunkLen - tb.next%chunkLen
+	}
+	if int(tb.next/chunkLen) == len(tb.chunks) {
+		tb.chunks = append(tb.chunks, new([chunkLen]S))
+	}
+	off := tb.next % chunkLen
+	vals := tb.chunks[tb.next/chunkLen][off : off+n]
+	for i := range vals {
+		vals[i] = tb.init
+	}
+	sl.idx, sl.gen = tb.next, tb.gen
+	tb.next += n
+	return vals
 }

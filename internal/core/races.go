@@ -88,10 +88,9 @@ type blockMarks struct{ write, read exportMark }
 
 // raceState is DetectEpochRaces's working state, kept across calls by
 // racePool: per-thread epoch counters and per-epoch persist flags,
-// indexed by TID and epoch, and the per-block marks in generation-
-// stamped tables like the kernel's, one per address space.
+// indexed by TID and epoch, and the per-block marks in one-lane
+// tables like the kernel's, one per address space.
 type raceState struct {
-	gen            uint64
 	marksV, marksP table[blockMarks]
 	epochOf        []int
 	persists       [][]bool
@@ -102,9 +101,9 @@ var racePool = sync.Pool{New: func() any { return new(raceState) }}
 // marks returns block b's marks.
 func (r *raceState) marks(b memory.BlockID) *blockMarks {
 	if b >= r.marksP.base {
-		return r.marksP.at(b, r.gen)
+		return &r.marksP.at(b)[0]
 	}
-	return r.marksV.at(b, r.gen)
+	return &r.marksV.at(b)[0]
 }
 
 // thread returns tid's epoch counter, growing the table on first sight
@@ -182,9 +181,8 @@ func DetectEpochRaces(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 		return RaceReport{}, err
 	}
 	defer ReleaseSim(sim)
-	rs.gen++
-	rs.marksV.reset(memory.BlockOf(memory.VolatileBase, cfg.TrackingGranularity), blockMarks{})
-	rs.marksP.reset(memory.BlockOf(memory.PersistentBase, cfg.TrackingGranularity), blockMarks{})
+	rs.marksV.reset(memory.BlockOf(memory.VolatileBase, cfg.TrackingGranularity), blockMarks{}, 1)
+	rs.marksP.reset(memory.BlockOf(memory.PersistentBase, cfg.TrackingGranularity), blockMarks{}, 1)
 	note := func(m exportMark, e trace.Event) {
 		report.Total++
 		if len(report.Races) < cfg.Limit {
@@ -202,12 +200,12 @@ func DetectEpochRaces(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 				rs.epochOf[e.TID]++
 			}
 			if !e.Kind.IsAccess() {
-				if err := sim.k.feed(e, false); err != nil {
+				if err := sim.k.step(e); err != nil {
 					return RaceReport{}, err
 				}
 				continue
 			}
-			t := sim.k.thread(e.TID)
+			t := sim.k.thread(&sim.k.lanes[0], e.TID)
 			epoch := rs.epochOf[e.TID]
 			mePersists := rs.persisted(e.TID, epoch)
 			first, last := memory.BlockSpan(e.Addr, int(e.Size), cfg.TrackingGranularity)
@@ -224,7 +222,7 @@ func DetectEpochRaces(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 				}
 			}
 			for b := first; b <= last; b++ {
-				bs, bm := sim.k.block(b), rs.marks(b)
+				bs, bm := &sim.k.block(b)[0], rs.marks(b)
 				// Conflict with the last store (store→load or
 				// store→store).
 				if bm.write.has {
@@ -247,7 +245,7 @@ func DetectEpochRaces(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 					bm.read = mark
 				}
 			}
-			if err := sim.k.feed(e, false); err != nil {
+			if err := sim.k.step(e); err != nil {
 				return RaceReport{}, err
 			}
 		}

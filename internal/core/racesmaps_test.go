@@ -93,7 +93,7 @@ func detectEpochRacesMaps(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 			}
 			continue
 		}
-		t := sim.k.thread(e.TID)
+		t := sim.k.thread(&sim.k.lanes[0], e.TID)
 		me := epochKey{e.TID, epochOf[e.TID]}
 		first, last := memory.BlockSpan(e.Addr, int(e.Size), cfg.TrackingGranularity)
 		check := func(m mapMark, incoming Ctx, e trace.Event) {
@@ -110,7 +110,7 @@ func detectEpochRacesMaps(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 			}
 		}
 		for b := first; b <= last; b++ {
-			bs := sim.k.block(b)
+			bs := &sim.k.block(b)[0]
 			bm := marks[b]
 			if bm == nil {
 				continue

@@ -9,8 +9,9 @@ import (
 
 // Sim is the persist-timing simulator (§7 "Persist Timing Simulation").
 // It consumes one SC-ordered trace event at a time — it implements
-// trace.Sink, so it can observe an internal/exec run live, and several
-// Sims (one per model) can share one execution through a trace.Tee.
+// trace.Sink, so it can observe an internal/exec run live. A Sim runs
+// one model, or (inside SimulateAll and SimulateAllLive) every model as
+// one lane each of a single walk.
 //
 // Per the paper: "Persist times are tracked per address (both
 // persistent and volatile) as well as per thread according to the
@@ -25,21 +26,29 @@ import (
 // The ordering kernel applies those rules to Ctx values; the Sim
 // supplies how a persist is placed or coalesced, and reports it.
 type Sim struct {
-	k      Kernel[Ctx, *simRules]
-	params Params
-	// atoms tracks each atomic block's open (most recent) persist: its
-	// level, and the global placement sequence when it opened (for the
-	// finite coalescing window). Persists exist only in the persistent
+	k Kernel[Ctx, *simLane]
+	// lanes holds each kernel lane's rules and result.
+	lanes []simLane
+	// atoms tracks each atomic block's open (most recent) persist per
+	// lane: its level and id. Persists exist only in the persistent
 	// space, so one table suffices.
 	atoms table[openPersist]
 
-	res Result
 	err error
+	// probe, when non-nil, observes the persist timeline (telemetry).
+	probe Probe
+}
+
+// simLane is one lane of a Sim as its kernel sees it: the Rules over
+// Ctx for one model, and that model's result.
+type simLane struct {
+	s      *Sim
+	lane   int
+	params Params
+	res    Result
 	// lastWorkPath is the critical path at the previous EndWork (for
 	// Params.TrackWorkPath).
 	lastWorkPath int64
-	// probe, when non-nil, observes the persist timeline (telemetry).
-	probe Probe
 }
 
 // openPersist is an atomic block's most recent NVRAM write: candidates
@@ -48,8 +57,10 @@ type Sim struct {
 // or above).
 type openPersist struct {
 	lvl int64
-	seq int64 // global placement number when opened
-	id  int64 // placed-persist id (provenance)
+	// id is the placed-persist id (provenance). Ids count placements
+	// from 0, so the persist opened when id+1 persists had been placed,
+	// which is what the finite coalescing window measures from.
+	id int64
 }
 
 // NewSim constructs a simulator; Params are validated here.
@@ -63,18 +74,32 @@ func NewSim(p Params) (*Sim, error) {
 
 // Reset reinitializes the simulator for a fresh run under p, retaining
 // the allocated state tables so one Sim can replay many traces without
-// churning the allocator. Invalidation is O(1): the kernel's generation
-// stamp is bumped and stale pages reinitialize lazily on first touch.
-// Any attached probe is detached.
+// churning the allocator. Invalidation is O(1): the tables' generation
+// stamps are bumped and stale entries reinitialize lazily on first
+// touch. Any attached probe is detached.
 func (s *Sim) Reset(p Params) error {
-	if err := s.k.Reset(&p, (*simRules)(s), zeroCtx); err != nil {
+	models := [1]Model{p.Model}
+	return s.reset(p, models[:])
+}
+
+// reset readies s for a fresh run with one lane per model in models,
+// each under p's other parameters (p.Model is validated, then ignored).
+func (s *Sim) reset(p Params, models []Model) error {
+	if err := s.k.reset(&p, zeroCtx, len(models)); err != nil {
 		return err
 	}
-	s.params = p
-	s.atoms.reset(memory.BlockOf(memory.PersistentBase, p.AtomicGranularity), openPersist{})
-	s.res = Result{Model: p.Model, Params: p}
+	if len(models) > cap(s.lanes) {
+		s.lanes = make([]simLane, len(models))
+	}
+	s.lanes = s.lanes[:len(models)]
+	for i, m := range models {
+		lp := p
+		lp.Model = m
+		s.lanes[i] = simLane{s: s, lane: i, params: lp, res: Result{Model: m, Params: lp}}
+		s.k.setLane(i, m, &s.lanes[i])
+	}
+	s.atoms.reset(memory.BlockOf(memory.PersistentBase, p.AtomicGranularity), openPersist{}, len(models))
 	s.err = nil
-	s.lastWorkPath = 0
 	s.probe = nil
 	return nil
 }
@@ -92,9 +117,13 @@ func MustNewSim(p Params) *Sim {
 func (s *Sim) Err() error { return s.err }
 
 // Result finalizes and returns the simulation outcome.
-func (s *Sim) Result() Result {
-	s.res.Events = s.k.events
-	return s.res
+func (s *Sim) Result() Result { return s.result(0) }
+
+// result finalizes and returns lane i's outcome.
+func (s *Sim) result(i int) Result {
+	r := s.lanes[i].res
+	r.Events = s.k.events
+	return r
 }
 
 // Emit implements trace.Sink.
@@ -110,41 +139,37 @@ func (s *Sim) Emit(e trace.Event) {
 // Feed validates and processes one event in SC order.
 func (s *Sim) Feed(e trace.Event) error { return s.k.Feed(e) }
 
-// simRules is a Sim as its kernel sees it: the Rules over Ctx. It is
-// a separate type so the rule steps stay out of Sim's method set.
-type simRules Sim
-
 // Import, Export and Join are merge: a context is a value, so the
 // kernel's thread- and block-owned values need no copies.
-func (*simRules) Import(dst *Ctx, src Ctx) { *dst = merge(*dst, src) }
-func (*simRules) Export(v, t Ctx) Ctx      { return merge(v, t) }
-func (*simRules) Join(a, b Ctx) Ctx        { return merge(a, b) }
+func (*simLane) Import(dst *Ctx, src Ctx) { *dst = merge(*dst, src) }
+func (*simLane) Export(v, t Ctx) Ctx      { return merge(v, t) }
+func (*simLane) Join(a, b Ctx) Ctx        { return merge(a, b) }
 
 // Bind folds the epoch state into the active dependence context.
-func (*simRules) Bind(t *Thread[Ctx]) {
+func (*simLane) Bind(t *Thread[Ctx]) {
 	t.Active = merge(merge(t.Active, t.Pending), t.EpochMax)
 	t.Pending, t.EpochMax = zeroCtx, zeroCtx
 }
 
 // Clear drops the thread's dependences at a new strand.
-func (*simRules) Clear(t *Thread[Ctx]) {
+func (*simLane) Clear(t *Thread[Ctx]) {
 	t.Active, t.Pending, t.EpochMax = zeroCtx, zeroCtx, zeroCtx
 }
 
 // EpochMark counts syncs and reports barriers and syncs to the probe.
-func (s *simRules) EpochMark(e trace.Event, t *Thread[Ctx]) {
+func (l *simLane) EpochMark(e trace.Event, t *Thread[Ctx]) {
 	sync := e.Kind == trace.PersistSync
 	if sync {
-		s.res.Syncs++
+		l.res.Syncs++
 	}
-	if s.probe != nil {
+	if s := l.s; s.probe != nil {
 		s.probe.EpochMark(e.TID, s.k.events-1, t.Epoch, sync)
 	}
 }
 
 // StrandMark reports a new strand to the probe.
-func (s *simRules) StrandMark(e trace.Event, t *Thread[Ctx]) {
-	if s.probe != nil {
+func (l *simLane) StrandMark(e trace.Event, t *Thread[Ctx]) {
+	if s := l.s; s.probe != nil {
 		s.probe.StrandMark(e.TID, s.k.events-1, t.Strand)
 	}
 }
@@ -152,16 +177,16 @@ func (s *simRules) StrandMark(e trace.Event, t *Thread[Ctx]) {
 // WorkMark counts completed work items, attributing critical-path
 // growth to them with Params.TrackWorkPath, and reports brackets to
 // the probe.
-func (s *simRules) WorkMark(e trace.Event) {
+func (l *simLane) WorkMark(e trace.Event) {
 	begin := e.Kind == trace.BeginWork
 	if !begin {
-		s.res.WorkItems++
-		if s.params.TrackWorkPath {
-			s.res.WorkPathDeltas = append(s.res.WorkPathDeltas, s.res.CriticalPath-s.lastWorkPath)
-			s.lastWorkPath = s.res.CriticalPath
+		l.res.WorkItems++
+		if l.params.TrackWorkPath {
+			l.res.WorkPathDeltas = append(l.res.WorkPathDeltas, l.res.CriticalPath-l.lastWorkPath)
+			l.lastWorkPath = l.res.CriticalPath
 		}
 	}
-	if s.probe != nil {
+	if s := l.s; s.probe != nil {
 		s.probe.WorkMark(e.TID, s.k.events-1, e.Val, begin)
 	}
 }
@@ -171,7 +196,8 @@ func (s *simRules) WorkMark(e trace.Event) {
 // with the open persist of its atomic block when every dependence not
 // already part of that open persist is strictly older, else it is
 // placed at a new level.
-func (s *simRules) Persist(e trace.Event, t *Thread[Ctx], blocks []*Block[Ctx]) Ctx {
+func (l *simLane) Persist(e trace.Event, t *Thread[Ctx], blocks []*Block[Ctx]) Ctx {
+	s, res, p := l.s, &l.res, &l.params
 	// Gather the dependence context across all spanned tracking blocks.
 	// Alongside the merge, track through which channel the persist
 	// supplying the maximum level arrived — the channel is the
@@ -194,20 +220,20 @@ func (s *simRules) Persist(e trace.Event, t *Thread[Ctx], blocks []*Block[Ctx]) 
 	}
 
 	// Place (or coalesce) one persist per spanned atomic block.
-	firstA, lastA := memory.BlockSpan(e.Addr, int(e.Size), s.params.AtomicGranularity)
+	firstA, lastA := memory.BlockSpan(e.Addr, int(e.Size), p.AtomicGranularity)
 	placed := zeroCtx
 	for ab := firstA; ab <= lastA; ab++ {
-		s.res.Persists++
-		ae := s.atoms.at(ab, s.k.gen)
+		ae := &s.atoms.at(ab)[l.lane]
+		res.Persists++
 		open, isOpen := *ae, ae.lvl > 0
 		stillBuffered := isOpen &&
-			(s.params.CoalesceWindow == 0 || s.res.Placed-open.seq <= s.params.CoalesceWindow)
+			(p.CoalesceWindow == 0 || res.Placed-(open.id+1) <= p.CoalesceWindow)
 		var lvl, id int64
-		if !s.params.NoCoalescing && stillBuffered && dep.Excluding(ab) < open.lvl {
+		if !p.NoCoalescing && stillBuffered && dep.Excluding(ab) < open.lvl {
 			// Coalesce: the write joins the open persist of this atomic
 			// block; every other dependence persists strictly earlier.
 			lvl, id = open.lvl, open.id
-			s.res.Coalesced++
+			res.Coalesced++
 			if s.probe != nil {
 				s.probe.PersistPlaced(PersistRecord{
 					EventIndex: s.k.events - 1,
@@ -226,10 +252,10 @@ func (s *simRules) Persist(e trace.Event, t *Thread[Ctx], blocks []*Block[Ctx]) 
 				// atomicity), which here is the binding constraint.
 				lvl, depID, class = open.lvl+1, open.id, DepAtomicity
 			}
-			s.res.Placed++
-			id = s.res.Placed - 1
-			*ae = openPersist{lvl: lvl, seq: s.res.Placed, id: id}
-			s.res.CriticalPath = max(s.res.CriticalPath, lvl)
+			res.Placed++
+			id = res.Placed - 1
+			*ae = openPersist{lvl: lvl, id: id}
+			res.CriticalPath = max(res.CriticalPath, lvl)
 			if s.probe != nil {
 				s.probe.PersistPlaced(PersistRecord{
 					EventIndex: s.k.events - 1,
@@ -246,7 +272,7 @@ func (s *simRules) Persist(e trace.Event, t *Thread[Ctx], blocks []*Block[Ctx]) 
 	// The thread observes its own persist: immediately under strict
 	// (program order orders subsequent persists), at the next barrier
 	// under epoch/strand.
-	if s.k.spec.Immediate {
+	if s.k.lanes[l.lane].spec.Immediate {
 		t.Active = merge(t.Active, placed)
 	} else {
 		t.EpochMax = merge(t.EpochMax, placed)
@@ -291,7 +317,7 @@ func Simulate(tr *trace.Trace, p Params) (Result, error) {
 	if err := s.Reset(p); err != nil {
 		return Result{}, err
 	}
-	if err := s.replay(tr, true); err != nil {
+	if err := s.replay(tr); err != nil {
 		return Result{}, err
 	}
 	return s.Result(), nil
@@ -299,35 +325,68 @@ func Simulate(tr *trace.Trace, p Params) (Result, error) {
 
 // SimulateAll runs one trace through every model in Models with shared
 // granularity parameters (base.Model is ignored), returning results in
-// Models order. One pooled simulator replays the trace once per model,
-// so its table pages serve every model in turn. The first pass
-// validates each event, and fails as Simulate under that model would;
-// the later passes replay the events it accepted without validating
-// them again.
+// Models order. One pooled simulator walks the trace once, with one
+// lane per model: each event is validated and its tracking blocks are
+// found once, then every model applies it. An invalid event fails
+// SimulateAll with the error Simulate returns for it under any model.
 func SimulateAll(tr *trace.Trace, base Params) ([]Result, error) {
-	s := simPool.Get().(*Sim)
-	defer simPool.Put(s)
-	out := make([]Result, len(Models))
-	for i, m := range Models {
-		p := base
-		p.Model = m
-		if err := s.Reset(p); err != nil {
-			return nil, err
-		}
-		if err := s.replay(tr, i == 0); err != nil {
-			return nil, err
-		}
-		out[i] = s.Result()
+	s, err := acquireAll(base)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	defer simPool.Put(s)
+	if err := s.replay(tr); err != nil {
+		return nil, err
+	}
+	return s.results(), nil
 }
 
-// replay feeds every event of tr to s, validating each one if validate
-// is set; otherwise the events must have passed Event.Validate.
-func (s *Sim) replay(tr *trace.Trace, validate bool) error {
+// SimulateAllLive is SimulateAll over a live execution instead of a
+// stored trace: run emits the execution's events into the sink it is
+// given, the pooled all-model simulator, and no trace is kept. It
+// returns run's error, else the first invalid event's, else the
+// results in Models order.
+func SimulateAllLive(base Params, run func(trace.Sink) error) ([]Result, error) {
+	s, err := acquireAll(base)
+	if err != nil {
+		return nil, err
+	}
+	defer simPool.Put(s)
+	if err := run(s); err != nil {
+		return nil, err
+	}
+	if s.err != nil {
+		return nil, s.err
+	}
+	return s.results(), nil
+}
+
+// acquireAll returns a pooled simulator reset to one lane per model in
+// Models under base.
+func acquireAll(base Params) (*Sim, error) {
+	s := simPool.Get().(*Sim)
+	base.Model = Models[0] // ignored, but reset validates it
+	if err := s.reset(base, Models); err != nil {
+		simPool.Put(s)
+		return nil, err
+	}
+	return s, nil
+}
+
+// results returns every lane's result, in lane order.
+func (s *Sim) results() []Result {
+	out := make([]Result, len(s.lanes))
+	for i := range out {
+		out[i] = s.result(i)
+	}
+	return out
+}
+
+// replay feeds every event of tr to s.
+func (s *Sim) replay(tr *trace.Trace) error {
 	for _, c := range tr.Chunks() {
 		for i := 0; i < c.Len(); i++ {
-			if err := s.k.feed(c.Event(i), validate); err != nil {
+			if err := s.k.Feed(c.Event(i)); err != nil {
 				return err
 			}
 		}

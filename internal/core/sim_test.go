@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -474,7 +475,7 @@ func TestParamsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.params.TrackingGranularity != 8 || s.params.AtomicGranularity != 8 {
+	if p := s.lanes[0].params; p.TrackingGranularity != 8 || p.AtomicGranularity != 8 {
 		t.Fatal("defaults not applied")
 	}
 }
@@ -558,9 +559,10 @@ func TestRelaxationHierarchy(t *testing.T) {
 // TestSimTablesFollowTouchedPages pins the paged state tables: their
 // storage follows the pages a trace touches, not the address span
 // between its accesses. Persists at both ends of a gigabyte of
-// persistent space cost an 8-slot page and a few index nodes per table
-// per end (under 10 KiB in all); a table dense over the span would
-// hold 2^27 tracking blocks, over 9 GiB.
+// persistent space cost an index page and a few index nodes per table
+// per end, plus each table's first value chunk (29 KiB in all); a
+// table dense over the span would hold 2^27 tracking blocks, over
+// 9 GiB.
 func TestSimTablesFollowTouchedPages(t *testing.T) {
 	var b tb
 	for _, a := range []memory.Addr{memory.PersistentBase, memory.PersistentBase + 1<<30} {
@@ -582,5 +584,40 @@ func TestSimTablesFollowTouchedPages(t *testing.T) {
 	}
 	if r := s.Result(); r.Persists != 4 || r.CriticalPath != 2 {
 		t.Fatalf("got %d persists at critical path %d, want 4 at 2", r.Persists, r.CriticalPath)
+	}
+}
+
+// TestTableGenerationWrap runs one simulator across the wrap of its
+// tables' 32-bit generation stamps. A run stamps the entries it touches
+// with its generation, and the wrap hands that generation out again:
+// unless the wrap clears the index, a later run under the same
+// generation would take the earlier run's final state for its initial
+// one.
+func TestTableGenerationWrap(t *testing.T) {
+	tr := synthTrace(2000)
+	for _, p := range []Params{{Model: Epoch}, {Model: Strict, TrackingGranularity: 64, AtomicGranularity: 64}} {
+		want := mustSim(t, tr, p)
+		s := MustNewSim(p)
+		run := func(tr *trace.Trace) Result {
+			t.Helper()
+			if err := s.Reset(p); err != nil {
+				t.Fatal(err)
+			}
+			for e := range tr.All() {
+				if err := s.Feed(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return s.Result()
+		}
+		run(tr)
+		first := s.atoms.gen
+		s.k.trackV.gen, s.k.trackP.gen, s.atoms.gen = math.MaxUint32-1, math.MaxUint32-1, math.MaxUint32-1
+		for s.atoms.gen != first-1 {
+			run(&trace.Trace{})
+		}
+		if got := run(tr); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: after the wrap, generation %d reads %+v, want %+v", p, s.atoms.gen, got, want)
+		}
 	}
 }

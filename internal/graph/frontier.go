@@ -9,17 +9,17 @@ import (
 //
 // The builder's per-address state — which nodes last wrote/read each
 // tracking-granularity block, and which persist last targeted it — is
-// core.Kernel's block table, the one core.Sim uses, holding vsets: an
-// access updates its one or two slots in place and untouched address
-// space (the overwhelming majority of a gigabyte-scale heap) is never
-// materialized.
+// core.Kernel's block table, the one core.Sim uses, holding one lane
+// of vsets (a build runs one model): an access updates its one or two
+// blocks in place and untouched address space (the overwhelming
+// majority of a gigabyte-scale heap) is never materialized.
 //
 // A frontier set is a nodeVec in one of two forms. A sparse set is its
 // sorted ids. A dense set is a bitset over a window of 32-id words,
 // behind a two-element header; its first element is negative, which no
 // node id is, so one sign test tells the forms apart. Both forms hold
 // 32-bit elements in the same slice type, so a vset stays 32 bytes and
-// a block-table slot 72, whichever form its sets take.
+// a block's value 64, whichever form its sets take.
 //
 // The form follows from the size: a set is dense when its bitset (two
 // header elements plus one word per 32 ids of its window) takes no more

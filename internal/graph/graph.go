@@ -330,7 +330,7 @@ func (g *Graph) DOT(name string) string {
 // Build constructs the persist-order DAG of a trace under a persistency
 // model. Parameters follow core.Params (granularities; coalescing is
 // intentionally not modeled — see the package comment). The ordering
-// rules are core.Kernel's, the ones core.Sim runs, applied to
+// rules are core.Kernel's, the ones core.Sim runs, in one lane, applied to
 // dependence *frontiers* (sets of node ids) instead of scalar levels
 // (see frontier.go). The graph records p and each annotation's effect
 // (Barriers), so every checker of this (trace, model) pair can share it.
@@ -399,7 +399,7 @@ func (b *builder) build(tr *trace.Trace, p core.Params) (*Graph, error) {
 // goes back to the pool.
 //
 // Left-over state is harmless without clearing. Block-table slots carry
-// the kernel's generation and reinitialize on first touch; versions
+// their table's generation and take fresh values on first touch; versions
 // keep counting across builds, so an old subset fact or published copy
 // never matches a new set; stamps keep counting too, so an old mark
 // never matches a new persist (reset clears the marks before the stamp

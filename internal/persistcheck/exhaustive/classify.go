@@ -279,11 +279,11 @@ func execClassify(words *wordTable, img []wordVal, sc *scratch, checked observer
 const classifyChunk = 256
 
 // classifyAll classifies every distinct reachable image through a trie
-// over store, tallies classes in discovery order, and minimizes the
-// first hazardous image's representative cut.
-func classifyAll(g *graph.Graph, sp *space, store *trieStore, checked observer.CheckedRecoverFunc, cfg Config, res *Result) error {
+// over store into outs, one slot per final, tallies classes in
+// discovery order, and minimizes the first hazardous image's
+// representative cut.
+func classifyAll(g *graph.Graph, sp *space, store *trieStore, outs []*outcome, checked observer.CheckedRecoverFunc, cfg Config, res *Result) error {
 	tr := &trie{words: sp.words, store: store}
-	outs := make([]*outcome, len(sp.finals))
 	scfg := cfg.Sweep
 	scfg.Name = "exhaustive-classify"
 	// Each sweep item classifies a chunk of images into its own slots

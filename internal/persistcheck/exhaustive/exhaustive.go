@@ -49,6 +49,7 @@ package exhaustive
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -255,7 +256,8 @@ func (e *enumerator) check(g *graph.Graph, model core.Model, checked observer.Ch
 		PeakLive:      space.peakLive,
 		Subsumed:      space.subsumed,
 	}
-	if err := classifyAll(g, space, &e.tries, checked, cfg, res); err != nil {
+	e.outs = slices.Grow(e.outs[:0], len(space.finals))[:len(space.finals)]
+	if err := classifyAll(g, space, &e.tries, e.outs, checked, cfg, res); err != nil {
 		return nil, err
 	}
 	switch {

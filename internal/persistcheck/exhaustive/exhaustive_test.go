@@ -112,7 +112,8 @@ func TestAgainstBruteForce(t *testing.T) {
 
 			// Ground truth: enumerate every cut, dedup images by
 			// signature, classify each image once.
-			words := newWordTable(g)
+			words := new(wordTable)
+			words.build(g)
 			images := make(map[string][]wordVal)
 			var order []string
 			cuts := 0

@@ -121,12 +121,14 @@ func appendNodeWrites(dst []wordWrite, g *graph.Graph, id int) []wordWrite {
 type wordTable struct {
 	addrs  []memory.Addr // slot → word address, ascending
 	writes [][]wordWrite // per node, ascending slot
+	all    []wordWrite   // the array writes are carved from
 }
 
-// newWordTable builds g's table. Every node's writes are carved from
-// one array, sized by a first walk over the nodes' spans.
-func newWordTable(g *graph.Graph) *wordTable {
-	wt := &wordTable{writes: make([][]wordWrite, g.Len())}
+// build makes wt g's table, reusing its arrays. Every node's writes
+// are carved from one array, sized by a first walk over the nodes'
+// spans.
+func (wt *wordTable) build(g *graph.Graph) {
+	wt.writes = slices.Grow(wt.writes[:0], g.Len())[:g.Len()]
 	total := 0
 	for _, n := range g.Nodes {
 		if e := n.Event; e.Kind.IsAccess() && e.Size > 0 {
@@ -135,15 +137,16 @@ func newWordTable(g *graph.Graph) *wordTable {
 			total += int((last-first)/memory.WordSize) + 1
 		}
 	}
-	all := make([]wordWrite, 0, total)
+	all := slices.Grow(wt.all[:0], total)
 	for i := range wt.writes {
 		k := len(all)
 		all = appendNodeWrites(all, g, i)
 		wt.writes[i] = all[k:len(all):len(all)]
 	}
-	wt.addrs = make([]memory.Addr, len(all))
-	for j, w := range all {
-		wt.addrs[j] = w.addr
+	wt.all = all
+	wt.addrs = wt.addrs[:0]
+	for _, w := range all {
+		wt.addrs = append(wt.addrs, w.addr)
 	}
 	slices.Sort(wt.addrs)
 	wt.addrs = slices.Compact(wt.addrs)
@@ -152,7 +155,6 @@ func newWordTable(g *graph.Graph) *wordTable {
 			ws[j].slot = wt.slot(ws[j].addr)
 		}
 	}
-	return wt
 }
 
 // slot returns a's slot, or -1 when no persist writes a.
@@ -399,14 +401,15 @@ const (
 type enumerator struct {
 	n, t   int
 	desc   [][]uint64 // per node, its descendants (graph.Descendants)
-	words  *wordTable
+	words  wordTable
 	sp     space
 	live   []state
 	next   []state
 	kids   []child
-	bucket index   // image hash → latest next-level state with it; after the last level, countCuts' suffix hashes
-	fhead  index   // image hash → latest final with that hash
-	flink  []int32 // per final: the previous one with its hash
+	bucket index      // image hash → latest next-level state with it; after the last level, countCuts' suffix hashes
+	fhead  index      // image hash → latest final with that hash
+	flink  []int32    // per final: the previous one with its hash
+	outs   []*outcome // per final: its class, as classifyAll found it
 	bitsOf slab[uint64]
 	imgOf  slab[wordVal]
 	tries  trieStore
@@ -428,9 +431,11 @@ func newEnumerator() *enumerator { return &enumerator{} }
 // taker overwrites, so they are not cleared; trie nodes hold pointers,
 // so theirs are.
 func (e *enumerator) reset() {
-	e.desc, e.words = nil, nil
+	e.desc = nil
 	e.sp = space{finals: e.sp.finals[:0]}
 	e.flink = e.flink[:0]
+	clear(e.outs)
+	e.outs = e.outs[:0]
 	e.bitsOf.reset(false)
 	e.imgOf.reset(false)
 	e.tries.nodes.reset(true)
@@ -452,12 +457,15 @@ func (e *enumerator) enumerate(g *graph.Graph, cfg Config) (*space, error) {
 	n := g.Len()
 	budget := cfg.budget()
 	desc := g.Descendants()
-	e.n, e.desc, e.words = n, desc, newWordTable(g)
-	e.sp.words = e.words
+	e.words.build(g)
+	e.n, e.desc = n, desc
+	e.sp.words = &e.words
 	e.killed = slices.Grow(e.killed[:0], (n+63)/64)[:(n+63)/64]
 	e.live = append(e.live[:0], state{killed: e.zeroBits(n), dec: e.zeroBits(n), link: -1})
 	e.next = e.next[:0]
-	e.fhead.reset(0)
+	// Sized for as many finals as the last check recorded, so a run of
+	// similar checks does not regrow it from minIndex each time.
+	e.fhead.reset(e.fhead.n)
 	for t := 0; t < n; t++ {
 		e.t = t
 		if err := e.expand(cfg.Sweep); err != nil {
@@ -610,7 +618,7 @@ func (e *enumerator) emit(c child) {
 func (e *enumerator) addFinal(h uint64, img []wordVal, f final) {
 	head, at := e.fhead.lookup(h)
 	for i := head; i >= 0; i = e.flink[i] {
-		if slices.Equal(e.sp.finals[i].image(e.words, &e.fimg), img) {
+		if slices.Equal(e.sp.finals[i].image(&e.words, &e.fimg), img) {
 			return
 		}
 	}

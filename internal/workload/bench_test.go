@@ -57,3 +57,29 @@ func BenchmarkSimTablesKV(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*run.Trace.Len()), "ns/event")
 }
+
+// BenchmarkSimulateAllKV runs core.SimulateAll, every model over one
+// walk of the trace, on one kv-read-shaped trace (kvReadShape, 16,384
+// ops) per iteration: the simulation half of the kvbench serving path
+// and of the pipeline benchmark's kv-read jobs. ns/event is per trace
+// event, all four models together. One untimed call first warms the
+// simulator pool, and the benchmark runs on one P (see
+// BenchmarkSimFeed in internal/core), so B/op is a warm call's.
+func BenchmarkSimulateAllKV(b *testing.B) {
+	run, err := Build(kvReadShape, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if _, err := core.SimulateAll(run.Trace, core.Params{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.SimulateAll(run.Trace, core.Params{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*run.Trace.Len()), "ns/event")
+}

@@ -21,9 +21,10 @@ var kvReadShape = Options{
 // the kv-read shape. Such a trace touches about 16k tracking blocks
 // scattered over a large store; the simulator's tables and exec's word
 // pages must follow those blocks, not the heap span around them. A
-// fresh simulator's tables take 4.4 MB (bound 6 MiB) and the word
+// fresh simulator's tables take 2.3 MB (bound 6 MiB) and the word
 // pages 1.1 MB (bound 1.5 MiB). With 256-slot simulator pages of
-// 104-byte slots the tables took 37 MB, and 32 KiB word pages 3.1 MB.
+// 104-byte slots the tables took 37 MB, with 8-slot pages of 72-byte
+// slots 4.4 MB, and 32 KiB word pages 3.1 MB.
 func TestKVFootprint(t *testing.T) {
 	// Build's kv run inline: its Run does not expose the machine, and
 	// MemStats needs it.

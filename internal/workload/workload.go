@@ -147,12 +147,10 @@ func Build(o Options, cache *bench.TraceCache) (*Run, error) {
 	}
 	if cache == nil {
 		tr := &trace.Trace{}
-		m := exec.NewMachine(exec.Config{Threads: o.Threads, Seed: o.Seed, Sink: tr})
-		run, body, err := setup(o, m)
+		run, err := Stream(o, tr)
 		if err != nil {
 			return nil, err
 		}
-		m.Run(body)
 		run.Trace = tr
 		return run, nil
 	}
@@ -172,6 +170,23 @@ func Build(o Options, cache *bench.TraceCache) (*Run, error) {
 		return nil, err
 	}
 	run.Trace = tr
+	return run, nil
+}
+
+// Stream runs one workload execution with its events going straight
+// to sink, and returns the run's adapters and annotations without a
+// Trace: a consumer such as core.SimulateAllLive sees every event and
+// nothing stores them.
+func Stream(o Options, sink trace.Sink) (*Run, error) {
+	if err := o.Validate(); err != nil {
+		return nil, err
+	}
+	m := exec.NewMachine(exec.Config{Threads: o.Threads, Seed: o.Seed, Sink: sink})
+	run, body, err := setup(o, m)
+	if err != nil {
+		return nil, err
+	}
+	m.Run(body)
 	return run, nil
 }
 
