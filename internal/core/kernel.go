@@ -235,6 +235,11 @@ func (k *Kernel[V, R]) blocks(e trace.Event) int {
 	if first >= k.trackP.base {
 		tb = &k.trackP
 	}
+	if first == last && len(k.lanes) == 1 {
+		// One lane, one block: the common access of a one-model run.
+		k.span = append(k.span[:0], &tb.at(first)[0])
+		return 1
+	}
 	n := int(last-first) + 1
 	k.span = slices.Grow(k.span[:0], n*len(k.lanes))[:n*len(k.lanes)]
 	for j := range n {
@@ -249,8 +254,8 @@ func (k *Kernel[V, R]) blocks(e trace.Event) int {
 // Feed validates one event and applies it in SC order in every lane.
 // The state indexers rely on Validate's range checks.
 func (k *Kernel[V, R]) Feed(e trace.Event) error {
-	if err := e.Validate(); err != nil {
-		return err
+	if !e.Valid() {
+		return e.Validate()
 	}
 	return k.step(e)
 }

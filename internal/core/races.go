@@ -150,8 +150,8 @@ func DetectEpochRaces(tr *trace.Trace, cfg RaceConfig) (RaceReport, error) {
 	for _, c := range tr.Chunks() {
 		for i := 0; i < c.Len(); i++ {
 			e := c.Event(i)
-			if err := e.Validate(); err != nil {
-				return RaceReport{}, err
+			if !e.Valid() {
+				return RaceReport{}, e.Validate()
 			}
 			ep := rs.thread(e.TID)
 			switch {

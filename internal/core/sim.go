@@ -131,7 +131,7 @@ func (s *Sim) Emit(e trace.Event) {
 	if s.err != nil {
 		return
 	}
-	if err := s.Feed(e); err != nil {
+	if err := s.k.Feed(e); err != nil {
 		s.err = err
 	}
 }

@@ -12,6 +12,18 @@
 // trace *is* the SC memory order. The seed varies thread interleavings
 // the way rerunning a native benchmark would.
 //
+// Every event the Machine emits passes trace.Event.Validate by
+// construction: each operation checks its input where it enters, before
+// it emits anything, and panics with an "exec:" message on misuse, so
+// no per-event check runs on the way to the sink. Thread.Load and Store
+// check the access size (1..8) on entry, ahead of the scheduler step,
+// so a bad PSO store fails at its call and not at its drain; loadRaw,
+// storeRaw and the PSO store buffer check the address range
+// (memory.CheckRange); NewMachine bounds the thread count by
+// trace.MaxThreads; the heaps hand out mapped addresses and FreeHeap
+// rejects unmapped ones; every other event carries only a kind and a
+// thread id.
+//
 // Simulated programs perform all shared-state communication through the
 // Machine's simulated memory (Thread's Load/Store/CAS/... operations).
 // Plain Go variables captured by a workload closure must be thread-local.
@@ -180,10 +192,14 @@ func (m *Machine) wordsOf(w memory.Addr) *wordStore {
 	return &m.volWords
 }
 
-// NewMachine creates a machine per cfg.
+// NewMachine creates a machine per cfg. It panics when cfg.Threads
+// exceeds trace.MaxThreads, the bound on a traced thread id.
 func NewMachine(cfg Config) *Machine {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
+	}
+	if cfg.Threads > trace.MaxThreads {
+		panic(fmt.Sprintf("exec: %d threads, more than trace.MaxThreads (%d)", cfg.Threads, trace.MaxThreads))
 	}
 	if cfg.Slice <= 0 {
 		cfg.Slice = DefaultSlice
@@ -271,11 +287,9 @@ func (m *Machine) schedule(threads []*Thread) {
 	}
 }
 
-// emit validates, counts, and forwards one event.
+// emit counts and forwards one event. Every event is valid by
+// construction (see the package comment), so emit checks none.
 func (m *Machine) emit(e trace.Event) {
-	if err := e.Validate(); err != nil {
-		panic(fmt.Sprintf("exec: workload produced invalid event: %v", err))
-	}
 	m.ops++
 	if m.cfg.MaxOps != 0 && m.ops > m.cfg.MaxOps {
 		panic(fmt.Sprintf("exec: exceeded MaxOps=%d; runaway workload?", m.cfg.MaxOps))

@@ -177,6 +177,7 @@ func (t *Thread) Yield() {
 // Under PSO the thread first drains its own overlapping buffered
 // stores, so every load reads coherent visible memory.
 func (t *Thread) Load(a memory.Addr, size int) uint64 {
+	checkSize(trace.Load, size)
 	t.step()
 	if t.pso() {
 		t.drainThrough(a, size)
@@ -190,6 +191,7 @@ func (t *Thread) Load(a memory.Addr, size int) uint64 {
 // store enters the thread's store buffer and becomes visible (and is
 // traced) at its later drain point.
 func (t *Thread) Store(a memory.Addr, size int, v uint64) {
+	checkSize(trace.Store, size)
 	t.step()
 	if t.pso() {
 		t.bufferStore(a, size, v)
@@ -197,6 +199,13 @@ func (t *Thread) Store(a memory.Addr, size int, v uint64) {
 	}
 	t.m.storeRaw(a, size, v)
 	t.m.emit(trace.Event{TID: t.tid, Kind: trace.Store, Addr: a, Size: uint8(size), Val: v})
+}
+
+// checkSize panics unless size is an access width, 1..8 bytes.
+func checkSize(k trace.Kind, size int) {
+	if uint(size-1) >= memory.WordSize {
+		panic(fmt.Sprintf("exec: %s of size %d outside 1..%d", k, size, memory.WordSize))
+	}
 }
 
 // bufferStore enqueues a PSO store: exact same-range rewrites merge in

@@ -16,6 +16,8 @@ package graph
 // ancestor has a still higher id), and a forward sweep in id order
 // sees each node's dependences before the node.
 
+import "slices"
+
 // Reach answers backward ordering queries over one graph. It owns a
 // generation-stamped mark array and a walk stack, both reused across
 // calls, so a query allocates nothing. A Reach is not safe for
@@ -134,14 +136,26 @@ func (g *Graph) DropDependents(c Cut, roots ...NodeID) {
 // Descendants returns each node's transitive descendant set as a
 // bitset over node ids (bit j of word j/64): every node ordered after
 // it. One sweep in descending id order folds each node's set into its
-// dependences'.
-func (g *Graph) Descendants() [][]uint64 {
+// dependences'. The sets are written into dst's storage when it is
+// large enough: pass nil, or the result of an earlier call on any
+// graph, whose rows share one backing array that row 0 spans (so an
+// append to a row overwrites the next).
+func (g *Graph) Descendants(dst [][]uint64) [][]uint64 {
 	n := len(g.Nodes)
 	words := (n + 63) / 64
-	flat := make([]uint64, n*words)
-	desc := make([][]uint64, n)
+	var flat []uint64
+	if len(dst) > 0 {
+		flat = dst[0][:cap(dst[0])]
+	}
+	if cap(flat) < n*words {
+		flat = make([]uint64, n*words)
+	} else {
+		flat = flat[:n*words]
+		clear(flat)
+	}
+	desc := slices.Grow(dst[:0], n)[:n]
 	for i := range desc {
-		desc[i] = flat[i*words : (i+1)*words : (i+1)*words]
+		desc[i] = flat[i*words : (i+1)*words]
 	}
 	for i := n - 1; i >= 0; i-- {
 		for _, e := range g.Nodes[i].In {

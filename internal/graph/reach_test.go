@@ -88,7 +88,18 @@ func checkReach(t testing.TB, ctx string, g *Graph, rng *rand.Rand, probes int) 
 		targets = targets[:probes]
 	}
 	r := NewReach(g)
-	desc := g.Descendants()
+	desc := g.Descendants(nil)
+	// Storage an earlier call left behind, larger than g needs and
+	// full of set bits, must be cleared and give the same sets.
+	junk := make([]uint64, n*((n+63)/64)+7)
+	for i := range junk {
+		junk[i] = ^uint64(0)
+	}
+	if reused := g.Descendants([][]uint64{junk[:1]}); !slices.EqualFunc(desc, reused, slices.Equal) {
+		t.Fatalf("%s: Descendants into used storage differs from fresh", ctx)
+	} else if &reused[0][0] != &junk[0] {
+		t.Fatalf("%s: Descendants did not reuse storage large enough", ctx)
+	}
 	inDesc := func(a, b NodeID) bool { return desc[a][b>>6]&(1<<(uint(b)&63)) != 0 }
 	for _, b := range targets {
 		anc := naiveAncestors(g, b)
@@ -251,7 +262,8 @@ func TestFrontier(t *testing.T) {
 }
 
 // TestReachAllocs pins that a Reach reuses its mark array and stack:
-// Mark and HasPath allocate nothing once the stack has grown.
+// Mark and HasPath allocate nothing once the stack has grown; nor does
+// Descendants handed its last result.
 func TestReachAllocs(t *testing.T) {
 	g := chainGraph(64)
 	r := NewReach(g)
@@ -261,5 +273,9 @@ func TestReachAllocs(t *testing.T) {
 		r.HasPath(3, 60)
 	}); a != 0 {
 		t.Fatalf("Mark+HasPath allocate %.1f times per call, want 0", a)
+	}
+	desc := g.Descendants(nil)
+	if a := testing.AllocsPerRun(50, func() { desc = g.Descendants(desc) }); a != 0 {
+		t.Fatalf("Descendants into its last result allocates %.1f times per call, want 0", a)
 	}
 }

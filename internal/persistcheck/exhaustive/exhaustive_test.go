@@ -196,7 +196,7 @@ func fourChains() *graph.Graph {
 // prints as ">=" MaxUint64.
 func TestSaturatedCutCount(t *testing.T) {
 	g := fourChains()
-	desc := g.Descendants()
+	desc := g.Descendants(nil)
 	if cuts, sat := countCuts(g, desc, 1<<20, new(index)); cuts != 81 || sat {
 		t.Fatalf("countCuts = (%d, %v), want (81, false)", cuts, sat)
 	}

@@ -400,7 +400,7 @@ const (
 // reused from one check to the next.
 type enumerator struct {
 	n, t   int
-	desc   [][]uint64 // per node, its descendants (graph.Descendants)
+	desc   [][]uint64 // per node, its descendants (graph.Descendants), storage kept across checks
 	words  wordTable
 	sp     space
 	live   []state
@@ -431,7 +431,6 @@ func newEnumerator() *enumerator { return &enumerator{} }
 // taker overwrites, so they are not cleared; trie nodes hold pointers,
 // so theirs are.
 func (e *enumerator) reset() {
-	e.desc = nil
 	e.sp = space{finals: e.sp.finals[:0]}
 	e.flink = e.flink[:0]
 	clear(e.outs)
@@ -456,9 +455,10 @@ func (e *enumerator) zeroBits(n int) bits {
 func (e *enumerator) enumerate(g *graph.Graph, cfg Config) (*space, error) {
 	n := g.Len()
 	budget := cfg.budget()
-	desc := g.Descendants()
+	e.desc = g.Descendants(e.desc)
+	desc := e.desc
 	e.words.build(g)
-	e.n, e.desc = n, desc
+	e.n = n
 	e.sp.words = &e.words
 	e.killed = slices.Grow(e.killed[:0], (n+63)/64)[:(n+63)/64]
 	e.live = append(e.live[:0], state{killed: e.zeroBits(n), dec: e.zeroBits(n), link: -1})

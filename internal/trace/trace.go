@@ -148,8 +148,59 @@ func (e Event) String() string {
 	}
 }
 
-// Validate checks structural invariants of a single event.
+// Validate checks structural invariants of a single event: a known
+// kind; for Load, Store and RMW a size of 1..8 and a byte range inside
+// one address space; for Malloc and Free a mapped address; a thread id
+// in [0, MaxThreads). It returns nil exactly when Valid reports true,
+// else the error naming the first broken invariant.
 func (e Event) Validate() error {
+	if e.Valid() {
+		return nil
+	}
+	return e.invalid()
+}
+
+// Kind sets for Valid: bit k is set when Kind k is in the set.
+const (
+	accessKinds = 1<<Load | 1<<Store | 1<<RMW
+	heapKinds   = 1<<Malloc | 1<<Free
+	markKinds   = 1<<PersistBarrier | 1<<NewStrand | 1<<PersistSync | 1<<BeginWork | 1<<EndWork
+)
+
+// Valid reports whether Validate accepts *e. It is the per-event check
+// of every trace consumer and costs a few compares that inline into
+// the caller; a hot loop calls Validate only when it reports false, to
+// build the error. Validate cannot inline itself: its out-of-line
+// error call alone takes most of Go's inlining budget. The receiver is
+// a pointer because an inlined value receiver is a copy of the
+// caller's whole event, and an event the caller received in registers
+// and spilled field by field stalls that copy's wide loads.
+//
+// An access must keep its Size bytes, and Malloc and Free their base
+// byte, inside one space: the range [Addr, Addr+n) lies in a space
+// [base, base+size) exactly when Addr-base, computed without sign, is
+// at most size-n.
+func (e *Event) Valid() bool {
+	bit, n := uint32(1)<<e.Kind, uint64(e.Size)
+	switch {
+	case bit&accessKinds != 0:
+		if n-1 >= memory.WordSize {
+			return false
+		}
+	case bit&heapKinds != 0:
+		n = 1
+	default:
+		return bit&markKinds != 0 && uint32(e.TID) < MaxThreads
+	}
+	return uint32(e.TID) < MaxThreads &&
+		(uint64(e.Addr-memory.VolatileBase) <= memory.VolatileSize-n ||
+			uint64(e.Addr-memory.PersistentBase) <= memory.PersistentSize-n)
+}
+
+// invalid is Validate's reject path, out of line: it returns the
+// error naming the event's first broken invariant, or nil if there is
+// none.
+func (e Event) invalid() error {
 	switch {
 	case e.Kind.IsAccess():
 		if e.Size == 0 || e.Size > memory.WordSize {
@@ -177,8 +228,11 @@ func (e Event) Validate() error {
 const MaxThreads = 1 << 16
 
 // Sink receives trace events in SC order. Implementations must not
-// retain the event beyond the call (it is a value type, so copying is
-// free anyway).
+// retain the event beyond the call. Passing an Event on is not free:
+// at six fields Go keeps it in memory, not registers, inside a
+// function, and a whole-value copy of one just stored field by field
+// stalls on store forwarding. Hot sinks pass it straight to the call
+// that uses it, not through wrappers that take it by value.
 type Sink interface {
 	Emit(Event)
 }
@@ -393,8 +447,8 @@ func (t *Trace) Validate() error {
 		if e.Seq != uint64(i) {
 			return fmt.Errorf("trace: event %d has seq %d", i, e.Seq)
 		}
-		if err := e.Validate(); err != nil {
-			return fmt.Errorf("trace: event %d: %w", i, err)
+		if !e.Valid() {
+			return fmt.Errorf("trace: event %d: %w", i, e.Validate())
 		}
 		i++
 	}

@@ -2,7 +2,8 @@
 # bench_core.sh runs the hot-path microbenchmarks (simulator feed,
 # all-model replay, trace emit and replay, graph build and critical
 # path, KV trace production, a fresh simulator's table footprint on a
-# KV trace and the four-model walk of one, persistcheck and exhaustive
+# KV trace and the four-model walk of one, one Table 1 cell streamed
+# from exec into a one-lane simulator, persistcheck and exhaustive
 # checking) and
 # writes BENCH_core.json with ns/op, B/op, and allocs/op per benchmark.
 #
@@ -31,8 +32,8 @@ count="${2:-1}"
 cd "$(dirname "$0")/.."
 
 go test -p 1 -run '^$' -timeout 60m -benchmem -benchtime "$benchtime" -count $((count + 1)) \
-    -bench 'BenchmarkSimFeed|BenchmarkSimulateAll|BenchmarkTraceReplay|BenchmarkTraceEmit|BenchmarkGraphBuild|BenchmarkCriticalPathKV|BenchmarkBuildKV|BenchmarkSimTablesKV|BenchmarkSimulateAllKV|BenchmarkPersistcheckKV|BenchmarkExhaustiveCheck' \
-    ./internal/core ./internal/trace ./internal/graph ./internal/workload ./internal/persistcheck ./internal/persistcheck/exhaustive |
+    -bench 'BenchmarkSimFeed|BenchmarkSimulateAll|BenchmarkTraceReplay|BenchmarkTraceEmit|BenchmarkGraphBuild|BenchmarkCriticalPathKV|BenchmarkBuildKV|BenchmarkSimTablesKV|BenchmarkSimulateAllKV|BenchmarkStreamTable1Cell|BenchmarkPersistcheckKV|BenchmarkExhaustiveCheck' \
+    ./internal/core ./internal/trace ./internal/graph ./internal/workload ./internal/bench ./internal/persistcheck ./internal/persistcheck/exhaustive |
 awk -v benchtime="$benchtime" '
 BEGIN {
     printf "{\n  \"suite\": \"core-microbench\",\n  \"benchtime\": \"%s\",\n  \"benchmarks\": [\n", benchtime
