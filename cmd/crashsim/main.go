@@ -70,7 +70,7 @@ func run(env *cli.Env) (int, error) {
 		scenarios  = fs.Int("scenarios", 1000, "campaign scenarios (cut × fault plan)")
 		faults     = fs.Int("faults", 3, "max injected faults per scenario")
 		replayStr  = fs.String("replay", "", "repro string from a failed campaign; replays it and exits")
-		parallel   = fs.Int("parallel", 0, "cut/scenario evaluation workers; 0 means GOMAXPROCS, 1 forces sequential")
+		parallel   = cli.NonNegInt(fs, "parallel", 0, "cut/scenario evaluation workers; 0 means GOMAXPROCS, 1 forces sequential")
 	)
 	if err := env.Parse(); err != nil {
 		return 0, err

@@ -75,7 +75,7 @@ func run(env *cli.Env) (int, error) {
 		"read-frac", "zipf", "seed=42", "integrity")
 	var (
 		policyStr = fs.String("policies", "strict,epoch,racing,strand", "comma-separated annotation policies to sweep")
-		parallel  = fs.Int("parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
+		parallel  = cli.NonNegInt(fs, "parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
 		jsonOut   = fs.Bool("json", false, "emit the report JSON to stdout instead of aligned tables")
 		out       = fs.String("out", "", "write the report JSON to this file (e.g. BENCH_kv.json)")
 		graphDump = fs.String("graph-dump", "", "build the persist-order graph for the first policy and write a deterministic dump to this file")

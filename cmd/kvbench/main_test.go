@@ -2,10 +2,35 @@ package main
 
 import (
 	"math"
+	"os"
+	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/workload"
 )
+
+// TestNegativeParallelExitsTwo pins that -parallel rejects negative
+// worker counts as a malformed command line: exit 2 and an error
+// naming the flag, before anything runs.
+func TestNegativeParallelExitsTwo(t *testing.T) {
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stderr
+	os.Stderr = f
+	code := cli.Run("kvbench", []string{"-parallel", "-2"}, run)
+	os.Stderr = old
+	stderr, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 2 || !strings.Contains(string(stderr), "flag -parallel: must not be negative") {
+		t.Errorf("exit %d, want 2 with an error naming -parallel; stderr:\n%s", code, stderr)
+	}
+}
 
 // TestParseGridRejectsBadReadFrac pins flag validation: -read-frac 1.5
 // once ran an all-read grid silently; it must now fail before any

@@ -198,9 +198,9 @@ func run(env *cli.Env) (int, error) {
 		allModels   = fs.Bool("all-models", false, "check under every persistency model")
 		requireInt  = fs.Bool("require-integrity", false, "fail (exit 2) on unprotected recovery metadata findings")
 		exhaustiveF = fs.Bool("exhaustive", false, "enumerate and classify every reachable crash state (bounded model checking)")
-		stateBudget = fs.Int("state-budget", 0, "exhaustive checker state budget; exceeding it refuses the fixture (0 = 1<<20)")
-		parallel    = fs.Int("parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
-		limit       = fs.Int("limit", 0, "max stored findings per kind (0 = default)")
+		stateBudget = cli.NonNegInt(fs, "state-budget", 0, "exhaustive checker state budget; exceeding it refuses the fixture (0 = 1<<20)")
+		parallel    = cli.NonNegInt(fs, "parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
+		limit       = cli.NonNegInt(fs, "limit", 0, "max stored findings per kind (0 = default)")
 	)
 	if err := env.Parse(); err != nil {
 		return 0, err

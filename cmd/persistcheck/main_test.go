@@ -215,3 +215,31 @@ func TestInvalidOptionsExitOne(t *testing.T) {
 		})
 	}
 }
+
+// TestNegativeFlagsExitTwo pins that numeric flags without a meaning
+// for negative values reject them as malformed command lines: exit 2
+// and an error naming the flag, before anything runs.
+func TestNegativeFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-state-budget", "-1"},
+		{"-limit", "-5"},
+		{"-parallel", "-2"},
+	} {
+		f, err := os.CreateTemp(t.TempDir(), "stderr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := os.Stderr
+		os.Stderr = f
+		code := cli.Run("persistcheck", args, run)
+		os.Stderr = old
+		stderr, err := os.ReadFile(f.Name())
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != 2 || !strings.Contains(string(stderr), "flag "+args[0]+": must not be negative") {
+			t.Errorf("%v: exit %d, want 2 with an error naming %s; stderr:\n%s", args, code, args[0], stderr)
+		}
+	}
+}

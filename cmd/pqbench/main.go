@@ -111,11 +111,11 @@ func run(env *cli.Env) (int, error) {
 		seed       = fs.Int64("seed", 42, "interleaving seed")
 		payload    = fs.Int("payload", 100, "entry payload bytes")
 		csv        = fs.Bool("csv", false, "emit CSV instead of aligned tables")
-		instrRate  = fs.Float64("instr-rate", 0, "fix the instruction rate (items/s) instead of measuring")
+		instrRate  = cli.NonNegFloat(fs, "instr-rate", 0, "fix the instruction rate (items/s) instead of measuring")
 		jsonOut    = fs.Bool("json", false, "emit one experiment's machine-readable JSON report ("+experimentNames(true, "/")+")")
 		traceOut   = fs.String("trace-out", "", "write a Chrome trace-event JSON persist timeline (Perfetto) to this file")
 		traceIns   = fs.Int("trace-inserts", 200, "inserts per configuration in the -trace-out timeline pass")
-		parallel   = fs.Int("parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
+		parallel   = cli.NonNegInt(fs, "parallel", 0, "sweep worker count; 0 means GOMAXPROCS, 1 forces sequential")
 		integrity  = fs.Bool("integrity", false, "use the corruption-detecting durable format in the banks, dist, races, wear and unbuffered queue runs and the -trace-out pass (framing overhead shows up in persist counts)")
 	)
 	if err := env.Parse(); err != nil {

@@ -82,6 +82,21 @@ func TestAllDeterministicAcrossParallel(t *testing.T) {
 	}
 }
 
+// TestNegativeFlagsExitTwo pins that -instr-rate and -parallel reject
+// negative values as malformed command lines: exit 2 and an error
+// naming the flag, before anything runs.
+func TestNegativeFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-instr-rate", "-1"},
+		{"-parallel", "-2"},
+	} {
+		code, out, errOut := runPQ(t, append([]string{"-experiment", "table1", "-inserts", "200"}, args...)...)
+		if code != 2 || out != "" || !strings.Contains(errOut, "flag "+args[0]+": must not be negative") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and an error naming %s", args, code, out, errOut, args[0])
+		}
+	}
+}
+
 // TestBadNumericFlags pins that out-of-range numeric flags exit 1
 // before anything runs, instead of falling back to a default or
 // labelling rows with the bad value.

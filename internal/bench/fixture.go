@@ -168,8 +168,15 @@ func NewFixture(s *exec.Thread, w Workload, sparse bool, edit func(cfg any)) (*F
 			return nil, err
 		}
 		meta, payload := q.Meta(), w.PayloadLen
+		// Insert copies the payload into the heap, so each thread
+		// refills one buffer.
+		bufs := make([][]byte, w.Threads)
 		f.Item = func(t *exec.Thread, i int) {
-			q.Insert(t, queue.MakePayload(itemID(t.TID(), i), payload))
+			g := t.TID()
+			if bufs[g] == nil {
+				bufs[g] = make([]byte, payload)
+			}
+			q.Insert(t, queue.FillPayload(bufs[g], itemID(g, i)))
 		}
 		// The payloads recovery may find follow from the counts and the
 		// payload rule alone, never from the interleaving. The set is

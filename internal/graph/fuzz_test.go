@@ -13,11 +13,9 @@ import (
 // FuzzBuildMatchesRef checks the production builder against the
 // reference builder (refbuild_test.go) on fuzzed traces: under every
 // model, Build's graph must match refBuild's node for node
-// (requireSameGraph: equal edge lists in order under strict and strand
-// persistency; under the epoch models a subsequence of the reference's
-// edges with the same transitive closure, and equal class counts
-// everywhere), and under the epoch models every cover label claim must
-// hold (checkLabels). The builder skips unions it has
+// (requireSameGraph: a subsequence of the reference's edges with the
+// same transitive closure and equal class counts), and every cover
+// label claim must hold (checkLabels). The builder skips unions it has
 // proven to be no-ops by version, so a version that outlived its set's
 // contents, or a subset fact recorded for the wrong pair, shows up here
 // as a missing edge. The graph's Barriers must equal the reference
@@ -51,7 +49,7 @@ func FuzzBuildMatchesRef(f *testing.F) {
 				t.Fatal(err)
 			}
 			requireSameGraph(t, ctx+" Build", got, want)
-			if (m == core.Epoch || m == core.EpochTSO) && tr.CountPersists() > 0 {
+			if tr.CountPersists() > 0 {
 				checkLabels(t, ctx, tr, p)
 			}
 			if got.Params != p {

@@ -38,9 +38,9 @@ func kvTraceThreads(tb testing.TB, policy string, threads, ops int, readFrac flo
 }
 
 // TestBuildMatchesReferenceOnKV checks the production builder against
-// the per-block reference builder on real KV serving traces (edge for
-// edge, in emission order, under strict and strand persistency; by
-// closure and class counts under epoch, see requireSameGraph): wide
+// the per-block reference builder on real KV serving traces (by
+// closure, class counts and a subsequence of the reference's edges
+// under every target model, see requireSameGraph): wide
 // per-thread frontiers and read-heavy import patterns that the
 // synthetic random traces never reach.
 func TestBuildMatchesReferenceOnKV(t *testing.T) {
@@ -189,32 +189,29 @@ func BenchmarkGraphBuildKVWrites(b *testing.B) {
 }
 
 // BenchmarkGraphBuildKVWide builds the epoch graph of a write-only KV
-// trace of one op per thread on each side of the label width bound:
-// with graph.MaxCoverThreads persisting threads the build is labeled
-// and pruned, with one more it is not. ns/event, B/op and edges/node
-// show what the labels cost and save at the bound (EXPERIMENTS.md,
-// "Cover labels").
+// trace of one op per thread, on 256 threads: ns/event, B/op and
+// edges/node show what labels cost and save on a wide trace whose
+// threads rarely share data (EXPERIMENTS.md, "Cover labels").
 func BenchmarkGraphBuildKVWide(b *testing.B) {
-	for _, threads := range []int{graph.MaxCoverThreads, graph.MaxCoverThreads + 1} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			tr, model := kvTraceThreads(b, "epoch", threads, threads, 0, 42)
-			p := core.Params{Model: model}
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			g, err := graph.Build(tr, p)
-			if err != nil {
+	const threads = 256
+	b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+		tr, model := kvTraceThreads(b, "epoch", threads, threads, 0, 42)
+		p := core.Params{Model: model}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		g, err := graph.Build(tr, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if g, err = graph.Build(tr, p); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if g, err = graph.Build(tr, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/event")
-			b.ReportMetric(float64(countEdges(g))/float64(g.Len()), "edges/node")
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(tr.Len()), "ns/event")
+		b.ReportMetric(float64(countEdges(g))/float64(g.Len()), "edges/node")
+	})
 }
 
 // BenchmarkCriticalPathKV takes the critical path of the epoch KV graph

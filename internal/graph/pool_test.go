@@ -15,7 +15,8 @@ import (
 )
 
 // graphDiff describes the first difference between two graphs (params,
-// nodes with their edges in order, barrier report), or returns "".
+// nodes with their edges in order, class counts, barrier report), or
+// returns "".
 func graphDiff(got, want *Graph) string {
 	if got.Params != want.Params {
 		return fmt.Sprintf("params %+v, want %+v", got.Params, want.Params)
@@ -29,6 +30,9 @@ func graphDiff(got, want *Graph) string {
 			return fmt.Sprintf("node %d: %+v, want %+v", i, *gn, *wn)
 		}
 	}
+	if got.classes != want.classes {
+		return fmt.Sprintf("class counts %v, want %v", got.classes, want.classes)
+	}
 	if !slices.Equal(got.Barriers, want.Barriers) {
 		return fmt.Sprintf("barriers %v, want %v", got.Barriers, want.Barriers)
 	}
@@ -38,7 +42,7 @@ func graphDiff(got, want *Graph) string {
 // cloneGraph copies g's nodes, edges and barrier report into storage
 // of its own.
 func cloneGraph(g *Graph) *Graph {
-	c := &Graph{Params: g.Params, Barriers: slices.Clone(g.Barriers)}
+	c := &Graph{Params: g.Params, Barriers: slices.Clone(g.Barriers), classes: g.classes}
 	for _, n := range g.Nodes {
 		cn := *n
 		cn.In = slices.Clone(n.In)

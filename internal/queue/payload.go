@@ -34,13 +34,19 @@ func Checksum(offset uint64, payload []byte) uint64 {
 // insert id — an xorshift stream seeded by the id, so tests and
 // recovery can regenerate and compare entry contents exactly.
 func MakePayload(id uint64, size int) []byte {
-	out := make([]byte, size)
+	return FillPayload(make([]byte, size), id)
+}
+
+// FillPayload writes insert id's payload, MakePayload's bytes for
+// len(buf), over buf and returns it. Insert copies a payload into the
+// heap, so a caller can refill one buffer for each insert.
+func FillPayload(buf []byte, id uint64) []byte {
 	x := id*2654435761 + 0x9e3779b97f4a7c15
-	for i := range out {
+	for i := range buf {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
-		out[i] = byte(x)
+		buf[i] = byte(x)
 	}
-	return out
+	return buf
 }

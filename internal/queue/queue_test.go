@@ -267,3 +267,15 @@ func TestDesignPolicyStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestFillPayloadMatchesMakePayload pins that refilling a used buffer
+// yields the bytes MakePayload makes, so the bench fixtures' reused
+// per-thread buffers insert the payloads recovery expects.
+func TestFillPayloadMatchesMakePayload(t *testing.T) {
+	buf := make([]byte, 100)
+	for id := uint64(0); id < 20; id++ {
+		if got, want := FillPayload(buf, id), MakePayload(id, len(buf)); !bytes.Equal(got, want) {
+			t.Fatalf("id %d: FillPayload %x, MakePayload %x", id, got, want)
+		}
+	}
+}
