@@ -205,24 +205,41 @@ func (b *builder) single(id NodeID) nodeVec {
 // idChunk is the largest singleton chunk, in ids.
 const idChunk = 1 << 16
 
-// keepEdges copies a persist's kept edges to the end of the chunked
-// edge slab (a chunk of their own if they outgrow one) and returns the
-// copy capped at its length, so a later AddEdge on the node copies out
-// of the slab instead of overwriting its neighbour's edges.
+// edgeTail returns the empty slice past the edge slab's end, where a
+// persist gathers and filters its candidate edges in place. A tail
+// with fewer than edgeSpare slots left starts a new chunk, so a persist
+// rarely outgrows it.
+func (b *builder) edgeTail() []Edge {
+	if cap(b.edgeSlab)-len(b.edgeSlab) < edgeSpare {
+		b.edgeSlab = make([]Edge, 0, edgeChunk)
+	}
+	return b.edgeSlab[len(b.edgeSlab):]
+}
+
+// keepEdges makes a persist's kept edges, gathered by edgeTail, part
+// of the edge slab and returns them capped at their count, so a later
+// AddEdge on the node copies out of the slab instead of overwriting its
+// neighbour's edges. Edges that outgrew the chunk were moved to a new
+// array by append; the slab continues in that array.
 func (b *builder) keepEdges(buf []Edge) []Edge {
 	if len(buf) == 0 {
 		return nil
 	}
-	if cap(b.edgeSlab)-len(b.edgeSlab) < len(buf) {
-		b.edgeSlab = make([]Edge, 0, max(edgeChunk, len(buf)))
+	if n := len(b.edgeSlab); &b.edgeSlab[:n+1][n] == &buf[0] {
+		b.edgeSlab = b.edgeSlab[:n+len(buf)]
+	} else {
+		b.edgeSlab = buf
 	}
 	n := len(b.edgeSlab)
-	b.edgeSlab = append(b.edgeSlab, buf...)
-	return b.edgeSlab[n:len(b.edgeSlab):len(b.edgeSlab)]
+	return b.edgeSlab[n-len(buf) : n : n]
 }
 
-// edgeChunk is the edge slab's usual chunk size.
-const edgeChunk = 4096
+// edgeChunk is the edge slab's usual chunk size, and edgeSpare the
+// fewest free slots a persist starts gathering in.
+const (
+	edgeChunk = 4096
+	edgeSpare = 64
+)
 
 // Every set operation below is linear in the sizes of its inputs: a
 // merge walk over two sparse sets, a probe per id between a sparse and

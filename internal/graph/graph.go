@@ -449,10 +449,8 @@ type builder struct {
 	tmp      []NodeID
 	idSlab   []NodeID
 	edgeSlab []Edge
-	// lab holds the build's cover labels (labels.go); Persist gathers
-	// a persist's kept edges in stage.
-	lab   labels
-	stage []Edge
+	// lab holds the build's cover labels (labels.go).
+	lab labels
 }
 
 // Import, Export and Join are the set unions of frontier.go.

@@ -553,7 +553,8 @@ func (b *builder) epochLabel(ids nodeVec) int32 {
 // Persist adds the persist's node. It counts every distinct source,
 // for Fig 2's class counts, but keeps an edge only from the sources
 // no other source is ordered after, as far as the cover labels tell,
-// gathered in scratch (keepEdges); then it labels the persist.
+// gathered in place past the edge slab's end (edgeTail, keepEdges);
+// then it labels the persist.
 func (b *builder) Persist(e trace.Event, t *core.Thread[vset], blocks []*core.Block[vset]) vset {
 	id := b.g.AddNode("", e)
 	b.nextStamp()
@@ -565,7 +566,7 @@ func (b *builder) Persist(e trace.Event, t *core.Thread[vset], blocks []*core.Bl
 	if !act.dense() {
 		act = nil
 	}
-	buf, m := b.stage[:0], int32(0)
+	buf, m := b.edgeTail(), int32(0)
 	if src, class, ok := sole(t, blocks); ok {
 		// Most persists have one source or none: nothing to prune, and
 		// M is that source's label, so the operand labels go unjoined.
@@ -623,9 +624,6 @@ func (b *builder) Persist(e trace.Event, t *core.Thread[vset], blocks []*core.Bl
 	}
 	buf = b.lab.keepTop(buf)
 	m = b.lab.raise(key, m)
-	if cap(buf) > cap(b.stage) {
-		b.stage = buf
-	}
 	b.g.Nodes[id].In = b.keepEdges(buf)
 	lab := m
 	b.lab.nodeLab[id] = lab

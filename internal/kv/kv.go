@@ -102,10 +102,14 @@ func MustNew(s *exec.Thread, cfg Config) *Store {
 // Meta returns the persistent layout for recovery.
 func (st *Store) Meta() Meta { return st.meta }
 
-// tagPubCap bounds the per-key tag publications Checks declares: the
-// publication walk is O(persists × publications), so an unbounded key
-// space would swamp the witness checker. Fixture grids sit far below
-// the cap; larger stores keep the journal-level annotations only.
+// tagPubCap bounds the per-key tag publications Checks declares. The
+// checker finds a persist's publications by address, but each check
+// builds its address index over every publication and keeps state for
+// each (a pending list and a per-thread map), and the unprotected-
+// metadata lint counts one finding per unprotected tag word, so an
+// unbounded key space would grow every check and every report with the
+// key count. Fixture grids sit far below the cap; larger stores keep
+// the journal-level annotations only.
 const tagPubCap = 1024
 
 // Checks merges every shard's recovery-critical annotations and, for

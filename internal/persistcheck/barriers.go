@@ -2,6 +2,8 @@ package persistcheck
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -26,31 +28,42 @@ import (
 //
 // Attribution follows the telemetry convention: each finding carries
 // the site label of the thread's next persist after the annotation,
-// which names the annotation point in the structure's algorithm.
-func checkBarriers(tr *trace.Trace, p core.Params, barriers []graph.BarrierInfo, cfg Config, r *Report) {
+// which names the annotation point in the structure's algorithm. The
+// pass reads g.Barriers and, only with a SiteLabel, merges g.Nodes
+// into it by Seq to find those persists; it never walks the trace.
+func checkBarriers(g *graph.Graph, p core.Params, cfg Config, r *Report) {
 	if p.Model == core.Strict {
 		r.skip("redundant-barrier lint: annotations are free no-ops under strict persistency")
 		return
 	}
 	findings := make([]Finding, 0, 8)
-	pendingByTID := make(map[int32][]int) // finding indexes awaiting a site
-	bi := 0
-	for e := range tr.All() {
-		if e.IsPersist() {
-			if pend := pendingByTID[e.TID]; len(pend) > 0 {
-				site := cfg.site(e.Addr)
-				for _, fi := range pend {
-					findings[fi].Site = site
-				}
-				pendingByTID[e.TID] = pend[:0]
+	// pending holds, per thread, the indexes of findings awaiting the
+	// site of the thread's next persist; waiting counts them.
+	var pending [][]int
+	waiting := 0
+	nodes := g.Nodes
+	// settle hands each persist before seq its thread's pending site.
+	settle := func(seq uint64) {
+		for len(nodes) > 0 && nodes[0].Event.Seq < seq {
+			if waiting == 0 {
+				// Nothing waits: skip to seq in one search.
+				nodes = nodes[sort.Search(len(nodes), func(i int) bool { return nodes[i].Event.Seq >= seq }):]
+				return
 			}
-			continue
+			e := &nodes[0].Event
+			nodes = nodes[1:]
+			if int(e.TID) >= len(pending) || len(pending[e.TID]) == 0 {
+				continue
+			}
+			site := cfg.site(e.Addr)
+			for _, fi := range pending[e.TID] {
+				findings[fi].Site = site
+			}
+			waiting -= len(pending[e.TID])
+			pending[e.TID] = pending[e.TID][:0]
 		}
-		if !e.Kind.IsAnnotation() {
-			continue
-		}
-		info := barriers[bi]
-		bi++
+	}
+	for _, info := range g.Barriers {
 		if !info.Redundant || info.Kind == trace.PersistSync {
 			continue
 		}
@@ -73,8 +86,15 @@ func checkBarriers(tr *trace.Trace, p core.Params, barriers []graph.BarrierInfo,
 			WitnessB: -1,
 		})
 		if cfg.SiteLabel != nil {
-			pendingByTID[e.TID] = append(pendingByTID[e.TID], len(findings)-1)
+			// Persists before this annotation settle earlier findings.
+			settle(info.Seq)
+			if int(info.TID) >= len(pending) {
+				pending = append(pending, make([][]int, int(info.TID)+1-len(pending))...)
+			}
+			pending[info.TID] = append(pending[info.TID], len(findings)-1)
+			waiting++
 		}
 	}
+	settle(math.MaxUint64)
 	r.Findings = append(r.Findings, findings...)
 }

@@ -89,6 +89,13 @@ func TestCheckGraphRefusesForeignGraphs(t *testing.T) {
 		}
 	}
 
+	// Built from the trace, then two persists swapped, or one moved onto
+	// an annotation.
+	swapped := build(tr)
+	swapped.Nodes[1], swapped.Nodes[2] = swapped.Nodes[2], swapped.Nodes[1]
+	onBarrier := build(tr)
+	onBarrier.Nodes[1].Event.Seq = 1
+
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph
@@ -98,6 +105,8 @@ func TestCheckGraphRefusesForeignGraphs(t *testing.T) {
 		{"built from a trace with fewer barriers", build(oneBarrier), "graph records 1 annotations, trace has 2"},
 		{"hand-built with far seqs", farSeq, "graph node 3 has seq 60 beyond the trace's 6 events"},
 		{"hand-built without barriers", noBarriers, "graph records 0 annotations, trace has 2"},
+		{"persists out of trace order", swapped, "graph node 2 has seq 2, not after node 1's 3"},
+		{"a node on an annotation", onBarrier, "graph node 1 has seq 1, a persist-barrier, not a persist"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep, err := persistcheck.CheckGraph(tr, tc.g, persistcheck.Annotations{}, persistcheck.Config{})

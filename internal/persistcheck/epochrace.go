@@ -63,6 +63,7 @@ func checkEpochRaces(tr *trace.Trace, g *graph.Graph, idx *graphIndex, p core.Pa
 	}
 	epochOf := make(map[int32]int)
 	persists := make(map[epochKey][]graph.NodeID)
+	node := graph.NodeID(0) // ids ascend in trace order
 	for e := range tr.All() {
 		if e.Kind.IsAnnotation() {
 			epochOf[e.TID]++
@@ -70,7 +71,8 @@ func checkEpochRaces(tr *trace.Trace, g *graph.Graph, idx *graphIndex, p core.Pa
 		}
 		if e.IsPersist() {
 			k := epochKey{e.TID, epochOf[e.TID]}
-			persists[k] = append(persists[k], idx.nodeOf[e.Seq])
+			persists[k] = append(persists[k], node)
+			node++
 		}
 	}
 

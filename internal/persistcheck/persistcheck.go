@@ -34,6 +34,15 @@
 //     persisted memory locations after which new persists must be
 //     ordered").
 //
+// The passes share one graph.Reach and one address index over the
+// annotations (addrIndex): an event is tested only against the
+// publications and regions whose spans cover its address, found by one
+// binary search, so a pass costs O(events × log annotations) plus the
+// candidates it tests, not O(events × annotations). The passes that
+// look only at persists (publications, barrier sites) read them from
+// g.Nodes, whose ids ascend in trace order; the escape check walks the
+// trace, since it needs loads and NewStrand too.
+//
 // Each hazard finding carries a one-line repro string in the
 // fault-campaign replay format (internal/fault), whose cut section is
 // the divergent crash state; `crashsim -replay` materializes it.
@@ -200,6 +209,16 @@ func CheckGraph(tr *trace.Trace, g *graph.Graph, ann Annotations, cfg Config) (*
 	if n := tr.CountAnnotations(); len(g.Barriers) != n {
 		return nil, fmt.Errorf("persistcheck: graph records %d annotations, trace has %d", len(g.Barriers), n)
 	}
+	// The passes read persists from g.Nodes and number the trace's
+	// persists in order, so node i must be the trace's i-th persist.
+	for i, n := range g.Nodes {
+		if i > 0 && n.Event.Seq <= g.Nodes[i-1].Event.Seq {
+			return nil, fmt.Errorf("persistcheck: graph node %d has seq %d, not after node %d's %d", i, n.Event.Seq, i-1, g.Nodes[i-1].Event.Seq)
+		}
+		if e := tr.At(int(n.Event.Seq)); !e.IsPersist() {
+			return nil, fmt.Errorf("persistcheck: graph node %d has seq %d, a %s, not a persist", i, n.Event.Seq, e.Kind)
+		}
+	}
 	return check(tr, g, ann, cfg), nil
 }
 
@@ -207,12 +226,12 @@ func CheckGraph(tr *trace.Trace, g *graph.Graph, ann Annotations, cfg Config) (*
 func check(tr *trace.Trace, g *graph.Graph, ann Annotations, cfg Config) *Report {
 	p := g.Params
 	r := &Report{Model: p.Model, Events: tr.Len(), Persists: g.Len(), Counts: map[Kind]int{}}
-	idx := newGraphIndex(tr, g)
+	idx := &graphIndex{Reach: graph.NewReach(g), addr: newAddrIndex(ann)}
 
-	checkPublications(tr, g, idx, ann, cfg, r)
+	checkPublications(g, idx, ann, cfg, r)
 	checkEscapes(tr, g, idx, p, ann, cfg, r)
 	checkEpochRaces(tr, g, idx, p, cfg, r)
-	checkBarriers(tr, p, g.Barriers, cfg, r)
+	checkBarriers(g, p, cfg, r)
 	checkUnprotected(g, ann, cfg, r)
 	return r
 }

@@ -31,6 +31,11 @@ import (
 //     global state, so overwriting it must be ordered after everything
 //     it supersedes. Covered persists leave the pool — coverage is
 //     sticky through the word's persist-atomicity chain.
+//
+// The pass walks g.Nodes. For each persist it runs, in ascending
+// publication order, the publications whose word or data extents the
+// address index places at the persist's address; the exact tests
+// (isWord, isData) decide.
 type pubState struct {
 	pub Publication
 	// dead is set once a ValueCovers word wraps.
@@ -47,54 +52,69 @@ type valEntry struct {
 	end  uint64 // extent offset one past the persist's last byte
 }
 
-func checkPublications(tr *trace.Trace, g *graph.Graph, idx *graphIndex, ann Annotations, cfg Config, r *Report) {
+func checkPublications(g *graph.Graph, idx *graphIndex, ann Annotations, cfg Config, r *Report) {
 	if len(ann.Pubs) == 0 {
 		return
 	}
-	pubs := make([]*pubState, len(ann.Pubs))
+	pubs := make([]pubState, len(ann.Pubs))
 	for i, pub := range ann.Pubs {
-		pubs[i] = &pubState{pub: pub, byThread: make(map[int32][]graph.NodeID)}
+		pubs[i] = pubState{pub: pub, byThread: make(map[int32][]graph.NodeID)}
 	}
-	for e := range tr.All() {
-		if !e.IsPersist() {
-			continue
+	ax := idx.addr
+	for _, n := range g.Nodes {
+		e := &n.Event
+		k := ax.seg(e.Addr)
+		// A persist of a publication's word publishes, in ascending
+		// publication order; it is never also that publication's data.
+		for _, i := range ax.pubWords.at(k) {
+			if ps := &pubs[i]; ps.isWord(e) {
+				ps.publish(e, n.ID, g, idx.Reach, cfg, r)
+			}
 		}
-		node := idx.nodeOf[e.Seq]
-		for _, ps := range pubs {
-			pub := ps.pub
-			if e.Addr >= pub.Word && e.Addr < pub.Word+wordBytes {
-				ps.publish(e, node, g, idx, cfg, r)
+		for _, i := range ax.pubData.at(k) {
+			ps := &pubs[i]
+			if ps.dead || ps.isWord(e) || !ps.isData(e) {
 				continue
 			}
-			if ps.dead {
-				continue
-			}
-			for xi, x := range pub.Data {
-				if !x.Contains(e.Addr, e.Size) {
-					continue
-				}
-				switch {
-				case pub.ValueCovers:
-					if xi == 0 {
-						off := uint64(e.Addr - x.Addr)
-						ps.valPending = append(ps.valPending, valEntry{node: node, end: off + uint64(e.Size)})
-					}
-				case pub.AllThreads:
-					ps.shared = append(ps.shared, node)
-				default:
-					ps.byThread[e.TID] = append(ps.byThread[e.TID], node)
-				}
-				break
+			switch {
+			case ps.pub.ValueCovers:
+				off := uint64(e.Addr - ps.pub.Data[0].Addr)
+				ps.valPending = append(ps.valPending, valEntry{node: n.ID, end: off + uint64(e.Size)})
+			case ps.pub.AllThreads:
+				ps.shared = append(ps.shared, n.ID)
+			default:
+				ps.byThread[e.TID] = append(ps.byThread[e.TID], n.ID)
 			}
 		}
 	}
+}
+
+// isWord reports whether the persist starts in the publication word.
+func (ps *pubState) isWord(e *trace.Event) bool {
+	return e.Addr >= ps.pub.Word && e.Addr < ps.pub.Word+wordBytes
+}
+
+// isData reports whether the persist is data the publication covers:
+// inside Data[0] for a ValueCovers word (offsets index that extent),
+// inside any extent otherwise.
+func (ps *pubState) isData(e *trace.Event) bool {
+	data := ps.pub.Data
+	if ps.pub.ValueCovers {
+		data = data[:min(len(data), 1)]
+	}
+	for _, x := range data {
+		if x.Contains(e.Addr, e.Size) {
+			return true
+		}
+	}
+	return false
 }
 
 const wordBytes = 8
 
 // publish handles one persist of the publication word: every data
 // persist it covers must be an ancestor in the model graph.
-func (ps *pubState) publish(e trace.Event, node graph.NodeID, g *graph.Graph, idx *graphIndex, cfg Config, r *Report) {
+func (ps *pubState) publish(e *trace.Event, node graph.NodeID, g *graph.Graph, reach *graph.Reach, cfg Config, r *Report) {
 	pub := ps.pub
 	if e.Val == 0 {
 		// A zero persist retracts rather than publishes: it is the
@@ -118,10 +138,10 @@ func (ps *pubState) publish(e trace.Event, node graph.NodeID, g *graph.Graph, id
 			return
 		}
 		// Pending nodes are in id order, so no walk below the oldest.
-		idx.Mark(node, pend[0])
+		reach.Mark(node, pend[0])
 		for _, d := range pend {
-			if !idx.Marked(d) {
-				ps.report(g, idx, cfg, r, d, node, e)
+			if !reach.Marked(d) {
+				ps.report(g, reach, cfg, r, d, node, e)
 			}
 		}
 		if pub.AllThreads {
@@ -145,31 +165,31 @@ func (ps *pubState) publish(e trace.Event, node graph.NodeID, g *graph.Graph, id
 	if len(ps.valPending) == 0 {
 		return
 	}
-	idx.Mark(node, ps.valPending[0].node)
+	reach.Mark(node, ps.valPending[0].node)
 	kept := ps.valPending[:0]
 	for _, ve := range ps.valPending {
 		if ve.end > v {
 			kept = append(kept, ve)
 			continue
 		}
-		if !idx.Marked(ve.node) {
-			ps.report(g, idx, cfg, r, ve.node, node, e)
+		if !reach.Marked(ve.node) {
+			ps.report(g, reach, cfg, r, ve.node, node, e)
 		}
 	}
 	ps.valPending = kept
 }
 
-func (ps *pubState) report(g *graph.Graph, idx *graphIndex, cfg Config, r *Report, d, p graph.NodeID, e trace.Event) {
+func (ps *pubState) report(g *graph.Graph, reach *graph.Reach, cfg Config, r *Report, d, p graph.NodeID, e *trace.Event) {
 	de := g.Nodes[d].Event
 	r.addHazard(Finding{
 		Kind:     UnpersistedPublication,
 		Severity: Hazard,
 		Msg: fmt.Sprintf("%q persist %s publishes data persist %s without an ordering path",
-			ps.pub.Name, fmtPersist(e), fmtPersist(de)),
+			ps.pub.Name, fmtPersist(*e), fmtPersist(de)),
 		Site:     cfg.site(de.Addr),
 		TID:      e.TID,
 		Seq:      e.Seq,
 		WitnessA: d,
 		WitnessB: p,
-	}, idx.Reach, cfg)
+	}, reach, cfg)
 }

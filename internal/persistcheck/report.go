@@ -101,7 +101,9 @@ type Finding struct {
 	// no path A→B. Both are -1 for findings without a pair (Perf).
 	WitnessA, WitnessB graph.NodeID
 	// Cut is the divergent crash state exhibiting B without A (empty
-	// for Perf findings).
+	// for Perf findings). It is read-only: findings may share one cut
+	// (every unprotected-metadata finding of a report holds the same
+	// full cut), so a caller that changes it clones it first.
 	Cut graph.Cut
 	// Repro is the fault-campaign replay line for Cut ("" unless
 	// Config.ReproParams was set).

@@ -45,13 +45,16 @@ func checkUnprotected(g *graph.Graph, ann Annotations, cfg Config, r *Report) {
 		}
 		return i >= 0 && uint64(a-prot[i].Addr)+size <= prot[i].Size
 	}
-	// Findings past the storage limit are only counted: their cut and
-	// repro are never built.
+	// Findings past the storage limit are only counted: their repro is
+	// never built. Every stored finding shares one full cut.
+	var cut graph.Cut
 	report := func(name string, a memory.Addr, size uint64) {
 		if !r.keep(UnprotectedMetadata, cfg.limit()) {
 			return
 		}
-		cut := g.Full()
+		if cut.Included == nil {
+			cut = g.Full()
+		}
 		repro := ""
 		if len(cfg.ReproParams) > 0 {
 			s := fault.Scenario{
